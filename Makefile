@@ -6,7 +6,8 @@ PYTEST := PYTHONPATH=src $(PYTHON) -m pytest
 
 .PHONY: test chaos perf differential verify-invariants coverage test-all \
 	bench bench-async bench-compression bench-figures bench-scale bench-scale-check \
-	bench-topology bench-topology-check orchestrate-smoke scenario-smoke
+	bench-topology bench-topology-check bench-e2e-quick orchestrate-smoke \
+	scenario-smoke
 
 ## The default (tier-1) suite: the addopts in pyproject.toml deselect the
 ## chaos, perf, and differential markers, so a bare pytest run is tier-1.
@@ -102,3 +103,11 @@ bench-topology:
 ## fail if either acceptance bar regressed (writes nothing).
 bench-topology-check:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_topology.py --check
+
+## End-to-end benchmark smoke (< 1 min): every benchmarks/e2e workload on a
+## tenth of its round budget with the layer wrappers installed, then the
+## harness self-tests — tier-1 does not collect them, so this is what keeps
+## the harness and the public names it wraps from rotting.
+bench-e2e-quick:
+	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e --seed 7 --quick --out /tmp/quick.json
+	$(PYTEST) benchmarks/e2e/test_harness.py -q

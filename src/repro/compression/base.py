@@ -15,6 +15,13 @@ run any of them through a single code path with honest byte accounting:
   state and reports whether the optimizer should restart its recursion
   (Algorithm 1's stage boundary).
 
+The vectorized engine runs the same protocol a round at a time:
+:meth:`Compressor.compress_batch` returns every eligible edge's payload as
+one columnar :class:`PayloadBatch` and :meth:`Compressor.settle_batch`
+reports the channel's verdicts for all of them. ``batched`` compressors
+implement both as array kernels; for the rest the base class adapts the
+per-edge methods into the same batch, so the engine has one round.
+
 **Reference tracking is the protocol's backbone.** Every edge carries a
 reference vector — the receiver's current view of the sender, which by
 protocol invariant equals the sender's ``last_sent`` record. Compressors
@@ -110,6 +117,116 @@ def payload_to_update(
     )
 
 
+class PayloadBatch:
+    """One round's payloads in columnar form: row ``r`` is edge ``r``'s payload.
+
+    Attributes
+    ----------
+    indices, values:
+        ``(K, width)`` matrices; row ``r`` holds its payload's sorted
+        indices and absolute values in the first ``n_sent[r]`` columns
+        (the padding beyond is unspecified).
+    n_sent:
+        ``(K,)`` transmitted-coordinate counts.
+    bits:
+        Bit width of the QUANTIZED frame the non-empty rows may use, or
+        ``None`` for full-precision payloads.
+    scales, levels:
+        Quantization metadata of a columnar quantizer's rows (``(K,)`` and
+        ``(K, width)``, aligned with ``indices``), else ``None``.
+
+    ``len(batch)`` is the number of payloads and ``batch[r]`` is row ``r``
+    as the :class:`Payload` per-edge :meth:`Compressor.compress` returns.
+    """
+
+    __slots__ = (
+        "indices", "values", "n_sent", "bits", "scales", "levels", "_payloads"
+    )
+
+    def __init__(
+        self, indices, values, n_sent, bits=None, scales=None, levels=None,
+        payloads: list[Payload] | None = None,
+    ):
+        self.indices = indices
+        self.values = values
+        self.n_sent = n_sent
+        self.bits = bits
+        self.scales = scales
+        self.levels = levels
+        self._payloads = payloads
+
+    @classmethod
+    def from_payloads(cls, payloads: list[Payload]) -> "PayloadBatch":
+        """Pack per-edge payloads (kept, so ``batch[r]`` is the original)."""
+        n_sent = np.fromiter(
+            (p.indices.size for p in payloads), dtype=np.int64, count=len(payloads)
+        )
+        width = int(n_sent.max()) if payloads else 0
+        sent = np.arange(width) < n_sent[:, None]
+        indices = np.zeros((len(payloads), width), dtype=np.int64)
+        values = np.zeros((len(payloads), width))
+        if payloads:
+            indices[sent] = np.concatenate([p.indices for p in payloads])
+            values[sent] = np.concatenate([p.values for p in payloads])
+        bit_widths = {
+            getattr(p.meta.get("quantization"), "bits", None)
+            for p in payloads
+            if p.indices.size
+        }
+        if len(bit_widths) > 1:
+            raise ProtocolError(
+                "one round's payloads mix quantization widths "
+                f"{sorted(map(str, bit_widths))}"
+            )
+        return cls(
+            indices,
+            values,
+            n_sent,
+            bits=bit_widths.pop() if bit_widths else None,
+            payloads=payloads,
+        )
+
+    def __len__(self) -> int:
+        return int(self.n_sent.size)
+
+    def __getitem__(self, row: int) -> Payload:
+        if self._payloads is not None:
+            return self._payloads[row]
+        if not -len(self) <= row < len(self):
+            raise IndexError(row)
+        count = int(self.n_sent[row])
+        meta = {}
+        if count and self.levels is not None:
+            meta["quantization"] = QuantizationInfo(
+                bits=self.bits,
+                scale=float(self.scales[row]),
+                levels=self.levels[row, :count],
+            )
+        return Payload(
+            indices=self.indices[row, :count],
+            values=self.values[row, :count],
+            meta=meta,
+        )
+
+    def wire_bytes(self, total_params: int) -> np.ndarray:
+        """Exact wire bytes of every row's cheapest frame (``int64``)."""
+        return encoded_update_bytes(
+            total_params, total_params - self.n_sent, self.bits
+        )
+
+    def sent_entries(self, rows: np.ndarray):
+        """The transmitted coordinates of ``rows``, flat.
+
+        Returns ``(positions, indices, values)``: entry ``i`` says that
+        ``rows[positions[i]]`` carries ``values[i]`` for parameter
+        ``indices[i]``.
+        """
+        sent = np.arange(self.indices.shape[1]) < self.n_sent[rows][:, None]
+        positions, columns = np.nonzero(sent)
+        picked = rows[positions]
+        return positions, self.indices[picked, columns], self.values[picked, columns]
+
+
 class Compressor:
     """Base class of every compression scheme (see the module docstring).
 
@@ -118,11 +235,13 @@ class Compressor:
 
     * ``uses_rng`` — the scheme is stochastic; edge states get a keyed
       per-edge generator.
-    * ``batched`` — :meth:`compress_batch` has a vectorized implementation
-      that is bit-for-bit identical to per-edge :meth:`compress` calls
-      (asserted by the engine-parity tests). Batched compressors must not
-      keep per-edge state outside :class:`EdgeState`, because the
-      vectorized engine routes all edges through one instance.
+    * ``batched`` — :meth:`compress_batch` is an array kernel that is
+      bit-for-bit identical to per-edge :meth:`compress` calls (asserted by
+      the engine-parity tests) and reads neither ``states`` nor ``ctxs``;
+      the outcome arrives through :meth:`settle_batch`, never the per-edge
+      hooks. The vectorized engine routes all edges through one instance,
+      so per-node round state belongs in the context :meth:`begin_round`
+      returns and per-edge state in :class:`EdgeState`.
     """
 
     #: Human-readable label; the builder overrides it with the full spec
@@ -163,20 +282,48 @@ class Compressor:
         self,
         currents: np.ndarray,
         references: np.ndarray,
-        states: list[EdgeState],
-        ctxs: list[dict],
-    ) -> list[Payload]:
+        states=None,
+        ctxs=None,
+    ) -> PayloadBatch:
         """Compress many edges at once; rows of the two matrices align.
 
-        The default delegates to per-edge :meth:`compress`; ``batched``
-        subclasses override it with vectorized kernels that produce
-        bitwise-identical payloads.
+        This default adapts per-edge :meth:`compress` (``states`` and
+        ``ctxs`` give each row's edge state and its source's round
+        context) into a columnar batch; ``batched`` subclasses override it
+        with array kernels that produce bitwise-identical payloads.
         """
-        out = []
-        for row in range(len(states)):
-            states[row].reference = references[row]
-            out.append(self.compress(currents[row], states[row], ctxs[row]))
-        return out
+        payloads = []
+        for row, state in enumerate(states):
+            state.reference = references[row]
+            payloads.append(self.compress(currents[row], state, ctxs[row]))
+        return PayloadBatch.from_payloads(payloads)
+
+    def settle_batch(
+        self,
+        batch: PayloadBatch,
+        delivered: np.ndarray,
+        currents: np.ndarray,
+        references: np.ndarray,
+        states,
+    ) -> np.ndarray | None:
+        """Report the channel's verdict on every row of ``batch``.
+
+        ``delivered`` is the per-row outcome mask and ``references`` the
+        rows' post-outcome references (advanced where delivered). Returns
+        the rows' error-feedback residuals for the caller to store, or
+        ``None`` when the scheme materializes none. ``batched`` schemes
+        keep no per-edge outcome state unless they override this; for the
+        rest this default calls the per-edge hooks, which update
+        ``states`` themselves.
+        """
+        if not self.batched:
+            for row, state in enumerate(states):
+                state.reference = references[row]
+                if delivered[row]:
+                    self.payload_delivered(batch[row], state)
+                else:
+                    self.payload_dropped(batch[row], state)
+        return None
 
     def decompress(self, payload: Payload, reference: np.ndarray) -> np.ndarray:
         """The receiver's reconstruction: overlay the payload onto a view."""
@@ -231,6 +378,7 @@ __all__ = [
     "Compressor",
     "EdgeState",
     "Payload",
+    "PayloadBatch",
     "QuantizationInfo",
     "edge_rng",
     "payload_to_update",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import Compressor, EdgeState, Payload
+from repro.compression.base import Compressor, EdgeState, Payload, PayloadBatch
 
 
 class ErrorFeedback(Compressor):
@@ -65,15 +65,28 @@ class ErrorFeedback(Compressor):
         self,
         currents: np.ndarray,
         references: np.ndarray,
-        states: list[EdgeState],
-        ctxs: list[dict],
-    ) -> list[Payload]:
-        payloads = self.inner.compress_batch(currents, references, states, ctxs)
-        for row, state in enumerate(states):
-            state.pending["ef_current"] = np.asarray(
-                currents[row], dtype=float
-            ).copy()
-        return payloads
+        states=None,
+        ctxs=None,
+    ) -> PayloadBatch:
+        if self.batched:
+            return self.inner.compress_batch(currents, references, states, ctxs)
+        return super().compress_batch(currents, references, states, ctxs)
+
+    def settle_batch(
+        self,
+        batch: PayloadBatch,
+        delivered: np.ndarray,
+        currents: np.ndarray,
+        references: np.ndarray,
+        states,
+    ) -> np.ndarray | None:
+        if not self.batched:
+            return super().settle_batch(
+                batch, delivered, currents, references, states
+            )
+        self.inner.settle_batch(batch, delivered, currents, references, states)
+        # The same expression as _settle, for every row at once.
+        return currents - references
 
     def decompress(self, payload: Payload, reference: np.ndarray) -> np.ndarray:
         return self.inner.decompress(payload, reference)
@@ -85,9 +98,11 @@ class ErrorFeedback(Compressor):
         # By the time either hook runs, state.reference reflects the round's
         # outcome (advanced in place on delivery, untouched on a drop), so
         # one expression covers both branches of the EF recurrence.
+        # Written in place: the vectorized engine keeps every edge's residual
+        # as one row of a matrix and hands the states views of it.
         current = state.pending.pop("ef_current", None)
         if current is not None and state.reference is not None:
-            state.residual = current - state.reference
+            np.subtract(current, state.reference, out=state.residual)
 
     def payload_delivered(self, payload: Payload, state: EdgeState) -> None:
         self._settle(state)

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import Compressor, EdgeState, Payload
+from repro.compression.base import Compressor, EdgeState, Payload, PayloadBatch
+from repro.exceptions import ProtocolError
 from repro.network.frames import (
     check_quant_bits,
     dequantize_levels,
@@ -77,28 +78,38 @@ class UniformQuantizer(Compressor):
         self,
         currents: np.ndarray,
         references: np.ndarray,
-        states: list[EdgeState],
-        ctxs: list[dict],
-    ) -> list[Payload]:
+        states=None,
+        ctxs=None,
+    ) -> PayloadBatch:
+        n_rows = len(currents)
         drifts = currents - references
-        scales = np.abs(drifts).max(axis=1) if drifts.size else np.zeros(len(states))
+        scales = np.abs(drifts).max(axis=1) if drifts.size else np.zeros(n_rows)
+        if not np.all(np.isfinite(scales)):
+            raise ProtocolError("quantization scale must be finite")
         # Guard the zero rows out of the division; their levels are all zero
         # anyway, and the expression for live rows matches compress() term
         # for term (same operand order), so payloads are bitwise identical.
         safe = np.where(scales > 0.0, scales, 1.0)
         cap = quantization_levels(self.bits)
         levels = np.rint(drifts / safe[:, None] * cap).astype(np.int64)
-        payloads = []
-        for row in range(len(states)):
-            if scales[row] == 0.0:
-                payloads.append(_empty_payload())
-            else:
-                payloads.append(
-                    _quantized_payload(
-                        references[row], levels[row], float(scales[row]), self.bits
-                    )
-                )
-        return payloads
+        # Compact each row's nonzero levels into its leading columns.
+        nonzero = levels != 0
+        n_sent = nonzero.sum(axis=1)
+        rows, cols = np.nonzero(nonzero)
+        slots = np.arange(rows.size) - np.repeat(np.cumsum(n_sent) - n_sent, n_sent)
+        shape = (n_rows, int(n_sent.max()) if n_rows else 0)
+        indices = np.zeros(shape, dtype=np.int64)
+        kept = np.zeros(shape, dtype=np.int64)
+        values = np.zeros(shape)
+        picked = levels[rows, cols]
+        indices[rows, slots] = cols
+        kept[rows, slots] = picked
+        values[rows, slots] = references[rows, cols] + dequantize_levels(
+            picked, scales[rows], self.bits
+        )
+        return PayloadBatch(
+            indices, values, n_sent, bits=self.bits, scales=scales, levels=kept
+        )
 
 
 class TernGradCompressor(Compressor):

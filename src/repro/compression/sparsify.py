@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import Compressor, EdgeState, Payload
+from repro.compression.base import Compressor, EdgeState, Payload, PayloadBatch
 from repro.exceptions import ConfigurationError
 
 
@@ -52,21 +52,24 @@ class TopKCompressor(Compressor):
         self,
         currents: np.ndarray,
         references: np.ndarray,
-        states: list[EdgeState],
-        ctxs: list[dict],
-    ) -> list[Payload]:
+        states=None,
+        ctxs=None,
+    ) -> PayloadBatch:
         magnitudes = np.abs(currents - references)
         # Batched stable argsort along axis 1 equals the per-row call on
-        # C-contiguous data, so the payloads match compress() bitwise.
+        # C-contiguous data, so the picks match compress() bitwise.
         ranked = np.argsort(-magnitudes, kind="stable")[:, : self.k]
-        payloads = []
-        for row in range(len(states)):
-            chosen = ranked[row][magnitudes[row][ranked[row]] > 0.0]
-            indices = np.sort(chosen)
-            payloads.append(
-                Payload(indices=indices, values=currents[row][indices], meta={})
-            )
-        return payloads
+        drifted = np.take_along_axis(magnitudes, ranked, axis=1) > 0.0
+        # Sorting with the zero-drift picks pushed past the last real index
+        # leaves each row's sent indices ascending in its leading columns.
+        n_params = currents.shape[1]
+        indices = np.sort(np.where(drifted, ranked, n_params), axis=1)
+        indices[indices == n_params] = 0
+        return PayloadBatch(
+            indices,
+            np.take_along_axis(currents, indices, axis=1),
+            drifted.sum(axis=1),
+        )
 
 
 class RandomKCompressor(Compressor):

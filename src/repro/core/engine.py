@@ -31,13 +31,14 @@ load-bearing identities (verified by ``tests/core/test_engine_equivalence.py``):
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from repro.core.config import StragglerStrategy
-from repro.network.frames import FLOAT_BYTES, INT_BYTES
+from repro.network.frames import encoded_update_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trainer imports us)
     from repro.core.trainer import SNAPTrainer
@@ -83,7 +84,15 @@ class DeliveredEdges:
 
 
 def build_engine(trainer: "SNAPTrainer"):
-    """Instantiate the engine selected by ``trainer.config.engine``."""
+    """Instantiate the engine selected by ``trainer.config.engine``.
+
+    The trainer owns its engine, so the engine's back-reference is weak: a
+    finished run (tens of MB of prepared shards and edge state) is then
+    freed when its trainer is dropped rather than whenever the cyclic
+    collector next runs — which the array-at-a-time round, allocating few
+    Python objects, rarely provokes.
+    """
+    trainer = weakref.proxy(trainer)
     if trainer.config.engine == "vectorized":
         return VectorizedEngine(trainer)
     if trainer.config.engine == "semisync":
@@ -254,6 +263,20 @@ class VectorizedEngine:
         self._delta_scratch: np.ndarray | None = None
         self._mask_scratch: np.ndarray | None = None
         self._subst_scratch: np.ndarray | None = None
+        self._forget_edge_states()
+
+    def _forget_edge_states(self) -> None:
+        """Drop the row-aligned handles on the trainer's compressor edge states.
+
+        The generic round re-adopts each state on the edge's next eligible
+        round (see :meth:`_adopt_edge_states`), so whatever replaced or
+        restored ``trainer._edge_states`` meanwhile is what gets picked up.
+        """
+        self._state_rows = np.full(self.n_edges, None, dtype=object)
+        self._state_adopted = np.zeros(self.n_edges, dtype=bool)
+        #: (E, d) error-feedback residuals, one row per directed edge;
+        #: allocated when the first adopted state carries a residual.
+        self._residuals: np.ndarray | None = None
 
     def rebuild_topology(self) -> None:
         """Adopt the trainer's swapped topology and weight matrix.
@@ -337,6 +360,7 @@ class VectorizedEngine:
 
     def begin_run(self) -> None:
         """Ingest the servers' current state (fresh run or checkpoint resume)."""
+        self._forget_edge_states()
         servers = self.trainer.servers
         for i, server in enumerate(servers):
             self.params[i] = server.params
@@ -438,11 +462,7 @@ class VectorizedEngine:
         return mixed
 
     def step_round(self, round_index: int, down: frozenset) -> None:
-        active = np.ones(self.n_nodes, dtype=bool)
-        for node in down:
-            if 0 <= node < self.n_nodes:
-                active[node] = False
-
+        active = self._active_mask(down)
         gradients = self.scales[:, None] * self._batch_gradients()
         robust = self.trainer.config.robust_aggregation
         if robust is not None:
@@ -535,16 +555,47 @@ class VectorizedEngine:
         corruption = self.trainer.channel.corruption_model
         if corruption is None:
             return wire
+        wire_idx = np.flatnonzero(wire)
+        damaged = corruption.corrupted_edges(
+            self.trainer.topology,
+            self.edge_src[wire_idx],
+            self.edge_dst[wire_idx],
+            round_index,
+        )
         delivered_mask = wire.copy()
-        for e in np.flatnonzero(wire):
-            if corruption.corrupted(
-                self.trainer.topology,
-                int(self.edge_src[e]),
-                int(self.edge_dst[e]),
-                round_index,
-            ):
-                delivered_mask[e] = False
+        delivered_mask[wire_idx[damaged]] = False
         return delivered_mask
+
+    def _view_rows(self, edges: np.ndarray) -> np.ndarray:
+        """The view rows of ``edges`` (ascending, unique) as a references matrix.
+
+        With every edge eligible — any round without a crashed server — this
+        is the live matrix itself rather than a gathered copy; callers only
+        read it.
+        """
+        return self.views if edges.size == self.n_edges else self.views[edges]
+
+    def _adopt_edge_states(self, edges: np.ndarray) -> np.ndarray:
+        """The trainer's compressor states of ``edges`` (created on first use).
+
+        A newly adopted state is tied to its edge row: ``reference`` becomes
+        the live view row and a materialized ``residual`` moves into
+        :attr:`_residuals`, so the round can update either for every edge
+        with one array write.
+        """
+        for e in edges[~self._state_adopted[edges]].tolist():
+            state = self.trainer._edge_state(
+                int(self.edge_src[e]), int(self.edge_dst[e])
+            )
+            state.reference = self.views[e]
+            if state.residual is not None:
+                if self._residuals is None:
+                    self._residuals = np.zeros((self.n_edges, self.n_params))
+                self._residuals[e] = state.residual
+                state.residual = self._residuals[e]
+            self._state_rows[e] = state
+            self._state_adopted[e] = True
+        return self._state_rows[edges]
 
     def _communicate_preset(
         self, round_index: int, down: frozenset
@@ -602,14 +653,8 @@ class VectorizedEngine:
         wire = eligible & ~self._round_link_down(round_index)
         delivered_mask = self._delivered_after_corruption(wire, round_index)
 
-        # Fig. 3 byte accounting: UNCHANGED_INDEX (4 + 4M + 8(d-M)) when
-        # d > 2M + 1, else INDEX_VALUE (12 (d-M)) — per message, analytically.
-        unsent = d - n_sent
-        sizes = np.where(
-            d > 2 * unsent + 1,
-            INT_BYTES + INT_BYTES * unsent + FLOAT_BYTES * n_sent,
-            (INT_BYTES + FLOAT_BYTES) * n_sent,
-        )
+        # Fig. 3 byte accounting per message, analytically.
+        sizes = encoded_update_bytes(d, d - n_sent)
         wire_idx = np.flatnonzero(wire)
         if wire_idx.size:
             trainer.tracker.record_many(
@@ -658,10 +703,13 @@ class VectorizedEngine:
 
         Mirrors the reference trainer's ``_communicate`` exactly — same
         eligibility rules, same per-edge operands (a parameter row and the
-        live view row for that directed edge), same hook ordering — so every
-        compressor inherits bit-for-bit engine parity. Batched compressors
-        get one ``compress_batch`` call over all eligible edges; the rest
-        compress edge by edge against their keyed per-edge state.
+        live view row for that directed edge), same outcome ordering — so
+        every compressor inherits bit-for-bit engine parity. All eligible
+        edges go through one ``compress_batch`` / ``settle_batch`` pair on
+        a columnar :class:`~repro.compression.base.PayloadBatch`; sizing,
+        delivery and the outcome are array operations on it. (Compressors
+        that are not ``batched`` fill the batch edge by edge inside the
+        base-class adapters.)
         """
         trainer = self.trainer
         active = self._active_mask(down)
@@ -669,48 +717,25 @@ class VectorizedEngine:
         tx = self._tx_params(round_index)
 
         compressors = trainer.compressors
-        ctxs: dict[int, dict] = {
-            int(i): compressors[int(i)].begin_round(tx[int(i)], round_index)
-            for i in np.flatnonzero(active)
-        }
+        ctxs = np.full(self.n_nodes, None, dtype=object)
+        for i in np.flatnonzero(active).tolist():
+            ctxs[i] = compressors[i].begin_round(tx[i], round_index)
 
         eligible = active[self.edge_src] & active[self.edge_dst]
         elig_idx = np.flatnonzero(eligible)
         d = self.n_params
-
-        states = {
-            int(e): trainer._edge_state(
-                int(self.edge_src[e]), int(self.edge_dst[e])
-            )
-            for e in elig_idx
-        }
-        payloads: dict[int, object] = {}
-        if elig_idx.size:
-            if compressors[0].batched:
-                batch = compressors[0].compress_batch(
-                    tx[self.edge_src[elig_idx]],
-                    self.views[elig_idx],
-                    [states[int(e)] for e in elig_idx],
-                    [ctxs[int(self.edge_src[e])] for e in elig_idx],
-                )
-                payloads = {int(e): p for e, p in zip(elig_idx, batch)}
-            else:
-                for e in elig_idx:
-                    e = int(e)
-                    src = int(self.edge_src[e])
-                    state = states[e]
-                    state.reference = self.views[e]
-                    payloads[e] = compressors[src].compress(
-                        tx[src], state, ctxs[src]
-                    )
-
         sizes = np.zeros(self.n_edges, dtype=np.int64)
         n_sent = np.zeros(self.n_edges, dtype=np.int64)
-        for e, payload in payloads.items():
-            n_sent[e] = payload.n_sent
-            sizes[e] = compressors[int(self.edge_src[e])].bytes_on_wire(
-                payload, d
+        if elig_idx.size:
+            compressor = compressors[0]
+            sources = self.edge_src[elig_idx]
+            currents = tx[sources]
+            states = self._adopt_edge_states(elig_idx)
+            batch = compressor.compress_batch(
+                currents, self._view_rows(elig_idx), states, ctxs[sources]
             )
+            n_sent[elig_idx] = batch.n_sent
+            sizes[elig_idx] = batch.wire_bytes(d)
 
         wire = eligible & ~self._round_link_down(round_index)
         delivered_mask = self._delivered_after_corruption(wire, round_index)
@@ -727,32 +752,26 @@ class VectorizedEngine:
             )
 
         delivered_idx = np.flatnonzero(delivered_mask)
-        for e in delivered_idx:
-            e = int(e)
-            payload = payloads[e]
-            if payload.n_sent:
-                self.views[e][payload.indices] = payload.values
-            self.fresh[e] = True
+        if elig_idx.size:
+            outcome = delivered_mask[elig_idx]
+            positions, indices, values = batch.sent_entries(np.flatnonzero(outcome))
+            self.views[delivered_idx[positions], indices] = values
+            self.fresh[delivered_idx] = True
+            # The outcome observes the post-round references (the live view
+            # rows, advanced by the delivery writes above), matching the
+            # reference engine's mark_delivered-then-hook ordering.
+            residuals = compressor.settle_batch(
+                batch, outcome, currents, self._view_rows(elig_idx), states
+            )
+            if residuals is not None:
+                self._residuals[elig_idx] = residuals
         params_sent = int(n_sent[delivered_idx].sum())
         delivered = DeliveredEdges(
             self.edge_src[delivered_idx], self.edge_dst[delivered_idx]
         )
 
-        # Outcome hooks observe the post-round reference (the live view row,
-        # advanced in place by the delivery writes above), matching the
-        # reference engine's mark_delivered-then-hook ordering.
-        for e in elig_idx:
-            e = int(e)
-            state = states[e]
-            state.reference = self.views[e]
-            src = int(self.edge_src[e])
-            if delivered_mask[e]:
-                compressors[src].payload_delivered(payloads[e], state)
-            else:
-                compressors[src].payload_dropped(payloads[e], state)
-
-        for i, ctx in ctxs.items():
-            if compressors[i].end_round(ctx):
+        for i in np.flatnonzero(active).tolist():
+            if compressors[i].end_round(ctxs[i]):
                 # Algorithm 1 stage boundary: restart the EXTRA recursion.
                 self.has_previous[i] = False
                 self.previous_views_valid[i] = False

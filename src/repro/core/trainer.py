@@ -64,6 +64,7 @@ PARTITION_WARN_ROUNDS = 10
 
 def _delivered_graph_connected(
     n_nodes: int,
+    n_links: int,
     delivered,
     down: frozenset = frozenset(),
 ) -> bool:
@@ -79,9 +80,14 @@ def _delivered_graph_connected(
     ``scipy.sparse.csgraph`` over the delivered-edge graph; down servers
     never appear in ``delivered``, so they are exactly the singleton
     components subtracted off.
+
+    ``n_links`` is the topology's directed-link count: with nobody down and
+    every link delivered, the delivered graph *is* the topology, which is
+    connected (checked at construction; pruning keeps it so), and no graph
+    is built.
     """
     active = n_nodes - len(down)
-    if active <= 1:
+    if active <= 1 or (not down and len(delivered) == n_links):
         return True
     sources = getattr(delivered, "sources", None)
     if sources is None:
@@ -558,7 +564,10 @@ class SNAPTrainer:
                 self.rounds_completed = round_index
                 stale_links = self._advance_staleness(delivered)
                 connected = _delivered_graph_connected(
-                    self.topology.n_nodes, delivered, down
+                    self.topology.n_nodes,
+                    2 * self.topology.n_edges,
+                    delivered,
+                    down,
                 )
                 self._observe_partition(connected, round_index)
 

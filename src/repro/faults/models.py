@@ -28,7 +28,7 @@ from repro.exceptions import ConfigurationError
 from repro.topology.failures import LinkFailureModel, NodeFailureModel
 from repro.topology.graph import Topology
 from repro.types import Edge, SeedLike
-from repro.utils.rng import make_rng
+from repro.utils.rng import keyed_uniforms, make_rng
 from repro.utils.validation import check_probability
 
 
@@ -298,6 +298,12 @@ class CorruptionModel(abc.ABC):
     consumes wire bytes — it entered the network — but the receiver's CRC
     check rejects it and the straggler rule applies, so corruption never
     delivers wrong values.
+
+    The question comes in two forms that must agree frame for frame:
+    :meth:`corrupted` answers for one frame (the per-object runtimes — the
+    reference and semi-synchronous engines, the testbed — ask as each frame
+    is sent) and :meth:`corrupted_edges` for a whole round's frames at once
+    (the vectorized engine asks once per round).
     """
 
     @abc.abstractmethod
@@ -305,6 +311,29 @@ class CorruptionModel(abc.ABC):
         self, topology: Topology, source: int, destination: int, round_index: int
     ) -> bool:
         """Whether the ``source -> destination`` frame of ``round_index`` is damaged."""
+
+    def corrupted_edges(
+        self,
+        topology: Topology,
+        sources: np.ndarray,
+        destinations: np.ndarray,
+        round_index: int,
+    ) -> np.ndarray:
+        """Boolean mask over the round's ``sources[i] -> destinations[i]`` frames.
+
+        The default asks :meth:`corrupted` frame by frame; models override
+        it with an array-at-a-time answer that is elementwise identical.
+        """
+        return np.fromiter(
+            (
+                self.corrupted(topology, source, destination, round_index)
+                for source, destination in zip(
+                    sources.tolist(), destinations.tolist()
+                )
+            ),
+            dtype=bool,
+            count=len(sources),
+        )
 
 
 class NoCorruption(CorruptionModel):
@@ -315,6 +344,15 @@ class NoCorruption(CorruptionModel):
     ) -> bool:
         return False
 
+    def corrupted_edges(
+        self,
+        topology: Topology,
+        sources: np.ndarray,
+        destinations: np.ndarray,
+        round_index: int,
+    ) -> np.ndarray:
+        return np.zeros(len(sources), dtype=bool)
+
     def __repr__(self) -> str:
         return "NoCorruption()"
 
@@ -323,7 +361,10 @@ class IndependentCorruption(CorruptionModel):
     """Each directed frame is corrupted independently with ``rate``.
 
     Deterministic given the seed, the round, and the directed pair, so the
-    simulator and the testbed damage exactly the same frames.
+    simulator and the testbed damage exactly the same frames: the frame's
+    uniform is the first double of ``make_rng((seed, round, source,
+    destination))``, drawn from a fresh generator per frame or, for a whole
+    round, by :func:`repro.utils.rng.keyed_uniforms` — the same bits.
     """
 
     def __init__(self, rate: float, seed: SeedLike = None):
@@ -338,6 +379,19 @@ class IndependentCorruption(CorruptionModel):
             return False
         rng = make_rng((self._root_seed, round_index, source, destination))
         return bool(rng.random() < self.rate)
+
+    def corrupted_edges(
+        self,
+        topology: Topology,
+        sources: np.ndarray,
+        destinations: np.ndarray,
+        round_index: int,
+    ) -> np.ndarray:
+        round_index = _check_round(round_index)
+        if self.rate == 0.0:
+            return np.zeros(len(sources), dtype=bool)
+        draws = keyed_uniforms(self._root_seed, round_index, sources, destinations)
+        return draws < self.rate
 
     def __repr__(self) -> str:
         return f"IndependentCorruption(rate={self.rate})"
@@ -378,6 +432,20 @@ class ScheduledCorruption(CorruptionModel):
     ) -> bool:
         self._validate(topology)
         return (source, destination) in self._schedule.get(round_index, frozenset())
+
+    def corrupted_edges(
+        self,
+        topology: Topology,
+        sources: np.ndarray,
+        destinations: np.ndarray,
+        round_index: int,
+    ) -> np.ndarray:
+        self._validate(topology)
+        pairs = self._schedule.get(round_index)
+        if not pairs:
+            return np.zeros(len(sources), dtype=bool)
+        damaged = np.array([(s << 32) | d for s, d in pairs], dtype=np.int64)
+        return np.isin((np.asarray(sources) << 32) | destinations, damaged)
 
     def __repr__(self) -> str:
         return f"ScheduledCorruption(rounds={sorted(self._schedule)})"

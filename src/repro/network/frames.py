@@ -80,8 +80,11 @@ def dequantize_levels(levels, scale: float, bits: int) -> np.ndarray:
     the sender's arithmetic and the receiver's arithmetic apply the same
     float operations to the same operands — reconstructions agree bit for
     bit and the wire format cannot perturb trajectories.
+
+    ``scale`` may be an array aligned with ``levels`` (one scale per level's
+    row in a columnar batch); the per-element operations are the same.
     """
-    step = float(scale) / quantization_levels(bits)
+    step = np.asarray(scale, dtype=float) / quantization_levels(bits)
     return np.asarray(levels, dtype=np.int64).astype(float) * step
 
 
@@ -159,9 +162,35 @@ def select_frame_format(
 
 
 def encoded_update_bytes(
-    total_params: int, unsent_params: int, bits: int | None = None
-) -> int:
-    """Bytes of the best frame for this update (what SNAP actually transmits)."""
+    total_params: int, unsent_params, bits: int | None = None
+):
+    """Bytes of the best frame for this update (what SNAP actually transmits).
+
+    ``unsent_params`` may be an integer array — one count per frame of a
+    round — in which case the sizes come back as an ``int64`` array: the
+    cheapest format's size is the minimum of the candidates' sizes, which
+    is what :func:`select_frame_format` picks frame by frame.
+    """
+    if isinstance(unsent_params, np.ndarray):
+        unsent = unsent_params.astype(np.int64)
+        if unsent.size:
+            _check_counts(total_params, int(unsent.min()))
+            _check_counts(total_params, int(unsent.max()))
+        sent = total_params - unsent
+        sizes = np.where(
+            total_params > 2 * unsent + 1,
+            INT_BYTES + INT_BYTES * unsent + FLOAT_BYTES * sent,
+            (INT_BYTES + FLOAT_BYTES) * sent,
+        )
+        if bits is not None:
+            check_quant_bits(bits)
+            quantized = (
+                2 + FLOAT_BYTES + INT_BYTES
+                + np.where(unsent == 0, 0, INT_BYTES * sent)
+                + (sent * bits + 7) // 8
+            )
+            sizes = np.minimum(sizes, quantized)
+        return sizes
     chosen = select_frame_format(total_params, unsent_params, bits)
     return frame_size_bytes(total_params, unsent_params, chosen, bits)
 

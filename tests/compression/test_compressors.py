@@ -192,3 +192,95 @@ class TestEdgeRng:
         a_again = edge_rng(7, 1, 2).random(5)
         np.testing.assert_array_equal(a, a_again)
         assert not np.array_equal(a, b)
+
+
+def _assert_same_payload(columnar, single):
+    np.testing.assert_array_equal(columnar.indices, single.indices)
+    np.testing.assert_array_equal(columnar.values, single.values)
+    assert columnar.indices.dtype == single.indices.dtype
+    assert set(columnar.meta) == set(single.meta)
+    if "quantization" in single.meta:
+        ours, theirs = columnar.meta["quantization"], single.meta["quantization"]
+        assert (ours.bits, ours.scale) == (theirs.bits, theirs.scale)
+        np.testing.assert_array_equal(ours.levels, theirs.levels)
+
+
+def _sparse_drift_rows(rng, n_rows=7, d=9):
+    """References plus currents whose rows drift in 0, 1, 2, ... coordinates."""
+    references = rng.normal(size=(n_rows, d))
+    currents = references.copy()
+    for row in range(1, n_rows):
+        moved = rng.choice(d, size=min(row, d), replace=False)
+        currents[row, moved] += rng.normal(size=moved.size)
+    return currents, references
+
+
+class TestColumnarBatch:
+    """``compress_batch`` hands back columns; rows must equal ``compress``."""
+
+    @pytest.mark.parametrize(
+        "compressor",
+        [TopKCompressor(k=4), TopKCompressor(k=20), UniformQuantizer(bits=3),
+         UniformQuantizer(bits=8)],
+        ids=lambda c: f"{type(c).__name__}-{getattr(c, 'k', getattr(c, 'bits', ''))}",
+    )
+    def test_rows_with_little_or_no_drift(self, compressor):
+        currents, references = _sparse_drift_rows(np.random.default_rng(21))
+        batch = compressor.compress_batch(currents, references)
+        assert len(batch) == len(currents)
+        assert batch.n_sent[0] == 0  # the all-zero-drift row sends nothing
+        sizes = batch.wire_bytes(currents.shape[1])
+        for row in range(len(currents)):
+            state = make_state(compressor, references[row], 0, row)
+            single = compressor.compress(currents[row], state, {})
+            _assert_same_payload(batch[row], single)
+            assert batch.n_sent[row] == single.n_sent
+            assert sizes[row] == compressor.bytes_on_wire(single, currents.shape[1])
+        assert [p.n_sent for p in batch] == batch.n_sent.tolist()
+        with pytest.raises(IndexError):
+            batch[len(currents)]
+
+    def test_all_rows_zero_drift_and_empty_batch(self):
+        same = np.random.default_rng(3).normal(size=(3, 5))
+        for compressor in (TopKCompressor(k=2), UniformQuantizer(bits=4)):
+            batch = compressor.compress_batch(same, same.copy())
+            assert batch.n_sent.tolist() == [0, 0, 0]
+            assert batch.wire_bytes(5).tolist() == [0, 0, 0]
+            assert batch[1].n_sent == 0 and batch[1].meta == {}
+            empty = compressor.compress_batch(same[:0], same[:0])
+            assert len(empty) == 0 and empty.wire_bytes(5).shape == (0,)
+
+    def test_sent_entries_are_the_payload_coordinates(self):
+        compressor = TopKCompressor(k=3)
+        currents, references = _sparse_drift_rows(np.random.default_rng(4))
+        batch = compressor.compress_batch(currents, references)
+        rows = np.array([1, 3, 6])
+        positions, indices, values = batch.sent_entries(rows)
+        expected = [
+            (position, int(index), float(value))
+            for position, row in enumerate(rows)
+            for index, value in zip(batch[row].indices, batch[row].values)
+        ]
+        assert list(zip(positions, indices, values)) == expected
+
+    def test_per_edge_compressors_are_adapted_into_the_same_batch(self):
+        """The default ``compress_batch`` packs per-edge payloads as columns."""
+        rng = np.random.default_rng(8)
+        currents = rng.normal(size=(4, 10))
+        references = rng.normal(size=(4, 10))
+        references[2] = currents[2]
+        for compressor in (RandomKCompressor(k=3), TernGradCompressor()):
+            states = [make_state(compressor, np.zeros(10), 0, i) for i in range(4)]
+            twins = [make_state(compressor, references[i], 0, i) for i in range(4)]
+            batch = compressor.compress_batch(currents, references, states, [{}] * 4)
+            assert len(batch) == 4
+            sizes = batch.wire_bytes(10)
+            for row in range(4):
+                single = compressor.compress(currents[row], twins[row], {})
+                _assert_same_payload(batch[row], single)
+                count = single.n_sent
+                np.testing.assert_array_equal(
+                    batch.indices[row, :count], single.indices
+                )
+                np.testing.assert_array_equal(batch.values[row, :count], single.values)
+                assert sizes[row] == compressor.bytes_on_wire(single, 10)

@@ -12,8 +12,11 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.core.trainer as trainer_module
 from repro.core import SNAPConfig, SNAPTrainer
 from repro.core.config import SelectionPolicy, StragglerStrategy
+from repro.core.engine import DeliveredEdges
+from repro.core.trainer import _delivered_graph_connected
 from repro.exceptions import NetworkPartitionError
 from repro.faults import (
     CrashRestartSchedule,
@@ -128,6 +131,44 @@ class TestObservability:
         by_round = {r.round_index: r for r in result.rounds}
         assert by_round[2].stale_links == 1  # only the damaged direction
         assert by_round[3].stale_links == 0
+
+
+class TestDeliveredGraphConnectivity:
+    """``_delivered_graph_connected``: the full-delivery short cut and the
+    component count it skips must give the same answers."""
+
+    RING = [(0, 1), (1, 2), (2, 3), (3, 0)]
+
+    def _forms(self, pairs):
+        pairs = list(pairs)
+        sources, destinations = (
+            np.array(column, dtype=np.int64) for column in zip(*pairs)
+        )
+        return set(pairs), DeliveredEdges(sources, destinations)
+
+    def test_full_delivery_builds_no_graph(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("graph built although every link delivered")
+
+        monkeypatch.setattr(trainer_module, "connected_components", boom)
+        directed = self.RING + [(v, u) for u, v in self.RING]
+        for delivered in self._forms(directed):
+            assert _delivered_graph_connected(4, 8, delivered)
+
+    def test_partial_delivery_still_counts_components(self):
+        directed = self.RING + [(v, u) for u, v in self.RING]
+        # One direction of every link still spans the ring...
+        for delivered in self._forms(self.RING):
+            assert _delivered_graph_connected(4, 8, delivered)
+        # ...two opposite links down split it...
+        split = [p for p in directed if set(p) not in ({0, 1}, {2, 3})]
+        for delivered in self._forms(split):
+            assert not _delivered_graph_connected(4, 8, delivered)
+        # ...and a crashed server is not a partition of the live ones.
+        alive = [p for p in directed if 3 not in p]
+        for delivered in self._forms(alive):
+            assert _delivered_graph_connected(4, 8, delivered, frozenset({3}))
+            assert not _delivered_graph_connected(4, 8, delivered)
 
 
 class TestPartitionGuard:

@@ -21,9 +21,12 @@ from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError
 from repro.faults.models import (
+    CorruptionModel,
     GilbertElliottLinkFailures,
     IndependentCorruption,
     MarkovNodeFailures,
+    NoCorruption,
+    ScheduledCorruption,
 )
 from repro.faults.plan import FaultPlan
 from repro.models.logistic import LogisticRegression
@@ -66,15 +69,53 @@ def _fault_plan():
     )
 
 
+def _lossy_links_plan():
+    """Link bursts + random frame corruption, every server up."""
+    return FaultPlan(
+        links=GilbertElliottLinkFailures(0.25, 0.5, seed=11),
+        corruption=IndependentCorruption(0.15, seed=13),
+    )
+
+
+def _scheduled_corruption_plan():
+    """An explicit schedule, plus node crashes so rounds skip edges entirely."""
+    directed = EDGES + [(v, u) for u, v in EDGES]
+    return FaultPlan(
+        nodes=MarkovNodeFailures(0.12, 0.6, seed=12),
+        corruption=ScheduledCorruption(
+            {r: directed[r % 5 :: 3] for r in range(1, 31, 2)}
+        ),
+    )
+
+
+class _PerFrameOnlyCorruption(CorruptionModel):
+    """Implements only the per-frame form: the per-round query is the
+    base-class default that loops it."""
+
+    def corrupted(self, topology, source, destination, round_index):
+        return (source + 2 * destination + round_index) % 4 == 0
+
+
+def _per_frame_only_plan():
+    return FaultPlan(
+        nodes=MarkovNodeFailures(0.12, 0.6, seed=12),
+        corruption=_PerFrameOnlyCorruption(),
+    )
+
+
 def _run(engine, model, shards, *, fault_plan=None, rounds=30, **config_overrides):
+    """``fault_plan`` is ``True`` for :func:`_fault_plan` or a plan factory
+    (plans cache state, so every run builds its own)."""
     config_overrides.setdefault("optimize_weights", False)
     config = SNAPConfig(engine=engine, max_rounds=rounds, seed=7, **config_overrides)
+    if fault_plan is True:
+        fault_plan = _fault_plan
     trainer = SNAPTrainer(
         model,
         shards,
         Topology(N_NODES, EDGES),
         config,
-        fault_plan=_fault_plan() if fault_plan else None,
+        fault_plan=fault_plan() if fault_plan else None,
     )
     result = trainer.run(stop_on_convergence=False)
     return trainer, result
@@ -134,6 +175,70 @@ class TestPolicyMatrix:
             _run("reference", model, shards, fault_plan=True, **kwargs),
             _run("vectorized", model, shards, fault_plan=True, **kwargs),
         )
+
+
+#: One per path through the round: the preset kernel, the columnar batched
+#: compressors with and without materialized residuals, and the per-edge-RNG
+#: compressors that enter the same round through the base-class adapters.
+CORRUPTION_SPECS = ["ape", "topk:k=2", "ef:topk:k=2", "uniform:bits=4", "randomk:k=2"]
+
+
+@pytest.mark.parametrize("spec", CORRUPTION_SPECS)
+class TestCorruptionQueryForms:
+    """The engines ask the corruption model in different forms (per frame vs
+    per round); the full digests — EF residuals included — must not differ."""
+
+    def _both(self, spec, plan, **kwargs):
+        shards = _binary_shards(seed=9)
+        model = LogisticRegression(5)
+        if spec != "ape":
+            kwargs["compressor"] = spec
+        ref = _run("reference", model, shards, fault_plan=plan, **kwargs)
+        vec = _run("vectorized", model, shards, fault_plan=plan, **kwargs)
+        _assert_identical(ref, vec)
+        return ref
+
+    def test_gilbert_elliott_links_and_independent_corruption(self, spec):
+        trainer, result = self._both(spec, _lossy_links_plan)
+        # The plan bites: frames went on the wire and did not arrive.
+        ledger_flows = trainer.tracker.n_flows
+        delivered = sum(
+            2 * len(EDGES) - record.stale_links for record in result.rounds
+        )
+        assert delivered < ledger_flows < 30 * 2 * len(EDGES)
+
+    def test_scheduled_corruption_with_node_crashes(self, spec):
+        self._both(spec, _scheduled_corruption_plan)
+
+    def test_model_with_only_the_per_frame_form(self, spec):
+        assert "corrupted_edges" not in vars(_PerFrameOnlyCorruption)
+        self._both(spec, _per_frame_only_plan)
+
+
+@pytest.mark.parametrize("compressor", [None, "topk:k=2", "randomk:k=2"])
+def test_links_only_plan_asks_no_per_frame_corruption_question(
+    compressor, monkeypatch
+):
+    """A plan without a corruption model carries ``NoCorruption()``, never
+    ``None``: the vectorized engine must not pay a Python call per frame for
+    it."""
+    calls = []
+    original = NoCorruption.corrupted
+    monkeypatch.setattr(
+        NoCorruption,
+        "corrupted",
+        lambda self, *args: calls.append(args) or original(self, *args),
+    )
+    plan = lambda: FaultPlan(  # noqa: E731
+        links=GilbertElliottLinkFailures(0.25, 0.5, seed=11)
+    )
+    kwargs = {} if compressor is None else {"compressor": compressor}
+    shards = _binary_shards(seed=10)
+    model = LogisticRegression(5)
+    _run("vectorized", model, shards, fault_plan=plan, rounds=8, **kwargs)
+    assert calls == []
+    _run("reference", model, shards, fault_plan=plan, rounds=8, **kwargs)
+    assert calls  # the per-frame engines still ask frame by frame
 
 
 class TestModelCoverage:

@@ -1,5 +1,8 @@
 """Tests for repro.core.trainer.SNAPTrainer."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,25 @@ class TestTraining:
         ]:
             trainer = SNAPTrainer(model, shards, topo, config=config)
             assert trainer.run(max_rounds=3, stop_on_convergence=False).scheme == name
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized", "semisync"])
+    def test_finished_run_is_freed_without_the_cyclic_collector(
+        self, ridge_setup, engine
+    ):
+        """The engine's back-reference is weak: dropping the trainer frees the
+        run (prepared shards, edge state) at once, not at the next gen-2 GC."""
+        model, shards, topo, _ = ridge_setup
+        trainer = SNAPTrainer(
+            model, shards, topo, config=SNAPConfig(seed=0, engine=engine)
+        )
+        trainer.run(max_rounds=2, stop_on_convergence=False)
+        alive = weakref.ref(trainer)
+        gc.disable()
+        try:
+            del trainer
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_bad_max_rounds_rejected(self, ridge_setup):
         model, shards, topo, _ = ridge_setup

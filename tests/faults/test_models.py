@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.faults import (
+    CorruptionModel,
     CrashRestartSchedule,
     GilbertElliottLinkFailures,
     IndependentCorruption,
@@ -189,6 +190,73 @@ class TestCorruptionModels:
         model = ScheduledCorruption({1: [(0, 3)]})  # not a ring edge
         with pytest.raises(ConfigurationError):
             model.corrupted(ring6, 0, 1, 1)
+
+
+def _directed(topology):
+    pairs = [(u, v) for u, v in topology.edges] + [(v, u) for u, v in topology.edges]
+    sources, destinations = (np.array(column) for column in zip(*pairs))
+    return pairs, sources, destinations
+
+
+class _EverySecondRound(CorruptionModel):
+    """A model with only the per-frame form: exercises the default batch."""
+
+    def corrupted(self, topology, source, destination, round_index):
+        return round_index % 2 == 0 and source < destination
+
+
+class TestPerRoundCorruptionQuery:
+    """``corrupted_edges`` must agree with ``corrupted`` frame for frame."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            IndependentCorruption(0.0, seed=4),
+            IndependentCorruption(0.01, seed=4),
+            IndependentCorruption(0.3, seed=5),
+            IndependentCorruption(1.0, seed=6),
+            ScheduledCorruption({3: [(0, 1)], 5: [(1, 0), (2, 3)]}),
+            NoCorruption(),
+            _EverySecondRound(),
+        ],
+        ids=repr,
+    )
+    def test_batch_equals_scalar_elementwise(self, ring6, model):
+        pairs, sources, destinations = _directed(ring6)
+        hits = 0
+        for round_index in range(0, 120):
+            mask = model.corrupted_edges(ring6, sources, destinations, round_index)
+            assert mask.dtype == bool and mask.shape == sources.shape
+            scalar = [model.corrupted(ring6, s, d, round_index) for s, d in pairs]
+            assert mask.tolist() == scalar
+            hits += int(mask.sum())
+        if isinstance(model, IndependentCorruption) and 0 < model.rate < 1:
+            assert 0 < hits < 120 * len(pairs)
+
+    def test_subset_and_empty_queries(self, ring6):
+        model = IndependentCorruption(0.5, seed=8)
+        _, sources, destinations = _directed(ring6)
+        full = model.corrupted_edges(ring6, sources, destinations, 7)
+        part = model.corrupted_edges(ring6, sources[3:9], destinations[3:9], 7)
+        assert part.tolist() == full[3:9].tolist()
+        empty = np.zeros(0, dtype=np.int64)
+        for m in (model, NoCorruption(), ScheduledCorruption({7: [(0, 1)]})):
+            assert m.corrupted_edges(ring6, empty, empty, 7).shape == (0,)
+
+    def test_batch_validates_like_the_scalar_form(self, ring6):
+        _, sources, destinations = _directed(ring6)
+        with pytest.raises(ConfigurationError):
+            ScheduledCorruption({1: [(0, 3)]}).corrupted_edges(
+                ring6, sources, destinations, 1
+            )
+        with pytest.raises(ConfigurationError):
+            IndependentCorruption(0.1, seed=1).corrupted_edges(
+                ring6, sources, destinations, -1
+            )
+        with pytest.raises(ConfigurationError):
+            IndependentCorruption(0.1, seed=1).corrupted_edges(
+                ring6, sources, destinations, 2**32
+            )
 
 
 class TestClockSkew:

@@ -1,7 +1,10 @@
 """Property-based tests for the frame-format byte accounting."""
 
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.exceptions import ProtocolError
 from repro.network.frames import (
     FrameFormat,
     encoded_update_bytes,
@@ -65,3 +68,23 @@ def test_crossover_rule_matches_formula_comparison(total, unsent):
         assert chosen is FrameFormat.INDEX_VALUE
     else:
         assert chosen is FrameFormat.INDEX_VALUE  # the paper's tie branch
+
+
+@given(
+    total=st.integers(min_value=0, max_value=300),
+    bits=st.one_of(st.none(), bit_widths),
+)
+def test_array_of_counts_sizes_like_the_scalar_call(total, bits):
+    """A round's frames sized at once equal the frames sized one by one."""
+    unsent = np.arange(total + 1)
+    sizes = encoded_update_bytes(total, unsent, bits)
+    assert sizes.dtype == np.int64
+    assert sizes.tolist() == [
+        encoded_update_bytes(total, int(m), bits) for m in unsent
+    ]
+
+
+def test_array_of_counts_is_range_checked():
+    for bad in (np.array([0, 5]), np.array([-1, 2])):
+        with pytest.raises(ProtocolError):
+            encoded_update_bytes(4, bad)

@@ -1,5 +1,6 @@
 """Tests for repro.runtime.transport over real localhost sockets."""
 
+import queue
 import socket
 import struct
 import threading
@@ -203,12 +204,21 @@ class TestRetryAndReconnect:
         listener.listen(2)
         port = listener.getsockname()[1]
 
-        accepted = []
+        # The acceptor hands each server-side socket over a queue and the
+        # re-dial raises an event, so every wait below has a deadline and
+        # none of them is a spin on shared state.
+        accepted: queue.Queue = queue.Queue()
+        redialed = threading.Event()
 
         def accept_loop():
-            while len(accepted) < 2:
+            for _ in range(2):
                 sock, _ = listener.accept()
-                accepted.append(sock)
+                accepted.put(sock)
+
+        def reconnect():
+            sock = socket.create_connection(("127.0.0.1", port))
+            redialed.set()
+            return sock
 
         acceptor = threading.Thread(target=accept_loop, daemon=True)
         acceptor.start()
@@ -217,30 +227,32 @@ class TestRetryAndReconnect:
         sender = FrameConnection(
             first,
             peer="server 1",
-            reconnect=lambda: socket.create_connection(("127.0.0.1", port)),
+            reconnect=reconnect,
             retry_policy=RetryPolicy(max_attempts=4, backoff_base_s=0.01),
         )
-        while len(accepted) < 1:
-            pass
-        # Kill the server side of the first connection so the next sends
-        # eventually fail with ECONNRESET/EPIPE.
-        accepted[0].setsockopt(
-            socket.SOL_SOCKET, socket.SO_LINGER,
-            __import__("struct").pack("ii", 1, 0),
+        # Kill the server side of the first connection (RST, not FIN) so the
+        # next sends eventually fail with ECONNRESET/EPIPE.
+        first_server = accepted.get(timeout=10.0)
+        first_server.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
         )
-        accepted[0].close()
+        first_server.close()
 
         update = make_update()
         # Keep sending until the dead socket is noticed and replaced; every
         # call must either succeed or retry internally — never raise.
         for _ in range(50):
             sender.send_update(update)
-            if len(accepted) >= 2:
+            if redialed.is_set():
                 break
-        assert len(accepted) >= 2  # the reconnect path actually re-dialed
-        receiver = FrameConnection(accepted[-1])
+        assert redialed.is_set()  # the reconnect path actually re-dialed
+        # The send that re-dialed landed on the new connection; the acceptor
+        # may not have picked it up yet, hence the deadline.
+        receiver = FrameConnection(accepted.get(timeout=10.0))
         received = receiver.recv_update()
         assert received.round_index == update.round_index
+        acceptor.join(timeout=10.0)
+        assert not acceptor.is_alive()
         sender.close()
         receiver.close()
         listener.close()
