@@ -1,6 +1,7 @@
 """Pluggable simulation engines for the SNAP round loop.
 
-Two engines execute the same algorithm:
+Three engines execute the same algorithm (the third, the event-driven
+:class:`~repro.core.async_engine.SemiSyncEngine`, lives in its own module):
 
 * :class:`ReferenceEngine` — the original per-object oracle: one
   :class:`~repro.core.server.EdgeServer` per node, per-neighbor
@@ -26,7 +27,14 @@ load-bearing identities (verified by ``tests/core/test_engine_equivalence.py``):
 * a CSR row times a dense matrix accumulates ``w_ii x_i + Σ_j w_ij x_j`` in
   stored-entry order, matching the server's sequential mixing loop;
 * rowwise reductions (``mean(axis=1)``, masked ``max(axis=1)``) equal their
-  per-row scalar counterparts on C-contiguous arrays.
+  per-row scalar counterparts on C-contiguous arrays;
+* a stacked ``np.matmul`` over a ``(N, n, d)`` tensor hands each batch item to
+  the same BLAS ``gemv`` / ``dot`` as the per-shard ``@`` (``np.einsum`` does
+  not), so the logistic batch kernels equal the per-server calls — held by
+  ``tests/models/test_logistic.py``;
+* elementwise float64 arithmetic on the columnar
+  :class:`~repro.core.ape.APEScheduleBank` is the scalar Algorithm 1
+  transition, row by row — held by ``tests/core/test_ape.py``.
 """
 
 from __future__ import annotations
@@ -221,16 +229,23 @@ class VectorizedEngine:
         for u, v in topology.edges:
             self._undirected[(u, v)] = (edge_id[(u, v)], edge_id[(v, u)])
 
-        self._mix_current = self._build_mixing(edge_id, w_tilde=False)
-        self._mix_previous = self._build_mixing(edge_id, w_tilde=True)
+        # Each row of W is read once, through the server's weight row (a
+        # dict lookup on sparse W, an array row on dense W) — not through
+        # scipy's scalar ``W[i, j]``, which costs ~30 µs per entry.
+        servers = self.trainer.servers
+        own_w, nbr_w = [], []
+        for node in range(self.n_nodes):
+            row = servers[node].weight_row
+            own_w.append(float(row[node]))
+            nbr_w.append([float(row[j]) for j in topology.neighbors(node)])
+        self._mix_current = self._build_mixing(edge_id, own_w, nbr_w, w_tilde=False)
+        self._mix_previous = self._build_mixing(edge_id, own_w, nbr_w, w_tilde=True)
 
         # Robust aggregation runs the mixing as a per-node loop through the
         # same repro.core.robust.robust_mix the reference servers call, so
         # the operands (in-edge view rows and weights, ascending-neighbor
         # order) are laid out here once per topology.
         if self.trainer.config.robust_aggregation is not None:
-            W = self.trainer.weight_matrix
-            topology = self.trainer.topology
             self._robust_ids = [
                 topology.neighbors(node) for node in range(self.n_nodes)
             ]
@@ -238,13 +253,8 @@ class VectorizedEngine:
                 [edge_id[(j, node)] for j in topology.neighbors(node)]
                 for node in range(self.n_nodes)
             ]
-            self._robust_own_w = [
-                float(W[node, node]) for node in range(self.n_nodes)
-            ]
-            self._robust_nbr_w = [
-                [float(W[node, j]) for j in topology.neighbors(node)]
-                for node in range(self.n_nodes)
-            ]
+            self._robust_own_w = own_w
+            self._robust_nbr_w = nbr_w
 
     def _allocate_state(self) -> None:
         """Allocate the edge-sized state stacks and scratch for ``n_edges``."""
@@ -326,8 +336,13 @@ class VectorizedEngine:
             return self._pool.batch_losses(self.params)
         return self.trainer.model.batch_losses(self.params, self.prepared)
 
-    def _build_mixing(self, edge_id: dict, w_tilde: bool) -> csr_matrix:
+    def _build_mixing(
+        self, edge_id: dict, own_w: list, nbr_w: list, w_tilde: bool
+    ) -> csr_matrix:
         """CSR mixing operator over the ``(N + E, d)`` state stack.
+
+        ``own_w[i]`` is ``W[i, i]`` and ``nbr_w[i]`` the weights of node
+        ``i``'s neighbors in ascending-neighbor order.
 
         Stored-entry order per row — diagonal first, then ascending
         neighbors — reproduces the sequential accumulation order of
@@ -336,14 +351,14 @@ class VectorizedEngine:
         intentionally left unsorted (column N+e carries no order relation
         to the accumulation).
         """
-        W = self.trainer.weight_matrix
         data, indices, indptr = [], [], [0]
         for node in range(self.n_nodes):
-            own = W[node, node]
+            own = own_w[node]
             data.append(0.5 * (own + 1.0) if w_tilde else own)
             indices.append(node)
-            for neighbor in self.trainer.topology.neighbors(node):
-                w = W[node, neighbor]
+            for neighbor, w in zip(
+                self.trainer.topology.neighbors(node), nbr_w[node]
+            ):
                 data.append(0.5 * w if w_tilde else w)
                 indices.append(self.n_nodes + edge_id[(neighbor, node)])
             indptr.append(len(data))
@@ -606,10 +621,9 @@ class VectorizedEngine:
         tx = self._tx_params(round_index)
 
         scale = np.maximum(np.abs(tx).mean(axis=1), 1e-8)
-        if trainer._schedules is not None:
-            relative = np.array(
-                [schedule.send_threshold for schedule in trainer._schedules]
-            )
+        bank = trainer._schedules
+        if bank is not None:
+            relative = bank.send_thresholds()
         else:
             relative = np.zeros(self.n_nodes)
         threshold = relative * scale
@@ -639,7 +653,7 @@ class VectorizedEngine:
             n_sent = send_mask.sum(axis=1)
 
         suppressed_node = None
-        if trainer._schedules is not None:
+        if bank is not None:
             # Masked suppressed-max without a where() copy: zeroing the sent
             # coordinates in place and reducing is bitwise equal to
             # np.where(send_mask, 0.0, deltas).max(axis=1) — and deltas is
@@ -685,15 +699,12 @@ class VectorizedEngine:
             self.edge_src[delivered_idx], self.edge_dst[delivered_idx]
         )
 
-        if trainer._schedules is not None:
-            for i in np.flatnonzero(active):
-                schedule = trainer._schedules[i]
-                stage_before = schedule.stage
-                schedule.record_round(float(suppressed_node[i]) / float(scale[i]))
-                if schedule.stage != stage_before:
-                    # Algorithm 1 stage boundary: restart the EXTRA recursion.
-                    self.has_previous[i] = False
-                    self.previous_views_valid[i] = False
+        if bank is not None:
+            nodes = np.flatnonzero(active)
+            advanced = bank.record_rounds(nodes, suppressed_node[nodes] / scale[nodes])
+            # Algorithm 1 stage boundary: restart the EXTRA recursion.
+            self.has_previous[advanced] = False
+            self.previous_views_valid[advanced] = False
         return params_sent, delivered
 
     def _communicate_generic(

@@ -39,7 +39,7 @@ from repro.models.base import Model
 from repro.models.metrics import accuracy_score
 from repro.network.channel import Channel
 from repro.network.cost import CommunicationCostTracker
-from repro.core.ape import APESchedule
+from repro.core.ape import APEScheduleBank
 from repro.results import RoundRecord, RoundTrace, TrainingResult
 from repro.topology.failures import (
     LinkFailureModel,
@@ -429,8 +429,8 @@ class SNAPTrainer:
         #: Round horizon of the current run() (for budget projection).
         self._budget_horizon = 0
 
-    def _build_schedules(self) -> list[APESchedule] | None:
-        """One APE schedule per server, operating in *relative* units.
+    def _build_schedules(self) -> APEScheduleBank | None:
+        """One APE schedule per server (a bank row each), in *relative* units.
 
         The paper initializes the APE threshold "to be 10% of the mean value
         of all the parameters". The parameters' scale changes over training
@@ -449,16 +449,14 @@ class SNAPTrainer:
             growth = 1.0 + self.alpha * self.config.curvature_bound
         else:
             growth = self.config.ape_growth
-        return [
-            APESchedule(
-                initial_threshold=initial_threshold,
-                growth=growth,
-                stage_iterations=self.config.ape_stage_iterations,
-                decay=self.config.ape_decay,
-                epsilon=epsilon,
-            )
-            for _ in self.servers
-        ]
+        return APEScheduleBank(
+            len(self.servers),
+            initial_threshold=initial_threshold,
+            growth=growth,
+            stage_iterations=self.config.ape_stage_iterations,
+            decay=self.config.ape_decay,
+            epsilon=epsilon,
+        )
 
     @property
     def link_staleness(self) -> dict[tuple[int, int], int]:
@@ -657,7 +655,7 @@ class SNAPTrainer:
         """The fleet's highest APE stage (0 outside the APE policy)."""
         if self._schedules is None:
             return 0
-        return max(schedule.stage for schedule in self._schedules)
+        return int(self._schedules.stages.max())
 
     def _maybe_adapt_topology(self, round_index: int, down: frozenset) -> None:
         """Run the controller cycle when a trigger fires at this round boundary.
@@ -1006,12 +1004,6 @@ class SNAPTrainer:
                 RuntimeWarning,
                 stacklevel=2,
             )
-
-    def _send_threshold(self, server_index: int) -> float:
-        """The current relative send threshold (0 outside the APE policy)."""
-        if self._schedules is not None:
-            return self._schedules[server_index].send_threshold
-        return 0.0
 
     def _evaluate(self, test_set: Dataset, mean_params: Params | None = None) -> float:
         if mean_params is None:

@@ -37,12 +37,18 @@ class LogisticRegression(Model):
     def n_params(self) -> int:
         return self.n_features + (1 if self.fit_intercept else 0)
 
-    def _design(self, X: np.ndarray) -> np.ndarray:
+    def _design(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The design matrix of ``X`` (bias column last), written to ``out`` if given."""
         if X.shape[1] != self.n_features:
             raise DataError(
                 f"X has {X.shape[1]} features, model expects {self.n_features}"
             )
-        return add_bias_column(X) if self.fit_intercept else X
+        if out is None:
+            return add_bias_column(X) if self.fit_intercept else X
+        out[:, : self.n_features] = X
+        if self.fit_intercept:
+            out[:, self.n_features] = 1.0
+        return out
 
     @staticmethod
     def _signed_labels(y: np.ndarray) -> np.ndarray:
@@ -79,60 +85,69 @@ class LogisticRegression(Model):
     # -- batched multi-shard path (vectorized engine) ---------------------------
 
     def prepare_shards(self, shards) -> "_PreparedLogisticShards":
-        """Cache design matrices and signed labels for all shards at once."""
-        designs = []
-        signed = []
-        for X, y in shards:
-            X, y = self.check_batch(X, y)
-            designs.append(np.ascontiguousarray(self._design(X)))
-            signed.append(self._signed_labels(y))
-        sizes = {d.shape[0] for d in designs}
-        uniform = len(sizes) == 1
+        """Cache design matrices and signed labels for all shards at once.
+
+        Equal-sized shards are built straight into one ``(N, n, d)`` design
+        tensor and one ``(N, n)`` label matrix — no per-shard copy exists
+        beside them.
+        """
+        checked = [self.check_batch(X, y) for X, y in shards]
+        sizes = {X.shape[0] for X, _ in checked}
+        if len(sizes) != 1:
+            return _PreparedLogisticShards(
+                designs=tuple(
+                    np.ascontiguousarray(self._design(X)) for X, _ in checked
+                ),
+                signed=tuple(self._signed_labels(y) for _, y in checked),
+                design_stack=None,
+                signed_stack=None,
+            )
+        design_stack = np.empty((len(checked), sizes.pop(), self.n_params))
+        signed_stack = np.empty(design_stack.shape[:2])
+        for i, (X, y) in enumerate(checked):
+            self._design(X, out=design_stack[i])
+            signed_stack[i] = self._signed_labels(y)
         return _PreparedLogisticShards(
-            designs=tuple(designs),
-            signed=tuple(signed),
-            signed_stack=np.stack(signed) if uniform and designs else None,
+            designs=(),
+            signed=(),
+            design_stack=design_stack,
+            signed_stack=signed_stack,
         )
+
+    # The uniform-shard kernels below run every matrix-vector product as one
+    # stacked ``np.matmul``: numpy hands each batch item to the same BLAS
+    # ``gemv`` / ``dot`` the per-shard ``@`` calls, so row ``i`` is bitwise
+    # equal to ``loss`` / ``gradient`` on shard ``i`` (held by
+    # tests/models/test_logistic.py with ``array_equal``). ``np.einsum``
+    # sums in another order and is *not* equal; do not use it here.
 
     def _margins_stack(
         self, params_stack: np.ndarray, prepared: "_PreparedLogisticShards"
     ) -> np.ndarray:
-        """Per-shard margins ``signed * (design @ params)`` as one (N, n) array.
-
-        The matvec stays per-shard (a batched 3-D matmul may reassociate the
-        dot products), but writing the rows into one buffer lets every
-        subsequent elementwise op run batched with unchanged per-row results.
-        """
-        n = prepared.designs[0].shape[0]
-        margins = np.empty((len(prepared.designs), n))
-        for i, (design, signed) in enumerate(zip(prepared.designs, prepared.signed)):
-            margins[i] = signed * (design @ params_stack[i])
-        return margins
+        """Per-shard margins ``signed * (design @ params)`` as one (N, n) array."""
+        products = np.matmul(prepared.design_stack, params_stack[:, :, None])
+        return prepared.signed_stack * products[:, :, 0]
 
     def batch_losses(
         self, params_stack: np.ndarray, prepared: "_PreparedLogisticShards"
     ) -> np.ndarray:
-        if prepared.signed_stack is None:
+        if prepared.design_stack is None:
             return self._batch_losses_loop(params_stack, prepared)
         margins = self._margins_stack(params_stack, prepared)
         data_terms = np.logaddexp(0.0, -margins).mean(axis=1)
-        reg_terms = np.array(
-            [float(params_stack[i] @ params_stack[i]) for i in range(len(params_stack))]
-        )
-        return data_terms + 0.5 * self.regularization * reg_terms
+        reg_terms = np.matmul(params_stack[:, None, :], params_stack[:, :, None])
+        return data_terms + 0.5 * self.regularization * reg_terms[:, 0, 0]
 
     def batch_gradients(
         self, params_stack: np.ndarray, prepared: "_PreparedLogisticShards"
     ) -> np.ndarray:
-        if prepared.signed_stack is None:
+        if prepared.design_stack is None:
             return self._batch_gradients_loop(params_stack, prepared)
         margins = self._margins_stack(params_stack, prepared)
-        n = prepared.designs[0].shape[0]
         weights = _stable_sigmoid(-margins)
-        coefficients = -(weights * prepared.signed_stack) / n
-        gradients = np.empty_like(params_stack)
-        for i, design in enumerate(prepared.designs):
-            gradients[i] = design.T @ coefficients[i]
+        coefficients = -(weights * prepared.signed_stack) / margins.shape[1]
+        # c^T X per shard: the same gemv as the per-shard ``design.T @ c``.
+        gradients = np.matmul(coefficients[:, None, :], prepared.design_stack)[:, 0]
         gradients += self.regularization * params_stack
         return gradients
 
@@ -184,14 +199,16 @@ class LogisticRegression(Model):
 class _PreparedLogisticShards:
     """Cached shard state for the batched evaluators.
 
-    ``signed_stack`` is the ``(N, n)`` label matrix when every shard has the
-    same sample count (the batched elementwise fast path); ``None`` means the
-    shards are ragged and the evaluators fall back to a per-shard loop over
-    the cached designs.
+    ``design_stack`` / ``signed_stack`` are the ``(N, n, d)`` design tensor
+    and ``(N, n)`` label matrix when every shard has the same sample count
+    (the stacked fast path; ``designs`` / ``signed`` are then empty).
+    ``None`` means the shards are ragged and the evaluators fall back to a
+    per-shard loop over ``designs`` / ``signed``.
     """
 
     designs: tuple[np.ndarray, ...]
     signed: tuple[np.ndarray, ...]
+    design_stack: np.ndarray | None
     signed_stack: np.ndarray | None
 
 

@@ -98,7 +98,9 @@ def _inject_ape(trainer) -> None:
     def stuck_record_round(suppressed_max: float) -> bool:
         # Accumulate far past the budget but never advance the stage —
         # exactly the Algorithm 1 bookkeeping bug the monitor exists for.
-        schedule._accumulated = schedule.state_dict()["threshold"] * 2.0 + 1.0
+        state = schedule.state_dict()
+        state["accumulated"] = state["threshold"] * 2.0 + 1.0
+        schedule.load_state_dict(state)
         return False
 
     schedule.record_round = stuck_record_round

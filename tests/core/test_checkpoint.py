@@ -55,6 +55,42 @@ def test_resume_is_bit_identical(setup, tmp_path, selection):
     )
 
 
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
+def test_resume_across_ape_stage_advances_has_equal_digest(setup, tmp_path, engine):
+    """The schedule bank survives ``state_dict`` -> checkpoint -> ``load_state_dict``.
+
+    Checkpointed mid-stage (round 14 of 10-round stages) so the accumulated
+    error and iterations-in-stage columns matter; the server-state digest
+    hashes every schedule's ``state_dict`` repr, so equal digests mean the
+    resumed bank — advanced by array calls on the vectorized engine, by row
+    views on the reference — is the uninterrupted one.
+    """
+    from repro.testing.digest import server_state_sha
+
+    model, shards, topo = setup
+
+    def make():
+        return SNAPTrainer(
+            model, shards, topo, config=SNAPConfig(engine=engine, seed=0)
+        )
+
+    uninterrupted = make()
+    uninterrupted.run(max_rounds=27, stop_on_convergence=False)
+    assert uninterrupted._schedules.stages.max() >= 2
+
+    first = make()
+    first.run(max_rounds=14, stop_on_convergence=False)
+    path = save_checkpoint(first, tmp_path / f"{engine}.npz")
+    resumed = make()
+    restore_checkpoint(resumed, path)
+    assert [s.state_dict() for s in resumed._schedules] == [
+        s.state_dict() for s in first._schedules
+    ]
+    resumed.run(max_rounds=13, stop_on_convergence=False)
+
+    assert server_state_sha(resumed) == server_state_sha(uninterrupted)
+
+
 def test_restore_recovers_all_server_state(setup, tmp_path):
     trainer = build_trainer(setup)
     trainer.run(max_rounds=7, stop_on_convergence=False)

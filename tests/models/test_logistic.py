@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import DataError
 from repro.models.logistic import LogisticRegression, _stable_sigmoid
@@ -83,3 +84,101 @@ class TestTraining:
                 - model.gradient(b, binary_dataset.X, binary_dataset.y)
             )
             assert gap <= bound * np.linalg.norm(a - b) + 1e-9
+
+
+class TestBatchKernelsBitwise:
+    """``batch_losses`` / ``batch_gradients`` ≡ per-shard ``loss`` / ``gradient``.
+
+    The vectorized engine's bit-for-bit parity with the reference engine
+    rests on this: the stacked ``np.matmul`` kernels must hand every shard
+    to the same BLAS routine the per-shard ``@`` uses. ``array_equal``, not
+    ``allclose`` — a numpy/BLAS build where the identity fails must fail
+    here, loudly, not drift.
+    """
+
+    @staticmethod
+    def _shards(rng, n_shards, n_samples, n_features, signed_labels, ragged):
+        shards = []
+        for i in range(n_shards):
+            n = n_samples + (i % 3 if ragged else 0)
+            X = rng.normal(size=(n, n_features))
+            y = rng.integers(0, 2, size=n).astype(float)
+            shards.append((X, 2.0 * y - 1.0 if signed_labels else y))
+        return shards
+
+    @staticmethod
+    def _assert_rows_equal_per_shard_calls(model, shards, prepared, params_stack):
+        expected_losses = np.array(
+            [model.loss(params_stack[i], X, y) for i, (X, y) in enumerate(shards)]
+        )
+        expected_gradients = np.stack(
+            [model.gradient(params_stack[i], X, y) for i, (X, y) in enumerate(shards)]
+        )
+        assert np.array_equal(model.batch_losses(params_stack, prepared), expected_losses)
+        assert np.array_equal(
+            model.batch_gradients(params_stack, prepared), expected_gradients
+        )
+
+    @given(
+        n_shards=st.integers(1, 12),
+        n_samples=st.integers(1, 40),
+        n_features=st.integers(1, 24),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        signed_labels=st.booleans(),
+        fit_intercept=st.booleans(),
+        ragged=st.booleans(),
+        contiguous=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batch_rows_equal_per_shard_calls(
+        self,
+        n_shards,
+        n_samples,
+        n_features,
+        scale,
+        signed_labels,
+        fit_intercept,
+        ragged,
+        contiguous,
+        seed,
+    ):
+        rng = np.random.default_rng(seed)
+        model = LogisticRegression(
+            n_features, regularization=0.01, fit_intercept=fit_intercept
+        )
+        shards = self._shards(
+            rng, n_shards, n_samples, n_features, signed_labels, ragged
+        )
+        prepared = model.prepare_shards(shards)
+        assert (prepared.design_stack is None) == (ragged and n_shards > 1)
+        if contiguous:
+            params_stack = scale * rng.normal(size=(n_shards, model.n_params))
+        else:
+            # A row-and-column slice of a larger buffer: strided rows, like
+            # the engine's (N + E, d) stack and the pool's per-worker slices.
+            buffer = scale * rng.normal(size=(n_shards + 2, model.n_params + 3))
+            params_stack = buffer[1 : n_shards + 1, 2 : model.n_params + 2]
+            assert not params_stack.flags.c_contiguous or n_shards == 1
+
+        self._assert_rows_equal_per_shard_calls(model, shards, prepared, params_stack)
+
+    def test_engine_scale_shapes(self, rng):
+        """The benchmark workloads' shapes: (1024, 10, 11) and (256, 128, 65)."""
+        for n_shards, n_samples, n_features in ((1024, 10, 10), (256, 128, 64)):
+            model = LogisticRegression(n_features)
+            shards = self._shards(rng, n_shards, n_samples, n_features, False, False)
+            self._assert_rows_equal_per_shard_calls(
+                model,
+                shards,
+                model.prepare_shards(shards),
+                rng.normal(size=(n_shards, model.n_params)),
+            )
+
+    def test_uniform_shards_are_held_once(self, rng):
+        model = LogisticRegression(3)
+        prepared = model.prepare_shards(self._shards(rng, 4, 5, 3, False, False))
+        assert prepared.design_stack.shape == (4, 5, 4)
+        assert prepared.signed_stack.shape == (4, 5)
+        assert prepared.designs == () and prepared.signed == ()
+        assert np.all(prepared.design_stack[:, :, -1] == 1.0)
