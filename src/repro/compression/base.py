@@ -15,12 +15,15 @@ run any of them through a single code path with honest byte accounting:
   state and reports whether the optimizer should restart its recursion
   (Algorithm 1's stage boundary).
 
-The vectorized engine runs the same protocol a round at a time:
-:meth:`Compressor.compress_batch` returns every eligible edge's payload as
-one columnar :class:`PayloadBatch` and :meth:`Compressor.settle_batch`
-reports the channel's verdicts for all of them. ``batched`` compressors
-implement both as array kernels; for the rest the base class adapts the
-per-edge methods into the same batch, so the engine has one round.
+The vectorized engine runs the same protocol a round at a time, four calls
+on one instance: :meth:`Compressor.begin_round_batch` opens the round for
+every active node, :meth:`Compressor.compress_batch` returns every eligible
+edge's payload as one columnar :class:`PayloadBatch`,
+:meth:`Compressor.settle_batch` reports the channel's verdicts for all of
+them and :meth:`Compressor.end_round_batch` closes the round and names the
+nodes that restart their recursion. ``batched`` compressors implement these
+as array kernels; for the rest the base class adapts the per-node and
+per-edge methods into the same calls, so the engine has one round.
 
 **Reference tracking is the protocol's backbone.** Every edge carries a
 reference vector — the receiver's current view of the sender, which by
@@ -125,7 +128,12 @@ class PayloadBatch:
     indices, values:
         ``(K, width)`` matrices; row ``r`` holds its payload's sorted
         indices and absolute values in the first ``n_sent[r]`` columns
-        (the padding beyond is unspecified).
+        (the padding beyond is unspecified). A batch built by
+        :meth:`from_mask` has ``indices = None`` instead: ``values`` is the
+        ``(K, d)`` matrix of full vectors and ``mask`` (``(K, d)`` bool, or
+        ``None`` for every column) marks the transmitted entries, so a
+        threshold selection over a large ``d`` is never sorted into index
+        columns.
     n_sent:
         ``(K,)`` transmitted-coordinate counts.
     bits:
@@ -140,12 +148,13 @@ class PayloadBatch:
     """
 
     __slots__ = (
-        "indices", "values", "n_sent", "bits", "scales", "levels", "_payloads"
+        "indices", "values", "n_sent", "bits", "scales", "levels", "mask",
+        "_payloads",
     )
 
     def __init__(
         self, indices, values, n_sent, bits=None, scales=None, levels=None,
-        payloads: list[Payload] | None = None,
+        payloads: list[Payload] | None = None, mask=None,
     ):
         self.indices = indices
         self.values = values
@@ -153,7 +162,23 @@ class PayloadBatch:
         self.bits = bits
         self.scales = scales
         self.levels = levels
+        self.mask = mask
         self._payloads = payloads
+
+    @classmethod
+    def from_mask(
+        cls, currents: np.ndarray, mask: np.ndarray | None = None
+    ) -> "PayloadBatch":
+        """Row ``r`` sends the entries of ``currents[r]`` that ``mask[r]`` marks.
+
+        ``mask=None`` sends every column (the dense scheme).
+        """
+        n_rows, n_params = currents.shape
+        if mask is None:
+            n_sent = np.full(n_rows, n_params, dtype=np.int64)
+        else:
+            n_sent = mask.sum(axis=1)
+        return cls(None, currents, n_sent, mask=mask)
 
     @classmethod
     def from_payloads(cls, payloads: list[Payload]) -> "PayloadBatch":
@@ -194,6 +219,12 @@ class PayloadBatch:
             return self._payloads[row]
         if not -len(self) <= row < len(self):
             raise IndexError(row)
+        if self.indices is None:
+            if self.mask is None:
+                indices = np.arange(self.values.shape[1], dtype=np.int64)
+            else:
+                indices = np.flatnonzero(self.mask[row]).astype(np.int64, copy=False)
+            return Payload(indices, self.values[row][indices], {})
         count = int(self.n_sent[row])
         meta = {}
         if count and self.levels is not None:
@@ -221,6 +252,13 @@ class PayloadBatch:
         ``rows[positions[i]]`` carries ``values[i]`` for parameter
         ``indices[i]``.
         """
+        if self.indices is None:
+            if self.mask is None:
+                sent = np.ones((rows.size, self.values.shape[1]), dtype=bool)
+            else:
+                sent = self.mask[rows]
+            positions, columns = np.nonzero(sent)
+            return positions, columns, self.values[rows[positions], columns]
         sent = np.arange(self.indices.shape[1]) < self.n_sent[rows][:, None]
         positions, columns = np.nonzero(sent)
         picked = rows[positions]
@@ -237,11 +275,15 @@ class Compressor:
       per-edge generator.
     * ``batched`` — :meth:`compress_batch` is an array kernel that is
       bit-for-bit identical to per-edge :meth:`compress` calls (asserted by
-      the engine-parity tests) and reads neither ``states`` nor ``ctxs``;
-      the outcome arrives through :meth:`settle_batch`, never the per-edge
-      hooks. The vectorized engine routes all edges through one instance,
-      so per-node round state belongs in the context :meth:`begin_round`
-      returns and per-edge state in :class:`EdgeState`.
+      the engine-parity tests) and reads no ``states``; the outcome arrives
+      through :meth:`settle_batch`, never the per-edge hooks, and the round
+      opens and closes through :meth:`begin_round_batch` /
+      :meth:`end_round_batch`, never the per-node ones (a batched scheme
+      with per-node round state overrides both, as APE does). The
+      vectorized engine routes all edges through one instance.
+    * ``keeps_edge_state`` — the scheme needs one :class:`EdgeState` per
+      directed edge (a generator, a materialized residual, or simply the
+      per-edge adapters); where false the vectorized engine creates none.
     """
 
     #: Human-readable label; the builder overrides it with the full spec
@@ -250,6 +292,10 @@ class Compressor:
     name: str = "compressor"
     uses_rng: bool = False
     batched: bool = False
+
+    @property
+    def keeps_edge_state(self) -> bool:
+        return not self.batched
 
     # -- state ------------------------------------------------------------------
 
@@ -271,6 +317,23 @@ class Compressor:
     def begin_round(self, params: np.ndarray, round_index: int) -> dict:
         """Per-node round context, computed once before the edge fan-out."""
         return {}
+
+    def begin_round_batch(
+        self, params: np.ndarray, nodes: np.ndarray, round_index: int, peers
+    ):
+        """Open the round for the rows ``nodes`` of the ``(N, d)`` stack.
+
+        ``peers[i]`` is node ``i``'s compressor (``self`` is one of them).
+        Returns the round's contexts indexed by node: ``ctxs[sources]`` is
+        what :meth:`compress_batch` takes for edges leaving ``sources``.
+        This default adapts per-node :meth:`begin_round`; ``batched``
+        kernels read no context, so for them it makes no per-node call.
+        """
+        ctxs = np.full(len(params), None, dtype=object)
+        if not self.batched:
+            for i in nodes.tolist():
+                ctxs[i] = peers[i].begin_round(params[i], round_index)
+        return ctxs
 
     def compress(
         self, current: np.ndarray, state: EdgeState, ctx: dict
@@ -356,6 +419,18 @@ class Compressor:
         """Fold round statistics into state; ``True`` requests an optimizer
         recursion restart (Algorithm 1's stage boundary)."""
         return False
+
+    def end_round_batch(self, ctxs, nodes: np.ndarray, peers) -> np.ndarray:
+        """Close the round :meth:`begin_round_batch` opened for ``nodes``.
+
+        Returns the nodes whose optimizer recursion restarts. The default
+        adapts per-node :meth:`end_round` (skipped, like the opening call,
+        for ``batched`` kernels).
+        """
+        if self.batched:
+            return np.empty(0, dtype=np.int64)
+        restarts = [i for i in nodes.tolist() if peers[i].end_round(ctxs[i])]
+        return np.asarray(restarts, dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

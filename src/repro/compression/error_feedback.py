@@ -28,6 +28,8 @@ class ErrorFeedback(Compressor):
     """Decorates ``inner`` with an explicit per-edge residual accumulator."""
 
     name = "ef"
+    #: The residual rows live on the edge states.
+    keeps_edge_state = True
 
     def __init__(self, inner: Compressor):
         self.inner = inner

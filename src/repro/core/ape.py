@@ -27,11 +27,13 @@ gracefully into SNAP-0, preserving exact convergence).
 
 The state of Algorithm 1 lives in one place: an :class:`APEScheduleBank`
 holds ``T_k``, the accumulated error, the iterations-in-stage counter and
-the stage index of every server as four columns. The vectorized engine reads
-and advances all rows with :meth:`APEScheduleBank.send_thresholds` /
+the stage index of every server as four columns. The APE compressor's batch
+methods (the vectorized engine's round) read and advance all rows with
+:meth:`APEScheduleBank.send_thresholds` /
 :meth:`APEScheduleBank.record_rounds`; everything that works one server at a
-time (the reference engine, the APE compressor, the testbed, checkpoints,
-the digest, the invariant monitor) sees row ``i`` as an :class:`APESchedule`.
+time (the reference engine, the compressor's per-node methods, the testbed,
+checkpoints, the digest, the invariant monitor) sees row ``i`` as an
+:class:`APESchedule`.
 The scalar and the array transition are the same IEEE operations on the
 same operands (held equal by ``tests/core/test_ape.py``).
 """
@@ -219,6 +221,11 @@ class APESchedule:
         self.epsilon = bank.epsilon
         self.max_stage_iterations = bank.max_stage_iterations
         self._send_denominator = bank.send_denominator
+
+    @property
+    def bank(self) -> APEScheduleBank:
+        """The bank this schedule is a row of."""
+        return self._bank
 
     @property
     def threshold(self) -> float:

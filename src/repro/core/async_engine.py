@@ -64,7 +64,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.compression import payload_to_update
 from repro.exceptions import ProtocolError
 from repro.network.channel import Channel
 from repro.network.cost import CommunicationCostTracker
@@ -444,18 +443,13 @@ class SemiSyncEngine:
                     # bytes enter the network, but progress is still gossiped.
                     self._schedule_notice(node_id, neighbor, k, t_done)
                     continue
-                state = trainer._edge_state(node_id, neighbor)
-                state.reference = server.last_sent[neighbor]
-                payload = compressor.compress(tx_params, state, ctx)
-                message = payload_to_update(
-                    payload, node_id, k, trainer.model.n_params
-                )
+                offer = trainer._offer_update(server, neighbor, tx_params, ctx, k)
+                message = offer[0]
                 report = self._channel.send(
                     node_id, neighbor, message, stage=compressor.name
                 )
+                trainer._settle_update(server, neighbor, offer, report.delivered)
                 if report.delivered:
-                    server.mark_delivered(neighbor, message)
-                    compressor.payload_delivered(payload, state)
                     self._round_params_sent[k] += message.n_sent
                     self._round_delivered[k].add((node_id, neighbor))
                     self._record_flow(
@@ -467,27 +461,21 @@ class SemiSyncEngine:
                     self._schedule_arrival(
                         node_id, neighbor, k, t_done, message, report.size_bytes
                     )
+                elif report.corrupted:
+                    # Bytes crossed the wire but the CRC rejects the
+                    # payload; the header still carries the sender round.
+                    self._record_flow(
+                        k, node_id, neighbor, report.size_bytes, compressor.name
+                    )
+                    self.frames_wire += 1
+                    self.frames_corrupt += 1
+                    self.bytes_wire += report.size_bytes
+                    self.bytes_corrupt += report.size_bytes
+                    self._schedule_arrival(
+                        node_id, neighbor, k, t_done, None, report.size_bytes
+                    )
                 else:
-                    compressor.payload_dropped(payload, state)
-                    if report.corrupted:
-                        # Bytes crossed the wire but the CRC rejects the
-                        # payload; the header still carries the sender round.
-                        self._record_flow(
-                            k,
-                            node_id,
-                            neighbor,
-                            report.size_bytes,
-                            compressor.name,
-                        )
-                        self.frames_wire += 1
-                        self.frames_corrupt += 1
-                        self.bytes_wire += report.size_bytes
-                        self.bytes_corrupt += report.size_bytes
-                        self._schedule_arrival(
-                            node_id, neighbor, k, t_done, None, report.size_bytes
-                        )
-                    else:
-                        self._schedule_notice(node_id, neighbor, k, t_done)
+                    self._schedule_notice(node_id, neighbor, k, t_done)
             if compressor.end_round(ctx):
                 # Algorithm 1 stage boundary: restart the EXTRA recursion.
                 server.restart_recursion()

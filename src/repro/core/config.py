@@ -138,13 +138,6 @@ class SNAPConfig:
         the per-node compute times and per-link transfer times that drive
         the semi-synchronous engine's event clock. ``None`` uses the model's
         defaults (1 Gbps links, 1 ms latency, zero compute).
-    workers:
-        Process count for the vectorized engine's gradient/loss batch step
-        (``engine="vectorized"`` only). ``1`` (the default) computes in
-        process; ``k > 1`` shards the ``(N, d)`` parameter stack across
-        ``k`` forked workers over shared memory — bit-identical results
-        (every batch kernel is row-independent), joined before the mixing
-        matmul. Worth it only when the per-round model work dominates.
     sparse_weights:
         Build the Metropolis mixing matrix in CSR form instead of a dense
         ``(N, N)`` array (``optimize_weights=False`` only — the Section
@@ -230,10 +223,9 @@ class SNAPConfig:
     drift:
         Optional :class:`~repro.data.drift.DriftSchedule` making local data
         time-varying: at every schedule epoch boundary the trainer swaps
-        each server's shard and restarts the EXTRA recursion. Requires
-        ``workers=1`` (the sharded batch step pins its data buffers) and
-        the paper's ``shard_weighting=UNIFORM`` (sample weights would go
-        stale under drift).
+        each server's shard and restarts the EXTRA recursion. Requires the
+        paper's ``shard_weighting=UNIFORM`` (sample weights would go stale
+        under drift) and ``staleness_bound=0``.
     tier_damping:
         Optional cross-tier damping factor in ``(0, 1]`` for hierarchical
         topologies: the Metropolis weight of every edge that crosses tiers
@@ -260,7 +252,6 @@ class SNAPConfig:
     staleness_bound: int = 0
     straggler_patience_s: float | None = None
     timing: object | None = None
-    workers: int = 1
     sparse_weights: bool = False
     retain_flow_records: bool = True
     invariants: str = "off"
@@ -327,13 +318,6 @@ class SNAPConfig:
                 raise ConfigurationError(
                     f"timing must be a LinkTimingModel, got {self.timing!r}"
                 )
-        check_positive_int("workers", self.workers)
-        if self.workers > 1 and self.engine != "vectorized":
-            raise ConfigurationError(
-                f"workers={self.workers} requires engine='vectorized' (the "
-                f"sharded batch step only exists there), got engine="
-                f"{self.engine!r}"
-            )
         if self.sparse_weights and self.optimize_weights:
             raise ConfigurationError(
                 "sparse_weights requires optimize_weights=False: the Section "
@@ -385,11 +369,6 @@ class SNAPConfig:
             if not isinstance(self.drift, DriftSchedule):
                 raise ConfigurationError(
                     f"drift must be a DriftSchedule, got {self.drift!r}"
-                )
-            if self.workers > 1:
-                raise ConfigurationError(
-                    "drift requires workers=1: the sharded batch step pins "
-                    "its per-worker data buffers for the whole run"
                 )
             if self.shard_weighting is not ShardWeighting.UNIFORM:
                 raise ConfigurationError(

@@ -10,10 +10,12 @@ Three engines execute the same algorithm (the third, the event-driven
 * :class:`VectorizedEngine` — the fast path for large sweeps: all N parameter
   vectors live in one ``(N, d)`` matrix, the EXTRA mixing step (8) runs as a
   ``scipy.sparse`` CSR matmul against W and W̃, all N local gradients come
-  from one :meth:`~repro.models.base.Model.batch_gradients` call, and APE
-  selection for all directed edges happens at once on an ``(E, d)`` delta
-  tensor with analytic Fig. 3 byte accounting instead of materialized
-  message objects.
+  from one :meth:`~repro.models.base.Model.batch_gradients` call, and the
+  communication round is one body for every compression scheme: the
+  compressor's batch methods select for all directed edges at once (APE's
+  are an ``(E, d)`` threshold kernel) and byte accounting is analytic on
+  the resulting :class:`~repro.compression.base.PayloadBatch` instead of
+  materialized message objects.
 
 The vectorized engine is **bit-for-bit equivalent** to the reference on every
 seeded configuration — same ``RoundRecord`` stream, same flow ledger, same
@@ -34,7 +36,9 @@ load-bearing identities (verified by ``tests/core/test_engine_equivalence.py``):
   ``tests/models/test_logistic.py``;
 * elementwise float64 arithmetic on the columnar
   :class:`~repro.core.ape.APEScheduleBank` is the scalar Algorithm 1
-  transition, row by row — held by ``tests/core/test_ape.py``.
+  transition, row by row — held by ``tests/core/test_ape.py``;
+* every ``batched`` compressor's array kernels equal its per-edge methods —
+  held by ``tests/compression``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from repro.core.config import StragglerStrategy
-from repro.network.frames import encoded_update_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trainer imports us)
     from repro.core.trainer import SNAPTrainer
@@ -174,25 +177,9 @@ class VectorizedEngine:
         self._build_edge_structures()
 
         self.scales = np.asarray(trainer._objective_scales, dtype=float)
-        if trainer.config.workers > 1:
-            # Sharded gradient/loss pool: the (N, d) stack splits across
-            # forked workers over shared memory; every batch kernel is
-            # row-independent, so the joined result is bit-identical to the
-            # in-process call. Local import keeps multiprocessing machinery
-            # out of single-worker runs entirely.
-            from repro.core.parallel import ShardedModelPool
-
-            self._pool: "ShardedModelPool | None" = ShardedModelPool(
-                model,
-                [(shard.X, shard.y) for shard in trainer.shards],
-                trainer.config.workers,
-            )
-            self.prepared = None
-        else:
-            self._pool = None
-            self.prepared = model.prepare_shards(
-                [(shard.X, shard.y) for shard in trainer.shards]
-            )
+        self.prepared = model.prepare_shards(
+            [(shard.X, shard.y) for shard in trainer.shards]
+        )
 
         self._allocate_state()
         self.previous_gradients = np.zeros((self.n_nodes, self.n_params))
@@ -267,18 +254,14 @@ class VectorizedEngine:
         self.previous_views = self._stack_previous[self.n_nodes :]
         self.fresh = np.ones(self.n_edges, dtype=bool)
         self.previous_fresh = np.ones(self.n_edges, dtype=bool)
-        # Persistent per-round scratch (lazily allocated): the preset
-        # communication kernel runs in place on these instead of allocating
-        # fresh (E, d) temporaries every round.
-        self._delta_scratch: np.ndarray | None = None
-        self._mask_scratch: np.ndarray | None = None
+        #: Persistent (N + E, d) scratch of the REWEIGHT substitution.
         self._subst_scratch: np.ndarray | None = None
         self._forget_edge_states()
 
     def _forget_edge_states(self) -> None:
         """Drop the row-aligned handles on the trainer's compressor edge states.
 
-        The generic round re-adopts each state on the edge's next eligible
+        The round re-adopts each state on the edge's next eligible
         round (see :meth:`_adopt_edge_states`), so whatever replaced or
         restored ``trainer._edge_states`` meanwhile is what gets picked up.
         """
@@ -313,28 +296,10 @@ class VectorizedEngine:
         reference engine's post-swap round.
         """
         trainer = self.trainer
-        if self._pool is not None:  # pragma: no cover - forbidden by config
-            raise RuntimeError("drift is not supported with workers > 1")
         self.prepared = trainer.model.prepare_shards(
             [(shard.X, shard.y) for shard in trainer.shards]
         )
         self.begin_run()
-
-    def close(self) -> None:
-        """Release engine resources (the worker pool, when sharded)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def _batch_gradients(self) -> np.ndarray:
-        if self._pool is not None:
-            return self._pool.batch_gradients(self.params)
-        return self.trainer.model.batch_gradients(self.params, self.prepared)
-
-    def _batch_losses(self) -> np.ndarray:
-        if self._pool is not None:
-            return self._pool.batch_losses(self.params)
-        return self.trainer.model.batch_losses(self.params, self.prepared)
 
     def _build_mixing(
         self, edge_id: dict, own_w: list, nbr_w: list, w_tilde: bool
@@ -478,7 +443,9 @@ class VectorizedEngine:
 
     def step_round(self, round_index: int, down: frozenset) -> None:
         active = self._active_mask(down)
-        gradients = self.scales[:, None] * self._batch_gradients()
+        gradients = self.scales[:, None] * self.trainer.model.batch_gradients(
+            self.params, self.prepared
+        )
         robust = self.trainer.config.robust_aggregation
         if robust is not None:
             mixed_current = self._robust_layer(robust, current_layer=True)
@@ -507,20 +474,6 @@ class VectorizedEngine:
         self.iterations += active
 
     # -- communication ----------------------------------------------------------
-
-    def communicate(
-        self, round_index: int, down: frozenset
-    ) -> "tuple[int, DeliveredEdges]":
-        """Dispatch on the compression scheme.
-
-        The three preset policies run through the historical fully-batched
-        kernel (whose operation order is pinned bit-for-bit against the
-        reference engine); every other compressor runs through the generic
-        protocol path, batched where the compressor supports it.
-        """
-        if self.trainer.compressor_spec.is_preset:
-            return self._communicate_preset(round_index, down)
-        return self._communicate_generic(round_index, down)
 
     def _tx_params(self, round_index: int) -> np.ndarray:
         """The (N, d) stack of *transmitted* parameters for this round.
@@ -612,115 +565,24 @@ class VectorizedEngine:
             self._state_adopted[e] = True
         return self._state_rows[edges]
 
-    def _communicate_preset(
+    def communicate(
         self, round_index: int, down: frozenset
     ) -> "tuple[int, DeliveredEdges]":
-        trainer = self.trainer
-        active = self._active_mask(down)
-        self._advance_views(active)
-        tx = self._tx_params(round_index)
-
-        scale = np.maximum(np.abs(tx).mean(axis=1), 1e-8)
-        bank = trainer._schedules
-        if bank is not None:
-            relative = bank.send_thresholds()
-        else:
-            relative = np.zeros(self.n_nodes)
-        threshold = relative * scale
-
-        # A message exists for every active-src, active-dst edge (even over a
-        # failed link: the sender builds it before the channel drops it).
-        eligible = active[self.edge_src] & active[self.edge_dst]
-        dense = trainer.compressor_spec.kind == "dense"
-        d = self.n_params
-        if dense:
-            send_mask = None
-            n_sent = np.full(self.n_edges, d, dtype=np.int64)
-        else:
-            # In-place delta/mask kernel on persistent (E, d) scratch: no
-            # fresh full-size temporaries per round. Bitwise identical to
-            # abs(params[src] - views) > threshold.
-            if self._delta_scratch is None:
-                self._delta_scratch = np.empty((self.n_edges, d))
-                self._mask_scratch = np.empty((self.n_edges, d), dtype=bool)
-            deltas = self._delta_scratch
-            np.take(tx, self.edge_src, axis=0, out=deltas)
-            np.subtract(deltas, self.views, out=deltas)
-            np.abs(deltas, out=deltas)
-            send_mask = np.greater(
-                deltas, threshold[self.edge_src][:, None], out=self._mask_scratch
-            )
-            n_sent = send_mask.sum(axis=1)
-
-        suppressed_node = None
-        if bank is not None:
-            # Masked suppressed-max without a where() copy: zeroing the sent
-            # coordinates in place and reducing is bitwise equal to
-            # np.where(send_mask, 0.0, deltas).max(axis=1) — and deltas is
-            # scratch, dead after this.
-            deltas[send_mask] = 0.0
-            suppressed_edge = deltas.max(axis=1)
-            suppressed_node = np.zeros(self.n_nodes)
-            idx = np.flatnonzero(eligible)
-            np.maximum.at(suppressed_node, self.edge_src[idx], suppressed_edge[idx])
-
-        wire = eligible & ~self._round_link_down(round_index)
-        delivered_mask = self._delivered_after_corruption(wire, round_index)
-
-        # Fig. 3 byte accounting per message, analytically.
-        sizes = encoded_update_bytes(d, d - n_sent)
-        wire_idx = np.flatnonzero(wire)
-        if wire_idx.size:
-            trainer.tracker.record_many(
-                round_index,
-                self.edge_src[wire_idx],
-                self.edge_dst[wire_idx],
-                sizes[wire_idx],
-                hops=1,
-                stage=trainer.compressors[0].name,
-            )
-
-        delivered_idx = np.flatnonzero(delivered_mask)
-        if delivered_idx.size:
-            if dense:
-                self.views[delivered_idx] = tx[self.edge_src[delivered_idx]]
-            else:
-                # Scatter only the transmitted coordinates instead of
-                # materializing (K, d) sent-row and where() copies: writes
-                # exactly the masked entries with the same values.
-                rows, cols = np.nonzero(send_mask[delivered_idx])
-                edge_rows = delivered_idx[rows]
-                self.views[edge_rows, cols] = tx[
-                    self.edge_src[edge_rows], cols
-                ]
-            self.fresh[delivered_idx] = True
-        params_sent = int(n_sent[delivered_idx].sum())
-        delivered = DeliveredEdges(
-            self.edge_src[delivered_idx], self.edge_dst[delivered_idx]
-        )
-
-        if bank is not None:
-            nodes = np.flatnonzero(active)
-            advanced = bank.record_rounds(nodes, suppressed_node[nodes] / scale[nodes])
-            # Algorithm 1 stage boundary: restart the EXTRA recursion.
-            self.has_previous[advanced] = False
-            self.previous_views_valid[advanced] = False
-        return params_sent, delivered
-
-    def _communicate_generic(
-        self, round_index: int, down: frozenset
-    ) -> "tuple[int, DeliveredEdges]":
-        """The compressor-protocol round for non-preset schemes.
+        """The communication round, for every compression scheme.
 
         Mirrors the reference trainer's ``_communicate`` exactly — same
-        eligibility rules, same per-edge operands (a parameter row and the
-        live view row for that directed edge), same outcome ordering — so
-        every compressor inherits bit-for-bit engine parity. All eligible
-        edges go through one ``compress_batch`` / ``settle_batch`` pair on
-        a columnar :class:`~repro.compression.base.PayloadBatch`; sizing,
-        delivery and the outcome are array operations on it. (Compressors
-        that are not ``batched`` fill the batch edge by edge inside the
-        base-class adapters.)
+        eligibility rules, same per-edge operands (a transmitted parameter
+        row and the live view row for that directed edge), same outcome
+        ordering — so every compressor inherits bit-for-bit engine parity.
+        The round is four calls on one compressor: ``begin_round_batch``
+        for the active nodes, one ``compress_batch`` / ``settle_batch``
+        pair over all eligible edges on a columnar
+        :class:`~repro.compression.base.PayloadBatch`, and
+        ``end_round_batch``; sizing, delivery and the outcome are array
+        operations on the batch. ``batched`` compressors (the paper's three
+        policies among them) implement the four as array kernels; for the
+        rest the base-class adapters fill the batch node by node and edge
+        by edge.
         """
         trainer = self.trainer
         active = self._active_mask(down)
@@ -728,20 +590,25 @@ class VectorizedEngine:
         tx = self._tx_params(round_index)
 
         compressors = trainer.compressors
-        ctxs = np.full(self.n_nodes, None, dtype=object)
-        for i in np.flatnonzero(active).tolist():
-            ctxs[i] = compressors[i].begin_round(tx[i], round_index)
+        compressor = compressors[0]
+        nodes = np.flatnonzero(active)
+        ctxs = compressor.begin_round_batch(tx, nodes, round_index, compressors)
 
+        # A message exists for every active-src, active-dst edge (even over a
+        # failed link: the sender builds it before the channel drops it).
         eligible = active[self.edge_src] & active[self.edge_dst]
         elig_idx = np.flatnonzero(eligible)
         d = self.n_params
         sizes = np.zeros(self.n_edges, dtype=np.int64)
         n_sent = np.zeros(self.n_edges, dtype=np.int64)
         if elig_idx.size:
-            compressor = compressors[0]
             sources = self.edge_src[elig_idx]
             currents = tx[sources]
-            states = self._adopt_edge_states(elig_idx)
+            states = (
+                self._adopt_edge_states(elig_idx)
+                if compressor.keeps_edge_state
+                else None
+            )
             batch = compressor.compress_batch(
                 currents, self._view_rows(elig_idx), states, ctxs[sources]
             )
@@ -759,7 +626,7 @@ class VectorizedEngine:
                 self.edge_dst[wire_idx],
                 sizes[wire_idx],
                 hops=1,
-                stage=compressors[0].name,
+                stage=compressor.name,
             )
 
         delivered_idx = np.flatnonzero(delivered_mask)
@@ -781,11 +648,10 @@ class VectorizedEngine:
             self.edge_src[delivered_idx], self.edge_dst[delivered_idx]
         )
 
-        for i in np.flatnonzero(active).tolist():
-            if compressors[i].end_round(ctxs[i]):
-                # Algorithm 1 stage boundary: restart the EXTRA recursion.
-                self.has_previous[i] = False
-                self.previous_views_valid[i] = False
+        # Algorithm 1 stage boundary: restart the EXTRA recursion.
+        restarting = compressor.end_round_batch(ctxs, nodes, compressors)
+        self.has_previous[restarting] = False
+        self.previous_views_valid[restarting] = False
         return params_sent, delivered
 
     # -- observation ------------------------------------------------------------
@@ -794,5 +660,5 @@ class VectorizedEngine:
         return self.params.copy()
 
     def mean_local_loss(self) -> float:
-        losses = self._batch_losses()
+        losses = self.trainer.model.batch_losses(self.params, self.prepared)
         return float(np.mean(self.scales * losses))

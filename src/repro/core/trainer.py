@@ -842,6 +842,36 @@ class SNAPTrainer:
             self._edge_states[key] = state
         return state
 
+    def _offer_update(
+        self, server: EdgeServer, neighbor: int, tx_params: Params, ctx, round_index: int
+    ):
+        """Build ``server``'s update for ``neighbor`` against what it last received.
+
+        Returns ``(message, payload, state)``; the caller puts ``message``
+        on its channel or socket and reports the outcome to
+        :meth:`_settle_update`. Shared by the three per-edge rounds
+        (reference, semi-synchronous, TCP testbed).
+        """
+        state = self._edge_state(server.node_id, neighbor)
+        state.reference = server.last_sent[neighbor]
+        payload = self.compressors[server.node_id].compress(tx_params, state, ctx)
+        message = payload_to_update(
+            payload, server.node_id, round_index, self.model.n_params
+        )
+        return message, payload, state
+
+    def _settle_update(
+        self, server: EdgeServer, neighbor: int, offer, delivered: bool
+    ) -> None:
+        """Close an :meth:`_offer_update`: link state advances only on delivery."""
+        message, payload, state = offer
+        compressor = self.compressors[server.node_id]
+        if delivered:
+            server.mark_delivered(neighbor, message)
+            compressor.payload_delivered(payload, state)
+        else:
+            compressor.payload_dropped(payload, state)
+
     def _communicate(
         self, round_index: int, down: frozenset = frozenset()
     ) -> tuple[int, set[tuple[int, int]]]:
@@ -863,7 +893,6 @@ class SNAPTrainer:
 
         params_sent = 0
         delivered: set[tuple[int, int]] = set()
-        n_params = self.model.n_params
         for server_index, server in enumerate(self.servers):
             if server.node_id in down:
                 continue
@@ -881,23 +910,18 @@ class SNAPTrainer:
                     # The peer is offline: the connection fails before any
                     # bytes enter the network; link state stays pending.
                     continue
-                state = self._edge_state(server.node_id, neighbor)
-                state.reference = server.last_sent[neighbor]
-                payload = compressor.compress(tx_params, state, ctx)
-                message = payload_to_update(
-                    payload, server.node_id, round_index, n_params
+                offer = self._offer_update(
+                    server, neighbor, tx_params, ctx, round_index
                 )
+                message = offer[0]
                 report = self.channel.send(
                     server.node_id, neighbor, message, stage=compressor.name
                 )
                 if report.delivered:
                     self.servers[neighbor].receive_update(message)
-                    server.mark_delivered(neighbor, message)
-                    compressor.payload_delivered(payload, state)
                     params_sent += message.n_sent
                     delivered.add((server.node_id, neighbor))
-                else:
-                    compressor.payload_dropped(payload, state)
+                self._settle_update(server, neighbor, offer, report.delivered)
             if compressor.end_round(ctx):
                 # Algorithm 1 stage boundary: restart EXTRA from the
                 # current solution under the tightened threshold.

@@ -44,7 +44,6 @@ from queue import Empty, Queue
 
 import numpy as np
 
-from repro.compression import payload_to_update
 from repro.core.config import SNAPConfig
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
@@ -55,7 +54,6 @@ from repro.exceptions import (
 )
 from repro.faults.plan import FaultPlan
 from repro.models.base import Model
-from repro.network.messages import ParameterUpdate
 from repro.runtime.transport import (
     HEADER_BYTES,
     FrameConnection,
@@ -409,23 +407,20 @@ class _Node:
             link_up = plan is None or plan.link_up(
                 topology, server.node_id, neighbor, round_index
             )
-            state = self.runtime._trainer._edge_state(server.node_id, neighbor)
-            state.reference = server.last_sent[neighbor]
-            payload = compressor.compress(tx_params, state, ctx)
-            message = payload_to_update(
-                payload, server.node_id, round_index, server.model.n_params
+            offer = self.runtime._trainer._offer_update(
+                server, neighbor, tx_params, ctx, round_index
             )
             if not link_up:
                 # Link outage: the frame never enters the network. The
                 # update was still *built* (so APE suppression statistics
                 # match the simulator), but costs nothing and the link
                 # state stays pending — the straggler rule's territory.
-                compressor.payload_dropped(payload, state)
+                self.runtime._trainer._settle_update(server, neighbor, offer, False)
                 continue
             corrupt = plan is not None and plan.corrupted(
                 topology, server.node_id, neighbor, round_index
             )
-            self._send(neighbor, message, corrupt, payload, state)
+            self._send(neighbor, offer, corrupt)
         if compressor.end_round(ctx):
             server.restart_recursion()
 
@@ -433,10 +428,7 @@ class _Node:
         self.runtime.barrier_wait()  # everyone exchanged
         return True
 
-    def _send(
-        self, neighbor: int, message: ParameterUpdate, corrupt: bool,
-        payload, state,
-    ) -> None:
+    def _send(self, neighbor: int, offer, corrupt: bool) -> None:
         """Transmit one frame; a peer that proves unreachable is marked dead.
 
         Corrupted sends still count their payload bytes — the bits crossed
@@ -446,24 +438,26 @@ class _Node:
         edge reference matches the simulator's.
         """
         connection = self.send_connections[neighbor]
+        message = offer[0]
         try:
             if corrupt:
                 sent = connection.send_corrupted(message)
-                self.compressor.payload_dropped(payload, state)
             else:
                 sent = connection.send_update(message)
-                self.server.mark_delivered(neighbor, message)
-                self.compressor.payload_delivered(payload, state)
+        except ProtocolError:
+            # Retries (and reconnect attempts) exhausted: the peer is gone.
+            # Degrade — the straggler rule covers the missing update.
+            self.dead_peers.add(neighbor)
+            sent = None
+        self.runtime._trainer._settle_update(
+            self.server, neighbor, offer, sent is not None and not corrupt
+        )
+        if sent is not None:
             self.payload_bytes += sent
             self.frames_sent += 1
             self.runtime._record_flow(
                 message.round_index, self.server.node_id, neighbor, sent
             )
-        except ProtocolError:
-            # Retries (and reconnect attempts) exhausted: the peer is gone.
-            # Degrade — the straggler rule covers the missing update.
-            self.dead_peers.add(neighbor)
-            self.compressor.payload_dropped(payload, state)
 
     def _collect_round(self, round_index, down, plan, topology) -> None:
         """Receive this round's frames, degrading on deadline or death.

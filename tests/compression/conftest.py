@@ -49,8 +49,14 @@ def make_fault_plan() -> FaultPlan:
     )
 
 
-def make_trainer(engine: str, faulty: bool = False, **config_kwargs) -> SNAPTrainer:
+def make_trainer(
+    engine: str, faulty: bool = False, fault_plan: FaultPlan | None = None,
+    **config_kwargs,
+) -> SNAPTrainer:
+    """``fault_plan`` overrides the stock ``faulty`` plan with the caller's own."""
     config_kwargs.setdefault("max_rounds", 25)
+    if fault_plan is None and faulty:
+        fault_plan = make_fault_plan()
     if isinstance(config_kwargs.get("selection"), str):
         config_kwargs["selection"] = SelectionPolicy(config_kwargs["selection"])
     config = SNAPConfig(
@@ -61,7 +67,7 @@ def make_trainer(engine: str, faulty: bool = False, **config_kwargs) -> SNAPTrai
         make_shards(),
         Topology(N_NODES, EDGES),
         config,
-        fault_plan=make_fault_plan() if faulty else None,
+        fault_plan=fault_plan,
     )
 
 

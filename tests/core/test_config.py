@@ -1,5 +1,7 @@
 """Tests for repro.core.config.SNAPConfig."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import SelectionPolicy, SNAPConfig
@@ -44,6 +46,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SNAPConfig(step_safety=1.5)
 
+    def test_sparse_weights_exclude_weight_optimization(self):
+        with pytest.raises(ConfigurationError):
+            SNAPConfig(sparse_weights=True, optimize_weights=True)
+
+    def test_field_count(self):
+        """A new knob is a decision, not a side effect: update this with it."""
+        assert len(dataclasses.fields(SNAPConfig)) == 33
+
 
 class TestConvenienceConstructors:
     def test_snap0(self):
@@ -84,13 +94,11 @@ class TestScenarioAxes:
         with pytest.raises(ConfigurationError):
             SNAPConfig(drift="label_shift")
 
-    def test_drift_forbids_workers_and_staleness(self):
+    def test_drift_forbids_staleness(self):
         from repro.data.drift import StreamingArrival
 
         drift = StreamingArrival(period=3)
-        SNAPConfig(drift=drift)  # workers=1, staleness_bound=0: fine
-        with pytest.raises(ConfigurationError):
-            SNAPConfig(drift=drift, workers=2)
+        SNAPConfig(drift=drift)  # staleness_bound=0: fine
         with pytest.raises(ConfigurationError):
             SNAPConfig(drift=drift, staleness_bound=1)
 

@@ -1,6 +1,7 @@
 """Tests for repro.core.trainer.SNAPTrainer."""
 
 import gc
+import sys
 import weakref
 
 import numpy as np
@@ -219,3 +220,74 @@ class TestEvaluation:
         evaluated = [r.round_index for r in result.rounds if r.accuracy is not None]
         assert evaluated == [3, 6, 9]
         assert result.final_accuracy is not None
+
+
+class TestVectorizedRoundCallCount:
+    """The one vectorized round is array-at-a-time: a count, not a clock."""
+
+    @staticmethod
+    def _python_calls_per_round(compressor: str, n_nodes: int) -> float:
+        """Python-level function calls one vectorized round makes at ``n_nodes``.
+
+        Counted with ``sys.setprofile`` ("call" events only: C functions such
+        as numpy kernels are not Python calls), as the slope between a
+        3-round and a 13-round ``run()`` so the per-run ``begin_run`` /
+        ``sync_to_servers`` (and the engine's adoption of the ``ef:`` edge
+        states, which the warm-up run creates) cancel. The same on every
+        machine.
+        """
+        from repro.models.logistic import LogisticRegression
+        from repro.topology.generators import random_regular_topology
+
+        rng = np.random.default_rng(42)
+        shards = []
+        for _ in range(n_nodes):
+            X = rng.normal(size=(30, 10))
+            shards.append(Dataset(X, (X @ rng.normal(size=10) > 0).astype(float)))
+        trainer = SNAPTrainer(
+            LogisticRegression(10),
+            shards,
+            random_regular_topology(n_nodes, degree=4, seed=3),
+            SNAPConfig(
+                engine="vectorized",
+                compressor=compressor,
+                seed=7,
+                optimize_weights=False,
+                retain_flow_records=False,
+            ),
+        )
+
+        def count(rounds: int) -> int:
+            calls = 0
+
+            def on_event(frame, event, arg):
+                nonlocal calls
+                if event == "call":
+                    calls += 1
+
+            sys.setprofile(on_event)
+            try:
+                trainer.run(max_rounds=rounds, stop_on_convergence=False)
+            finally:
+                sys.setprofile(None)
+            return calls
+
+        trainer.run(max_rounds=1, stop_on_convergence=False)  # warm-up
+        return (count(13) - count(3)) / 10
+
+    @pytest.mark.parametrize(
+        "compressor",
+        ["ape", "changed_only", "dense", "topk:k=4", "ef:topk:k=4", "uniform:bits=4"],
+    )
+    def test_no_per_node_or_per_edge_python_calls(self, compressor):
+        """A reintroduced per-node or per-edge loop in ``communicate`` or
+        ``step_round`` fails here for every ``batched`` compressor: a round is
+        ~200 Python calls at any N, where one call per node would add 192 and
+        one per directed edge 768 between N=64 and N=256."""
+        small = self._python_calls_per_round(compressor, 64)
+        large = self._python_calls_per_round(compressor, 256)
+        assert large <= 1.1 * small, (
+            f"Python calls per vectorized {compressor} round grew with N: "
+            f"{small:.0f} at N=64 -> {large:.0f} at N=256; something walks "
+            "the nodes or edges in Python"
+        )

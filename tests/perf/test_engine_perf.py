@@ -8,7 +8,6 @@ machine noise on loaded CI workers cannot flake it.
 """
 
 import resource
-import sys
 import time
 
 import numpy as np
@@ -26,12 +25,10 @@ N_FEATURES = 10
 SAMPLES_PER_SHARD = 30
 
 
-def _make_trainer(
-    engine: str, model_kind: str = "logistic", n_nodes: int = N_NODES
-) -> SNAPTrainer:
+def _make_trainer(engine: str, model_kind: str = "logistic") -> SNAPTrainer:
     rng = np.random.default_rng(42)
     shards = []
-    for _ in range(n_nodes):
+    for _ in range(N_NODES):
         X = rng.normal(size=(SAMPLES_PER_SHARD, N_FEATURES))
         if model_kind == "logistic":
             w = rng.normal(size=N_FEATURES)
@@ -39,7 +36,7 @@ def _make_trainer(
         else:
             y = rng.integers(0, 3, SAMPLES_PER_SHARD).astype(float)
         shards.append(Dataset(X, y))
-    topology = random_regular_topology(n_nodes, degree=4, seed=3)
+    topology = random_regular_topology(N_NODES, degree=4, seed=3)
     config = SNAPConfig(
         engine=engine,
         max_rounds=10_000,
@@ -124,48 +121,4 @@ def test_retention_off_bounds_memory_at_n512():
     assert peak_mib < 512, (
         f"peak RSS {peak_mib:.0f} MiB at N={n} with retention off; the "
         "memory-bounded fast path must stay well under 512 MiB"
-    )
-
-
-def _python_calls_per_round(n_nodes: int) -> float:
-    """Python-level function calls one vectorized APE round makes at ``n_nodes``.
-
-    Counted with ``sys.setprofile`` ("call" events only: C functions such as
-    numpy kernels are not Python calls), as the slope between a 3-round and
-    a 13-round ``run()`` so the per-run ``begin_run`` / ``sync_to_servers``
-    cancel. A count, not a clock: the same on every machine.
-    """
-    trainer = _make_trainer("vectorized", n_nodes=n_nodes)
-
-    def count(rounds: int) -> int:
-        calls = 0
-
-        def on_event(frame, event, arg):
-            nonlocal calls
-            if event == "call":
-                calls += 1
-
-        sys.setprofile(on_event)
-        try:
-            trainer.run(max_rounds=rounds, stop_on_convergence=False)
-        finally:
-            sys.setprofile(None)
-        return calls
-
-    return (count(13) - count(3)) / 10
-
-
-@pytest.mark.perf
-def test_vectorized_ape_round_makes_no_per_node_python_calls():
-    """A reintroduced per-node loop in the preset round fails here, clock-free.
-
-    With the stacked logistic kernels and the columnar APE schedule bank a
-    round is ~175 Python calls at any N; the per-node loops they replaced
-    made ~560 at N=64 and ~1 730 at N=256 (about 6.4 per node).
-    """
-    small = _python_calls_per_round(64)
-    large = _python_calls_per_round(256)
-    assert large <= 1.1 * small, (
-        f"Python calls per vectorized APE round grew with N: {small:.0f} at "
-        f"N=64 -> {large:.0f} at N=256; something walks the nodes in Python"
     )
