@@ -43,7 +43,7 @@ scenario-smoke:
 	$(PYTEST) tests/properties/test_robust_properties.py -q
 
 ## Line-coverage floor over the compression and network packages
-## (pytest-cov when installed, a sys.settrace fallback otherwise).
+## (measured with a stdlib sys.settrace hook, the same on CI and locally).
 coverage:
 	PYTHONPATH=src $(PYTHON) scripts/check_coverage.py
 

@@ -7,15 +7,13 @@ below the committed floor — the two packages carry the paper's wire-format
 and selection contracts, where an untested branch means silent accounting
 drift rather than a crash.
 
-Measurement backend:
-
-* ``coverage.py`` (pytest-cov's engine) when it is importable;
-* otherwise a ``sys.settrace`` fallback: a global trace that activates
-  local line tracing only inside the target packages, with executable
-  lines computed from compiled code objects' ``co_lines()`` tables. The
-  fallback over-counts "executable" lines slightly versus coverage.py
-  (it cannot apply ``# pragma: no cover`` pruning), so the floors are set
-  against the fallback's stricter denominator.
+Measured with one backend everywhere — a ``sys.settrace`` hook: a global
+trace that activates local line tracing only inside the target packages,
+with executable lines computed from compiled code objects' ``co_lines()``
+tables. (It cannot apply ``# pragma: no cover`` pruning, so the floors are
+calibrated against its slightly stricter denominator; CI never installs
+``coverage.py``, and a second backend would make the same gate compute a
+different percentage on a developer machine.)
 
 No network, no extra dependencies, deterministic test selection — safe for
 CI and the bare container alike.
@@ -80,24 +78,6 @@ def run_pytest() -> int:
     return pytest.main(TEST_ARGS)
 
 
-def measure_with_coverage_py(prefixes: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Measure with coverage.py; returns (pytest exit code, hits per file)."""
-    import coverage
-
-    cov = coverage.Coverage(source=prefixes)
-    cov.start()
-    try:
-        exit_code = run_pytest()
-    finally:
-        cov.stop()
-    data = cov.get_data()
-    hits = {
-        filename: set(data.lines(filename) or ())
-        for filename in data.measured_files()
-    }
-    return exit_code, hits
-
-
 def measure_with_settrace(prefixes: list[str]) -> tuple[int, dict[str, set[int]]]:
     """Measure with a selective ``sys.settrace`` hook (stdlib only)."""
     hits: dict[str, set[int]] = {}
@@ -134,19 +114,12 @@ def measure_with_settrace(prefixes: list[str]) -> tuple[int, dict[str, set[int]]
 def main() -> int:
     files = target_files()
     prefixes = [str(SRC / package) for package in FLOORS]
-    try:
-        import coverage  # noqa: F401
-
-        backend = "coverage.py"
-        exit_code, hits = measure_with_coverage_py(prefixes)
-    except ImportError:
-        backend = "sys.settrace fallback"
-        exit_code, hits = measure_with_settrace(prefixes)
+    exit_code, hits = measure_with_settrace(prefixes)
     if exit_code != 0:
         print(f"coverage run aborted: pytest exited {exit_code}")
         return int(exit_code) or 1
 
-    print(f"\nline coverage ({backend}):")
+    print("\nline coverage (sys.settrace):")
     failures = []
     for package, sources in files.items():
         total = 0

@@ -37,12 +37,15 @@ same flow ledger, same final parameters, same post-run server state (the
   all key off the *sender's local round*, which at lockstep equals the
   global round.
 
-Every local round emits exactly one notification on every outgoing edge —
-a delivered frame, a corrupted frame (observed, never applied), or a
-zero-byte progress notice (link down, either endpoint down). Notices cost
-no bytes and record no flow; they exist so the staleness barrier always
-learns about neighbor progress and can never deadlock. Per directed edge,
-notifications arrive in FIFO order (they share one TCP stream), which makes
+The engine owns no sender loop: a local round calls the trainer's shared
+``SNAPTrainer.send_round`` with :meth:`SemiSyncEngine._transmit` as its wire
+and the progress notice as its ``offline`` callback. Every local round
+emits exactly one notification on every outgoing edge — a delivered frame,
+a corrupted frame (observed, never applied), or a zero-byte progress notice
+(link down, either endpoint down). Notices cost no bytes and record no
+flow; they exist so the staleness barrier always learns about neighbor
+progress and can never deadlock. Per directed edge, notifications arrive in
+FIFO order (they share one TCP stream), which makes
 applied view versions monotone by construction.
 
 The trainer's round loop is unchanged: ``communicate(r)`` runs the event
@@ -60,10 +63,12 @@ from __future__ import annotations
 import bisect
 import heapq
 from collections import Counter, defaultdict, deque
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.engine import DeliveredEdges
 from repro.exceptions import ProtocolError
 from repro.network.channel import Channel
 from repro.network.cost import CommunicationCostTracker
@@ -155,7 +160,7 @@ class SemiSyncEngine:
         #: Flows buffered per (sender round, sender) for canonical-order flush.
         self._flow_buffer: dict[int, dict[int, list]] = {}
         self._round_params_sent: Counter = Counter()
-        self._round_delivered: dict[int, set] = defaultdict(set)
+        self._round_delivered: dict[int, list] = defaultdict(list)
         # -- staleness / conservation ledgers (exposed to the monitor) --
         self.max_progress_staleness = 0
         self.monotonic_views = True
@@ -193,7 +198,7 @@ class SemiSyncEngine:
 
     def communicate(
         self, round_index: int, down: frozenset
-    ) -> tuple[int, set[tuple[int, int]]]:
+    ) -> tuple[int, DeliveredEdges]:
         """Advance the fleet until every server completed ``round_index``.
 
         Servers left behind (degraded by every neighbor) are exempt from the
@@ -218,8 +223,9 @@ class SemiSyncEngine:
         self._settle_arrivals()
         self._flush_flows(round_index)
         params_sent = int(self._round_params_sent.pop(round_index, 0))
-        delivered = self._round_delivered.pop(round_index, set())
-        return params_sent, delivered
+        return params_sent, DeliveredEdges.from_pairs(
+            self._round_delivered.pop(round_index, ())
+        )
 
     def stacked_params(self) -> np.ndarray:
         return np.stack([server.params for server in self.trainer.servers])
@@ -432,57 +438,48 @@ class SemiSyncEngine:
                 buffer = self._buffers.get((neighbor, node_id))
                 while buffer and buffer[0].round_index <= k:
                     self._apply(buffer.popleft(), node_id)
-            compressor = trainer.compressors[node_id]
-            # Byzantine nodes poison only the transmitted vector; their
-            # local recursion above stayed honest, like the other engines.
-            tx_params = trainer.transmit_params(server.params, node_id, k)
-            ctx = compressor.begin_round(tx_params, k)
-            for neighbor in server.neighbors:
-                if neighbor in down:
-                    # The peer is offline: the connection fails before any
-                    # bytes enter the network, but progress is still gossiped.
-                    self._schedule_notice(node_id, neighbor, k, t_done)
-                    continue
-                offer = trainer._offer_update(server, neighbor, tx_params, ctx, k)
-                message = offer[0]
-                report = self._channel.send(
-                    node_id, neighbor, message, stage=compressor.name
-                )
-                trainer._settle_update(server, neighbor, offer, report.delivered)
-                if report.delivered:
-                    self._round_params_sent[k] += message.n_sent
-                    self._round_delivered[k].add((node_id, neighbor))
-                    self._record_flow(
-                        k, node_id, neighbor, report.size_bytes, compressor.name
-                    )
-                    self.frames_wire += 1
-                    self.bytes_wire += report.size_bytes
-                    self._outstanding[(node_id, neighbor)] += 1
-                    self._schedule_arrival(
-                        node_id, neighbor, k, t_done, message, report.size_bytes
-                    )
-                elif report.corrupted:
-                    # Bytes crossed the wire but the CRC rejects the
-                    # payload; the header still carries the sender round.
-                    self._record_flow(
-                        k, node_id, neighbor, report.size_bytes, compressor.name
-                    )
-                    self.frames_wire += 1
-                    self.frames_corrupt += 1
-                    self.bytes_wire += report.size_bytes
-                    self.bytes_corrupt += report.size_bytes
-                    self._schedule_arrival(
-                        node_id, neighbor, k, t_done, None, report.size_bytes
-                    )
-                else:
-                    self._schedule_notice(node_id, neighbor, k, t_done)
-            if compressor.end_round(ctx):
-                # Algorithm 1 stage boundary: restart the EXTRA recursion.
-                server.restart_recursion()
+            # An offline peer gets no frame, but progress is still gossiped.
+            trainer.send_round(
+                server,
+                k,
+                down,
+                transmit=partial(self._transmit, k, t_done),
+                offline=partial(
+                    self._schedule_notice, node_id, sender_round=k, t_sent=t_done
+                ),
+            )
 
         node.completed = k
         node.clock = t_done
         self._push(t_done, _READY, node_id)
+
+    def _transmit(
+        self, k: int, t_done: float, source: int, neighbor: int, message, stage
+    ) -> bool:
+        """This engine's wire for :meth:`SNAPTrainer.send_round`.
+
+        A frame whose bytes crossed the wire is ledgered and scheduled to
+        arrive (a corrupted one is observed, never applied — its header
+        still carries the sender round); a failed link sends the notice.
+        """
+        report = self._channel.send(source, neighbor, message, stage=stage)
+        if not (report.delivered or report.corrupted):
+            self._schedule_notice(source, neighbor, k, t_done)
+            return False
+        size = report.size_bytes
+        self._record_flow(k, source, neighbor, size, stage)
+        self.frames_wire += 1
+        self.bytes_wire += size
+        if report.delivered:
+            self._round_params_sent[k] += message.n_sent
+            self._round_delivered[k].append((source, neighbor))
+            self._outstanding[(source, neighbor)] += 1
+        else:
+            self.frames_corrupt += 1
+            self.bytes_corrupt += size
+            message = None
+        self._schedule_arrival(source, neighbor, k, t_done, message, size)
+        return report.delivered
 
     def _note_staleness(self, node: _NodeState, k: int, time: float) -> None:
         """Record how old each non-degraded in-edge is as round ``k`` starts."""

@@ -89,19 +89,15 @@ class SNAPConfig:
     ape_epsilon_fraction:
         The schedule ends (threshold treated as zero) once the threshold
         drops below this fraction of its initial value — Algorithm 1's ε.
-    curvature_bound:
-        Second-order bound ``G`` of Algorithm 1. When given, the APE growth
-        factor is ``1 + alpha * G``; when ``None``, the growth factor falls
-        back to ``ape_growth``. (The step-size machinery always uses the
-        model's gradient-Lipschitz bound regardless.)
     ape_growth:
-        Default APE error-amplification factor per iteration, used when
-        ``curvature_bound`` is not supplied. The paper's worked example
-        operates at ``1 + alpha G = 1.01``; plugging the worst-case
+        APE error-amplification factor per iteration — Algorithm 1's
+        ``1 + alpha G`` for a second-order bound ``G``. The paper's worked
+        example operates at ``1 + alpha G = 1.01``; plugging the worst-case
         Lipschitz constant into ``G`` instead makes the bound so
         conservative that nothing is ever suppressed (the theoretical bound
         assumes errors amplify every round, while EXTRA in fact contracts
-        them).
+        them), so the factor is set directly. (The step-size machinery
+        always uses the model's gradient-Lipschitz bound regardless.)
     straggler_strategy:
         How missing neighbor updates are handled: the paper's
         reuse-the-stale-value rule (default) or the bias-free
@@ -244,7 +240,6 @@ class SNAPConfig:
     ape_stage_iterations: int = 10
     ape_decay: float = 0.9
     ape_epsilon_fraction: float = 0.01
-    curvature_bound: float | None = None
     ape_growth: float = 1.01
     straggler_strategy: StragglerStrategy = StragglerStrategy.STALE
     shard_weighting: ShardWeighting = ShardWeighting.UNIFORM
@@ -282,8 +277,6 @@ class SNAPConfig:
         check_positive_int("ape_stage_iterations", self.ape_stage_iterations)
         check_fraction("ape_decay", self.ape_decay)
         check_non_negative("ape_epsilon_fraction", self.ape_epsilon_fraction)
-        if self.curvature_bound is not None:
-            check_positive("curvature_bound", self.curvature_bound)
         if self.ape_growth < 1.0:
             raise ConfigurationError(
                 f"ape_growth must be >= 1 (errors cannot shrink in the worst "

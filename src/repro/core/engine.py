@@ -6,7 +6,9 @@ Three engines execute the same algorithm (the third, the event-driven
 * :class:`ReferenceEngine` — the original per-object oracle: one
   :class:`~repro.core.server.EdgeServer` per node, per-neighbor
   ``select_parameters`` calls, one :class:`~repro.network.messages.ParameterUpdate`
-  per directed edge per round. Easy to read, easy to instrument, slow.
+  per directed edge per round. Easy to read, easy to instrument, slow. Its
+  round is :meth:`ReferenceEngine.communicate`: the shared per-edge sender
+  ``SNAPTrainer.send_round`` over the simulated channel.
 * :class:`VectorizedEngine` — the fast path for large sweeps: all N parameter
   vectors live in one ``(N, d)`` matrix, the EXTRA mixing step (8) runs as a
   ``scipy.sparse`` CSR matmul against W and W̃, all N local gradients come
@@ -58,13 +60,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trainer imports us)
 class DeliveredEdges:
     """Columnar set-like view of the directed edges delivered one round.
 
-    The vectorized engine returns this instead of a ``set`` of tuples so a
-    round at N=4096 (tens of thousands of delivered edges) hands the trainer
-    two int64 arrays rather than materializing per-pair Python objects. It
-    behaves like the historical set where consumed as one — ``len``,
-    iteration, membership, equality against a set — while the staleness and
-    connectivity bookkeeping read :attr:`sources` / :attr:`destinations`
-    directly.
+    What every engine's ``communicate`` returns: two int64 arrays rather
+    than a ``set`` of tuples, so a round at N=4096 (tens of thousands of
+    delivered edges) materializes no per-pair Python objects. It behaves
+    like a set where consumed as one — ``len``, iteration, membership,
+    equality against a set — while the trainer's staleness and connectivity
+    bookkeeping read :attr:`sources` / :attr:`destinations` directly.
     """
 
     __slots__ = ("sources", "destinations")
@@ -72,6 +73,12 @@ class DeliveredEdges:
     def __init__(self, sources: np.ndarray, destinations: np.ndarray):
         self.sources = sources
         self.destinations = destinations
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "DeliveredEdges":
+        """From the ``(source, destination)`` tuples a per-edge round collects."""
+        columns = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        return cls(columns[:, 0], columns[:, 1])
 
     def __len__(self) -> int:
         return int(self.sources.size)
@@ -132,8 +139,40 @@ class ReferenceEngine:
 
     def communicate(
         self, round_index: int, down: frozenset
-    ) -> tuple[int, set[tuple[int, int]]]:
-        return self.trainer._communicate(round_index, down)
+    ) -> "tuple[int, DeliveredEdges]":
+        """Every active server's sending round over the simulated channel.
+
+        View layers shift first, for every active server before any server
+        sends (so a failed link leaves the receiver's current layer stale,
+        per the straggler rule); then each runs the shared
+        :meth:`SNAPTrainer.send_round` with the channel as its wire, a
+        delivered frame applied to the receiver on the spot. Servers in
+        ``down`` neither advance, send, nor receive this round.
+
+        Returns the parameter values delivered and the edges they crossed.
+        """
+        trainer = self.trainer
+        servers = trainer.servers
+        channel = trainer.channel
+        active = [server for server in servers if server.node_id not in down]
+        for server in active:
+            server.advance_views()
+
+        params_sent = 0
+        delivered: list[tuple[int, int]] = []
+
+        def transmit(source, destination, message, stage) -> bool:
+            nonlocal params_sent
+            if not channel.send(source, destination, message, stage=stage).delivered:
+                return False
+            servers[destination].receive_update(message)
+            params_sent += message.n_sent
+            delivered.append((source, destination))
+            return True
+
+        for server in active:
+            trainer.send_round(server, round_index, down, transmit)
+        return params_sent, DeliveredEdges.from_pairs(delivered)
 
     def stacked_params(self) -> np.ndarray:
         return np.stack([server.params for server in self.trainer.servers])
@@ -570,10 +609,12 @@ class VectorizedEngine:
     ) -> "tuple[int, DeliveredEdges]":
         """The communication round, for every compression scheme.
 
-        Mirrors the reference trainer's ``_communicate`` exactly — same
-        eligibility rules, same per-edge operands (a transmitted parameter
-        row and the live view row for that directed edge), same outcome
-        ordering — so every compressor inherits bit-for-bit engine parity.
+        Mirrors the reference engine's per-edge round
+        (:meth:`ReferenceEngine.communicate` over
+        :meth:`SNAPTrainer.send_round`) exactly — same eligibility rules,
+        same per-edge operands (a transmitted parameter row and the live
+        view row for that directed edge), same outcome ordering — so every
+        compressor inherits bit-for-bit engine parity.
         The round is four calls on one compressor: ``begin_round_batch``
         for the active nodes, one ``compress_batch`` / ``settle_batch``
         pair over all eligible edges on a columnar

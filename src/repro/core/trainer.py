@@ -16,6 +16,11 @@ Every round:
 
 Setting the selection policy to ``CHANGED_ONLY`` or ``DENSE`` turns the same
 loop into the paper's SNAP-0 and SNO comparison schemes.
+
+Steps 1-3 run in the configured engine. The per-edge *sender* of step 2 is
+written once, here: :meth:`SNAPTrainer.send_round`, to which the reference
+engine, the semi-synchronous engine and the TCP testbed each hand their
+wire as a ``transmit`` callable.
 """
 
 from __future__ import annotations
@@ -74,12 +79,11 @@ def _delivered_graph_connected(
     rule's business (it resumes from cached state), not a partition. What
     this flags is live servers split into islands that exchanged nothing.
 
-    ``delivered`` is either a set of directed pairs (reference/semisync
-    engines) or the vectorized engine's columnar
-    :class:`~repro.core.engine.DeliveredEdges`. Components are counted with
-    ``scipy.sparse.csgraph`` over the delivered-edge graph; down servers
-    never appear in ``delivered``, so they are exactly the singleton
-    components subtracted off.
+    ``delivered`` is the round's columnar
+    :class:`~repro.core.engine.DeliveredEdges` (every engine returns one).
+    Components are counted with ``scipy.sparse.csgraph`` over the
+    delivered-edge graph; down servers never appear in ``delivered``, so
+    they are exactly the singleton components subtracted off.
 
     ``n_links`` is the topology's directed-link count: with nobody down and
     every link delivered, the delivered graph *is* the topology, which is
@@ -89,17 +93,7 @@ def _delivered_graph_connected(
     active = n_nodes - len(down)
     if active <= 1 or (not down and len(delivered) == n_links):
         return True
-    sources = getattr(delivered, "sources", None)
-    if sources is None:
-        pairs = list(delivered)
-        sources = np.fromiter(
-            (u for u, _ in pairs), dtype=np.int64, count=len(pairs)
-        )
-        destinations = np.fromiter(
-            (v for _, v in pairs), dtype=np.int64, count=len(pairs)
-        )
-    else:
-        destinations = delivered.destinations
+    sources, destinations = delivered.sources, delivered.destinations
     if sources.size == 0:
         return False
     graph = coo_matrix(
@@ -337,20 +331,7 @@ class SNAPTrainer:
         # Stored columnar (one int64 slot per directed link, legacy insertion
         # order) so N=4096-scale rounds age/reset links with array ops; the
         # ``link_staleness`` property materializes the historical dict view.
-        self._staleness_pairs: list[tuple[int, int]] = []
-        for u, v in topology.edges:
-            self._staleness_pairs.append((u, v))
-            self._staleness_pairs.append((v, u))
-        self._staleness = np.zeros(len(self._staleness_pairs), dtype=np.int64)
-        self._staleness_index = {
-            pair: i for i, pair in enumerate(self._staleness_pairs)
-        }
-        keys = np.asarray(
-            [(u << 32) | v for u, v in self._staleness_pairs], dtype=np.int64
-        )
-        order = np.argsort(keys)
-        self._staleness_sorted_keys = keys[order]
-        self._staleness_sorted_slots = order
+        self._build_staleness_ledger()
         self._partitioned_streak = 0
         self._partition_warned = False
         #: Global round counter across run() calls (and across checkpoint
@@ -445,18 +426,39 @@ class SNAPTrainer:
             return None
         initial_threshold = self.config.ape_initial_fraction
         epsilon = self.config.ape_epsilon_fraction * initial_threshold
-        if self.config.curvature_bound is not None:
-            growth = 1.0 + self.alpha * self.config.curvature_bound
-        else:
-            growth = self.config.ape_growth
         return APEScheduleBank(
             len(self.servers),
             initial_threshold=initial_threshold,
-            growth=growth,
+            growth=self.config.ape_growth,
             stage_iterations=self.config.ape_stage_iterations,
             decay=self.config.ape_decay,
             epsilon=epsilon,
         )
+
+    def _build_staleness_ledger(self, old_index=None, old_ages=None) -> None:
+        """(Re)build the columnar staleness ledger over ``self.topology``.
+
+        One int64 slot per directed link. Given the previous ledger's
+        ``(old_index, old_ages)`` — a topology swap — surviving links keep
+        their age.
+        """
+        pairs: list[tuple[int, int]] = []
+        for u, v in self.topology.edges:
+            pairs.append((u, v))
+            pairs.append((v, u))
+        ages = np.zeros(len(pairs), dtype=np.int64)
+        if old_index is not None:
+            for i, pair in enumerate(pairs):
+                slot = old_index.get(pair)
+                if slot is not None:
+                    ages[i] = old_ages[slot]
+        self._staleness_pairs = pairs
+        self._staleness = ages
+        self._staleness_index = {pair: i for i, pair in enumerate(pairs)}
+        keys = np.asarray([(u << 32) | v for u, v in pairs], dtype=np.int64)
+        order = np.argsort(keys)
+        self._staleness_sorted_keys = keys[order]
+        self._staleness_sorted_slots = order
 
     @property
     def link_staleness(self) -> dict[tuple[int, int], int]:
@@ -479,11 +481,6 @@ class SNAPTrainer:
         ``run(on_round=...)`` callback). Streaming digests subscribe here.
         """
         self._round_observers.append(observer)
-
-    @staticmethod
-    def _parameter_scale(server: EdgeServer) -> float:
-        """Mean absolute parameter value — the unit of the relative schedule."""
-        return max(float(np.mean(np.abs(server.params))), 1e-8)
 
     # -- observation helpers ---------------------------------------------------
 
@@ -740,8 +737,6 @@ class SNAPTrainer:
             engine.sync_to_servers()
         if self.monitor is None:
             check_weight_matrix(swap.matrix, swap.topology)
-        old_index = self._staleness_index
-        old_ages = self._staleness
 
         self.topology = swap.topology
         self.weight_matrix = swap.matrix
@@ -785,24 +780,7 @@ class SNAPTrainer:
                 new_views=new_views,
             )
 
-        pairs: list[tuple[int, int]] = []
-        for u, v in self.topology.edges:
-            pairs.append((u, v))
-            pairs.append((v, u))
-        ages = np.zeros(len(pairs), dtype=np.int64)
-        for i, pair in enumerate(pairs):
-            slot = old_index.get(pair)
-            if slot is not None:
-                ages[i] = old_ages[slot]
-        self._staleness_pairs = pairs
-        self._staleness = ages
-        self._staleness_index = {pair: i for i, pair in enumerate(pairs)}
-        keys = np.asarray(
-            [(u << 32) | v for u, v in pairs], dtype=np.int64
-        )
-        order = np.argsort(keys)
-        self._staleness_sorted_keys = keys[order]
-        self._staleness_sorted_slots = order
+        self._build_staleness_ledger(self._staleness_index, self._staleness)
 
         if swap.compressor_spec is not None:
             # The budget controller never steps a preset's knob, so the
@@ -842,91 +820,53 @@ class SNAPTrainer:
             self._edge_states[key] = state
         return state
 
-    def _offer_update(
-        self, server: EdgeServer, neighbor: int, tx_params: Params, ctx, round_index: int
-    ):
-        """Build ``server``'s update for ``neighbor`` against what it last received.
-
-        Returns ``(message, payload, state)``; the caller puts ``message``
-        on its channel or socket and reports the outcome to
-        :meth:`_settle_update`. Shared by the three per-edge rounds
-        (reference, semi-synchronous, TCP testbed).
-        """
-        state = self._edge_state(server.node_id, neighbor)
-        state.reference = server.last_sent[neighbor]
-        payload = self.compressors[server.node_id].compress(tx_params, state, ctx)
-        message = payload_to_update(
-            payload, server.node_id, round_index, self.model.n_params
-        )
-        return message, payload, state
-
-    def _settle_update(
-        self, server: EdgeServer, neighbor: int, offer, delivered: bool
+    def send_round(
+        self,
+        server: EdgeServer,
+        round_index: int,
+        down: frozenset,
+        transmit,
+        offline=None,
     ) -> None:
-        """Close an :meth:`_offer_update`: link state advances only on delivery."""
-        message, payload, state = offer
-        compressor = self.compressors[server.node_id]
-        if delivered:
-            server.mark_delivered(neighbor, message)
-            compressor.payload_delivered(payload, state)
-        else:
-            compressor.payload_dropped(payload, state)
+        """The sending half of ``server``'s round — the one per-edge sender.
 
-    def _communicate(
-        self, round_index: int, down: frozenset = frozenset()
-    ) -> tuple[int, set[tuple[int, int]]]:
-        """Send every server's per-neighbor updates through its compressor.
-
-        View layers shift first (so a failed link leaves the receiver's
-        current layer stale, per the straggler rule), then each server
-        compresses its parameters against every neighbor's known state
-        (``last_sent``, the edge state's reference) and advances that link
-        state only on confirmed delivery. Servers in ``down`` neither
-        advance, send, nor receive this round.
-
-        Returns the total parameter values delivered and the set of directed
-        ``(source, destination)`` pairs whose update arrived this round.
+        For every live neighbor: select ``server``'s parameters against what
+        that neighbor last received (Algorithm 1), frame them (Fig. 3), hand
+        the frame to the runtime's wire — ``transmit(source, neighbor,
+        message, stage) -> delivered`` — and advance the link state only on
+        delivery (Section IV-D: otherwise the receiver keeps its cached view
+        and the link stays pending). A neighbor in ``down`` gets no frame —
+        the connection fails before any bytes enter the network — only the
+        optional ``offline(neighbor)`` callback.
         """
-        for server in self.servers:
-            if server.node_id not in down:
-                server.advance_views()
-
-        params_sent = 0
-        delivered: set[tuple[int, int]] = set()
-        for server_index, server in enumerate(self.servers):
-            if server.node_id in down:
+        source = server.node_id
+        compressor = self.compressors[source]
+        # A byzantine server compresses and ships its *poisoned* vector;
+        # everything downstream (selection reference, byte accounting,
+        # last_sent, receiver views) operates on the transmitted values, so
+        # every ledger identity still holds bitwise.
+        tx_params = self.transmit_params(server.params, source, round_index)
+        ctx = compressor.begin_round(tx_params, round_index)
+        for neighbor in server.neighbors:
+            if neighbor in down:
+                if offline is not None:
+                    offline(neighbor)
                 continue
-            compressor = self.compressors[server_index]
-            # A byzantine server compresses and ships its *poisoned* vector;
-            # everything downstream (selection reference, byte accounting,
-            # last_sent, receiver views) operates on the transmitted values,
-            # so every ledger identity still holds bitwise.
-            tx_params = self.transmit_params(
-                server.params, server.node_id, round_index
+            state = self._edge_state(source, neighbor)
+            state.reference = server.last_sent[neighbor]
+            payload = compressor.compress(tx_params, state, ctx)
+            message = payload_to_update(
+                payload, source, round_index, self.model.n_params
             )
-            ctx = compressor.begin_round(tx_params, round_index)
-            for neighbor in server.neighbors:
-                if neighbor in down:
-                    # The peer is offline: the connection fails before any
-                    # bytes enter the network; link state stays pending.
-                    continue
-                offer = self._offer_update(
-                    server, neighbor, tx_params, ctx, round_index
-                )
-                message = offer[0]
-                report = self.channel.send(
-                    server.node_id, neighbor, message, stage=compressor.name
-                )
-                if report.delivered:
-                    self.servers[neighbor].receive_update(message)
-                    params_sent += message.n_sent
-                    delivered.add((server.node_id, neighbor))
-                self._settle_update(server, neighbor, offer, report.delivered)
-            if compressor.end_round(ctx):
-                # Algorithm 1 stage boundary: restart EXTRA from the
-                # current solution under the tightened threshold.
-                server.restart_recursion()
-        return params_sent, delivered
+            if transmit(source, neighbor, message, compressor.name):
+                server.mark_delivered(neighbor, message)
+                compressor.payload_delivered(payload, state)
+            else:
+                compressor.payload_dropped(payload, state)
+        if compressor.end_round(ctx):
+            # Algorithm 1 stage boundary: restart EXTRA from the current
+            # solution under the tightened threshold.
+            server.restart_recursion()
 
     def transmit_params(
         self, params: Params, node: int, round_index: int
@@ -977,30 +917,20 @@ class SNAPTrainer:
         """Age every directed link; reset the delivered ones. Returns #stale.
 
         ``delivered`` only ever contains directed topology links, so the
-        stale count is the link total minus the delivered count. The
-        vectorized engine's :class:`~repro.core.engine.DeliveredEdges`
-        resets its links with one sorted-key lookup instead of per-pair
-        Python iteration.
+        stale count is the link total minus the delivered count; the
+        delivered links are reset with one sorted-key lookup.
         """
         arr = self._staleness
         if not arr.size:
             return 0
         arr += 1
-        sources = getattr(delivered, "sources", None)
-        if sources is None:
-            index = self._staleness_index
-            for pair in delivered:
-                arr[index[pair]] = 0
-            n_delivered = len(delivered)
-        else:
-            if sources.size:
-                keys = (sources << 32) | delivered.destinations
-                slots = self._staleness_sorted_slots[
-                    np.searchsorted(self._staleness_sorted_keys, keys)
-                ]
-                arr[slots] = 0
-            n_delivered = int(sources.size)
-        return arr.size - n_delivered
+        if len(delivered):
+            keys = (delivered.sources << 32) | delivered.destinations
+            slots = self._staleness_sorted_slots[
+                np.searchsorted(self._staleness_sorted_keys, keys)
+            ]
+            arr[slots] = 0
+        return arr.size - len(delivered)
 
     def _observe_partition(self, connected: bool, round_index: int) -> None:
         """Track consecutive partitioned rounds; warn, then abort per config."""

@@ -7,9 +7,11 @@ here as thread barriers, the single-host stand-in for the paper's timer.
 
 Algorithmic state is the same :class:`~repro.core.server.EdgeServer` and
 :class:`~repro.core.ape.APESchedule` machinery the simulator uses (built by
-an internal :class:`~repro.core.SNAPTrainer`), so a testbed run is
-bit-for-bit identical to a simulated run on the same inputs — the
-correspondence the integration tests assert.
+an internal :class:`~repro.core.SNAPTrainer`), and a node's sending round
+*is* the simulator's — ``SNAPTrainer.send_round`` with one TCP frame
+(:meth:`_Node._transmit`) as its wire — so a testbed run is bit-for-bit
+identical to a simulated run on the same inputs — the correspondence the
+integration tests assert.
 
 Fault tolerance
 ---------------
@@ -195,9 +197,8 @@ class TestbedResult:
 class _Node:
     """Runtime wrapper around one EdgeServer: sockets, inbox, per-round loop."""
 
-    def __init__(self, server, compressor, runtime: "TestbedRuntime"):
+    def __init__(self, server, runtime: "TestbedRuntime"):
         self.server = server
-        self.compressor = compressor
         self.runtime = runtime
         #: Physical peers: the base-topology neighbor set at wiring time.
         #: Sockets span this superset for the life of the run; the
@@ -391,54 +392,34 @@ class _Node:
         self.runtime.barrier_wait()  # everyone stepped
 
         server.advance_views()
-        compressor = self.compressor
-        # Byzantine nodes poison only the transmitted vector; local state
-        # above stayed honest, exactly like the simulator engines.
-        tx_params = self.runtime._trainer.transmit_params(
-            server.params, server.node_id, round_index
-        )
-        ctx = compressor.begin_round(tx_params, round_index)
-        for neighbor in server.neighbors:
-            if neighbor in down:
-                # The peer is offline: the connection fails before any
-                # bytes enter the network; link state stays pending.
-                # (Matches the simulator: no update is even built.)
-                continue
-            link_up = plan is None or plan.link_up(
-                topology, server.node_id, neighbor, round_index
-            )
-            offer = self.runtime._trainer._offer_update(
-                server, neighbor, tx_params, ctx, round_index
-            )
-            if not link_up:
-                # Link outage: the frame never enters the network. The
-                # update was still *built* (so APE suppression statistics
-                # match the simulator), but costs nothing and the link
-                # state stays pending — the straggler rule's territory.
-                self.runtime._trainer._settle_update(server, neighbor, offer, False)
-                continue
-            corrupt = plan is not None and plan.corrupted(
-                topology, server.node_id, neighbor, round_index
-            )
-            self._send(neighbor, offer, corrupt)
-        if compressor.end_round(ctx):
-            server.restart_recursion()
+        # The sender is the simulator's; this node supplies the wire. A
+        # peer in ``down`` is offline: no update is even built.
+        self.runtime._trainer.send_round(server, round_index, down, self._transmit)
 
         self._collect_round(round_index, down, plan, topology)
         self.runtime.barrier_wait()  # everyone exchanged
         return True
 
-    def _send(self, neighbor: int, offer, corrupt: bool) -> None:
-        """Transmit one frame; a peer that proves unreachable is marked dead.
+    def _transmit(self, source: int, neighbor: int, message, stage) -> bool:
+        """This node's wire for :meth:`SNAPTrainer.send_round`: one TCP frame.
 
-        Corrupted sends still count their payload bytes — the bits crossed
-        the wire even though the receiver will reject them (exactly how the
-        simulator's channel charges corrupted deliveries). The compressor's
-        outcome hook fires after the link state settles, so its view of the
-        edge reference matches the simulator's.
+        A plan-failed link drops the update — already built, so APE
+        suppression statistics match the simulator — before any bytes enter
+        the network. A plan-corrupted frame still counts its payload bytes:
+        the bits crossed even though the receiver's CRC rejects them,
+        exactly how the simulator's channel charges corrupted deliveries.
+        A peer that proves unreachable is marked dead; the straggler rule
+        covers the missing update.
         """
+        plan = self.runtime.fault_plan
+        round_index = message.round_index
+        corrupt = False
+        if plan is not None:
+            link = (self.runtime.topology, source, neighbor, round_index)
+            if not plan.link_up(*link):
+                return False
+            corrupt = plan.corrupted(*link)
         connection = self.send_connections[neighbor]
-        message = offer[0]
         try:
             if corrupt:
                 sent = connection.send_corrupted(message)
@@ -446,18 +427,12 @@ class _Node:
                 sent = connection.send_update(message)
         except ProtocolError:
             # Retries (and reconnect attempts) exhausted: the peer is gone.
-            # Degrade — the straggler rule covers the missing update.
             self.dead_peers.add(neighbor)
-            sent = None
-        self.runtime._trainer._settle_update(
-            self.server, neighbor, offer, sent is not None and not corrupt
-        )
-        if sent is not None:
-            self.payload_bytes += sent
-            self.frames_sent += 1
-            self.runtime._record_flow(
-                message.round_index, self.server.node_id, neighbor, sent
-            )
+            return False
+        self.payload_bytes += sent
+        self.frames_sent += 1
+        self.runtime._record_flow(round_index, source, neighbor, sent)
+        return not corrupt
 
     def _collect_round(self, round_index, down, plan, topology) -> None:
         """Receive this round's frames, degrading on deadline or death.
@@ -682,14 +657,8 @@ class TestbedRuntime:
                     f"outside the topology"
                 )
             self.crash_schedule[int(round_index)] = crashed
-        self.selection = trainer.config.selection
-        self.compressor_spec = trainer.compressor_spec
-        self.alpha = trainer.alpha
         self._trainer = trainer
-        self.nodes = [
-            _Node(server, compressor, self)
-            for server, compressor in zip(trainer.servers, trainer.compressors)
-        ]
+        self.nodes = [_Node(server, self) for server in trainer.servers]
         self._barrier = _DegradableBarrier(len(self.nodes))
         self._errors: list[BaseException] = []
         self._error_lock = threading.Lock()
@@ -758,7 +727,6 @@ class TestbedRuntime:
                     "wired physical topology"
                 )
         self._trainer._apply_topology_swap(swap, sync_engine=False)
-        self.alpha = self._trainer.alpha
         for u, v in getattr(swap, "added_edges", ()):
             for node_id, peer in ((u, v), (v, u)):
                 node = self._node_by_id[node_id]

@@ -55,7 +55,7 @@ def test_resume_is_bit_identical(setup, tmp_path, selection):
     )
 
 
-@pytest.mark.parametrize("engine", ["reference", "vectorized"])
+@pytest.mark.parametrize("engine", ["reference", "vectorized", "semisync"])
 def test_resume_across_ape_stage_advances_has_equal_digest(setup, tmp_path, engine):
     """The schedule bank survives ``state_dict`` -> checkpoint -> ``load_state_dict``.
 
@@ -63,7 +63,8 @@ def test_resume_across_ape_stage_advances_has_equal_digest(setup, tmp_path, engi
     error and iterations-in-stage columns matter; the server-state digest
     hashes every schedule's ``state_dict`` repr, so equal digests mean the
     resumed bank — advanced by array calls on the vectorized engine, by row
-    views on the reference — is the uninterrupted one.
+    views on the reference and (per event) the semi-synchronous one — is the
+    uninterrupted one.
     """
     from repro.testing.digest import server_state_sha
 

@@ -52,7 +52,7 @@ class TestValidation:
 
     def test_field_count(self):
         """A new knob is a decision, not a side effect: update this with it."""
-        assert len(dataclasses.fields(SNAPConfig)) == 33
+        assert len(dataclasses.fields(SNAPConfig)) == 32
 
 
 class TestConvenienceConstructors:

@@ -140,11 +140,14 @@ class TestDeliveredGraphConnectivity:
     RING = [(0, 1), (1, 2), (2, 3), (3, 0)]
 
     def _forms(self, pairs):
-        pairs = list(pairs)
-        sources, destinations = (
-            np.array(column, dtype=np.int64) for column in zip(*pairs)
+        """The two layouts engines hand over: contiguous columns (the
+        vectorized round) and ``from_pairs``' strided ones (the per-edge
+        rounds)."""
+        strided = DeliveredEdges.from_pairs(list(pairs))
+        return (
+            DeliveredEdges(strided.sources.copy(), strided.destinations.copy()),
+            strided,
         )
-        return set(pairs), DeliveredEdges(sources, destinations)
 
     def test_full_delivery_builds_no_graph(self, monkeypatch):
         def boom(*args, **kwargs):

@@ -291,3 +291,156 @@ class TestVectorizedRoundCallCount:
             f"{small:.0f} at N=64 -> {large:.0f} at N=256; something walks "
             "the nodes or edges in Python"
         )
+
+
+class TestOnePerEdgeSender:
+    """Every per-edge runtime sends through ``SNAPTrainer.send_round``."""
+
+    ROUNDS = 6
+    #: Server 2 is down for rounds 2-4: the skip path and ``offline``.
+    OUTAGE = {2: [2], 3: [2], 4: [2]}
+
+    @pytest.fixture
+    def send_round_calls(self, monkeypatch):
+        """``(node, round)`` of every ``send_round`` call, in call order."""
+        calls = []
+        original = SNAPTrainer.send_round
+
+        def counting(self, server, round_index, *args, **kwargs):
+            calls.append((server.node_id, round_index))
+            return original(self, server, round_index, *args, **kwargs)
+
+        monkeypatch.setattr(SNAPTrainer, "send_round", counting)
+        return calls
+
+    def _expected(self, n_nodes):
+        return sorted(
+            (node, r)
+            for r in range(1, self.ROUNDS + 1)
+            for node in range(n_nodes)
+            if node not in self.OUTAGE.get(r, ())
+        )
+
+    @pytest.mark.parametrize("engine", ["reference", "semisync"])
+    def test_engine_calls_it_once_per_active_server_per_round(
+        self, ridge_setup, send_round_calls, engine
+    ):
+        """A runtime that regrows its own sender loop fails here: a count,
+        not a clock."""
+        from repro.topology.failures import ScheduledNodeFailures
+
+        model, shards, topo, _ = ridge_setup
+        trainer = SNAPTrainer(
+            model,
+            shards,
+            topo,
+            config=SNAPConfig(engine=engine, seed=0, optimize_weights=False),
+            node_failure_model=ScheduledNodeFailures(self.OUTAGE),
+        )
+        result = trainer.run(max_rounds=self.ROUNDS, stop_on_convergence=False)
+        assert sorted(send_round_calls) == self._expected(topo.n_nodes)
+        assert result.total_bytes > 0
+
+    def test_testbed_node_calls_it_once_per_active_server_per_round(
+        self, ridge_setup, send_round_calls
+    ):
+        from repro.faults import FaultPlan
+        from repro.runtime import TestbedRuntime
+        from repro.topology.failures import ScheduledNodeFailures
+
+        model, shards, topo, _ = ridge_setup
+        testbed = TestbedRuntime(
+            model,
+            shards,
+            topo,
+            config=SNAPConfig(seed=0, optimize_weights=False),
+            fault_plan=FaultPlan(nodes=ScheduledNodeFailures(self.OUTAGE)),
+        )
+        result = testbed.run(self.ROUNDS)
+        assert sorted(send_round_calls) == self._expected(topo.n_nodes)
+        assert result.payload_bytes_total > 0
+
+
+class TestSendRound:
+    """``send_round`` against a scripted wire: link state, the compressor's
+    outcome hooks and the Algorithm 1 restart follow ``transmit``'s answer."""
+
+    def _trainer(self, compressor, **config):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(120, 6))
+        dataset = Dataset(X, X @ rng.normal(size=6))
+        trainer = SNAPTrainer(
+            RidgeRegression(6, regularization=0.1),
+            iid_partition(dataset, 4, seed=1),
+            complete_topology(4),
+            config=SNAPConfig(
+                compressor=compressor, seed=0, optimize_weights=False, **config
+            ),
+        )
+        server = trainer.servers[0]
+        # Far from what any neighbor holds: every scheme has something to send.
+        server.params = server.params + rng.normal(size=server.params.size)
+        return trainer, server
+
+    def _send(self, trainer, server, accept, down=frozenset()):
+        sent, offline = [], []
+
+        def transmit(source, neighbor, message, stage):
+            assert source == server.node_id
+            assert stage == trainer.compressors[source].name
+            sent.append((neighbor, message))
+            return neighbor in accept
+
+        trainer.send_round(server, 1, down, transmit, offline.append)
+        return sent, offline
+
+    @pytest.mark.parametrize("compressor", ["ape", "ef:topk:k=2"])
+    def test_link_state_advances_only_on_delivery(self, compressor):
+        trainer, server = self._trainer(compressor)
+        before = {j: sent.copy() for j, sent in server.last_sent.items()}
+        sent, offline = self._send(trainer, server, accept={1}, down=frozenset({3}))
+
+        assert [neighbor for neighbor, _ in sent] == [1, 2]
+        assert all(message.n_sent > 0 for _, message in sent)
+        delivered, dropped = sent[0][1], sent[1][1]
+        assert delivered.round_index == 1 and delivered.sender == 0
+        np.testing.assert_array_equal(
+            server.last_sent[1], delivered.apply_to(before[1])
+        )
+        assert not np.array_equal(server.last_sent[1], before[1])
+        np.testing.assert_array_equal(server.last_sent[2], before[2])
+        assert dropped.n_sent > 0
+        # The offline neighbor got its callback and nothing else: no update
+        # was built, so not even its edge state exists.
+        assert offline == [3]
+        np.testing.assert_array_equal(server.last_sent[3], before[3])
+        assert set(trainer._edge_states) == {(0, 1), (0, 2)}
+
+    def test_error_feedback_residual_follows_the_outcome(self):
+        trainer, server = self._trainer("ef:topk:k=2")
+        before = {j: sent.copy() for j, sent in server.last_sent.items()}
+        sent, _ = self._send(trainer, server, accept={1})
+        delivered = sent[0][1]
+        states = trainer._edge_states
+        # Delivered: the k shipped coordinates left the residual...
+        np.testing.assert_array_equal(
+            states[(0, 1)].residual, server.params - server.last_sent[1]
+        )
+        assert np.all(states[(0, 1)].residual[delivered.indices] == 0.0)
+        # ...dropped: the whole drift stays owed.
+        for neighbor in (2, 3):
+            np.testing.assert_array_equal(
+                states[(0, neighbor)].residual, server.params - before[neighbor]
+            )
+            assert np.all(states[(0, neighbor)].residual != 0.0)
+
+    def test_stage_advance_restarts_the_recursion(self):
+        for stage_iterations, restarted in ((1, True), (10, False)):
+            trainer, server = self._trainer(
+                "ape", ape_stage_iterations=stage_iterations
+            )
+            server.step()
+            assert server.previous_params is not None
+            self._send(trainer, server, accept={1, 2, 3})
+            assert (server.previous_params is None) is restarted
+            assert trainer._schedules[0].stage == int(restarted)
