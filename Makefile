@@ -6,8 +6,8 @@ PYTEST := PYTHONPATH=src $(PYTHON) -m pytest
 
 .PHONY: test chaos perf differential verify-invariants coverage test-all \
 	bench bench-async bench-compression bench-figures bench-scale bench-scale-check \
-	bench-topology bench-topology-check bench-e2e-quick orchestrate-smoke \
-	scenario-smoke
+	bench-topology bench-topology-check bench-e2e-quick bench-pairs \
+	orchestrate-smoke scenario-smoke
 
 ## The default (tier-1) suite: the addopts in pyproject.toml deselect the
 ## chaos, perf, and differential markers, so a bare pytest run is tier-1.
@@ -111,3 +111,14 @@ bench-topology-check:
 bench-e2e-quick:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e --seed 7 --quick --out /tmp/quick.json
 	$(PYTEST) benchmarks/e2e/test_harness.py -q
+
+## Alternating base/head pairs of the driver's command on one workload, with
+## per-metric medians, quartiles, win counts, a verdict and a markdown table
+## for docs/perf-log/: `make bench-pairs BASE=HEAD~1 WORKLOAD=ref_credit_n60`
+## (optional PAIRS=10 SEED=7 WINDOW_S=<BENCHMARK.json run_seconds>). Both sides
+## run from exports in a temporary directory; head is the working tree on disk.
+PAIRS ?= 10
+SEED ?= 7
+bench-pairs:
+	$(PYTHON) scripts/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seed $(SEED) $(if $(WINDOW_S),--seconds $(WINDOW_S))

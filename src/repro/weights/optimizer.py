@@ -29,6 +29,7 @@ Two extensions serve the adaptive-topology runtime
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -114,21 +115,10 @@ def minimize_second_eigenvalue(
     fewer EXTRA iterations. This is the fastest-mixing-Markov-chain problem
     restricted to symmetric doubly stochastic matrices.
     """
-    return _solve(
-        topology,
-        objective=_second_eigenvalue_objective,
-        sparse_objective=_second_eigenvalue_sparse,
-        iterations=iterations,
-        initial_step=initial_step,
-        min_self_weight=min_self_weight,
-        initial_matrix=initial_matrix,
-        problem="min_second_eigenvalue",
-        backend=backend,
-        edge_costs=edge_costs,
-        cost_weight=cost_weight,
-        patience=patience,
-        step_offset=step_offset,
-    )
+    return _Solver(
+        topology, iterations, initial_step, min_self_weight, backend,
+        edge_costs, cost_weight, patience,
+    ).solve("min_second_eigenvalue", initial_matrix, step_offset)
 
 
 def maximize_smallest_eigenvalue(
@@ -150,21 +140,10 @@ def maximize_smallest_eigenvalue(
     the second term of the rate bound (17). Internally minimized as
     ``-λ_min(W)``.
     """
-    return _solve(
-        topology,
-        objective=_negative_smallest_eigenvalue_objective,
-        sparse_objective=_negative_smallest_eigenvalue_sparse,
-        iterations=iterations,
-        initial_step=initial_step,
-        min_self_weight=min_self_weight,
-        initial_matrix=initial_matrix,
-        problem="max_smallest_eigenvalue",
-        backend=backend,
-        edge_costs=edge_costs,
-        cost_weight=cost_weight,
-        patience=patience,
-        step_offset=step_offset,
-    )
+    return _Solver(
+        topology, iterations, initial_step, min_self_weight, backend,
+        edge_costs, cost_weight, patience,
+    ).solve("max_smallest_eigenvalue", initial_matrix, step_offset)
 
 
 def lazify(matrix: WeightMatrix) -> WeightMatrix:
@@ -207,35 +186,15 @@ def optimize_weight_matrix(
     (before pruning) is a valid — and empirically very close — starting
     point on the pruned support.
     """
-    warm_second, offset_second = _warm_initial(warm_start, "min_second_eigenvalue")
-    warm_smallest, offset_smallest = _warm_initial(
-        warm_start, "max_smallest_eigenvalue"
+    # One parametrization and one projected Metropolis start serve both
+    # problems; a warm start gives each problem its own starting matrix.
+    solver = _Solver(
+        topology, iterations, initial_step, min_self_weight, backend,
+        edge_costs, cost_weight, patience,
     )
     solved = [
-        minimize_second_eigenvalue(
-            topology,
-            iterations=iterations,
-            initial_step=initial_step,
-            min_self_weight=min_self_weight,
-            initial_matrix=warm_second,
-            backend=backend,
-            edge_costs=edge_costs,
-            cost_weight=cost_weight,
-            patience=patience,
-            step_offset=offset_second,
-        ),
-        maximize_smallest_eigenvalue(
-            topology,
-            iterations=iterations,
-            initial_step=initial_step,
-            min_self_weight=min_self_weight,
-            initial_matrix=warm_smallest,
-            backend=backend,
-            edge_costs=edge_costs,
-            cost_weight=cost_weight,
-            patience=patience,
-            step_offset=offset_smallest,
-        ),
+        solver.solve(problem, *_warm_initial(warm_start, problem))
+        for problem in ("min_second_eigenvalue", "max_smallest_eigenvalue")
     ]
     # The lazy spectrum of each solved matrix is computed once and cached on
     # both the solved candidate (as its lazy_report) and the lazy candidate
@@ -263,7 +222,7 @@ def optimize_weight_matrix(
                 problem=f"lazy_{result.problem}",
             )
         )
-    baseline = metropolis_weights(topology)
+    baseline = solver.metropolis
     candidates.append(
         WeightOptimizationResult(
             matrix=baseline,
@@ -361,87 +320,129 @@ def _use_lanczos(backend: str, topology: Topology) -> bool:
     return density <= _LANCZOS_MAX_DENSITY
 
 
-def _solve(
-    topology: Topology,
-    objective,
-    sparse_objective,
-    iterations: int,
-    initial_step: float,
-    min_self_weight: float,
-    initial_matrix: WeightMatrix | None,
-    problem: str,
-    backend: str = "dense",
-    edge_costs: np.ndarray | None = None,
-    cost_weight: float = 0.0,
-    patience: int | None = None,
-    step_offset: int = 0,
-) -> WeightOptimizationResult:
-    check_positive_int("iterations", iterations)
-    if step_offset < 0:
-        raise OptimizationError(f"step_offset must be >= 0, got {step_offset}")
-    check_positive("initial_step", initial_step)
-    if patience is not None:
-        check_positive_int("patience", patience)
-    if cost_weight < 0.0:
-        raise OptimizationError(f"cost_weight must be >= 0, got {cost_weight}")
-    if topology.n_nodes < 2:
-        raise OptimizationError("weight optimization needs at least 2 nodes")
-    parametrization = EdgeParametrization(
-        topology, min_edge_weight=0.0, min_self_weight=min_self_weight
-    )
-    if parametrization.n_edges == 0:
-        raise OptimizationError("topology has no edges; nothing to optimize")
-    penalty = None
-    if edge_costs is not None and cost_weight > 0.0:
-        penalty = np.asarray(edge_costs, dtype=float)
-        if penalty.shape != (parametrization.n_edges,):
-            raise OptimizationError(
-                f"edge_costs shape {penalty.shape} does not match edge count "
-                f"{parametrization.n_edges}"
-            )
-    lanczos = _use_lanczos(backend, topology)
+#: Objective hooks (dense, Lanczos) of the two problems, by problem name.
+_OBJECTIVES = {
+    "min_second_eigenvalue": (
+        _second_eigenvalue_objective,
+        _second_eigenvalue_sparse,
+    ),
+    "max_smallest_eigenvalue": (
+        _negative_smallest_eigenvalue_objective,
+        _negative_smallest_eigenvalue_sparse,
+    ),
+}
 
-    if initial_matrix is None:
-        initial_matrix = metropolis_weights(topology)
-    theta = parametrization.project(parametrization.from_matrix(initial_matrix))
 
-    best_theta = theta.copy()
-    best_value = np.inf
-    best_step = 0
-    trace: list[float] = []
-    for step_index in range(iterations):
-        if lanczos:
-            value, vector, sign = sparse_objective(parametrization.to_sparse(theta))
+class _Solver:
+    """One validated set-up of the projected subgradient method.
+
+    Holds what the two problems share on one topology — the
+    :class:`EdgeParametrization`, the bandwidth penalty, the objective
+    backend, the Metropolis matrix and its projection (the cold start) — so
+    :func:`optimize_weight_matrix` builds each once, not once per problem.
+    """
+
+    def __init__(
+        self,
+        topology: Topology,
+        iterations: int,
+        initial_step: float,
+        min_self_weight: float,
+        backend: str,
+        edge_costs: np.ndarray | None,
+        cost_weight: float,
+        patience: int | None,
+    ):
+        check_positive_int("iterations", iterations)
+        check_positive("initial_step", initial_step)
+        if patience is not None:
+            check_positive_int("patience", patience)
+        if cost_weight < 0.0:
+            raise OptimizationError(f"cost_weight must be >= 0, got {cost_weight}")
+        if topology.n_nodes < 2:
+            raise OptimizationError("weight optimization needs at least 2 nodes")
+        self.parametrization = EdgeParametrization(topology, min_self_weight)
+        if self.parametrization.n_edges == 0:
+            raise OptimizationError("topology has no edges; nothing to optimize")
+        self.penalty = None
+        if edge_costs is not None and cost_weight > 0.0:
+            self.penalty = np.asarray(edge_costs, dtype=float)
+            if self.penalty.shape != (self.parametrization.n_edges,):
+                raise OptimizationError(
+                    f"edge_costs shape {self.penalty.shape} does not match edge "
+                    f"count {self.parametrization.n_edges}"
+                )
+        self.lanczos = _use_lanczos(backend, topology)
+        self.iterations = iterations
+        self.initial_step = initial_step
+        self.cost_weight = cost_weight
+        self.patience = patience
+
+    @cached_property
+    def metropolis(self) -> WeightMatrix:
+        return metropolis_weights(self.parametrization.topology)
+
+    @cached_property
+    def cold_start(self) -> np.ndarray:
+        """The projected Metropolis θ every cold solve starts from."""
+        return self._project_matrix(self.metropolis)
+
+    def _project_matrix(self, matrix: WeightMatrix) -> np.ndarray:
+        return self.parametrization.project(self.parametrization.from_matrix(matrix))
+
+    def solve(
+        self,
+        problem: str,
+        initial_matrix: WeightMatrix | None = None,
+        step_offset: int = 0,
+    ) -> WeightOptimizationResult:
+        if step_offset < 0:
+            raise OptimizationError(f"step_offset must be >= 0, got {step_offset}")
+        objective, sparse_objective = _OBJECTIVES[problem]
+        parametrization, penalty = self.parametrization, self.penalty
+        cost_weight, patience = self.cost_weight, self.patience
+        if initial_matrix is None:
+            theta = self.cold_start
         else:
-            matrix = parametrization.to_matrix(theta)
-            eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-            value, vector, sign = objective(eigenvalues, eigenvectors)
-        if penalty is not None:
-            value += cost_weight * float(penalty @ theta)
-        if value < best_value:
-            best_value = value
-            best_theta = theta.copy()
-            best_step = step_index
-        trace.append(best_value)
-        if patience is not None and step_index - best_step >= patience:
-            break
-        # Subgradient of the *minimized* objective: for problem (23) it is the
-        # eigenvalue subgradient itself (sign +1); for problem (22) we minimize
-        # -λ_min so the sign flips (sign -1).
-        subgradient = sign * parametrization.eigenvalue_subgradient(vector)
-        if penalty is not None:
-            subgradient = subgradient + cost_weight * penalty
-        norm = float(np.linalg.norm(subgradient))
-        if norm < 1e-14:
-            break
-        step = initial_step / np.sqrt(step_index + step_offset + 1.0)
-        theta = parametrization.project(theta - step * subgradient / norm)
+            theta = self._project_matrix(initial_matrix)
 
-    matrix = parametrization.to_matrix(best_theta)
-    return WeightOptimizationResult(
-        matrix=matrix,
-        report=analyze_weight_matrix(matrix),
-        objective_trace=trace,
-        problem=problem,
-        solver_steps=len(trace),
-    )
+        best_theta = theta
+        best_value = np.inf
+        best_step = 0
+        trace: list[float] = []
+        for step_index in range(self.iterations):
+            if self.lanczos:
+                value, vector, sign = sparse_objective(parametrization.to_sparse(theta))
+            else:
+                matrix = parametrization.to_matrix(theta)
+                eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+                value, vector, sign = objective(eigenvalues, eigenvectors)
+            if penalty is not None:
+                value += cost_weight * float(penalty @ theta)
+            if value < best_value:
+                best_value = value
+                best_theta = theta
+                best_step = step_index
+            trace.append(best_value)
+            if patience is not None and step_index - best_step >= patience:
+                break
+            # Subgradient of the *minimized* objective: for problem (23) it is
+            # the eigenvalue subgradient itself (sign +1); for problem (22) we
+            # minimize -λ_min so the sign flips (sign -1).
+            subgradient = sign * parametrization.eigenvalue_subgradient(vector)
+            if penalty is not None:
+                subgradient = subgradient + cost_weight * penalty
+            norm = float(np.linalg.norm(subgradient))
+            if norm < 1e-14:
+                break
+            step = self.initial_step / np.sqrt(step_index + step_offset + 1.0)
+            theta = parametrization.project(theta - step * subgradient / norm)
+
+        matrix = parametrization.to_matrix(best_theta)
+        return WeightOptimizationResult(
+            matrix=matrix,
+            report=analyze_weight_matrix(matrix),
+            objective_trace=trace,
+            problem=problem,
+            solver_steps=len(trace),
+        )

@@ -35,61 +35,65 @@ from repro.topology.graph import Topology
 from repro.types import WeightMatrix
 
 
+def _gathered_sum(values: list[float], picks: list[int]) -> float:
+    """``np.array(values)[picks].sum()``, bit for bit, without the arrays.
+
+    numpy adds fewer than 8 float64 terms left to right from ``+0.0`` and
+    switches to unrolled pairwise blocks from 8 terms up, so the long case is
+    handed to numpy itself. (The builtin ``sum`` compensates from Python 3.12
+    on and is *not* the same arithmetic.)
+    """
+    if len(picks) >= 8:
+        return float(np.array([values[k] for k in picks]).sum())
+    total = 0.0
+    for k in picks:
+        total += values[k]
+    return total
+
+
 class EdgeParametrization:
     """Bijection between edge-weight vectors θ and feasible weight matrices.
+
+    Every θ_e is bounded below by zero, which lets the optimizer *remove*
+    links entirely (the paper notes zero weights mean the two servers "do not
+    need to exchange parameters").
 
     Parameters
     ----------
     topology:
         The edge-server graph whose edges index the coordinates of θ.
-    min_edge_weight:
-        Lower bound enforced on every θ_e. Zero allows the optimizer to
-        *remove* links entirely (the paper notes zero weights mean the two
-        servers "do not need to exchange parameters").
     min_self_weight:
         Lower bound enforced on every diagonal entry of ``W(θ)``. A small
         positive value keeps the matrix in the interior of the feasible set
         (mirroring the ε in eq. 24) and keeps ``λ_max = 1`` simple.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        min_edge_weight: float = 0.0,
-        min_self_weight: float = 1e-3,
-    ):
-        if min_edge_weight < 0:
-            raise WeightMatrixError(
-                f"min_edge_weight must be >= 0, got {min_edge_weight}"
-            )
+    def __init__(self, topology: Topology, min_self_weight: float = 1e-3):
         if not 0.0 <= min_self_weight < 1.0:
             raise WeightMatrixError(
                 f"min_self_weight must be in [0, 1), got {min_self_weight}"
             )
         self.topology = topology
-        self.min_edge_weight = float(min_edge_weight)
         self.min_self_weight = float(min_self_weight)
-        self._edges = topology.edges
-        # incidence[i] = indices of θ coordinates touching node i
-        self._node_edges: list[np.ndarray] = [
-            np.array(
-                [k for k, (u, v) in enumerate(self._edges) if u == i or v == i],
-                dtype=np.int64,
-            )
-            for i in range(topology.n_nodes)
+        # One pass over the edge list; everything below is index arithmetic.
+        edges = np.array(topology.edges, dtype=np.int64).reshape(-1, 2)
+        self._u, self._v = np.ascontiguousarray(edges.T)
+        #: (u0, v0, u1, v1, ...): the order the per-edge loops touched nodes in.
+        self._endpoints = edges.ravel()
+        # _node_edges[i] = θ coordinates touching node i, ascending (a stable
+        # sort of the endpoints groups them by node and keeps edge order).
+        by_node = (np.argsort(self._endpoints, kind="stable") // 2).tolist()
+        stops = np.cumsum(
+            np.bincount(self._endpoints, minlength=topology.n_nodes)
+        ).tolist()
+        self._node_edges: list[list[int]] = [
+            by_node[start:stop] for start, stop in zip([0] + stops, stops)
         ]
-        max_degree = max((len(e) for e in self._node_edges), default=0)
-        feasible_total = 1.0 - self.min_self_weight
-        if max_degree and max_degree * self.min_edge_weight > feasible_total + 1e-12:
-            raise WeightMatrixError(
-                "min_edge_weight is too large: the busiest node cannot keep a "
-                "nonnegative self-weight"
-            )
 
     @property
     def n_edges(self) -> int:
         """Dimension of the θ vector (one coordinate per undirected edge)."""
-        return len(self._edges)
+        return self._u.shape[0]
 
     # -- θ <-> W -----------------------------------------------------------
 
@@ -98,9 +102,8 @@ class EdgeParametrization:
         theta = self._check_theta(theta)
         n = self.topology.n_nodes
         matrix = np.zeros((n, n), dtype=float)
-        for value, (u, v) in zip(theta, self._edges):
-            matrix[u, v] = value
-            matrix[v, u] = value
+        matrix[self._u, self._v] = theta
+        matrix[self._v, self._u] = theta
         diagonal = 1.0 - matrix.sum(axis=1)
         matrix[np.arange(n), np.arange(n)] = diagonal
         return matrix
@@ -110,26 +113,20 @@ class EdgeParametrization:
 
         The sparse twin of :meth:`to_matrix` for the Lanczos objective
         backend: entries (and hence the spectrum, up to solver tolerance)
-        match the dense build, but construction and matvecs cost
-        ``O(n + |E|)`` instead of ``O(n^2)``.
+        match the dense build — the diagonal to the last bit or two, since it
+        adds each node's edges in edge order rather than as a dense row — but
+        construction and matvecs cost ``O(n + |E|)`` instead of ``O(n^2)``.
         """
         from scipy.sparse import csr_array
 
         theta = self._check_theta(theta)
         n = self.topology.n_nodes
-        rows = np.empty(n + 2 * self.n_edges, dtype=np.int64)
-        cols = np.empty_like(rows)
-        data = np.empty(rows.shape[0], dtype=float)
-        degree_sum = np.zeros(n, dtype=float)
-        for k, (value, (u, v)) in enumerate(zip(theta, self._edges)):
-            rows[2 * k], cols[2 * k], data[2 * k] = u, v, value
-            rows[2 * k + 1], cols[2 * k + 1], data[2 * k + 1] = v, u, value
-            degree_sum[u] += value
-            degree_sum[v] += value
-        base = 2 * self.n_edges
-        rows[base:] = np.arange(n)
-        cols[base:] = np.arange(n)
-        data[base:] = 1.0 - degree_sum
+        diagonal = np.arange(n)
+        rows = np.concatenate([self._endpoints, diagonal])
+        cols = np.concatenate(
+            [np.column_stack([self._v, self._u]).ravel(), diagonal]
+        )
+        data = np.concatenate([np.repeat(theta, 2), 1.0 - self._node_totals(theta)])
         return csr_array((data, (rows, cols)), shape=(n, n))
 
     def from_matrix(self, matrix: WeightMatrix) -> np.ndarray:
@@ -140,19 +137,29 @@ class EdgeParametrization:
             raise WeightMatrixError(
                 f"matrix shape {matrix.shape} does not match topology size {n}"
             )
-        return np.array([matrix[u, v] for u, v in self._edges], dtype=float)
+        return matrix[self._u, self._v]
 
     # -- feasibility --------------------------------------------------------
+
+    def _node_totals(self, theta: np.ndarray) -> np.ndarray:
+        """``Σ_{e ∋ i} θ_e`` per node, each added in edge order from ``+0.0``.
+
+        ``np.bincount`` accumulates sequentially in input order, which is
+        what a ``degree_sum[u] += θ; degree_sum[v] += θ`` loop over the edges
+        does. It is *not* the ``ndarray.sum()`` order the projection uses, so
+        the projection takes it only as a screen.
+        """
+        return np.bincount(
+            self._endpoints, np.repeat(theta, 2), minlength=self.topology.n_nodes
+        )
 
     def is_feasible(self, theta: np.ndarray, atol: float = 1e-9) -> bool:
         """Whether θ satisfies both constraint families (within ``atol``)."""
         theta = self._check_theta(theta)
-        if np.any(theta < self.min_edge_weight - atol):
+        if np.any(theta < -atol):
             return False
-        for edges in self._node_edges:
-            if theta[edges].sum() > 1.0 - self.min_self_weight + atol:
-                return False
-        return True
+        budget = 1.0 - self.min_self_weight
+        return not np.any(self._node_totals(theta) > budget + atol)
 
     def project(
         self, theta: np.ndarray, max_iterations: int = 500, tol: float = 1e-12
@@ -160,38 +167,50 @@ class EdgeParametrization:
         """Euclidean projection of θ onto the feasible polytope.
 
         Uses Dykstra's alternating-projection algorithm over the box
-        ``θ >= min_edge_weight`` and one halfspace per node
+        ``θ >= 0`` and one halfspace per node
         ``Σ_{e ∋ i} θ_e <= 1 - min_self_weight``. Dykstra (unlike plain
         alternating projection) converges to the exact Euclidean projection
         onto the intersection of convex sets, which is what subgradient
         methods need for convergence guarantees.
+
+        One sweep costs ``O(|E|)``: a node's correction lives only on its own
+        edges (``None`` while it is zero), and a node with no correction and
+        a slack halfspace is left after one exact sum. The node steps run on
+        Python floats in the order, and with the summation order, of a
+        full-length ``theta + corrections[node]`` formulation — weights are
+        bitwise those of that formulation (see the oracle in
+        ``tests/weights/reference_parametrization.py``). No ``-0.0`` can
+        appear: the first box step adds ``+0.0`` to every coordinate and no
+        later step produces one.
         """
         theta = self._check_theta(theta).astype(float, copy=True)
-        n_sets = 1 + self.topology.n_nodes
-        corrections = [np.zeros_like(theta) for _ in range(n_sets)]
+        box_correction = np.zeros_like(theta)
+        corrections: list[list[float] | None] = [None] * len(self._node_edges)
         budget = 1.0 - self.min_self_weight
         for _ in range(max_iterations):
-            previous = theta.copy()
-            # Set 0: the box θ >= min_edge_weight.
-            point = theta + corrections[0]
-            projected = np.maximum(point, self.min_edge_weight)
-            corrections[0] = point - projected
-            theta = projected
-            # Sets 1..n: node halfspaces.
-            for node, edges in enumerate(self._node_edges, start=1):
-                idx = edges
-                point = theta + corrections[node]
-                if idx.size:
-                    excess = point[idx].sum() - budget
-                    if excess > 0.0:
-                        projected = point.copy()
-                        projected[idx] -= excess / idx.size
-                    else:
-                        projected = point
+            previous = theta
+            # Set 0: the box θ >= 0.
+            point = theta + box_correction
+            theta = np.maximum(point, 0.0)
+            box_correction = point - theta
+            # Sets 1..n: node halfspaces, in node order (Gauss-Seidel).
+            values = theta.tolist()
+            for node, edges in enumerate(self._node_edges):
+                correction = corrections[node]
+                if correction is not None:
+                    for k, c in zip(edges, correction):
+                        values[k] += c
+                excess = _gathered_sum(values, edges) - budget
+                if excess > 0.0:
+                    shift = excess / len(edges)
+                    corrections[node] = correction = []
+                    for k in edges:
+                        moved = values[k] - shift
+                        correction.append(values[k] - moved)
+                        values[k] = moved
                 else:
-                    projected = point
-                corrections[node] = point - projected
-                theta = projected
+                    corrections[node] = None
+            theta = np.array(values, dtype=float)
             if np.max(np.abs(theta - previous)) < tol:
                 break
         else:
@@ -199,14 +218,19 @@ class EdgeParametrization:
                 raise OptimizationError(
                     "Dykstra projection failed to converge to a feasible point"
                 )
-        # Clean up residual numerical violations.
-        theta = np.maximum(theta, self.min_edge_weight)
-        for edges in self._node_edges:
-            if edges.size:
-                total = theta[edges].sum()
-                if total > budget:
-                    theta[edges] *= budget / total
-        return theta
+        # Clean up residual numerical violations. Rescaling only shrinks θ, so
+        # a node the (differently rounded) screen clears by a wide margin
+        # cannot be over budget in the exact sum either.
+        theta = np.maximum(theta, 0.0)
+        values = theta.tolist()
+        for node in np.flatnonzero(self._node_totals(theta) > budget - 1e-9).tolist():
+            edges = self._node_edges[node]
+            total = _gathered_sum(values, edges)
+            if total > budget:
+                scale = budget / total
+                for k in edges:
+                    values[k] *= scale
+        return np.array(values, dtype=float)
 
     # -- spectral subgradients ----------------------------------------------
 
@@ -223,10 +247,10 @@ class EdgeParametrization:
                 f"eigenvector shape {eigenvector.shape} does not match topology "
                 f"size {self.topology.n_nodes}"
             )
-        return np.array(
-            [-((eigenvector[u] - eigenvector[v]) ** 2) for u, v in self._edges],
-            dtype=float,
-        )
+        # float_power is libm ``pow`` per element, the arithmetic of a scalar
+        # ``x ** 2``; ``np.square`` / array ``** 2`` round differently (~0.1 %
+        # of inputs, more under SIMD dispatch) and would move every digest.
+        return -np.float_power(eigenvector[self._u] - eigenvector[self._v], 2.0)
 
     def _check_theta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)

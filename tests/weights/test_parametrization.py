@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import WeightMatrixError
-from repro.topology.generators import random_topology, ring_topology
+from repro.topology.generators import random_topology
 from repro.utils.linalg import is_doubly_stochastic, is_symmetric
 from repro.weights.construction import metropolis_weights
 from repro.weights.parametrization import EdgeParametrization
@@ -56,11 +56,6 @@ class TestFeasibility:
     def test_oversubscribed_node_infeasible(self, parametrization):
         theta = np.full(parametrization.n_edges, 0.9)
         assert not parametrization.is_feasible(theta)
-
-    def test_min_edge_weight_too_large_rejected(self):
-        topo = ring_topology(5)
-        with pytest.raises(WeightMatrixError):
-            EdgeParametrization(topo, min_edge_weight=0.6, min_self_weight=0.01)
 
 
 class TestProjection:
