@@ -6,7 +6,7 @@ PYTEST := PYTHONPATH=src $(PYTHON) -m pytest
 
 .PHONY: test chaos perf differential verify-invariants coverage test-all \
 	bench bench-async bench-compression bench-figures bench-scale bench-scale-check \
-	bench-topology bench-topology-check bench-e2e-quick bench-pairs \
+	bench-topology bench-topology-check bench-e2e-quick bench-pairs profile \
 	orchestrate-smoke scenario-smoke
 
 ## The default (tier-1) suite: the addopts in pyproject.toml deselect the
@@ -122,3 +122,10 @@ SEED ?= 7
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) \
 		--pairs $(PAIRS) --seed $(SEED) $(if $(WINDOW_S),--seconds $(WINDOW_S))
+
+## Function-level view of one benchmarks/e2e workload: one warm-up and one
+## cProfile'd untraced rep, top 30 by tottime and by cumtime. The external
+## tracer names the slow layer, this names the slow function inside it:
+## `make profile WORKLOAD=ref_credit_n60` (optional SEED=7).
+profile:
+	$(PYTHON) scripts/profile_rep.py --workload $(WORKLOAD) --seed $(SEED)

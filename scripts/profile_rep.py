@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""cProfile one untraced rep of a ``benchmarks/e2e`` workload.
+
+``make profile WORKLOAD=<name> [SEED=7]`` — the function-level view the
+benchmark's external tracer cannot give: the tracer attributes time to the
+~40 public callables ``benchmarks/e2e/layers.py`` wraps (``network.ledger_s``
+says the ledger is slow), a profile names what inside them is slow
+(``np.unique`` on a length-1 array). Run it before choosing what to optimise
+and quote its shares, not the tracer's, in the issue.
+
+One warm-up rep (imports, lazy set-up, BLAS initialisation), then one rep
+under ``cProfile`` — every thread the rep starts included, so the testbed's
+node threads show (their blocking ``recv`` / ``acquire`` rows are waiting,
+not work) — with no layer wrappers installed, at the workload's full round
+budget, pinned to one CPU with one BLAS thread exactly as
+``benchmarks/e2e/run.py`` runs it. Prints the top functions by ``tottime``
+(where the interpreter spent its own time) and by ``cumtime`` (which calls
+that time sits under). The harness is imported read-only; nothing is written.
+Profiled timings are inflated by the profiler's per-call cost, most for the
+cheapest calls — read shares, and measure gains with ``make bench-pairs``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import os
+import pstats
+import sys
+import threading
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--top", type=int, default=30, help="rows per table")
+    options = parser.parse_args()
+
+    # As benchmarks/e2e/run.py: one BLAS thread, set before numpy is imported.
+    for variable in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[variable] = "1"
+    for entry in (str(ROOT), str(ROOT / "src")):
+        if entry not in sys.path:
+            sys.path.insert(0, entry)
+    from benchmarks.e2e import harness
+    from benchmarks.e2e.workloads import WORKLOADS
+
+    if options.workload not in WORKLOADS:
+        parser.error(
+            f"unknown workload {options.workload!r}; one of {', '.join(WORKLOADS)}"
+        )
+    harness.pin_to_one_cpu()
+    workload = WORKLOADS[options.workload]
+    inputs = workload.generate(options.seed)
+    harness.run_rep(inputs, workload.rounds)
+
+    # cProfile hooks one thread; the TCP and fleet workloads do their work on
+    # node threads, so every thread started during the rep gets a profiler of
+    # its own (its first profile event swaps the Python hook for the C one).
+    profilers = [cProfile.Profile()]
+
+    def profile_this_thread(frame, event, arg):
+        profilers.append(cProfile.Profile())
+        profilers[-1].enable()
+
+    threading.setprofile(profile_this_thread)
+    profilers[0].enable()
+    try:
+        rep = harness.run_rep(inputs, workload.rounds)
+    finally:
+        profilers[0].disable()
+        threading.setprofile(None)
+
+    print(
+        f"# {workload.name} seed={options.seed} rounds={rep.n_rounds}: "
+        f"setup_s={rep.setup_s:.4f} run_s={rep.run_s:.4f} (under cProfile) "
+        f"bytes_total={rep.bytes_total} failed_ops={rep.failed_ops}"
+    )
+    stats = pstats.Stats(*profilers).strip_dirs()
+    for key in ("tottime", "cumtime"):
+        print(f"\n## top {options.top} by {key}")
+        stats.sort_stats(key).print_stats(options.top)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -65,7 +65,8 @@ def select_parameters(
     send_mask = delta > threshold
     suppressed = delta[~send_mask]
     suppressed_max = float(suppressed.max()) if suppressed.size else 0.0
-    indices = np.flatnonzero(send_mask).astype(np.int64)
+    # Already int64: ParameterUpdate keeps this very array (no cast, no copy).
+    indices = np.flatnonzero(send_mask)
     return Selection(
         indices=indices,
         values=current[indices],

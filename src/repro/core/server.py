@@ -83,8 +83,7 @@ class EdgeServer:
     ):
         self.node_id = int(node_id)
         self.model = model
-        self.X = np.asarray(X, dtype=float)
-        self.y = np.asarray(y)
+        self.swap_data(X, y)
         self.neighbors = tuple(int(n) for n in neighbors)
         if hasattr(weight_row, "nonzero_indices"):
             # A sparse-matrix row view (repro.weights.WeightRowView): scalar
@@ -154,14 +153,50 @@ class EdgeServer:
 
     # -- local objective ------------------------------------------------------
 
+    @property
+    def X(self) -> np.ndarray:
+        """This server's feature matrix (replace it with :meth:`swap_data`)."""
+        return self._X
+
+    @property
+    def y(self) -> np.ndarray:
+        """This server's labels (replace them with :meth:`swap_data`)."""
+        return self._y
+
+    def swap_data(self, X: np.ndarray, y: np.ndarray) -> None:
+        """Replace the private shard (construction, or a drift epoch boundary).
+
+        The one place the shard changes, so the one place the prepared shard
+        is dropped: the next evaluation re-validates and re-prepares.
+        """
+        self._X = np.asarray(X, dtype=float)
+        self._y = np.asarray(y)
+        self._prepared = None
+
+    def _prepared_shard(self):
+        """The model's validate-once view of the shard, built on first evaluation.
+
+        Lazy on purpose: a vectorized trainer's servers never evaluate (the
+        engine prepares all shards in one stack), so they must not each hold
+        a second copy of their design matrix.
+        """
+        if self._prepared is None:
+            self._prepared = self.model.prepare_shards([(self._X, self._y)])
+        return self._prepared
+
     def local_loss(self, params: Params | None = None) -> float:
         """Loss :math:`f_i` on this server's shard (defaults to own params)."""
-        target = self.params if params is None else params
-        return self.objective_scale * self.model.loss(target, self.X, self.y)
+        target = self.model.check_params(self.params if params is None else params)
+        losses = self.model.batch_losses(target[None, :], self._prepared_shard())
+        return self.objective_scale * float(losses[0])
 
     def local_gradient(self, params: Params) -> Params:
         """Exact gradient :math:`\\nabla f_i` on this server's shard."""
-        return self.objective_scale * self.model.gradient(params, self.X, self.y)
+        target = self.model.check_params(params)
+        gradients = self.model.batch_gradients(
+            target[None, :], self._prepared_shard()
+        )
+        return self.objective_scale * gradients[0]
 
     # -- communication ----------------------------------------------------------
 

@@ -905,8 +905,7 @@ class SNAPTrainer:
         shards = []
         for node, server in enumerate(self.servers):
             shard = schedule.shard(node, self._base_shards[node], epoch)
-            server.X = np.asarray(shard.X, dtype=float)
-            server.y = np.asarray(shard.y)
+            server.swap_data(shard.X, shard.y)
             server.restart_recursion()
             shards.append(shard)
         self.shards = shards

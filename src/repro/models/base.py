@@ -63,26 +63,41 @@ class Model(abc.ABC):
         top_singular = float(np.linalg.norm(X, ord=2))
         return top_singular**2 / X.shape[0]
 
-    # -- batched multi-shard API ------------------------------------------------
+    # -- prepared-shard API ---------------------------------------------------------
     #
-    # The vectorized simulation engine evaluates all N servers' local losses
-    # and gradients once per round. The three methods below let a model do
-    # that in one call: ``prepare_shards`` validates and caches per-shard
-    # state up front (design matrices, encoded labels, ...) and the batch
-    # evaluators consume it. The defaults simply loop over the shards calling
-    # :meth:`loss` / :meth:`gradient`, which is bit-for-bit identical to N
-    # individual calls — subclasses override them with genuinely batched
-    # kernels only where that can be done without changing a single floating
-    # point operation's order or operands.
+    # A shard is immutable between data swaps, so everything ``loss`` /
+    # ``gradient`` derive from ``(X, y)`` alone — validation, design matrices,
+    # encoded labels — can be done once: ``prepare_shards`` does it and the
+    # batch evaluators consume the result. The vectorized engine prepares all
+    # N shards and evaluates them in one call per round; an ``EdgeServer``
+    # prepares its own shard on first evaluation. The defaults keep the
+    # validated ``(X, y)`` pairs and loop over :meth:`loss` / :meth:`gradient`,
+    # which is bit-for-bit identical to N individual calls — subclasses
+    # override ``_prepare_shard`` and the ``_impl`` kernels (or the batch
+    # evaluators themselves) only where that can be done without changing a
+    # single floating point operation's order or operands.
 
     def prepare_shards(self, shards) -> object:
         """Precompute immutable per-shard state for the batch evaluators.
 
         ``shards`` is a sequence of ``(X, y)`` pairs (one per server). The
         return value is opaque: pass it back to :meth:`batch_losses` /
-        :meth:`batch_gradients` unchanged.
+        :meth:`batch_gradients` unchanged. A malformed shard raises
+        :class:`~repro.exceptions.DataError` here, not at evaluation.
         """
-        return tuple(self.check_batch(X, y) for X, y in shards)
+        return tuple(self._prepare_shard(X, y) for X, y in shards)
+
+    def _prepare_shard(self, X: np.ndarray, y: np.ndarray) -> tuple:
+        """One validated shard: the ``_impl`` kernels' arguments after ``params``."""
+        return self.check_batch(X, y)
+
+    def _loss_impl(self, params: Params, *shard) -> float:
+        """:meth:`loss` on one prepared shard."""
+        return self.loss(params, *shard)
+
+    def _gradient_impl(self, params: Params, *shard) -> Params:
+        """:meth:`gradient` on one prepared shard."""
+        return self.gradient(params, *shard)
 
     def batch_losses(self, params_stack: np.ndarray, prepared) -> np.ndarray:
         """Per-shard losses for stacked parameters ``(N, n_params)`` -> ``(N,)``.
@@ -90,25 +105,20 @@ class Model(abc.ABC):
         Row ``i`` equals ``self.loss(params_stack[i], X_i, y_i)`` exactly
         (same floating point operations in the same order).
         """
-        return np.array(
-            [
-                self.loss(params_stack[i], X, y)
-                for i, (X, y) in enumerate(prepared)
-            ],
-            dtype=float,
-        )
+        losses = np.empty(len(prepared))
+        for i, shard in enumerate(prepared):
+            losses[i] = self._loss_impl(params_stack[i], *shard)
+        return losses
 
     def batch_gradients(self, params_stack: np.ndarray, prepared) -> np.ndarray:
         """Per-shard gradients, stacked ``(N, n_params)``.
 
         Row ``i`` equals ``self.gradient(params_stack[i], X_i, y_i)`` exactly.
         """
-        return np.stack(
-            [
-                self.gradient(params_stack[i], X, y)
-                for i, (X, y) in enumerate(prepared)
-            ]
-        )
+        gradients = np.empty((len(prepared), self.n_params))
+        for i, shard in enumerate(prepared):
+            gradients[i] = self._gradient_impl(params_stack[i], *shard)
+        return gradients
 
     def check_batch(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Validate and normalize a batch to float arrays with matching lengths."""

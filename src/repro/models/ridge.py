@@ -46,17 +46,29 @@ class RidgeRegression(Model):
 
     def loss(self, params: Params, X: np.ndarray, y: np.ndarray) -> float:
         params = self.check_params(params)
-        X, y = self.check_batch(X, y)
-        residual = self._design(X) @ params - np.asarray(y, dtype=float)
-        data_term = 0.5 * float(residual @ residual) / X.shape[0]
+        return self._loss_impl(params, *self._prepare_shard(X, y))
+
+    def _loss_impl(
+        self, params: Params, design: np.ndarray, targets: np.ndarray
+    ) -> float:
+        residual = design @ params - targets
+        data_term = 0.5 * float(residual @ residual) / design.shape[0]
         return data_term + 0.5 * self.regularization * float(params @ params)
 
     def gradient(self, params: Params, X: np.ndarray, y: np.ndarray) -> Params:
         params = self.check_params(params)
+        return self._gradient_impl(params, *self._prepare_shard(X, y))
+
+    def _gradient_impl(
+        self, params: Params, design: np.ndarray, targets: np.ndarray
+    ) -> Params:
+        residual = design @ params - targets
+        return design.T @ residual / design.shape[0] + self.regularization * params
+
+    def _prepare_shard(self, X: np.ndarray, y: np.ndarray) -> tuple:
+        """``(design, float targets)``: all that loss / gradient derive from a shard."""
         X, y = self.check_batch(X, y)
-        design = self._design(X)
-        residual = design @ params - np.asarray(y, dtype=float)
-        return design.T @ residual / X.shape[0] + self.regularization * params
+        return self._design(X), np.asarray(y, dtype=float)
 
     def predict(self, params: Params, X: np.ndarray) -> np.ndarray:
         """Real-valued predictions ``Xw (+ b)``."""

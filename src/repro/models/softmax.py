@@ -95,28 +95,11 @@ class SoftmaxRegression(Model):
         grad = design.T @ probs / design.shape[0]
         return grad.reshape(-1) + self.regularization * params
 
-    # -- batched multi-shard path (vectorized engine) ---------------------------
-
-    def prepare_shards(self, shards) -> tuple:
-        """Cache validated design matrices and label vectors per shard."""
-        prepared = []
-        for X, y in shards:
-            X, y = self.check_batch(X, y)
-            labels = self._check_labels(y)
-            prepared.append((np.ascontiguousarray(self._design(X)), labels))
-        return tuple(prepared)
-
-    def batch_losses(self, params_stack: np.ndarray, prepared) -> np.ndarray:
-        losses = np.empty(len(prepared))
-        for i, (design, labels) in enumerate(prepared):
-            losses[i] = self._loss_impl(params_stack[i], design, labels)
-        return losses
-
-    def batch_gradients(self, params_stack: np.ndarray, prepared) -> np.ndarray:
-        gradients = np.empty_like(params_stack)
-        for i, (design, labels) in enumerate(prepared):
-            gradients[i] = self._gradient_impl(params_stack[i], design, labels)
-        return gradients
+    def _prepare_shard(self, X: np.ndarray, y: np.ndarray) -> tuple:
+        """``(contiguous design, integer labels)`` of one validated shard."""
+        X, y = self.check_batch(X, y)
+        labels = self._check_labels(y)
+        return np.ascontiguousarray(self._design(X)), labels
 
     def predict_proba(self, params: Params, X: np.ndarray) -> np.ndarray:
         """Class-probability matrix of shape ``(n_samples, n_classes)``."""

@@ -76,9 +76,11 @@ class LinearSVM(Model):
 
     def loss(self, params: Params, X: np.ndarray, y: np.ndarray) -> float:
         params = self.check_params(params)
-        X, y = self.check_batch(X, y)
-        signed = self._signed_labels(y)
-        design = self._design(X)
+        return self._loss_impl(params, *self._prepare_shard(X, y))
+
+    def _loss_impl(
+        self, params: Params, design: np.ndarray, signed: np.ndarray
+    ) -> float:
         margins = signed * (design @ params)
         hinge = np.maximum(0.0, 1.0 - margins)
         data_term = float(np.mean(hinge**2))
@@ -87,9 +89,11 @@ class LinearSVM(Model):
 
     def gradient(self, params: Params, X: np.ndarray, y: np.ndarray) -> Params:
         params = self.check_params(params)
-        X, y = self.check_batch(X, y)
-        signed = self._signed_labels(y)
-        design = self._design(X)
+        return self._gradient_impl(params, *self._prepare_shard(X, y))
+
+    def _gradient_impl(
+        self, params: Params, design: np.ndarray, signed: np.ndarray
+    ) -> Params:
         margins = signed * (design @ params)
         hinge = np.maximum(0.0, 1.0 - margins)
         # d/dw mean(hinge^2) = mean(2 * hinge * (-y x))
@@ -97,6 +101,16 @@ class LinearSVM(Model):
         grad = design.T @ coefficients
         grad += self.regularization * params
         return grad
+
+    def _prepare_shard(self, X: np.ndarray, y: np.ndarray) -> tuple:
+        """``(design, signed labels)``: all that loss / gradient derive from a shard.
+
+        The batch checks, the label convention and the bias column are
+        settled here, once, in the order :meth:`loss` settles them.
+        """
+        X, y = self.check_batch(X, y)
+        signed = self._signed_labels(y)
+        return self._design(X), signed
 
     def decision_function(self, params: Params, X: np.ndarray) -> np.ndarray:
         """Raw margins ``w^T x (+ b)``."""

@@ -10,7 +10,11 @@ The per-round series are columnar: preallocated int64 arrays indexed by
 round (grown geometrically), plus a sorted per-directed-edge byte counter —
 O(rounds + edges) memory regardless of how many flows are recorded, so a
 N=4096 run over hundreds of rounds does not accumulate millions of
-``FlowRecord`` objects unless ``retain_records`` asks for them. Streaming
+``FlowRecord`` objects unless ``retain_records`` asks for them. Only
+:meth:`~CommunicationCostTracker.record_many` batches are merged into that
+sorted counter; a scalar :meth:`~CommunicationCostTracker.record` — the
+per-edge engines' one call per message — counts its edge in a dict keyed the
+same way, O(1) and free of set operations. Streaming
 consumers (incremental digests, invariant monitors) subscribe with
 :meth:`CommunicationCostTracker.add_observer` and see every validated flow
 batch in insertion order without the tracker retaining anything for them.
@@ -90,6 +94,10 @@ class CommunicationCostTracker:
         # with parallel byte counts, merged per batch.
         self._edge_keys = np.empty(0, dtype=np.int64)
         self._edge_bytes = np.empty(0, dtype=np.int64)
+        # The same counter for scalar record() flows, keyed the same way: one
+        # dict update per message instead of a set-operation merge of a
+        # length-1 batch. per_edge_bytes() adds the two.
+        self._scalar_edge_bytes: dict[int, int] = {}
         self._per_stage_bytes: dict[str, int] = {}
         self._per_stage_cost: dict[str, int] = {}
         self._total_cost = 0
@@ -197,12 +205,9 @@ class CommunicationCostTracker:
             self._records.append(record)
         self._n_flows += 1
         self._accumulate_round(round_index, record.cost, record.size_bytes)
-        self._accumulate_edges(
-            np.asarray(
-                [(int(source) << _EDGE_KEY_SHIFT) | int(destination)],
-                dtype=np.int64,
-            ),
-            np.asarray([record.size_bytes], dtype=np.int64),
+        key = (int(source) << _EDGE_KEY_SHIFT) | int(destination)
+        self._scalar_edge_bytes[key] = (
+            self._scalar_edge_bytes.get(key, 0) + record.size_bytes
         )
         if stage is not None:
             self._per_stage_bytes[stage] = (
@@ -344,9 +349,12 @@ class CommunicationCostTracker:
 
     def per_edge_bytes(self) -> dict[tuple[int, int], int]:
         """Total bytes per directed edge, as ``{(source, destination): bytes}``."""
+        totals = dict(zip(self._edge_keys.tolist(), self._edge_bytes.tolist()))
+        for key, n_bytes in self._scalar_edge_bytes.items():
+            totals[key] = totals.get(key, 0) + n_bytes
         return {
-            (int(key >> _EDGE_KEY_SHIFT), int(key & 0xFFFFFFFF)): int(total)
-            for key, total in zip(self._edge_keys, self._edge_bytes)
+            (key >> _EDGE_KEY_SHIFT, key & 0xFFFFFFFF): total
+            for key, total in sorted(totals.items())
         }
 
     def stage_bytes(self) -> dict[str, int]:

@@ -114,11 +114,18 @@ class ParameterUpdate:
                 f"indices ({indices.shape}) and values ({values.shape}) differ in length"
             )
         if indices.size:
-            if indices.min() < 0 or indices.max() >= self.total_params:
+            # One pass: strictly increasing indices have their extremes at
+            # the two ends, so only a malformed frame pays for min / max.
+            increasing = bool((indices[1:] > indices[:-1]).all())
+            if increasing:
+                low, high = indices[0], indices[-1]
+            else:
+                low, high = indices.min(), indices.max()
+            if low < 0 or high >= self.total_params:
                 raise ProtocolError(
                     f"indices out of range 0..{self.total_params - 1}"
                 )
-            if np.any(np.diff(indices) <= 0):
+            if not increasing:
                 raise ProtocolError("indices must be strictly increasing")
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.server import EdgeServer
-from repro.exceptions import ConfigurationError, ProtocolError
+from repro.exceptions import ConfigurationError, DataError, ProtocolError
+from repro.models.logistic import LogisticRegression
+from repro.models.mlp import MLPClassifier
 from repro.models.ridge import RidgeRegression
+from repro.models.softmax import SoftmaxRegression
+from repro.models.svm import LinearSVM
 from repro.network.messages import ParameterUpdate
 
 
@@ -167,3 +171,137 @@ class TestCommunication:
         server.advance_views()
         server.views[1][0] = 99.0
         assert server.previous_views[1][0] == 0.0
+
+
+def _family(name, rng):
+    """(model, X, y) for each of the five model families, ragged-free and small."""
+    if name == "ridge":
+        return RidgeRegression(4), rng.normal(size=(15, 4)), rng.normal(size=15)
+    if name == "svm":
+        return LinearSVM(4), rng.normal(size=(15, 4)), rng.integers(0, 2, size=15)
+    if name == "logistic":
+        return (
+            LogisticRegression(4),
+            rng.normal(size=(15, 4)),
+            rng.integers(0, 2, size=15).astype(float),
+        )
+    if name == "softmax":
+        return (
+            SoftmaxRegression(4, 3),
+            rng.normal(size=(15, 4)),
+            rng.integers(0, 3, size=15),
+        )
+    return MLPClassifier([4, 5, 3]), rng.normal(size=(15, 4)), rng.integers(0, 3, size=15)
+
+
+FAMILIES = ("ridge", "svm", "logistic", "softmax", "mlp")
+
+
+class TestPreparedShard:
+    """``local_loss`` / ``local_gradient`` go through the prepared-shard API.
+
+    They must stay bitwise ``scale * model.loss / gradient(params, X, y)`` —
+    what they computed before — prepare lazily, and re-prepare after
+    :meth:`EdgeServer.swap_data`.
+    """
+
+    @staticmethod
+    def _server(model, X, y, scale=1.0):
+        return EdgeServer(
+            node_id=0,
+            model=model,
+            X=X,
+            y=y,
+            neighbors=(1,),
+            weight_row=np.array([0.6, 0.4]),
+            alpha=0.1,
+            initial_params=model.init_params(3),
+            objective_scale=scale,
+        )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("scale", [1.0, 1.7])
+    def test_bitwise_what_the_direct_calls_give(self, family, scale, rng):
+        model, X, y = _family(family, rng)
+        server = self._server(model, X, y, scale)
+        for _ in range(3):
+            params = rng.normal(size=model.n_params)
+            loss = server.local_loss(params)
+            assert type(loss) is float
+            assert loss == scale * model.loss(params, X, y)
+            assert np.array_equal(
+                server.local_gradient(params), scale * model.gradient(params, X, y)
+            )
+        assert server.local_loss() == scale * model.loss(server.params, X, y)
+        # The gradient is the caller's to keep: not a view of model scratch.
+        first = server.local_gradient(server.params)
+        kept = first.copy()
+        server.local_gradient(rng.normal(size=model.n_params))
+        assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_step_is_bitwise_the_direct_call_recursion(self, family, rng):
+        """Two EXTRA steps equal the same steps on ``model.gradient`` directly."""
+        model, X, y = _family(family, rng)
+        server = self._server(model, X, y)
+        x0 = server.params.copy()
+        w_own, w_peer, alpha = 0.6, 0.4, 0.1
+        g0 = model.gradient(x0, X, y)
+        x1 = (w_own * x0 + w_peer * x0) - alpha * g0
+        assert np.array_equal(server.step(), x1)
+        server.advance_views()
+        g1 = model.gradient(x1, X, y)
+        mixed_current = w_own * x1 + w_peer * x0
+        mixed_previous = 0.5 * (w_own + 1.0) * x0 + 0.5 * w_peer * x0
+        x2 = x1 + mixed_current - mixed_previous - alpha * (g1 - g0)
+        assert np.array_equal(server.step(), x2)
+
+    def test_preparation_is_lazy_and_happens_once(self, rng):
+        model, X, y = _family("svm", rng)
+        calls = []
+        original = model.prepare_shards
+        model.prepare_shards = lambda shards: calls.append(1) or original(shards)
+        server = self._server(model, X, y)
+        server.build_update(1, 1, 0.0)
+        server.advance_views()
+        assert calls == []  # construction and communication never prepare
+        server.local_loss()
+        server.local_gradient(server.params)
+        server.step()
+        assert calls == [1]
+
+    def test_wrong_shaped_params_still_rejected(self, rng):
+        model, X, y = _family("svm", rng)
+        server = self._server(model, X, y)
+        with pytest.raises(DataError):
+            server.local_loss(np.zeros(model.n_params + 1))
+        with pytest.raises(DataError):
+            server.local_gradient(np.zeros((model.n_params, 1)))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_swap_data_replaces_what_is_evaluated(self, family, rng):
+        model, X, y = _family(family, rng)
+        server = self._server(model, X, y)
+        params = rng.normal(size=model.n_params)
+        server.local_loss(params)  # prepared on the old shard
+        _, X2, y2 = _family(family, rng)
+        server.swap_data(X2, y2)
+        assert server.X is not X and np.array_equal(server.X, X2)
+        assert server.local_loss(params) == model.loss(params, X2, y2)
+        assert np.array_equal(
+            server.local_gradient(params), model.gradient(params, X2, y2)
+        )
+
+    def test_shard_cannot_be_replaced_behind_the_prepared_copy(self, rng):
+        model, X, y = _family("ridge", rng)
+        server = self._server(model, X, y)
+        with pytest.raises(AttributeError):
+            server.X = X[:5]
+        with pytest.raises(AttributeError):
+            server.y = y[:5]
+
+    def test_bad_shard_raises_at_first_evaluation(self, rng):
+        model = LinearSVM(4)
+        server = self._server(model, rng.normal(size=(6, 4)), np.arange(6.0))
+        with pytest.raises(DataError):
+            server.local_loss()

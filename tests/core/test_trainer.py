@@ -11,6 +11,7 @@ from repro.consensus.convergence import ConvergenceDetector
 from repro.core.config import SelectionPolicy, SNAPConfig
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
+from repro.data.drift import LabelShiftDrift, StreamingArrival
 from repro.data.partition import iid_partition
 from repro.exceptions import ConfigurationError
 from repro.models.ridge import RidgeRegression
@@ -359,6 +360,194 @@ class TestOnePerEdgeSender:
         result = testbed.run(self.ROUNDS)
         assert sorted(send_round_calls) == self._expected(topo.n_nodes)
         assert result.payload_bytes_total > 0
+
+
+class TestDriftSwapsThePreparedShard:
+    """A drift epoch boundary replaces each server's shard through ``swap_data``.
+
+    The reference engine's servers evaluate through a shard prepared once
+    (design matrix and labels validated and kept); a shard swapped behind
+    that copy would keep training on the old epoch's data while the
+    vectorized engine, which re-prepares in ``rebuild_data``, moved on.
+    """
+
+    ROUNDS = 7
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(23)
+        shards = []
+        for _ in range(4):
+            X = rng.normal(size=(40, 5))
+            shards.append(Dataset(X, (X @ rng.normal(size=5) > 0).astype(float)))
+        return shards, complete_topology(4)
+
+    @pytest.mark.parametrize(
+        "make_drift",
+        [
+            lambda: StreamingArrival(period=2, initial_fraction=0.3),
+            lambda: LabelShiftDrift(period=3, seed=4),
+        ],
+        ids=["streaming", "label-shift"],
+    )
+    @pytest.mark.parametrize("engine", ["reference", "semisync"])
+    def test_per_edge_digest_equals_vectorized(self, make_drift, engine):
+        from repro.models.svm import LinearSVM
+        from repro.testing import capture_run
+
+        shards, topo = self._inputs()
+
+        def digest(name):
+            config = SNAPConfig(
+                engine=name, drift=make_drift(), seed=0, optimize_weights=False
+            )
+            trainer = SNAPTrainer(LinearSVM(5), shards, topo, config)
+            captured = capture_run(trainer, max_rounds=self.ROUNDS)
+            assert trainer._drift_epoch > 0
+            return captured
+
+        vectorized = digest("vectorized")
+        assert digest(engine) == vectorized, vectorized.diff(digest(engine))
+
+    def test_no_evaluation_after_a_boundary_sees_the_old_design(self):
+        from repro.models.base import add_bias_column
+        from repro.models.svm import LinearSVM
+
+        designs_seen = []
+
+        class RecordingSVM(LinearSVM):
+            def batch_losses(self, params_stack, prepared):
+                designs_seen.extend(design for design, _ in prepared)
+                return super().batch_losses(params_stack, prepared)
+
+            def batch_gradients(self, params_stack, prepared):
+                designs_seen.extend(design for design, _ in prepared)
+                return super().batch_gradients(params_stack, prepared)
+
+        shards, topo = self._inputs()
+        drift = StreamingArrival(period=2, initial_fraction=0.3)
+        trainer = SNAPTrainer(
+            RecordingSVM(5),
+            shards,
+            topo,
+            SNAPConfig(engine="reference", drift=drift, seed=0, optimize_weights=False),
+        )
+        checked_epochs = set()
+
+        def on_round(record):
+            # Everything evaluated since the last record belongs to this round:
+            # one gradient and one loss per server, on this epoch's shard.
+            # (Until the first boundary the servers hold the base shards.)
+            epoch = drift.epoch(record.round_index)
+            expected = [
+                add_bias_column(
+                    (drift.shard(node, shard, epoch) if epoch else shard).X
+                )
+                for node, shard in enumerate(shards)
+            ]
+            assert len(designs_seen) == 2 * len(shards)
+            for design in designs_seen:
+                assert any(
+                    design.shape == want.shape and np.array_equal(design, want)
+                    for want in expected
+                ), f"round {record.round_index} evaluated on another epoch's data"
+            designs_seen.clear()
+            checked_epochs.add(epoch)
+
+        trainer.run(
+            max_rounds=self.ROUNDS, stop_on_convergence=False, on_round=on_round
+        )
+        assert checked_epochs == {0, 1, 2, 3}  # three boundaries crossed
+
+
+class TestNoPerMessageFixedCosts:
+    """Rounds >= 2 of a per-edge run make no set-operation or ``hstack`` calls.
+
+    The per-message fixed costs PR 17 removed — ``np.unique`` /
+    ``searchsorted`` / ``union1d`` on a length-1 ledger batch, ``np.unique`` +
+    ``np.isin`` + an ``hstack`` of the design matrix per loss / gradient on an
+    immutable shard — cannot come back unnoticed: the first round may make such
+    calls (every server prepares its shard once), later rounds must make none.
+    Counted with ``sys.setprofile`` on every thread as the difference between
+    a short and a long run: a count, not a clock.
+    """
+
+    SHORT, LONG = 2, 7
+
+    @staticmethod
+    def _svm_inputs():
+        from repro.models.svm import LinearSVM
+
+        rng = np.random.default_rng(11)
+        shards = []
+        for _ in range(5):
+            X = rng.normal(size=(24, 6))
+            shards.append(Dataset(X, (X @ rng.normal(size=6) > 0).astype(float)))
+        return LinearSVM(6), shards, random_topology(5, 2.5, seed=4)
+
+    @staticmethod
+    def _forbidden_calls(run) -> list[str]:
+        """Names of the set-operation / ``hstack`` Python calls ``run()`` makes."""
+        import threading
+
+        seen = []
+
+        def on_event(frame, event, arg):
+            if event != "call":
+                return
+            code = frame.f_code
+            if "arraysetops" in code.co_filename or code.co_name == "hstack":
+                seen.append(code.co_name)
+
+        threading.setprofile(on_event)
+        sys.setprofile(on_event)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+        return sorted(seen)
+
+    def _assert_later_rounds_add_none(self, run_for):
+        short = self._forbidden_calls(run_for(self.SHORT))
+        long = self._forbidden_calls(run_for(self.LONG))
+        # The hook does see them: each server's one shard preparation.
+        assert "unique" in short and "hstack" in short
+        assert long == short, (
+            f"rounds {self.SHORT + 1}..{self.LONG} made per-message set-operation "
+            f"or hstack calls: {len(long) - len(short)} more than the first "
+            f"{self.SHORT} rounds"
+        )
+
+    @pytest.mark.parametrize("engine", ["reference", "semisync"])
+    def test_simulated_engines(self, engine):
+        model, shards, topo = self._svm_inputs()
+
+        def run_for(rounds):
+            trainer = SNAPTrainer(
+                model,
+                shards,
+                topo,
+                config=SNAPConfig(engine=engine, seed=0, optimize_weights=False),
+            )
+            return lambda: trainer.run(max_rounds=rounds, stop_on_convergence=False)
+
+        self._assert_later_rounds_add_none(run_for)
+
+    def test_testbed(self):
+        from repro.runtime import TestbedRuntime
+
+        model, shards, topo = self._svm_inputs()
+
+        def run_for(rounds):
+            testbed = TestbedRuntime(
+                model, shards, topo, config=SNAPConfig(seed=0, optimize_weights=False)
+            )
+            # The benchmark's tracker observer: length-1 batches stay cheap too.
+            testbed.trainer.tracker.add_observer(lambda *flows: None)
+            return lambda: testbed.run(rounds)
+
+        self._assert_later_rounds_add_none(run_for)
 
 
 class TestSendRound:

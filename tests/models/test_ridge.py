@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import DataError
 from repro.models.ridge import RidgeRegression
@@ -79,3 +80,91 @@ class TestInterface:
         X = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
         assert np.isfinite(model.loss(np.zeros(3), X, y))
+
+
+def _seed_loss(model, params, X, y):
+    """``RidgeRegression.loss`` as it was before shard preparation, verbatim."""
+    params = model.check_params(params)
+    X, y = model.check_batch(X, y)
+    residual = model._design(X) @ params - np.asarray(y, dtype=float)
+    data_term = 0.5 * float(residual @ residual) / X.shape[0]
+    return data_term + 0.5 * model.regularization * float(params @ params)
+
+
+def _seed_gradient(model, params, X, y):
+    """``RidgeRegression.gradient`` as it was before shard preparation, verbatim."""
+    params = model.check_params(params)
+    X, y = model.check_batch(X, y)
+    design = model._design(X)
+    residual = design @ params - np.asarray(y, dtype=float)
+    return design.T @ residual / X.shape[0] + model.regularization * params
+
+
+class TestPreparedKernelsBitwise:
+    """The ridge twin of ``tests/models/test_svm.py::TestPreparedKernelsBitwise``."""
+
+    @given(
+        n_shards=st.integers(1, 8),
+        n_samples=st.integers(1, 40),
+        n_features=st.integers(1, 24),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        integer_targets=st.booleans(),
+        fit_intercept=st.booleans(),
+        ragged=st.booleans(),
+        contiguous=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batch_rows_equal_per_shard_calls(
+        self,
+        n_shards,
+        n_samples,
+        n_features,
+        scale,
+        integer_targets,
+        fit_intercept,
+        ragged,
+        contiguous,
+        seed,
+    ):
+        rng = np.random.default_rng(seed)
+        model = RidgeRegression(
+            n_features, regularization=0.01, fit_intercept=fit_intercept
+        )
+        shards = []
+        for i in range(n_shards):
+            n = n_samples + (i % 3 if ragged else 0)
+            y = rng.integers(-5, 6, size=n) if integer_targets else rng.normal(size=n)
+            shards.append((rng.normal(size=(n, n_features)), y))
+        prepared = model.prepare_shards(shards)
+        if contiguous:
+            params_stack = scale * rng.normal(size=(n_shards, model.n_params))
+        else:
+            buffer = scale * rng.normal(size=(n_shards + 2, model.n_params + 3))
+            params_stack = buffer[1 : n_shards + 1, 2 : model.n_params + 2]
+
+        losses = model.batch_losses(params_stack, prepared)
+        gradients = model.batch_gradients(params_stack, prepared)
+        assert losses.shape == (n_shards,)
+        assert gradients.shape == (n_shards, model.n_params)
+        for i, (X, y) in enumerate(shards):
+            assert losses[i] == model.loss(params_stack[i], X, y)
+            assert losses[i] == _seed_loss(model, params_stack[i], X, y)
+            assert np.array_equal(gradients[i], model.gradient(params_stack[i], X, y))
+            assert np.array_equal(
+                gradients[i], _seed_gradient(model, params_stack[i], X, y)
+            )
+
+    @pytest.mark.parametrize(
+        "X, y",
+        [
+            (np.ones((4, 2)), np.zeros(4)),  # feature mismatch
+            (np.ones((4, 3)), np.zeros(3)),  # length mismatch
+            (np.ones((0, 3)), np.empty(0)),  # empty
+            (np.ones((4, 3)), np.zeros((4, 1))),  # 2-D y
+        ],
+    )
+    def test_bad_shards_raise_at_preparation(self, X, y):
+        model = RidgeRegression(3)
+        with pytest.raises(DataError):
+            model.prepare_shards([(np.ones((2, 3)), np.zeros(2)), (X, y)])

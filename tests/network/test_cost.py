@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.network.cost import CommunicationCostTracker
+from repro.network.cost import CommunicationCostTracker, FlowRecord
 from repro.topology.generators import ring_topology
 from repro.topology.routing import all_pairs_hop_counts
 
@@ -167,3 +169,203 @@ class TestRetainRecords:
         assert trainer.tracker.total_bytes > 0
         with pytest.raises(ConfigurationError):
             trainer.tracker.records()
+
+
+# -- scalar record() ≡ record_many() ≡ a flow-at-a-time ledger ---------------------
+
+
+class _FlowAtATimeLedger:
+    """The ledger's semantics, spelled out one flow at a time in plain Python."""
+
+    def __init__(self):
+        self.flows = []  # (round, source, destination, size, hops)
+        self.touched_rounds = set()
+        self.stage_bytes = {}
+        self.stage_costs = {}
+        self.observed = []
+
+    def add(self, round_index, flows, stage, batch):
+        """One ``record`` (``batch=False``) or one ``record_many`` call."""
+        self.touched_rounds.add(round_index)
+        for source, destination, size, hops in flows:
+            self.flows.append((round_index, source, destination, size, hops))
+        if stage is not None:
+            self.stage_bytes[stage] = self.stage_bytes.get(stage, 0) + sum(
+                size for _, _, size, _ in flows
+            )
+            self.stage_costs[stage] = self.stage_costs.get(stage, 0) + sum(
+                size * hops for _, _, size, hops in flows
+            )
+        columns = tuple(zip(*flows)) if flows else ((), (), (), ())
+        self.observed.append((round_index, *columns))
+        assert batch or len(flows) == 1
+
+    def per_round(self, weight):
+        series = {r: 0 for r in self.touched_rounds}
+        for r, _, _, size, hops in self.flows:
+            series[r] += weight(size, hops)
+        return sorted(series.items())
+
+    def per_edge_bytes(self):
+        edges = {}
+        for _, source, destination, size, _ in self.flows:
+            edges[(source, destination)] = edges.get((source, destination), 0) + size
+        return edges
+
+
+_nodes = st.integers(0, 5)
+_flow = st.tuples(_nodes, _nodes, st.integers(0, 1000), st.integers(0, 3))
+_round = st.integers(-3, 70)  # negative rounds, and past the first 64-slot growth
+_stage = st.sampled_from([None, "ape", "topk"])
+_op = st.one_of(
+    st.tuples(st.just("one"), _round, st.lists(_flow, min_size=1, max_size=1), _stage),
+    st.tuples(st.just("many"), _round, st.lists(_flow, max_size=6), _stage),
+    # A batch whose hops are one scalar for every flow (SNAP's one-hop traffic).
+    st.tuples(
+        st.just("many-scalar-hops"), _round, st.lists(_flow, max_size=6), _stage
+    ),
+)
+
+
+def _observed(calls):
+    def observer(round_index, sources, destinations, sizes, hops):
+        for column in (sources, destinations, sizes, hops):
+            assert column.dtype == np.int64 and column.ndim == 1
+        calls.append(
+            (
+                round_index,
+                tuple(sources.tolist()),
+                tuple(destinations.tolist()),
+                tuple(sizes.tolist()),
+                tuple(hops.tolist()),
+            )
+        )
+
+    return observer
+
+
+def _snapshot(tracker, calls):
+    return (
+        tracker.total_bytes,
+        tracker.total_cost,
+        tracker.n_flows,
+        tracker.per_round_bytes(),
+        tracker.per_round_costs(),
+        tracker.per_edge_bytes(),
+        tracker.stage_bytes(),
+        tracker.stage_costs(),
+        tracker.records() if tracker.retain_records else None,
+        list(calls),
+    )
+
+
+class TestInterleavedRecordAndRecordMany:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(_op, max_size=30), retain=st.booleans())
+    def test_any_interleaving_matches_the_flow_at_a_time_ledger(self, ops, retain):
+        tracker = CommunicationCostTracker(retain_records=retain)
+        calls = []
+        tracker.add_observer(_observed(calls))
+        model = _FlowAtATimeLedger()
+        for kind, round_index, flows, stage in ops:
+            if kind == "many-scalar-hops":
+                flows = [(s, d, size, 1) for s, d, size, _ in flows]
+            if kind == "one":
+                ((source, destination, size, hops),) = flows
+                record = tracker.record(
+                    round_index, source, destination, size, hops=hops, stage=stage
+                )
+                assert record == FlowRecord(
+                    round_index, source, destination, size, hops
+                )
+            else:
+                columns = [list(c) for c in zip(*flows)] or [[], [], [], []]
+                hops = 1 if kind == "many-scalar-hops" else columns[3]
+                count = tracker.record_many(
+                    round_index, *columns[:3], hops=hops, stage=stage
+                )
+                assert count == len(flows)
+            model.add(round_index, flows, stage, batch=kind != "one")
+
+        assert tracker.n_flows == len(model.flows)
+        assert tracker.total_bytes == sum(f[3] for f in model.flows)
+        assert tracker.total_cost == sum(f[3] * f[4] for f in model.flows)
+        assert tracker.per_round_bytes() == model.per_round(lambda size, hops: size)
+        assert tracker.per_round_costs() == model.per_round(
+            lambda size, hops: size * hops
+        )
+        for round_index in range(-4, 72):
+            expected = dict(model.per_round(lambda size, hops: size))
+            assert tracker.round_bytes(round_index) == expected.get(round_index, 0)
+        assert tracker.per_edge_bytes() == model.per_edge_bytes()
+        assert tracker.stage_bytes() == model.stage_bytes
+        assert tracker.stage_costs() == model.stage_costs
+        assert calls == model.observed
+        if retain:
+            assert tracker.records() == tuple(FlowRecord(*f) for f in model.flows)
+        else:
+            with pytest.raises(ConfigurationError):
+                tracker.records()
+
+    def test_hop_matrix_lookup_agrees_between_the_two_paths(self):
+        hops = all_pairs_hop_counts(ring_topology(6))
+        scalar, batch = CommunicationCostTracker(hops), CommunicationCostTracker(hops)
+        pairs = [(0, 3), (1, 2), (0, 3), (5, 0)]
+        for source, destination in pairs:
+            scalar.record(2, source, destination, 10)
+        batch.record_many(2, *zip(*pairs), [10] * len(pairs))
+        assert _snapshot(scalar, []) == _snapshot(batch, [])
+
+
+class TestRejectionLeavesNoTrace:
+    """A rejected flow raises before the ledger or any observer sees it."""
+
+    @staticmethod
+    def _primed(hop_counts=None):
+        tracker = CommunicationCostTracker(hop_counts)
+        calls = []
+        tracker.add_observer(_observed(calls))
+        tracker.record(1, 0, 1, 10, hops=1, stage="ape")
+        tracker.record_many(2, [0, 1], [1, 0], [5, 6], hops=1)
+        return tracker, calls
+
+    @pytest.mark.parametrize(
+        "bad_call",
+        [
+            lambda t: t.record(3, 0, 1, -1, hops=1, stage="ape"),
+            lambda t: t.record(3, 0, 1, 10, stage="ape"),
+            lambda t: t.record(3, 0, 1, 10, hops=-1, stage="ape"),
+            lambda t: t.record_many(3, [0, 1], [1, 0], [4, -1], hops=1, stage="ape"),
+            lambda t: t.record_many(3, [0], [1], [4], stage="ape"),
+            lambda t: t.record_many(3, [0, 1], [1, 0], [4, 4], hops=[1, -1]),
+            lambda t: t.record_many(3, [0, 1], [1], [4, 4], hops=1),
+        ],
+    )
+    def test_without_hop_matrix(self, bad_call):
+        tracker, calls = self._primed()
+        before = _snapshot(tracker, calls)
+        with pytest.raises(ConfigurationError):
+            bad_call(tracker)
+        assert _snapshot(tracker, calls) == before
+        # ... and the ledger still works, on a known and on a new edge.
+        tracker.record(3, 0, 1, 7, hops=1)
+        tracker.record(3, 4, 5, 7, hops=1)
+        assert tracker.per_edge_bytes()[(0, 1)] == 10 + 5 + 7
+        assert tracker.per_edge_bytes()[(4, 5)] == 7
+
+    @pytest.mark.parametrize(
+        "bad_call",
+        [
+            lambda t: t.record(3, 0, 2, 10),
+            lambda t: t.record_many(3, [0, 0], [1, 2], [10, 10]),
+        ],
+    )
+    def test_no_route_in_hop_matrix(self, bad_call):
+        from repro.topology.graph import Topology
+
+        topo = Topology(4, [(0, 1), (2, 3)])
+        tracker, calls = self._primed(all_pairs_hop_counts(topo))
+        before = _snapshot(tracker, calls)
+        with pytest.raises(ConfigurationError, match="no route from 0 to 2"):
+            bad_call(tracker)
+        assert _snapshot(tracker, calls) == before
