@@ -126,6 +126,9 @@ bench-pairs:
 ## Function-level view of one benchmarks/e2e workload: one warm-up and one
 ## cProfile'd untraced rep, top 30 by tottime and by cumtime. The external
 ## tracer names the slow layer, this names the slow function inside it:
-## `make profile WORKLOAD=ref_credit_n60` (optional SEED=7).
+## `make profile WORKLOAD=ref_credit_n60` (optional SEED=7, and
+## PHASE=setup|run to profile only construction or only `.run`).
+PHASE ?= both
 profile:
-	$(PYTHON) scripts/profile_rep.py --workload $(WORKLOAD) --seed $(SEED)
+	$(PYTHON) scripts/profile_rep.py --workload $(WORKLOAD) --seed $(SEED) \
+		--phase $(PHASE)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """cProfile one untraced rep of a ``benchmarks/e2e`` workload.
 
-``make profile WORKLOAD=<name> [SEED=7]`` — the function-level view the
+``make profile WORKLOAD=<name> [SEED=7] [PHASE=both]`` — the function-level view the
 benchmark's external tracer cannot give: the tracer attributes time to the
 ~40 public callables ``benchmarks/e2e/layers.py`` wraps (``network.ledger_s``
 says the ledger is slow), a profile names what inside them is slow
@@ -18,12 +18,19 @@ budget, pinned to one CPU with one BLAS thread exactly as
 that time sits under). The harness is imported read-only; nothing is written.
 Profiled timings are inflated by the profiler's per-call cost, most for the
 cheapest calls — read shares, and measure gains with ``make bench-pairs``.
+
+``--phase setup`` profiles only the construction (``SNAPTrainer(...)`` or
+``TestbedRuntime(...)``, whichever is outermost) and ``--phase run`` only
+``.run(...)``, so each table's shares are of that phase alone; ``both`` (the
+default) profiles the whole rep.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
+import functools
 import os
 import pstats
 import sys
@@ -33,10 +40,46 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@contextlib.contextmanager
+def only_inside(methods, start, stop):
+    """Call ``start`` / ``stop`` around the outermost call of any of ``methods``.
+
+    ``methods`` is ``(owner, attribute)`` pairs; each is rebound to a wrapper
+    for the duration of the block and restored after it.
+    """
+    depth = 0
+
+    def bracketed(original):
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            nonlocal depth
+            depth += 1
+            if depth == 1:
+                start()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth -= 1
+                if depth == 0:
+                    stop()
+
+        return wrapper
+
+    originals = [(owner, name, getattr(owner, name)) for owner, name in methods]
+    for owner, name, original in originals:
+        setattr(owner, name, bracketed(original))
+    try:
+        yield
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--phase", choices=("setup", "run", "both"), default="both")
     parser.add_argument("--top", type=int, default=30, help="rows per table")
     options = parser.parse_args()
 
@@ -48,6 +91,8 @@ def main() -> int:
             sys.path.insert(0, entry)
     from benchmarks.e2e import harness
     from benchmarks.e2e.workloads import WORKLOADS
+    from repro.core.trainer import SNAPTrainer
+    from repro.runtime import TestbedRuntime
 
     if options.workload not in WORKLOADS:
         parser.error(
@@ -67,16 +112,25 @@ def main() -> int:
         profilers.append(cProfile.Profile())
         profilers[-1].enable()
 
-    threading.setprofile(profile_this_thread)
-    profilers[0].enable()
-    try:
-        rep = harness.run_rep(inputs, workload.rounds)
-    finally:
+    def start():
+        threading.setprofile(profile_this_thread)
+        profilers[0].enable()
+
+    def stop():
         profilers[0].disable()
         threading.setprofile(None)
 
+    profiled = {
+        "both": [(harness, "run_rep")],
+        "setup": [(SNAPTrainer, "__init__"), (TestbedRuntime, "__init__")],
+        "run": [(SNAPTrainer, "run"), (TestbedRuntime, "run")],
+    }[options.phase]
+    with only_inside(profiled, start, stop):
+        rep = harness.run_rep(inputs, workload.rounds)
+
     print(
-        f"# {workload.name} seed={options.seed} rounds={rep.n_rounds}: "
+        f"# {workload.name} seed={options.seed} phase={options.phase} "
+        f"rounds={rep.n_rounds}: "
         f"setup_s={rep.setup_s:.4f} run_s={rep.run_s:.4f} (under cProfile) "
         f"bytes_total={rep.bytes_total} failed_ops={rep.failed_ops}"
     )

@@ -56,7 +56,7 @@ class CentralizedTrainer:
         self.model = model
         self.X = np.concatenate([shard.X for shard in shards])
         self.y = np.concatenate([shard.y for shard in shards])
-        lipschitz = model.gradient_lipschitz_bound(self.X)
+        (lipschitz,) = model.lipschitz_bounds([self.X])
         if alpha is None:
             check_fraction("step_safety", step_safety)
             alpha = step_safety * 2.0 / lipschitz

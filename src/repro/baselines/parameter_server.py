@@ -93,7 +93,7 @@ class ParameterServerTrainer:
         # Mean-aggregate objective: averaging gradients across workers means
         # the effective Lipschitz constant is the mean of the per-shard ones.
         mean_lipschitz = float(
-            np.mean([model.gradient_lipschitz_bound(shard.X) for shard in shards])
+            np.mean(model.lipschitz_bounds([shard.X for shard in shards]))
         )
         if alpha is None:
             check_fraction("step_safety", step_safety)

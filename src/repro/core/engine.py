@@ -245,10 +245,7 @@ class VectorizedEngine:
         self.edge_src = np.asarray(src, dtype=np.int64)
         self.edge_dst = np.asarray(dst, dtype=np.int64)
         self.n_edges = len(src)
-        edge_id = {
-            (int(s), int(d)): e
-            for e, (s, d) in enumerate(zip(self.edge_src, self.edge_dst))
-        }
+        edge_id = {pair: e for e, pair in enumerate(zip(src, dst))}
         #: canonical undirected edge -> the two directed edge ids, for
         #: mapping the failure model's output onto edge rows.
         self._undirected: dict[tuple[int, int], tuple[int, ...]] = {}

@@ -85,13 +85,6 @@ class EdgeServer:
         self.model = model
         self.swap_data(X, y)
         self.neighbors = tuple(int(n) for n in neighbors)
-        if hasattr(weight_row, "nonzero_indices"):
-            # A sparse-matrix row view (repro.weights.WeightRowView): scalar
-            # w[j] lookups work as on a dense row without materializing N
-            # floats per server.
-            self.weight_row = weight_row
-        else:
-            self.weight_row = np.asarray(weight_row, dtype=float)
         if alpha <= 0:
             raise ConfigurationError(f"alpha must be > 0, got {alpha}")
         self.alpha = float(alpha)
@@ -102,23 +95,9 @@ class EdgeServer:
         self.objective_scale = float(objective_scale)
         #: Robust-aggregation spec (None = the paper's plain weighted mixing).
         self.robust = robust
-
-        allowed = set(self.neighbors) | {self.node_id}
-        if hasattr(self.weight_row, "nonzero_indices"):
-            nonzero = {
-                int(j)
-                for j in self.weight_row.nonzero_indices()
-                if abs(self.weight_row[j]) > 1e-12
-            }
-        else:
-            nonzero = set(
-                np.flatnonzero(np.abs(self.weight_row) > 1e-12).tolist()
-            )
-        if not nonzero <= allowed:
-            raise ConfigurationError(
-                f"weight row of server {self.node_id} has mass outside its "
-                f"neighbor set: {sorted(nonzero - allowed)}"
-            )
+        self.weight_row = self._checked_weight_row(
+            weight_row, self.neighbors, "weight row"
+        )
 
         initial = model.check_params(initial_params).copy()
         #: Exact own parameters x^{k+1} (the latest iterate).
@@ -152,6 +131,27 @@ class EdgeServer:
         self.iteration = 0
 
     # -- local objective ------------------------------------------------------
+
+    def _checked_weight_row(self, weight_row, neighbors: tuple, what: str):
+        """``weight_row`` as stored, after checking its support is ``neighbors``.
+
+        A sparse-matrix row view (:class:`repro.weights.WeightRowView`) is
+        kept as is — scalar ``w[j]`` lookups work as on a dense row without
+        materializing N floats per server; anything else becomes a float array.
+        """
+        if hasattr(weight_row, "nonzero_indices"):
+            row = weight_row
+            nonzero = {int(j) for j in row.nonzero_indices() if abs(row[j]) > 1e-12}
+        else:
+            row = np.asarray(weight_row, dtype=float)
+            nonzero = set(np.flatnonzero(np.abs(row) > 1e-12).tolist())
+        stray = nonzero - set(neighbors) - {self.node_id}
+        if stray:
+            raise ConfigurationError(
+                f"{what} of server {self.node_id} has mass outside its "
+                f"neighbor set: {sorted(stray)}"
+            )
+        return row
 
     @property
     def X(self) -> np.ndarray:
@@ -398,27 +398,10 @@ class EdgeServer:
             )
         if alpha <= 0:
             raise ConfigurationError(f"alpha must be > 0, got {alpha}")
-        row = (
-            weight_row
-            if hasattr(weight_row, "nonzero_indices")
-            else np.asarray(weight_row, dtype=float)
+        self.weight_row = self._checked_weight_row(
+            weight_row, new_neighbors, "swapped weight row"
         )
-        allowed = set(new_neighbors) | {self.node_id}
-        if hasattr(row, "nonzero_indices"):
-            nonzero = {
-                int(j)
-                for j in row.nonzero_indices()
-                if abs(row[j]) > 1e-12
-            }
-        else:
-            nonzero = set(np.flatnonzero(np.abs(row) > 1e-12).tolist())
-        if not nonzero <= allowed:
-            raise ConfigurationError(
-                f"swapped weight row of server {self.node_id} has mass outside "
-                f"its neighbor set: {sorted(nonzero - allowed)}"
-            )
         self.neighbors = new_neighbors
-        self.weight_row = row
         self.alpha = float(alpha)
         keep = set(new_neighbors)
         for ledger in (self.views, self.last_sent, self.fresh):

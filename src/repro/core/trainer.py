@@ -227,25 +227,23 @@ class SNAPTrainer:
         self._base_shards = list(shards)
         #: Drift epoch currently applied to the servers.
         self._drift_epoch = 0
+        # The step size must stay safe on every shard the drift schedule will
+        # ever expose within the configured horizon, not just epoch 0.
+        schedule = self.config.drift
+        horizon = 0 if schedule is None else schedule.epoch(self.config.max_rounds)
         self.lipschitz = max(
-            scale * model.gradient_lipschitz_bound(shard.X)
-            for scale, shard in zip(self._objective_scales, shards)
+            scale * bound
+            for epoch in range(horizon + 1)
+            for scale, bound in zip(
+                self._objective_scales,
+                model.lipschitz_bounds(
+                    [
+                        (schedule.shard(node, shard, epoch) if epoch else shard).X
+                        for node, shard in enumerate(shards)
+                    ]
+                ),
+            )
         )
-        if self.config.drift is not None:
-            # The step size must stay safe on every shard the schedule will
-            # ever expose within the configured horizon, not just epoch 0.
-            schedule = self.config.drift
-            for epoch in range(1, schedule.epoch(self.config.max_rounds) + 1):
-                self.lipschitz = max(
-                    self.lipschitz,
-                    max(
-                        scale
-                        * model.gradient_lipschitz_bound(
-                            schedule.shard(node, self._base_shards[node], epoch).X
-                        )
-                        for node, scale in enumerate(self._objective_scales)
-                    ),
-                )
         self.alpha = (
             self.config.alpha
             if self.config.alpha is not None
@@ -270,6 +268,11 @@ class SNAPTrainer:
             initial_params = model.init_params(self.config.seed)
         self.initial_params = model.check_params(initial_params)
 
+        weight_rows = (
+            WeightRowView.all_rows(self.weight_matrix)
+            if issparse(self.weight_matrix)
+            else self.weight_matrix
+        )
         self.servers = [
             EdgeServer(
                 node_id=node,
@@ -277,11 +280,7 @@ class SNAPTrainer:
                 X=shards[node].X,
                 y=shards[node].y,
                 neighbors=topology.neighbors(node),
-                weight_row=(
-                    WeightRowView(self.weight_matrix, node)
-                    if issparse(self.weight_matrix)
-                    else self.weight_matrix[node]
-                ),
+                weight_row=weight_rows[node],
                 alpha=self.alpha,
                 initial_params=self.initial_params,
                 straggler_strategy=self.config.straggler_strategy,

@@ -60,8 +60,16 @@ class Model(abc.ABC):
         X = np.asarray(X, dtype=float)
         if X.size == 0:
             return 1.0
-        top_singular = float(np.linalg.norm(X, ord=2))
-        return top_singular**2 / X.shape[0]
+        return top_singular_values([X])[0] ** 2 / X.shape[0]
+
+    def lipschitz_bounds(self, Xs) -> list[float]:
+        """:meth:`gradient_lipschitz_bound` of every shard in ``Xs``, in order.
+
+        The models in this package override it to decompose all shards in
+        one :func:`top_singular_values` call; entry ``i`` is bitwise equal to
+        ``gradient_lipschitz_bound(Xs[i])`` either way.
+        """
+        return [self.gradient_lipschitz_bound(X) for X in Xs]
 
     # -- prepared-shard API ---------------------------------------------------------
     #
@@ -144,6 +152,30 @@ class Model(abc.ABC):
                 f"params shape {params.shape} does not match n_params={self.n_params}"
             )
         return params
+
+
+def top_singular_values(Xs, design=None) -> list[float]:
+    """``σ_max`` of each 2-D matrix in ``Xs`` — of ``design(X)`` when given.
+
+    Equal-shaped matrices are written one at a time into one ``(N, n, d)``
+    tensor and decomposed by one ``np.linalg.svd`` call: the gufunc hands
+    each item to the same LAPACK ``gesdd`` that ``np.linalg.norm(X, ord=2)``
+    reaches, so every value is bitwise what the per-matrix call returns —
+    without its per-call Python wrappers, which outweigh the LAPACK work on
+    small shards (``eigvalsh(XᵀX)`` and power iteration are *not* equal;
+    docs/PERFORMANCE.md identity 11). Ragged shapes are decomposed one by
+    one; ``design`` must map equal shapes to equal shapes. The tensor is the
+    only copy made and is freed on return.
+    """
+    designs = Xs if design is None else map(design, Xs)
+    if len({X.shape for X in Xs}) != 1:
+        return [float(np.linalg.svd(d, compute_uv=False).max()) for d in designs]
+    stack = None
+    for i, d in enumerate(designs):
+        if stack is None:
+            stack = np.empty((len(Xs), *d.shape))
+        stack[i] = d
+    return np.linalg.svd(stack, compute_uv=False).max(axis=-1).tolist()
 
 
 def add_bias_column(X: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.models.base import Model, add_bias_column
+from repro.models.base import Model, add_bias_column, top_singular_values
 from repro.types import Params
 from repro.utils.validation import check_non_negative, check_positive_int
 
@@ -89,7 +89,8 @@ class LogisticRegression(Model):
 
         Equal-sized shards are built straight into one ``(N, n, d)`` design
         tensor and one ``(N, n)`` label matrix — no per-shard copy exists
-        beside them.
+        beside them — and the labels are validated and signed on that matrix,
+        each row with the outcome :meth:`_signed_labels` gives its shard.
         """
         checked = [self.check_batch(X, y) for X, y in shards]
         sizes = {X.shape[0] for X, _ in checked}
@@ -106,7 +107,15 @@ class LogisticRegression(Model):
         signed_stack = np.empty(design_stack.shape[:2])
         for i, (X, y) in enumerate(checked):
             self._design(X, out=design_stack[i])
-            signed_stack[i] = self._signed_labels(y)
+            signed_stack[i] = y
+        is_one = signed_stack == 1.0
+        signed_rows = (is_one | (signed_stack == -1.0)).all(axis=1)
+        binary_rows = (is_one | (signed_stack == 0.0)).all(axis=1) & ~signed_rows
+        bad_rows = ~(signed_rows | binary_rows)
+        if bad_rows.any():
+            # Raises, with the first malformed shard's values in the message.
+            self._signed_labels(checked[int(bad_rows.argmax())][1])
+        signed_stack[binary_rows] = 2.0 * signed_stack[binary_rows] - 1.0
         return _PreparedLogisticShards(
             designs=(),
             signed=(),
@@ -187,12 +196,16 @@ class LogisticRegression(Model):
         """Labels in ``{0, 1}`` thresholded at probability 0.5."""
         return (self.predict_proba(params, X) >= 0.5).astype(float)
 
-    def gradient_lipschitz_bound(self, X: np.ndarray) -> float:
+    def lipschitz_bounds(self, Xs) -> list[float]:
         """``L_f <= σ_max(X̃)² / (4n) + λ`` (logistic curvature is at most 1/4)."""
-        X = np.asarray(X, dtype=float)
-        design = self._design(X)
-        top_singular = float(np.linalg.norm(design, ord=2))
-        return top_singular**2 / (4.0 * design.shape[0]) + self.regularization
+        Xs = [np.asarray(X, dtype=float) for X in Xs]
+        return [
+            top_singular**2 / (4.0 * X.shape[0]) + self.regularization
+            for top_singular, X in zip(top_singular_values(Xs, self._design), Xs)
+        ]
+
+    def gradient_lipschitz_bound(self, X: np.ndarray) -> float:
+        return self.lipschitz_bounds([X])[0]
 
 
 @dataclass(frozen=True)

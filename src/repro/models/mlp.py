@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DataError
-from repro.models.base import Model
+from repro.models.base import Model, top_singular_values
 from repro.types import Params, SeedLike
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_non_negative
@@ -339,14 +339,19 @@ class MLPClassifier(Model):
         """Integer class predictions."""
         return self.predict_proba(params, X).argmax(axis=1)
 
-    def gradient_lipschitz_bound(self, X: np.ndarray) -> float:
-        """Heuristic curvature bound for step-size selection.
+    def lipschitz_bounds(self, Xs) -> list[float]:
+        """Heuristic curvature bound for step-size selection, per shard.
 
         The MLP objective is nonconvex, so no global ``L_f`` exists; the
         value returned — the softmax-layer bound computed on the raw inputs —
         works well in practice for the shallow networks the paper uses and
         keeps the automatic step-size machinery uniform across models.
         """
-        X = np.asarray(X, dtype=float)
-        top_singular = float(np.linalg.norm(X, ord=2))
-        return top_singular**2 / (2.0 * X.shape[0]) + self.regularization
+        Xs = [np.asarray(X, dtype=float) for X in Xs]
+        return [
+            top_singular**2 / (2.0 * X.shape[0]) + self.regularization
+            for top_singular, X in zip(top_singular_values(Xs), Xs)
+        ]
+
+    def gradient_lipschitz_bound(self, X: np.ndarray) -> float:
+        return self.lipschitz_bounds([X])[0]

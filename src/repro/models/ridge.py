@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.models.base import Model, add_bias_column
+from repro.models.base import Model, add_bias_column, top_singular_values
 from repro.types import Params
 from repro.utils.validation import check_non_negative, check_positive_int
 
@@ -91,9 +91,13 @@ class RidgeRegression(Model):
         rhs = design.T @ np.asarray(y, dtype=float) / n
         return np.linalg.solve(gram, rhs)
 
-    def gradient_lipschitz_bound(self, X: np.ndarray) -> float:
+    def lipschitz_bounds(self, Xs) -> list[float]:
         """Exact: ``L_f = σ_max(X̃)² / n + λ`` for the quadratic loss."""
-        X = np.asarray(X, dtype=float)
-        design = self._design(X)
-        top_singular = float(np.linalg.norm(design, ord=2))
-        return top_singular**2 / design.shape[0] + self.regularization
+        Xs = [np.asarray(X, dtype=float) for X in Xs]
+        return [
+            top_singular**2 / X.shape[0] + self.regularization
+            for top_singular, X in zip(top_singular_values(Xs, self._design), Xs)
+        ]
+
+    def gradient_lipschitz_bound(self, X: np.ndarray) -> float:
+        return self.lipschitz_bounds([X])[0]

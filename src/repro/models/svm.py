@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.models.base import Model, add_bias_column
+from repro.models.base import Model, add_bias_column, top_singular_values
 from repro.types import Params
 from repro.utils.validation import check_non_negative, check_positive_int
 
@@ -123,9 +123,13 @@ class LinearSVM(Model):
         margins = self.decision_function(params, X)
         return np.where(margins >= 0.0, 1.0, -1.0)
 
-    def gradient_lipschitz_bound(self, X: np.ndarray) -> float:
+    def lipschitz_bounds(self, Xs) -> list[float]:
         """``L_f <= 2 σ_max(X̃)² / n + λ`` for the squared hinge (curvature 2)."""
-        X = np.asarray(X, dtype=float)
-        design = self._design(X)
-        top_singular = float(np.linalg.norm(design, ord=2))
-        return 2.0 * top_singular**2 / design.shape[0] + self.regularization
+        Xs = [np.asarray(X, dtype=float) for X in Xs]
+        return [
+            2.0 * top_singular**2 / X.shape[0] + self.regularization
+            for top_singular, X in zip(top_singular_values(Xs, self._design), Xs)
+        ]
+
+    def gradient_lipschitz_bound(self, X: np.ndarray) -> float:
+        return self.lipschitz_bounds([X])[0]

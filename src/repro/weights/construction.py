@@ -33,10 +33,38 @@ class WeightRowView:
 
     def __init__(self, matrix, node: int):
         row = matrix.getrow(node)
+        row.sort_indices()
+        indices = row.indices.astype(np.int64)
+        self._fill(node, matrix.shape[1], indices, indices.tolist(), row.data.tolist())
+
+    def _fill(self, node: int, width: int, indices: np.ndarray, columns, values):
         self.node = int(node)
-        self._width = int(matrix.shape[1])
-        self._indices = row.indices.astype(np.int64, copy=True)
-        self._lookup = dict(zip(row.indices.tolist(), row.data.tolist()))
+        self._width = int(width)
+        self._indices = indices
+        self._lookup = dict(zip(columns, values))
+
+    @classmethod
+    def all_rows(cls, matrix) -> list["WeightRowView"]:
+        """One view per row of sparse ``matrix``, from one pass over its CSR arrays.
+
+        Equal to ``[WeightRowView(matrix, node) for node in ...]`` without a
+        throw-away one-row scipy matrix per server.
+        """
+        matrix = matrix.tocsr()
+        if not matrix.has_sorted_indices:
+            matrix = matrix.sorted_indices()
+        indptr = matrix.indptr.tolist()
+        indices = matrix.indices.astype(np.int64)
+        columns, values = indices.tolist(), matrix.data.tolist()
+        views = []
+        for node, (start, stop) in enumerate(zip(indptr, indptr[1:])):
+            rows = slice(start, stop)
+            view = cls.__new__(cls)
+            view._fill(
+                node, matrix.shape[1], indices[rows], columns[rows], values[rows]
+            )
+            views.append(view)
+        return views
 
     def __getitem__(self, j) -> float:
         return self._lookup.get(int(j), 0.0)

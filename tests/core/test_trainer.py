@@ -294,6 +294,65 @@ class TestVectorizedRoundCallCount:
         )
 
 
+class TestSetUpLibraryCallCount:
+    """Trainer set-up makes O(1) numpy / scipy wrapper calls in N: a count, not a clock."""
+
+    #: (module prefix, function names) of the three per-node loops PR 21
+    #: removed: an SVD per shard, set operations per label vector, a
+    #: one-row scipy matrix per server.
+    WATCHED = (
+        ("numpy.linalg", {"svd", "norm"}),
+        ("numpy.lib", {"unique", "isin"}),
+        ("scipy.sparse", {"getrow"}),
+    )
+
+    @classmethod
+    def _library_calls_during_construction(cls, n_nodes: int) -> dict:
+        from repro.models.logistic import LogisticRegression
+        from repro.topology.generators import random_regular_topology
+
+        rng = np.random.default_rng(42)
+        shards = []
+        for _ in range(n_nodes):
+            X = rng.normal(size=(30, 10))
+            shards.append(Dataset(X, (X @ rng.normal(size=10) > 0).astype(float)))
+        topology = random_regular_topology(n_nodes, degree=4, seed=3)
+        config = SNAPConfig(
+            engine="vectorized",
+            sparse_weights=True,
+            seed=7,
+            optimize_weights=False,
+            retain_flow_records=False,
+        )
+        calls: dict = {}
+
+        def on_event(frame, event, arg):
+            if event != "call":
+                return
+            module = frame.f_globals.get("__name__", "")
+            name = frame.f_code.co_name
+            for prefix, names in cls.WATCHED:
+                if name in names and module.startswith(prefix):
+                    calls[f"{prefix}:{name}"] = calls.get(f"{prefix}:{name}", 0) + 1
+
+        sys.setprofile(on_event)
+        try:
+            SNAPTrainer(LogisticRegression(10), shards, topology, config)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_no_per_node_linalg_setops_or_getrow_calls(self):
+        small = self._library_calls_during_construction(32)
+        large = self._library_calls_during_construction(128)
+        # The hook sees the stacked SVD, so an empty dict is not a pass.
+        assert small.get("numpy.linalg:svd", 0) >= 1
+        assert large == small, (
+            f"set-up library calls grew with N: {small} at N=32 -> {large} at "
+            "N=128; something decomposes, validates or slices per node"
+        )
+
+
 class TestOnePerEdgeSender:
     """Every per-edge runtime sends through ``SNAPTrainer.send_round``."""
 

@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.sparse import issparse
+from scipy.sparse import csr_matrix, issparse
 
 from repro.core.config import SNAPConfig
 from repro.core.trainer import SNAPTrainer
@@ -60,6 +60,75 @@ class TestSparseConstruction:
             assert set(view.nonzero_indices()) == set(
                 np.flatnonzero(dense[node]).tolist()
             )
+
+
+    def test_all_rows_equals_one_view_per_row(self):
+        topology = random_regular_topology(12, degree=3, seed=5)
+        sparse = metropolis_weights(topology, sparse=True)
+        views = WeightRowView.all_rows(sparse)
+        assert len(views) == 12
+        for node, view in enumerate(views):
+            single = WeightRowView(sparse, node)
+            assert (view.node, len(view)) == (single.node, len(single)) == (node, 12)
+            assert np.array_equal(view.nonzero_indices(), single.nonzero_indices())
+            assert view.nonzero_indices().dtype == np.int64
+            assert [view[j] for j in range(12)] == [single[j] for j in range(12)]
+
+
+def _with_reversed_rows(matrix) -> csr_matrix:
+    """The same CSR matrix with every row's entries stored in descending column order."""
+    indices, data = matrix.indices.copy(), matrix.data.copy()
+    for start, stop in zip(matrix.indptr, matrix.indptr[1:]):
+        indices[start:stop] = matrix.indices[start:stop][::-1]
+        data[start:stop] = matrix.data[start:stop][::-1]
+    unsorted = csr_matrix((data, indices, matrix.indptr.copy()), shape=matrix.shape)
+    assert not unsorted.has_sorted_indices
+    return unsorted
+
+
+class TestUnsortedStoredOrder:
+    """``nonzero_indices()`` is ascending whatever order the CSR stores its columns in."""
+
+    def test_row_views_of_an_unsorted_matrix_are_ascending(self):
+        topology = random_regular_topology(10, degree=3, seed=2)
+        sparse = metropolis_weights(topology, sparse=True)
+        unsorted = _with_reversed_rows(sparse)
+        for build in (
+            WeightRowView.all_rows,
+            lambda matrix: [WeightRowView(matrix, node) for node in range(10)],
+        ):
+            for view, expected in zip(build(unsorted), WeightRowView.all_rows(sparse)):
+                assert np.array_equal(view.nonzero_indices(), expected.nonzero_indices())
+                assert np.all(np.diff(view.nonzero_indices()) > 0)
+                assert [view[j] for j in range(10)] == [expected[j] for j in range(10)]
+        # The caller's matrix is left as it was given.
+        assert not unsorted.has_sorted_indices
+
+    def test_trainer_digest_equals_the_sorted_matrix_run(self):
+        scenario = ScenarioGen(master_seed=11).scenario(0)
+        # Pinned alpha: Lanczos sums in stored order, so an auto-derived step
+        # size may differ in the last bits between the two storage orders.
+        config = dataclasses.replace(
+            scenario.config("vectorized"), optimize_weights=False, alpha=0.05
+        )
+        sparse = metropolis_weights(scenario.topology(), sparse=True)
+
+        def run(weight_matrix):
+            trainer = SNAPTrainer(
+                scenario.model(),
+                scenario.shards(),
+                scenario.topology(),
+                config,
+                fault_plan=scenario.fault_plan(),
+                weight_matrix=weight_matrix,
+            )
+            for server in trainer.servers:
+                assert np.all(np.diff(server.weight_row.nonzero_indices()) > 0)
+            return capture_run(trainer)
+
+        sorted_digest = run(sparse)
+        unsorted_digest = run(_with_reversed_rows(sparse))
+        assert unsorted_digest == sorted_digest, sorted_digest.diff(unsorted_digest)
 
 
 class TestSparseSpectrum:
