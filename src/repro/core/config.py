@@ -144,10 +144,13 @@ class SNAPConfig:
         This is what keeps N≥4096 runs' memory proportional to edges, not
         N².
     retain_flow_records:
-        Keep a :class:`~repro.network.cost.FlowRecord` per delivered frame
-        on the trainer's cost tracker. Required by analyses that inspect
-        raw flows; large sweeps turn it off to keep memory flat (aggregate
-        byte/cost series are always available).
+        Keep the per-flow ledger on the trainer's cost tracker: every
+        delivered frame's ``(round, source, destination, bytes, hops)``,
+        held as int64 columns per round and read back through
+        ``tracker.records()`` (:class:`~repro.network.cost.FlowRecord`
+        views, built on read) or ``tracker.flow_columns()``. Required by
+        analyses that inspect raw flows; large sweeps turn it off to keep
+        memory flat (aggregate byte/cost series are always available).
     invariants:
         ``"strict"`` attaches a :class:`repro.testing.InvariantMonitor` to
         the trainer: every round, the paper's machine-checkable contracts

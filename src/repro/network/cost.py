@@ -8,14 +8,19 @@ aggregates the figures need: total cost (Figs. 4c, 8) and per-round series
 
 The per-round series are columnar: preallocated int64 arrays indexed by
 round (grown geometrically), plus a sorted per-directed-edge byte counter —
-O(rounds + edges) memory regardless of how many flows are recorded, so a
-N=4096 run over hundreds of rounds does not accumulate millions of
-``FlowRecord`` objects unless ``retain_records`` asks for them. Only
+O(rounds + edges) memory regardless of how many flows are recorded. Only
 :meth:`~CommunicationCostTracker.record_many` batches are merged into that
 sorted counter; a scalar :meth:`~CommunicationCostTracker.record` — the
 per-edge engines' one call per message — counts its edge in a dict keyed the
-same way, O(1) and free of set operations. Streaming
-consumers (incremental digests, invariant monitors) subscribe with
+same way, O(1) and free of set operations.
+
+The retained per-flow ledger (``retain_records``) is columnar too: a
+``record_many`` batch is kept as its validated int64 columns, O(flows)
+*ints* rather than objects, and :class:`FlowRecord` views are built only when
+:meth:`~CommunicationCostTracker.records` is read.
+:meth:`~CommunicationCostTracker.flow_columns` reads the same ledger batch by
+batch without building them at all. Streaming consumers (incremental
+digests, invariant monitors) subscribe with
 :meth:`CommunicationCostTracker.add_observer` and see every validated flow
 batch in insertion order without the tracker retaining anything for them.
 """
@@ -23,7 +28,8 @@ batch in insertion order without the tracker retaining anything for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import groupby
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -65,9 +71,9 @@ class CommunicationCostTracker:
         may omit their hop count and it is looked up; when absent, every
         flow must state its hops explicitly (SNAP traffic is always 1 hop).
     retain_records:
-        Keep a :class:`FlowRecord` per flow for :meth:`records`. Large
-        sweeps (hundreds of nodes × hundreds of rounds) accumulate one
-        object per directed edge per round; passing ``False`` keeps only
+        Keep the per-flow ledger for :meth:`records` / :meth:`flow_columns`.
+        Large sweeps (hundreds of nodes × hundreds of rounds) accumulate
+        four int64 per directed edge per round; passing ``False`` keeps only
         the columnar per-round / per-edge / total aggregates, which is all
         the figures need.
     """
@@ -77,7 +83,11 @@ class CommunicationCostTracker:
     ):
         self._hop_counts = None if hop_counts is None else np.asarray(hop_counts)
         self.retain_records = bool(retain_records)
-        self._records: list[FlowRecord] = []
+        # The retained ledger, in insertion order: a FlowRecord per scalar
+        # record(), a (round, sources, destinations, sizes, hops) tuple of
+        # owned int64 columns per record_many() batch (hops an int when the
+        # whole batch shares it).
+        self._ledger: list = []
         self._n_flows = 0
         # Columnar per-round series, indexed by round (grown geometrically).
         # _round_touched distinguishes "no traffic recorded" from "a zero-byte
@@ -150,27 +160,24 @@ class CommunicationCostTracker:
             self._max_round = round_index
 
     def _accumulate_edges(self, keys: np.ndarray, sizes: np.ndarray) -> None:
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        per_key = np.zeros(unique_keys.shape[0], dtype=np.int64)
-        np.add.at(per_key, inverse, sizes)
-        positions = np.searchsorted(self._edge_keys, unique_keys)
+        if not (keys[1:] > keys[:-1]).all():
+            # Unsorted or repeated keys: fold them to one ascending entry per
+            # edge. A vectorized round's batch already is one (the engine lays
+            # edges out source-ascending, neighbour-ascending) and skips this.
+            keys, inverse = np.unique(keys, return_inverse=True)
+            folded = np.zeros(keys.shape[0], dtype=np.int64)
+            np.add.at(folded, inverse, sizes)
+            sizes = folded
+        positions = np.searchsorted(self._edge_keys, keys)
+        new = np.ones(keys.shape[0], dtype=bool)
         in_range = positions < self._edge_keys.shape[0]
-        known = np.zeros(unique_keys.shape[0], dtype=bool)
-        known[in_range] = (
-            self._edge_keys[positions[in_range]] == unique_keys[in_range]
-        )
-        if known.all():
-            np.add.at(self._edge_bytes, positions, per_key)
-            return
-        # New directed edges appeared: union-merge the sorted key arrays.
-        merged_keys = np.union1d(self._edge_keys, unique_keys)
-        merged_bytes = np.zeros(merged_keys.shape[0], dtype=np.int64)
-        merged_bytes[np.searchsorted(merged_keys, self._edge_keys)] = self._edge_bytes
-        np.add.at(
-            merged_bytes, np.searchsorted(merged_keys, unique_keys), per_key
-        )
-        self._edge_keys = merged_keys
-        self._edge_bytes = merged_bytes
+        new[in_range] = self._edge_keys[positions[in_range]] != keys[in_range]
+        if new.any():
+            # New directed edges appeared: splice them into the sorted columns.
+            self._edge_keys = np.insert(self._edge_keys, positions[new], keys[new])
+            self._edge_bytes = np.insert(self._edge_bytes, positions[new], 0)
+            positions = np.searchsorted(self._edge_keys, keys)
+        self._edge_bytes[positions] += sizes
 
     def record(
         self,
@@ -195,17 +202,21 @@ class CommunicationCostTracker:
                 raise ConfigurationError(
                     "hops not given and no hop matrix configured"
                 )
-            hops = int(self._hop_counts[source, destination])
+            hops = self._hop_counts[source, destination]
+        # Plain ints at the store boundary: a numpy scalar here would reach
+        # records() and repr differently from the streamed ledger entry.
+        round_index, hops = int(round_index), int(hops)
+        source, destination = int(source), int(destination)
         if hops < 0:
             raise ConfigurationError(
                 f"no route from {source} to {destination} (hops={hops})"
             )
         record = FlowRecord(round_index, source, destination, int(size_bytes), hops)
         if self.retain_records:
-            self._records.append(record)
+            self._ledger.append(record)
         self._n_flows += 1
         self._accumulate_round(round_index, record.cost, record.size_bytes)
-        key = (int(source) << _EDGE_KEY_SHIFT) | int(destination)
+        key = (source << _EDGE_KEY_SHIFT) | destination
         self._scalar_edge_bytes[key] = (
             self._scalar_edge_bytes.get(key, 0) + record.size_bytes
         )
@@ -221,8 +232,8 @@ class CommunicationCostTracker:
         if self._observers:
             self._notify(
                 round_index,
-                np.asarray([int(source)], dtype=np.int64),
-                np.asarray([int(destination)], dtype=np.int64),
+                np.asarray([source], dtype=np.int64),
+                np.asarray([destination], dtype=np.int64),
                 np.asarray([record.size_bytes], dtype=np.int64),
                 np.asarray([record.hops], dtype=np.int64),
             )
@@ -243,9 +254,10 @@ class CommunicationCostTracker:
         ``hops`` may be a scalar (SNAP's one-hop traffic), a parallel array,
         or ``None`` to look every pair up in the hop matrix. Aggregates are
         updated exactly as ``len(sizes)`` individual :meth:`record` calls
-        would, and :class:`FlowRecord` objects are materialized only when
-        ``retain_records`` is on (preserving the same insertion order).
-        Returns the number of flows recorded.
+        would; with ``retain_records`` on, the batch is kept as owned copies
+        of its columns (the caller may reuse its arrays) and reads back from
+        :meth:`records` in the same insertion order. Returns the number of
+        flows recorded.
         """
         sources = np.asarray(sources, dtype=np.int64)
         destinations = np.asarray(destinations, dtype=np.int64)
@@ -265,7 +277,9 @@ class CommunicationCostTracker:
                     "hops not given and no hop matrix configured"
                 )
             hops = self._hop_counts[sources, destinations]
-        hops = np.broadcast_to(np.asarray(hops, dtype=np.int64), sizes.shape)
+        hops = np.asarray(hops, dtype=np.int64)
+        shared_hops = hops.ndim == 0
+        hops = np.broadcast_to(hops, sizes.shape)
         if hops.size and hops.min() < 0:
             bad = int(np.argmin(hops))
             raise ConfigurationError(
@@ -275,10 +289,15 @@ class CommunicationCostTracker:
         costs = sizes * hops
         total_bytes = int(sizes.sum())
         total_cost = int(costs.sum())
-        if self.retain_records:
-            self._records.extend(
-                FlowRecord(round_index, int(s), int(d), int(b), int(h))
-                for s, d, b, h in zip(sources, destinations, sizes, hops)
+        if self.retain_records and sizes.size:
+            self._ledger.append(
+                (
+                    int(round_index),
+                    sources.copy(),
+                    destinations.copy(),
+                    sizes.copy(),
+                    int(hops[0]) if shared_hops else hops.copy(),
+                )
             )
         self._n_flows += int(sizes.size)
         self._accumulate_round(round_index, total_cost, total_bytes)
@@ -373,10 +392,43 @@ class CommunicationCostTracker:
         never kept, and silently returning an empty tuple would corrupt any
         analysis built on it.
         """
+        return tuple(
+            FlowRecord(round_index, *flow)
+            for round_index, *columns in self.flow_columns()
+            for flow in zip(*(column.tolist() for column in columns))
+        )
+
+    def flow_columns(
+        self,
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """The retained ledger as column batches, in insertion order.
+
+        Yields ``(round_index, sources, destinations, sizes, hops)`` with
+        parallel int64 arrays — the observer signature, and the flows of
+        :meth:`records` in the same order, without building a
+        :class:`FlowRecord` per flow. A ``record_many`` call is one batch;
+        consecutive scalar :meth:`record` flows of one round are gathered
+        into one. The arrays are the tracker's own: read, don't write.
+        Iterating raises like :meth:`records` when the ledger was not retained.
+        """
         if not self.retain_records:
             raise ConfigurationError(
                 "flow records were not retained (tracker built with "
                 "retain_records=False); use the per-round/total aggregates, "
                 "or retain records"
             )
-        return tuple(self._records)
+        for scalar_round, run in groupby(
+            self._ledger,
+            lambda entry: entry.round_index if type(entry) is FlowRecord else None,
+        ):
+            if scalar_round is not None:
+                columns = np.array(
+                    [(f.source, f.destination, f.size_bytes, f.hops) for f in run],
+                    dtype=np.int64,
+                )
+                yield (scalar_round, *columns.T)
+                continue
+            for round_index, sources, destinations, sizes, hops in run:
+                if type(hops) is int:
+                    hops = np.full(sizes.shape, hops, dtype=np.int64)
+                yield round_index, sources, destinations, sizes, hops

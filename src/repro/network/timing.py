@@ -130,14 +130,18 @@ class LinkTimingModel:
         ``hops`` store-and-forward links back to back); flows sharing a link
         serialize, distinct links run in parallel.
         """
-        if not flows:
-            return self.max_compute_s()
         per_link: dict[tuple[int, int], float] = defaultdict(float)
         for flow in flows:
             link = (flow.source, flow.destination)
             per_link[link] += (
                 flow.size_bytes * flow.hops / self.bandwidth(*link)
             )
+        return self._makespan(per_link)
+
+    def _makespan(self, per_link: Mapping[tuple[int, int], float]) -> float:
+        """A round's time from the seconds each link spends transferring."""
+        if not per_link:
+            return self.max_compute_s()
         return self.max_compute_s() + self.latency_s + max(per_link.values())
 
     def total_time(self, tracker: CommunicationCostTracker, n_rounds: int) -> float:
@@ -147,12 +151,18 @@ class LinkTimingModel:
         """
         if n_rounds < 0:
             raise ValueError(f"n_rounds must be >= 0, got {n_rounds}")
-        by_round: dict[int, list[FlowRecord]] = defaultdict(list)
-        for record in tracker.records():
-            by_round[record.round_index].append(record)
+        by_round: dict[int, dict[tuple[int, int], float]] = defaultdict(
+            lambda: defaultdict(float)
+        )
+        for round_index, *columns in tracker.flow_columns():
+            per_link = by_round[round_index]
+            flows = zip(*(column.tolist() for column in columns))
+            for source, destination, size, hops in flows:
+                link = (source, destination)
+                per_link[link] += size * hops / self.bandwidth(*link)
         total = 0.0
         for round_index in range(1, n_rounds + 1):
-            total += self.round_makespan(by_round.get(round_index, []))
+            total += self._makespan(by_round.get(round_index, {}))
         return total
 
     def estimate_result_time(self, result: TrainingResult) -> float:

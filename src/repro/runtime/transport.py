@@ -260,9 +260,13 @@ class FrameConnection:
         )
 
     def _recv_first_byte(self, idle_timeout_s: float | None) -> bytes | None:
+        # settimeout is an ioctl that releases the GIL: skip it (and the
+        # restore) when the socket already waits the wanted time.
         previous = self._sock.gettimeout()
+        changed = idle_timeout_s != previous
         try:
-            self._sock.settimeout(idle_timeout_s)
+            if changed:
+                self._sock.settimeout(idle_timeout_s)
             try:
                 chunk = self._sock.recv(1)
             except socket.timeout:
@@ -273,10 +277,14 @@ class FrameConnection:
                 )
             return chunk
         finally:
-            try:
-                self._sock.settimeout(previous)
-            except OSError:
-                pass
+            if changed:
+                self._restore_timeout(previous)
+
+    def _restore_timeout(self, previous: float | None) -> None:
+        try:
+            self._sock.settimeout(previous)
+        except OSError:
+            pass
 
     def _recv_exactly(self, n_bytes: int, deadline: float | None = None) -> bytes:
         chunks = []
@@ -310,10 +318,8 @@ class FrameConnection:
                 remaining -= len(chunk)
             return b"".join(chunks)
         finally:
-            try:
-                self._sock.settimeout(previous)
-            except OSError:
-                pass
+            if deadline is not None:
+                self._restore_timeout(previous)
 
     def close(self) -> None:
         """Close the underlying socket."""

@@ -72,6 +72,29 @@ def flow_trace_entry(flow) -> tuple:
     return (flow.round_index, flow.source, flow.destination, flow.size_bytes, flow.hops)
 
 
+def fold_flow_batch(
+    digest: "hashlib._Hash", round_index, sources, destinations, sizes, hops
+) -> list:
+    """Hash one flow batch into ``digest``; returns its canonical entries.
+
+    The one ledger-hashing loop, for a tracker observer batch (live, in
+    :class:`DigestStream`) and a ``flow_columns()`` batch (afterwards, in
+    :meth:`RunDigest.capture`) alike; an entry is :func:`flow_trace_entry`
+    of the flow's ``FlowRecord``. ``.tolist()`` is load-bearing: numpy 2.x
+    scalar reprs ("np.int64(5)") would corrupt the frozen recipe.
+    """
+    round_index = int(round_index)
+    entries = [
+        (round_index, *flow)
+        for flow in zip(
+            sources.tolist(), destinations.tolist(), sizes.tolist(), hops.tolist()
+        )
+    ]
+    for entry in entries:
+        digest.update(repr(entry).encode())
+    return entries
+
+
 def _sha_of_entries(entries) -> str:
     digest = hashlib.sha256()
     for entry in entries:
@@ -146,22 +169,22 @@ class RunDigest:
 
         ``result`` is the :class:`~repro.results.TrainingResult` returned by
         the ``trainer.run`` call being digested. The flow ledger is hashed
-        from the tracker's retained records when available; with
-        ``retain_flow_records=False`` the ledger trace is empty and
-        ``ledger_sha`` hashes nothing (the byte/cost totals still pin the
-        aggregate).
+        from the tracker's retained columns when available — batch by
+        batch through :func:`fold_flow_batch`, as :class:`DigestStream`
+        hashes it live; with ``retain_flow_records=False`` the ledger trace
+        is empty and ``ledger_sha`` hashes nothing (the byte/cost totals
+        still pin the aggregate).
         """
         rounds_trace = tuple(round_trace_entry(r) for r in result.rounds)
+        ledger_digest = hashlib.sha256()
+        ledger_trace = []
         if trainer.tracker.retain_records:
-            ledger_trace = tuple(
-                flow_trace_entry(f) for f in trainer.tracker.records()
-            )
-        else:
-            ledger_trace = ()
+            for batch in trainer.tracker.flow_columns():
+                ledger_trace.extend(fold_flow_batch(ledger_digest, *batch))
         return cls(
             version=DIGEST_VERSION,
             rounds_sha=_sha_of_entries(rounds_trace),
-            ledger_sha=_sha_of_entries(ledger_trace),
+            ledger_sha=ledger_digest.hexdigest(),
             final_params_sha=hashlib.sha256(
                 np.ascontiguousarray(result.final_params).tobytes()
             ).hexdigest(),
@@ -170,7 +193,7 @@ class RunDigest:
             total_cost=trainer.tracker.total_cost,
             final_loss=result.rounds[-1].mean_loss.hex() if result.rounds else "",
             rounds_trace=rounds_trace,
-            ledger_trace=ledger_trace,
+            ledger_trace=tuple(ledger_trace),
         )
 
     # -- legacy pins -------------------------------------------------------------
@@ -282,28 +305,19 @@ class DigestStream:
         self._trainer = trainer
         self._rounds_digest = hashlib.sha256()
         self._ledger_digest = hashlib.sha256()
-        self._n_rounds = 0
-        self._n_flows = 0
         trainer.tracker.add_observer(self._observe_flows)
         trainer.add_round_observer(self.observe_round)
 
     def _observe_flows(self, round_index, sources, destinations, sizes, hops):
-        # One canonical flow entry per flow, in insertion order — identical
-        # bytes to hashing flow_trace_entry over retained FlowRecords.
-        # .tolist() is load-bearing: numpy 2.x scalar reprs ("np.int64(5)")
-        # would corrupt the frozen recipe.
-        round_index = int(round_index)
-        update = self._ledger_digest.update
-        for entry in zip(
-            sources.tolist(), destinations.tolist(), sizes.tolist(), hops.tolist()
-        ):
-            update(repr((round_index, *entry)).encode())
-            self._n_flows += 1
+        # One canonical flow entry per flow, in insertion order — the bytes
+        # RunDigest.capture hashes from the retained columns.
+        fold_flow_batch(
+            self._ledger_digest, round_index, sources, destinations, sizes, hops
+        )
 
     def observe_round(self, record) -> None:
         """Fold one fresh :class:`~repro.results.RoundRecord` into the digest."""
         self._rounds_digest.update(repr(round_trace_entry(record)).encode())
-        self._n_rounds += 1
 
     def finalize(self, result) -> "RunDigest":
         """Seal the stream into a :class:`RunDigest` for the finished run.

@@ -227,7 +227,9 @@ class TestVectorizedRoundCallCount:
     """The one vectorized round is array-at-a-time: a count, not a clock."""
 
     @staticmethod
-    def _python_calls_per_round(compressor: str, n_nodes: int) -> float:
+    def _python_calls_per_round(
+        compressor: str, n_nodes: int, retain_flow_records: bool = False
+    ) -> float:
         """Python-level function calls one vectorized round makes at ``n_nodes``.
 
         Counted with ``sys.setprofile`` ("call" events only: C functions such
@@ -254,7 +256,7 @@ class TestVectorizedRoundCallCount:
                 compressor=compressor,
                 seed=7,
                 optimize_weights=False,
-                retain_flow_records=False,
+                retain_flow_records=retain_flow_records,
             ),
         )
 
@@ -291,6 +293,24 @@ class TestVectorizedRoundCallCount:
             f"Python calls per vectorized {compressor} round grew with N: "
             f"{small:.0f} at N=64 -> {large:.0f} at N=256; something walks "
             "the nodes or edges in Python"
+        )
+
+    @pytest.mark.parametrize("compressor", ["ape", "ef:topk:k=4"])
+    def test_retaining_the_flow_ledger_adds_no_per_edge_python_calls(
+        self, compressor
+    ):
+        """With ``retain_flow_records=True`` (the default) a round keeps its
+        ledger batch as columns: a ``FlowRecord`` per delivered edge built in
+        ``record_many`` would add two calls per directed edge, 1 536 between
+        N=64 and N=256."""
+        small, large = (
+            self._python_calls_per_round(compressor, n, retain_flow_records=True)
+            for n in (64, 256)
+        )
+        assert large <= 1.1 * small, (
+            f"Python calls per vectorized {compressor} round with the flow "
+            f"ledger retained grew with N: {small:.0f} at N=64 -> {large:.0f} "
+            "at N=256; record_many builds something per flow"
         )
 
 

@@ -1,5 +1,7 @@
 """Tests for repro.network.cost.CommunicationCostTracker."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,26 @@ class TestRecordMany:
         assert type(tracker.total_bytes) is int
         assert type(tracker.round_cost(1)) is int
 
+    def test_retained_batch_does_not_alias_the_callers_arrays(self):
+        """The engine reuses its edge arrays round after round: the retained
+        ledger must own its columns."""
+        tracker = CommunicationCostTracker()
+        columns = [
+            np.array(c, dtype=np.int64) for c in ([0, 1], [1, 2], [10, 20], [1, 3])
+        ]
+        tracker.record_many(1, *columns[:3], hops=columns[3])
+        before = tracker.records()
+        for column in columns:
+            column[:] = 99
+        assert tracker.records() == before == (
+            FlowRecord(1, 0, 1, 10, 1),
+            FlowRecord(1, 1, 2, 20, 3),
+        )
+        assert _flows_of(tracker.flow_columns()) == [
+            (1, 0, 1, 10, 1),
+            (1, 1, 2, 20, 3),
+        ]
+
 
 class TestRetainRecords:
     def test_disabled_keeps_aggregates_but_not_records(self):
@@ -213,18 +235,37 @@ class _FlowAtATimeLedger:
         return edges
 
 
+_HOP_MATRIX = all_pairs_hop_counts(ring_topology(6))
 _nodes = st.integers(0, 5)
 _flow = st.tuples(_nodes, _nodes, st.integers(0, 1000), st.integers(0, 3))
 _round = st.integers(-3, 70)  # negative rounds, and past the first 64-slot growth
 _stage = st.sampled_from([None, "ape", "topk"])
+_one_flow = st.lists(_flow, min_size=1, max_size=1)
 _op = st.one_of(
-    st.tuples(st.just("one"), _round, st.lists(_flow, min_size=1, max_size=1), _stage),
+    st.tuples(st.just("one"), _round, _one_flow, _stage),
     st.tuples(st.just("many"), _round, st.lists(_flow, max_size=6), _stage),
     # A batch whose hops are one scalar for every flow (SNAP's one-hop traffic).
     st.tuples(
         st.just("many-scalar-hops"), _round, st.lists(_flow, max_size=6), _stage
     ),
+    # hops=None: looked up in the tracker's hop matrix.
+    st.tuples(st.just("one-matrix-hops"), _round, _one_flow, _stage),
+    st.tuples(
+        st.just("many-matrix-hops"), _round, st.lists(_flow, max_size=6), _stage
+    ),
 )
+
+
+def _flows_of(batches):
+    """Flatten ``flow_columns()`` batches to ``(round, src, dst, size, hops)``."""
+    flows = []
+    for round_index, *columns in batches:
+        assert type(round_index) is int
+        for column in columns:
+            assert column.dtype == np.int64 and column.ndim == 1
+        rows = zip(*(column.tolist() for column in columns))
+        flows.extend((round_index, *row) for row in rows)
+    return flows
 
 
 def _observed(calls):
@@ -261,31 +302,50 @@ def _snapshot(tracker, calls):
 
 class TestInterleavedRecordAndRecordMany:
     @settings(max_examples=150, deadline=None)
-    @given(ops=st.lists(_op, max_size=30), retain=st.booleans())
-    def test_any_interleaving_matches_the_flow_at_a_time_ledger(self, ops, retain):
-        tracker = CommunicationCostTracker(retain_records=retain)
+    @given(
+        ops=st.lists(_op, max_size=30),
+        retain=st.booleans(),
+        as_int=st.sampled_from([int, np.int64]),
+    )
+    def test_any_interleaving_matches_the_flow_at_a_time_ledger(
+        self, ops, retain, as_int
+    ):
+        """``as_int=np.int64``: rounds and node ids arrive as numpy scalars
+        (an ``arange`` element, an ``argmax``) and must be stored as ints."""
+        tracker = CommunicationCostTracker(_HOP_MATRIX, retain_records=retain)
         calls = []
         tracker.add_observer(_observed(calls))
         model = _FlowAtATimeLedger()
         for kind, round_index, flows, stage in ops:
             if kind == "many-scalar-hops":
                 flows = [(s, d, size, 1) for s, d, size, _ in flows]
-            if kind == "one":
+            elif kind.endswith("matrix-hops"):
+                flows = [
+                    (s, d, size, int(_HOP_MATRIX[s, d])) for s, d, size, _ in flows
+                ]
+            if kind.startswith("one"):
                 ((source, destination, size, hops),) = flows
                 record = tracker.record(
-                    round_index, source, destination, size, hops=hops, stage=stage
+                    as_int(round_index),
+                    as_int(source),
+                    as_int(destination),
+                    size,
+                    hops=None if kind == "one-matrix-hops" else as_int(hops),
+                    stage=stage,
                 )
                 assert record == FlowRecord(
                     round_index, source, destination, size, hops
                 )
             else:
                 columns = [list(c) for c in zip(*flows)] or [[], [], [], []]
-                hops = 1 if kind == "many-scalar-hops" else columns[3]
+                hops = {"many-scalar-hops": 1, "many-matrix-hops": None}.get(
+                    kind, columns[3]
+                )
                 count = tracker.record_many(
-                    round_index, *columns[:3], hops=hops, stage=stage
+                    as_int(round_index), *columns[:3], hops=hops, stage=stage
                 )
                 assert count == len(flows)
-            model.add(round_index, flows, stage, batch=kind != "one")
+            model.add(round_index, flows, stage, batch=not kind.startswith("one"))
 
         assert tracker.n_flows == len(model.flows)
         assert tracker.total_bytes == sum(f[3] for f in model.flows)
@@ -302,10 +362,19 @@ class TestInterleavedRecordAndRecordMany:
         assert tracker.stage_costs() == model.stage_costs
         assert calls == model.observed
         if retain:
-            assert tracker.records() == tuple(FlowRecord(*f) for f in model.flows)
+            records = tracker.records()
+            assert records == tuple(FlowRecord(*f) for f in model.flows)
+            assert all(
+                type(value) is int
+                for record in records
+                for value in dataclasses.astuple(record)
+            )
+            assert _flows_of(tracker.flow_columns()) == model.flows
         else:
             with pytest.raises(ConfigurationError):
                 tracker.records()
+            with pytest.raises(ConfigurationError):
+                next(tracker.flow_columns())
 
     def test_hop_matrix_lookup_agrees_between_the_two_paths(self):
         hops = all_pairs_hop_counts(ring_topology(6))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.network.cost import CommunicationCostTracker
@@ -48,6 +50,68 @@ class TestColumnarAggregates:
             (3, 2): 40,
         }
 
+    def test_ascending_batch_is_counted_without_set_operations(self, monkeypatch):
+        """A vectorized round's batch — strictly increasing ``(src, dst)`` —
+        adds in place (every round after the first) or splices its new edges
+        in; only unsorted or repeated keys are folded through ``np.unique``.
+        The branch is picked by that property of the input alone."""
+        tracker = CommunicationCostTracker(retain_records=False)
+
+        def no_set_operations(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "unique", no_set_operations)
+            tracker.record_many(1, [0, 0, 1, 3], [1, 2, 0, 2], [1, 2, 3, 4], hops=1)
+            tracker.record_many(2, [0, 1, 3], [2, 0, 2], [10, 20, 30], hops=1)
+            tracker.record_many(3, [0, 2, 4], [1, 2, 0], [100, 200, 300], hops=1)
+            for needs_folding in (
+                ([1, 0], [0, 2], [1, 1]),  # not ascending
+                ([0, 0], [1, 1], [1, 1]),  # a repeat
+            ):
+                with pytest.raises(AssertionError, match="np.unique called"):
+                    tracker.record_many(4, *needs_folding, hops=1)
+        assert tracker.per_edge_bytes() == {
+            (0, 1): 101,
+            (0, 2): 12,
+            (1, 0): 23,
+            (2, 2): 200,
+            (3, 2): 34,
+            (4, 0): 300,
+        }
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        batches=st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 4), st.integers(0, 4), st.integers(0, 50)
+                    ),
+                    min_size=1,
+                    max_size=8,
+                ),
+                st.sampled_from(["as drawn", "sorted", "sorted unique"]),
+            ),
+            max_size=8,
+        )
+    )
+    def test_per_edge_bytes_equals_a_dict_on_any_batches(self, batches):
+        """Sorted, unsorted, with repeats, with new edges: one answer."""
+        tracker = CommunicationCostTracker(retain_records=False)
+        expected = {}
+        for flows, order in batches:
+            if order != "as drawn":
+                flows = sorted(flows)
+            if order == "sorted unique":
+                flows = list({(s, d): (s, d, b) for s, d, b in flows}.values())
+            tracker.record_many(1, *zip(*flows), hops=1)
+            for source, destination, size in flows:
+                edge = (source, destination)
+                expected[edge] = expected.get(edge, 0) + size
+        assert tracker.per_edge_bytes() == dict(sorted(expected.items()))
+        assert list(tracker.per_edge_bytes()) == sorted(expected)
+
     def test_round_series_survive_geometric_growth(self):
         tracker = CommunicationCostTracker(retain_records=False)
         for round_index in (1, 100, 1000):
@@ -68,7 +132,9 @@ class TestColumnarAggregates:
                 round_index, sources, destinations, np.full(50, 12), hops=1
             )
         assert tracker.n_flows == 50 * 200
-        assert tracker._records == []
+        for read_ledger in (tracker.records, lambda: list(tracker.flow_columns())):
+            with pytest.raises(ConfigurationError, match="not retained"):
+                read_ledger()
         assert tracker._edge_keys.shape[0] == 50
         assert tracker.total_bytes == 50 * 200 * 12
 

@@ -195,6 +195,58 @@ class TestDeadlinesAndErrors:
         client.close()
 
 
+class _TimeoutCountingSocket:
+    """A real socket that counts ``settimeout`` calls (one ioctl each)."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.settimeout_calls = []
+
+    def settimeout(self, value):
+        self.settimeout_calls.append(value)
+        self._sock.settimeout(value)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class TestReceiveLeavesTheSocketTimeoutAlone:
+    """``recv_update`` touches the socket's timeout only to change it."""
+
+    @staticmethod
+    def _receiver(socket_pair, **kwargs):
+        client, server = socket_pair
+        counting = _TimeoutCountingSocket(server._sock)
+        return client, counting, FrameConnection(counting, **kwargs)
+
+    def test_blocking_receive_never_calls_settimeout(self, socket_pair):
+        client, sock, receiver = self._receiver(socket_pair)
+        for seed in range(3):
+            client.send_update(make_update(seed=seed))
+            assert receiver.recv_update() is not None
+        assert sock.settimeout_calls == []
+
+    def test_idle_timeout_equal_to_the_sockets_own_is_not_reapplied(
+        self, socket_pair
+    ):
+        client, sock, receiver = self._receiver(socket_pair)
+        sock.settimeout(0.05)
+        sock.settimeout_calls.clear()
+        assert receiver.recv_update(idle_timeout_s=0.05) is None
+        client.send_update(make_update())
+        assert receiver.recv_update(idle_timeout_s=0.05) is not None
+        assert sock.settimeout_calls == []
+
+    def test_changed_timeouts_are_restored(self, socket_pair):
+        client, sock, receiver = self._receiver(socket_pair, frame_timeout_s=5.0)
+        assert receiver.recv_update(idle_timeout_s=0.05) is None
+        assert sock.settimeout_calls == [0.05, None]
+        client.send_update(make_update())
+        assert receiver.recv_update() is not None
+        assert sock.gettimeout() is None
+        assert sock.settimeout_calls[-1] is None
+
+
 class TestRetryAndReconnect:
     def test_send_retries_through_reconnect(self):
         """A send whose socket has died transparently re-dials and lands."""

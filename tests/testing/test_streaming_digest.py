@@ -9,12 +9,20 @@ configuration large-N runs use).
 """
 
 import dataclasses
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core.trainer import SNAPTrainer
+from repro.network.cost import CommunicationCostTracker
 from repro.testing.differential import ENGINES
-from repro.testing.digest import capture_run
+from repro.testing.digest import (
+    DigestStream,
+    RunDigest,
+    capture_run,
+    flow_trace_entry,
+)
 from repro.testing.scenarios import ScenarioGen
 
 N_SCENARIOS = 10
@@ -71,3 +79,32 @@ def test_streaming_preserves_ledger_hash_where_legacy_capture_cannot():
     )
     assert legacy_unretained.ledger_sha != retained.ledger_sha
     assert streamed.ledger_sha == retained.ledger_sha
+
+
+@pytest.mark.parametrize("as_int", [int, np.int64])
+def test_numpy_integer_rounds_hash_like_python_ints(as_int):
+    """A round index (or node id) that arrives as ``np.int64`` is stored as a
+    plain int: the retained ledger reads back the entries the stream hashed,
+    not ``(np.int64(3), 0, 1, 10, 1)`` with its different ``repr``."""
+    tracker = CommunicationCostTracker()
+    # The slice of a trainer the two digest paths read.
+    trainer = SimpleNamespace(
+        tracker=tracker,
+        add_round_observer=lambda observer: None,
+        servers=(),
+        _schedules=None,
+        _edge_states={},
+    )
+    result = SimpleNamespace(rounds=[], final_params=np.zeros(1))
+    stream = DigestStream(trainer)
+    tracker.record_many(as_int(3), [0], [1], [10], hops=1)
+    tracker.record(as_int(4), as_int(1), as_int(0), 7, hops=as_int(2))
+    retained = RunDigest.capture(trainer, result)
+    assert retained.ledger_trace == tuple(
+        flow_trace_entry(flow) for flow in tracker.records()
+    )
+    assert repr(retained.ledger_trace) == "((3, 0, 1, 10, 1), (4, 1, 0, 7, 2))"
+    assert repr(tracker.records()[0]) == (
+        "FlowRecord(round_index=3, source=0, destination=1, size_bytes=10, hops=1)"
+    )
+    assert retained.ledger_sha == stream.finalize(result).ledger_sha
