@@ -7,7 +7,7 @@ PYTEST := PYTHONPATH=src $(PYTHON) -m pytest
 .PHONY: test chaos perf differential verify-invariants coverage test-all \
 	bench bench-async bench-compression bench-figures bench-scale bench-scale-check \
 	bench-topology bench-topology-check bench-e2e-quick bench-pairs profile \
-	orchestrate-smoke scenario-smoke
+	orchestrate-smoke scenario-smoke flake
 
 ## The default (tier-1) suite: the addopts in pyproject.toml deselect the
 ## chaos, perf, and differential markers, so a bare pytest run is tier-1.
@@ -18,6 +18,17 @@ test:
 ## corruption, partitions — simulator and TCP testbed).
 chaos:
 	$(PYTEST) -m chaos
+
+## Flake gate (ROADMAP item 5): the socket and orchestrator suites, chaos
+## included, RUNS times over in fresh processes; prints failures / runs and
+## exits non-zero on any failure. `make flake RUNS=20`.
+RUNS ?= 20
+flake:
+	@failures=0; for run in $$(seq 1 $(RUNS)); do \
+		out=$$($(PYTEST) tests/runtime tests/orchestrator -o addopts="" -q -x \
+			-p no:cacheprovider 2>&1) \
+			|| { failures=$$((failures + 1)); echo "run $$run FAILED"; echo "$$out" | tail -30; }; \
+	done; echo "flake: $$failures failures / $(RUNS) runs"; test $$failures -eq 0
 
 ## The performance smoke tests (vectorized engine speedup guard).
 perf:

@@ -9,9 +9,10 @@ says the ledger is slow), a profile names what inside them is slow
 and quote its shares, not the tracer's, in the issue.
 
 One warm-up rep (imports, lazy set-up, BLAS initialisation), then one rep
-under ``cProfile`` — every thread the rep starts included, so the testbed's
-node threads show (their blocking ``recv`` / ``acquire`` rows are waiting,
-not work) — with no layer wrappers installed, at the workload's full round
+under ``cProfile`` — every thread the rep starts included (the TCP testbed
+runs on the calling thread since PR 24; the fleet workload's heartbeat and
+HTTP threads show, their blocking ``acquire`` rows are waiting, not work)
+— with no layer wrappers installed, at the workload's full round
 budget, pinned to one CPU with one BLAS thread exactly as
 ``benchmarks/e2e/run.py`` runs it. Prints the top functions by ``tottime``
 (where the interpreter spent its own time) and by ``cumtime`` (which calls
@@ -103,8 +104,8 @@ def main() -> int:
     inputs = workload.generate(options.seed)
     harness.run_rep(inputs, workload.rounds)
 
-    # cProfile hooks one thread; the TCP and fleet workloads do their work on
-    # node threads, so every thread started during the rep gets a profiler of
+    # cProfile hooks one thread; the fleet workload also runs heartbeat and
+    # HTTP threads, so every thread started during the rep gets a profiler of
     # its own (its first profile event swaps the Python hook for the C one).
     profilers = [cProfile.Profile()]
 

@@ -46,8 +46,8 @@ class _TwoStateChain:
     recovers with ``p_recover``. Round 0 draws from the stationary
     distribution, so the long-run failed fraction is
     ``p_fail / (p_fail + p_recover)`` from the very first round. States are
-    computed forward once and cached; the cache is guarded by a lock because
-    testbed node threads query the same chain concurrently.
+    computed forward once and cached; the cache is guarded by a lock so that
+    several threads may query the same chain.
     """
 
     def __init__(self, p_fail: float, p_recover: float, seed: SeedLike):

@@ -106,16 +106,28 @@ def decode_update(
     )
 
 
+def _strictly_increasing_below(indices: np.ndarray, total_params: int) -> bool:
+    """Whether a decoded ``>u4`` index list is a valid ascending index set.
+
+    Unsigned values cannot be negative and a strictly increasing list has
+    its maximum last, so the range check is one scalar comparison.
+    """
+    return not indices.size or (
+        indices[-1] < total_params
+        and not np.any(indices[1:] <= indices[:-1])
+    )
+
+
 # -- UNCHANGED_INDEX -----------------------------------------------------------
 
 
 def _encode_unchanged_index(update: ParameterUpdate) -> bytes:
     sent_mask = np.zeros(update.total_params, dtype=bool)
     sent_mask[update.indices] = True
-    unchanged = np.flatnonzero(~sent_mask).astype(np.uint32)
+    unchanged = np.flatnonzero(~sent_mask).astype(">u4")
     parts = [
         _U32.pack(unchanged.size),
-        unchanged.astype(">u4").tobytes(),
+        unchanged.tobytes(),
         update.values.astype(">f8").tobytes(),
     ]
     return b"".join(parts)
@@ -147,15 +159,11 @@ def _decode_unchanged_index(
     values = np.frombuffer(
         payload, dtype=">f8", count=sent_count, offset=offset
     ).astype(float)
-    if unchanged.size and (
-        np.any(np.diff(unchanged) <= 0)
-        or unchanged.min() < 0
-        or unchanged.max() >= total_params
-    ):
+    if not _strictly_increasing_below(unchanged, total_params):
         raise ProtocolError("UNCHANGED_INDEX frame has invalid index list")
     sent_mask = np.ones(total_params, dtype=bool)
     sent_mask[unchanged] = False
-    indices = np.flatnonzero(sent_mask).astype(np.int64)
+    indices = np.flatnonzero(sent_mask).astype(np.int64, copy=False)
     return indices, values
 
 
@@ -181,11 +189,7 @@ def _decode_index_value(
         )
     records = np.frombuffer(payload, dtype=record)
     indices = records["index"].astype(np.int64)
-    if indices.size and (
-        np.any(np.diff(indices) <= 0)
-        or indices.min() < 0
-        or indices.max() >= total_params
-    ):
+    if not _strictly_increasing_below(indices, total_params):
         raise ProtocolError("INDEX_VALUE frame has invalid index sequence")
     return indices, records["value"].astype(float)
 

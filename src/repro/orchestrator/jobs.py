@@ -219,7 +219,7 @@ class TrainingJob:
         """Run ``callback()`` right before deciding ``round_index``.
 
         The deterministic way to script mid-run churn: callbacks run on
-        the deciding node thread *outside* the job lock, so they are free
+        the runtime's loop thread *outside* the job lock, so they are free
         to go through the HTTP API (register/enroll/leave) like any
         external device would.
         """

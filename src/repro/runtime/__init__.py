@@ -1,10 +1,10 @@
 """A real networked SNAP runtime — the paper's "small scale testbed".
 
 Where :mod:`repro.core` *simulates* message exchange in-process, this package
-actually runs it: every edge server is a thread with a TCP listener, peers
-hold persistent connections (as the paper's wired deployment does), and every
-parameter update crosses a real socket encoded in the binary Fig. 3 frame
-format of :mod:`repro.network.codec`.
+actually runs it: every edge server has its own TCP listener, peers hold
+persistent connections (as the paper's wired deployment does), one event
+loop drives all of them, and every parameter update crosses a real socket
+encoded in the binary Fig. 3 frame format of :mod:`repro.network.codec`.
 
 The runtime exists for fidelity, not scale: the integration tests prove that
 a networked run produces bit-for-bit the same parameters as the simulated

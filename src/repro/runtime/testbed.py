@@ -1,9 +1,20 @@
-"""The networked testbed: one thread + one TCP listener per edge server.
+"""The networked testbed: N edge servers on real TCP sockets, one event loop.
 
 Reproduces the paper's small-scale testbed setup: servers hold *persistent*
 connections to their neighbors (Section II-B) and exchange binary Fig. 3
-frames every round, synchronized by a shared clock (Section IV-D) — modeled
-here as thread barriers, the single-host stand-in for the paper's timer.
+frames every round, synchronized by a shared clock (Section IV-D). Every
+server has its own listener and connections; one loop, on the thread that
+calls :meth:`TestbedRuntime.run`, drives them all. Per round it (1) applies
+crash requests and the single membership decision, (2) steps every live
+server, (3) lets each ``advance_views`` and ``send_round`` over its outbound
+sockets, (4) pumps one ``selectors`` selector — listeners, inbound links,
+outbound links with queued bytes — until every expected frame is applied or
+the round's deadline expires (:meth:`TestbedRuntime.barrier_wait`, the
+shared clock's tick), then books misses and staleness. Nothing on the loop
+blocks on a peer: sockets are non-blocking, unsent bytes wait in their
+connection's out-buffer, and a retry back-off is a due time the selector's
+timeout honors, never a sleep. Delivery order is the loop's, not the OS
+scheduler's.
 
 Algorithmic state is the same :class:`~repro.core.server.EdgeServer` and
 :class:`~repro.core.ape.APESchedule` machinery the simulator uses (built by
@@ -24,25 +35,26 @@ The testbed degrades instead of deadlocking:
   bit-for-bit. Plan-downed servers idle through their rounds; senders skip
   downed links; scheduled frames are damaged on the wire and rejected by
   the receiver's CRC32 check.
-* ``round_deadline_s`` bounds how long a server waits for its neighbors'
-  frames each round. A neighbor that misses the deadline is handled by the
-  paper's straggler rule (Section IV-D): the receiver keeps its cached view
-  and the round proceeds. ``dead_after_misses`` consecutive misses mark the
-  peer dead — the receiver stops budgeting wait time for it until a frame
-  from it arrives again.
+* ``round_deadline_s`` bounds how long a round waits for frames. A neighbor
+  that misses the deadline is handled by the paper's straggler rule
+  (Section IV-D): the receiver keeps its cached view and the round
+  proceeds. ``dead_after_misses`` consecutive misses mark the peer dead —
+  the receiver stops budgeting wait time for it until a frame from it
+  arrives again.
 * :meth:`TestbedRuntime.crash` (or ``crash_schedule``) kills a server hard:
   its sockets close abruptly, peers observe EOF/ECONNRESET mid-run and
-  immediately fall back to cached views, and the degradable barrier shrinks
-  so the survivors keep making progress.
+  immediately fall back to cached views, and the survivors keep making
+  progress.
 """
 
 from __future__ import annotations
 
+import selectors
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from queue import Empty, Queue
+from functools import partial
 
 import numpy as np
 
@@ -64,81 +76,17 @@ from repro.runtime.transport import (
 from repro.topology.graph import Topology
 from repro.types import Params, WeightMatrix
 
-#: Seconds a node waits at a barrier / for a frame before declaring the run dead.
+#: Seconds wiring, or in strict mode a round's frames, may take before the run is dead.
 DEFAULT_TIMEOUT_S = 30.0
 
 #: Consecutive missed round deadlines before a peer is considered dead.
 DEFAULT_DEAD_AFTER_MISSES = 3
 
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
-@dataclass(frozen=True)
-class _Corrupt:
-    """Inbox marker: a frame from ``sender`` arrived but failed its CRC."""
-
-    sender: int
-    round_index: int | None
-
-
-@dataclass(frozen=True)
-class _PeerGone:
-    """Inbox marker: the inbound connection from ``sender`` died."""
-
-    sender: int
-
-
-class _DegradableBarrier:
-    """A barrier whose party count shrinks when a node crashes.
-
-    ``threading.Barrier`` breaks permanently the first time a participant
-    disappears; here a crashed node calls :meth:`leave` and the survivors
-    keep synchronizing among themselves. :meth:`abort` poisons the barrier
-    so every waiter unblocks with an error (used to surface exceptions).
-    """
-
-    def __init__(self, parties: int):
-        self._cond = threading.Condition()
-        self._parties = parties
-        self._count = 0
-        self._generation = 0
-        self._broken = False
-
-    def wait(self, timeout: float) -> None:
-        with self._cond:
-            if self._broken:
-                raise ProtocolError("testbed barrier aborted")
-            generation = self._generation
-            self._count += 1
-            if self._count >= self._parties:
-                self._release()
-                return
-            deadline = time.monotonic() + timeout
-            while generation == self._generation and not self._broken:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._count -= 1
-                    raise ProtocolError(
-                        f"testbed barrier timed out after {timeout}s"
-                    )
-                self._cond.wait(remaining)
-            if self._broken:
-                raise ProtocolError("testbed barrier aborted")
-
-    def leave(self) -> None:
-        """Permanently remove one (not currently waiting) participant."""
-        with self._cond:
-            self._parties -= 1
-            if 0 < self._parties <= self._count:
-                self._release()
-
-    def abort(self) -> None:
-        with self._cond:
-            self._broken = True
-            self._cond.notify_all()
-
-    def _release(self) -> None:
-        self._count = 0
-        self._generation += 1
-        self._cond.notify_all()
+#: Peer id of a listener, and of an inbound link before its hello. Selector
+#: data is ``(node id, peer id, node, connection)``, sorted on to order events.
+_UNKNOWN = -1
 
 
 @dataclass
@@ -194,12 +142,28 @@ class TestbedResult:
     corrupt_frames_total: int = 0
 
 
-class _Node:
-    """Runtime wrapper around one EdgeServer: sockets, inbox, per-round loop."""
+def _dial(port: int, node_id: int, timeout_s: float) -> socket.socket:
+    """Connect to a listener and introduce ourselves (the 4-byte hello)."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=timeout_s)
+    sock.sendall(int(node_id).to_bytes(4, "big"))
+    sock.setblocking(False)
+    return sock
 
-    def __init__(self, server, runtime: "TestbedRuntime"):
+
+class _Node:
+    """Runtime wrapper around one EdgeServer: its sockets and link ledgers.
+
+    Nothing here refers back to the runtime (or, from a re-dial factory, to
+    the node), so a finished runtime is freed by refcount.
+    """
+
+    def __init__(self, server, tracker, fault_plan, topology):
         self.server = server
-        self.runtime = runtime
+        #: The trainer's cost tracker: frames are booked live (stage
+        #: ``"testbed"``), so an orchestrator /metrics scrape is exact.
+        self.tracker = tracker
+        self.fault_plan = fault_plan
+        self.topology = topology
         #: Physical peers: the base-topology neighbor set at wiring time.
         #: Sockets span this superset for the life of the run; the
         #: *algorithmic* neighbor set (``server.neighbors``) may shrink and
@@ -210,195 +174,63 @@ class _Node:
         self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self.listener.bind(("127.0.0.1", 0))
         self.listener.listen(len(self.link_peers) + 1)
+        self.listener.setblocking(False)
         self.port = self.listener.getsockname()[1]
         self.send_connections: dict[int, FrameConnection] = {}
         self.recv_connections: list[FrameConnection] = []
-        self.inbox: Queue = Queue()
         self.loss_trace: list[float] = []
         self.payload_bytes = 0
         self.frames_sent = 0
-        self.per_round_payload: list[int] = []
-        self.reader_threads: list[threading.Thread] = []
-        #: Set once every neighbor has connected inbound at least once.
-        self.wired = threading.Event()
         #: Rounds since each in-neighbor's update was last applied here.
-        self.staleness: dict[int, int] = {n: 0 for n in self.link_peers}
+        self.staleness: dict[int, int] = dict.fromkeys(self.link_peers, 0)
         #: Sender round of the newest frame applied from each in-neighbor.
-        self.last_applied_round: dict[int, int] = {
-            n: 0 for n in self.link_peers
-        }
+        self.last_applied_round: dict[int, int] = dict.fromkeys(self.link_peers, 0)
         #: Rounds this node *started* with a stale view of each in-neighbor
         #: (view version older than the previous round) — the semi-sync
         #: engine's straggler ledger, mirrored for testbed runs.
-        self.stale_view_rounds: dict[int, int] = {
-            n: 0 for n in self.link_peers
-        }
+        self.stale_view_rounds: dict[int, int] = dict.fromkeys(self.link_peers, 0)
         #: Consecutive rounds each in-neighbor missed the round deadline.
-        self.miss_streak: dict[int, int] = {n: 0 for n in self.link_peers}
+        self.miss_streak: dict[int, int] = dict.fromkeys(self.link_peers, 0)
         #: Per-peer frame epoch: frames built before this round are stale
         #: leftovers from before a membership swap re-seeded the link, and
         #: are dropped instead of applied.
         self.link_epoch: dict[int, int] = {}
         #: Peers believed gone (EOF seen or too many missed deadlines).
         self.dead_peers: set[int] = set()
+        #: In-neighbors whose inbound link has not said hello yet (wiring).
+        self.unwired: set[int] = set(self.link_peers)
+        #: In-neighbors the current round still waits for / has applied.
+        self.waiting: set[int] = set()
+        self.applied: set[int] = set()
         self.corrupt_frames = 0
-        self.crashed = threading.Event()
 
-    # -- wiring ----------------------------------------------------------------
-
-    def acceptor_loop(self) -> None:
-        """Accept inbound connections for the life of the run.
-
-        The loop keeps running after initial wiring so a peer whose
-        connection died can transparently re-dial (the transport layer's
-        reconnect path lands here).
-        """
-        expected = set(self.link_peers)
-        self.listener.settimeout(0.2)
-        while not self.runtime._stopping.is_set():
-            try:
-                sock, _ = self.listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed (shutdown or crash)
-            try:
-                sender = self._read_hello(sock)
-            except ProtocolError:
-                sock.close()
-                continue
-            if sender not in self.staleness:  # keys = physical peer set
-                sock.close()
-                self.runtime._record_error(
-                    ProtocolError(
-                        f"node {self.server.node_id} got a hello from "
-                        f"unexpected peer {sender}"
-                    )
-                )
-                continue
-            expected.discard(sender)
-            connection = FrameConnection(sock, peer=f"server {sender}")
-            self.recv_connections.append(connection)
-            thread = threading.Thread(
-                target=self._reader_loop, args=(connection, sender), daemon=True
-            )
-            thread.start()
-            self.reader_threads.append(thread)
-            if not expected:
-                self.wired.set()
-
-    @staticmethod
-    def _read_hello(sock: socket.socket) -> int:
-        hello = b""
-        while len(hello) < 4:
-            chunk = sock.recv(4 - len(hello))
-            if not chunk:
-                raise ProtocolError("peer closed during hello")
-            hello += chunk
-        return int.from_bytes(hello, "big")
-
-    def connect_to_neighbors(self, ports: dict[int, int]) -> None:
+    def connect_to_neighbors(
+        self, ports: dict[int, int], retry_policy: RetryPolicy, timeout_s: float
+    ) -> None:
         """Open one persistent outbound connection per physical peer."""
         for neighbor in self.link_peers:
+            dial = partial(_dial, ports[neighbor], self.server.node_id, timeout_s)
             self.send_connections[neighbor] = FrameConnection(
-                self._dial(ports[neighbor]),
+                dial(),
                 peer=f"server {neighbor}",
-                reconnect=lambda port=ports[neighbor]: self._dial(port),
-                retry_policy=self.runtime.retry_policy,
+                reconnect=dial,
+                retry_policy=retry_policy,
             )
-
-    def _dial(self, port: int) -> socket.socket:
-        sock = socket.create_connection(
-            ("127.0.0.1", port), timeout=self.runtime.timeout_s
-        )
-        sock.settimeout(None)
-        sock.sendall(int(self.server.node_id).to_bytes(4, "big"))
-        return sock
-
-    def _reader_loop(self, connection: FrameConnection, sender: int) -> None:
-        while True:
-            try:
-                update = connection.recv_update()
-            except FrameCorruptionError as error:
-                # Payload was framed correctly, so the stream stays aligned:
-                # report the damage and keep reading subsequent frames.
-                self.inbox.put(_Corrupt(error.sender, error.round_index))
-                continue
-            except (ProtocolError, OSError):
-                self.inbox.put(_PeerGone(sender))
-                return
-            self.inbox.put(update)
 
     # -- the per-round protocol -------------------------------------------------
 
-    def run_round(self, round_index: int) -> bool:
-        """One synchronized round (called between the runtime's barriers).
-
-        Returns ``False`` when an orchestrator membership decision stops
-        the run (e.g. the job's bytes budget is exhausted) — every node
-        thread sees the same cached decision, so they all stop together
-        before touching a barrier.
-        """
+    def step(self, round_index: int) -> None:
+        """Ledger view ages as the round starts, take the step, record the loss."""
         server = self.server
-        plan = self.runtime.fault_plan
-        topology = self.runtime.topology
-        inactive = self.runtime._membership_sync(round_index)
-        if inactive is None:
-            return False  # membership decision: stop the run
-        down = (
-            plan.failed_nodes(topology, round_index)
-            if plan is not None
-            else frozenset()
-        )
-
-        if server.node_id in inactive:
-            # Membership-inactive slot (left, evicted, or not yet joined):
-            # idles exactly like a plan-downed server, except its loss is
-            # NaN — it is not part of the fleet this round, so it must not
-            # drag the mean-loss trace (the runtime nanmeans in membership
-            # mode).
-            self.loss_trace.append(float("nan"))
-            self.runtime.barrier_wait()
-            for neighbor in self.staleness:
-                self.staleness[neighbor] += 1
-            self.runtime.barrier_wait()
-            return True
-
-        if server.node_id in down:
-            # Plan-downed this round: no step, no traffic, no receptions —
-            # but stay at the barriers so the shared clock keeps ticking.
-            # (Mirrors the simulator: the recorded loss is the *unstepped*
-            # local loss, and every cached view ages by one round.)
-            self.loss_trace.append(server.local_loss())
-            self.runtime.barrier_wait()
-            for neighbor in self.staleness:
-                self.staleness[neighbor] += 1
-            self.runtime.barrier_wait()
-            return True
-
-        down = down | inactive
-
-        # Ledger how old each usable in-edge view is as this round starts
-        # (same rule as the semi-sync engine's _note_staleness: peers we
-        # have written off are excluded, like its degraded edges).
+        # Same rule as the semi-sync engine's _note_staleness: peers we
+        # have written off are excluded, like its degraded edges.
         for neighbor in self.stale_view_rounds:
             if neighbor in self.dead_peers or neighbor not in server.views:
                 continue
             if (round_index - 1) - self.last_applied_round[neighbor] > 0:
                 self.stale_view_rounds[neighbor] += 1
-
         server.step()
         self.loss_trace.append(server.local_loss())
-        self.runtime.barrier_wait()  # everyone stepped
-
-        server.advance_views()
-        # The sender is the simulator's; this node supplies the wire. A
-        # peer in ``down`` is offline: no update is even built.
-        self.runtime._trainer.send_round(server, round_index, down, self._transmit)
-
-        self._collect_round(round_index, down, plan, topology)
-        self.runtime.barrier_wait()  # everyone exchanged
-        return True
 
     def _transmit(self, source: int, neighbor: int, message, stage) -> bool:
         """This node's wire for :meth:`SNAPTrainer.send_round`: one TCP frame.
@@ -411,11 +243,11 @@ class _Node:
         A peer that proves unreachable is marked dead; the straggler rule
         covers the missing update.
         """
-        plan = self.runtime.fault_plan
+        plan = self.fault_plan
         round_index = message.round_index
         corrupt = False
         if plan is not None:
-            link = (self.runtime.topology, source, neighbor, round_index)
+            link = (self.topology, source, neighbor, round_index)
             if not plan.link_up(*link):
                 return False
             corrupt = plan.corrupted(*link)
@@ -431,110 +263,79 @@ class _Node:
             return False
         self.payload_bytes += sent
         self.frames_sent += 1
-        self.runtime._record_flow(round_index, source, neighbor, sent)
+        self.tracker.record(
+            round_index, source, neighbor, sent, hops=1, stage="testbed"
+        )
         return not corrupt
 
-    def _collect_round(self, round_index, down, plan, topology) -> None:
-        """Receive this round's frames, degrading on deadline or death.
-
-        Expected senders exclude plan-downed peers, plan-failed links, and
-        peers already believed dead. A frame rejected by the CRC check or a
-        peer that misses the round deadline resolves to the straggler rule:
-        the cached view stays in use and its staleness counter grows.
-        """
-        server = self.server
-        pending = set()
-        for neighbor in server.neighbors:
-            if neighbor in down or neighbor in self.dead_peers:
-                continue
-            if plan is not None and not plan.link_up(
-                topology, neighbor, server.node_id, round_index
-            ):
-                continue
-            pending.add(neighbor)
-
-        applied: set[int] = set()
-        deadline_s = self.runtime.round_deadline_s
-        strict = deadline_s is None
-        deadline = time.monotonic() + (
-            self.runtime.timeout_s if strict else deadline_s
-        )
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                if strict:
-                    raise ProtocolError(
-                        f"node {server.node_id} timed out waiting for round "
-                        f"{round_index} frames from {sorted(pending)}"
-                    )
-                break  # degrade: survivors of the deadline stay stale
-            try:
-                item = self.inbox.get(timeout=remaining)
-            except Empty:
-                continue
-            if isinstance(item, _PeerGone):
-                self.dead_peers.add(item.sender)
-                pending.discard(item.sender)
-                continue
-            if isinstance(item, _Corrupt):
-                self.corrupt_frames += 1
-                if item.sender is not None:
-                    pending.discard(item.sender)
-                continue
-            update = item
-            if update.round_index > round_index:
-                raise ProtocolError(
-                    f"node {server.node_id} got a round-{update.round_index} "
-                    f"frame during round {round_index}"
-                )
-            if (
-                update.sender not in server.views
-                or update.round_index < self.link_epoch.get(update.sender, 0)
-            ):
-                # Leftover frame across a membership swap: the sender is no
-                # longer an algorithmic neighbor, or the frame was built
-                # before the link was re-seeded (applying a pre-swap delta
-                # to a seeded view would corrupt it). Drop it.
-                pending.discard(update.sender)
-                continue
-            # A frame from an earlier round (a straggler catching up) is
-            # still the newest information from that peer — apply it, per
-            # the paper's reuse-the-latest-received rule.
-            server.receive_update(update)
-            self.last_applied_round[update.sender] = max(
-                self.last_applied_round[update.sender], update.round_index
+    def expect_senders(self, round_index: int, offline: frozenset) -> None:
+        """Await this round's frames — not from offline, cut-off or dead peers."""
+        plan, node_id = self.fault_plan, self.server.node_id
+        self.waiting = {
+            neighbor
+            for neighbor in self.server.neighbors
+            if neighbor not in offline
+            and neighbor not in self.dead_peers
+            and (
+                plan is None
+                or plan.link_up(self.topology, neighbor, node_id, round_index)
             )
-            applied.add(update.sender)
-            pending.discard(update.sender)
-            self.dead_peers.discard(update.sender)
-            self.miss_streak[update.sender] = 0
+        }
 
-        # Deadline expired on whoever is left: count the miss, and after
-        # enough consecutive misses stop waiting for that peer at all.
-        for neighbor in pending:
+    def deliver(self, frame, round_index: int) -> None:
+        """Apply one arrived frame; a CRC failure leaves the cached view in use."""
+        server = self.server
+        self.waiting.discard(frame.sender)
+        if isinstance(frame, FrameCorruptionError):
+            self.corrupt_frames += 1
+            return
+        sender = frame.sender
+        if frame.round_index > round_index:
+            raise ProtocolError(
+                f"node {server.node_id} got a round-{frame.round_index} "
+                f"frame during round {round_index}"
+            )
+        if (
+            sender not in server.views
+            or frame.round_index < self.link_epoch.get(sender, 0)
+        ):
+            # Leftover frame across a membership swap: the sender is no
+            # longer an algorithmic neighbor, or the frame was built
+            # before the link was re-seeded (applying a pre-swap delta
+            # to a seeded view would corrupt it). Drop it.
+            return
+        # A frame from an earlier round (a straggler catching up) is
+        # still the newest information from that peer — apply it, per
+        # the paper's reuse-the-latest-received rule.
+        server.receive_update(frame)
+        self.last_applied_round[sender] = max(
+            self.last_applied_round[sender], frame.round_index
+        )
+        self.applied.add(sender)
+        self.dead_peers.discard(sender)
+        self.miss_streak[sender] = 0
+
+    def end_round(self, dead_after_misses: int | None) -> None:
+        """Book the round: a sender still waited for missed the deadline (after
+        enough consecutive misses it is written off), and every view ages."""
+        for neighbor in self.waiting:
             self.miss_streak[neighbor] += 1
             if (
-                self.runtime.dead_after_misses is not None
-                and self.miss_streak[neighbor] >= self.runtime.dead_after_misses
+                dead_after_misses is not None
+                and self.miss_streak[neighbor] >= dead_after_misses
             ):
                 self.dead_peers.add(neighbor)
         for neighbor in self.staleness:
-            if neighbor in applied:
+            if neighbor in self.applied:
                 self.staleness[neighbor] = 0
             else:
                 self.staleness[neighbor] += 1
-
-    # -- teardown ----------------------------------------------------------------
-
-    def hard_crash(self) -> None:
-        """Die abruptly: close every socket so peers see EOF/ECONNRESET."""
-        self.crashed.set()
-        self.close()
+        self.waiting.clear()
+        self.applied.clear()
 
     def close(self) -> None:
-        for connection in self.send_connections.values():
-            connection.close()
-        for connection in self.recv_connections:
+        """Close every socket — abruptly, so live peers see EOF/ECONNRESET."""
+        for connection in (*self.send_connections.values(), *self.recv_connections):
             connection.close()
         self.listener.close()
 
@@ -553,8 +354,8 @@ class TestbedRuntime:
         corruption) — the same plan drives the simulator, so faulty runs
         stay comparable bit-for-bit.
     timeout_s:
-        Hard ceiling on barrier waits and (in strict mode) frame waits;
-        exceeding it kills the run.
+        Hard ceiling on wiring and (in strict mode) on a round's wait for
+        frames; exceeding it kills the run.
     round_deadline_s:
         Soft per-round receive budget. ``None`` (default) is strict mode —
         a missing frame is a protocol error, the pre-fault-tolerance
@@ -577,12 +378,11 @@ class TestbedRuntime:
         ``decide(round_index)`` returning an object with ``active``
         (the ids participating this round), ``swap`` (an optional
         :class:`~repro.weights.adaptive.TopologySwap` to apply at the
-        boundary), and ``stop``. The runtime calls ``decide`` exactly once
-        per round (first node thread in computes, the rest read the cached
-        decision), treats non-active slots as idle, applies the swap to
-        the shared server objects before any thread proceeds, and stops
-        the run cleanly when ``stop`` is set. ``None`` (default) is the
-        static fleet: behavior is bit-for-bit the pre-orchestrator runtime.
+        boundary), and ``stop``. The loop calls ``decide`` exactly once
+        per round, before any server steps, treats non-active slots as
+        idle, applies the swap to the server objects, and stops the run
+        cleanly when ``stop`` is set. ``None`` (default) is the static
+        fleet: behavior is bit-for-bit the pre-orchestrator runtime.
     """
 
     #: Not a pytest test class, despite the name.
@@ -658,55 +458,42 @@ class TestbedRuntime:
                 )
             self.crash_schedule[int(round_index)] = crashed
         self._trainer = trainer
-        self.nodes = [_Node(server, self) for server in trainer.servers]
-        self._barrier = _DegradableBarrier(len(self.nodes))
-        self._errors: list[BaseException] = []
-        self._error_lock = threading.Lock()
-        self._stopping = threading.Event()
+        self.nodes = [
+            _Node(server, trainer.tracker, fault_plan, topology)
+            for server in trainer.servers
+        ]
+        #: Nodes that have not crashed, in id order.
+        self._live = list(self.nodes)
+        #: Per executed round: the live servers' mean loss, the payload bytes.
+        self._mean_loss: list[float] = []
+        self._round_bytes: list[int] = []
+        self._selector: selectors.BaseSelector | None = None
+        #: Outbound connections armed for EVENT_WRITE → the socket registered
+        #: (a re-dial swaps the connection's).
+        self._writers: dict[FrameConnection, socket.socket] = {}
         self._crash_requests: set[int] = set()
+        #: ``crash()`` is the one method another thread may call mid-run.
         self._crash_lock = threading.Lock()
         self.dead_nodes: set[int] = set()
         self._node_by_id = {node.server.node_id: node for node in self.nodes}
         self._all_ids = frozenset(self._node_by_id)
-        #: Every frame's payload bytes land in the trainer's columnar cost
-        #: tracker (stage ``"testbed"``), so an orchestrator /metrics
-        #: endpoint reads live, exact byte counters.
-        self._tracker_lock = threading.Lock()
         self.membership = membership
-        self._membership_lock = threading.Lock()
-        #: ``(round_index, decision, inactive)`` cache — one decision per round.
-        self._membership_cache: tuple = (0, None, frozenset())
         if membership is not None:
             membership.bind(self)
 
-    def _record_flow(self, round_index, source, destination, n_bytes) -> None:
-        with self._tracker_lock:
-            self._trainer.tracker.record(
-                round_index, source, destination, n_bytes, hops=1, stage="testbed"
-            )
+    # -- round boundaries --------------------------------------------------------
 
-    def _membership_sync(self, round_index: int) -> frozenset | None:
-        """The membership-inactive set for this round (None = stop the run).
-
-        The first node thread to reach a round boundary computes the
-        decision and applies its topology swap; later threads read the
-        cached result. This is safe because every thread calls here before
-        touching its server, and the previous round's closing barrier
-        guarantees no thread is still inside round ``round_index - 1`` —
-        so the swap mutates the shared server objects while every other
-        thread is parked on the lock or between rounds.
-        """
+    def _membership_decide(self, round_index: int) -> frozenset | None:
+        """The round's membership-inactive set (None = stop the run); a swap
+        lands before any server is touched, strictly between rounds."""
         if self.membership is None:
             return frozenset()
-        with self._membership_lock:
-            cached_round, decision, inactive = self._membership_cache
-            if cached_round != round_index:
-                decision = self.membership.decide(round_index)
-                inactive = self._all_ids - frozenset(decision.active)
-                if decision.swap is not None and not decision.stop:
-                    self._apply_membership_swap(decision.swap, round_index)
-                self._membership_cache = (round_index, decision, inactive)
-            return None if decision.stop else inactive
+        decision = self.membership.decide(round_index)
+        if decision.stop:
+            return None
+        if decision.swap is not None:
+            self._apply_membership_swap(decision.swap, round_index)
+        return self._all_ids - frozenset(decision.active)
 
     def _apply_membership_swap(self, swap, round_index: int) -> None:
         """Adopt an orchestrator swap on the live fleet at a round boundary.
@@ -736,138 +523,254 @@ class TestbedRuntime:
                 node.last_applied_round[peer] = round_index - 1
                 node.staleness[peer] = 0
 
-    def barrier_wait(self) -> None:
-        """Synchronize the surviving node threads (the shared-clock stand-in)."""
-        budget = self.timeout_s
-        if self.round_deadline_s is not None:
-            # In degraded mode a round may legitimately take a full receive
-            # deadline; give the barrier that much slack on top.
-            budget += self.round_deadline_s
-        self._barrier.wait(timeout=budget)
-
     def crash(self, node_id: int) -> None:
         """Request a hard crash of ``node_id`` at its next round boundary."""
-        if node_id not in {node.server.node_id for node in self.nodes}:
+        if node_id not in self._all_ids:
             raise ConfigurationError(f"no such node: {node_id}")
         with self._crash_lock:
             self._crash_requests.add(node_id)
 
-    def _should_crash(self, node: _Node, round_index: int) -> bool:
-        if node.server.node_id in self.crash_schedule.get(round_index, ()):
-            return True
+    def _apply_crashes(self, round_index: int) -> None:
         with self._crash_lock:
-            return node.server.node_id in self._crash_requests
+            scheduled = self.crash_schedule.get(round_index, frozenset())
+            doomed = scheduled | self._crash_requests
+        for node in [n for n in self._live if n.server.node_id in doomed]:
+            self.dead_nodes.add(node.server.node_id)
+            self._live.remove(node)
+            for connection in node.send_connections.values():
+                self._disarm(connection)
+            for connection in node.recv_connections:
+                self._selector.unregister(connection.sock)
+            self._selector.unregister(node.listener)
+            node.close()
 
-    def _record_error(self, error: BaseException) -> None:
-        with self._error_lock:
-            self._errors.append(error)
+    # -- the loop ----------------------------------------------------------------
 
     def run(self, n_rounds: int) -> TestbedResult:
         """Execute ``n_rounds`` synchronized rounds over the real network."""
         if n_rounds <= 0:
             raise ConfigurationError(f"n_rounds must be > 0, got {n_rounds}")
-        ports = {node.server.node_id: node.port for node in self.nodes}
-
-        # Wire up: persistent acceptor loops first, then outbound connections.
-        acceptors = [
-            threading.Thread(target=node.acceptor_loop, daemon=True)
-            for node in self.nodes
-        ]
-        for thread in acceptors:
-            thread.start()
-        for node in self.nodes:
-            node.connect_to_neighbors(ports)
-        for node in self.nodes:
-            if not node.wired.wait(timeout=self.timeout_s):
-                self._stopping.set()
-                raise ProtocolError("testbed wiring timed out")
-
-        workers = [
-            threading.Thread(
-                target=self._node_loop, args=(node, n_rounds), daemon=True
-            )
-            for node in self.nodes
-        ]
+        self._selector = selectors.DefaultSelector()
         try:
-            for thread in workers:
-                thread.start()
-            per_round_budget = self.timeout_s + (self.round_deadline_s or 0.0)
-            for thread in workers:
-                thread.join(timeout=per_round_budget * (n_rounds + 2))
+            self._wire_up()
+            for round_index in range(1, n_rounds + 1):
+                if not self._run_round(round_index):
+                    break
         finally:
-            self._stopping.set()
+            self._selector.close()
+            self._selector = None
+            self._writers.clear()
             for node in self.nodes:
                 node.close()
-        if self._errors:
-            raise self._errors[0]
+        return self._result()
 
-        # A membership stop decision may end the run before n_rounds.
-        executed = max(
-            (len(node.loss_trace) for node in self.nodes), default=0
+    def _wire_up(self) -> None:
+        """Listeners into the selector, then one dial per directed link."""
+        for node in self.nodes:
+            self._selector.register(
+                node.listener, _READ, (node.server.node_id, _UNKNOWN, node, None)
+            )
+        ports = self.ports
+        for node in self.nodes:
+            node.connect_to_neighbors(ports, self.retry_policy, self.timeout_s)
+        if not self._pump(self.timeout_s, 0, lambda node: node.unwired):
+            raise ProtocolError("testbed wiring timed out")
+
+    def _run_round(self, round_index: int) -> bool:
+        self._apply_crashes(round_index)
+        inactive = self._membership_decide(round_index) if self._live else None
+        if inactive is None:
+            return False  # a membership stop decision, or nobody left alive
+        plan = self.fault_plan
+        down = (
+            plan.failed_nodes(self.topology, round_index)
+            if plan is not None
+            else frozenset()
         )
-        n_rounds = min(n_rounds, executed)
+        bytes_before = sum(node.payload_bytes for node in self._live)
+        active = []
+        for node in self._live:
+            node_id = node.server.node_id
+            if node_id in inactive:
+                # Membership-inactive slot (left, evicted, or not yet
+                # joined): idles like a plan-downed server, except its loss
+                # is NaN — it is not part of the fleet this round, so it
+                # must not drag the mean-loss trace (nanmean, below).
+                node.loss_trace.append(float("nan"))
+            elif node_id in down:
+                # Plan-downed this round: no step, no traffic, no
+                # receptions. (Mirrors the simulator: the recorded loss is
+                # the *unstepped* local loss, and every cached view ages.)
+                node.loss_trace.append(node.server.local_loss())
+            else:
+                node.step(round_index)
+                active.append(node)
+        # Everyone stepped. The sender is the simulator's; each node
+        # supplies the wire. An offline peer gets no update built at all.
+        offline = down | inactive
+        for node in active:
+            node.server.advance_views()
+            self._trainer.send_round(
+                node.server, round_index, offline, node._transmit
+            )
+        for node in active:
+            node.expect_senders(round_index, offline)
+        self.barrier_wait(round_index)
+        for node in self._live:
+            node.end_round(self.dead_after_misses)
         # Membership-inactive slots contribute NaN losses; the fleet mean
         # is over the slots actually in the fleet that round. Static runs
         # keep np.mean bit-for-bit.
         mean = np.mean if self.membership is None else np.nanmean
-        per_round = [
-            int(
-                sum(
-                    node.per_round_payload[r]
-                    for node in self.nodes
-                    if r < len(node.per_round_payload)
-                )
+        self._mean_loss.append(
+            float(mean([node.loss_trace[-1] for node in self._live]))
+        )
+        self._round_bytes.append(
+            sum(node.payload_bytes for node in self._live) - bytes_before
+        )
+        return True
+
+    def barrier_wait(self, round_index: int) -> None:
+        """The shared clock's tick: the one place the loop waits on the wire.
+
+        Pumps the selector until every awaited frame is applied (or rejected,
+        or its sender seen dead) or the budget runs out: ``round_deadline_s``
+        makes whoever is left a straggler, strict mode's ``timeout_s`` kills
+        the run.
+        """
+        strict = self.round_deadline_s is None
+        budget = self.timeout_s if strict else self.round_deadline_s
+        if not self._pump(budget, round_index, lambda node: node.waiting) and strict:
+            late = {
+                n.server.node_id: sorted(n.waiting) for n in self._live if n.waiting
+            }
+            raise ProtocolError(
+                f"timed out waiting for round {round_index} frames "
+                f"(node: missing senders): {late}"
             )
-            for r in range(n_rounds)
-        ]
-        mean_loss = [
-            float(mean([
-                node.loss_trace[r]
-                for node in self.nodes
-                if r < len(node.loss_trace)
-            ]))
-            for r in range(n_rounds)
-        ]
-        payload_total = sum(node.payload_bytes for node in self.nodes)
+        # Otherwise degrade: survivors of the deadline stay stale.
+
+    def _pump(self, budget_s: float, round_index: int, pending) -> bool:
+        """Poll until no live node has anything ``pending(node)``; False on timeout."""
+        deadline = time.monotonic() + budget_s
+        while any(pending(node) for node in self._live):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return False
+            self._poll(remaining, round_index)
+        return True
+
+    def _poll(self, timeout: float, round_index: int) -> None:
+        """One selector wake-up: accept, read, apply, flush — never block."""
+        now = time.monotonic()
+        for node in self._live:
+            for peer, connection in node.send_connections.items():
+                if connection.outbox and connection not in self._writers:
+                    # Queued by a send, or waiting out a retry back-off.
+                    self._flush(node, peer, connection)
+                    if connection.retry_at is not None:
+                        timeout = min(timeout, connection.retry_at - now)
+        events = self._selector.select(max(timeout, 0.0))
+        # (receiver, sender) order, whatever order the kernel reported.
+        events.sort(key=lambda event: event[0].data[:2])
+        for key, mask in events:
+            _, peer, node, connection = key.data
+            if connection is None:
+                self._accept(node)
+            elif mask & _WRITE:
+                self._flush(node, peer, connection)
+            else:
+                self._receive(node, peer, connection, round_index)
+
+    def _accept(self, node: _Node) -> None:
+        """Take one (re-)dialed inbound connection; its hello names the sender."""
+        try:
+            sock, _ = node.listener.accept()
+        except OSError:
+            return
+        sock.setblocking(False)
+        connection = FrameConnection(
+            sock, peer=f"a peer of server {node.server.node_id}"
+        )
+        node.recv_connections.append(connection)
+        self._selector.register(
+            sock, _READ, (node.server.node_id, _UNKNOWN, node, connection)
+        )
+
+    def _receive(self, node, peer, connection, round_index) -> None:
+        """Read what arrived on one inbound link and apply its complete frames."""
+        sender, parser, frames, lost = peer, connection.parser, [], False
+        try:
+            connection.fill()
+            if sender == _UNKNOWN and (hello := parser.take(4)) is not None:
+                sender = int.from_bytes(hello, "big")
+            while sender != _UNKNOWN and (frame := parser.next_frame()) is not None:
+                frames.append(frame)
+        except (ProtocolError, OSError):
+            # EOF, reset, or an unreadable stream: the inbound link is gone.
+            lost = True
+        if sender != _UNKNOWN and sender not in node.staleness:
+            raise ProtocolError(  # keys of staleness = the physical peer set
+                f"node {node.server.node_id} got a hello from "
+                f"unexpected peer {sender}"
+            )
+        for frame in frames:
+            node.deliver(frame, round_index)
+        if lost:
+            self._selector.unregister(connection.sock)
+            node.recv_connections.remove(connection)
+            connection.close()
+            if sender != _UNKNOWN:
+                node.dead_peers.add(sender)
+                node.waiting.discard(sender)
+        elif sender != peer:
+            node.unwired.discard(sender)
+            self._selector.modify(
+                connection.sock, _READ, (node.server.node_id, sender, node, connection)
+            )
+
+    def _flush(self, node: _Node, peer: int, connection: FrameConnection) -> None:
+        """Push one outbound link's queued bytes; arm EVENT_WRITE if some stay."""
+        self._disarm(connection)
+        try:
+            connection.flush()
+        except ProtocolError:
+            # Retries (and reconnect attempts) exhausted: the peer is gone.
+            node.dead_peers.add(peer)
+        if connection.outbox and connection.retry_at is None:
+            self._writers[connection] = connection.sock
+            self._selector.register(
+                connection.sock, _WRITE, (node.server.node_id, peer, node, connection)
+            )
+
+    def _disarm(self, connection: FrameConnection) -> None:
+        sock = self._writers.pop(connection, None)
+        if sock is not None:
+            self._selector.unregister(sock)
+
+    def _result(self) -> TestbedResult:
         n_frames = sum(node.frames_sent for node in self.nodes)
-        link_staleness = {
-            (source, node.server.node_id): rounds
-            for node in self.nodes
-            for source, rounds in node.staleness.items()
-        }
-        stale_view_rounds = {
-            (source, node.server.node_id): rounds
-            for node in self.nodes
-            for source, rounds in node.stale_view_rounds.items()
-        }
         return TestbedResult(
-            final_params=np.stack([node.server.params for node in self.nodes]),
-            mean_loss_trace=mean_loss,
-            per_round_payload_bytes=per_round,
-            payload_bytes_total=payload_total,
+            final_params=self.stacked_params(),
+            mean_loss_trace=list(self._mean_loss),
+            per_round_payload_bytes=list(self._round_bytes),
+            payload_bytes_total=sum(node.payload_bytes for node in self.nodes),
             header_bytes_total=n_frames * HEADER_BYTES,
-            n_rounds=n_rounds,
-            link_staleness=link_staleness,
-            stale_view_rounds=stale_view_rounds,
+            # Crashes of everyone or a membership stop can end a run early.
+            n_rounds=len(self._mean_loss),
+            link_staleness={
+                (source, node.server.node_id): rounds
+                for node in self.nodes
+                for source, rounds in node.staleness.items()
+            },
+            stale_view_rounds={
+                (source, node.server.node_id): rounds
+                for node in self.nodes
+                for source, rounds in node.stale_view_rounds.items()
+            },
             dead_nodes=frozenset(self.dead_nodes),
             corrupt_frames_total=sum(node.corrupt_frames for node in self.nodes),
         )
-
-    def _node_loop(self, node: _Node, n_rounds: int) -> None:
-        try:
-            for round_index in range(1, n_rounds + 1):
-                if self._should_crash(node, round_index):
-                    self.dead_nodes.add(node.server.node_id)
-                    node.hard_crash()
-                    self._barrier.leave()
-                    return
-                before = node.payload_bytes
-                if not node.run_round(round_index):
-                    return  # membership stop: all threads exit together
-                node.per_round_payload.append(node.payload_bytes - before)
-        except BaseException as error:  # noqa: BLE001 - surfaced to the caller
-            self._record_error(error)
-            self._barrier.abort()
 
     def stacked_params(self) -> np.ndarray:
         """Current per-server parameters (rows aligned with node ids)."""

@@ -31,6 +31,13 @@ Fault tolerance lives at this layer:
   ``recv_update(idle_timeout_s=...)`` additionally bounds the wait for a
   frame to *start*, returning ``None`` on idle so reader loops can poll
   shutdown flags.
+
+Received bytes go through one incremental :class:`FrameParser`, sent frames
+through one out-buffer. Over a blocking socket a :class:`FrameConnection`
+does the waiting itself (``recv_update`` blocks, a failed send sleeps out
+its back-off); over a *non-blocking* one it never waits — an event loop
+calls ``fill`` when the socket is readable and ``flush`` when it is writable
+or a retry is due (``retry_at``).
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ import socket
 import struct
 import time
 import zlib
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,6 +67,9 @@ _FORMAT_CODES = {
     FrameFormat.QUANTIZED: 2,
 }
 _FORMAT_BY_CODE = {code: fmt for fmt, code in _FORMAT_CODES.items()}
+
+#: Bytes asked of the kernel per ``recv``: many small frames or a slice of a big one.
+_RECV_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,19 +108,100 @@ class RetryPolicy:
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
+class FrameParser:
+    """Incremental decoder of the frame stream, however ``recv`` cut it up.
+
+    Each frame goes header → length → CRC32 → ``decode_update``; one that
+    fails its CRC is consumed whole, so the stream stays aligned.
+    """
+
+    def __init__(self, peer: str = "peer"):
+        self.peer = peer
+        #: Bytes of the frame(s) in progress; non-empty = mid-frame.
+        self.buffered = bytearray()
+
+    def feed(self, data: bytes) -> None:
+        """Append received bytes; ``b""`` is the peer's EOF."""
+        if data:
+            self.buffered += data
+        elif not self.buffered:
+            raise ProtocolError(
+                f"connection to {self.peer} closed (EOF before frame start)"
+            )
+        else:
+            raise ProtocolError(
+                f"connection to {self.peer} closed mid-frame: %d of %d "
+                "expected bytes never arrived" % self.progress()
+            )
+
+    def progress(self) -> tuple[int, int]:
+        """``(missing, expected)`` bytes of the part being read: what must
+        follow a frame's first byte (the header's rest), then the payload."""
+        have = len(self.buffered)
+        if have < HEADER_BYTES:
+            return HEADER_BYTES - have, HEADER_BYTES - 1
+        payload_len = _HEADER.unpack_from(self.buffered)[4]
+        return HEADER_BYTES + payload_len - have, payload_len
+
+    def take(self, n_bytes: int) -> bytes | None:
+        """Pop ``n_bytes`` of raw preamble (a hello), once that many arrived."""
+        if len(self.buffered) < n_bytes:
+            return None
+        head = bytes(self.buffered[:n_bytes])
+        del self.buffered[:n_bytes]
+        return head
+
+    def next_frame(self) -> ParameterUpdate | FrameCorruptionError | None:
+        """Decode the next complete frame; ``None`` when more bytes are needed.
+
+        A frame that fails its CRC32 check is *returned* as its
+        ``FrameCorruptionError`` — raise it or count it; later frames stay
+        readable. An unknown format code raises ``ProtocolError``: the stream
+        cannot be trusted any further.
+        """
+        buffer = self.buffered
+        if len(buffer) < HEADER_BYTES:
+            return None
+        sender, round_index, code, total_params, payload_len, crc = (
+            _HEADER.unpack_from(buffer)
+        )
+        if code not in _FORMAT_BY_CODE:
+            raise ProtocolError(
+                f"unknown frame-format code {code} from {self.peer}"
+            )
+        end = HEADER_BYTES + payload_len
+        if len(buffer) < end:
+            return None
+        with memoryview(buffer) as view:
+            payload = bytes(view[HEADER_BYTES:end])
+        del buffer[:end]
+        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+            return FrameCorruptionError(
+                f"frame from {self.peer} (sender {sender}, round {round_index}) "
+                f"failed its CRC32 integrity check",
+                sender=sender,
+                round_index=round_index,
+            )
+        return decode_update(
+            payload, _FORMAT_BY_CODE[code], total_params, sender, round_index
+        )
+
+
 class FrameConnection:
     """A persistent, bidirectionally usable frame channel over one socket.
 
     Parameters
     ----------
     sock:
-        The connected TCP socket.
+        The connected TCP socket. Its blocking mode decides who waits (see
+        the module docstring).
     peer:
         Human-readable peer label used in error messages.
     reconnect:
         Optional zero-argument factory returning a *new* connected socket to
-        the same peer (performing any application-level hello itself). When
-        given, failed sends re-dial through it between retries.
+        the same peer, in the same blocking mode (performing any
+        application-level hello itself). When given, failed sends re-dial
+        through it between retries.
     retry_policy:
         Backoff schedule for transient send failures.
     frame_timeout_s:
@@ -132,12 +224,26 @@ class FrameConnection:
         self.frame_timeout_s = frame_timeout_s
         self._rng = random.Random(zlib.crc32(peer.encode("utf-8")))
         self._closed = False
+        self.parser = FrameParser(peer)
+        #: Whole frames not yet fully written (to the kernel, or because a
+        #: retry is pending), and how much of the first one is.
+        self.outbox: deque[bytes] = deque()
+        self._head_sent = 0
+        self._attempt = 0
+        #: ``time.monotonic()`` before which a failed send must not be
+        #: retried (``None`` = no retry pending).
+        self.retry_at: float | None = None
         self._configure(sock)
 
     @staticmethod
     def _configure(sock: socket.socket) -> None:
         # Disable Nagle: rounds are latency-bound, frames are small.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    @property
+    def sock(self) -> socket.socket:
+        """The current socket (a successful re-dial replaces it)."""
+        return self._sock
 
     # -- sending -----------------------------------------------------------------
 
@@ -147,7 +253,8 @@ class FrameConnection:
         Transient socket errors are retried per the connection's
         :class:`RetryPolicy`, re-dialing through the ``reconnect`` factory
         when available; a send that exhausts its attempts raises
-        :class:`~repro.exceptions.ProtocolError`.
+        :class:`~repro.exceptions.ProtocolError`. Over a non-blocking socket
+        "written" may mean queued in ``outbox`` for :meth:`flush`.
         """
         payload = encode_update(update)
         return self._transmit(self._pack_header(update, payload), payload)
@@ -180,22 +287,54 @@ class FrameConnection:
         )
 
     def _transmit(self, header: bytes, payload: bytes) -> int:
-        data = header + payload
-        policy = self.retry_policy
-        attempt = 0
-        while True:
-            try:
-                self._sock.sendall(data)
-                return len(payload)
-            except OSError as error:
-                attempt += 1
-                if self._closed or attempt >= policy.max_attempts:
-                    raise ProtocolError(
-                        f"send to {self.peer} failed after {attempt} "
-                        f"attempt(s): {error}"
-                    ) from error
-                time.sleep(policy.delay_s(attempt, self._rng))
-                self._try_reconnect()
+        self.outbox.append(header + payload)
+        self.flush()
+        while self.retry_at is not None and self._sock.gettimeout() != 0:
+            time.sleep(max(0.0, self.retry_at - time.monotonic()))
+            self.flush()
+        return len(payload)
+
+    def flush(self) -> None:
+        """Write queued frames as far as the socket takes them right now.
+
+        A socket error starts, or continues, the :class:`RetryPolicy`
+        schedule: the frames stay queued, ``retry_at`` is set, and the first
+        call at or after it re-dials, then writes again from a frame
+        boundary. ``max_attempts`` consecutive failures drop the queue and
+        raise :class:`~repro.exceptions.ProtocolError`.
+        """
+        if self.retry_at is not None:
+            if time.monotonic() < self.retry_at:
+                return
+            self.retry_at = None
+            self._try_reconnect()
+        outbox = self.outbox
+        try:
+            while outbox:
+                self._head_sent += self._sock.send(
+                    memoryview(outbox[0])[self._head_sent:]
+                )
+                # A short write loops: a full kernel buffer ends it as
+                # BlockingIOError, a blocking socket takes the rest.
+                if self._head_sent == len(outbox[0]):
+                    outbox.popleft()
+                    self._head_sent = 0
+            self._attempt = 0
+        except BlockingIOError:
+            return
+        except OSError as error:
+            self._head_sent = 0
+            self._attempt += 1
+            if self._closed or self._attempt >= self.retry_policy.max_attempts:
+                attempts, self._attempt = self._attempt, 0
+                outbox.clear()
+                raise ProtocolError(
+                    f"send to {self.peer} failed after {attempts} "
+                    f"attempt(s): {error}"
+                ) from error
+            self.retry_at = time.monotonic() + self.retry_policy.delay_s(
+                self._attempt, self._rng
+            )
 
     def _try_reconnect(self) -> None:
         if self._reconnect is None or self._closed:
@@ -213,6 +352,14 @@ class FrameConnection:
 
     # -- receiving ---------------------------------------------------------------
 
+    def fill(self) -> None:
+        """One ``recv`` into the parser; EOF is a ``ProtocolError``, a spurious
+        wake-up of a non-blocking socket is nothing."""
+        try:
+            self.parser.feed(self._sock.recv(_RECV_BYTES))
+        except BlockingIOError:
+            pass
+
     def recv_update(
         self, idle_timeout_s: float | None = None
     ) -> ParameterUpdate | None:
@@ -227,99 +374,49 @@ class FrameConnection:
         payload fails its CRC32 check — the stream itself remains aligned
         and subsequent frames stay readable.
         """
-        first = self._recv_first_byte(idle_timeout_s)
-        if first is None:
-            return None
-        deadline = (
-            time.monotonic() + self.frame_timeout_s
-            if self.frame_timeout_s is not None
-            else None
-        )
-        header_bytes = first + self._recv_exactly(HEADER_BYTES - 1, deadline)
-        sender, round_index, code, total_params, payload_len, crc = _HEADER.unpack(
-            header_bytes
-        )
-        if code not in _FORMAT_BY_CODE:
-            raise ProtocolError(
-                f"unknown frame-format code {code} from {self.peer}"
-            )
-        payload = self._recv_exactly(payload_len, deadline)
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-            raise FrameCorruptionError(
-                f"frame from {self.peer} (sender {sender}, round {round_index}) "
-                f"failed its CRC32 integrity check",
-                sender=sender,
-                round_index=round_index,
-            )
-        return decode_update(
-            payload,
-            _FORMAT_BY_CODE[code],
-            total_params,
-            sender,
-            round_index,
-        )
-
-    def _recv_first_byte(self, idle_timeout_s: float | None) -> bytes | None:
-        # settimeout is an ioctl that releases the GIL: skip it (and the
-        # restore) when the socket already waits the wanted time.
-        previous = self._sock.gettimeout()
-        changed = idle_timeout_s != previous
+        parser = self.parser
+        # settimeout is an ioctl that releases the GIL: only call it to
+        # *change* how long the socket waits, and put back what was there.
+        previous = current = self._sock.gettimeout()
+        deadline = None
         try:
-            if changed:
-                self._sock.settimeout(idle_timeout_s)
-            try:
-                chunk = self._sock.recv(1)
-            except socket.timeout:
-                return None
-            if not chunk:
-                raise ProtocolError(
-                    f"connection to {self.peer} closed (EOF before frame start)"
-                )
-            return chunk
-        finally:
-            if changed:
-                self._restore_timeout(previous)
-
-    def _restore_timeout(self, previous: float | None) -> None:
-        try:
-            self._sock.settimeout(previous)
-        except OSError:
-            pass
-
-    def _recv_exactly(self, n_bytes: int, deadline: float | None = None) -> bytes:
-        chunks = []
-        remaining = n_bytes
-        previous = self._sock.gettimeout()
-        try:
-            while remaining > 0:
-                if deadline is not None:
-                    budget = deadline - time.monotonic()
-                    if budget <= 0:
-                        raise ProtocolError(
-                            f"frame from {self.peer} timed out mid-frame: "
-                            f"{remaining} of {n_bytes} bytes still missing "
-                            f"after {self.frame_timeout_s}s"
-                        )
-                    self._sock.settimeout(budget)
+            while True:
+                frame = parser.next_frame()
+                if isinstance(frame, FrameCorruptionError):
+                    raise frame
+                if frame is not None:
+                    return frame
+                wanted = idle_timeout_s
+                if parser.buffered:
+                    wanted = previous
+                    if self.frame_timeout_s is not None:
+                        if deadline is None:
+                            deadline = time.monotonic() + self.frame_timeout_s
+                        wanted = deadline - time.monotonic()
+                        if wanted <= 0:
+                            raise self._frame_timed_out()
+                if wanted != current:
+                    self._sock.settimeout(wanted)
+                    current = wanted
                 try:
-                    chunk = self._sock.recv(remaining)
+                    self.fill()
                 except socket.timeout as error:
-                    raise ProtocolError(
-                        f"frame from {self.peer} timed out mid-frame: "
-                        f"{remaining} of {n_bytes} bytes still missing "
-                        f"after {self.frame_timeout_s}s"
-                    ) from error
-                if not chunk:
-                    raise ProtocolError(
-                        f"connection to {self.peer} closed mid-frame: "
-                        f"{remaining} of {n_bytes} expected bytes never arrived"
-                    )
-                chunks.append(chunk)
-                remaining -= len(chunk)
-            return b"".join(chunks)
+                    if not parser.buffered:
+                        return None
+                    raise self._frame_timed_out() from error
         finally:
-            if deadline is not None:
-                self._restore_timeout(previous)
+            if current != previous:
+                try:
+                    self._sock.settimeout(previous)
+                except OSError:
+                    pass
+
+    def _frame_timed_out(self) -> ProtocolError:
+        missing, expected = self.parser.progress()
+        return ProtocolError(
+            f"frame from {self.peer} timed out mid-frame: {missing} of "
+            f"{expected} bytes still missing after {self.frame_timeout_s}s"
+        )
 
     def close(self) -> None:
         """Close the underlying socket."""

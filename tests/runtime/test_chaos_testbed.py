@@ -205,7 +205,7 @@ def test_wire_corruption_is_detected_and_survived(ridge_setup):
     assert result.mean_loss_trace[-1] < result.mean_loss_trace[0]
 
 
-def test_silent_peer_declared_dead_after_k_misses(rng):
+def test_silent_peer_declared_dead_after_k_misses(rng, monkeypatch):
     """A peer that stays connected but stops sending (silent packet loss)
     costs its neighbors one receive deadline per round until
     ``dead_after_misses`` misses accumulate; after that they stop waiting."""
@@ -226,7 +226,10 @@ def test_silent_peer_declared_dead_after_k_misses(rng):
         dead_after_misses=2,
     )
     # Node 0 goes mute: frames are built but never transmitted.
-    testbed.nodes[0]._send = lambda neighbor, message, corrupt, payload, state: None
+    monkeypatch.setattr(
+        testbed.nodes[0], "_transmit",
+        lambda source, neighbor, message, stage: False, raising=True,
+    )
     result = testbed.run(rounds)
 
     assert result.n_rounds == rounds
