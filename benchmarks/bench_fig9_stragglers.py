@@ -14,6 +14,7 @@ entirely by folding failed links' weights onto the diagonal.
 
 from benchmarks.conftest import pick
 from repro.core.config import SNAPConfig, StragglerStrategy
+from repro.faults import FaultPlan
 from repro.simulation.experiments import credit_svm_workload
 from repro.simulation.runner import reference_target_loss, run_scheme
 from repro.topology.failures import IndependentLinkFailures
@@ -33,15 +34,15 @@ def run_straggler_study():
     outcomes = {}
     for strategy in (StragglerStrategy.STALE, StragglerStrategy.REWEIGHT):
         for rate in FAILURE_RATES:
-            failure_model = (
-                IndependentLinkFailures(rate, seed=13) if rate > 0 else None
+            fault_plan = FaultPlan(
+                links=IndependentLinkFailures(rate, seed=13) if rate > 0 else None
             )
             config = SNAPConfig(straggler_strategy=strategy, max_rounds=600)
             result = run_scheme(
                 "snap",
                 workload,
                 max_rounds=pick(600, 900),
-                failure_model=failure_model,
+                fault_plan=fault_plan,
                 snap_config=config,
                 detector_kwargs={"target_loss": target},
             )

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.analysis.plots import trace_panel
 from repro.core import SNAPConfig, SNAPTrainer, restore_checkpoint, save_checkpoint
+from repro.faults import FaultPlan
 from repro.simulation import credit_svm_workload
 from repro.topology import IndependentNodeFailures
 
@@ -29,7 +30,7 @@ def build_trainer(workload):
         workload.shards,
         workload.topology,
         config=SNAPConfig(seed=7),
-        node_failure_model=IndependentNodeFailures(0.02, seed=11),
+        fault_plan=FaultPlan(nodes=IndependentNodeFailures(0.02, seed=11)),
         initial_params=workload.model.init_params(7),
     )
 

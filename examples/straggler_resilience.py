@@ -16,6 +16,7 @@ Run:  python examples/straggler_resilience.py
 
 from repro.analysis.reporting import ascii_table
 from repro.core.config import SNAPConfig, StragglerStrategy
+from repro.faults import FaultPlan
 from repro.simulation import credit_svm_workload, run_scheme
 from repro.simulation.runner import reference_target_loss
 from repro.topology import IndependentLinkFailures
@@ -36,14 +37,14 @@ def main() -> None:
     rows = []
     for strategy in (StragglerStrategy.STALE, StragglerStrategy.REWEIGHT):
         for rate in FAILURE_RATES:
-            failure_model = (
-                IndependentLinkFailures(rate, seed=13) if rate > 0 else None
+            fault_plan = FaultPlan(
+                links=IndependentLinkFailures(rate, seed=13) if rate > 0 else None
             )
             result = run_scheme(
                 "snap",
                 workload,
                 max_rounds=600,
-                failure_model=failure_model,
+                fault_plan=fault_plan,
                 snap_config=SNAPConfig(
                     straggler_strategy=strategy, max_rounds=600
                 ),

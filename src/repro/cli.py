@@ -23,6 +23,7 @@ from typing import Sequence
 
 from repro.analysis.reporting import ascii_table, format_bytes
 from repro.core.config import SNAPConfig, StragglerStrategy
+from repro.faults.plan import FaultPlan
 from repro.results import TrainingResult
 from repro.simulation.experiments import (
     Workload,
@@ -336,15 +337,17 @@ def _parse_compressor(args: argparse.Namespace):
 def _command_run(args: argparse.Namespace) -> int:
     compressor = _parse_compressor(args)
     workload = _build_workload(args)
-    failure_model = (
-        IndependentLinkFailures(args.failure_rate, seed=args.seed)
-        if args.failure_rate > 0
-        else None
-    )
-    node_failure_model = (
-        IndependentNodeFailures(args.node_failure_rate, seed=args.seed)
-        if args.node_failure_rate > 0
-        else None
+    fault_plan = FaultPlan(
+        links=(
+            IndependentLinkFailures(args.failure_rate, seed=args.seed)
+            if args.failure_rate > 0
+            else None
+        ),
+        nodes=(
+            IndependentNodeFailures(args.node_failure_rate, seed=args.seed)
+            if args.node_failure_rate > 0
+            else None
+        ),
     )
     if args.adaptive_topology and args.scheme not in ("snap", "snap0", "sno"):
         print(
@@ -376,8 +379,7 @@ def _command_run(args: argparse.Namespace) -> int:
         max_rounds=args.rounds,
         alpha=args.alpha,
         optimize_weights=not args.no_optimize_weights,
-        failure_model=failure_model,
-        node_failure_model=node_failure_model,
+        fault_plan=fault_plan,
         snap_config=config if args.scheme in ("snap", "snap0", "sno") else None,
     )
     _print_result(result)

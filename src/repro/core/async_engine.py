@@ -33,9 +33,9 @@ same flow ledger, same final parameters, same post-run server state (the
 * per-round flows are buffered and flushed to the cost tracker in the
   reference's canonical order (round-major, then sender-ascending), so the
   append-ordered ledger hash matches even though event execution interleaves;
-* compression, channel delivery, corruption, and APE schedule transitions
-  all key off the *sender's local round*, which at lockstep equals the
-  global round.
+* compression, the fault plan's link and corruption decisions, and APE
+  schedule transitions all key off the *sender's local round*, which at
+  lockstep equals the global round.
 
 The engine owns no sender loop: a local round calls the trainer's shared
 ``SNAPTrainer.send_round`` with :meth:`SemiSyncEngine._transmit` as its wire
@@ -70,8 +70,6 @@ import numpy as np
 
 from repro.core.engine import DeliveredEdges
 from repro.exceptions import ProtocolError
-from repro.network.channel import Channel
-from repro.network.cost import CommunicationCostTracker
 from repro.network.timing import LinkTimingModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trainer imports us)
@@ -126,15 +124,6 @@ class SemiSyncEngine:
             trainer.config.timing
             if trainer.config.timing is not None
             else LinkTimingModel()
-        )
-        #: Private channel sharing the trainer's failure/corruption models but
-        #: charging a throwaway tracker: flows reach the real tracker through
-        #: the canonical-order flush in :meth:`communicate` instead.
-        self._channel = Channel(
-            trainer.topology,
-            CommunicationCostTracker(retain_records=False),
-            trainer.channel.failure_model,
-            corruption_model=trainer.channel.corruption_model,
         )
         self._initialized = False
         self._heap: list[tuple] = []
@@ -256,7 +245,6 @@ class SemiSyncEngine:
         waiting on a link that no longer exists would otherwise deadlock.
         """
         trainer = self.trainer
-        self._channel.topology = trainer.topology
         if not self._initialized:
             return
         live: set[tuple[int, int]] = set()
@@ -414,12 +402,9 @@ class SemiSyncEngine:
         trainer = self.trainer
         node_id = node.node_id
         server = trainer.servers[node_id]
-        down = trainer.node_failure_model.failed_nodes(trainer.topology, k)
-        multiplier = 1.0
-        if trainer.fault_plan is not None:
-            multiplier = trainer.fault_plan.compute_multiplier(
-                trainer.topology, node_id, k
-            )
+        plan = trainer.fault_plan
+        down = plan.failed_nodes(trainer.topology, k)
+        multiplier = plan.compute_multiplier(trainer.topology, node_id, k)
         t_done = t_start + self.timing.compute_time(node_id) * multiplier
 
         if node_id in down:
@@ -458,19 +443,22 @@ class SemiSyncEngine:
     ) -> bool:
         """This engine's wire for :meth:`SNAPTrainer.send_round`.
 
-        A frame whose bytes crossed the wire is ledgered and scheduled to
-        arrive (a corrupted one is observed, never applied — its header
-        still carries the sender round); a failed link sends the notice.
+        A frame on a link the fault plan has down sends the notice instead.
+        Any other frame's bytes cross the wire: it is buffered for the
+        canonical-order ledger flush and scheduled to arrive — a corrupted
+        one is observed, never applied (its header still carries the sender
+        round).
         """
-        report = self._channel.send(source, neighbor, message, stage=stage)
-        if not (report.delivered or report.corrupted):
+        plan, topology = self.trainer.fault_plan, self.trainer.topology
+        if not plan.link_up(topology, source, neighbor, k):
             self._schedule_notice(source, neighbor, k, t_done)
             return False
-        size = report.size_bytes
+        size = message.size_bytes
         self._record_flow(k, source, neighbor, size, stage)
         self.frames_wire += 1
         self.bytes_wire += size
-        if report.delivered:
+        delivered = not plan.corrupted(topology, source, neighbor, k)
+        if delivered:
             self._round_params_sent[k] += message.n_sent
             self._round_delivered[k].append((source, neighbor))
             self._outstanding[(source, neighbor)] += 1
@@ -479,7 +467,7 @@ class SemiSyncEngine:
             self.bytes_corrupt += size
             message = None
         self._schedule_arrival(source, neighbor, k, t_done, message, size)
-        return report.delivered
+        return delivered
 
     def _note_staleness(self, node: _NodeState, k: int, time: float) -> None:
         """Record how old each non-degraded in-edge is as round ``k`` starts."""

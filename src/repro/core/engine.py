@@ -8,7 +8,7 @@ Three engines execute the same algorithm (the third, the event-driven
   ``select_parameters`` calls, one :class:`~repro.network.messages.ParameterUpdate`
   per directed edge per round. Easy to read, easy to instrument, slow. Its
   round is :meth:`ReferenceEngine.communicate`: the shared per-edge sender
-  ``SNAPTrainer.send_round`` over the simulated channel.
+  ``SNAPTrainer.send_round`` over a wire that asks the fault plan per frame.
 * :class:`VectorizedEngine` — the fast path for large sweeps: all N parameter
   vectors live in one ``(N, d)`` matrix, the EXTRA mixing step (8) runs as a
   ``scipy.sparse`` CSR matmul against W and W̃, all N local gradients come
@@ -140,20 +140,23 @@ class ReferenceEngine:
     def communicate(
         self, round_index: int, down: frozenset
     ) -> "tuple[int, DeliveredEdges]":
-        """Every active server's sending round over the simulated channel.
+        """Every active server's sending round over the simulated wire.
 
         View layers shift first, for every active server before any server
         sends (so a failed link leaves the receiver's current layer stale,
         per the straggler rule); then each runs the shared
-        :meth:`SNAPTrainer.send_round` with the channel as its wire, a
-        delivered frame applied to the receiver on the spot. Servers in
-        ``down`` neither advance, send, nor receive this round.
+        :meth:`SNAPTrainer.send_round`. Its wire asks the fault plan whether
+        the link is up (a downed link charges nothing), charges one hop,
+        then asks whether the frame arrived damaged (charged, never
+        applied); an intact frame is applied to the receiver on the spot.
+        Servers in ``down`` neither advance, send, nor receive this round.
 
         Returns the parameter values delivered and the edges they crossed.
         """
         trainer = self.trainer
         servers = trainer.servers
-        channel = trainer.channel
+        plan, tracker = trainer.fault_plan, trainer.tracker
+        topology = trainer.topology
         active = [server for server in servers if server.node_id not in down]
         for server in active:
             server.advance_views()
@@ -163,7 +166,13 @@ class ReferenceEngine:
 
         def transmit(source, destination, message, stage) -> bool:
             nonlocal params_sent
-            if not channel.send(source, destination, message, stage=stage).delivered:
+            if not plan.link_up(topology, source, destination, round_index):
+                return False
+            tracker.record(
+                round_index, source, destination, message.size_bytes,
+                hops=1, stage=stage,
+            )
+            if plan.corrupted(topology, source, destination, round_index):
                 return False
             servers[destination].receive_update(message)
             params_sent += message.n_sent
@@ -546,29 +555,15 @@ class VectorizedEngine:
         self.previous_views_valid |= active
 
     def _round_link_down(self, round_index: int) -> np.ndarray:
-        # One failure-model query per round mapped onto directed edge rows.
+        # One fault-plan query per round mapped onto directed edge rows.
         link_down = np.zeros(self.n_edges, dtype=bool)
-        for edge in self.trainer.channel.round_failed_links(round_index):
+        trainer = self.trainer
+        for edge in trainer.fault_plan.round_failed_links(
+            trainer.topology, round_index
+        ):
             for e in self._undirected.get(tuple(edge), ()):
                 link_down[e] = True
         return link_down
-
-    def _delivered_after_corruption(
-        self, wire: np.ndarray, round_index: int
-    ) -> np.ndarray:
-        corruption = self.trainer.channel.corruption_model
-        if corruption is None:
-            return wire
-        wire_idx = np.flatnonzero(wire)
-        damaged = corruption.corrupted_edges(
-            self.trainer.topology,
-            self.edge_src[wire_idx],
-            self.edge_dst[wire_idx],
-            round_index,
-        )
-        delivered_mask = wire.copy()
-        delivered_mask[wire_idx[damaged]] = False
-        return delivered_mask
 
     def _view_rows(self, edges: np.ndarray) -> np.ndarray:
         """The view rows of ``edges`` (ascending, unique) as a references matrix.
@@ -633,7 +628,7 @@ class VectorizedEngine:
         ctxs = compressor.begin_round_batch(tx, nodes, round_index, compressors)
 
         # A message exists for every active-src, active-dst edge (even over a
-        # failed link: the sender builds it before the channel drops it).
+        # failed link: the sender builds it before the fault plan drops it).
         eligible = active[self.edge_src] & active[self.edge_dst]
         elig_idx = np.flatnonzero(eligible)
         d = self.n_params
@@ -654,14 +649,21 @@ class VectorizedEngine:
             sizes[elig_idx] = batch.wire_bytes(d)
 
         wire = eligible & ~self._round_link_down(round_index)
-        delivered_mask = self._delivered_after_corruption(wire, round_index)
-
         wire_idx = np.flatnonzero(wire)
+        wire_src, wire_dst = self.edge_src[wire_idx], self.edge_dst[wire_idx]
+        damaged = trainer.fault_plan.corruption.corrupted_edges(
+            trainer.topology, wire_src, wire_dst, round_index
+        )
+        delivered_mask = wire
+        if damaged.any():
+            delivered_mask = wire.copy()
+            delivered_mask[wire_idx[damaged]] = False
+
         if wire_idx.size:
             trainer.tracker.record_many(
                 round_index,
-                self.edge_src[wire_idx],
-                self.edge_dst[wire_idx],
+                wire_src,
+                wire_dst,
                 sizes[wire_idx],
                 hops=1,
                 stage=compressor.name,

@@ -9,8 +9,9 @@ Every round:
 2. each server selects the parameters whose change exceeds its APE-derived
    threshold (Algorithm 1) and broadcasts one frame-encoded update to every
    neighbor;
-3. the channel delivers the updates — except across failed links, where the
-   receiver silently keeps its stale view (the straggler rule);
+3. the updates are delivered — except across links the fault plan has down
+   or frames it damages, where the receiver silently keeps its stale view
+   (the straggler rule);
 4. losses, consensus error and traffic are recorded, and the convergence
    detector decides whether to stop.
 
@@ -42,15 +43,9 @@ from repro.exceptions import ConfigurationError, NetworkPartitionError
 from repro.faults.plan import FaultPlan
 from repro.models.base import Model
 from repro.models.metrics import accuracy_score
-from repro.network.channel import Channel
 from repro.network.cost import CommunicationCostTracker
 from repro.core.ape import APEScheduleBank
 from repro.results import RoundRecord, RoundTrace, TrainingResult
-from repro.topology.failures import (
-    LinkFailureModel,
-    NodeFailureModel,
-    NoNodeFailures,
-)
 from repro.topology.graph import Topology
 from repro.types import Params, WeightMatrix
 from repro.weights.adaptive import TopologyController, edge_cost_vector
@@ -117,19 +112,15 @@ class SNAPTrainer:
         The neighbor graph; must be connected for consensus to be reachable.
     config:
         All algorithm knobs; defaults reproduce the paper's Section V setup.
-    failure_model:
-        Optional link-outage injector (Fig. 9); ``None`` means no failures.
-    node_failure_model:
-        Optional server-outage injector (Section IV-D's "server shut down"):
-        a downed server skips the round entirely — no local step, no
-        transmissions, no receptions — and resumes from its last state.
     fault_plan:
-        Optional unified :class:`~repro.faults.FaultPlan`: its link models,
-        node models, and corruption model are all injected at once (and
-        composed with ``failure_model`` / ``node_failure_model`` when those
-        are also given). Corrupted frames consume bytes but are never
-        applied — the receiver falls back to its cached view, exactly as for
-        a failed link.
+        The run's only fault input, a :class:`~repro.faults.FaultPlan`
+        (``None`` means ``FaultPlan()``, a fault-free run). Its link models
+        drive the Fig. 9 outages; its node models the Section IV-D "server
+        shut down" — a downed server skips the round entirely (no local
+        step, no transmissions, no receptions) and resumes from its last
+        state; its corruption model damages frames, which consume bytes but
+        are never applied — the receiver falls back to its cached view,
+        exactly as for a failed link.
     weight_matrix:
         Explicit mixing matrix override; when ``None`` the matrix comes from
         the Section IV-B optimization (or eq. 24 if
@@ -144,8 +135,6 @@ class SNAPTrainer:
         shards: list[Dataset],
         topology: Topology,
         config: SNAPConfig | None = None,
-        failure_model: LinkFailureModel | None = None,
-        node_failure_model: NodeFailureModel | None = None,
         fault_plan: FaultPlan | None = None,
         weight_matrix: WeightMatrix | None = None,
         initial_params: Params | None = None,
@@ -293,32 +282,13 @@ class SNAPTrainer:
         self.tracker = CommunicationCostTracker(
             retain_records=self.config.retain_flow_records
         )
-        if fault_plan is not None:
-            # Fold any standalone models into the plan so the channel and the
-            # round loop see one consistent fault description.
-            fault_plan = fault_plan.merged_with(failure_model, node_failure_model)
-            self.fault_plan: FaultPlan | None = fault_plan
-            self.channel = Channel(
-                topology,
-                self.tracker,
-                fault_plan,
-                corruption_model=fault_plan.corruption,
-            )
-            self.node_failure_model: NodeFailureModel = fault_plan
-        else:
-            self.fault_plan = None
-            self.channel = Channel(topology, self.tracker, failure_model)
-            self.node_failure_model = (
-                node_failure_model
-                if node_failure_model is not None
-                else NoNodeFailures()
-            )
+        #: The one owner of every fault decision: link outages, frame
+        #: corruption, server outages, clock skew, byzantine senders.
+        self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         #: The adversarial-transmission plan (None for an all-honest fleet).
         #: Attacker ids are resolved against the *initial* topology and
         #: cached, so the compromised set survives adaptive swaps.
-        self.byzantine_plan = (
-            self.fault_plan.byzantine if self.fault_plan is not None else None
-        )
+        self.byzantine_plan = self.fault_plan.byzantine
         self.byzantine_nodes: frozenset[int] = (
             self.byzantine_plan.attackers(topology)
             if self.byzantine_plan is not None
@@ -376,7 +346,7 @@ class SNAPTrainer:
             self.monitor = None
         #: The adaptive topology runtime (``config.adaptive_topology``): the
         #: run loop consults it at round boundaries and applies the swaps it
-        #: emits atomically across servers, channel, engine, and monitor.
+        #: emits atomically across servers, engine, and monitor.
         if self.config.adaptive_topology:
             if self._weight_result is None:
                 raise ConfigurationError(
@@ -549,9 +519,7 @@ class SNAPTrainer:
                 round_index = self.rounds_completed + 1
                 if self.config.drift is not None:
                     self._maybe_apply_drift(round_index)
-                down = self.node_failure_model.failed_nodes(
-                    self.topology, round_index
-                )
+                down = self.fault_plan.failed_nodes(self.topology, round_index)
                 engine.step_round(round_index, down)
 
                 params_sent, delivered = engine.communicate(round_index, down)
@@ -714,10 +682,10 @@ class SNAPTrainer:
            invariant monitor when one is attached (step 8, so a bad matrix
            is reported by invariant name), else by ``check_weight_matrix``
            here;
-        3. trainer-level state switches: topology, weight matrix, both
-           channels' topology, and the step size (re-capped with the
-           re-solve's cached λ_min(W̃); never raised mid-run — a larger cap
-           would retroactively invalidate completed rounds);
+        3. trainer-level state switches: topology, weight matrix, and the
+           step size (re-capped with the re-solve's cached λ_min(W̃); never
+           raised mid-run — a larger cap would retroactively invalidate
+           completed rounds);
         4. every server adopts its pruned neighbor row and restarts the
            EXTRA recursion (a swap is a stage boundary: the two-term
            recursion's memory was built under the old W);
@@ -744,7 +712,6 @@ class SNAPTrainer:
             "weight_problem": swap.result.problem,
             "rate_score": swap.result.report.rate_score,
         }
-        self.channel.topology = swap.topology
         if self.config.alpha is None:
             self.alpha = min(
                 self.alpha,

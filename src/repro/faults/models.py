@@ -6,10 +6,10 @@ outages are *bursty*: a congested link stays congested for a while, a crashed
 server stays down until somebody restarts it, a backhaul cut partitions the
 network for minutes. This module adds those temporally correlated faults,
 all implementing the same :class:`~repro.topology.failures.LinkFailureModel`
-/ :class:`~repro.topology.failures.NodeFailureModel` interfaces so they plug
-into the simulator's :class:`~repro.network.channel.Channel`, the trainer,
-and the TCP testbed unchanged — individually or composed through
-:class:`~repro.faults.plan.FaultPlan`.
+/ :class:`~repro.topology.failures.NodeFailureModel` interfaces. They reach
+the simulator and the TCP testbed composed into a
+:class:`~repro.faults.plan.FaultPlan`, the one fault input (and the one
+place a fault is decided) of every runtime.
 
 Everything is deterministic given its seed: querying the same round twice
 returns the same outcome, and a checkpoint-resumed run replays the exact
@@ -301,9 +301,10 @@ class CorruptionModel(abc.ABC):
 
     The question comes in two forms that must agree frame for frame:
     :meth:`corrupted` answers for one frame (the per-object runtimes — the
-    reference and semi-synchronous engines, the testbed — ask as each frame
-    is sent) and :meth:`corrupted_edges` for a whole round's frames at once
-    (the vectorized engine asks once per round).
+    reference and semi-synchronous engines, the testbed — ask through
+    :meth:`FaultPlan.corrupted <repro.faults.plan.FaultPlan.corrupted>` as
+    each frame is sent) and :meth:`corrupted_edges` for a whole round's
+    frames at once (the vectorized engine asks once per round).
     """
 
     @abc.abstractmethod

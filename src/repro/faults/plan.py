@@ -2,11 +2,14 @@
 
 A :class:`FaultPlan` composes any number of link-failure models, node-failure
 models, and a corruption model into a single injectable description of a
-hostile network, consumable by every runtime in the repository:
+hostile network. It is the only fault input of every runtime in the
+repository, and the only place a fault is decided:
 
-* the simulator — ``SNAPTrainer(..., fault_plan=plan)`` routes link outages
-  and corruption through the :class:`~repro.network.channel.Channel` and
-  node outages through the round loop;
+* the simulator — ``SNAPTrainer(..., fault_plan=plan)``: each engine's
+  per-edge wire asks :meth:`FaultPlan.link_up` and
+  :meth:`FaultPlan.corrupted` (the vectorized engine asks
+  :meth:`FaultPlan.round_failed_links` and the corruption model once per
+  round), and the round loop asks :meth:`FaultPlan.failed_nodes`;
 * the TCP testbed — ``TestbedRuntime(..., fault_plan=plan)`` makes senders
   skip downed links, damage scheduled frames on the wire (caught by the
   receiver's CRC32 check), and idle through crash spans.
@@ -51,9 +54,9 @@ class FaultPlan(LinkFailureModel, NodeFailureModel):
     """A composable bundle of link outages, node crashes, and corruption.
 
     Implements both failure-model interfaces itself (the union of its
-    constituents), so a plan drops in anywhere a single
-    :class:`~repro.topology.failures.LinkFailureModel` or
-    :class:`~repro.topology.failures.NodeFailureModel` is accepted.
+    constituents), and makes every per-frame fault decision of every
+    runtime: :meth:`link_up` (through the per-round memo of
+    :meth:`round_failed_links`) and :meth:`corrupted`.
 
     Parameters
     ----------
@@ -105,6 +108,8 @@ class FaultPlan(LinkFailureModel, NodeFailureModel):
                 f"byzantine must be a ByzantinePlan, got {byzantine!r}"
             )
         self.byzantine: ByzantinePlan | None = byzantine
+        #: ``(round_index, topology, failed)`` of the last link query.
+        self._round_memo: tuple[int, Topology, FrozenSet[Edge]] | None = None
 
     # -- LinkFailureModel / NodeFailureModel ------------------------------------
 
@@ -120,14 +125,36 @@ class FaultPlan(LinkFailureModel, NodeFailureModel):
             down |= model.failed_nodes(topology, round_index)
         return down
 
-    # -- convenience queries -----------------------------------------------------
+    # -- per-frame decisions -----------------------------------------------------
+
+    def round_failed_links(
+        self, topology: Topology, round_index: int
+    ) -> FrozenSet[Edge]:
+        """:meth:`failed_links` for one round, memoized.
+
+        A runtime asks about O(E) links per round, and some models (the
+        Gilbert–Elliott chains) do O(E) work per query, so the answer is
+        computed at most once per (round, topology). The topology is matched
+        by identity: an adaptive swap installs a new topology object, which
+        recomputes the answer even within the same round.
+        """
+        if not self.link_models:
+            return frozenset()
+        memo = self._round_memo
+        if memo is not None and memo[0] == round_index and memo[1] is topology:
+            return memo[2]
+        failed = self.failed_links(topology, round_index)
+        self._round_memo = (round_index, topology, failed)
+        return failed
 
     def link_up(
         self, topology: Topology, source: int, destination: int, round_index: int
     ) -> bool:
         """Whether the undirected link is available during ``round_index``."""
+        if not self.link_models:
+            return True
         edge = (min(source, destination), max(source, destination))
-        return edge not in self.failed_links(topology, round_index)
+        return edge not in self.round_failed_links(topology, round_index)
 
     def corrupted(
         self, topology: Topology, source: int, destination: int, round_index: int
@@ -143,22 +170,6 @@ class FaultPlan(LinkFailureModel, NodeFailureModel):
         for model in self.clock_models:
             multiplier *= model.compute_multiplier(topology, node, round_index)
         return multiplier
-
-    def merged_with(
-        self,
-        link_model: LinkFailureModel | None = None,
-        node_model: NodeFailureModel | None = None,
-    ) -> "FaultPlan":
-        """A new plan adding standalone models (trainer back-compat path)."""
-        links = self.link_models + ((link_model,) if link_model else ())
-        nodes = self.node_models + ((node_model,) if node_model else ())
-        return FaultPlan(
-            links=links,
-            nodes=nodes,
-            corruption=self.corruption,
-            clocks=self.clock_models,
-            byzantine=self.byzantine,
-        )
 
     def __repr__(self) -> str:
         return (

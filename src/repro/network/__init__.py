@@ -1,11 +1,12 @@
-"""Network substrate: frames, messages, cost accounting, lossy delivery.
+"""Network substrate: frames, messages, cost accounting, link timing.
 
 The paper defines communication cost as flow size times physical hop count
 (Section II-B) and measures "the number of bytes written into the socket"
 (Section V-A). This package reproduces that accounting exactly: the two
-candidate frame structures of Fig. 3 with their byte formulas, a cost tracker
-that weights every flow by its hop count, and a channel that drops deliveries
-on failed links (the straggler model of Fig. 9).
+candidate frame structures of Fig. 3 with their byte formulas, and a cost
+tracker that weights every flow by its hop count. Which frames are lost or
+damaged on the way (the straggler model of Fig. 9) is decided by the
+:class:`~repro.faults.FaultPlan`, not here.
 """
 
 from repro.network.frames import (
@@ -21,7 +22,6 @@ from repro.network.frames import (
 from repro.network.codec import decode_update, encode_update
 from repro.network.messages import ParameterUpdate, QuantizationInfo
 from repro.network.cost import CommunicationCostTracker
-from repro.network.channel import Channel, DeliveryReport
 from repro.network.timing import GIGABIT_PER_SECOND, LinkTimingModel
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "ParameterUpdate",
     "QuantizationInfo",
     "CommunicationCostTracker",
-    "Channel",
-    "DeliveryReport",
     "GIGABIT_PER_SECOND",
     "LinkTimingModel",
 ]

@@ -239,18 +239,16 @@ class _Node:
         suppression statistics match the simulator — before any bytes enter
         the network. A plan-corrupted frame still counts its payload bytes:
         the bits crossed even though the receiver's CRC rejects them,
-        exactly how the simulator's channel charges corrupted deliveries.
+        exactly how the simulator's engines charge corrupted deliveries.
         A peer that proves unreachable is marked dead; the straggler rule
         covers the missing update.
         """
         plan = self.fault_plan
         round_index = message.round_index
-        corrupt = False
-        if plan is not None:
-            link = (self.topology, source, neighbor, round_index)
-            if not plan.link_up(*link):
-                return False
-            corrupt = plan.corrupted(*link)
+        link = (self.topology, source, neighbor, round_index)
+        if not plan.link_up(*link):
+            return False
+        corrupt = plan.corrupted(*link)
         connection = self.send_connections[neighbor]
         try:
             if corrupt:
@@ -276,10 +274,7 @@ class _Node:
             for neighbor in self.server.neighbors
             if neighbor not in offline
             and neighbor not in self.dead_peers
-            and (
-                plan is None
-                or plan.link_up(self.topology, neighbor, node_id, round_index)
-            )
+            and plan.link_up(self.topology, neighbor, node_id, round_index)
         }
 
     def deliver(self, frame, round_index: int) -> None:
@@ -409,7 +404,8 @@ class TestbedRuntime:
         # (every runtime's send path routes through transmit_params), so
         # only that component is handed down. A fresh FaultPlan keeps the
         # stateful link/node models bound to the testbed, not the trainer.
-        byzantine = fault_plan.byzantine if fault_plan is not None else None
+        if fault_plan is None:
+            fault_plan = FaultPlan()
         trainer = SNAPTrainer(
             model,
             shards,
@@ -417,11 +413,7 @@ class TestbedRuntime:
             config=config,
             weight_matrix=weight_matrix,
             initial_params=initial_params,
-            fault_plan=(
-                FaultPlan(byzantine=byzantine)
-                if byzantine is not None
-                else None
-            ),
+            fault_plan=FaultPlan(byzantine=fault_plan.byzantine),
         )
         if timeout_s <= 0:
             raise ConfigurationError(f"timeout_s must be > 0, got {timeout_s}")
@@ -581,12 +573,7 @@ class TestbedRuntime:
         inactive = self._membership_decide(round_index) if self._live else None
         if inactive is None:
             return False  # a membership stop decision, or nobody left alive
-        plan = self.fault_plan
-        down = (
-            plan.failed_nodes(self.topology, round_index)
-            if plan is not None
-            else frozenset()
-        )
+        down = self.fault_plan.failed_nodes(self.topology, round_index)
         bytes_before = sum(node.payload_bytes for node in self._live)
         active = []
         for node in self._live:

@@ -15,9 +15,9 @@ from repro.consensus.convergence import ConvergenceDetector
 from repro.core.config import SelectionPolicy, SNAPConfig
 from repro.core.trainer import SNAPTrainer
 from repro.exceptions import ConfigurationError
+from repro.faults.plan import FaultPlan
 from repro.results import TrainingResult
 from repro.simulation.experiments import Workload
-from repro.topology.failures import LinkFailureModel, NodeFailureModel
 
 #: All scheme labels understood by :func:`run_scheme`, in the paper's order.
 SCHEMES = ("centralized", "ps", "terngrad", "snap", "snap0", "sno")
@@ -28,13 +28,12 @@ def run_scheme(
     workload: Workload,
     max_rounds: int = 300,
     optimize_weights: bool = True,
-    failure_model: LinkFailureModel | None = None,
+    fault_plan: FaultPlan | None = None,
     detector_kwargs: dict | None = None,
     eval_every: int = 0,
     snap_config: SNAPConfig | None = None,
     stop_on_convergence: bool = True,
     alpha: float | None = None,
-    node_failure_model: NodeFailureModel | None = None,
 ) -> TrainingResult:
     """Build and run one scheme on ``workload``.
 
@@ -49,10 +48,10 @@ def run_scheme(
     optimize_weights:
         Whether SNAP-family schemes use the Section IV-B optimized weight
         matrix (``False`` = the eq. 24 Metropolis baseline of Fig. 5).
-    failure_model:
-        Link-outage injector for SNAP-family schemes (Fig. 9). Ignored by
-        the server-based and centralized schemes, which the paper evaluates
-        without failures.
+    fault_plan:
+        Fault injection for SNAP-family schemes (Fig. 9's link outages,
+        server outages, corruption). Ignored by the server-based and
+        centralized schemes, which the paper evaluates without failures.
     detector_kwargs:
         Overrides for the :class:`ConvergenceDetector` shared by all schemes.
     eval_every:
@@ -138,8 +137,7 @@ def run_scheme(
         workload.shards,
         workload.topology,
         config=config,
-        failure_model=failure_model,
-        node_failure_model=node_failure_model,
+        fault_plan=fault_plan,
         initial_params=initial_params,
     )
     return trainer.run(**common)

@@ -34,8 +34,6 @@ from repro.topology.failures import (
     IndependentNodeFailures,
     LinkFailureModel,
     NodeFailureModel,
-    NoFailures,
-    NoNodeFailures,
     ScheduledFailures,
     ScheduledNodeFailures,
 )
@@ -59,10 +57,8 @@ __all__ = [
     "hop_count",
     "LinkFailureModel",
     "IndependentLinkFailures",
-    "NoFailures",
     "ScheduledFailures",
     "NodeFailureModel",
     "IndependentNodeFailures",
-    "NoNodeFailures",
     "ScheduledNodeFailures",
 ]

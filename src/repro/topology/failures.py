@@ -30,16 +30,6 @@ class LinkFailureModel(abc.ABC):
         """
 
 
-class NoFailures(LinkFailureModel):
-    """All links are always available (the default for every non-straggler run)."""
-
-    def failed_links(self, topology: Topology, round_index: int) -> FrozenSet[Edge]:
-        return frozenset()
-
-    def __repr__(self) -> str:
-        return "NoFailures()"
-
-
 class IndependentLinkFailures(LinkFailureModel):
     """Each link fails independently with probability ``failure_rate`` each round.
 
@@ -80,16 +70,6 @@ class NodeFailureModel(abc.ABC):
     @abc.abstractmethod
     def failed_nodes(self, topology: Topology, round_index: int) -> frozenset[int]:
         """Return the set of node ids that are down during ``round_index``."""
-
-
-class NoNodeFailures(NodeFailureModel):
-    """All servers always up (the default)."""
-
-    def failed_nodes(self, topology: Topology, round_index: int) -> frozenset[int]:
-        return frozenset()
-
-    def __repr__(self) -> str:
-        return "NoNodeFailures()"
 
 
 class IndependentNodeFailures(NodeFailureModel):

@@ -121,6 +121,7 @@ def test_restore_recovers_all_server_state(setup, tmp_path):
 def test_resume_is_exact_under_round_indexed_failures(setup, tmp_path):
     """Failure models sample by round index; a resumed run must continue the
     numbering so the outage pattern matches an uninterrupted run exactly."""
+    from repro.faults import FaultPlan
     from repro.topology.failures import (
         IndependentLinkFailures,
         IndependentNodeFailures,
@@ -134,8 +135,10 @@ def test_resume_is_exact_under_round_indexed_failures(setup, tmp_path):
             shards,
             topo,
             config=SNAPConfig(seed=0),
-            failure_model=IndependentLinkFailures(0.1, seed=3),
-            node_failure_model=IndependentNodeFailures(0.05, seed=4),
+            fault_plan=FaultPlan(
+                links=IndependentLinkFailures(0.1, seed=3),
+                nodes=IndependentNodeFailures(0.05, seed=4),
+            ),
         )
 
     reference = make()

@@ -1,7 +1,7 @@
 """Graceful-degradation tests: training survives chaos, and says so.
 
-Covers the simulator half of the fault-tolerance story: corruption through
-the channel, per-round staleness/connectivity observability, the partition
+Covers the simulator half of the fault-tolerance story: per-round
+staleness/connectivity observability (corrupted frames included), the partition
 warn/abort guard, the straggler-rule algebra under total link loss, and the
 headline chaos claim — bursty outages plus crash/restart servers cost
 almost no accuracy.
@@ -24,44 +24,11 @@ from repro.faults import (
     GilbertElliottLinkFailures,
     ScheduledCorruption,
 )
-from repro.network.channel import Channel
-from repro.network.cost import CommunicationCostTracker
-from repro.network.messages import ParameterUpdate
 from repro.simulation.experiments import credit_svm_workload
 from repro.topology.failures import IndependentLinkFailures, ScheduledFailures
 from repro.topology.generators import ring_topology
 from repro.topology.graph import Topology
 from repro.weights.construction import metropolis_weights
-
-
-class TestChannelCorruption:
-    def test_corrupted_frame_charged_but_not_delivered(self):
-        ring = ring_topology(5)
-        tracker = CommunicationCostTracker()
-        channel = Channel(
-            ring,
-            tracker,
-            corruption_model=ScheduledCorruption({1: [(0, 1)]}),
-        )
-        msg = ParameterUpdate.dense(0, 1, np.arange(10.0))
-        report = channel.send(0, 1, msg)
-        assert not report.delivered
-        assert report.corrupted
-        # The bits crossed the wire: corruption costs bytes, unlike a
-        # failed link.
-        assert tracker.total_bytes == msg.size_bytes
-
-    def test_corruption_is_directional(self):
-        ring = ring_topology(5)
-        channel = Channel(
-            ring,
-            CommunicationCostTracker(),
-            corruption_model=ScheduledCorruption({1: [(0, 1)]}),
-        )
-        reverse = channel.send(
-            1, 0, ParameterUpdate.dense(1, 1, np.arange(10.0))
-        )
-        assert reverse.delivered and not reverse.corrupted
 
 
 class TestObservability:
@@ -271,7 +238,7 @@ class TestTotalLinkLossProperty:
             shards,
             topo,
             config=config,
-            failure_model=IndependentLinkFailures(1.0, seed=0),
+            fault_plan=FaultPlan(links=IndependentLinkFailures(1.0, seed=0)),
             weight_matrix=metropolis_weights(topo),
             initial_params=init,
         )

@@ -7,12 +7,9 @@ from repro.core import SNAPConfig, SNAPTrainer
 from repro.core.config import SelectionPolicy
 from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
+from repro.faults import FaultPlan
 from repro.models.ridge import RidgeRegression
-from repro.topology.failures import (
-    IndependentNodeFailures,
-    NoNodeFailures,
-    ScheduledNodeFailures,
-)
+from repro.topology.failures import IndependentNodeFailures, ScheduledNodeFailures
 from repro.topology.generators import random_topology
 
 
@@ -27,21 +24,24 @@ def setup(rng):
     return model, shards, topo
 
 
-def build(setup, node_failure_model=None):
+def build(setup, nodes=None):
     model, shards, topo = setup
     return SNAPTrainer(
         model,
         shards,
         topo,
         config=SNAPConfig(selection=SelectionPolicy.CHANGED_ONLY, seed=0),
-        node_failure_model=node_failure_model,
+        fault_plan=FaultPlan(nodes=nodes),
     )
 
 
 class TestModels:
     def test_no_failures_default(self, setup):
-        trainer = build(setup)
-        assert isinstance(trainer.node_failure_model, NoNodeFailures)
+        model, shards, topo = setup
+        trainer = SNAPTrainer(model, shards, topo, config=SNAPConfig(seed=0))
+        assert isinstance(trainer.fault_plan, FaultPlan)
+        assert trainer.fault_plan.node_models == ()
+        assert trainer.fault_plan.failed_nodes(topo, 1) == frozenset()
 
     def test_independent_model_is_seeded_and_rate_calibrated(self, setup):
         _, _, topo = setup

@@ -8,6 +8,7 @@ from repro.core.config import SNAPConfig
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
+from repro.faults import FaultPlan
 from repro.models.ridge import RidgeRegression
 from repro.topology.failures import IndependentLinkFailures, ScheduledFailures
 from repro.topology.generators import random_topology
@@ -40,7 +41,7 @@ class TestScheduledOutages:
             shards,
             topo,
             config=SNAPConfig.snap0(seed=0),
-            failure_model=failures,
+            fault_plan=FaultPlan(links=failures),
         )
         trainer.run(max_rounds=800, stop_on_convergence=False)
         exact = model.solve_exact(
@@ -71,7 +72,7 @@ class TestScheduledOutages:
                     straggler_strategy=strategy,
                     seed=0,
                 ),
-                failure_model=ScheduledFailures({3: list(topo.edges)}),
+                fault_plan=FaultPlan(links=ScheduledFailures({3: list(topo.edges)})),
             )
             trainer.run(max_rounds=800, stop_on_convergence=False)
             gaps[strategy] = np.linalg.norm(trainer.mean_params() - exact)
@@ -86,7 +87,7 @@ class TestScheduledOutages:
             shards,
             topo,
             config=SNAPConfig.snap0(seed=0),
-            failure_model=failures,
+            fault_plan=FaultPlan(links=failures),
         )
         result = trainer.run(max_rounds=5, stop_on_convergence=False)
         assert result.rounds[1].bytes_sent == 0  # round 2 blacked out
@@ -102,7 +103,7 @@ class TestScheduledOutages:
             shards,
             topo,
             config=SNAPConfig.snap0(seed=0),
-            failure_model=failures,
+            fault_plan=FaultPlan(links=failures),
         )
         trainer.run(max_rounds=3, stop_on_convergence=False)
         # After round 3 with no failures, v's view of u equals u's params.
@@ -119,7 +120,7 @@ class TestRandomOutages:
             shards,
             topo,
             config=SNAPConfig.snap0(seed=0),
-            failure_model=IndependentLinkFailures(0.01, seed=1),
+            fault_plan=FaultPlan(links=IndependentLinkFailures(0.01, seed=1)),
         )
         trainer.run(max_rounds=800, stop_on_convergence=False)
         exact = model.solve_exact(
@@ -133,15 +134,15 @@ class TestRandomOutages:
         model, shards, topo = setup
 
         def rounds_to_target(rate):
-            failure_model = (
-                IndependentLinkFailures(rate, seed=2) if rate > 0 else None
+            fault_plan = FaultPlan(
+                links=IndependentLinkFailures(rate, seed=2) if rate > 0 else None
             )
             trainer = SNAPTrainer(
                 model,
                 shards,
                 topo,
                 config=SNAPConfig.snap0(seed=0),
-                failure_model=failure_model,
+                fault_plan=fault_plan,
             )
             # target: 5% above the no-failure long-run loss
             exact = model.solve_exact(
@@ -166,7 +167,7 @@ class TestRandomOutages:
             shards,
             topo,
             config=SNAPConfig(seed=0),
-            failure_model=IndependentLinkFailures(0.5, seed=3),
+            fault_plan=FaultPlan(links=IndependentLinkFailures(0.5, seed=3)),
         )
         result = trainer.run(max_rounds=30, stop_on_convergence=False)
         assert result.n_rounds == 30

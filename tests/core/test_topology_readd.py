@@ -17,6 +17,7 @@ from repro.core.server import EdgeServer
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError, ProtocolError
+from repro.faults import FaultPlan
 from repro.models.logistic import LogisticRegression
 from repro.topology.failures import ScheduledNodeFailures
 from repro.topology.graph import Topology
@@ -133,7 +134,7 @@ class TestTrainerReaddPath:
         trainer = build_trainer(
             ring_with_chords(12, HUB_CHORDS),
             self.churn_config(readd),
-            node_failure_model=ScheduledNodeFailures({7: [0]}),
+            fault_plan=FaultPlan(nodes=ScheduledNodeFailures({7: [0]})),
         )
         trainer.run(stop_on_convergence=False)
         return trainer

@@ -407,6 +407,7 @@ class TestOnePerEdgeSender:
     ):
         """A runtime that regrows its own sender loop fails here: a count,
         not a clock."""
+        from repro.faults import FaultPlan
         from repro.topology.failures import ScheduledNodeFailures
 
         model, shards, topo, _ = ridge_setup
@@ -415,7 +416,7 @@ class TestOnePerEdgeSender:
             shards,
             topo,
             config=SNAPConfig(engine=engine, seed=0, optimize_weights=False),
-            node_failure_model=ScheduledNodeFailures(self.OUTAGE),
+            fault_plan=FaultPlan(nodes=ScheduledNodeFailures(self.OUTAGE)),
         )
         result = trainer.run(max_rounds=self.ROUNDS, stop_on_convergence=False)
         assert sorted(send_round_calls) == self._expected(topo.n_nodes)

@@ -100,7 +100,5 @@ class TestByzantinePlan:
         byz = ByzantinePlan(SignFlipAttack(), attackers=(0,))
         plan = FaultPlan(byzantine=byz)
         assert plan.byzantine is byz
-        merged = plan.merged_with(FaultPlan())
-        assert merged.byzantine is byz
         with pytest.raises(TypeError):
             FaultPlan(byzantine="not-a-plan")

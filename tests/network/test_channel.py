@@ -1,12 +1,12 @@
-"""Tests for repro.network.channel.Channel."""
+"""Tests for per-edge delivery: whether a link carries a frame in a round.
 
-import numpy as np
+Every sender asks its ``FaultPlan`` through ``link_up`` before a frame is
+charged and delivered, so these assert that answer directly.
+"""
+
 import pytest
 
-from repro.exceptions import TopologyError
-from repro.network.channel import Channel
-from repro.network.cost import CommunicationCostTracker
-from repro.network.messages import ParameterUpdate
+from repro.faults import FaultPlan
 from repro.topology.failures import ScheduledFailures
 from repro.topology.generators import ring_topology
 
@@ -16,48 +16,15 @@ def ring():
     return ring_topology(5)
 
 
-def message(sender=0, round_index=1, total=10):
-    return ParameterUpdate.dense(sender, round_index, np.arange(float(total)))
-
-
 class TestDelivery:
-    def test_successful_send_records_one_hop_cost(self, ring):
-        tracker = CommunicationCostTracker()
-        channel = Channel(ring, tracker)
-        msg = message()
-        report = channel.send(0, 1, msg)
-        assert report.delivered
-        assert report.size_bytes == msg.size_bytes
-        assert tracker.total_cost == msg.size_bytes  # exactly 1 hop
-        assert tracker.total_bytes == msg.size_bytes
-
-    def test_non_neighbor_send_rejected(self, ring):
-        channel = Channel(ring, CommunicationCostTracker())
-        with pytest.raises(TopologyError):
-            channel.send(0, 2, message())
-
-    def test_failed_link_drops_without_cost(self, ring):
-        tracker = CommunicationCostTracker()
-        failures = ScheduledFailures({1: [(0, 1)]})
-        channel = Channel(ring, tracker, failures)
-        report = channel.send(0, 1, message(round_index=1))
-        assert not report.delivered
-        assert tracker.total_cost == 0
-
-    def test_failure_is_bidirectional(self, ring):
-        failures = ScheduledFailures({1: [(0, 1)]})
-        channel = Channel(ring, CommunicationCostTracker(), failures)
-        assert not channel.send(1, 0, message(sender=1, round_index=1)).delivered
-
     def test_failure_is_round_scoped(self, ring):
-        failures = ScheduledFailures({1: [(0, 1)]})
-        channel = Channel(ring, CommunicationCostTracker(), failures)
-        assert not channel.send(0, 1, message(round_index=1)).delivered
-        assert channel.send(0, 1, message(round_index=2)).delivered
+        plan = FaultPlan(links=ScheduledFailures({1: [(0, 1)]}))
+        assert not plan.link_up(ring, 0, 1, 1)
+        assert plan.link_up(ring, 0, 1, 2)
 
     def test_link_up_query(self, ring):
-        failures = ScheduledFailures({4: [(2, 3)]})
-        channel = Channel(ring, CommunicationCostTracker(), failures)
-        assert not channel.link_up(3, 2, 4)
-        assert channel.link_up(2, 3, 5)
-        assert channel.link_up(0, 1, 4)
+        plan = FaultPlan(links=ScheduledFailures({4: [(2, 3)]}))
+        assert not plan.link_up(ring, 3, 2, 4)
+        assert plan.link_up(ring, 2, 3, 5)
+        assert plan.link_up(ring, 2, 3, 3)
+        assert plan.link_up(ring, 0, 1, 4)

@@ -10,8 +10,8 @@ Three contracts pin the runtime down:
   budget pressure the adaptive run's full :class:`RunDigest` equals the
   non-adaptive run's: arming the controller costs nothing until it acts.
 * **A swap leaves every layer consistent.** Server link state, the
-  staleness ledger, per-edge compressor state, the channel, and the step
-  size all agree with the pruned topology afterwards, and the invariant
+  staleness ledger, per-edge compressor state, the topology the fault plan
+  is asked about, and the step size all agree with the pruned topology afterwards, and the invariant
   monitor re-validated the swapped matrix.
 """
 
@@ -217,7 +217,7 @@ class TestSwapStateConsistency:
         ]
         assert pruned
         for u, v in pruned:
-            assert not swapped_trainer.channel.topology.has_edge(u, v)
+            assert not swapped_trainer.topology.has_edge(u, v)
 
     def test_warm_resolves_are_cheap(self, swapped_trainer):
         controller = swapped_trainer._topology_controller

@@ -16,6 +16,9 @@ from repro.data.partition import iid_partition
 from repro.faults import (
     CrashRestartSchedule,
     FaultPlan,
+    GilbertElliottLinkFailures,
+    IndependentCorruption,
+    MarkovNodeFailures,
     ScheduledCorruption,
 )
 from repro.models.ridge import RidgeRegression
@@ -40,19 +43,35 @@ def ridge_setup(rng):
     return model, shards, topo, weights, init
 
 
-def test_faulty_testbed_matches_faulty_simulation_bit_for_bit(ridge_setup):
+def _scheduled_plan():
+    return FaultPlan(
+        links=ScheduledFailures({3: [(0, 1)], 4: [(0, 1)]}),
+        nodes=CrashRestartSchedule({1: [(6, 7)]}),
+        corruption=ScheduledCorruption({9: [(0, 2)]}),
+    )
+
+
+def _stochastic_plan():
+    # Stateful chained models, answered through the plan's per-round memo:
+    # with these seeds links burst down from round 3 on, servers 2, 1 and 0
+    # each crash for a round, and several frames arrive damaged.
+    return FaultPlan(
+        links=GilbertElliottLinkFailures(0.2, 0.4, seed=1),
+        nodes=MarkovNodeFailures(0.1, 0.5, seed=2),
+        corruption=IndependentCorruption(0.1, seed=3),
+    )
+
+
+@pytest.mark.parametrize(
+    "plan", [_scheduled_plan, _stochastic_plan], ids=["scheduled", "stochastic"]
+)
+def test_faulty_testbed_matches_faulty_simulation_bit_for_bit(ridge_setup, plan):
     """One FaultPlan, two runtimes, identical mathematics: link outages,
-    node-down spans, and wire corruption all replay exactly."""
+    node-down spans, and wire corruption all replay exactly — scheduled or
+    drawn from seeded Markov chains. ``plan`` builds a fresh plan per
+    runtime: fault models bind to one topology instance."""
     model, shards, topo, weights, init = ridge_setup
     rounds = 12
-
-    def plan():
-        # Fresh per runtime: scheduled models bind to one topology instance.
-        return FaultPlan(
-            links=ScheduledFailures({3: [(0, 1)], 4: [(0, 1)]}),
-            nodes=CrashRestartSchedule({1: [(6, 7)]}),
-            corruption=ScheduledCorruption({9: [(0, 2)]}),
-        )
 
     def config():
         return SNAPConfig(
@@ -79,7 +98,16 @@ def test_faulty_testbed_matches_faulty_simulation_bit_for_bit(ridge_setup):
     np.testing.assert_allclose(
         net_result.mean_loss_trace, sim_result.loss_trace(), atol=1e-12
     )
-    assert net_result.corrupt_frames_total == 1
+    # Every frame the simulator charged and the plan damaged failed the
+    # testbed receiver's CRC check.
+    checker = plan()
+    corrupted = sum(
+        checker.corrupted(topo, flow.source, flow.destination, flow.round_index)
+        for flow in simulated.tracker.records()
+    )
+    assert net_result.corrupt_frames_total == corrupted > 0
+    # The chaos bit: some link went stale along the way.
+    assert any(record.stale_links for record in sim_result.rounds)
     # Final staleness agrees with the simulator's per-link ages.
     assert net_result.link_staleness == simulated.link_staleness
 
@@ -91,13 +119,7 @@ def test_testbed_stale_view_ledger_matches_semisync_engine(ridge_setup):
     runtimes, identical straggler ledgers (and zero on a clean run)."""
     model, shards, topo, weights, init = ridge_setup
     rounds = 12
-
-    def plan():
-        return FaultPlan(
-            links=ScheduledFailures({3: [(0, 1)], 4: [(0, 1)]}),
-            nodes=CrashRestartSchedule({1: [(6, 7)]}),
-            corruption=ScheduledCorruption({9: [(0, 2)]}),
-        )
+    plan = _scheduled_plan
 
     def config(engine):
         return SNAPConfig(

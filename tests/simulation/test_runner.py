@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import SNAPConfig
 from repro.exceptions import ConfigurationError
+from repro.faults import FaultPlan
 from repro.simulation.experiments import credit_svm_workload
 from repro.simulation.runner import (
     SCHEMES,
@@ -73,7 +74,7 @@ class TestRunScheme:
                 "snap",
                 workload,
                 max_rounds=10,
-                failure_model=IndependentLinkFailures(1.0, seed=0),
+                fault_plan=FaultPlan(links=IndependentLinkFailures(1.0, seed=0)),
                 stop_on_convergence=False,
             )
         # all links always down -> no traffic at all

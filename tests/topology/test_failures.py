@@ -3,11 +3,8 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.topology.failures import (
-    IndependentLinkFailures,
-    NoFailures,
-    ScheduledFailures,
-)
+from repro.faults import FaultPlan
+from repro.topology.failures import IndependentLinkFailures, ScheduledFailures
 from repro.topology.generators import random_topology
 
 
@@ -17,10 +14,12 @@ def topo():
 
 
 class TestNoFailures:
+    """The fault-free default is a plan with no link models."""
+
     def test_always_empty(self, topo):
-        model = NoFailures()
-        assert model.failed_links(topo, 0) == frozenset()
-        assert model.failed_links(topo, 999) == frozenset()
+        plan = FaultPlan()
+        assert plan.failed_links(topo, 0) == frozenset()
+        assert plan.failed_links(topo, 999) == frozenset()
 
 
 class TestIndependentLinkFailures:
