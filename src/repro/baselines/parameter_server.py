@@ -130,10 +130,14 @@ class ParameterServerTrainer:
             detector = ConvergenceDetector()
         records: list[RoundRecord] = []
         n_params = self.model.n_params
+        # Every round: one gradient flow per worker up, one full vector down.
+        workers = [node for node in self.topology if node != self.server_node]
+        server = [self.server_node] * len(workers)
+        push_bytes = [full_vector_bytes(n_params)] * len(workers)
+        params_sent = 2 * len(workers) * n_params
 
         for round_index in range(1, max_rounds + 1):
-            gradients = []
-            params_sent = 0
+            gradients, gradient_bytes = [], []
             for node, shard in enumerate(self.shards):
                 gradient = self.model.gradient(self.params, shard.X, shard.y)
                 if node == self.server_node:
@@ -141,27 +145,12 @@ class ParameterServerTrainer:
                     continue
                 received, wire_bytes = self.encode_gradient(gradient)
                 gradients.append(received)
-                self.tracker.record(
-                    round_index=round_index,
-                    source=node,
-                    destination=self.server_node,
-                    size_bytes=wire_bytes,
-                )
-                params_sent += n_params
+                gradient_bytes.append(wire_bytes)
+            self.tracker.record_many(round_index, workers, server, gradient_bytes)
             self.params = self.params - self.alpha * np.mean(gradients, axis=0)
 
             # Push the updated parameters back to every worker, full precision.
-            push_bytes = full_vector_bytes(n_params)
-            for node in self.topology:
-                if node == self.server_node:
-                    continue
-                self.tracker.record(
-                    round_index=round_index,
-                    source=self.server_node,
-                    destination=node,
-                    size_bytes=push_bytes,
-                )
-                params_sent += n_params
+            self.tracker.record_many(round_index, server, workers, push_bytes)
 
             loss = self._global_loss()
             accuracy = None

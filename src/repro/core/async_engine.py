@@ -70,6 +70,7 @@ import numpy as np
 
 from repro.core.engine import DeliveredEdges
 from repro.exceptions import ProtocolError
+from repro.network.cost import FlowBatch
 from repro.network.timing import LinkTimingModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trainer imports us)
@@ -602,20 +603,18 @@ class SemiSyncEngine:
         per_node.setdefault(source, []).append((destination, size, stage))
 
     def _flush_flows(self, target: int) -> None:
-        """Replay buffered flows in reference order: round-major, sender asc."""
+        """Replay buffered flows in reference order: round-major, sender asc.
+
+        One ledger batch per sender round, as the reference engine writes it.
+        """
         tracker = self.trainer.tracker
+        flows = FlowBatch()
         for sender_round in sorted(r for r in self._flow_buffer if r <= target):
             per_node = self._flow_buffer.pop(sender_round)
             for source in sorted(per_node):
                 for destination, size, stage in per_node[source]:
-                    tracker.record(
-                        round_index=sender_round,
-                        source=source,
-                        destination=destination,
-                        size_bytes=size,
-                        hops=1,
-                        stage=stage,
-                    )
+                    flows.add(source, destination, size, stage)
+            flows.flush(tracker, sender_round)
 
     # -- observation (monitor / results plumbing) -------------------------------
 

@@ -52,6 +52,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from repro.core.config import StragglerStrategy
+from repro.network.cost import FlowBatch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trainer imports us)
     from repro.core.trainer import SNAPTrainer
@@ -146,9 +147,11 @@ class ReferenceEngine:
         sends (so a failed link leaves the receiver's current layer stale,
         per the straggler rule); then each runs the shared
         :meth:`SNAPTrainer.send_round`. Its wire asks the fault plan whether
-        the link is up (a downed link charges nothing), charges one hop,
-        then asks whether the frame arrived damaged (charged, never
-        applied); an intact frame is applied to the receiver on the spot.
+        the link is up (a downed link charges nothing), queues the frame's
+        one-hop charge, then asks whether the frame arrived damaged
+        (charged, never applied); an intact frame is applied to the
+        receiver on the spot. The round's charges reach the ledger as one
+        batch after the last sender.
         Servers in ``down`` neither advance, send, nor receive this round.
 
         Returns the parameter values delivered and the edges they crossed.
@@ -163,15 +166,13 @@ class ReferenceEngine:
 
         params_sent = 0
         delivered: list[tuple[int, int]] = []
+        flows = FlowBatch()
 
         def transmit(source, destination, message, stage) -> bool:
             nonlocal params_sent
             if not plan.link_up(topology, source, destination, round_index):
                 return False
-            tracker.record(
-                round_index, source, destination, message.size_bytes,
-                hops=1, stage=stage,
-            )
+            flows.add(source, destination, message.size_bytes, stage)
             if plan.corrupted(topology, source, destination, round_index):
                 return False
             servers[destination].receive_update(message)
@@ -181,6 +182,7 @@ class ReferenceEngine:
 
         for server in active:
             trainer.send_round(server, round_index, down, transmit)
+        flows.flush(tracker, round_index)
         return params_sent, DeliveredEdges.from_pairs(delivered)
 
     def stacked_params(self) -> np.ndarray:

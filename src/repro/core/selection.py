@@ -63,10 +63,11 @@ def select_parameters(
         raise ProtocolError(f"threshold must be >= 0, got {threshold}")
     delta = np.abs(current - reference)
     send_mask = delta > threshold
-    suppressed = delta[~send_mask]
-    suppressed_max = float(suppressed.max()) if suppressed.size else 0.0
+    # delta >= 0, so the 0.0 floor only answers "nothing suppressed"; a NaN
+    # change is never sent and propagates into the max.
+    suppressed_max = float(delta.max(where=~send_mask, initial=0.0))
     # Already int64: ParameterUpdate keeps this very array (no cast, no copy).
-    indices = np.flatnonzero(send_mask)
+    indices = send_mask.nonzero()[0]
     return Selection(
         indices=indices,
         values=current[indices],

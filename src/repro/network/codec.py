@@ -270,9 +270,7 @@ def _decode_quantized(
             payload, dtype=">u4", count=sent_count, offset=offset
         ).astype(np.int64)
         offset += 4 * sent_count
-        if indices.size and (
-            np.any(np.diff(indices) <= 0) or indices.max() >= total_params
-        ):
+        if not _strictly_increasing_below(indices, total_params):
             raise ProtocolError("QUANTIZED frame has invalid index sequence")
     levels = _unpack_levels(payload[offset:], sent_count, bits)
     return ParameterUpdate(

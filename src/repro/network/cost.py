@@ -6,17 +6,19 @@ size." The tracker records every flow with its hop count and answers the
 aggregates the figures need: total cost (Figs. 4c, 8) and per-round series
 (Fig. 4b).
 
-The per-round series are columnar: preallocated int64 arrays indexed by
-round (grown geometrically), plus a sorted per-directed-edge byte counter —
-O(rounds + edges) memory regardless of how many flows are recorded. Only
-:meth:`~CommunicationCostTracker.record_many` batches are merged into that
-sorted counter; a scalar :meth:`~CommunicationCostTracker.record` — the
-per-edge engines' one call per message — counts its edge in a dict keyed the
-same way, O(1) and free of set operations.
+There is one store and one write path. Every flow — a
+:meth:`~CommunicationCostTracker.record_many` batch or a single
+:meth:`~CommunicationCostTracker.record` row — lands in preallocated int64
+per-round arrays indexed by round (grown geometrically) and a sorted
+per-directed-edge byte counter: O(rounds + edges) memory regardless of how
+many flows are recorded. The per-edge runtimes gather a round's frames in a
+:class:`FlowBatch` and charge them with one ``record_many`` per (round,
+stage); laid out source-ascending, neighbour-ascending, such a batch merges
+into the edge counter without a set operation.
 
-The retained per-flow ledger (``retain_records``) is columnar too: a
-``record_many`` batch is kept as its validated int64 columns, O(flows)
-*ints* rather than objects, and :class:`FlowRecord` views are built only when
+The retained per-flow ledger (``retain_records``) is columnar too: each
+batch is kept as its validated int64 columns, O(flows) *ints* rather than
+objects, and :class:`FlowRecord` views are built only when
 :meth:`~CommunicationCostTracker.records` is read.
 :meth:`~CommunicationCostTracker.flow_columns` reads the same ledger batch by
 batch without building them at all. Streaming consumers (incremental
@@ -28,7 +30,6 @@ batch in insertion order without the tracker retaining anything for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Callable, Iterator
 
 import numpy as np
@@ -83,10 +84,9 @@ class CommunicationCostTracker:
     ):
         self._hop_counts = None if hop_counts is None else np.asarray(hop_counts)
         self.retain_records = bool(retain_records)
-        # The retained ledger, in insertion order: a FlowRecord per scalar
-        # record(), a (round, sources, destinations, sizes, hops) tuple of
-        # owned int64 columns per record_many() batch (hops an int when the
-        # whole batch shares it).
+        # The retained ledger, in insertion order: a (round, sources,
+        # destinations, sizes, hops) tuple of owned int64 columns per batch
+        # (hops an int when the whole batch shares it).
         self._ledger: list = []
         self._n_flows = 0
         # Columnar per-round series, indexed by round (grown geometrically).
@@ -104,10 +104,6 @@ class CommunicationCostTracker:
         # with parallel byte counts, merged per batch.
         self._edge_keys = np.empty(0, dtype=np.int64)
         self._edge_bytes = np.empty(0, dtype=np.int64)
-        # The same counter for scalar record() flows, keyed the same way: one
-        # dict update per message instead of a set-operation merge of a
-        # length-1 batch. per_edge_bytes() adds the two.
-        self._scalar_edge_bytes: dict[int, int] = {}
         self._per_stage_bytes: dict[str, int] = {}
         self._per_stage_cost: dict[str, int] = {}
         self._total_cost = 0
@@ -121,8 +117,8 @@ class CommunicationCostTracker:
 
         Observers are called as ``observer(round_index, sources,
         destinations, sizes, hops)`` with parallel int64 arrays after
-        validation and aggregate updates — single :meth:`record` calls
-        arrive as length-1 batches. This is how streaming digests and
+        validation and aggregate updates — a single :meth:`record` call
+        arrives as a length-1 batch. This is how streaming digests and
         invariant monitors see the ledger without the tracker retaining
         per-flow objects.
         """
@@ -212,31 +208,10 @@ class CommunicationCostTracker:
                 f"no route from {source} to {destination} (hops={hops})"
             )
         record = FlowRecord(round_index, source, destination, int(size_bytes), hops)
-        if self.retain_records:
-            self._ledger.append(record)
-        self._n_flows += 1
-        self._accumulate_round(round_index, record.cost, record.size_bytes)
-        key = (source << _EDGE_KEY_SHIFT) | destination
-        self._scalar_edge_bytes[key] = (
-            self._scalar_edge_bytes.get(key, 0) + record.size_bytes
+        columns = np.array(
+            [[source], [destination], [record.size_bytes], [hops]], dtype=np.int64
         )
-        if stage is not None:
-            self._per_stage_bytes[stage] = (
-                self._per_stage_bytes.get(stage, 0) + record.size_bytes
-            )
-            self._per_stage_cost[stage] = (
-                self._per_stage_cost.get(stage, 0) + record.cost
-            )
-        self._total_cost += record.cost
-        self._total_bytes += record.size_bytes
-        if self._observers:
-            self._notify(
-                round_index,
-                np.asarray([source], dtype=np.int64),
-                np.asarray([destination], dtype=np.int64),
-                np.asarray([record.size_bytes], dtype=np.int64),
-                np.asarray([record.hops], dtype=np.int64),
-            )
+        self._store(round_index, *columns, True, stage)
         return record
 
     def record_many(
@@ -286,6 +261,15 @@ class CommunicationCostTracker:
                 f"no route from {int(sources[bad])} to "
                 f"{int(destinations[bad])} (hops={int(hops[bad])})"
             )
+        self._store(
+            round_index, sources, destinations, sizes, hops, shared_hops, stage
+        )
+        return int(sizes.size)
+
+    def _store(
+        self, round_index, sources, destinations, sizes, hops, shared_hops, stage
+    ) -> None:
+        """The one write: a validated batch of parallel int64 columns."""
         costs = sizes * hops
         total_bytes = int(sizes.sum())
         total_cost = int(costs.sum())
@@ -316,7 +300,6 @@ class CommunicationCostTracker:
         self._total_bytes += total_bytes
         if self._observers:
             self._notify(round_index, sources, destinations, sizes, hops)
-        return int(sizes.size)
 
     # -- aggregates --------------------------------------------------------
 
@@ -368,12 +351,11 @@ class CommunicationCostTracker:
 
     def per_edge_bytes(self) -> dict[tuple[int, int], int]:
         """Total bytes per directed edge, as ``{(source, destination): bytes}``."""
-        totals = dict(zip(self._edge_keys.tolist(), self._edge_bytes.tolist()))
-        for key, n_bytes in self._scalar_edge_bytes.items():
-            totals[key] = totals.get(key, 0) + n_bytes
         return {
             (key >> _EDGE_KEY_SHIFT, key & 0xFFFFFFFF): total
-            for key, total in sorted(totals.items())
+            for key, total in zip(
+                self._edge_keys.tolist(), self._edge_bytes.tolist()
+            )
         }
 
     def stage_bytes(self) -> dict[str, int]:
@@ -406,9 +388,9 @@ class CommunicationCostTracker:
         Yields ``(round_index, sources, destinations, sizes, hops)`` with
         parallel int64 arrays — the observer signature, and the flows of
         :meth:`records` in the same order, without building a
-        :class:`FlowRecord` per flow. A ``record_many`` call is one batch;
-        consecutive scalar :meth:`record` flows of one round are gathered
-        into one. The arrays are the tracker's own: read, don't write.
+        :class:`FlowRecord` per flow. A ``record_many`` call is one batch, a
+        :meth:`record` call a length-1 batch. The arrays are the tracker's
+        own: read, don't write.
         Iterating raises like :meth:`records` when the ledger was not retained.
         """
         if not self.retain_records:
@@ -417,18 +399,44 @@ class CommunicationCostTracker:
                 "retain_records=False); use the per-round/total aggregates, "
                 "or retain records"
             )
-        for scalar_round, run in groupby(
-            self._ledger,
-            lambda entry: entry.round_index if type(entry) is FlowRecord else None,
-        ):
-            if scalar_round is not None:
-                columns = np.array(
-                    [(f.source, f.destination, f.size_bytes, f.hops) for f in run],
-                    dtype=np.int64,
-                )
-                yield (scalar_round, *columns.T)
-                continue
-            for round_index, sources, destinations, sizes, hops in run:
-                if type(hops) is int:
-                    hops = np.full(sizes.shape, hops, dtype=np.int64)
-                yield round_index, sources, destinations, sizes, hops
+        for round_index, sources, destinations, sizes, hops in self._ledger:
+            if type(hops) is int:
+                hops = np.full(sizes.shape, hops, dtype=np.int64)
+            yield round_index, sources, destinations, sizes, hops
+
+
+class FlowBatch:
+    """One round's per-edge frames, gathered for one ledger write.
+
+    The per-edge wires :meth:`add` a flow per frame they put on the wire and
+    :meth:`flush` once per round: one :meth:`CommunicationCostTracker.record_many`
+    per run of same-stage flows, in insertion order — so a round whose frames
+    share a stage is one batch, and the ledger reads exactly as one
+    :meth:`~CommunicationCostTracker.record` per frame would have written it.
+    """
+
+    __slots__ = ("_runs",)
+
+    def __init__(self) -> None:
+        # (stage, sources, destinations, sizes) per run of equal stages.
+        self._runs: list[tuple[str | None, list, list, list]] = []
+
+    def add(
+        self, source: int, destination: int, size_bytes: int, stage: str | None
+    ) -> None:
+        """Queue one flow."""
+        runs = self._runs
+        if not runs or runs[-1][0] != stage:
+            runs.append((stage, [], [], []))
+        _, sources, destinations, sizes = runs[-1]
+        sources.append(source)
+        destinations.append(destination)
+        sizes.append(size_bytes)
+
+    def flush(self, tracker: CommunicationCostTracker, round_index: int) -> None:
+        """Charge every queued one-hop flow to ``round_index``; empty the batch."""
+        for stage, sources, destinations, sizes in self._runs:
+            tracker.record_many(
+                round_index, sources, destinations, sizes, hops=1, stage=stage
+            )
+        self._runs.clear()

@@ -68,6 +68,7 @@ from repro.exceptions import (
 )
 from repro.faults.plan import FaultPlan
 from repro.models.base import Model
+from repro.network.cost import FlowBatch
 from repro.runtime.transport import (
     HEADER_BYTES,
     FrameConnection,
@@ -157,11 +158,11 @@ class _Node:
     the node), so a finished runtime is freed by refcount.
     """
 
-    def __init__(self, server, tracker, fault_plan, topology):
+    def __init__(self, server, flows, fault_plan, topology):
         self.server = server
-        #: The trainer's cost tracker: frames are booked live (stage
-        #: ``"testbed"``), so an orchestrator /metrics scrape is exact.
-        self.tracker = tracker
+        #: The fleet's round batch of sent frames (stage ``"testbed"``),
+        #: booked into the trainer's tracker at every round barrier.
+        self.flows = flows
         self.fault_plan = fault_plan
         self.topology = topology
         #: Physical peers: the base-topology neighbor set at wiring time.
@@ -261,9 +262,7 @@ class _Node:
             return False
         self.payload_bytes += sent
         self.frames_sent += 1
-        self.tracker.record(
-            round_index, source, neighbor, sent, hops=1, stage="testbed"
-        )
+        self.flows.add(source, neighbor, sent, "testbed")
         return not corrupt
 
     def expect_senders(self, round_index: int, offline: frozenset) -> None:
@@ -450,8 +449,9 @@ class TestbedRuntime:
                 )
             self.crash_schedule[int(round_index)] = crashed
         self._trainer = trainer
+        self._flows = FlowBatch()
         self.nodes = [
-            _Node(server, trainer.tracker, fault_plan, topology)
+            _Node(server, self._flows, fault_plan, topology)
             for server in trainer.servers
         ]
         #: Nodes that have not crashed, in id order.
@@ -600,6 +600,8 @@ class TestbedRuntime:
             self._trainer.send_round(
                 node.server, round_index, offline, node._transmit
             )
+        # The round's frames, in node order, as one ledger batch.
+        self._flows.flush(self._trainer.tracker, round_index)
         for node in active:
             node.expect_senders(round_index, offline)
         self.barrier_wait(round_index)

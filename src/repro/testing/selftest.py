@@ -11,9 +11,9 @@ the violated invariant:
     :func:`~repro.weights.validation.check_weight_matrix`), breaking
     symmetry and double stochasticity → ``weight-stochasticity``.
 ``ledger``
-    The cost tracker's ``record`` is wrapped to inflate every flow by one
-    byte, pushing sizes off the analytic Fig. 3 frame-size lattice →
-    ``byte-ledger``.
+    The cost tracker's ``record_many`` (the engines' one ledger write) is
+    wrapped to inflate every flow by one byte, pushing sizes off the
+    analytic Fig. 3 frame-size lattice → ``byte-ledger``.
 ``ape``
     One server's APE schedule is patched to accumulate past its stage
     budget without ever advancing the stage (Algorithm 1 lines 5-6 skipped)
@@ -44,6 +44,8 @@ non-zero true positives on broken ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.exceptions import InvariantViolation
 from repro.testing.scenarios import Scenario
@@ -84,12 +86,13 @@ def _inject_weight(trainer) -> None:
 
 def _inject_ledger(trainer) -> None:
     tracker = trainer.tracker
-    true_record = tracker.record
+    true_record_many = tracker.record_many
 
-    def inflated_record(round_index, source, destination, size_bytes, **kwargs):
-        return true_record(round_index, source, destination, size_bytes + 1, **kwargs)
+    def inflated_record_many(round_index, sources, destinations, sizes, **kwargs):
+        inflated = np.asarray(sizes, dtype=np.int64) + 1
+        return true_record_many(round_index, sources, destinations, inflated, **kwargs)
 
-    tracker.record = inflated_record
+    tracker.record_many = inflated_record_many
 
 
 def _inject_ape(trainer) -> None:

@@ -334,3 +334,39 @@ class TestObservability:
         assert np.array_equal(ref_b.final_params, vec_b.final_params)
         for ref, vec in zip(ref_trainer.servers, vec_trainer.servers):
             assert np.array_equal(ref.params, vec.params)
+
+
+class TestLedgerBatches:
+    """At tau=0 every engine writes the same ledger in the same batches: one
+    ``record_many`` per round, read back identically through every view."""
+
+    @staticmethod
+    def _ledger(trainer):
+        tracker = trainer.tracker
+        return {
+            "batches": [
+                (round_index, *(column.tolist() for column in columns))
+                for round_index, *columns in tracker.flow_columns()
+            ],
+            "records": tracker.records(),
+            "per_edge_bytes": tracker.per_edge_bytes(),
+            "stage_bytes": tracker.stage_bytes(),
+            "stage_costs": tracker.stage_costs(),
+            "per_round_bytes": tracker.per_round_bytes(),
+            "per_round_costs": tracker.per_round_costs(),
+        }
+
+    @pytest.mark.parametrize("plan", [None, _lossy_links_plan])
+    def test_reference_semisync_and_vectorized_agree(self, plan):
+        ledgers = {}
+        for engine in ("reference", "semisync", "vectorized"):
+            trainer, _ = _run(
+                engine, LogisticRegression(5), _binary_shards(), fault_plan=plan
+            )
+            ledgers[engine] = self._ledger(trainer)
+        reference = ledgers["reference"]
+        assert ledgers["semisync"] == reference
+        assert ledgers["vectorized"] == reference
+        batch_rounds = [batch[0] for batch in reference["batches"]]
+        traffic_rounds = [r for r, _ in reference["per_round_bytes"]]
+        assert batch_rounds == traffic_rounds  # one batch per round

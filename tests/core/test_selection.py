@@ -1,7 +1,12 @@
 """Tests for repro.core.selection.select_parameters."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.selection import select_parameters
 from repro.exceptions import ProtocolError
@@ -62,3 +67,66 @@ class TestSelection:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ProtocolError):
             select_parameters(np.zeros(3), np.zeros(3), -0.1)
+
+
+def _old_selection(current, reference, threshold):
+    """The boolean-indexing spelling ``select_parameters`` used to have."""
+    delta = np.abs(current - reference)
+    send_mask = delta > threshold
+    suppressed = delta[~send_mask]
+    suppressed_max = float(suppressed.max()) if suppressed.size else 0.0
+    return np.flatnonzero(send_mask), suppressed_max
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf]),
+    st.floats(-1e6, 1e6, allow_subnormal=True),
+)
+
+
+def _arrays(current, reference, threshold):
+    return np.array(current, dtype=float), np.array(reference, dtype=float), threshold
+
+
+@st.composite
+def _selection_inputs(draw):
+    n = draw(st.integers(0, 10))
+    current = np.array(draw(st.lists(_ENTRIES, min_size=n, max_size=n)), dtype=float)
+    # Mostly small perturbations of current, so ties, near-ties and
+    # all-suppressed vectors are common; sometimes an unrelated vector.
+    noise = draw(st.lists(_ENTRIES, min_size=n, max_size=n))
+    scale = draw(st.sampled_from([0.0, 1e-9, 0.5, 1.0]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        reference = current + scale * np.array(noise, dtype=float)
+        deltas = np.abs(current - reference)
+    candidates = [0.0, math.inf, *deltas[~np.isnan(deltas)].tolist()]
+    threshold = draw(st.one_of(st.sampled_from(candidates), st.floats(0, 1e6)))
+    return current, reference, threshold
+
+
+class TestSelectionSpelling:
+    """``max(where=, initial=0.0)`` and ``nonzero()[0]`` are the old
+    boolean-indexing selection, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_selection_inputs())
+    @example(_arrays([1.0, 2.0], [0.0, 0.0], 0.0))  # all sent
+    @example(_arrays([1.0, 2.0], [1.0, 2.0], 0.0))  # none sent: exact ties
+    @example(_arrays([0.0, -0.0], [-0.0, 0.0], 0.0))  # signed zeros tie
+    @example(_arrays([1.0, math.nan], [1.5, 0.0], 0.1))  # a NaN change
+    @example(_arrays([], [], 0.0))
+    def test_matches_the_boolean_indexing_oracle(self, inputs):
+        current, reference, threshold = inputs
+        with np.errstate(invalid="ignore", over="ignore"):
+            selection = select_parameters(current, reference, threshold)
+            indices, suppressed_max = _old_selection(current, reference, threshold)
+        assert selection.indices.dtype == np.int64
+        np.testing.assert_array_equal(selection.indices, indices)
+        np.testing.assert_array_equal(selection.values, current[indices])
+        assert type(selection.suppressed_max) is float
+        if math.isnan(suppressed_max):
+            assert math.isnan(selection.suppressed_max)
+        else:
+            assert struct.pack("<d", selection.suppressed_max) == struct.pack(
+                "<d", suppressed_max
+            )

@@ -3,6 +3,7 @@
 import gc
 import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.data.drift import LabelShiftDrift, StreamingArrival
 from repro.data.partition import iid_partition
 from repro.exceptions import ConfigurationError
 from repro.models.ridge import RidgeRegression
+from repro.network.cost import FlowRecord
 from repro.topology.generators import complete_topology, random_topology
 from repro.topology.graph import Topology
 from repro.weights.construction import metropolis_weights
@@ -228,7 +230,10 @@ class TestVectorizedRoundCallCount:
 
     @staticmethod
     def _python_calls_per_round(
-        compressor: str, n_nodes: int, retain_flow_records: bool = False
+        compressor: str,
+        n_nodes: int,
+        retain_flow_records: bool = False,
+        model: str = "logistic",
     ) -> float:
         """Python-level function calls one vectorized round makes at ``n_nodes``.
 
@@ -240,15 +245,20 @@ class TestVectorizedRoundCallCount:
         machine.
         """
         from repro.models.logistic import LogisticRegression
+        from repro.models.mlp import MLPClassifier
         from repro.topology.generators import random_regular_topology
 
         rng = np.random.default_rng(42)
         shards = []
         for _ in range(n_nodes):
             X = rng.normal(size=(30, 10))
-            shards.append(Dataset(X, (X @ rng.normal(size=10) > 0).astype(float)))
+            if model == "mlp":
+                y = rng.integers(0, 3, 30).astype(float)
+            else:
+                y = (X @ rng.normal(size=10) > 0).astype(float)
+            shards.append(Dataset(X, y))
         trainer = SNAPTrainer(
-            LogisticRegression(10),
+            MLPClassifier((10, 16, 3)) if model == "mlp" else LogisticRegression(10),
             shards,
             random_regular_topology(n_nodes, degree=4, seed=3),
             SNAPConfig(
@@ -311,6 +321,22 @@ class TestVectorizedRoundCallCount:
             f"Python calls per vectorized {compressor} round with the flow "
             f"ledger retained grew with N: {small:.0f} at N=64 -> {large:.0f} "
             "at N=256; record_many builds something per flow"
+        )
+
+
+    def test_grouped_mlp_kernels_stay_off_the_per_node_fallback(self):
+        """The MLP's grouped forward / backward keep its vectorized round
+        near array-at-a-time: the one per-node Python step left is the
+        loss's ``np.mean`` chain (6 calls), where the per-node fallback the
+        grouped kernels replaced costs 39 calls per node."""
+        small, large = (
+            self._python_calls_per_round("ape", n, model="mlp") for n in (64, 256)
+        )
+        per_node = (large - small) / (256 - 64)
+        assert per_node <= 8, (
+            f"Python calls per vectorized MLP round grew by {per_node:.1f} per "
+            f"node ({small:.0f} at N=64 -> {large:.0f} at N=256); the MLP "
+            "batch path fell back to per-node model calls"
         )
 
 
@@ -541,15 +567,18 @@ class TestDriftSwapsThePreparedShard:
 
 
 class TestNoPerMessageFixedCosts:
-    """Rounds >= 2 of a per-edge run make no set-operation or ``hstack`` calls.
+    """Rounds >= 2 of a per-edge run make no per-message ledger or set-op calls.
 
-    The per-message fixed costs PR 17 removed — ``np.unique`` /
-    ``searchsorted`` / ``union1d`` on a length-1 ledger batch, ``np.unique`` +
-    ``np.isin`` + an ``hstack`` of the design matrix per loss / gradient on an
-    immutable shard — cannot come back unnoticed: the first round may make such
-    calls (every server prepares its shard once), later rounds must make none.
-    Counted with ``sys.setprofile`` on every thread as the difference between
-    a short and a long run: a count, not a clock.
+    Per-message fixed costs that were once paid — ``np.unique`` /
+    ``searchsorted`` / ``union1d`` on a ledger batch, a :class:`FlowRecord`
+    or a ledger write per frame, ``np.unique`` + ``np.isin`` + an ``hstack``
+    of the design matrix per loss / gradient on an immutable shard — cannot
+    come back unnoticed: the first round may make set-operation calls (every
+    server prepares its shard once), later rounds must make none, and every
+    round charges its frames with one ``record_many`` per stage, a batch
+    sorted enough to skip ``np.unique``. Counted with ``sys.setprofile`` on
+    every thread as the difference between a short and a long run: a count,
+    not a clock.
     """
 
     SHORT, LONG = 2, 7
@@ -566,11 +595,18 @@ class TestNoPerMessageFixedCosts:
         return LinearSVM(6), shards, random_topology(5, 2.5, seed=4)
 
     @staticmethod
-    def _forbidden_calls(run) -> list[str]:
-        """Names of the set-operation / ``hstack`` Python calls ``run()`` makes."""
+    def _profile(run, tracker) -> tuple[list[str], Counter]:
+        """The forbidden Python calls ``run()`` makes — set operations,
+        ``hstack`` and ``FlowRecord`` constructions, by name — and its
+        ledger writes per ``(round, stage)``."""
         import threading
 
-        seen = []
+        seen, writes = [], Counter()
+        record_many = tracker.record_many
+
+        def counted_record_many(round_index, *args, stage=None, **kwargs):
+            writes[round_index, stage] += 1
+            return record_many(round_index, *args, stage=stage, **kwargs)
 
         def on_event(frame, event, arg):
             if event != "call":
@@ -578,7 +614,12 @@ class TestNoPerMessageFixedCosts:
             code = frame.f_code
             if "arraysetops" in code.co_filename or code.co_name == "hstack":
                 seen.append(code.co_name)
+            elif code.co_name == "__init__" and isinstance(
+                frame.f_locals.get("self"), FlowRecord
+            ):
+                seen.append("FlowRecord")
 
+        tracker.record_many = counted_record_many
         threading.setprofile(on_event)
         sys.setprofile(on_event)
         try:
@@ -586,18 +627,23 @@ class TestNoPerMessageFixedCosts:
         finally:
             sys.setprofile(None)
             threading.setprofile(None)
-        return sorted(seen)
+        return sorted(seen), writes
 
     def _assert_later_rounds_add_none(self, run_for):
-        short = self._forbidden_calls(run_for(self.SHORT))
-        long = self._forbidden_calls(run_for(self.LONG))
+        short, _ = self._profile(*run_for(self.SHORT))
+        long, writes = self._profile(*run_for(self.LONG))
         # The hook does see them: each server's one shard preparation.
         assert "unique" in short and "hstack" in short
         assert long == short, (
-            f"rounds {self.SHORT + 1}..{self.LONG} made per-message set-operation "
-            f"or hstack calls: {len(long) - len(short)} more than the first "
-            f"{self.SHORT} rounds"
+            f"rounds {self.SHORT + 1}..{self.LONG} made per-message calls the "
+            f"first {self.SHORT} rounds did not: "
+            f"{dict(Counter(long) - Counter(short))}"
         )
+        assert "FlowRecord" not in long
+        assert sorted({round_index for round_index, _ in writes}) == list(
+            range(1, self.LONG + 1)
+        )
+        assert max(writes.values()) == 1, f"ledger writes per round: {writes}"
 
     @pytest.mark.parametrize("engine", ["reference", "semisync"])
     def test_simulated_engines(self, engine):
@@ -610,7 +656,10 @@ class TestNoPerMessageFixedCosts:
                 topo,
                 config=SNAPConfig(engine=engine, seed=0, optimize_weights=False),
             )
-            return lambda: trainer.run(max_rounds=rounds, stop_on_convergence=False)
+            def run():
+                trainer.run(max_rounds=rounds, stop_on_convergence=False)
+
+            return run, trainer.tracker
 
         self._assert_later_rounds_add_none(run_for)
 
@@ -623,9 +672,9 @@ class TestNoPerMessageFixedCosts:
             testbed = TestbedRuntime(
                 model, shards, topo, config=SNAPConfig(seed=0, optimize_weights=False)
             )
-            # The benchmark's tracker observer: length-1 batches stay cheap too.
+            # The benchmark's tracker observer: per-round batches stay cheap too.
             testbed.trainer.tracker.add_observer(lambda *flows: None)
-            return lambda: testbed.run(rounds)
+            return lambda: testbed.run(rounds), testbed.trainer.tracker
 
         self._assert_later_rounds_add_none(run_for)
 

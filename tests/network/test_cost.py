@@ -1,6 +1,7 @@
 """Tests for repro.network.cost.CommunicationCostTracker."""
 
 import dataclasses
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.network.cost import CommunicationCostTracker, FlowRecord
+from repro.network.cost import CommunicationCostTracker, FlowBatch, FlowRecord
 from repro.topology.generators import ring_topology
 from repro.topology.routing import all_pairs_hop_counts
 
@@ -285,6 +286,11 @@ def _observed(calls):
     return observer
 
 
+def _flat(calls):
+    """Observer calls as one ``(round, src, dst, size, hops)`` row per flow."""
+    return [(r, *flow) for r, *columns in calls for flow in zip(*columns)]
+
+
 def _snapshot(tracker, calls):
     return (
         tracker.total_bytes,
@@ -438,3 +444,46 @@ class TestRejectionLeavesNoTrace:
         with pytest.raises(ConfigurationError, match="no route from 0 to 2"):
             bad_call(tracker)
         assert _snapshot(tracker, calls) == before
+
+
+class TestFlowBatch:
+    """A per-edge wire's round batch reads back as one ``record`` per frame."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rounds=st.lists(
+            st.tuples(
+                st.integers(1, 5), st.lists(st.tuples(_flow, _stage), max_size=8)
+            ),
+            max_size=4,
+        )
+    )
+    def test_flush_equals_a_record_per_flow(self, rounds):
+        flushed, per_flow = CommunicationCostTracker(), CommunicationCostTracker()
+        flushed_calls, per_flow_calls = [], []
+        flushed.add_observer(_observed(flushed_calls))
+        per_flow.add_observer(_observed(per_flow_calls))
+        writes = []
+        record_many = flushed.record_many
+
+        def counted(round_index, *args, **kwargs):
+            writes.append(round_index)
+            return record_many(round_index, *args, **kwargs)
+
+        flushed.record_many = counted
+        batch = FlowBatch()
+        expected_writes = []
+        for round_index, flows in rounds:
+            runs = len(list(groupby(stage for _, stage in flows)))
+            expected_writes += [round_index] * runs
+            for (source, destination, size, _), stage in flows:
+                batch.add(source, destination, size, stage)
+                per_flow.record(
+                    round_index, source, destination, size, hops=1, stage=stage
+                )
+            batch.flush(flushed, round_index)
+
+        # One write per run of equal stages; a round without frames writes nothing.
+        assert writes == expected_writes
+        assert _snapshot(flushed, []) == _snapshot(per_flow, [])
+        assert _flat(flushed_calls) == _flat(per_flow_calls)
