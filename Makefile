@@ -30,7 +30,8 @@ flake:
 			|| { failures=$$((failures + 1)); echo "run $$run FAILED"; echo "$$out" | tail -30; }; \
 	done; echo "flake: $$failures failures / $(RUNS) runs"; test $$failures -eq 0
 
-## The performance smoke tests (vectorized engine speedup guard).
+## The performance smoke tests (the fast path's memory bound; its speed is
+## guarded by tier-1 call counts).
 perf:
 	$(PYTEST) -m perf
 

@@ -19,6 +19,11 @@ Three engines execute the same algorithm (the third, the event-driven
   the resulting :class:`~repro.compression.base.PayloadBatch` instead of
   materialized message objects.
 
+The TCP testbed (:class:`~repro.runtime.testbed.TestbedRuntime`) implements
+the same protocol over real sockets, plus the one optional phase
+``round_down(round_index, down)``: the round's down set widened (crashed
+servers, idle slots), or ``None`` to end the run before the round executes.
+
 The vectorized engine is **bit-for-bit equivalent** to the reference on every
 seeded configuration — same ``RoundRecord`` stream, same flow ledger, same
 final parameters — because every floating point operation is performed in the

@@ -461,10 +461,6 @@ class SNAPTrainer:
         """The network-average model (what gets evaluated on the test set)."""
         return self.stacked_params().mean(axis=0)
 
-    def mean_local_loss(self) -> float:
-        """Mean over servers of each server's loss at its own parameters."""
-        return float(np.mean([server.local_loss() for server in self.servers]))
-
     # -- the training loop ---------------------------------------------------------
 
     def run(
@@ -507,6 +503,9 @@ class SNAPTrainer:
         self._budget_horizon = self.rounds_completed + cap
 
         engine = self.engine
+        # An engine with a fleet of its own (the TCP testbed) may widen a
+        # round's down set, or end the run (None) before the round executes.
+        round_down = getattr(engine, "round_down", None)
         engine.begin_run()
         if self.monitor is not None:
             self.monitor.on_run_start()
@@ -517,9 +516,13 @@ class SNAPTrainer:
         try:
             for _ in range(cap):
                 round_index = self.rounds_completed + 1
+                down = self.fault_plan.failed_nodes(self.topology, round_index)
+                if round_down is not None:
+                    down = round_down(round_index, down)
+                    if down is None:
+                        break
                 if self.config.drift is not None:
                     self._maybe_apply_drift(round_index)
-                down = self.fault_plan.failed_nodes(self.topology, round_index)
                 engine.step_round(round_index, down)
 
                 params_sent, delivered = engine.communicate(round_index, down)
@@ -580,6 +583,8 @@ class SNAPTrainer:
         finally:
             engine.sync_to_servers()
 
+        if not records:  # the engine ended the run before its first round
+            stack = engine.stacked_params()
         final_params = stack.mean(axis=0)
         final_accuracy = (
             self._evaluate(test_set, final_params) if test_set is not None else None
@@ -666,13 +671,8 @@ class SNAPTrainer:
         if swap is not None:
             self._apply_topology_swap(swap)
 
-    def _apply_topology_swap(self, swap, sync_engine: bool = True) -> None:
+    def _apply_topology_swap(self, swap) -> None:
         """Atomically switch the runtime onto a swap's (topology, W, spec).
-
-        ``sync_engine=False`` is the networked-testbed path: there the
-        server objects are already authoritative (the testbed never steps
-        through the trainer's engine, whose state is stale), so the engine
-        sync/rebuild steps are skipped and everything else applies as-is.
 
         Ordering is load-bearing:
 
@@ -700,8 +700,7 @@ class SNAPTrainer:
            frame sizes) under the ``topology-swap`` check.
         """
         engine = self.engine
-        if sync_engine:
-            engine.sync_to_servers()
+        engine.sync_to_servers()
         if self.monitor is None:
             check_weight_matrix(swap.matrix, swap.topology)
 
@@ -762,8 +761,7 @@ class SNAPTrainer:
             for key in [k for k in self._edge_states if k not in live]:
                 del self._edge_states[key]
 
-        if sync_engine:
-            engine.rebuild_topology()
+        engine.rebuild_topology()
         if self.monitor is not None:
             self.monitor.on_topology_swap(swap)
 

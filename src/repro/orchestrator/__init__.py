@@ -31,7 +31,6 @@ from repro.orchestrator.client import HeartbeatSender, OrchestratorClient
 from repro.orchestrator.fleet import (
     ElasticFleetReport,
     active_mean_accuracy,
-    bind_job,
     default_fleet_config,
     run_elastic_fleet,
     run_static_baseline,
@@ -78,5 +77,4 @@ __all__ = [
     "run_static_baseline",
     "default_fleet_config",
     "active_mean_accuracy",
-    "bind_job",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.config import SNAPConfig, StragglerStrategy
 from repro.models.metrics import accuracy_score
 from repro.orchestrator.client import HeartbeatSender, OrchestratorClient
-from repro.orchestrator.jobs import JobManager, TrainingJob
+from repro.orchestrator.jobs import JobManager
 from repro.orchestrator.membership import OrchestratedMembership
 from repro.orchestrator.service import OrchestratorService
 from repro.runtime.testbed import TestbedResult, TestbedRuntime
@@ -265,11 +265,3 @@ def run_static_baseline(
         max_rounds=rounds, test_set=workload.test_set, stop_on_convergence=False
     )
     return float(result.final_accuracy)
-
-
-def bind_job(job: TrainingJob, runtime: TestbedRuntime) -> OrchestratedMembership:
-    """Convenience for tests: bridge a job onto an already-built runtime."""
-    bridge = OrchestratedMembership(job)
-    runtime.membership = bridge
-    bridge.bind(runtime)
-    return bridge

@@ -342,10 +342,7 @@ class TrainingJob:
             }
             status["staleness"] = {
                 "link_staleness_total": int(
-                    sum(
-                        sum(node.staleness.values())
-                        for node in runtime.nodes
-                    )
+                    sum(runtime.trainer.link_staleness.values())
                 ),
                 "stale_view_rounds_total": int(
                     sum(

@@ -4,13 +4,14 @@ Reproduces the paper's small-scale testbed setup: servers hold *persistent*
 connections to their neighbors (Section II-B) and exchange binary Fig. 3
 frames every round, synchronized by a shared clock (Section IV-D). Every
 server has its own listener and connections; one loop, on the thread that
-calls :meth:`TestbedRuntime.run`, drives them all. Per round it (1) applies
-crash requests and the single membership decision, (2) steps every live
-server, (3) lets each ``advance_views`` and ``send_round`` over its outbound
-sockets, (4) pumps one ``selectors`` selector — listeners, inbound links,
-outbound links with queued bytes — until every expected frame is applied or
-the round's deadline expires (:meth:`TestbedRuntime.barrier_wait`, the
-shared clock's tick), then books misses and staleness. Nothing on the loop
+calls :meth:`TestbedRuntime.run`, drives them all. It is an engine under
+``SNAPTrainer.run``: per round (1) ``round_down`` applies crash requests and
+the single membership decision, (2) ``step_round`` steps every live server,
+(3) ``communicate`` lets each ``advance_views`` and ``send_round`` over its
+outbound sockets, pumps one ``selectors`` selector — listeners, inbound
+links, outbound links with queued bytes — until every expected frame is
+applied or the round's deadline expires (:meth:`TestbedRuntime.barrier_wait`,
+the shared clock's tick), then books misses. Nothing on the loop
 blocks on a peer: sockets are non-blocking, unsent bytes wait in their
 connection's out-buffer, and a retry back-off is a due time the selector's
 timeout honors, never a sleep. Delivery order is the loop's, not the OS
@@ -53,12 +54,14 @@ import selectors
 import socket
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from repro.core.config import SNAPConfig
+from repro.core.engine import DeliveredEdges
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
 from repro.exceptions import (
@@ -112,10 +115,8 @@ class TestbedResult:
     n_rounds:
         Rounds executed.
     link_staleness:
-        Final per-directed-link staleness: rounds since the destination
-        last applied a fresh update from the source (reset to 0 on every
-        application — the trainer's ``link_staleness`` semantics, kept
-        bit-for-bit comparable with simulated runs).
+        Final per-directed-link staleness (rounds since the destination last
+        applied a fresh update from the source): the trainer's ledger.
     stale_view_rounds:
         Per directed link, how many rounds the destination *started* with
         a view of the source older than the previous round (judged by the
@@ -163,6 +164,7 @@ class _Node:
         #: The fleet's round batch of sent frames (stage ``"testbed"``),
         #: booked into the trainer's tracker at every round barrier.
         self.flows = flows
+        #: The trainer's plan and live topology (re-pointed by every swap).
         self.fault_plan = fault_plan
         self.topology = topology
         #: Physical peers: the base-topology neighbor set at wiring time.
@@ -182,8 +184,6 @@ class _Node:
         self.loss_trace: list[float] = []
         self.payload_bytes = 0
         self.frames_sent = 0
-        #: Rounds since each in-neighbor's update was last applied here.
-        self.staleness: dict[int, int] = dict.fromkeys(self.link_peers, 0)
         #: Sender round of the newest frame applied from each in-neighbor.
         self.last_applied_round: dict[int, int] = dict.fromkeys(self.link_peers, 0)
         #: Rounds this node *started* with a stale view of each in-neighbor
@@ -193,16 +193,17 @@ class _Node:
         #: Consecutive rounds each in-neighbor missed the round deadline.
         self.miss_streak: dict[int, int] = dict.fromkeys(self.link_peers, 0)
         #: Per-peer frame epoch: frames built before this round are stale
-        #: leftovers from before a membership swap re-seeded the link, and
+        #: leftovers from before a topology swap re-seeded the link, and
         #: are dropped instead of applied.
         self.link_epoch: dict[int, int] = {}
         #: Peers believed gone (EOF seen or too many missed deadlines).
         self.dead_peers: set[int] = set()
         #: In-neighbors whose inbound link has not said hello yet (wiring).
         self.unwired: set[int] = set(self.link_peers)
-        #: In-neighbors the current round still waits for / has applied.
+        #: In-neighbors the current round still waits for, and those it
+        #: applied frames from → the parameter values they carried.
         self.waiting: set[int] = set()
-        self.applied: set[int] = set()
+        self.applied: dict[int, int] = {}
         self.corrupt_frames = 0
 
     def connect_to_neighbors(
@@ -293,7 +294,7 @@ class _Node:
             sender not in server.views
             or frame.round_index < self.link_epoch.get(sender, 0)
         ):
-            # Leftover frame across a membership swap: the sender is no
+            # Leftover frame across a topology swap: the sender is no
             # longer an algorithmic neighbor, or the frame was built
             # before the link was re-seeded (applying a pre-swap delta
             # to a seeded view would corrupt it). Drop it.
@@ -305,13 +306,13 @@ class _Node:
         self.last_applied_round[sender] = max(
             self.last_applied_round[sender], frame.round_index
         )
-        self.applied.add(sender)
+        self.applied[sender] = self.applied.get(sender, 0) + frame.n_sent
         self.dead_peers.discard(sender)
         self.miss_streak[sender] = 0
 
     def end_round(self, dead_after_misses: int | None) -> None:
         """Book the round: a sender still waited for missed the deadline (after
-        enough consecutive misses it is written off), and every view ages."""
+        enough consecutive misses it is written off)."""
         for neighbor in self.waiting:
             self.miss_streak[neighbor] += 1
             if (
@@ -319,11 +320,6 @@ class _Node:
                 and self.miss_streak[neighbor] >= dead_after_misses
             ):
                 self.dead_peers.add(neighbor)
-        for neighbor in self.staleness:
-            if neighbor in self.applied:
-                self.staleness[neighbor] = 0
-            else:
-                self.staleness[neighbor] += 1
         self.waiting.clear()
         self.applied.clear()
 
@@ -339,14 +335,17 @@ class TestbedRuntime:
 
     Accepts the same inputs as :class:`~repro.core.SNAPTrainer` (which it
     uses internally to build the weight matrix, step size, servers, and APE
-    schedules), plus the fault-tolerance knobs below.
+    schedules, and whose round loop drives it), plus the fault-tolerance
+    knobs below. A ``config.engine`` other than ``"reference"`` or a
+    ``staleness_bound`` above 0 is refused: the testbed *is* the engine,
+    and it runs lock-step rounds.
 
     Parameters
     ----------
     fault_plan:
         Deterministic chaos to inject (link outages, node-down spans, frame
-        corruption) — the same plan drives the simulator, so faulty runs
-        stay comparable bit-for-bit.
+        corruption, byzantine senders) — the same plan drives the
+        simulator, so faulty runs stay comparable bit-for-bit.
     timeout_s:
         Hard ceiling on wiring and (in strict mode) on a round's wait for
         frames; exceeding it kills the run.
@@ -374,7 +373,7 @@ class TestbedRuntime:
         :class:`~repro.weights.adaptive.TopologySwap` to apply at the
         boundary), and ``stop``. The loop calls ``decide`` exactly once
         per round, before any server steps, treats non-active slots as
-        idle, applies the swap to the server objects, and stops the run
+        idle, applies the swap through the trainer, and stops the run
         cleanly when ``stop`` is set. ``None`` (default) is the static
         fleet: behavior is bit-for-bit the pre-orchestrator runtime.
     """
@@ -398,22 +397,18 @@ class TestbedRuntime:
         retry_policy: RetryPolicy | None = None,
         membership: object | None = None,
     ):
-        # Link, node, and corruption faults are replayed by the testbed's
-        # own wire layer, but byzantine transmission lives on the trainer
-        # (every runtime's send path routes through transmit_params), so
-        # only that component is handed down. A fresh FaultPlan keeps the
-        # stateful link/node models bound to the testbed, not the trainer.
-        if fault_plan is None:
-            fault_plan = FaultPlan()
-        trainer = SNAPTrainer(
-            model,
-            shards,
-            topology,
-            config=config,
-            weight_matrix=weight_matrix,
-            initial_params=initial_params,
-            fault_plan=FaultPlan(byzantine=fault_plan.byzantine),
-        )
+        # Everything the testbed refuses is refused before the weight solve.
+        config = config if config is not None else SNAPConfig()
+        if config.engine != "reference":
+            raise ConfigurationError(
+                f"engine must be 'reference' on the testbed (the testbed is "
+                f"the engine), got {config.engine!r}"
+            )
+        if config.staleness_bound:
+            raise ConfigurationError(
+                f"staleness_bound must be 0 on the testbed (the wire runs "
+                f"lock-step rounds), got {config.staleness_bound}"
+            )
         if timeout_s <= 0:
             raise ConfigurationError(f"timeout_s must be > 0, got {timeout_s}")
         if round_deadline_s is not None and round_deadline_s <= 0:
@@ -424,41 +419,48 @@ class TestbedRuntime:
             raise ConfigurationError(
                 f"dead_after_misses must be > 0, got {dead_after_misses}"
             )
-        self.timeout_s = float(timeout_s)
-        self.round_deadline_s = (
-            float(round_deadline_s) if round_deadline_s is not None else None
-        )
-        self.dead_after_misses = dead_after_misses
-        self.fault_plan = fault_plan
-        self.topology = topology
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(max_attempts=3, backoff_base_s=0.02, backoff_max_s=0.2)
-        )
         self.crash_schedule: dict[int, frozenset[int]] = {}
         for round_index, nodes in (crash_schedule or {}).items():
-            crashed = frozenset(int(n) for n in (
-                [nodes] if isinstance(nodes, int) else nodes
-            ))
-            bad = [n for n in crashed if n not in set(topology)]
+            crashed = frozenset(map(int, [nodes] if isinstance(nodes, int) else nodes))
+            bad = sorted(crashed - set(topology))
             if bad:
                 raise ConfigurationError(
                     f"crash_schedule round {round_index} names nodes {bad} "
                     f"outside the topology"
                 )
             self.crash_schedule[int(round_index)] = crashed
+        self.timeout_s = float(timeout_s)
+        self.round_deadline_s = (
+            float(round_deadline_s) if round_deadline_s is not None else None
+        )
+        self.dead_after_misses = dead_after_misses
+        self.retry_policy = (
+            retry_policy
+            if retry_policy is not None
+            else RetryPolicy(max_attempts=3, backoff_base_s=0.02, backoff_max_s=0.2)
+        )
+        trainer = SNAPTrainer(
+            model,
+            shards,
+            topology,
+            config=config,
+            weight_matrix=weight_matrix,
+            initial_params=initial_params,
+            fault_plan=fault_plan,
+        )
+        # A proxy: runtime → trainer stays the one strong edge (no cycle).
+        trainer.engine = weakref.proxy(self)
         self._trainer = trainer
         self._flows = FlowBatch()
         self.nodes = [
-            _Node(server, self._flows, fault_plan, topology)
+            _Node(server, self._flows, trainer.fault_plan, trainer.topology)
             for server in trainer.servers
         ]
         #: Nodes that have not crashed, in id order.
         self._live = list(self.nodes)
-        #: Per executed round: the live servers' mean loss, the payload bytes.
-        self._mean_loss: list[float] = []
-        self._round_bytes: list[int] = []
+        #: This round's idle slots, and the peers nobody sends to (idle or plan-downed).
+        self._inactive: frozenset = frozenset()
+        self._offline: frozenset = frozenset()
         self._selector: selectors.BaseSelector | None = None
         #: Outbound connections armed for EVENT_WRITE → the socket registered
         #: (a re-dial swaps the connection's).
@@ -475,45 +477,30 @@ class TestbedRuntime:
 
     # -- round boundaries --------------------------------------------------------
 
-    def _membership_decide(self, round_index: int) -> frozenset | None:
-        """The round's membership-inactive set (None = stop the run); a swap
-        lands before any server is touched, strictly between rounds."""
-        if self.membership is None:
-            return frozenset()
-        decision = self.membership.decide(round_index)
-        if decision.stop:
+    def round_down(self, round_index: int, down: frozenset) -> frozenset | None:
+        """Apply crashes, then the one membership decision (and its swap);
+        the plan's down set plus crashed and idle servers, or None to stop."""
+        self._apply_crashes(round_index)
+        if not self._live:
             return None
-        if decision.swap is not None:
-            self._apply_membership_swap(decision.swap, round_index)
-        return self._all_ids - frozenset(decision.active)
-
-    def _apply_membership_swap(self, swap, round_index: int) -> None:
-        """Adopt an orchestrator swap on the live fleet at a round boundary.
-
-        Reuses the trainer's atomic swap application (validation, per-node
-        rows, alpha re-cap, seeded views for re-added links, staleness
-        rebuild, monitor re-check) minus the engine sync — the testbed's
-        server objects are already authoritative. Node-level link state is
-        then re-armed for re-added links: the frame epoch fences out
-        pre-swap leftovers, and the peer's miss/death record is cleared.
-        """
-        for u, v in getattr(swap, "added_edges", ()):
-            bad = [e for e in ((u, v), (v, u)) if e[1] not in
-                   self._node_by_id[e[0]].link_peers]
-            if bad:
-                raise ProtocolError(
-                    f"membership swap re-adds link {(u, v)} outside the "
-                    "wired physical topology"
-                )
-        self._trainer._apply_topology_swap(swap, sync_engine=False)
-        for u, v in getattr(swap, "added_edges", ()):
-            for node_id, peer in ((u, v), (v, u)):
-                node = self._node_by_id[node_id]
-                node.link_epoch[peer] = round_index
-                node.dead_peers.discard(peer)
-                node.miss_streak[peer] = 0
-                node.last_applied_round[peer] = round_index - 1
-                node.staleness[peer] = 0
+        inactive = frozenset()
+        if self.membership is not None:
+            decision = self.membership.decide(round_index)
+            if decision.stop:
+                return None
+            swap = decision.swap
+            for u, v in getattr(swap, "added_edges", ()):
+                if v not in self._node_by_id[u].link_peers:
+                    raise ProtocolError(
+                        f"membership swap re-adds link {(u, v)} outside the "
+                        "wired physical topology"
+                    )
+            if swap is not None:
+                self._trainer._apply_topology_swap(swap)
+            inactive = self._all_ids - frozenset(decision.active)
+        self._inactive = inactive
+        self._offline = down | inactive
+        return self._offline | self.dead_nodes
 
     def crash(self, node_id: int) -> None:
         """Request a hard crash of ``node_id`` at its next round boundary."""
@@ -536,65 +523,29 @@ class TestbedRuntime:
             self._selector.unregister(node.listener)
             node.close()
 
-    # -- the loop ----------------------------------------------------------------
+    # -- the engine phases ---------------------------------------------------------
 
-    def run(self, n_rounds: int) -> TestbedResult:
-        """Execute ``n_rounds`` synchronized rounds over the real network."""
-        if n_rounds <= 0:
-            raise ConfigurationError(f"n_rounds must be > 0, got {n_rounds}")
-        self._selector = selectors.DefaultSelector()
-        try:
-            self._wire_up()
-            for round_index in range(1, n_rounds + 1):
-                if not self._run_round(round_index):
-                    break
-        finally:
-            self._selector.close()
-            self._selector = None
-            self._writers.clear()
-            for node in self.nodes:
-                node.close()
-        return self._result()
-
-    def _wire_up(self) -> None:
-        """Listeners into the selector, then one dial per directed link."""
-        for node in self.nodes:
-            self._selector.register(
-                node.listener, _READ, (node.server.node_id, _UNKNOWN, node, None)
-            )
-        ports = self.ports
-        for node in self.nodes:
-            node.connect_to_neighbors(ports, self.retry_policy, self.timeout_s)
-        if not self._pump(self.timeout_s, 0, lambda node: node.unwired):
-            raise ProtocolError("testbed wiring timed out")
-
-    def _run_round(self, round_index: int) -> bool:
-        self._apply_crashes(round_index)
-        inactive = self._membership_decide(round_index) if self._live else None
-        if inactive is None:
-            return False  # a membership stop decision, or nobody left alive
-        down = self.fault_plan.failed_nodes(self.topology, round_index)
-        bytes_before = sum(node.payload_bytes for node in self._live)
-        active = []
+    def step_round(self, round_index: int, down: frozenset) -> None:
+        """Step every live server that is up; record each live server's loss."""
         for node in self._live:
             node_id = node.server.node_id
-            if node_id in inactive:
-                # Membership-inactive slot (left, evicted, or not yet
-                # joined): idles like a plan-downed server, except its loss
-                # is NaN — it is not part of the fleet this round, so it
-                # must not drag the mean-loss trace (nanmean, below).
+            if node_id in self._inactive:
+                # Not in the fleet this round (left, evicted, not yet
+                # joined): its NaN loss stays out of the nanmean below.
                 node.loss_trace.append(float("nan"))
             elif node_id in down:
-                # Plan-downed this round: no step, no traffic, no
-                # receptions. (Mirrors the simulator: the recorded loss is
-                # the *unstepped* local loss, and every cached view ages.)
+                # Plan-downed: the simulator records the unstepped loss.
                 node.loss_trace.append(node.server.local_loss())
             else:
                 node.step(round_index)
-                active.append(node)
-        # Everyone stepped. The sender is the simulator's; each node
-        # supplies the wire. An offline peer gets no update built at all.
-        offline = down | inactive
+
+    def communicate(
+        self, round_index: int, down: frozenset
+    ) -> tuple[int, DeliveredEdges]:
+        """The round over the sockets: the simulator's sender, each node's
+        wire, the barrier. Returns the values applied and their edges."""
+        offline = self._offline
+        active = [node for node in self._live if node.server.node_id not in down]
         for node in active:
             node.server.advance_views()
             self._trainer.send_round(
@@ -605,19 +556,13 @@ class TestbedRuntime:
         for node in active:
             node.expect_senders(round_index, offline)
         self.barrier_wait(round_index)
+        params_applied, delivered = 0, []
         for node in self._live:
+            receiver = node.server.node_id
+            delivered.extend((sender, receiver) for sender in node.applied)
+            params_applied += sum(node.applied.values())
             node.end_round(self.dead_after_misses)
-        # Membership-inactive slots contribute NaN losses; the fleet mean
-        # is over the slots actually in the fleet that round. Static runs
-        # keep np.mean bit-for-bit.
-        mean = np.mean if self.membership is None else np.nanmean
-        self._mean_loss.append(
-            float(mean([node.loss_trace[-1] for node in self._live]))
-        )
-        self._round_bytes.append(
-            sum(node.payload_bytes for node in self._live) - bytes_before
-        )
-        return True
+        return params_applied, DeliveredEdges.from_pairs(delivered)
 
     def barrier_wait(self, round_index: int) -> None:
         """The shared clock's tick: the one place the loop waits on the wire.
@@ -638,6 +583,96 @@ class TestbedRuntime:
                 f"(node: missing senders): {late}"
             )
         # Otherwise degrade: survivors of the deadline stay stale.
+
+    def stacked_params(self) -> np.ndarray:
+        """Current per-server parameters (rows aligned with node ids)."""
+        return np.stack([node.server.params for node in self.nodes])
+
+    def mean_local_loss(self) -> float:
+        """The live servers' mean loss this round (idle slots left out)."""
+        mean = np.mean if self.membership is None else np.nanmean
+        return float(mean([node.loss_trace[-1] for node in self._live]))
+
+    def sync_to_servers(self) -> None:
+        """No-op, as are ``begin_run`` and ``rebuild_data``: servers are state."""
+
+    begin_run = rebuild_data = sync_to_servers
+
+    def rebuild_topology(self) -> None:
+        """Adopt the trainer's swapped topology; nothing is dialed. A
+        re-added link is re-armed: pre-swap leftover frames are fenced out
+        (link epoch), and the peer's miss and death record is cleared."""
+        topology = self._trainer.topology
+        round_index = self._trainer.rounds_completed + 1
+        for node in self.nodes:
+            node_id = node.server.node_id
+            before = set(node.topology.neighbors(node_id))
+            for peer in set(topology.neighbors(node_id)) - before:
+                node.link_epoch[peer] = round_index
+                node.dead_peers.discard(peer)
+                node.miss_streak[peer] = 0
+                node.last_applied_round[peer] = round_index - 1
+            node.topology = topology
+
+    def in_flight_edges(self) -> frozenset:
+        """Edges whose last frame missed the deadline and may still be on the
+        wire — the ``error-feedback`` invariant's exemption, as for semisync."""
+        return frozenset(
+            (sender, node.server.node_id)
+            for node in self.nodes
+            for sender, misses in node.miss_streak.items()
+            if misses
+        )
+
+    # -- the loop ----------------------------------------------------------------
+
+    def run(self, n_rounds: int) -> TestbedResult:
+        """Execute ``n_rounds`` synchronized rounds over the real network."""
+        if n_rounds <= 0:
+            raise ConfigurationError(f"n_rounds must be > 0, got {n_rounds}")
+        self._selector = selectors.DefaultSelector()
+        try:
+            self._wire_up()
+            # Crashes of everyone or a membership stop can end a run early.
+            result = self._trainer.run(
+                max_rounds=n_rounds, stop_on_convergence=False
+            )
+        finally:
+            self._selector.close()
+            self._selector = None
+            self._writers.clear()
+            for node in self.nodes:
+                node.close()
+        n_frames = sum(node.frames_sent for node in self.nodes)
+        return TestbedResult(
+            final_params=self.stacked_params(),
+            mean_loss_trace=result.loss_trace(),
+            per_round_payload_bytes=result.bytes_trace(),
+            # Counted on the wire, independently of the trainer's ledger.
+            payload_bytes_total=sum(node.payload_bytes for node in self.nodes),
+            header_bytes_total=n_frames * HEADER_BYTES,
+            n_rounds=result.n_rounds,
+            link_staleness=self._trainer.link_staleness,
+            stale_view_rounds={
+                (source, node.server.node_id): rounds
+                for node in self.nodes
+                for source, rounds in node.stale_view_rounds.items()
+            },
+            dead_nodes=frozenset(self.dead_nodes),
+            corrupt_frames_total=sum(node.corrupt_frames for node in self.nodes),
+        )
+
+    def _wire_up(self) -> None:
+        """Listeners into the selector, then one dial per directed link."""
+        for node in self.nodes:
+            self._selector.register(
+                node.listener, _READ, (node.server.node_id, _UNKNOWN, node, None)
+            )
+        ports = self.ports
+        for node in self.nodes:
+            node.connect_to_neighbors(ports, self.retry_policy, self.timeout_s)
+        if not self._pump(self.timeout_s, 0, lambda node: node.unwired):
+            raise ProtocolError("testbed wiring timed out")
 
     def _pump(self, budget_s: float, round_index: int, pending) -> bool:
         """Poll until no live node has anything ``pending(node)``; False on timeout."""
@@ -698,8 +733,8 @@ class TestbedRuntime:
         except (ProtocolError, OSError):
             # EOF, reset, or an unreadable stream: the inbound link is gone.
             lost = True
-        if sender != _UNKNOWN and sender not in node.staleness:
-            raise ProtocolError(  # keys of staleness = the physical peer set
+        if sender != _UNKNOWN and sender not in node.miss_streak:
+            raise ProtocolError(  # keys of miss_streak = the physical peer set
                 f"node {node.server.node_id} got a hello from "
                 f"unexpected peer {sender}"
             )
@@ -736,34 +771,6 @@ class TestbedRuntime:
         sock = self._writers.pop(connection, None)
         if sock is not None:
             self._selector.unregister(sock)
-
-    def _result(self) -> TestbedResult:
-        n_frames = sum(node.frames_sent for node in self.nodes)
-        return TestbedResult(
-            final_params=self.stacked_params(),
-            mean_loss_trace=list(self._mean_loss),
-            per_round_payload_bytes=list(self._round_bytes),
-            payload_bytes_total=sum(node.payload_bytes for node in self.nodes),
-            header_bytes_total=n_frames * HEADER_BYTES,
-            # Crashes of everyone or a membership stop can end a run early.
-            n_rounds=len(self._mean_loss),
-            link_staleness={
-                (source, node.server.node_id): rounds
-                for node in self.nodes
-                for source, rounds in node.staleness.items()
-            },
-            stale_view_rounds={
-                (source, node.server.node_id): rounds
-                for node in self.nodes
-                for source, rounds in node.stale_view_rounds.items()
-            },
-            dead_nodes=frozenset(self.dead_nodes),
-            corrupt_frames_total=sum(node.corrupt_frames for node in self.nodes),
-        )
-
-    def stacked_params(self) -> np.ndarray:
-        """Current per-server parameters (rows aligned with node ids)."""
-        return np.stack([node.server.params for node in self.nodes])
 
     @property
     def ports(self) -> dict[int, int]:

@@ -234,8 +234,9 @@ class TestVectorizedRoundCallCount:
         n_nodes: int,
         retain_flow_records: bool = False,
         model: str = "logistic",
+        engine: str = "vectorized",
     ) -> float:
-        """Python-level function calls one vectorized round makes at ``n_nodes``.
+        """Python-level function calls one ``engine`` round makes at ``n_nodes``.
 
         Counted with ``sys.setprofile`` ("call" events only: C functions such
         as numpy kernels are not Python calls), as the slope between a
@@ -262,7 +263,7 @@ class TestVectorizedRoundCallCount:
             shards,
             random_regular_topology(n_nodes, degree=4, seed=3),
             SNAPConfig(
-                engine="vectorized",
+                engine=engine,
                 compressor=compressor,
                 seed=7,
                 optimize_weights=False,
@@ -337,6 +338,19 @@ class TestVectorizedRoundCallCount:
             f"Python calls per vectorized MLP round grew by {per_node:.1f} per "
             f"node ({small:.0f} at N=64 -> {large:.0f} at N=256); the MLP "
             "batch path fell back to per-node model calls"
+        )
+
+    def test_vectorized_round_makes_5x_fewer_python_calls_than_reference(self):
+        """The fast path stays out of reference-speed territory: at N=64 the
+        per-edge reference round makes over 5x the Python calls of the
+        vectorized one (the wall-clock bar this count replaced was 5x)."""
+        reference, vectorized = (
+            self._python_calls_per_round("ape", 64, engine=engine)
+            for engine in ("reference", "vectorized")
+        )
+        assert reference >= 5 * vectorized, (
+            f"vectorized round makes {vectorized:.0f} Python calls at N=64, "
+            f"reference {reference:.0f}: less than 5x apart"
         )
 
 

@@ -67,6 +67,10 @@ class TestElasticJoinLeave:
         assert all(
             swap.solver_steps > 0 for swap in elastic_report.job.controller.swaps
         )
+        # default_fleet_config's strict monitor runs on the wire: every
+        # round is checked and every swap re-validated.
+        checks = elastic_report.runtime.trainer.monitor.checks
+        assert (checks["byte-ledger"], checks["topology-swap"]) == (ROUNDS, 3)
 
     def test_join_readds_previously_pruned_links(self, elastic_report):
         assert elastic_report.readded_edges >= 1

@@ -42,6 +42,7 @@ class FakeTrainer:
         self._topology_controller = None
         self.config = SNAPConfig(optimize_weights=True)
         self.tracker = FakeTracker()
+        self.link_staleness = {}
 
 
 class FakeRuntime:

@@ -1,16 +1,12 @@
-"""Tier-2 performance smoke test: the vectorized engine must actually be fast.
+"""Tier-2 performance smoke test: the memory-bounded fast path stays bounded.
 
 The full scaling study lives in ``benchmarks/bench_engine_scaling.py`` (run
-via ``make bench``); this is the cheap CI guard that the fast path has not
-silently regressed into reference-speed territory. The ISSUE-2 acceptance
-bar is >=10x at N=128; the smoke test asserts a conservative >=5x at N=64 so
-machine noise on loaded CI workers cannot flake it. (The MLP's grouped
-kernels are guarded by a call count in ``tests/core/test_trainer.py``, not
-by a clock.)
+via ``make bench``). The vectorized engine's speed is guarded by Python call
+counts in ``tests/core/test_trainer.py`` (``TestVectorizedRoundCallCount``),
+not by a clock: a wall-clock ratio on a loaded CI worker measures the worker.
 """
 
 import resource
-import time
 
 import numpy as np
 import pytest
@@ -20,47 +16,6 @@ from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
 from repro.models.logistic import LogisticRegression
 from repro.topology.generators import random_regular_topology
-
-N_NODES = 64
-N_FEATURES = 10
-SAMPLES_PER_SHARD = 30
-
-
-def _make_trainer(engine: str) -> SNAPTrainer:
-    rng = np.random.default_rng(42)
-    shards = []
-    for _ in range(N_NODES):
-        X = rng.normal(size=(SAMPLES_PER_SHARD, N_FEATURES))
-        w = rng.normal(size=N_FEATURES)
-        shards.append(Dataset(X, (X @ w > 0).astype(float)))
-    topology = random_regular_topology(N_NODES, degree=4, seed=3)
-    config = SNAPConfig(
-        engine=engine,
-        max_rounds=10_000,
-        seed=7,
-        optimize_weights=False,
-        retain_flow_records=False,
-    )
-    return SNAPTrainer(LogisticRegression(N_FEATURES), shards, topology, config)
-
-
-def _rounds_per_second(engine: str, rounds: int) -> float:
-    trainer = _make_trainer(engine)
-    trainer.run(max_rounds=2, stop_on_convergence=False)  # warm-up
-    start = time.perf_counter()
-    trainer.run(max_rounds=rounds, stop_on_convergence=False)
-    return rounds / (time.perf_counter() - start)
-
-
-@pytest.mark.perf
-def test_vectorized_beats_reference_5x_at_n64():
-    reference = _rounds_per_second("reference", rounds=8)
-    vectorized = _rounds_per_second("vectorized", rounds=80)
-    speedup = vectorized / reference
-    assert speedup >= 5.0, (
-        f"vectorized engine only {speedup:.1f}x faster than reference at "
-        f"N={N_NODES} ({vectorized:.1f} vs {reference:.1f} rounds/s)"
-    )
 
 
 @pytest.mark.perf
