@@ -136,7 +136,8 @@ bench-pairs:
 		--pairs $(PAIRS) --seed $(SEED) $(if $(WINDOW_S),--seconds $(WINDOW_S))
 
 ## Function-level view of one benchmarks/e2e workload: one warm-up and one
-## cProfile'd untraced rep, top 30 by tottime and by cumtime. The external
+## cProfile'd untraced rep, top 30 by tottime and by cumtime, then four
+## unprofiled reps and a table of their GC pauses per phase. The external
 ## tracer names the slow layer, this names the slow function inside it:
 ## `make profile WORKLOAD=ref_credit_n60` (optional SEED=7, and
 ## PHASE=setup|run to profile only construction or only `.run`).

@@ -24,6 +24,12 @@ cheapest calls — read shares, and measure gains with ``make bench-pairs``.
 ``TestbedRuntime(...)``, whichever is outermost) and ``--phase run`` only
 ``.run(...)``, so each table's shares are of that phase alone; ``both`` (the
 default) profiles the whole rep.
+
+Then :data:`GC_REPS` more reps run without the profiler, and a
+table gives, per rep and phase, the garbage collections of each generation
+and their wall time, read from ``gc.callbacks``. A collection is a pause
+the benchmark's min-of-reps never shows: a gen-2 collection that lands in
+every other build moves the median, not the minimum.
 """
 
 from __future__ import annotations
@@ -32,13 +38,18 @@ import argparse
 import contextlib
 import cProfile
 import functools
+import gc
 import os
 import pstats
 import sys
 import threading
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Unprofiled reps in the GC table: enough for a gen-2 collection that lands
+#: in every other build to show twice.
+GC_REPS = 4
 
 
 @contextlib.contextmanager
@@ -74,6 +85,56 @@ def only_inside(methods, start, stop):
     finally:
         for owner, name, original in originals:
             setattr(owner, name, original)
+
+
+class GCPauses:
+    """Collections and wall time per (rep, phase, generation), from ``gc.callbacks``."""
+
+    def __init__(self):
+        self.rep, self.phase = 0, "other"
+        #: (rep, phase) -> ([collections per generation], [seconds per generation])
+        self.table: dict[tuple[int, str], tuple[list[int], list[float]]] = {}
+        self._started = 0.0
+
+    def __call__(self, event, info):
+        if event == "start":
+            self._started = time.perf_counter()
+            return
+        collections, seconds = self.table.setdefault(
+            (self.rep, self.phase), ([0, 0, 0], [0.0, 0.0, 0.0])
+        )
+        collections[info["generation"]] += 1
+        seconds[info["generation"]] += time.perf_counter() - self._started
+
+    def entering(self, phase):
+        """``(start, stop)`` for :func:`only_inside`: attribute pauses to ``phase``."""
+
+        def start():
+            self.phase = phase
+
+        def stop():
+            self.phase = "other"
+
+        return start, stop
+
+    def print_table(self, reps):
+        print("\n## GC pauses per rep and phase (gc.callbacks, no profiler)")
+        print(
+            "| rep | setup_s | run_s | phase "
+            "| gen0 n / ms | gen1 n / ms | gen2 n / ms |"
+        )
+        print("|---|---|---|---|---|---|---|")
+        for rep, (setup_s, run_s) in enumerate(reps):
+            for phase in ("setup", "run", "other"):
+                if phase == "other" and (rep, phase) not in self.table:
+                    continue
+                collections, seconds = self.table.get(
+                    (rep, phase), ([0, 0, 0], [0.0, 0.0, 0.0])
+                )
+                cells = " | ".join(
+                    f"{n} / {1e3 * s:.1f}" for n, s in zip(collections, seconds)
+                )
+                print(f"| {rep} | {setup_s:.4f} | {run_s:.4f} | {phase} | {cells} |")
 
 
 def main() -> int:
@@ -139,6 +200,25 @@ def main() -> int:
     for key in ("tottime", "cumtime"):
         print(f"\n## top {options.top} by {key}")
         stats.sort_stats(key).print_stats(options.top)
+
+    pauses = GCPauses()
+    phases = [
+        ((SNAPTrainer, "__init__"), (TestbedRuntime, "__init__"), "setup"),
+        ((SNAPTrainer, "run"), (TestbedRuntime, "run"), "run"),
+    ]
+    reps = []
+    gc.callbacks.append(pauses)
+    try:
+        with contextlib.ExitStack() as stack:
+            for *methods, phase in phases:
+                stack.enter_context(only_inside(methods, *pauses.entering(phase)))
+            for rep_index in range(GC_REPS):
+                pauses.rep = rep_index
+                rep = harness.run_rep(inputs, workload.rounds)
+                reps.append((rep.setup_s, rep.run_s))
+    finally:
+        gc.callbacks.remove(pauses)
+    pauses.print_table(reps)
     return 0
 
 

@@ -39,7 +39,7 @@ from repro.core.config import ShardWeighting, SNAPConfig
 from repro.core.engine import build_engine
 from repro.core.server import EdgeServer
 from repro.data.dataset import Dataset
-from repro.exceptions import ConfigurationError, NetworkPartitionError
+from repro.exceptions import ConfigurationError, DataError, NetworkPartitionError
 from repro.faults.plan import FaultPlan
 from repro.models.base import Model
 from repro.models.metrics import accuracy_score
@@ -217,21 +217,13 @@ class SNAPTrainer:
         #: Drift epoch currently applied to the servers.
         self._drift_epoch = 0
         # The step size must stay safe on every shard the drift schedule will
-        # ever expose within the configured horizon, not just epoch 0.
+        # ever expose within the configured horizon, not just epoch 0. One
+        # epoch's shards are alive at a time; the maximum of the per-epoch
+        # maxima is bitwise the maximum over all of them.
         schedule = self.config.drift
         horizon = 0 if schedule is None else schedule.epoch(self.config.max_rounds)
         self.lipschitz = max(
-            scale * bound
-            for epoch in range(horizon + 1)
-            for scale, bound in zip(
-                self._objective_scales,
-                model.lipschitz_bounds(
-                    [
-                        (schedule.shard(node, shard, epoch) if epoch else shard).X
-                        for node, shard in enumerate(shards)
-                    ]
-                ),
-            )
+            self._epoch_lipschitz_bound(epoch) for epoch in range(horizon + 1)
         )
         self.alpha = (
             self.config.alpha
@@ -850,6 +842,28 @@ class SNAPTrainer:
         )
 
     # -- drifting data -----------------------------------------------------------
+
+    def _epoch_lipschitz_bound(self, epoch: int) -> float:
+        """The largest per-shard bound over the shards drift epoch ``epoch`` exposes.
+
+        A shard the model refuses raises :class:`DataError` naming its node
+        (and the epoch, past epoch 0).
+        """
+        schedule = self.config.drift
+        Xs = [
+            (schedule.shard(node, shard, epoch) if epoch else shard).X
+            for node, shard in enumerate(self._base_shards)
+        ]
+        try:
+            return self.model.lipschitz_bound(Xs, self._objective_scales)
+        except DataError as error:
+            if error.shard is None:
+                raise
+            where = f" at drift epoch {epoch}" if epoch else ""
+            reason = str(error).removeprefix(f"shard {error.shard} ")
+            raise DataError(
+                f"node {error.shard}{where}: {reason}", shard=error.shard
+            ) from None
 
     def _maybe_apply_drift(self, round_index: int) -> None:
         """Swap every server onto the schedule's shard for this round's epoch.

@@ -68,7 +68,15 @@ class NetworkPartitionError(ReproError):
 
 
 class DataError(ReproError):
-    """A dataset or partition request was invalid."""
+    """A dataset or partition request was invalid.
+
+    ``shard`` is the index of the offending shard when a check over a list
+    of shards raised it, else ``None``.
+    """
+
+    def __init__(self, message: str, shard: int | None = None):
+        super().__init__(message)
+        self.shard = shard
 
 
 class OrchestratorError(ReproError):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.models.base import Model, add_bias_column, top_singular_values
+from repro.models.base import Model, add_bias_column
 from repro.types import Params
 from repro.utils.validation import check_non_negative, check_positive_int
 
@@ -21,7 +21,10 @@ class LogisticRegression(Model):
                + \\frac{\\lambda}{2}\\|w\\|^2
 
     Labels accepted in ``{0, 1}`` or ``{-1, +1}``; predictions in ``{0, 1}``.
+    The logistic curvature is at most 1/4, so ``L_f <= σ_max(X̃)² / (4n) + λ``.
     """
+
+    curvature = (1.0, 4.0)
 
     def __init__(
         self,
@@ -39,15 +42,15 @@ class LogisticRegression(Model):
 
     def _design(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The design matrix of ``X`` (bias column last), written to ``out`` if given."""
-        if X.shape[1] != self.n_features:
+        if X.shape[-1] != self.n_features:
             raise DataError(
-                f"X has {X.shape[1]} features, model expects {self.n_features}"
+                f"X has {X.shape[-1]} features, model expects {self.n_features}"
             )
         if out is None:
             return add_bias_column(X) if self.fit_intercept else X
-        out[:, : self.n_features] = X
+        out[..., : self.n_features] = X
         if self.fit_intercept:
-            out[:, self.n_features] = 1.0
+            out[..., self.n_features] = 1.0
         return out
 
     @staticmethod
@@ -195,17 +198,6 @@ class LogisticRegression(Model):
     def predict(self, params: Params, X: np.ndarray) -> np.ndarray:
         """Labels in ``{0, 1}`` thresholded at probability 0.5."""
         return (self.predict_proba(params, X) >= 0.5).astype(float)
-
-    def lipschitz_bounds(self, Xs) -> list[float]:
-        """``L_f <= σ_max(X̃)² / (4n) + λ`` (logistic curvature is at most 1/4)."""
-        Xs = [np.asarray(X, dtype=float) for X in Xs]
-        return [
-            top_singular**2 / (4.0 * X.shape[0]) + self.regularization
-            for top_singular, X in zip(top_singular_values(Xs, self._design), Xs)
-        ]
-
-    def gradient_lipschitz_bound(self, X: np.ndarray) -> float:
-        return self.lipschitz_bounds([X])[0]
 
 
 @dataclass(frozen=True)

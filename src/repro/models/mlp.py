@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DataError
-from repro.models.base import Model, top_singular_values
+from repro.models.base import Model
 from repro.types import Params, SeedLike
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_non_negative
@@ -51,7 +51,15 @@ class MLPClassifier(Model):
         testbed network is ``(784, 30, 10)``. At least two entries.
     regularization:
         L2 penalty applied to all weights and biases.
+
+    The objective is nonconvex, so no global ``L_f`` exists. The step-size
+    bound is the softmax layer's on the raw inputs,
+    ``σ_max(X)² / (2n) + λ``: it works well in practice for the shallow
+    networks the paper uses and keeps the automatic step size uniform
+    across models.
     """
+
+    curvature = (1.0, 2.0)
 
     def __init__(self, layer_sizes: Sequence[int], regularization: float = 1e-4):
         sizes = tuple(int(s) for s in layer_sizes)
@@ -338,20 +346,3 @@ class MLPClassifier(Model):
     def predict(self, params: Params, X: np.ndarray) -> np.ndarray:
         """Integer class predictions."""
         return self.predict_proba(params, X).argmax(axis=1)
-
-    def lipschitz_bounds(self, Xs) -> list[float]:
-        """Heuristic curvature bound for step-size selection, per shard.
-
-        The MLP objective is nonconvex, so no global ``L_f`` exists; the
-        value returned — the softmax-layer bound computed on the raw inputs —
-        works well in practice for the shallow networks the paper uses and
-        keeps the automatic step-size machinery uniform across models.
-        """
-        Xs = [np.asarray(X, dtype=float) for X in Xs]
-        return [
-            top_singular**2 / (2.0 * X.shape[0]) + self.regularization
-            for top_singular, X in zip(top_singular_values(Xs), Xs)
-        ]
-
-    def gradient_lipschitz_bound(self, X: np.ndarray) -> float:
-        return self.lipschitz_bounds([X])[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.models.base import Model, add_bias_column, top_singular_values
+from repro.models.base import Model, add_bias_column
 from repro.types import Params
 from repro.utils.validation import check_non_negative, check_positive_int
 
@@ -21,7 +21,11 @@ class RidgeRegression(Model):
     .. math::
 
         f(w) = \\frac{1}{2n} \\|Xw - y\\|^2 + \\frac{\\lambda}{2} \\|w\\|^2
+
+    The bound ``L_f = σ_max(X̃)² / n + λ`` is exact for this quadratic.
     """
+
+    curvature = (1.0, 1.0)
 
     def __init__(
         self,
@@ -38,9 +42,9 @@ class RidgeRegression(Model):
         return self.n_features + (1 if self.fit_intercept else 0)
 
     def _design(self, X: np.ndarray) -> np.ndarray:
-        if X.shape[1] != self.n_features:
+        if X.shape[-1] != self.n_features:
             raise DataError(
-                f"X has {X.shape[1]} features, model expects {self.n_features}"
+                f"X has {X.shape[-1]} features, model expects {self.n_features}"
             )
         return add_bias_column(X) if self.fit_intercept else X
 
@@ -90,14 +94,3 @@ class RidgeRegression(Model):
         gram = design.T @ design / n + self.regularization * np.eye(self.n_params)
         rhs = design.T @ np.asarray(y, dtype=float) / n
         return np.linalg.solve(gram, rhs)
-
-    def lipschitz_bounds(self, Xs) -> list[float]:
-        """Exact: ``L_f = σ_max(X̃)² / n + λ`` for the quadratic loss."""
-        Xs = [np.asarray(X, dtype=float) for X in Xs]
-        return [
-            top_singular**2 / X.shape[0] + self.regularization
-            for top_singular, X in zip(top_singular_values(Xs, self._design), Xs)
-        ]
-
-    def gradient_lipschitz_bound(self, X: np.ndarray) -> float:
-        return self.lipschitz_bounds([X])[0]

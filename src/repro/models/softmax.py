@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.models.base import Model, add_bias_column, top_singular_values
+from repro.models.base import Model, add_bias_column
 from repro.types import Params
 from repro.utils.validation import check_non_negative, check_positive_int
 
@@ -14,8 +14,12 @@ class SoftmaxRegression(Model):
     """Linear multiclass classifier with cross-entropy loss and L2 penalty.
 
     Parameters are the flattened ``(n_features (+1), n_classes)`` weight
-    matrix. Labels are integer class indices ``0 .. n_classes-1``.
+    matrix. Labels are integer class indices ``0 .. n_classes-1``. The
+    softmax Hessian blocks are bounded by 1/2, so
+    ``L_f <= σ_max(X̃)² / (2n) + λ``.
     """
+
+    curvature = (1.0, 2.0)
 
     def __init__(
         self,
@@ -41,9 +45,9 @@ class SoftmaxRegression(Model):
         return self.n_inputs * self.n_classes
 
     def _design(self, X: np.ndarray) -> np.ndarray:
-        if X.shape[1] != self.n_features:
+        if X.shape[-1] != self.n_features:
             raise DataError(
-                f"X has {X.shape[1]} features, model expects {self.n_features}"
+                f"X has {X.shape[-1]} features, model expects {self.n_features}"
             )
         return add_bias_column(X) if self.fit_intercept else X
 
@@ -111,14 +115,3 @@ class SoftmaxRegression(Model):
     def predict(self, params: Params, X: np.ndarray) -> np.ndarray:
         """Integer class predictions (argmax probability)."""
         return self.predict_proba(params, X).argmax(axis=1)
-
-    def lipschitz_bounds(self, Xs) -> list[float]:
-        """``L_f <= σ_max(X̃)² / (2n) + λ`` (softmax Hessian blocks bounded by 1/2)."""
-        Xs = [np.asarray(X, dtype=float) for X in Xs]
-        return [
-            top_singular**2 / (2.0 * X.shape[0]) + self.regularization
-            for top_singular, X in zip(top_singular_values(Xs, self._design), Xs)
-        ]
-
-    def gradient_lipschitz_bound(self, X: np.ndarray) -> float:
-        return self.lipschitz_bounds([X])[0]

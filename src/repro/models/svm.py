@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.models.base import Model, add_bias_column, top_singular_values
+from repro.models.base import Model, add_bias_column
 from repro.types import Params
 from repro.utils.validation import check_non_negative, check_positive_int
 
@@ -38,7 +38,11 @@ class LinearSVM(Model):
         When true, an extra bias parameter is appended (not regularized
         separately — it shares the L2 term, which keeps the gradient simple
         and the objective strongly convex when λ > 0).
+
+    The squared hinge has curvature 2, so ``L_f <= 2 σ_max(X̃)² / n + λ``.
     """
+
+    curvature = (2.0, 1.0)
 
     def __init__(
         self,
@@ -55,9 +59,9 @@ class LinearSVM(Model):
         return self.n_features + (1 if self.fit_intercept else 0)
 
     def _design(self, X: np.ndarray) -> np.ndarray:
-        if X.shape[1] != self.n_features:
+        if X.shape[-1] != self.n_features:
             raise DataError(
-                f"X has {X.shape[1]} features, model expects {self.n_features}"
+                f"X has {X.shape[-1]} features, model expects {self.n_features}"
             )
         return add_bias_column(X) if self.fit_intercept else X
 
@@ -122,14 +126,3 @@ class LinearSVM(Model):
         """Labels in ``{-1, +1}`` (zero margins break toward +1)."""
         margins = self.decision_function(params, X)
         return np.where(margins >= 0.0, 1.0, -1.0)
-
-    def lipschitz_bounds(self, Xs) -> list[float]:
-        """``L_f <= 2 σ_max(X̃)² / n + λ`` for the squared hinge (curvature 2)."""
-        Xs = [np.asarray(X, dtype=float) for X in Xs]
-        return [
-            2.0 * top_singular**2 / X.shape[0] + self.regularization
-            for top_singular, X in zip(top_singular_values(Xs, self._design), Xs)
-        ]
-
-    def gradient_lipschitz_bound(self, X: np.ndarray) -> float:
-        return self.lipschitz_bounds([X])[0]

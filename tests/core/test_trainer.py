@@ -12,12 +12,15 @@ from repro.consensus.convergence import ConvergenceDetector
 from repro.core.config import SelectionPolicy, SNAPConfig
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
-from repro.data.drift import LabelShiftDrift, StreamingArrival
+from repro.data.drift import DriftSchedule, LabelShiftDrift, StreamingArrival
 from repro.data.partition import iid_partition
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, DataError
+from repro.models.base import _CANDIDATES
+from repro.models.logistic import LogisticRegression
 from repro.models.ridge import RidgeRegression
+from repro.models.svm import LinearSVM
 from repro.network.cost import FlowRecord
-from repro.topology.generators import complete_topology, random_topology
+from repro.topology.generators import complete_topology, random_topology, ring_topology
 from repro.topology.graph import Topology
 from repro.weights.construction import metropolis_weights
 
@@ -354,14 +357,76 @@ class TestVectorizedRoundCallCount:
         )
 
 
+class TestBadShardNamedAtConstruction:
+    """A shard no step size can be bounded on is refused by node, before any SVD."""
+
+    @pytest.mark.parametrize("model_class", [LogisticRegression, LinearSVM])
+    @pytest.mark.parametrize("n_nodes", [4, 12])
+    @pytest.mark.parametrize("bad", ["empty", "nan"])
+    def test_names_the_node(self, rng, monkeypatch, model_class, n_nodes, bad):
+        shards = []
+        for _ in range(n_nodes):
+            X = rng.normal(size=(10, 3))
+            shards.append(Dataset(X, (X[:, 0] > 0).astype(float)))
+        if bad == "empty":
+            shards[2] = Dataset(np.empty((0, 3)), np.empty(0))
+        else:
+            X = shards[2].X.copy()
+            X[4, 1] = np.nan
+            shards[2] = Dataset(X, shards[2].y)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a shard was decomposed before validation")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        reason = "is empty" if bad == "empty" else "holds a non-finite value"
+        with pytest.raises(DataError, match=rf"^node 2: {reason}") as error:
+            SNAPTrainer(
+                model_class(3),
+                shards,
+                ring_topology(n_nodes),
+                SNAPConfig(optimize_weights=False),
+            )
+        assert error.value.shard == 2
+
+    def test_names_the_drift_epoch(self, rng):
+        class PoisonsNodeOneAtEpochTwo(DriftSchedule):
+            def shard(self, node, base, epoch):
+                if (node, epoch) != (1, 2):
+                    return base
+                X = base.X.copy()
+                X[0, 0] = np.nan
+                return Dataset(X, base.y)
+
+        shards = []
+        for _ in range(4):
+            X = rng.normal(size=(10, 3))
+            shards.append(Dataset(X, (X[:, 0] > 0).astype(float)))
+        with pytest.raises(
+            DataError, match=r"^node 1 at drift epoch 2: holds a non-finite value$"
+        ) as error:
+            SNAPTrainer(
+                LogisticRegression(3),
+                shards,
+                ring_topology(4),
+                SNAPConfig(
+                    optimize_weights=False,
+                    max_rounds=9,
+                    drift=PoisonsNodeOneAtEpochTwo(period=3),
+                ),
+            )
+        assert error.value.shard == 1
+
+
 class TestSetUpLibraryCallCount:
     """Trainer set-up makes O(1) numpy / scipy wrapper calls in N: a count, not a clock."""
 
-    #: (module prefix, function names) of the three per-node loops PR 21
-    #: removed: an SVD per shard, set operations per label vector, a
-    #: one-row scipy matrix per server.
+    #: (module prefix, function names) of the per-node loops set-up must not
+    #: grow back: an SVD per shard, set operations per label vector, a
+    #: one-row scipy matrix per server, and the step-size screen's own
+    #: factorizations (a Cholesky, QR or eigenvalue call per shard).
     WATCHED = (
-        ("numpy.linalg", {"svd", "norm"}),
+        ("numpy.linalg", {"svd", "norm", "cholesky", "qr", "eigvalsh"}),
         ("numpy.lib", {"unique", "isin"}),
         ("scipy.sparse", {"getrow"}),
     )
@@ -394,6 +459,11 @@ class TestSetUpLibraryCallCount:
             for prefix, names in cls.WATCHED:
                 if name in names and module.startswith(prefix):
                     calls[f"{prefix}:{name}"] = calls.get(f"{prefix}:{name}", 0) + 1
+            if name == "svd" and module.startswith("numpy.linalg"):
+                # Matrices handed to gesdd: a stack's leading dimension.
+                a = frame.f_locals["a"]
+                matrices = a.shape[0] if a.ndim == 3 else 1
+                calls["gesdd matrices"] = calls.get("gesdd matrices", 0) + matrices
 
         sys.setprofile(on_event)
         try:
@@ -411,6 +481,8 @@ class TestSetUpLibraryCallCount:
             f"set-up library calls grew with N: {small} at N=32 -> {large} at "
             "N=128; something decomposes, validates or slices per node"
         )
+        # The step size decomposes its screen's candidates, not every shard.
+        assert small["gesdd matrices"] <= 2 * _CANDIDATES
 
 
 class TestOnePerEdgeSender:
@@ -585,8 +657,8 @@ class TestNoPerMessageFixedCosts:
 
     Per-message fixed costs that were once paid — ``np.unique`` /
     ``searchsorted`` / ``union1d`` on a ledger batch, a :class:`FlowRecord`
-    or a ledger write per frame, ``np.unique`` + ``np.isin`` + an ``hstack``
-    of the design matrix per loss / gradient on an immutable shard — cannot
+    or a ledger write per frame, ``np.unique`` + ``np.isin`` + the bias column
+    (``add_bias_column``) per loss / gradient on an immutable shard — cannot
     come back unnoticed: the first round may make set-operation calls (every
     server prepares its shard once), later rounds must make none, and every
     round charges its frames with one ``record_many`` per stage, a batch
@@ -611,7 +683,7 @@ class TestNoPerMessageFixedCosts:
     @staticmethod
     def _profile(run, tracker) -> tuple[list[str], Counter]:
         """The forbidden Python calls ``run()`` makes — set operations,
-        ``hstack`` and ``FlowRecord`` constructions, by name — and its
+        ``add_bias_column`` and ``FlowRecord`` constructions, by name — and its
         ledger writes per ``(round, stage)``."""
         import threading
 
@@ -626,7 +698,7 @@ class TestNoPerMessageFixedCosts:
             if event != "call":
                 return
             code = frame.f_code
-            if "arraysetops" in code.co_filename or code.co_name == "hstack":
+            if "arraysetops" in code.co_filename or code.co_name == "add_bias_column":
                 seen.append(code.co_name)
             elif code.co_name == "__init__" and isinstance(
                 frame.f_locals.get("self"), FlowRecord
@@ -647,7 +719,7 @@ class TestNoPerMessageFixedCosts:
         short, _ = self._profile(*run_for(self.SHORT))
         long, writes = self._profile(*run_for(self.LONG))
         # The hook does see them: each server's one shard preparation.
-        assert "unique" in short and "hstack" in short
+        assert "unique" in short and "add_bias_column" in short
         assert long == short, (
             f"rounds {self.SHORT + 1}..{self.LONG} made per-message calls the "
             f"first {self.SHORT} rounds did not: "

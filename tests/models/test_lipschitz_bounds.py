@@ -3,14 +3,17 @@
 The step size — hence every digest — hangs off this number, so the stacked
 ``svd(compute_uv=False)`` route is held with ``==`` on floats against the
 per-shard spelling it replaced (kept here as the reference), over the shapes
-of ``TestBatchKernelsBitwise``. A numpy / LAPACK build where the identity
-fails must fail here, loudly, not drift.
+of ``TestBatchKernelsBitwise``. ``Model.lipschitz_bound``, the screened
+maximum the trainer uses, is held the same way against the maximum of that
+reference. A numpy / LAPACK build where an identity fails must fail here,
+loudly, not drift.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.models.base as base
 from repro.exceptions import DataError
 from repro.models.base import Model, add_bias_column, top_singular_values
 from repro.models.logistic import LogisticRegression
@@ -129,6 +132,182 @@ class TestLipschitzBoundsBitwise:
         model = LogisticRegression(4)
         with pytest.raises(DataError, match="features"):
             model.lipschitz_bounds([rng.normal(size=(5, 4)), rng.normal(size=(5, 3))])
+
+
+def _model(family, n_features, regularization, fit_intercept):
+    if family == "logistic":
+        return LogisticRegression(n_features, regularization, fit_intercept)
+    if family == "svm":
+        return LinearSVM(n_features, regularization, fit_intercept)
+    if family == "ridge":
+        return RidgeRegression(n_features, regularization, fit_intercept)
+    if family == "softmax":
+        return SoftmaxRegression(n_features, 3, regularization, fit_intercept)
+    return MLPClassifier([n_features, 4, 3], regularization)
+
+
+FAMILIES = ("logistic", "svm", "ridge", "softmax", "mlp")
+
+
+def _exhaustive(model, Xs, scales) -> float:
+    """The maximum the trainer took before screening, over the verbatim formulas."""
+    return max(scale * _reference_bound(model, X) for scale, X in zip(scales, Xs))
+
+
+class _GesddCounter:
+    """Counts the matrices handed to ``np.linalg.svd``: a stack's leading dimension."""
+
+    def __init__(self, monkeypatch):
+        self.matrices = 0
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            self.matrices += a.shape[0] if a.ndim == 3 else 1
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+
+
+class TestScreenedMaximumBitwise:
+    """``lipschitz_bound(Xs, scales)`` == the exhaustive maximum, with float ``==``."""
+
+    @given(
+        family=st.sampled_from(FAMILIES),
+        n_shards=st.integers(1, 36),
+        n_samples=st.integers(1, 30),
+        n_features=st.integers(1, 12),
+        feature_scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        regularization=st.sampled_from([0.0, 0.01, 10.0]),
+        fit_intercept=st.booleans(),
+        ragged=st.booleans(),
+        sample_weighted=st.booleans(),
+        epochs=st.integers(1, 3),
+        adversary=st.sampled_from(["none", "duplicates", "ulp", "zero", "rank_one"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_exhaustive_maximum(
+        self,
+        family,
+        n_shards,
+        n_samples,
+        n_features,
+        feature_scale,
+        regularization,
+        fit_intercept,
+        ragged,
+        sample_weighted,
+        epochs,
+        adversary,
+        seed,
+    ):
+        rng = np.random.default_rng(seed)
+        model = _model(family, n_features, regularization, fit_intercept)
+        sizes = (
+            rng.integers(n_samples, 2 * n_samples + 1, size=n_shards)
+            if ragged
+            else np.full(n_shards, n_samples)
+        )
+        shards = [feature_scale * rng.normal(size=(n, n_features)) for n in sizes]
+        top = int(np.argmax([_reference_bound(model, X) for X in shards]))
+        others = [i for i in range(n_shards) if i != top][: max(1, n_shards // 3)]
+        for j, i in enumerate(others if n_shards > 1 else []):
+            if adversary == "duplicates":
+                shards[i] = shards[top].copy()
+            elif adversary == "ulp":
+                # 1 ± k ulp: a near-tie no margin may exclude.
+                shards[i] = shards[top] * (1.0 + (j % 7 - 3) * np.finfo(float).eps)
+            elif adversary == "zero":
+                shards[i] = np.zeros_like(shards[i])
+            elif adversary == "rank_one":
+                shards[i] = np.outer(
+                    rng.normal(size=shards[i].shape[0]), rng.normal(size=n_features)
+                )
+        # A drift horizon: every epoch's shards in one list, epoch-major.
+        drift = 0.1 * feature_scale
+        Xs = [
+            X if epoch == 0 else X + drift * epoch * rng.normal(size=X.shape)
+            for epoch in range(epochs)
+            for X in shards
+        ]
+        per_epoch = (
+            [n * n_shards / sizes.sum() for n in sizes.tolist()]
+            if sample_weighted
+            else [1.0] * n_shards
+        )
+        scales = per_epoch * epochs
+        bound = model.lipschitz_bound(Xs, scales)
+        assert type(bound) is float
+        assert bound == _exhaustive(model, Xs, scales)
+        assert bound == max(s * b for s, b in zip(scales, model.lipschitz_bounds(Xs)))
+
+    def test_not_excluded_shards_are_decomposed_exactly(self, rng, monkeypatch):
+        """Exact copies of the maximum reach ``μ`` exactly, so Cholesky cannot
+        exclude them: the ones that were not candidates take the exact branch."""
+        model = LogisticRegression(6, 0.01)
+        Xs = [rng.normal(size=(20, 6)) for _ in range(24)]
+        peak = 3.0 * rng.normal(size=(20, 6))
+        copies = [2, 5, 11, 17, 19, 23]
+        for i in copies:
+            Xs[i] = peak.copy()
+        counter = _GesddCounter(monkeypatch)
+        bound = model.lipschitz_bound(Xs, [1.0] * len(Xs))
+        assert bound == _exhaustive(model, Xs, [1.0] * len(Xs))
+        # Four candidates (all copies: equal estimates), then the other two.
+        assert counter.matrices == len(copies) > base._CANDIDATES
+
+    def test_order_never_reaches_the_result(self, rng, monkeypatch):
+        """The estimate only orders: the worst order gives the same bits.
+
+        The shards' bounds lie within a few percent of each other, so the
+        maximum sits just above the threshold the smallest candidates set."""
+        model = LinearSVM(8, 0.01)
+        Xs = [rng.normal(size=(200, 8)) for _ in range(40)]
+        scales = [1.0] * len(Xs)
+        expected = _exhaustive(model, Xs, scales)
+        true_order = base._top_eigenvalue_estimates
+        monkeypatch.setattr(
+            base, "_top_eigenvalue_estimates", lambda gram: -true_order(gram)
+        )
+        counter = _GesddCounter(monkeypatch)
+        assert model.lipschitz_bound(Xs, scales) == expected
+        assert counter.matrices > base._CANDIDATES
+
+    def test_gram_overflow_takes_the_exact_path(self, rng):
+        """``tr(G)`` overflows while ``σ²`` does not: decomposed, the exhaustive value."""
+        model = RidgeRegression(40, 0.01, fit_intercept=False)
+        Xs = [rng.normal(size=(50, 40)) for _ in range(12)]
+        orthonormal, _ = np.linalg.qr(rng.normal(size=(50, 40)))
+        Xs[7] = np.sqrt(1e307) * orthonormal  # G = 1e307 I, tr(G) = 4e308
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.trace(Xs[7].T @ Xs[7]))
+        scales = [1.0] * len(Xs)
+        bound = model.lipschitz_bound(Xs, scales)
+        assert np.isfinite(bound)
+        assert bound == _exhaustive(model, Xs, scales)
+        # Entries whose squares overflow fail exactly as the exhaustive path does.
+        Xs[7] = 1e160 * orthonormal
+        with pytest.raises(OverflowError):
+            _exhaustive(model, Xs, scales)
+        with pytest.raises(OverflowError):
+            model.lipschitz_bound(Xs, scales)
+
+    @pytest.mark.parametrize("n_shards", [4, 12])
+    @pytest.mark.parametrize("bad", ["empty", "nan", "inf"])
+    def test_bad_shard_is_named_before_any_decomposition(
+        self, rng, monkeypatch, n_shards, bad
+    ):
+        model = LogisticRegression(3)
+        Xs = [rng.normal(size=(8, 3)) for _ in range(n_shards)]
+        if bad == "empty":
+            Xs[2] = np.empty((0, 3))
+        else:
+            Xs[2][5, 1] = np.nan if bad == "nan" else -np.inf
+        counter = _GesddCounter(monkeypatch)
+        with pytest.raises(DataError, match="shard 2") as error:
+            model.lipschitz_bound(Xs, [1.0] * n_shards)
+        assert error.value.shard == 2
+        assert counter.matrices == 0
 
 
 class TestLogisticLabelMatrix:
