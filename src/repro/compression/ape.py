@@ -26,7 +26,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import Compressor, EdgeState, Payload, PayloadBatch
+from repro.compression.base import (
+    Compressor,
+    EdgeState,
+    Payload,
+    PayloadBatch,
+    row_reduce,
+)
 from repro.core.ape import APESchedule
 from repro.core.selection import select_parameters
 
@@ -142,8 +148,10 @@ class APECompressor(Compressor):
         if self.schedule is not None:
             # Zeroing the sent coordinates and reducing is bitwise equal to
             # np.where(send_mask, 0.0, deltas).max(axis=1), without the copy.
-            deltas[send_mask] = 0.0
-            np.maximum.at(ctxs.suppressed_max, ctxs.sources, deltas.max(axis=1))
+            np.putmask(deltas, send_mask, 0.0)
+            np.maximum.at(
+                ctxs.suppressed_max, ctxs.sources, row_reduce(np.maximum, deltas)
+            )
         return PayloadBatch.from_mask(currents, send_mask)
 
     def end_round_batch(

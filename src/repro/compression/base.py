@@ -177,7 +177,7 @@ class PayloadBatch:
         if mask is None:
             n_sent = np.full(n_rows, n_params, dtype=np.int64)
         else:
-            n_sent = mask.sum(axis=1)
+            n_sent = row_reduce(np.add, mask, dtype=np.int64)
         return cls(None, currents, n_sent, mask=mask)
 
     @classmethod
@@ -245,24 +245,36 @@ class PayloadBatch:
             total_params, total_params - self.n_sent, self.bits
         )
 
-    def sent_entries(self, rows: np.ndarray):
-        """The transmitted coordinates of ``rows``, flat.
+    def deliver(
+        self, references: np.ndarray, rows: np.ndarray, outcome: np.ndarray
+    ) -> None:
+        """Write the sent entries of the delivered rows into ``references``.
 
-        Returns ``(positions, indices, values)``: entry ``i`` says that
-        ``rows[positions[i]]`` carries ``values[i]`` for parameter
-        ``indices[i]``.
+        Batch row ``r`` belongs to row ``rows[r]`` of ``references`` (the
+        live ``(E, d)`` views; ``rows`` ascending and unique) and
+        ``outcome[r]`` says whether it arrived. A mask-backed batch is one
+        masked copy of ``values`` over ``mask & outcome`` — in place when
+        ``rows`` is every row, else through a gather of those rows and one
+        scatter back; an index-backed batch scatters its sent columns.
+        Either writes exactly the coordinates ``batch[r]`` carries, with
+        its values, bit for bit.
         """
         if self.indices is None:
-            if self.mask is None:
-                sent = np.ones((rows.size, self.values.shape[1]), dtype=bool)
-            else:
-                sent = self.mask[rows]
-            positions, columns = np.nonzero(sent)
-            return positions, columns, self.values[rows[positions], columns]
-        sent = np.arange(self.indices.shape[1]) < self.n_sent[rows][:, None]
+            sent = outcome[:, None]
+            if self.mask is not None:
+                sent = self.mask & sent
+            every_row = rows.size == len(references)
+            target = references if every_row else references[rows]
+            np.copyto(target, self.values, where=sent)
+            if not every_row:
+                references[rows] = target
+            return
+        sent = np.arange(self.indices.shape[1]) < self.n_sent[:, None]
+        sent &= outcome[:, None]
         positions, columns = np.nonzero(sent)
-        picked = rows[positions]
-        return positions, self.indices[picked, columns], self.values[picked, columns]
+        references[rows[positions], self.indices[positions, columns]] = (
+            self.values[positions, columns]
+        )
 
 
 class Compressor:
@@ -434,6 +446,23 @@ class Compressor:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def row_reduce(ufunc: np.ufunc, matrix: np.ndarray, dtype=None) -> np.ndarray:
+    """``ufunc.reduce(matrix, axis=1)``, run along the longer of the two axes.
+
+    numpy reduces each row of a C-contiguous ``(K, d)`` matrix with its own
+    inner-loop call, so over thousands of short rows (N=1024 edges of an
+    11-parameter model) the per-row overhead is most of the cost; with
+    ``K > d`` this reduces the columns of a transposed copy instead — one
+    vector operation per column. Only for reductions whose result does not
+    depend on the order of the operands (``np.maximum``; ``np.add`` over
+    booleans into an integer ``dtype``): a float ``np.add`` row sum is
+    pairwise and would change bits.
+    """
+    if matrix.shape[0] > matrix.shape[1]:
+        return ufunc.reduce(np.ascontiguousarray(matrix.T), axis=0, dtype=dtype)
+    return ufunc.reduce(matrix, axis=1, dtype=dtype)
 
 
 def edge_rng(

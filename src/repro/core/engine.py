@@ -51,6 +51,7 @@ load-bearing identities (verified by ``tests/core/test_engine_equivalence.py``):
 from __future__ import annotations
 
 import weakref
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -253,15 +254,28 @@ class VectorizedEngine:
         reproduces the reference bit for bit on the pruned graph too.
         """
         topology = self.trainer.topology
+        #: Each node's neighbors, ascending: the destinations of its block
+        #: of out-edge rows and the sources of its in-edges, in that order.
+        self._neighbors = [topology.neighbors(node) for node in range(self.n_nodes)]
         src, dst = [], []
-        for node in range(self.n_nodes):
-            for neighbor in topology.neighbors(node):
-                src.append(node)
-                dst.append(neighbor)
+        for node, neighbors in enumerate(self._neighbors):
+            src.extend([node] * len(neighbors))
+            dst.extend(neighbors)
         self.edge_src = np.asarray(src, dtype=np.int64)
         self.edge_dst = np.asarray(dst, dtype=np.int64)
         self.n_edges = len(src)
         edge_id = {pair: e for e, pair in enumerate(zip(src, dst))}
+        #: Node ``i``'s out-edges are rows ``_blocks[i]:_blocks[i + 1]``.
+        self._blocks = np.searchsorted(
+            self.edge_src, np.arange(self.n_nodes + 1)
+        ).tolist()
+        #: ``_in_edges[e]`` is the reverse of edge ``e``, so node ``i``'s
+        #: block of it lists the edges ``(j -> i)`` over its neighbors ``j``
+        #: ascending: the rows of its ``views``, where the block of the edge
+        #: rows themselves holds its ``last_sent``.
+        self._in_edges = np.asarray(
+            [edge_id[(j, i)] for i, j in zip(src, dst)], dtype=np.int64
+        )
         #: canonical undirected edge -> the two directed edge ids, for
         #: mapping the failure model's output onto edge rows.
         self._undirected: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -276,21 +290,18 @@ class VectorizedEngine:
         for node in range(self.n_nodes):
             row = servers[node].weight_row
             own_w.append(float(row[node]))
-            nbr_w.append([float(row[j]) for j in topology.neighbors(node)])
-        self._mix_current = self._build_mixing(edge_id, own_w, nbr_w, w_tilde=False)
-        self._mix_previous = self._build_mixing(edge_id, own_w, nbr_w, w_tilde=True)
+            nbr_w.append([float(row[j]) for j in self._neighbors[node]])
+        self._mix_current = self._build_mixing(own_w, nbr_w, w_tilde=False)
+        self._mix_previous = self._build_mixing(own_w, nbr_w, w_tilde=True)
 
         # Robust aggregation runs the mixing as a per-node loop through the
         # same repro.core.robust.robust_mix the reference servers call, so
         # the operands (in-edge view rows and weights, ascending-neighbor
         # order) are laid out here once per topology.
         if self.trainer.config.robust_aggregation is not None:
-            self._robust_ids = [
-                topology.neighbors(node) for node in range(self.n_nodes)
-            ]
             self._robust_in_edges = [
-                [edge_id[(j, node)] for j in topology.neighbors(node)]
-                for node in range(self.n_nodes)
+                self._in_edges[lo:hi].tolist()
+                for lo, hi in zip(self._blocks, self._blocks[1:])
             ]
             self._robust_own_w = own_w
             self._robust_nbr_w = nbr_w
@@ -353,9 +364,7 @@ class VectorizedEngine:
         )
         self.begin_run()
 
-    def _build_mixing(
-        self, edge_id: dict, own_w: list, nbr_w: list, w_tilde: bool
-    ) -> csr_matrix:
+    def _build_mixing(self, own_w: list, nbr_w: list, w_tilde: bool) -> csr_matrix:
         """CSR mixing operator over the ``(N + E, d)`` state stack.
 
         ``own_w[i]`` is ``W[i, i]`` and ``nbr_w[i]`` the weights of node
@@ -368,16 +377,15 @@ class VectorizedEngine:
         intentionally left unsorted (column N+e carries no order relation
         to the accumulation).
         """
+        in_edges = (self.n_nodes + self._in_edges).tolist()
         data, indices, indptr = [], [], [0]
         for node in range(self.n_nodes):
             own = own_w[node]
             data.append(0.5 * (own + 1.0) if w_tilde else own)
             indices.append(node)
-            for neighbor, w in zip(
-                self.trainer.topology.neighbors(node), nbr_w[node]
-            ):
+            for w in nbr_w[node]:
                 data.append(0.5 * w if w_tilde else w)
-                indices.append(self.n_nodes + edge_id[(neighbor, node)])
+            indices.extend(in_edges[self._blocks[node] : self._blocks[node + 1]])
             indptr.append(len(data))
         return csr_matrix(
             (
@@ -391,9 +399,16 @@ class VectorizedEngine:
     # -- run boundaries ---------------------------------------------------------
 
     def begin_run(self) -> None:
-        """Ingest the servers' current state (fresh run or checkpoint resume)."""
+        """Ingest the servers' current state (fresh run or checkpoint resume).
+
+        Node by node: a server's views and flags are read as one block in
+        its neighbors' order — the order of its block of :attr:`_in_edges`
+        — and each field lands on the edge rows with one scatter.
+        """
         self._forget_edge_states()
         servers = self.trainer.servers
+        views, fresh, previous_fresh = [], [], []
+        previous_views, previous_rows = [], []
         for i, server in enumerate(servers):
             self.params[i] = server.params
             self.has_previous[i] = server.previous_params is not None
@@ -402,42 +417,69 @@ class VectorizedEngine:
                 self.previous_gradients[i] = server._previous_gradient
             self.previous_views_valid[i] = bool(server.previous_views)
             self.iterations[i] = server.iteration
-        for e in range(self.n_edges):
-            src, dst = int(self.edge_src[e]), int(self.edge_dst[e])
-            receiver = servers[dst]
-            self.views[e] = receiver.views[src]
-            self.fresh[e] = receiver.fresh[src]
-            if src in receiver.previous_views:
-                self.previous_views[e] = receiver.previous_views[src]
-            self.previous_fresh[e] = receiver.previous_fresh.get(src, True)
+            neighbors = self._neighbors[i]
+            views.extend(map(server.views.__getitem__, neighbors))
+            fresh.extend(map(server.fresh.__getitem__, neighbors))
+            previous_fresh.extend(
+                map(server.previous_fresh.get, neighbors, repeat(True))
+            )
+            # A previous layer is all of a server's neighbors or none.
+            if server.previous_views:
+                previous_views.extend(
+                    map(server.previous_views.__getitem__, neighbors)
+                )
+                previous_rows.append(
+                    self._in_edges[self._blocks[i] : self._blocks[i + 1]]
+                )
+        if self.n_edges:
+            self.views[self._in_edges] = views
+            self.fresh[self._in_edges] = fresh
+            self.previous_fresh[self._in_edges] = previous_fresh
+        if previous_views:
+            self.previous_views[np.concatenate(previous_rows)] = previous_views
 
     def sync_to_servers(self) -> None:
         """Write the matrix state back onto the EdgeServer objects.
 
         Keeps checkpointing, callbacks, and every test that inspects
         ``trainer.servers`` working regardless of the engine that ran.
+        Node by node: one copy of each stack (the views gathered in
+        receiver order once, and once in sender order for ``last_sent``)
+        is handed out as rows, so every server array is its own memory,
+        shared with no engine stack and no other server array.
         """
         servers = self.trainer.servers
+        params = self.params.copy()
+        previous_params = self.previous_params.copy()
+        previous_gradients = self.previous_gradients.copy()
+        views = self.views[self._in_edges]
+        last_sent = self.views.copy()
+        previous_views = self.previous_views[self._in_edges]
+        fresh = self.fresh[self._in_edges].tolist()
+        previous_fresh = self.previous_fresh[self._in_edges].tolist()
+        has_previous = self.has_previous.tolist()
+        previous_valid = self.previous_views_valid.tolist()
+        iterations = self.iterations.tolist()
         for i, server in enumerate(servers):
-            server.params = self.params[i].copy()
-            if self.has_previous[i]:
-                server.previous_params = self.previous_params[i].copy()
-                server._previous_gradient = self.previous_gradients[i].copy()
+            lo, hi = self._blocks[i], self._blocks[i + 1]
+            neighbors = self._neighbors[i]
+            server.params = params[i]
+            if has_previous[i]:
+                server.previous_params = previous_params[i]
+                server._previous_gradient = previous_gradients[i]
             else:
                 server.previous_params = None
                 server._previous_gradient = None
-            server.iteration = int(self.iterations[i])
-            server.previous_views = {}
-        for e in range(self.n_edges):
-            src, dst = int(self.edge_src[e]), int(self.edge_dst[e])
-            receiver = servers[dst]
-            view = self.views[e]
-            receiver.views[src] = view.copy()
-            servers[src].last_sent[dst] = view.copy()
-            receiver.fresh[src] = bool(self.fresh[e])
-            if self.previous_views_valid[dst]:
-                receiver.previous_views[src] = self.previous_views[e].copy()
-            receiver.previous_fresh[src] = bool(self.previous_fresh[e])
+            server.iteration = iterations[i]
+            server.views.update(zip(neighbors, views[lo:hi]))
+            server.last_sent.update(zip(neighbors, last_sent[lo:hi]))
+            server.fresh.update(zip(neighbors, fresh[lo:hi]))
+            server.previous_views = (
+                dict(zip(neighbors, previous_views[lo:hi]))
+                if previous_valid[i]
+                else {}
+            )
+            server.previous_fresh.update(zip(neighbors, previous_fresh[lo:hi]))
 
     # -- the EXTRA step ---------------------------------------------------------
 
@@ -489,7 +531,7 @@ class VectorizedEngine:
                 own_weight = 0.5 * (self._robust_own_w[i] + 1.0)
                 weights = [0.5 * w for w in self._robust_nbr_w[i]]
             mixed[i] = robust_mix(
-                spec, sub[i], own_weight, self._robust_ids[i], values, weights
+                spec, sub[i], own_weight, self._neighbors[i], values, weights
             )
         return mixed
 
@@ -679,8 +721,7 @@ class VectorizedEngine:
         delivered_idx = np.flatnonzero(delivered_mask)
         if elig_idx.size:
             outcome = delivered_mask[elig_idx]
-            positions, indices, values = batch.sent_entries(np.flatnonzero(outcome))
-            self.views[delivered_idx[positions], indices] = values
+            batch.deliver(self.views, elig_idx, outcome)
             self.fresh[delivered_idx] = True
             # The outcome observes the post-round references (the live view
             # rows, advanced by the delivery writes above), matching the

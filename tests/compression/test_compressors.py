@@ -13,6 +13,7 @@ from repro.compression import (
     UniformQuantizer,
     edge_rng,
 )
+from repro.compression.base import PayloadBatch
 from repro.exceptions import ConfigurationError
 from repro.network.frames import (
     dequantize_levels,
@@ -250,18 +251,29 @@ class TestColumnarBatch:
             empty = compressor.compress_batch(same[:0], same[:0])
             assert len(empty) == 0 and empty.wire_bytes(5).shape == (0,)
 
-    def test_sent_entries_are_the_payload_coordinates(self):
-        compressor = TopKCompressor(k=3)
+    def test_deliver_writes_the_payload_coordinates(self):
+        """``deliver`` writes exactly ``batch[r]``'s coordinates and values
+        into the delivered rows' references and leaves every other entry,
+        for an index-backed, a mask-backed and a dense batch, over every row
+        in place and over a subset of them."""
         currents, references = _sparse_drift_rows(np.random.default_rng(4))
-        batch = compressor.compress_batch(currents, references)
-        rows = np.array([1, 3, 6])
-        positions, indices, values = batch.sent_entries(rows)
-        expected = [
-            (position, int(index), float(value))
-            for position, row in enumerate(rows)
-            for index, value in zip(batch[row].indices, batch[row].values)
-        ]
-        assert list(zip(positions, indices, values)) == expected
+        n_rows = len(currents)
+        outcome = np.arange(n_rows) % 3 != 1
+        for batch in (
+            TopKCompressor(k=3).compress_batch(currents, references),
+            PayloadBatch.from_mask(currents, currents != references),
+            PayloadBatch.from_mask(currents),
+        ):
+            for rows in (np.arange(n_rows), np.array([0, 2, 3, 5, 8, 9, 11])):
+                live = np.random.default_rng(5).normal(
+                    size=(rows[-1] + 1, currents.shape[1])
+                )
+                expected = live.copy()
+                for row in np.flatnonzero(outcome).tolist():
+                    payload = batch[row]
+                    expected[rows[row], payload.indices] = payload.values
+                batch.deliver(live, rows, outcome)
+                assert np.array_equal(live, expected)
 
     def test_per_edge_compressors_are_adapted_into_the_same_batch(self):
         """The default ``compress_batch`` packs per-edge payloads as columns."""

@@ -209,7 +209,6 @@ def test_batched_ape_equals_per_edge(kind, params, step, relation, down, attacke
                 ), column
         assert restarting.tolist() == restarts
 
-        positions, indices, values = batch.sent_entries(np.arange(eligible.size))
-        references[eligible[positions], indices] = values
+        batch.deliver(references, eligible, np.ones(eligible.size, dtype=bool))
         for e, payload in expected.items():
             assert np.array_equal(references[e][payload.indices], payload.values)

@@ -335,6 +335,112 @@ class TestObservability:
         for ref, vec in zip(ref_trainer.servers, vec_trainer.servers):
             assert np.array_equal(ref.params, vec.params)
 
+    @staticmethod
+    def _server_fields(server) -> dict:
+        """Every piece of per-server state an engine writes back."""
+        return {
+            "params": server.params,
+            "previous_params": server.previous_params,
+            "_previous_gradient": server._previous_gradient,
+            "iteration": server.iteration,
+            "views": server.views,
+            "last_sent": server.last_sent,
+            "fresh": server.fresh,
+            "previous_views": server.previous_views,
+            "previous_fresh": server.previous_fresh,
+        }
+
+    @classmethod
+    def _assert_same_fields(cls, ref, vec):
+        for name, expected in cls._server_fields(ref).items():
+            actual = cls._server_fields(vec)[name]
+            if isinstance(expected, dict):
+                assert list(actual) == list(expected), (ref.node_id, name)
+                for key, value in expected.items():
+                    assert np.array_equal(actual[key], value), (ref.node_id, name, key)
+                    assert type(actual[key]) is type(value), (ref.node_id, name, key)
+            elif expected is None or isinstance(expected, int):
+                assert actual == expected and type(actual) is type(expected), (
+                    ref.node_id,
+                    name,
+                )
+            else:
+                assert np.array_equal(actual, expected), (ref.node_id, name)
+
+    def test_write_back_matches_every_server_field(self):
+        """After a run with crashed servers and APE stage restarts, the
+        vectorized write-back leaves every server field equal to the reference
+        servers' — keys, key order and values — and every written array is
+        its own memory: shared with no engine stack and no other server's."""
+        shards = _binary_shards(seed=8)
+        model = LogisticRegression(5)
+
+        def run(engine):
+            config = SNAPConfig(
+                engine=engine,
+                seed=7,
+                optimize_weights=False,
+                ape_stage_iterations=3,
+            )
+            trainer = SNAPTrainer(
+                model,
+                shards,
+                Topology(N_NODES, EDGES),
+                config,
+                fault_plan=_fault_plan(),
+            )
+            result = trainer.run(max_rounds=25, stop_on_convergence=False)
+            return trainer, result
+
+        (ref_trainer, ref_result), (vec_trainer, vec_result) = (
+            run("reference"),
+            run("vectorized"),
+        )
+        assert ref_result.rounds == vec_result.rounds
+        topology = vec_trainer.topology
+        assert any(
+            vec_trainer.fault_plan.failed_nodes(topology, r) for r in range(1, 26)
+        )
+        assert vec_trainer.compressors[0].schedule.bank.stages.max() > 0
+        for ref, vec in zip(ref_trainer.servers, vec_trainer.servers):
+            self._assert_same_fields(ref, vec)
+
+        engine = vec_trainer.engine
+        written = [
+            (server.node_id, name, key, array)
+            for server in vec_trainer.servers
+            for name, field in self._server_fields(server).items()
+            for key, array in (
+                field.items() if isinstance(field, dict) else [(None, field)]
+            )
+            if isinstance(array, np.ndarray)
+        ]
+        stacks = [
+            engine._stack_current,
+            engine._stack_previous,
+            engine.previous_gradients,
+        ]
+        for *_, array in written:
+            assert not any(np.shares_memory(array, stack) for stack in stacks)
+        for a, (*where_a, array_a) in enumerate(written):
+            for *where_b, array_b in written[a + 1 :]:
+                assert not np.shares_memory(array_a, array_b), (where_a, where_b)
+
+        # An in-place write to one last_sent record reaches nothing else.
+        sender = vec_trainer.servers[1]
+        receiver = vec_trainer.servers[sender.neighbors[0]]
+        before = {
+            id(array): array.copy() for *_, array in written
+        } | {id(stack): stack.copy() for stack in stacks}
+        target = sender.last_sent[receiver.node_id]
+        target += 1.0
+        for *_, array in written:
+            if array is not target:
+                assert np.array_equal(array, before[id(array)])
+        for stack in stacks:
+            assert np.array_equal(stack, before[id(stack)])
+        assert not np.array_equal(receiver.views[sender.node_id], target)
+
 
 class TestLedgerBatches:
     """At tau=0 every engine writes the same ledger in the same batches: one

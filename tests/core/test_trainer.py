@@ -357,6 +357,63 @@ class TestVectorizedRoundCallCount:
         )
 
 
+class TestVectorizedStateTransferLineCount:
+    """Ingest and write-back move engine state per node: a count, not a clock."""
+
+    @staticmethod
+    def _lines(degree: int) -> int:
+        """Python lines ``begin_run`` + ``sync_to_servers`` execute at N=64.
+
+        Counted with ``sys.settrace`` "line" events after a 3-round run of
+        the dense scheme (no stage restarts, no faults: every node takes the
+        same branches at either degree). C-level loops — ``map``, ``zip``,
+        ``dict.update``, numpy — execute no Python lines.
+        """
+        from repro.topology.generators import random_regular_topology
+
+        rng = np.random.default_rng(42)
+        shards = []
+        for _ in range(64):
+            X = rng.normal(size=(30, 10))
+            shards.append(Dataset(X, (X @ rng.normal(size=10) > 0).astype(float)))
+        trainer = SNAPTrainer(
+            LogisticRegression(10),
+            shards,
+            random_regular_topology(64, degree=degree, seed=3),
+            SNAPConfig(
+                engine="vectorized", compressor="dense", seed=7, optimize_weights=False
+            ),
+        )
+        trainer.run(max_rounds=3, stop_on_convergence=False)
+        engine = trainer.engine
+        lines = 0
+
+        def on_event(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return on_event
+
+        previous = sys.gettrace()
+        sys.settrace(on_event)
+        try:
+            engine.begin_run()
+            engine.sync_to_servers()
+        finally:
+            sys.settrace(previous)
+        return lines
+
+    def test_ingest_and_write_back_do_not_walk_the_edges(self):
+        """Doubling the degree at N=64 doubles the directed edges (256 ->
+        512); a per-edge loop in ``begin_run`` or ``sync_to_servers`` adds
+        several lines per edge, a per-node one nothing."""
+        four, eight = self._lines(4), self._lines(8)
+        assert eight <= four, (
+            f"begin_run + sync_to_servers ran {four} Python lines at degree 4 "
+            f"and {eight} at degree 8 (N=64): something walks the edges"
+        )
+
+
 class TestBadShardNamedAtConstruction:
     """A shard no step size can be bounded on is refused by node, before any SVD."""
 
