@@ -7,7 +7,7 @@ PYTEST := PYTHONPATH=src $(PYTHON) -m pytest
 .PHONY: test chaos perf differential verify-invariants coverage test-all \
 	bench bench-async bench-compression bench-figures bench-scale bench-scale-check \
 	bench-topology bench-topology-check bench-e2e-quick bench-pairs profile \
-	orchestrate-smoke scenario-smoke flake
+	orchestrate-smoke scenario-smoke flake reachability
 
 ## The default (tier-1) suite: the addopts in pyproject.toml deselect the
 ## chaos, perf, and differential markers, so a bare pytest run is tier-1.
@@ -58,6 +58,13 @@ scenario-smoke:
 ## (measured with a stdlib sys.settrace hook, the same on CI and locally).
 coverage:
 	PYTHONPATH=src $(PYTHON) scripts/check_coverage.py
+
+## Which functions of src/repro no entry point enters: runs every CI entry
+## point, example and figure bench under a call hook and prints the
+## never-entered functions per module, with line counts and totals
+## (several minutes; no CI job). See docs/TESTING.md.
+reachability:
+	$(PYTHON) scripts/reachability.py
 
 ## Everything — every marker included.
 test-all:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import sys
 import types
+from collections.abc import Iterator
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -54,22 +55,33 @@ def target_files() -> dict[str, list[Path]]:
     }
 
 
-def executable_lines(path: Path) -> set[int]:
-    """Line numbers carrying executable statements, via ``co_lines()``."""
-    code = compile(path.read_text(), str(path), "exec")
-    lines: set[int] = set()
+def code_objects(code: types.CodeType) -> Iterator[types.CodeType]:
+    """``code`` and every code object nested in it (functions, classes, ...)."""
     stack = [code]
     while stack:
         current = stack.pop()
-        lines.update(
-            line for _, _, line in current.co_lines() if line is not None
-        )
+        yield current
         stack.extend(
             const
             for const in current.co_consts
             if isinstance(const, types.CodeType)
         )
-    return lines
+
+
+def code_lines(code: types.CodeType) -> set[int]:
+    """Line numbers carrying executable statements of ``code`` and its nested
+    code objects, via ``co_lines()``."""
+    return {
+        line
+        for current in code_objects(code)
+        for _, _, line in current.co_lines()
+        if line is not None
+    }
+
+
+def executable_lines(path: Path) -> set[int]:
+    """Line numbers carrying executable statements of one source file."""
+    return code_lines(compile(path.read_text(), str(path), "exec"))
 
 
 def run_pytest() -> int:

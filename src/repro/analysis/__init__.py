@@ -5,7 +5,7 @@ iterations) and the plain-text tables the benchmark harness prints for every
 reproduced figure.
 """
 
-from repro.analysis.cdf import empirical_cdf, fraction_below, quantile_points
+from repro.analysis.cdf import fraction_below
 from repro.analysis.estimates import (
     mlp_parameter_count,
     neighbor_exchange_traffic,
@@ -16,9 +16,7 @@ from repro.analysis.plots import sparkline, trace_panel
 from repro.analysis.reporting import ascii_table, format_bytes
 
 __all__ = [
-    "empirical_cdf",
     "fraction_below",
-    "quantile_points",
     "mlp_parameter_count",
     "neighbor_exchange_traffic",
     "parameter_server_traffic",

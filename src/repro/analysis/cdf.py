@@ -7,20 +7,6 @@ import numpy as np
 from repro.exceptions import DataError
 
 
-def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(sorted_values, cdf)`` with ``cdf[k] = (k+1)/n``.
-
-    Plotting ``sorted_values`` on a log x-axis against ``cdf`` reproduces the
-    paper's "Log-CDF" panels (Figs. 2(b), 2(c)).
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
-        raise DataError("cannot build a CDF from an empty array")
-    sorted_values = np.sort(values)
-    cdf = np.arange(1, values.size + 1, dtype=float) / values.size
-    return sorted_values, cdf
-
-
 def fraction_below(values: np.ndarray, threshold: float) -> float:
     """Fraction of entries ``<= threshold`` — one point of the CDF.
 
@@ -31,13 +17,3 @@ def fraction_below(values: np.ndarray, threshold: float) -> float:
     if values.size == 0:
         raise DataError("cannot evaluate a CDF on an empty array")
     return float(np.mean(values <= threshold))
-
-
-def quantile_points(
-    values: np.ndarray, quantiles: tuple[float, ...] = (0.5, 0.9, 0.94, 0.98, 0.99)
-) -> dict[float, float]:
-    """Selected quantiles of ``values`` (the numbers quoted in Section IV-C)."""
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size == 0:
-        raise DataError("cannot take quantiles of an empty array")
-    return {q: float(np.quantile(values, q)) for q in quantiles}

@@ -19,7 +19,6 @@ from repro.consensus.gradient_tracking import (
 from repro.consensus.convergence import (
     ConvergenceDetector,
     consensus_error,
-    mean_parameters,
 )
 from repro.consensus.step_size import extra_max_step_size, safe_step_size
 from repro.consensus.theory import (
@@ -43,7 +42,6 @@ __all__ = [
     "GradientTrackingState",
     "ConvergenceDetector",
     "consensus_error",
-    "mean_parameters",
     "extra_max_step_size",
     "safe_step_size",
 ]

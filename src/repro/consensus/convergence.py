@@ -24,11 +24,6 @@ from repro.types import ParamMatrix
 from repro.utils.validation import check_non_negative, check_positive_int
 
 
-def mean_parameters(stacked: ParamMatrix) -> np.ndarray:
-    """Column mean of the stacked parameters — the network-average model."""
-    return np.asarray(stacked, dtype=float).mean(axis=0)
-
-
 def consensus_error(stacked: ParamMatrix) -> float:
     """Root-mean-square distance of the rows from their mean.
 

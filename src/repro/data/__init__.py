@@ -16,24 +16,21 @@ distribute[s] the training samples among the edge servers" (IID), and we add
 Dirichlet and shard partitioners for non-IID extension experiments.
 """
 
-from repro.data.dataset import Dataset, train_test_split
+from repro.data.dataset import Dataset
 from repro.data.drift import DriftSchedule, LabelShiftDrift, StreamingArrival
 from repro.data.mnist import SyntheticMNIST
 from repro.data.credit import SyntheticCreditDefault
 from repro.data.partition import (
     dirichlet_partition,
     iid_partition,
-    shard_partition,
 )
 
 __all__ = [
     "Dataset",
-    "train_test_split",
     "SyntheticMNIST",
     "SyntheticCreditDefault",
     "iid_partition",
     "dirichlet_partition",
-    "shard_partition",
     "DriftSchedule",
     "LabelShiftDrift",
     "StreamingArrival",

@@ -1,4 +1,4 @@
-"""The :class:`Dataset` container and split helpers."""
+"""The :class:`Dataset` container."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import DataError
-from repro.types import SeedLike
-from repro.utils.rng import make_rng
 
 
 @dataclass(frozen=True)
@@ -57,30 +55,5 @@ class Dataset:
             )
         return Dataset(self.X[indices].copy(), self.y[indices].copy())
 
-    def shuffled(self, seed: SeedLike = None) -> "Dataset":
-        """Row-shuffled copy."""
-        rng = make_rng(seed)
-        order = rng.permutation(self.n_samples)
-        return self.subset(order)
-
     def __len__(self) -> int:
         return self.n_samples
-
-
-def train_test_split(
-    dataset: Dataset, test_fraction: float = 0.2, seed: SeedLike = None
-) -> tuple[Dataset, Dataset]:
-    """Shuffle and split into ``(train, test)``.
-
-    ``test_fraction`` of the samples (at least one, at most ``n - 1``) go to
-    the test set.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise DataError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    if dataset.n_samples < 2:
-        raise DataError("need at least 2 samples to split")
-    rng = make_rng(seed)
-    order = rng.permutation(dataset.n_samples)
-    n_test = int(round(dataset.n_samples * test_fraction))
-    n_test = min(max(n_test, 1), dataset.n_samples - 1)
-    return dataset.subset(order[n_test:]), dataset.subset(order[:n_test])

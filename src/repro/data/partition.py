@@ -90,36 +90,6 @@ def dirichlet_partition(
     return [dataset.subset(np.array(sorted(idx))) for idx in assignments]
 
 
-def shard_partition(
-    dataset: Dataset,
-    n_parts: int,
-    shards_per_part: int = 2,
-    seed: SeedLike = None,
-) -> list[Dataset]:
-    """Pathological non-IID split: sort by label, slice into shards, deal them out.
-
-    The classic federated-learning construction — with ``shards_per_part=2``
-    most servers see only two classes.
-    """
-    check_positive_int("n_parts", n_parts)
-    check_positive_int("shards_per_part", shards_per_part)
-    n_shards = n_parts * shards_per_part
-    if n_shards > dataset.n_samples:
-        raise DataError(
-            f"{n_shards} shards exceed dataset size {dataset.n_samples}"
-        )
-    rng = make_rng(seed)
-    order = np.argsort(np.asarray(dataset.y), kind="stable")
-    shards = np.array_split(order, n_shards)
-    shard_order = rng.permutation(n_shards)
-    parts: list[Dataset] = []
-    for part in range(n_parts):
-        chosen = shard_order[part * shards_per_part : (part + 1) * shards_per_part]
-        indices = np.concatenate([shards[s] for s in chosen])
-        parts.append(dataset.subset(np.sort(indices)))
-    return parts
-
-
 def _proportions_to_counts(proportions: np.ndarray, total: int) -> np.ndarray:
     """Round proportions to integer counts that sum exactly to ``total``."""
     raw = proportions * total

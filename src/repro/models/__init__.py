@@ -18,7 +18,7 @@ from repro.models.logistic import LogisticRegression
 from repro.models.ridge import RidgeRegression
 from repro.models.softmax import SoftmaxRegression
 from repro.models.mlp import MLPClassifier
-from repro.models.metrics import accuracy_score, zero_one_error
+from repro.models.metrics import accuracy_score
 
 __all__ = [
     "Model",
@@ -28,5 +28,4 @@ __all__ = [
     "SoftmaxRegression",
     "MLPClassifier",
     "accuracy_score",
-    "zero_one_error",
 ]

@@ -22,8 +22,3 @@ def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if y_true.size == 0:
         raise DataError("cannot compute accuracy of an empty label array")
     return float(np.mean(y_true == y_pred))
-
-
-def zero_one_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Misclassification rate, ``1 - accuracy``."""
-    return 1.0 - accuracy_score(y_true, y_pred)

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.exceptions import ConfigurationError
-from repro.network.cost import CommunicationCostTracker, FlowRecord
-from repro.results import TrainingResult
+from repro.network.cost import CommunicationCostTracker
 from repro.utils.validation import check_non_negative, check_positive
 
 #: The paper's testbed link speed.
@@ -122,22 +121,6 @@ class LinkTimingModel:
 
     # -- synchronous-round aggregates -------------------------------------------
 
-    def round_makespan(self, flows: list[FlowRecord]) -> float:
-        """Communication+compute time of one synchronous round.
-
-        Each flow occupies its (source, destination) link for
-        ``size_bytes * hops / bandwidth`` seconds (a multi-hop flow crosses
-        ``hops`` store-and-forward links back to back); flows sharing a link
-        serialize, distinct links run in parallel.
-        """
-        per_link: dict[tuple[int, int], float] = defaultdict(float)
-        for flow in flows:
-            link = (flow.source, flow.destination)
-            per_link[link] += (
-                flow.size_bytes * flow.hops / self.bandwidth(*link)
-            )
-        return self._makespan(per_link)
-
     def _makespan(self, per_link: Mapping[tuple[int, int], float]) -> float:
         """A round's time from the seconds each link spends transferring."""
         if not per_link:
@@ -163,22 +146,4 @@ class LinkTimingModel:
         total = 0.0
         for round_index in range(1, n_rounds + 1):
             total += self._makespan(by_round.get(round_index, {}))
-        return total
-
-    def estimate_result_time(self, result: TrainingResult) -> float:
-        """Coarser estimate from a :class:`TrainingResult`'s byte trace.
-
-        Without per-flow records the per-link breakdown is unknown, so each
-        round's bytes are treated as if they serialized through a single
-        link — an upper bound on the makespan (real rounds overlap transfers
-        on distinct links). Exact timing needs the tracker
-        (:meth:`total_time`).
-        """
-        total = 0.0
-        for record in result.rounds:
-            total += self.max_compute_s()
-            if record.bytes_sent > 0:
-                total += self.latency_s + (
-                    record.bytes_sent / self.bandwidth_bytes_per_s
-                )
         return total

@@ -8,7 +8,8 @@ One :class:`FrameHeader` precedes every Fig. 3 payload on the wire:
 >u8  frame_format  0 = UNCHANGED_INDEX, 1 = INDEX_VALUE, 2 = QUANTIZED
 >u32 total_params  model dimension N (needed to decode frame A)
 >u32 payload_len   bytes of codec payload that follow
->u32 payload_crc   CRC32 of the payload (zlib.crc32)
+>u32 frame_crc     CRC32 (zlib.crc32) of the 17 header bytes above, then
+                  the payload
 ```
 
 The header is transport overhead and is accounted separately from the
@@ -17,11 +18,13 @@ measurement in the paper likewise measures payloads).
 
 Fault tolerance lives at this layer:
 
-* **Integrity** — the receiver recomputes the payload CRC32 and raises
-  :class:`~repro.exceptions.FrameCorruptionError` on mismatch. Because the
-  length field framed the payload correctly, the byte stream stays aligned
-  and the connection keeps working; the caller discards the update and
-  applies the straggler rule.
+* **Integrity** — the receiver recomputes the CRC32 over the header's
+  first 17 bytes and the payload and raises
+  :class:`~repro.exceptions.FrameCorruptionError` on mismatch, so a flipped
+  sender, round, format or dimension field is caught like a flipped payload
+  byte. Because the length field framed the payload correctly, the byte
+  stream stays aligned and the connection keeps working; the caller
+  discards the update and applies the straggler rule.
 * **Retry** — sends that hit a transient socket error are retried under a
   :class:`RetryPolicy` (bounded attempts, exponential backoff with jitter),
   reconnecting via the connection's ``reconnect`` factory when the old
@@ -58,6 +61,9 @@ from repro.network.messages import ParameterUpdate
 
 _HEADER = struct.Struct(">IIBIII")
 
+#: The header's fields before its CRC, which the CRC covers.
+_FIELDS = struct.Struct(">IIBII")
+
 #: Wire bytes of the transport header preceding each payload.
 HEADER_BYTES = _HEADER.size
 
@@ -81,7 +87,7 @@ class FrameHeader:
     frame_format: FrameFormat
     total_params: int
     payload_len: int
-    payload_crc: int = 0
+    frame_crc: int = 0
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,9 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 class FrameParser:
     """Incremental decoder of the frame stream, however ``recv`` cut it up.
 
-    Each frame goes header → length → CRC32 → ``decode_update``; one that
-    fails its CRC is consumed whole, so the stream stays aligned.
+    Each frame goes header → length → CRC32 (header fields and payload) →
+    ``decode_update``; one that fails its CRC is consumed whole, so the
+    stream stays aligned.
     """
 
     def __init__(self, peer: str = "peer"):
@@ -173,9 +180,10 @@ class FrameParser:
         if len(buffer) < end:
             return None
         with memoryview(buffer) as view:
+            fields_crc = zlib.crc32(view[: _FIELDS.size])
             payload = bytes(view[HEADER_BYTES:end])
         del buffer[:end]
-        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        if zlib.crc32(payload, fields_crc) != crc:
             return FrameCorruptionError(
                 f"frame from {self.peer} (sender {sender}, round {round_index}) "
                 f"failed its CRC32 integrity check",
@@ -277,14 +285,14 @@ class FrameConnection:
         return self._transmit(header, payload)
 
     def _pack_header(self, update: ParameterUpdate, payload: bytes) -> bytes:
-        return _HEADER.pack(
+        fields = _FIELDS.pack(
             update.sender,
             update.round_index,
             _FORMAT_CODES[update.frame_format],
             update.total_params,
             len(payload),
-            zlib.crc32(payload) & 0xFFFFFFFF,
         )
+        return fields + zlib.crc32(payload, zlib.crc32(fields)).to_bytes(4, "big")
 
     def _transmit(self, header: bytes, payload: bytes) -> int:
         self.outbox.append(header + payload)

@@ -10,7 +10,6 @@ results come from the algorithms and not from setup noise.
 behind Figs. 5–8.
 """
 
-from repro.simulation.export import read_rows_csv, write_rows_csv, write_trace_csv
 from repro.simulation.runner import (
     SCHEMES,
     reference_target_loss,
@@ -29,9 +28,6 @@ __all__ = [
     "reference_target_loss",
     "run_scheme",
     "run_comparison",
-    "read_rows_csv",
-    "write_rows_csv",
-    "write_trace_csv",
     "Workload",
     "credit_svm_workload",
     "mnist_mlp_workload",

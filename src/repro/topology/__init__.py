@@ -25,9 +25,6 @@ from repro.topology.generators import (
 from repro.topology.routing import (
     UNREACHABLE,
     all_pairs_hop_counts,
-    diameter,
-    eccentricity,
-    hop_count,
 )
 from repro.topology.failures import (
     IndependentLinkFailures,
@@ -52,9 +49,6 @@ __all__ = [
     "star_topology",
     "UNREACHABLE",
     "all_pairs_hop_counts",
-    "diameter",
-    "eccentricity",
-    "hop_count",
     "LinkFailureModel",
     "IndependentLinkFailures",
     "ScheduledFailures",

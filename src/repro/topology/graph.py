@@ -131,10 +131,6 @@ class Topology:
         edges = [(index[u], index[v]) for u, v in graph.edges()]
         return cls(len(nodes), edges)
 
-    def neighbor_map(self) -> dict[NodeId, tuple[NodeId, ...]]:
-        """Mapping ``node -> neighbor tuple`` for all nodes."""
-        return {node: self._neighbors[node] for node in range(self._n_nodes)}
-
     def remove_edges(self, removed: Iterable[Edge]) -> "Topology":
         """Return a copy with ``removed`` edges deleted (used by failure models)."""
         removed_set = {(min(u, v), max(u, v)) for u, v in removed}

@@ -13,23 +13,11 @@ from collections import deque
 
 import numpy as np
 
-from repro.exceptions import TopologyError
 from repro.topology.graph import Topology
 from repro.types import NodeId
 
 #: Sentinel hop count for unreachable node pairs.
 UNREACHABLE = -1
-
-
-def hop_count(topology: Topology, source: NodeId, target: NodeId) -> int:
-    """Number of hops on the shortest path from ``source`` to ``target``.
-
-    Returns :data:`UNREACHABLE` when no path exists.
-    """
-    if source == target:
-        return 0
-    distances = _bfs_distances(topology, source)
-    return int(distances[target])
 
 
 def all_pairs_hop_counts(topology: Topology) -> np.ndarray:
@@ -44,22 +32,6 @@ def all_pairs_hop_counts(topology: Topology) -> np.ndarray:
     for source in range(n):
         matrix[source] = _bfs_distances(topology, source)
     return matrix
-
-
-def eccentricity(topology: Topology, node: NodeId) -> int:
-    """Maximum hop distance from ``node`` to any other node."""
-    distances = _bfs_distances(topology, node)
-    if np.any(distances == UNREACHABLE):
-        raise TopologyError("eccentricity is undefined on a disconnected topology")
-    return int(distances.max())
-
-
-def diameter(topology: Topology) -> int:
-    """Largest hop distance between any pair of nodes."""
-    counts = all_pairs_hop_counts(topology)
-    if np.any(counts == UNREACHABLE):
-        raise TopologyError("diameter is undefined on a disconnected topology")
-    return int(counts.max())
 
 
 def _bfs_distances(topology: Topology, source: NodeId) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Cross-cutting utilities: RNG handling, validation, linear algebra predicates."""
 
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import make_rng
 from repro.utils.validation import (
     check_fraction,
-    check_in_range,
     check_non_negative,
     check_positive,
     check_positive_int,
@@ -16,14 +15,11 @@ from repro.utils.linalg import (
     second_largest_eigenvalue,
     smallest_eigenvalue,
     sorted_eigenvalues,
-    spectral_gap,
 )
 
 __all__ = [
     "make_rng",
-    "spawn_rngs",
     "check_fraction",
-    "check_in_range",
     "check_non_negative",
     "check_positive",
     "check_positive_int",
@@ -34,5 +30,4 @@ __all__ = [
     "second_largest_eigenvalue",
     "smallest_eigenvalue",
     "sorted_eigenvalues",
-    "spectral_gap",
 ]

@@ -96,49 +96,3 @@ def smallest_eigenvalue_sparse(matrix) -> float:
         matrix.astype(float), k=1, which="SA", v0=v0, return_eigenvectors=False
     )
     return float(values[0])
-
-
-def extreme_eigenpairs_sparse(matrix, k: int, which: str):
-    """``k`` extreme eigenpairs of a symmetric sparse matrix via seeded Lanczos.
-
-    ``which`` is ARPACK's ``"SA"`` (smallest algebraic) or ``"LA"`` (largest
-    algebraic). The start vector is deterministically seeded — the same
-    ``default_rng(0)`` draw as :func:`smallest_eigenvalue_sparse` — so
-    repeated calls on the same matrix return the same floats. Eigenvalues
-    come back ascending with matching eigenvector columns. Agreement with
-    the dense path is to solver tolerance, not bitwise. Matrices too small
-    for ARPACK (``k >= n - 1``) fall back to dense ``eigh``.
-    """
-    n = matrix.shape[0]
-    if k >= n - 1:
-        dense = np.asarray(
-            matrix.todense() if hasattr(matrix, "todense") else matrix, dtype=float
-        )
-        values, vectors = np.linalg.eigh(dense)
-        if which == "SA":
-            return values[:k], vectors[:, :k]
-        return values[n - k :], vectors[:, n - k :]
-    from scipy.sparse.linalg import eigsh
-
-    v0 = np.random.default_rng(0).standard_normal(n)
-    values, vectors = eigsh(matrix.astype(float), k=k, which=which, v0=v0)
-    order = np.argsort(values)
-    return values[order], vectors[:, order]
-
-
-def spectral_gap(matrix: np.ndarray) -> float:
-    """Convergence-rate score ``min(1 - second_largest, 1 + smallest)``.
-
-    EXTRA's linear rate improves when both the second largest eigenvalue of
-    ``W`` decreases (problem (23) in the paper) and the smallest eigenvalue
-    increases (problem (22)). The minimum of the two one-sided gaps is the
-    scalar SNAP uses to pick between the two optimized matrices.
-    """
-    eigenvalues = sorted_eigenvalues(matrix)
-    below_one = eigenvalues[eigenvalues < 1.0 - 1e-9]
-    if below_one.size == 0:
-        # Identity-like matrix: no mixing at all through the off-diagonal.
-        return 0.0
-    second = float(below_one[0])
-    smallest = float(eigenvalues[-1])
-    return min(1.0 - second, 1.0 + smallest)

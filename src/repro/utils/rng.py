@@ -26,19 +26,6 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: SeedLike, count: int) -> list[np.random.Generator]:
-    """Create ``count`` statistically independent child generators.
-
-    Used to give each simulated edge server its own RNG stream so per-server
-    randomness does not depend on the order in which servers are stepped.
-    """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    root = make_rng(seed)
-    seeds = root.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
 # -- keyed uniforms, whole columns at a time -----------------------------------
 #
 # ``np.random.default_rng((root, *key)).random()`` costs ~15 µs, nearly all of

@@ -61,19 +61,3 @@ def check_fraction(name: str, value: float) -> float:
     if not 0.0 < value < 1.0:
         raise ConfigurationError(f"{name} must be in (0, 1), got {value!r}")
     return value
-
-
-def check_in_range(
-    name: str, value: float, low: float, high: float, *, inclusive: bool = True
-) -> float:
-    """Require ``value`` to lie in ``[low, high]`` (or ``(low, high)``)."""
-    _check_finite(name, value)
-    if inclusive:
-        ok = low <= value <= high
-        bounds = f"[{low}, {high}]"
-    else:
-        ok = low < value < high
-        bounds = f"({low}, {high})"
-    if not ok:
-        raise ConfigurationError(f"{name} must be in {bounds}, got {value!r}")
-    return value

@@ -25,10 +25,8 @@ from repro.weights.adaptive import (
     readd_links,
 )
 from repro.weights.construction import (
-    max_degree_weights,
     metropolis_weights,
     tiered_metropolis_weights,
-    uniform_neighbor_weights,
 )
 from repro.weights.parametrization import EdgeParametrization
 from repro.weights.spectrum import MixingReport, analyze_weight_matrix
@@ -44,10 +42,8 @@ from repro.weights.validation import check_weight_matrix
 __all__ = [
     "NeighborPlan",
     "plan_neighbor_sets",
-    "max_degree_weights",
     "metropolis_weights",
     "tiered_metropolis_weights",
-    "uniform_neighbor_weights",
     "EdgeParametrization",
     "MixingReport",
     "analyze_weight_matrix",

@@ -20,9 +20,7 @@ start: ``optimize_weight_matrix(..., warm_start=prior)`` resumes each
 projected-subgradient solver from its previous edge-Laplacian point (the
 pruned edge's coordinate is simply dropped) and continues the diminishing
 step schedule, with a ``patience`` cut-off so a re-solve that starts at the
-optimum stops after a handful of steps. With the seeded-Lanczos objective
-backend (``backend="auto"``) a sparse large-N re-solve never materializes a
-dense spectrum inside the solver loop.
+optimum stops after a handful of steps.
 
 **Bandwidth-aware objective.** :func:`edge_cost_vector` turns a
 :class:`~repro.network.timing.LinkTimingModel` into normalized per-link
@@ -46,7 +44,7 @@ fire identical swaps and stay digest-equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,9 +222,6 @@ class TopologyController:
         stops warm re-solves far earlier).
     patience:
         Non-improving steps before a re-solve stops early.
-    backend:
-        Eigen-objective backend forwarded to the solvers (``"auto"`` uses
-        seeded Lanczos on large sparse topologies, dense below the floor).
     bytes_budget:
         Total-bytes target for the joint controller, or None to disable
         knob stepping.
@@ -245,7 +240,6 @@ class TopologyController:
         timing: LinkTimingModel | None = None,
         iterations: int = 150,
         patience: int | None = DEFAULT_PATIENCE,
-        backend: str = "auto",
         bytes_budget: int | None = None,
         spec=None,
     ):
@@ -261,7 +255,6 @@ class TopologyController:
         self.timing = timing if timing is not None else LinkTimingModel()
         self.iterations = int(iterations)
         self.patience = patience
-        self.backend = backend
         self.bytes_budget = bytes_budget
         self.spec = spec
         #: The configured spec's parameters — the fidelity ceiling the
@@ -327,7 +320,6 @@ class TopologyController:
                 pruned,
                 iterations=self.iterations,
                 warm_start=self.result,
-                backend=self.backend,
                 edge_costs=edge_costs,
                 cost_weight=self.cost_weight if edge_costs is not None else 0.0,
                 patience=self.patience,

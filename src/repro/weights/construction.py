@@ -155,48 +155,6 @@ def _metropolis_sparse(topology: Topology, epsilon: float) -> csr_matrix:
     )
 
 
-def max_degree_weights(topology: Topology) -> WeightMatrix:
-    """Uniform weights ``1 / (max_degree + 1)`` on every edge.
-
-    The simplest classical construction: every link gets the same weight,
-    sized so that even the busiest node keeps a nonnegative self-weight.
-    """
-    if topology.n_edges == 0:
-        return np.eye(topology.n_nodes)
-    max_degree = max(topology.degree(node) for node in topology)
-    weight = 1.0 / (max_degree + 1.0)
-    n = topology.n_nodes
-    matrix = np.zeros((n, n), dtype=float)
-    for u, v in topology.edges:
-        matrix[u, v] = weight
-        matrix[v, u] = weight
-    _fill_diagonal_to_stochastic(matrix)
-    return matrix
-
-
-def uniform_neighbor_weights(topology: Topology, self_weight: float = 0.5) -> WeightMatrix:
-    """Each node splits ``1 - self_weight`` equally among its neighbors, symmetrized.
-
-    The raw per-node split is not symmetric when degrees differ, so edge
-    weights are set to the minimum of the two endpoints' shares; the surplus
-    goes back onto the diagonal. The result is symmetric doubly stochastic.
-    """
-    if not 0.0 <= self_weight < 1.0:
-        raise TopologyError(f"self_weight must be in [0, 1), got {self_weight}")
-    n = topology.n_nodes
-    matrix = np.zeros((n, n), dtype=float)
-    share = np.zeros(n)
-    for node in topology:
-        degree = topology.degree(node)
-        share[node] = (1.0 - self_weight) / degree if degree else 0.0
-    for u, v in topology.edges:
-        weight = min(share[u], share[v])
-        matrix[u, v] = weight
-        matrix[v, u] = weight
-    _fill_diagonal_to_stochastic(matrix)
-    return matrix
-
-
 def tiered_metropolis_weights(
     topology: Topology, uplink_damping: float = 0.5, epsilon: float = 0.01
 ) -> WeightMatrix:

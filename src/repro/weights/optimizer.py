@@ -36,19 +36,10 @@ import numpy as np
 from repro.exceptions import OptimizationError
 from repro.topology.graph import Topology
 from repro.types import WeightMatrix
-from repro.utils.linalg import extreme_eigenpairs_sparse
 from repro.utils.validation import check_positive, check_positive_int
 from repro.weights.construction import metropolis_weights
 from repro.weights.parametrization import EdgeParametrization
 from repro.weights.spectrum import MixingReport, analyze_weight_matrix
-
-#: Below this node count the Lanczos objective backend is never worth it —
-#: dense ``eigh`` on tiny matrices beats ARPACK's iteration overhead.
-_LANCZOS_MIN_NODES = 48
-
-#: ``backend="auto"`` picks Lanczos only when the support is actually sparse
-#: (edge count below this fraction of the complete graph's).
-_LANCZOS_MAX_DENSITY = 0.25
 
 
 @dataclass(frozen=True)
@@ -103,7 +94,6 @@ def minimize_second_eigenvalue(
     initial_step: float = 0.2,
     min_self_weight: float = 1e-3,
     initial_matrix: WeightMatrix | None = None,
-    backend: str = "dense",
     edge_costs: np.ndarray | None = None,
     cost_weight: float = 0.0,
     patience: int | None = None,
@@ -116,8 +106,8 @@ def minimize_second_eigenvalue(
     restricted to symmetric doubly stochastic matrices.
     """
     return _Solver(
-        topology, iterations, initial_step, min_self_weight, backend,
-        edge_costs, cost_weight, patience,
+        topology, iterations, initial_step, min_self_weight, edge_costs,
+        cost_weight, patience,
     ).solve("min_second_eigenvalue", initial_matrix, step_offset)
 
 
@@ -127,7 +117,6 @@ def maximize_smallest_eigenvalue(
     initial_step: float = 0.2,
     min_self_weight: float = 1e-3,
     initial_matrix: WeightMatrix | None = None,
-    backend: str = "dense",
     edge_costs: np.ndarray | None = None,
     cost_weight: float = 0.0,
     patience: int | None = None,
@@ -141,8 +130,8 @@ def maximize_smallest_eigenvalue(
     ``-λ_min(W)``.
     """
     return _Solver(
-        topology, iterations, initial_step, min_self_weight, backend,
-        edge_costs, cost_weight, patience,
+        topology, iterations, initial_step, min_self_weight, edge_costs,
+        cost_weight, patience,
     ).solve("max_smallest_eigenvalue", initial_matrix, step_offset)
 
 
@@ -165,7 +154,6 @@ def optimize_weight_matrix(
     initial_step: float = 0.2,
     min_self_weight: float = 1e-3,
     warm_start: WeightOptimizationResult | None = None,
-    backend: str = "dense",
     edge_costs: np.ndarray | None = None,
     cost_weight: float = 0.0,
     patience: int | None = None,
@@ -189,8 +177,8 @@ def optimize_weight_matrix(
     # One parametrization and one projected Metropolis start serve both
     # problems; a warm start gives each problem its own starting matrix.
     solver = _Solver(
-        topology, iterations, initial_step, min_self_weight, backend,
-        edge_costs, cost_weight, patience,
+        topology, iterations, initial_step, min_self_weight, edge_costs,
+        cost_weight, patience,
     )
     solved = [
         solver.solve(problem, *_warm_initial(warm_start, problem))
@@ -287,49 +275,10 @@ def _negative_smallest_eigenvalue_objective(eigenvalues, eigenvectors):
     return value, vector, -1.0
 
 
-def _second_eigenvalue_sparse(sparse_matrix):
-    """Lanczos twin of :func:`_second_eigenvalue_objective`.
-
-    The two algebraically largest eigenpairs come back ascending, so index 0
-    is the second largest (``λ_max = 1`` is pinned for feasible iterates).
-    """
-    values, vectors = extreme_eigenpairs_sparse(sparse_matrix, k=2, which="LA")
-    return float(values[0]), vectors[:, 0], +1.0
-
-
-def _negative_smallest_eigenvalue_sparse(sparse_matrix):
-    """Lanczos twin of :func:`_negative_smallest_eigenvalue_objective`."""
-    values, vectors = extreme_eigenpairs_sparse(sparse_matrix, k=1, which="SA")
-    return -float(values[0]), vectors[:, 0], -1.0
-
-
-def _use_lanczos(backend: str, topology: Topology) -> bool:
-    """Resolve the objective backend for one solve."""
-    if backend == "dense":
-        return False
-    if backend == "lanczos":
-        return True
-    if backend != "auto":
-        raise OptimizationError(
-            f"unknown objective backend {backend!r}; choose dense, lanczos, or auto"
-        )
-    n = topology.n_nodes
-    if n < _LANCZOS_MIN_NODES:
-        return False
-    density = len(topology.edges) / (n * (n - 1) / 2.0)
-    return density <= _LANCZOS_MAX_DENSITY
-
-
-#: Objective hooks (dense, Lanczos) of the two problems, by problem name.
+#: Objective/subgradient hook of each problem, by problem name.
 _OBJECTIVES = {
-    "min_second_eigenvalue": (
-        _second_eigenvalue_objective,
-        _second_eigenvalue_sparse,
-    ),
-    "max_smallest_eigenvalue": (
-        _negative_smallest_eigenvalue_objective,
-        _negative_smallest_eigenvalue_sparse,
-    ),
+    "min_second_eigenvalue": _second_eigenvalue_objective,
+    "max_smallest_eigenvalue": _negative_smallest_eigenvalue_objective,
 }
 
 
@@ -337,8 +286,8 @@ class _Solver:
     """One validated set-up of the projected subgradient method.
 
     Holds what the two problems share on one topology — the
-    :class:`EdgeParametrization`, the bandwidth penalty, the objective
-    backend, the Metropolis matrix and its projection (the cold start) — so
+    :class:`EdgeParametrization`, the bandwidth penalty, the Metropolis
+    matrix and its projection (the cold start) — so
     :func:`optimize_weight_matrix` builds each once, not once per problem.
     """
 
@@ -348,7 +297,6 @@ class _Solver:
         iterations: int,
         initial_step: float,
         min_self_weight: float,
-        backend: str,
         edge_costs: np.ndarray | None,
         cost_weight: float,
         patience: int | None,
@@ -372,7 +320,6 @@ class _Solver:
                     f"edge_costs shape {self.penalty.shape} does not match edge "
                     f"count {self.parametrization.n_edges}"
                 )
-        self.lanczos = _use_lanczos(backend, topology)
         self.iterations = iterations
         self.initial_step = initial_step
         self.cost_weight = cost_weight
@@ -398,7 +345,7 @@ class _Solver:
     ) -> WeightOptimizationResult:
         if step_offset < 0:
             raise OptimizationError(f"step_offset must be >= 0, got {step_offset}")
-        objective, sparse_objective = _OBJECTIVES[problem]
+        objective = _OBJECTIVES[problem]
         parametrization, penalty = self.parametrization, self.penalty
         cost_weight, patience = self.cost_weight, self.patience
         if initial_matrix is None:
@@ -411,12 +358,9 @@ class _Solver:
         best_step = 0
         trace: list[float] = []
         for step_index in range(self.iterations):
-            if self.lanczos:
-                value, vector, sign = sparse_objective(parametrization.to_sparse(theta))
-            else:
-                matrix = parametrization.to_matrix(theta)
-                eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-                value, vector, sign = objective(eigenvalues, eigenvectors)
+            matrix = parametrization.to_matrix(theta)
+            eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+            value, vector, sign = objective(eigenvalues, eigenvectors)
             if penalty is not None:
                 value += cost_weight * float(penalty @ theta)
             if value < best_value:

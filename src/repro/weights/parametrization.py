@@ -108,27 +108,6 @@ class EdgeParametrization:
         matrix[np.arange(n), np.arange(n)] = diagonal
         return matrix
 
-    def to_sparse(self, theta: np.ndarray):
-        """``W(θ)`` as a ``scipy.sparse`` CSR matrix, never densified.
-
-        The sparse twin of :meth:`to_matrix` for the Lanczos objective
-        backend: entries (and hence the spectrum, up to solver tolerance)
-        match the dense build — the diagonal to the last bit or two, since it
-        adds each node's edges in edge order rather than as a dense row — but
-        construction and matvecs cost ``O(n + |E|)`` instead of ``O(n^2)``.
-        """
-        from scipy.sparse import csr_array
-
-        theta = self._check_theta(theta)
-        n = self.topology.n_nodes
-        diagonal = np.arange(n)
-        rows = np.concatenate([self._endpoints, diagonal])
-        cols = np.concatenate(
-            [np.column_stack([self._v, self._u]).ravel(), diagonal]
-        )
-        data = np.concatenate([np.repeat(theta, 2), 1.0 - self._node_totals(theta)])
-        return csr_array((data, (rows, cols)), shape=(n, n))
-
     def from_matrix(self, matrix: WeightMatrix) -> np.ndarray:
         """Extract θ from a feasible matrix (reads the edge entries)."""
         matrix = np.asarray(matrix, dtype=float)

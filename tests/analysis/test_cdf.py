@@ -3,24 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis.cdf import empirical_cdf, fraction_below, quantile_points
+from repro.analysis.cdf import fraction_below
 from repro.exceptions import DataError
-
-
-class TestEmpiricalCdf:
-    def test_sorted_and_normalized(self):
-        values, cdf = empirical_cdf(np.array([3.0, 1.0, 2.0]))
-        np.testing.assert_array_equal(values, [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(cdf, [1 / 3, 2 / 3, 1.0])
-
-    def test_handles_matrices(self):
-        values, cdf = empirical_cdf(np.arange(6.0).reshape(2, 3))
-        assert values.shape == (6,)
-        assert cdf[-1] == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            empirical_cdf(np.array([]))
 
 
 class TestFractionBelow:
@@ -36,13 +20,3 @@ class TestFractionBelow:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             fraction_below(np.array([]), 0.5)
-
-
-class TestQuantilePoints:
-    def test_median_of_known_data(self):
-        points = quantile_points(np.arange(101.0), quantiles=(0.5,))
-        assert points[0.5] == pytest.approx(50.0)
-
-    def test_default_quantiles_cover_paper_readings(self):
-        points = quantile_points(np.linspace(0, 1, 1000))
-        assert set(points) == {0.5, 0.9, 0.94, 0.98, 0.99}

@@ -6,7 +6,6 @@ import pytest
 from repro.consensus.convergence import (
     ConvergenceDetector,
     consensus_error,
-    mean_parameters,
 )
 
 
@@ -22,11 +21,6 @@ class TestConsensusError:
     def test_scale_with_deviation(self):
         base = np.array([[0.0], [2.0]])
         assert consensus_error(3 * base) == pytest.approx(3 * consensus_error(base))
-
-    def test_mean_parameters(self):
-        stacked = np.array([[1.0, 3.0], [3.0, 5.0]])
-        np.testing.assert_allclose(mean_parameters(stacked), [2.0, 4.0])
-
 
 class TestPlateauDetection:
     def test_flat_loss_converges_after_window(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.dataset import Dataset, train_test_split
+from repro.data.dataset import Dataset
 from repro.exceptions import DataError
 
 
@@ -40,44 +40,3 @@ class TestDataset:
     def test_subset_range_checked(self, dataset):
         with pytest.raises(DataError):
             dataset.subset(np.array([30]))
-
-    def test_shuffled_preserves_pairs(self, dataset):
-        shuffled = dataset.shuffled(seed=0)
-        assert shuffled.n_samples == dataset.n_samples
-        # every (row, label) pair must still exist
-        original = {(tuple(x), y) for x, y in zip(dataset.X, dataset.y)}
-        permuted = {(tuple(x), y) for x, y in zip(shuffled.X, shuffled.y)}
-        assert original == permuted
-
-
-class TestTrainTestSplit:
-    def test_sizes(self, dataset):
-        train, test = train_test_split(dataset, test_fraction=0.2, seed=0)
-        assert test.n_samples == 6
-        assert train.n_samples == 24
-
-    def test_disjoint_and_complete(self, dataset):
-        train, test = train_test_split(dataset, test_fraction=0.3, seed=1)
-        combined = np.vstack([train.X, test.X])
-        assert combined.shape[0] == dataset.n_samples
-        assert {tuple(r) for r in combined} == {tuple(r) for r in dataset.X}
-
-    def test_at_least_one_sample_each_side(self, rng):
-        tiny = Dataset(rng.normal(size=(2, 1)), rng.normal(size=2))
-        train, test = train_test_split(tiny, test_fraction=0.01, seed=0)
-        assert train.n_samples == 1
-        assert test.n_samples == 1
-
-    def test_bad_fraction_rejected(self, dataset):
-        with pytest.raises(DataError):
-            train_test_split(dataset, test_fraction=0.0)
-
-    def test_single_sample_rejected(self, rng):
-        one = Dataset(rng.normal(size=(1, 1)), rng.normal(size=1))
-        with pytest.raises(DataError):
-            train_test_split(one)
-
-    def test_deterministic_given_seed(self, dataset):
-        a_train, _ = train_test_split(dataset, seed=5)
-        b_train, _ = train_test_split(dataset, seed=5)
-        np.testing.assert_array_equal(a_train.X, b_train.X)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import Dataset
-from repro.data.partition import dirichlet_partition, iid_partition, shard_partition
+from repro.data.partition import dirichlet_partition, iid_partition
 from repro.exceptions import DataError
 
 
@@ -76,19 +76,3 @@ class TestDirichletPartition:
     def test_impossible_min_samples_rejected(self, labeled_dataset):
         with pytest.raises(DataError):
             dirichlet_partition(labeled_dataset, 10, seed=0, min_samples=50)
-
-
-class TestShardPartition:
-    def test_is_a_partition(self, labeled_dataset):
-        parts = shard_partition(labeled_dataset, 5, shards_per_part=2, seed=0)
-        assert_is_partition(labeled_dataset, parts)
-
-    def test_parts_see_few_classes(self, labeled_dataset):
-        parts = shard_partition(labeled_dataset, 10, shards_per_part=1, seed=1)
-        classes_per_part = [len(np.unique(p.y)) for p in parts]
-        # one contiguous label shard covers at most 2 distinct classes
-        assert max(classes_per_part) <= 2
-
-    def test_too_many_shards_rejected(self, labeled_dataset):
-        with pytest.raises(DataError):
-            shard_partition(labeled_dataset, 150, shards_per_part=2, seed=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DataError
-from repro.models.metrics import accuracy_score, zero_one_error
+from repro.models.metrics import accuracy_score
 
 
 class TestAccuracy:
@@ -25,12 +25,3 @@ class TestAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             accuracy_score(np.array([]), np.array([]))
-
-
-class TestZeroOne:
-    def test_complements_accuracy(self):
-        y_true = np.array([0, 1, 2, 1])
-        y_pred = np.array([0, 2, 2, 1])
-        assert zero_one_error(y_true, y_pred) == pytest.approx(
-            1.0 - accuracy_score(y_true, y_pred)
-        )

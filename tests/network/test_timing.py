@@ -11,33 +11,41 @@ def flow(src, dst, size, hops=1, round_index=1):
     return FlowRecord(round_index, src, dst, size, hops)
 
 
+def round_makespan(model, flows):
+    """One synchronous round's time: ``total_time`` over a one-round ledger."""
+    tracker = CommunicationCostTracker()
+    for f in flows:
+        tracker.record(1, f.source, f.destination, f.size_bytes, hops=f.hops)
+    return model.total_time(tracker, 1)
+
+
 class TestRoundMakespan:
     def test_single_flow(self):
         model = LinkTimingModel(bandwidth_bytes_per_s=100.0, latency_s=0.5)
-        assert model.round_makespan([flow(0, 1, 200)]) == pytest.approx(0.5 + 2.0)
+        assert round_makespan(model, [flow(0, 1, 200)]) == pytest.approx(0.5 + 2.0)
 
     def test_parallel_links_take_the_max(self):
         model = LinkTimingModel(bandwidth_bytes_per_s=100.0, latency_s=0.0)
         flows = [flow(0, 1, 100), flow(2, 3, 300)]
-        assert model.round_makespan(flows) == pytest.approx(3.0)
+        assert round_makespan(model, flows) == pytest.approx(3.0)
 
     def test_shared_link_serializes(self):
         model = LinkTimingModel(bandwidth_bytes_per_s=100.0, latency_s=0.0)
         flows = [flow(0, 1, 100), flow(0, 1, 100)]
-        assert model.round_makespan(flows) == pytest.approx(2.0)
+        assert round_makespan(model, flows) == pytest.approx(2.0)
 
     def test_multi_hop_flow_takes_hops_times_longer(self):
         model = LinkTimingModel(bandwidth_bytes_per_s=100.0, latency_s=0.0)
-        assert model.round_makespan([flow(0, 5, 100, hops=3)]) == pytest.approx(3.0)
+        assert round_makespan(model, [flow(0, 5, 100, hops=3)]) == pytest.approx(3.0)
 
     def test_empty_round_costs_only_compute(self):
         model = LinkTimingModel(compute_s_per_round=0.25)
-        assert model.round_makespan([]) == 0.25
+        assert round_makespan(model, []) == 0.25
 
     def test_directed_links_are_independent(self):
         model = LinkTimingModel(bandwidth_bytes_per_s=100.0, latency_s=0.0)
         flows = [flow(0, 1, 200), flow(1, 0, 200)]
-        assert model.round_makespan(flows) == pytest.approx(2.0)
+        assert round_makespan(model, flows) == pytest.approx(2.0)
 
 
 class TestTotalTime:
@@ -56,54 +64,6 @@ class TestTotalTime:
     def test_negative_rounds_rejected(self):
         with pytest.raises(ValueError):
             LinkTimingModel().total_time(CommunicationCostTracker(), -1)
-
-
-class TestEstimateResultTime:
-    def test_estimate_from_byte_trace(self):
-        from repro.results import RoundRecord, TrainingResult
-        import numpy as np
-
-        result = TrainingResult(
-            scheme="snap",
-            rounds=[
-                RoundRecord(1, 1.0, 0.0, 1000, 1000, 10),
-                RoundRecord(2, 0.9, 0.0, 0, 0, 0),  # quiet round
-            ],
-            converged_at=None,
-            final_params=np.zeros(2),
-            total_bytes=1000,
-            total_cost=1000,
-        )
-        model = LinkTimingModel(
-            bandwidth_bytes_per_s=100.0, latency_s=0.5, compute_s_per_round=0.1
-        )
-        # round 1: 0.1 compute + 0.5 latency + 10s transfer; round 2: 0.1 only
-        assert model.estimate_result_time(result) == pytest.approx(10.7)
-
-    def test_estimate_upper_bounds_exact_timing(self):
-        """The trace-only estimate serializes all traffic through one pipe,
-        so it can only exceed the exact parallel makespan."""
-        from repro.network.cost import CommunicationCostTracker
-
-        tracker = CommunicationCostTracker()
-        tracker.record(1, 0, 1, 600, hops=1)
-        tracker.record(1, 2, 3, 400, hops=1)
-        model = LinkTimingModel(bandwidth_bytes_per_s=100.0, latency_s=0.0)
-        exact = model.total_time(tracker, 1)  # busiest link: 6 s
-
-        from repro.results import RoundRecord, TrainingResult
-        import numpy as np
-
-        result = TrainingResult(
-            scheme="x",
-            rounds=[RoundRecord(1, 1.0, 0.0, 1000, 1000, 0)],
-            converged_at=None,
-            final_params=np.zeros(1),
-            total_bytes=1000,
-            total_cost=1000,
-        )
-        estimate = model.estimate_result_time(result)  # one pipe: 10 s
-        assert exact <= estimate
 
 
 class TestHeterogeneousOverrides:
@@ -127,9 +87,9 @@ class TestHeterogeneousOverrides:
             [],
         ]
         for flows in cases:
-            assert explicit.round_makespan(flows) == legacy.round_makespan(flows)
-        assert legacy.round_makespan([flow(0, 1, 200)]) == pytest.approx(2.5)
-        assert legacy.round_makespan([]) == 0.0
+            assert round_makespan(explicit, flows) == round_makespan(legacy, flows)
+        assert round_makespan(legacy, [flow(0, 1, 200)]) == pytest.approx(2.5)
+        assert round_makespan(legacy, []) == 0.0
 
     def test_per_node_compute_takes_the_max(self):
         """A synchronous round waits for the slowest server's gradient."""
@@ -142,8 +102,8 @@ class TestHeterogeneousOverrides:
         assert model.compute_time(3) == 1.0
         assert model.compute_time(0) == 0.1
         assert model.max_compute_s() == 1.0
-        assert model.round_makespan([flow(0, 1, 100)]) == pytest.approx(2.0)
-        assert model.round_makespan([]) == pytest.approx(1.0)
+        assert round_makespan(model, [flow(0, 1, 100)]) == pytest.approx(2.0)
+        assert round_makespan(model, []) == pytest.approx(1.0)
 
     def test_per_link_bandwidth_override(self):
         model = LinkTimingModel(
@@ -153,8 +113,8 @@ class TestHeterogeneousOverrides:
         )
         # The slow link dominates; the untouched link keeps the default.
         flows = [flow(0, 1, 100), flow(2, 3, 100)]
-        assert model.round_makespan(flows) == pytest.approx(10.0)
-        assert model.round_makespan([flow(2, 3, 100)]) == pytest.approx(1.0)
+        assert round_makespan(model, flows) == pytest.approx(10.0)
+        assert round_makespan(model, [flow(2, 3, 100)]) == pytest.approx(1.0)
 
     def test_undirected_key_covers_both_directions(self):
         model = LinkTimingModel(

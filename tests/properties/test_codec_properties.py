@@ -1,10 +1,14 @@
-"""Property-based tests: the binary codecs round-trip every valid update and
-their payload lengths equal the Fig. 3 size formulas."""
+"""Property-based tests: the binary codecs round-trip every valid update,
+their payload lengths equal the Fig. 3 size formulas, and a frame with
+flipped bits is never decoded as an update."""
+
+import socket
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.exceptions import ProtocolError
+from repro.exceptions import FrameCorruptionError, ProtocolError
 from repro.network.codec import (
     _U32,
     _decode_index_value,
@@ -14,7 +18,8 @@ from repro.network.codec import (
     encode_update,
 )
 from repro.network.frames import FrameFormat, frame_size_bytes
-from repro.network.messages import ParameterUpdate
+from repro.network.messages import ParameterUpdate, QuantizationInfo
+from repro.runtime.transport import HEADER_BYTES, FrameConnection, FrameParser
 
 
 @st.composite
@@ -201,3 +206,91 @@ def test_truncated_payloads_are_rejected_like_before(update, data):
 @settings(max_examples=200, deadline=None)
 def test_unchanged_index_encoding_is_byte_identical(update):
     assert _encode_unchanged_index(update) == _old_encode_unchanged_index(update)
+
+
+# -- bit flips on the wire --------------------------------------------------------
+#
+# A frame as ``FrameConnection.send_update`` writes it, with 1-3 bits flipped
+# anywhere, header included: the parser must report the damage, never hand
+# out an update. A flip inside ``payload_len`` may instead leave the parser
+# waiting for bytes that never come (``None``).
+
+#: Byte offsets of the header's ``payload_len`` field.
+_PAYLOAD_LEN = range(13, 17)
+
+
+@st.composite
+def wire_updates(draw):
+    """One update of each wire format: UNCHANGED_INDEX, INDEX_VALUE, QUANTIZED."""
+    kind = draw(st.sampled_from(list(FrameFormat)))
+    total = draw(st.integers(min_value=2, max_value=200))
+    if kind is FrameFormat.UNCHANGED_INDEX:  # N > 2M + 1, M unsent
+        unsent = draw(st.integers(0, (total - 2) // 2))
+    elif kind is FrameFormat.INDEX_VALUE:
+        unsent = draw(st.integers(total // 2, total))
+    else:
+        unsent = draw(st.integers(0, total))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n_sent = total - unsent
+    indices = np.sort(rng.choice(total, size=n_sent, replace=False))
+    quantization = None
+    values = rng.normal(size=n_sent)
+    if kind is FrameFormat.QUANTIZED:
+        bits = draw(st.integers(2, 8))
+        cap = 2 ** (bits - 1) - 1
+        levels = rng.integers(-cap, cap + 1, size=n_sent)
+        quantization = QuantizationInfo(bits, 0.5, levels)
+        values = levels * (0.5 / cap)
+    update = ParameterUpdate(
+        sender=draw(st.integers(0, 100)),
+        round_index=draw(st.integers(0, 10_000)),
+        total_params=total,
+        indices=indices,
+        values=values,
+        quantization=quantization,
+    )
+    assume(update.frame_format is kind)
+    return update
+
+
+@pytest.fixture(scope="module")
+def wire():
+    """``update -> bytes`` exactly as a ``FrameConnection`` sends them."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        sender_sock = socket.create_connection(listener.getsockname())
+        receiver, _ = listener.accept()
+    sender = FrameConnection(sender_sock)
+
+    def frame(update):
+        size = HEADER_BYTES + len(encode_update(update))
+        sender.send_update(update)
+        data = b""
+        while len(data) < size:
+            data += receiver.recv(size - len(data))
+        return data
+
+    yield frame
+    sender.close()
+    receiver.close()
+
+
+@given(wire_updates(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_flipped_frame_bits_are_never_decoded(wire, update, data):
+    frame = bytearray(wire(update))
+    flips = data.draw(
+        st.lists(st.integers(0, 8 * len(frame) - 1), min_size=1, max_size=3,
+                 unique=True)
+    )
+    for bit in flips:
+        frame[bit // 8] ^= 1 << (bit % 8)
+    parser = FrameParser()
+    parser.feed(bytes(frame))
+    try:
+        outcome = parser.next_frame()
+    except ProtocolError:
+        return
+    if outcome is None:
+        assert any(bit // 8 in _PAYLOAD_LEN for bit in flips)
+    else:
+        assert isinstance(outcome, FrameCorruptionError), outcome

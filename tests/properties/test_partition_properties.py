@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.data.dataset import Dataset
-from repro.data.partition import dirichlet_partition, iid_partition, shard_partition
+from repro.data.partition import dirichlet_partition, iid_partition
 
 
 @st.composite
@@ -43,12 +43,4 @@ def test_dirichlet_partition_is_exact_partition(case):
     parts = dirichlet_partition(
         dataset, n_parts, concentration=1.0, seed=seed, min_samples=1
     )
-    assert_partition(dataset, parts)
-
-
-@given(datasets_and_parts())
-@settings(max_examples=25, deadline=None)
-def test_shard_partition_is_exact_partition(case):
-    dataset, n_parts, seed = case
-    parts = shard_partition(dataset, n_parts, shards_per_part=1, seed=seed)
     assert_partition(dataset, parts)

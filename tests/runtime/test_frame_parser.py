@@ -11,7 +11,7 @@ from repro.network.codec import encode_update
 from repro.network.messages import ParameterUpdate
 from repro.runtime.transport import HEADER_BYTES, FrameParser
 
-_HEADER = struct.Struct(">IIBIII")
+_FIELDS = struct.Struct(">IIBII")  # the header before its CRC32
 _CODES = {"UNCHANGED_INDEX": 0, "INDEX_VALUE": 1, "QUANTIZED": 2}
 
 
@@ -27,17 +27,23 @@ def make_update(total, n_sent, seed, round_index):
     )
 
 
+def pack_frame(sender, round_index, code, total_params, payload, corrupt=False):
+    """The wire rule by hand: 17 header bytes, then the CRC32 of those
+    bytes followed by the payload, then the payload."""
+    fields = _FIELDS.pack(sender, round_index, code, total_params, len(payload))
+    crc = zlib.crc32(payload, zlib.crc32(fields))
+    return fields + struct.pack(">I", crc ^ 0xDEADBEEF if corrupt else crc) + payload
+
+
 def frame_bytes(update, corrupt=False, code=None):
-    payload = encode_update(update)
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    return _HEADER.pack(
+    return pack_frame(
         update.sender,
         update.round_index,
         _CODES[update.frame_format.name] if code is None else code,
         update.total_params,
-        len(payload),
-        crc ^ 0xDEADBEEF if corrupt else crc,
-    ) + payload
+        encode_update(update),
+        corrupt,
+    )
 
 
 # Both index formats, a dense frame, and an empty one (zero-length payload
@@ -164,9 +170,8 @@ class TestBrokenStreams:
 
     def test_malformed_payload_with_a_valid_crc_is_a_protocol_error(self):
         payload = b"\x00" * 7  # not a multiple of the 12-byte INDEX_VALUE record
-        header = _HEADER.pack(1, 1, 1, 30, len(payload), zlib.crc32(payload))
         parser = FrameParser()
-        parser.feed(header + payload)
+        parser.feed(pack_frame(1, 1, 1, 30, payload))
         with pytest.raises(ProtocolError) as excinfo:
             parser.next_frame()
         assert not isinstance(excinfo.value, FrameCorruptionError)

@@ -69,13 +69,6 @@ class TestNeighbors:
         with pytest.raises(TopologyError):
             topo.neighbors(2)
 
-    def test_neighbor_map_covers_all_nodes(self):
-        topo = Topology(3, [(0, 1)])
-        mapping = topo.neighbor_map()
-        assert set(mapping) == {0, 1, 2}
-        assert mapping[2] == ()
-
-
 class TestStructure:
     def test_connectivity(self):
         connected = Topology(3, [(0, 1), (1, 2)])

@@ -1,44 +1,35 @@
 """Tests for repro.topology.routing."""
 
+import networkx as nx
 import numpy as np
-import pytest
 
-from repro.exceptions import TopologyError
 from repro.topology.generators import complete_topology, ring_topology
 from repro.topology.graph import Topology
-from repro.topology.routing import (
-    UNREACHABLE,
-    all_pairs_hop_counts,
-    diameter,
-    eccentricity,
-    hop_count,
-)
+from repro.topology.routing import UNREACHABLE, all_pairs_hop_counts
 
 
 class TestHopCount:
     def test_path_graph_distances(self):
-        topo = Topology(4, [(0, 1), (1, 2), (2, 3)])
-        assert hop_count(topo, 0, 0) == 0
-        assert hop_count(topo, 0, 1) == 1
-        assert hop_count(topo, 0, 3) == 3
+        hops = all_pairs_hop_counts(Topology(4, [(0, 1), (1, 2), (2, 3)]))
+        assert hops[0].tolist() == [0, 1, 2, 3]
 
     def test_unreachable(self):
-        topo = Topology(3, [(0, 1)])
-        assert hop_count(topo, 0, 2) == UNREACHABLE
+        assert all_pairs_hop_counts(Topology(3, [(0, 1)]))[0, 2] == UNREACHABLE
 
     def test_ring_wraps_around(self):
-        topo = ring_topology(6)
-        assert hop_count(topo, 0, 3) == 3
-        assert hop_count(topo, 0, 5) == 1
+        hops = all_pairs_hop_counts(ring_topology(6))
+        assert hops[0, 3] == 3
+        assert hops[0, 5] == 1
 
 
 class TestAllPairs:
     def test_matches_pairwise_and_is_symmetric(self):
         topo = Topology(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         matrix = all_pairs_hop_counts(topo)
+        lengths = dict(nx.all_pairs_shortest_path_length(topo.to_networkx()))
         for u in topo:
             for v in topo:
-                assert matrix[u, v] == hop_count(topo, u, v)
+                assert matrix[u, v] == lengths[u][v]
         np.testing.assert_array_equal(matrix, matrix.T)
 
     def test_diagonal_is_zero(self):
@@ -56,17 +47,3 @@ class TestAllPairs:
         assert matrix[0, 2] == UNREACHABLE
         assert matrix[1, 3] == UNREACHABLE
 
-
-class TestDiameterEccentricity:
-    def test_path_graph(self):
-        topo = Topology(4, [(0, 1), (1, 2), (2, 3)])
-        assert diameter(topo) == 3
-        assert eccentricity(topo, 0) == 3
-        assert eccentricity(topo, 1) == 2
-
-    def test_disconnected_raises(self):
-        topo = Topology(3, [(0, 1)])
-        with pytest.raises(TopologyError):
-            diameter(topo)
-        with pytest.raises(TopologyError):
-            eccentricity(topo, 0)

@@ -11,7 +11,6 @@ from repro.utils.linalg import (
     second_largest_eigenvalue,
     smallest_eigenvalue,
     sorted_eigenvalues,
-    spectral_gap,
 )
 
 
@@ -72,19 +71,3 @@ class TestSpectrum:
     def test_smallest_eigenvalue(self):
         w = np.diag([1.0, -0.25, 0.5])
         assert smallest_eigenvalue(w) == pytest.approx(-0.25)
-
-
-class TestSpectralGap:
-    def test_complete_graph_average_has_gap_one(self):
-        n = 5
-        w = np.full((n, n), 1.0 / n)
-        # second largest = 0, smallest = 0 -> min(1, 1) = 1.
-        assert spectral_gap(w) == pytest.approx(1.0)
-
-    def test_identity_has_zero_gap(self):
-        assert spectral_gap(np.eye(4)) == 0.0
-
-    def test_gap_uses_the_binding_side(self):
-        # Eigenvalues 1, 0.9, -0.5: upper gap 0.1, lower gap 0.5.
-        w = np.diag([1.0, 0.9, -0.5])
-        assert spectral_gap(w) == pytest.approx(0.1)

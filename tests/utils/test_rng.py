@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.utils.rng import keyed_uniforms, make_rng, spawn_rngs
+from repro.utils.rng import keyed_uniforms, make_rng
 
 
 class TestMakeRng:
@@ -31,32 +31,6 @@ class TestMakeRng:
         first = make_rng(gen).random()
         second = make_rng(gen).random()
         assert first != second
-
-
-class TestSpawnRngs:
-    def test_count_and_types(self):
-        children = spawn_rngs(9, 4)
-        assert len(children) == 4
-        assert all(isinstance(c, np.random.Generator) for c in children)
-
-    def test_children_are_independent_streams(self):
-        children = spawn_rngs(9, 3)
-        draws = [c.random(8) for c in children]
-        assert not np.array_equal(draws[0], draws[1])
-        assert not np.array_equal(draws[1], draws[2])
-
-    def test_deterministic_given_seed(self):
-        a = [c.random(4) for c in spawn_rngs(11, 2)]
-        b = [c.random(4) for c in spawn_rngs(11, 2)]
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-    def test_zero_count_gives_empty_list(self):
-        assert spawn_rngs(1, 0) == []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(1, -1)
 
 
 def _oracle(root, *key):

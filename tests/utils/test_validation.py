@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import (
     check_fraction,
-    check_in_range,
     check_non_negative,
     check_positive,
     check_positive_int,
@@ -69,17 +68,3 @@ class TestCheckFraction:
     def test_rejects_boundary_and_outside(self, bad):
         with pytest.raises(ConfigurationError):
             check_fraction("f", bad)
-
-
-class TestCheckInRange:
-    def test_inclusive_bounds(self):
-        assert check_in_range("r", 1.0, 1.0, 2.0) == 1.0
-        assert check_in_range("r", 2.0, 1.0, 2.0) == 2.0
-
-    def test_exclusive_bounds_reject_endpoints(self):
-        with pytest.raises(ConfigurationError):
-            check_in_range("r", 1.0, 1.0, 2.0, inclusive=False)
-
-    def test_error_message_names_the_argument(self):
-        with pytest.raises(ConfigurationError, match="myarg"):
-            check_in_range("myarg", 5.0, 0.0, 1.0)

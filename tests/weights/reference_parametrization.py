@@ -53,26 +53,6 @@ class ReferenceEdgeParametrization(EdgeParametrization):
         matrix[np.arange(n), np.arange(n)] = diagonal
         return matrix
 
-    def to_sparse(self, theta: np.ndarray):
-        from scipy.sparse import csr_array
-
-        theta = self._check_theta(theta)
-        n = self.topology.n_nodes
-        rows = np.empty(n + 2 * self.n_edges, dtype=np.int64)
-        cols = np.empty_like(rows)
-        data = np.empty(rows.shape[0], dtype=float)
-        degree_sum = np.zeros(n, dtype=float)
-        for k, (value, (u, v)) in enumerate(zip(theta, self._edges)):
-            rows[2 * k], cols[2 * k], data[2 * k] = u, v, value
-            rows[2 * k + 1], cols[2 * k + 1], data[2 * k + 1] = v, u, value
-            degree_sum[u] += value
-            degree_sum[v] += value
-        base = 2 * self.n_edges
-        rows[base:] = np.arange(n)
-        cols[base:] = np.arange(n)
-        data[base:] = 1.0 - degree_sum
-        return csr_array((data, (rows, cols)), shape=(n, n))
-
     def from_matrix(self, matrix) -> np.ndarray:
         matrix = np.asarray(matrix, dtype=float)
         n = self.topology.n_nodes

@@ -1,132 +1,30 @@
 """Tests for the adaptive-topology solver extensions.
 
-Covers the three solver-side pieces the adaptive runtime builds on: the
-seeded-Lanczos objective backend (tolerance-pinned against dense ``eigh``),
+Covers the solver-side pieces the adaptive runtime builds on:
 ``warm_start=`` (the online re-solve path, with the >=5x step-count
-regression bar), and the cached lazy :class:`MixingReport` that the EXTRA
+regression bar), the bandwidth penalty, and the cached lazy :class:`MixingReport` that the EXTRA
 step-size cap reuses bitwise instead of recomputing a dense spectrum.
 """
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
 
 from repro.consensus.step_size import extra_max_step_size, safe_step_size
 from repro.exceptions import OptimizationError
-from repro.topology.generators import random_regular_topology, ring_topology
+from repro.topology.generators import ring_topology
 from repro.topology.graph import Topology
-from repro.utils.linalg import (
-    extreme_eigenpairs_sparse,
-    smallest_eigenvalue,
-)
-from repro.weights.construction import metropolis_weights
+from repro.utils.linalg import smallest_eigenvalue
 from repro.weights.optimizer import (
     lazify,
-    maximize_smallest_eigenvalue,
     minimize_second_eigenvalue,
     optimize_weight_matrix,
 )
-from repro.weights.parametrization import EdgeParametrization
 from repro.weights.spectrum import analyze_weight_matrix
 
 
 def ring_with_chords(n: int, chords) -> Topology:
     edges = [(i, (i + 1) % n) for i in range(n)] + list(chords)
     return Topology(n, edges)
-
-
-#: Solver-tolerance bound for Lanczos-vs-dense eigenvalue agreement. ARPACK
-#: converges the extreme pairs to machine precision on these sizes; the pin
-#: is deliberately tighter than any decision threshold built on top.
-LANCZOS_TOL = 1e-9
-
-
-class TestExtremeEigenpairsSparse:
-    def test_matches_dense_both_ends(self):
-        topo = random_regular_topology(64, degree=4, seed=5)
-        w = metropolis_weights(topo)
-        sparse = csr_array(w)
-        dense_values = np.linalg.eigvalsh(w)
-        low, _ = extreme_eigenpairs_sparse(sparse, k=1, which="SA")
-        high, _ = extreme_eigenpairs_sparse(sparse, k=2, which="LA")
-        assert low[0] == pytest.approx(dense_values[0], abs=LANCZOS_TOL)
-        assert high[1] == pytest.approx(dense_values[-1], abs=LANCZOS_TOL)
-        assert high[0] == pytest.approx(dense_values[-2], abs=LANCZOS_TOL)
-
-    def test_eigenvectors_satisfy_definition(self):
-        topo = random_regular_topology(48, degree=4, seed=7)
-        w = csr_array(metropolis_weights(topo))
-        values, vectors = extreme_eigenpairs_sparse(w, k=2, which="LA")
-        for i in range(2):
-            residual = w @ vectors[:, i] - values[i] * vectors[:, i]
-            assert np.linalg.norm(residual) < 1e-8
-
-    def test_deterministic_across_calls(self):
-        topo = random_regular_topology(48, degree=4, seed=3)
-        w = csr_array(metropolis_weights(topo))
-        first, _ = extreme_eigenpairs_sparse(w, k=1, which="SA")
-        second, _ = extreme_eigenpairs_sparse(w, k=1, which="SA")
-        assert first[0] == second[0]
-
-    def test_small_matrix_dense_fallback(self):
-        w = csr_array(metropolis_weights(ring_topology(3)))
-        values, vectors = extreme_eigenpairs_sparse(w, k=2, which="LA")
-        dense = np.linalg.eigvalsh(np.asarray(w.todense(), dtype=float))
-        assert values == pytest.approx(dense[-2:], abs=1e-12)
-        assert vectors.shape == (3, 2)
-
-
-class TestSparseParametrization:
-    def test_to_sparse_matches_to_matrix(self):
-        topo = random_regular_topology(32, degree=4, seed=1)
-        par = EdgeParametrization(topo)
-        theta = par.project(par.from_matrix(metropolis_weights(topo)))
-        dense = par.to_matrix(theta)
-        sparse = par.to_sparse(theta)
-        assert np.allclose(np.asarray(sparse.todense()), dense, atol=1e-12)
-
-
-class TestLanczosBackend:
-    @pytest.mark.parametrize(
-        "solver", [minimize_second_eigenvalue, maximize_smallest_eigenvalue]
-    )
-    def test_backend_agrees_with_dense(self, solver):
-        # The iterates themselves can drift once a single eigenvalue estimate
-        # differs in the last ulp, so the pin is on solution *quality*: both
-        # backends must land on the same optimum to solver tolerance.
-        topo = random_regular_topology(64, degree=4, seed=9)
-        dense = solver(topo, iterations=60, backend="dense")
-        lanczos = solver(topo, iterations=60, backend="lanczos")
-        assert lanczos.objective_trace[-1] == pytest.approx(
-            dense.objective_trace[-1], abs=5e-4
-        )
-        assert lanczos.report.rate_score == pytest.approx(
-            dense.report.rate_score, abs=5e-4
-        )
-
-    def test_first_step_objective_is_tolerance_identical(self):
-        # Step 0 evaluates both backends at the *same* theta (the projected
-        # Metropolis point), so the objective values must agree to Lanczos
-        # tolerance before any trajectory divergence can compound.
-        topo = random_regular_topology(64, degree=4, seed=2)
-        dense = minimize_second_eigenvalue(topo, iterations=1, backend="dense")
-        lanczos = minimize_second_eigenvalue(topo, iterations=1, backend="lanczos")
-        assert lanczos.objective_trace[0] == pytest.approx(
-            dense.objective_trace[0], abs=LANCZOS_TOL
-        )
-
-    def test_auto_backend_small_graph_is_bitwise_dense(self):
-        # Below the Lanczos floor "auto" must resolve to the dense path and
-        # therefore reproduce it bit for bit.
-        topo = ring_with_chords(10, [(0, 5), (2, 7)])
-        dense = minimize_second_eigenvalue(topo, iterations=40, backend="dense")
-        auto = minimize_second_eigenvalue(topo, iterations=40, backend="auto")
-        assert np.array_equal(dense.matrix, auto.matrix)
-        assert dense.objective_trace == auto.objective_trace
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(OptimizationError):
-            minimize_second_eigenvalue(ring_topology(6), backend="cholesky")
 
 
 class TestWarmStart:

@@ -9,12 +9,8 @@ from repro.topology.generators import (
     ring_topology,
     star_topology,
 )
-from repro.utils.linalg import is_doubly_stochastic, is_symmetric
-from repro.weights.construction import (
-    max_degree_weights,
-    metropolis_weights,
-    uniform_neighbor_weights,
-)
+from repro.utils.linalg import is_doubly_stochastic
+from repro.weights.construction import metropolis_weights
 from repro.weights.validation import check_weight_matrix
 
 
@@ -57,37 +53,3 @@ class TestMetropolisWeights:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(Exception):
             metropolis_weights(ring_topology(5), epsilon=-0.1)
-
-
-class TestMaxDegreeWeights:
-    def test_structurally_valid(self, topology):
-        check_weight_matrix(max_degree_weights(topology), topology)
-
-    def test_uniform_edge_weight(self):
-        topo = star_topology(5)
-        w = max_degree_weights(topo)
-        # max degree 4 -> every edge weight 1/5
-        for i in range(1, 5):
-            assert w[0, i] == pytest.approx(0.2)
-
-    def test_edgeless_topology_gives_identity(self):
-        from repro.topology.graph import Topology
-
-        topo = Topology(3, [])
-        np.testing.assert_array_equal(max_degree_weights(topo), np.eye(3))
-
-
-class TestUniformNeighborWeights:
-    def test_structurally_valid(self, topology):
-        check_weight_matrix(uniform_neighbor_weights(topology), topology)
-
-    def test_symmetrized_by_minimum_share(self):
-        topo = star_topology(4)
-        w = uniform_neighbor_weights(topo, self_weight=0.4)
-        # center share = 0.6/3 = 0.2, leaf share = 0.6 -> edge weight 0.2
-        assert w[0, 1] == pytest.approx(0.2)
-        assert is_symmetric(w)
-
-    def test_bad_self_weight_rejected(self):
-        with pytest.raises(Exception):
-            uniform_neighbor_weights(ring_topology(5), self_weight=1.0)
