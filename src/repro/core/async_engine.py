@@ -66,9 +66,7 @@ from collections import Counter, defaultdict, deque
 from functools import partial
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.core.engine import DeliveredEdges
+from repro.core.engine import DeliveredEdges, Engine
 from repro.exceptions import ProtocolError
 from repro.network.cost import FlowBatch
 from repro.network.timing import LinkTimingModel
@@ -112,7 +110,7 @@ class _NodeState:
         self.parked_at: float | None = None
 
 
-class SemiSyncEngine:
+class SemiSyncEngine(Engine):
     """Bounded-staleness event-driven execution over the EdgeServer objects."""
 
     name = "semisync"
@@ -216,20 +214,6 @@ class SemiSyncEngine:
         return params_sent, DeliveredEdges.from_pairs(
             self._round_delivered.pop(round_index, ())
         )
-
-    def stacked_params(self) -> np.ndarray:
-        return np.stack([server.params for server in self.trainer.servers])
-
-    def mean_local_loss(self) -> float:
-        return float(
-            np.mean([server.local_loss() for server in self.trainer.servers])
-        )
-
-    def sync_to_servers(self) -> None:
-        """No-op: the EdgeServer objects are the live state."""
-
-    def rebuild_data(self) -> None:
-        """No-op: servers read their (just-swapped) shards directly."""
 
     def rebuild_topology(self) -> None:
         """Adopt the trainer's swapped (pruned) topology mid-run.

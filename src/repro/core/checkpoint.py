@@ -35,6 +35,7 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(trainer, path: str | Path) -> Path:
     """Write ``trainer``'s full optimization state to ``path`` (.npz)."""
+    trainer.engine.sync_to_servers()  # mid-run (a round observer) too
     arrays: dict[str, np.ndarray] = {}
     meta: dict = {
         "version": CHECKPOINT_VERSION,

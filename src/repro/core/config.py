@@ -13,6 +13,15 @@ from repro.utils.validation import (
     check_positive_int,
 )
 
+#: Fraction of the theoretical step-size cap the automatic ``alpha`` uses.
+STEP_SAFETY = 0.5
+#: Algorithm 1's ε as a fraction of the initial APE threshold.
+APE_EPSILON_FRACTION = 0.01
+#: Algorithm 1's error amplification ``1 + αG``, set directly at the paper's
+#: worked example: the worst-case Lipschitz ``G`` makes the bound so
+#: conservative that nothing is ever suppressed (README, "Design notes").
+APE_GROWTH = 1.01
+
 
 class SelectionPolicy(enum.Enum):
     """Which parameters a server transmits each round."""
@@ -62,12 +71,9 @@ class SNAPConfig:
     Attributes
     ----------
     alpha:
-        EXTRA step size; ``None`` selects ``safety * 2 λ_min(W̃) / L_f``
-        automatically from the weight matrix and the data
-        (:func:`repro.consensus.safe_step_size`).
-    step_safety:
-        Fraction of the theoretical step-size cap used when ``alpha`` is
-        ``None``.
+        EXTRA step size; ``None`` selects ``STEP_SAFETY * 2 λ_min(W̃) / L_f``
+        (``STEP_SAFETY = 0.5``) automatically from the weight matrix and the
+        data (:func:`repro.consensus.safe_step_size`).
     selection:
         Transmission policy (SNAP / SNAP-0 / SNO).
     optimize_weights:
@@ -85,19 +91,10 @@ class SNAPConfig:
         "the APE threshold will effect in at least 10 iterations".
     ape_decay:
         Multiplicative threshold decay between stages; the paper "reduces it
-        by 10%", i.e. multiplies by 0.9.
-    ape_epsilon_fraction:
-        The schedule ends (threshold treated as zero) once the threshold
-        drops below this fraction of its initial value — Algorithm 1's ε.
-    ape_growth:
-        APE error-amplification factor per iteration — Algorithm 1's
-        ``1 + alpha G`` for a second-order bound ``G``. The paper's worked
-        example operates at ``1 + alpha G = 1.01``; plugging the worst-case
-        Lipschitz constant into ``G`` instead makes the bound so
-        conservative that nothing is ever suppressed (the theoretical bound
-        assumes errors amplify every round, while EXTRA in fact contracts
-        them), so the factor is set directly. (The step-size machinery
-        always uses the model's gradient-Lipschitz bound regardless.)
+        by 10%", i.e. multiplies by 0.9. Algorithm 1's other two constants
+        are module constants, not fields: ε is ``APE_EPSILON_FRACTION``
+        (0.01) of the initial threshold, and the error amplification
+        ``1 + αG`` is ``APE_GROWTH`` (1.01, the paper's worked example).
     straggler_strategy:
         How missing neighbor updates are handled: the paper's
         reuse-the-stale-value rule (default) or the bias-free
@@ -153,13 +150,15 @@ class SNAPConfig:
         memory flat (aggregate byte/cost series are always available).
     invariants:
         ``"strict"`` attaches a :class:`repro.testing.InvariantMonitor` to
-        the trainer: every round, the paper's machine-checkable contracts
-        (weight-matrix stochasticity and spectrum, the Algorithm 1 APE
-        budget, analytic frame-byte conservation, the error-feedback
-        identity, the consensus envelope) are asserted live, and any break
-        raises :class:`~repro.exceptions.InvariantViolation` naming the
-        violated invariant and the round. ``"off"`` (the default) adds no
-        overhead.
+        the trainer: every round, on every engine, the paper's
+        machine-checkable contracts (weight-matrix stochasticity and
+        spectrum, the Algorithm 1 APE budget, analytic frame-byte
+        conservation, the error-feedback identity, the consensus envelope,
+        and the byzantine, drift, hierarchy and semi-sync contracts where
+        they apply) are asserted live on the engine's columnar
+        ``state()``, and any break raises
+        :class:`~repro.exceptions.InvariantViolation` naming the violated
+        invariant and the round. ``"off"`` (the default) adds no overhead.
     max_rounds:
         Hard iteration cap.
     max_partitioned_rounds:
@@ -235,15 +234,12 @@ class SNAPConfig:
     """
 
     alpha: float | None = None
-    step_safety: float = 0.5
     selection: SelectionPolicy = SelectionPolicy.APE
     optimize_weights: bool = True
     weight_iterations: int = 150
     ape_initial_fraction: float = 0.10
     ape_stage_iterations: int = 10
     ape_decay: float = 0.9
-    ape_epsilon_fraction: float = 0.01
-    ape_growth: float = 1.01
     straggler_strategy: StragglerStrategy = StragglerStrategy.STALE
     shard_weighting: ShardWeighting = ShardWeighting.UNIFORM
     engine: str = "reference"
@@ -270,7 +266,6 @@ class SNAPConfig:
     def __post_init__(self) -> None:
         if self.alpha is not None:
             check_positive("alpha", self.alpha)
-        check_fraction("step_safety", self.step_safety)
         if not isinstance(self.selection, SelectionPolicy):
             raise ConfigurationError(
                 f"selection must be a SelectionPolicy, got {self.selection!r}"
@@ -279,12 +274,6 @@ class SNAPConfig:
         check_positive("ape_initial_fraction", self.ape_initial_fraction)
         check_positive_int("ape_stage_iterations", self.ape_stage_iterations)
         check_fraction("ape_decay", self.ape_decay)
-        check_non_negative("ape_epsilon_fraction", self.ape_epsilon_fraction)
-        if self.ape_growth < 1.0:
-            raise ConfigurationError(
-                f"ape_growth must be >= 1 (errors cannot shrink in the worst "
-                f"case), got {self.ape_growth}"
-            )
         if not isinstance(self.straggler_strategy, StragglerStrategy):
             raise ConfigurationError(
                 f"straggler_strategy must be a StragglerStrategy, got "

@@ -20,9 +20,10 @@ Three engines execute the same algorithm (the third, the event-driven
   materialized message objects.
 
 The TCP testbed (:class:`~repro.runtime.testbed.TestbedRuntime`) implements
-the same protocol over real sockets, plus the one optional phase
-``round_down(round_index, down)``: the round's down set widened (crashed
-servers, idle slots), or ``None`` to end the run before the round executes.
+the same protocol over real sockets. All four subclass :class:`Engine`, which
+declares the protocol once with a default for every optional phase, and
+whose :meth:`Engine.state` is the one read of run state (an
+:class:`EngineState` of columns) for the monitor and the digest.
 
 The vectorized engine is **bit-for-bit equivalent** to the reference on every
 seeded configuration — same ``RoundRecord`` stream, same flow ledger, same
@@ -51,6 +52,7 @@ load-bearing identities (verified by ``tests/core/test_engine_equivalence.py``):
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING
 
@@ -108,6 +110,128 @@ class DeliveredEdges:
         return f"DeliveredEdges(n={len(self)})"
 
 
+@dataclass(frozen=True)
+class EngineState:
+    """Run state as read-only columns: what the monitor and the digest read.
+
+    Per node: ``params``, ``previous_params`` (where ``has_previous``),
+    ``iteration``. Per directed edge ``e``, by source then destination:
+    ``views[e]`` is what ``dst[e]`` holds of ``src[e]``, ``last_sent[e]``
+    what ``src[e]`` believes that is, ``fresh[e]`` whether it arrived this
+    round, ``residuals[e]`` the error-feedback residual where
+    ``has_residual[e]`` (both ``None`` when no edge holds one). On the
+    vectorized engine the columns view its own arrays and ``last_sent`` *is*
+    ``views`` (PERFORMANCE.md identity 1); the per-edge engines gather
+    copies from their servers.
+    """
+
+    params: np.ndarray
+    previous_params: np.ndarray
+    has_previous: np.ndarray
+    iteration: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    views: np.ndarray
+    last_sent: np.ndarray
+    fresh: np.ndarray
+    residuals: np.ndarray | None
+    has_residual: np.ndarray | None
+
+    def __post_init__(self) -> None:
+        for name, array in list(vars(self).items()):
+            if array is not None:
+                view = array.view()
+                view.flags.writeable = False
+                object.__setattr__(self, name, view)
+
+
+class Engine:
+    """The protocol ``SNAPTrainer.run`` drives, with every optional phase's default.
+
+    A subclass implements ``step_round(round_index, down)`` (the local EXTRA
+    steps of the servers not down) and ``communicate(round_index, down)``
+    (the sends; returns the values delivered and a :class:`DeliveredEdges`),
+    and overrides the rest where it keeps state of its own. The defaults fit
+    an engine whose servers (``self.trainer.servers``) *are* the state.
+    """
+
+    def begin_run(self) -> None:
+        """Ingest the servers' state at the start of a ``run()`` call."""
+
+    def round_down(self, round_index: int, down: frozenset) -> frozenset | None:
+        """The round's down set, or ``None`` to end the run before the round."""
+        return down
+
+    def sync_to_servers(self) -> None:
+        """Write engine-held state back onto the server objects."""
+
+    def rebuild_topology(self) -> None:
+        """Adopt the trainer's swapped topology (its servers already swapped)."""
+
+    def rebuild_data(self) -> None:
+        """Adopt the trainer's drifted shards (its servers already swapped)."""
+
+    def in_flight_edges(self) -> frozenset:
+        """Directed edges with a delivered frame the receiver has not applied."""
+        return frozenset()
+
+    def lagging_nodes(self) -> frozenset:
+        """Servers running behind the fleet's current round."""
+        return frozenset()
+
+    def timing_summary(self) -> dict | None:
+        """A virtual-clock report for ``TrainingResult.info``, if one is kept."""
+        return None
+
+    def semi_sync_invariants(self) -> dict | None:
+        """The deferred-delivery ledgers the ``semi-sync`` check asserts, if any."""
+        return None
+
+    def stacked_params(self) -> np.ndarray:
+        """The ``(N, d)`` matrix of current per-server parameters."""
+        return np.stack([server.params for server in self.trainer.servers])
+
+    def mean_local_loss(self) -> float:
+        """The mean of the servers' local losses."""
+        return float(
+            np.mean([server.local_loss() for server in self.trainer.servers])
+        )
+
+    def state(self) -> EngineState:
+        """The run state as columns, gathered from the server objects.
+
+        Each edge's ``views`` and ``last_sent`` are read from its two ends
+        independently, so the per-edge engines stay honest oracles.
+        """
+        servers, states = self.trainer.servers, self.trainer._edge_states
+        edges = [(s.node_id, j) for s in servers for j in s.neighbors]
+        params = self.stacked_params()
+        zero = np.zeros(params.shape[1])
+
+        def rows(arrays) -> np.ndarray:
+            return np.asarray(arrays, dtype=float).reshape(-1, zero.size)
+
+        previous = [s.previous_params for s in servers]
+        residuals = [states[e].residual if e in states else None for e in edges]
+        held = np.asarray([r is not None for r in residuals], dtype=bool)
+        src, dst = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+        return EngineState(
+            params=params,
+            previous_params=rows([zero if p is None else p for p in previous]),
+            has_previous=np.asarray([p is not None for p in previous], dtype=bool),
+            iteration=np.asarray([s.iteration for s in servers], dtype=np.int64),
+            src=src,
+            dst=dst,
+            views=rows([servers[j].views[i] for i, j in edges]),
+            last_sent=rows([servers[i].last_sent[j] for i, j in edges]),
+            fresh=np.asarray([servers[j].fresh[i] for i, j in edges], dtype=bool),
+            residuals=rows([zero if r is None else r for r in residuals])
+            if held.any()
+            else None,
+            has_residual=held if held.any() else None,
+        )
+
+
 def build_engine(trainer: "SNAPTrainer"):
     """Instantiate the engine selected by ``trainer.config.engine``.
 
@@ -128,16 +252,13 @@ def build_engine(trainer: "SNAPTrainer"):
     return ReferenceEngine(trainer)
 
 
-class ReferenceEngine:
+class ReferenceEngine(Engine):
     """The per-object oracle: delegates every phase to the EdgeServer code."""
 
     name = "reference"
 
     def __init__(self, trainer: "SNAPTrainer"):
         self.trainer = trainer
-
-    def begin_run(self) -> None:
-        """No private state: the servers *are* the state."""
 
     def step_round(self, round_index: int, down: frozenset) -> None:
         for server in self.trainer.servers:
@@ -191,25 +312,8 @@ class ReferenceEngine:
         flows.flush(tracker, round_index)
         return params_sent, DeliveredEdges.from_pairs(delivered)
 
-    def stacked_params(self) -> np.ndarray:
-        return np.stack([server.params for server in self.trainer.servers])
 
-    def mean_local_loss(self) -> float:
-        return float(
-            np.mean([server.local_loss() for server in self.trainer.servers])
-        )
-
-    def sync_to_servers(self) -> None:
-        """No-op: server objects are always current."""
-
-    def rebuild_topology(self) -> None:
-        """No-op: every phase re-reads the trainer's live topology state."""
-
-    def rebuild_data(self) -> None:
-        """No-op: servers read their (just-swapped) shards directly."""
-
-
-class VectorizedEngine:
+class VectorizedEngine(Engine):
     """Dense-matrix execution of the SNAP round loop.
 
     State layout: one ``(N + E, d)`` buffer per recursion layer, where the
@@ -324,9 +428,10 @@ class VectorizedEngine:
     def _forget_edge_states(self) -> None:
         """Drop the row-aligned handles on the trainer's compressor edge states.
 
-        The round re-adopts each state on the edge's next eligible
-        round (see :meth:`_adopt_edge_states`), so whatever replaced or
-        restored ``trainer._edge_states`` meanwhile is what gets picked up.
+        :meth:`begin_run` re-adopts every state ``trainer._edge_states``
+        then holds (see :meth:`_adopt_edge_states`), so whatever replaced or
+        restored them meanwhile is what gets picked up; a state made later
+        is adopted on its edge's first eligible round.
         """
         self._state_rows = np.full(self.n_edges, None, dtype=object)
         self._state_adopted = np.zeros(self.n_edges, dtype=bool)
@@ -406,7 +511,7 @@ class VectorizedEngine:
         — and each field lands on the edge rows with one scatter.
         """
         self._forget_edge_states()
-        servers = self.trainer.servers
+        servers, states = self.trainer.servers, self.trainer._edge_states
         views, fresh, previous_fresh = [], [], []
         previous_views, previous_rows = [], []
         for i, server in enumerate(servers):
@@ -437,6 +542,10 @@ class VectorizedEngine:
             self.previous_fresh[self._in_edges] = previous_fresh
         if previous_views:
             self.previous_views[np.concatenate(previous_rows)] = previous_views
+        if states:  # from before this run: state() must see every residual
+            keys = zip(self.edge_src.tolist(), self.edge_dst.tolist())
+            held = [e for e, key in enumerate(keys) if key in states]
+            self._adopt_edge_states(np.asarray(held, dtype=np.int64))
 
     def sync_to_servers(self) -> None:
         """Write the matrix state back onto the EdgeServer objects.
@@ -750,3 +859,24 @@ class VectorizedEngine:
     def mean_local_loss(self) -> float:
         losses = self.trainer.model.batch_losses(self.params, self.prepared)
         return float(np.mean(self.scales * losses))
+
+    def state(self) -> EngineState:
+        """Views of the engine's own arrays, no copy; ``last_sent`` is ``views``.
+
+        Every state is adopted (see :meth:`begin_run`), and an error-feedback
+        compressor gives each one a residual: adopted edges hold the rows.
+        """
+        residual = self._residuals is not None
+        return EngineState(
+            params=self.params,
+            previous_params=self.previous_params,
+            has_previous=self.has_previous,
+            iteration=self.iterations,
+            src=self.edge_src,
+            dst=self.edge_dst,
+            views=self.views,
+            last_sent=self.views,
+            fresh=self.fresh,
+            residuals=self._residuals,
+            has_residual=self._state_adopted if residual else None,
+        )

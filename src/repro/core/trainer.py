@@ -35,6 +35,7 @@ from scipy.sparse.csgraph import connected_components
 from repro.compression import EdgeState, build_compressor, payload_to_update
 from repro.consensus.convergence import ConvergenceDetector, consensus_error
 from repro.consensus.step_size import safe_step_size
+from repro.core.config import APE_EPSILON_FRACTION, APE_GROWTH, STEP_SAFETY
 from repro.core.config import ShardWeighting, SNAPConfig
 from repro.core.engine import build_engine
 from repro.core.server import EdgeServer
@@ -231,7 +232,7 @@ class SNAPTrainer:
             else safe_step_size(
                 self.weight_matrix,
                 self.lipschitz,
-                self.config.step_safety,
+                STEP_SAFETY,
                 # λ_min(W̃) was already computed when the optimizer analyzed
                 # the lazy candidate of the winning matrix; reusing it here
                 # is bitwise-identical to recomputing (same matrix
@@ -327,9 +328,9 @@ class SNAPTrainer:
         #: (see repro.core.engine), per ``config.engine``.
         self.engine = build_engine(self)
         #: Live paper-contract checks (``config.invariants="strict"``); the
-        #: run loop invokes it every round on synced server state. Lazy
-        #: import: repro.testing imports network modules and would cycle at
-        #: module level.
+        #: run loop invokes it every round, and it reads ``engine.state()``.
+        #: Lazy import: repro.testing imports network modules and would
+        #: cycle at module level.
         if self.config.invariants == "strict":
             from repro.testing.invariants import InvariantMonitor
 
@@ -386,14 +387,13 @@ class SNAPTrainer:
         if self.compressor_spec.kind != "ape":
             return None
         initial_threshold = self.config.ape_initial_fraction
-        epsilon = self.config.ape_epsilon_fraction * initial_threshold
         return APEScheduleBank(
             len(self.servers),
             initial_threshold=initial_threshold,
-            growth=self.config.ape_growth,
+            growth=APE_GROWTH,
             stage_iterations=self.config.ape_stage_iterations,
             decay=self.config.ape_decay,
-            epsilon=epsilon,
+            epsilon=APE_EPSILON_FRACTION * initial_threshold,
         )
 
     def _build_staleness_ledger(self, old_index=None, old_ages=None) -> None:
@@ -495,9 +495,6 @@ class SNAPTrainer:
         self._budget_horizon = self.rounds_completed + cap
 
         engine = self.engine
-        # An engine with a fleet of its own (the TCP testbed) may widen a
-        # round's down set, or end the run (None) before the round executes.
-        round_down = getattr(engine, "round_down", None)
         engine.begin_run()
         if self.monitor is not None:
             self.monitor.on_run_start()
@@ -509,10 +506,11 @@ class SNAPTrainer:
             for _ in range(cap):
                 round_index = self.rounds_completed + 1
                 down = self.fault_plan.failed_nodes(self.topology, round_index)
-                if round_down is not None:
-                    down = round_down(round_index, down)
-                    if down is None:
-                        break
+                # An engine with a fleet of its own (the TCP testbed) may widen
+                # the down set, or end the run (None) before the round executes.
+                down = engine.round_down(round_index, down)
+                if down is None:
+                    break
                 if self.config.drift is not None:
                     self._maybe_apply_drift(round_index)
                 engine.step_round(round_index, down)
@@ -559,10 +557,6 @@ class SNAPTrainer:
                 for observer in self._round_observers:
                     observer(record)
                 if self.monitor is not None:
-                    # The monitor inspects the server objects, so the
-                    # engine's state must be written back first (a no-op on
-                    # the reference engine).
-                    engine.sync_to_servers()
                     self.monitor.on_round(record, down)
                 if on_round is not None:
                     engine.sync_to_servers()
@@ -593,12 +587,12 @@ class SNAPTrainer:
             # not hash it, so engine equivalence is decided by the actual
             # trajectory, not by matching report dictionaries.
             info["adaptive_topology"] = self._topology_controller.summary()
-        timing_summary = getattr(engine, "timing_summary", None)
-        if timing_summary is not None:
+        timing = engine.timing_summary()
+        if timing is not None:
             # Virtual-clock report of the semi-synchronous engine. Lives in
             # ``info`` only — the RunDigest does not hash it, so the τ=0
             # equivalence with the synchronous engines is unaffected.
-            info["semi_sync"] = timing_summary()
+            info["semi_sync"] = timing
         return TrainingResult(
             scheme=self._scheme_name(),
             rounds=records,
@@ -709,7 +703,7 @@ class SNAPTrainer:
                 safe_step_size(
                     self.weight_matrix,
                     self.lipschitz,
-                    self.config.step_safety,
+                    STEP_SAFETY,
                     lam_min_tilde=(
                         swap.result.lazy_report.smallest
                         if swap.result.lazy_report is not None
@@ -718,7 +712,7 @@ class SNAPTrainer:
                 ),
             )
         added_neighbors: dict[int, list[int]] = {}
-        for u, v in getattr(swap, "added_edges", ()):
+        for u, v in swap.added_edges:
             added_neighbors.setdefault(u, []).append(v)
             added_neighbors.setdefault(v, []).append(u)
         for node, server in enumerate(self.servers):

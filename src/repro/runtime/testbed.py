@@ -61,7 +61,7 @@ from functools import partial
 import numpy as np
 
 from repro.core.config import SNAPConfig
-from repro.core.engine import DeliveredEdges
+from repro.core.engine import DeliveredEdges, Engine
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
 from repro.exceptions import (
@@ -330,7 +330,7 @@ class _Node:
         self.listener.close()
 
 
-class TestbedRuntime:
+class TestbedRuntime(Engine):
     """Run SNAP over real localhost TCP sockets.
 
     Accepts the same inputs as :class:`~repro.core.SNAPTrainer` (which it
@@ -584,19 +584,10 @@ class TestbedRuntime:
             )
         # Otherwise degrade: survivors of the deadline stay stale.
 
-    def stacked_params(self) -> np.ndarray:
-        """Current per-server parameters (rows aligned with node ids)."""
-        return np.stack([node.server.params for node in self.nodes])
-
     def mean_local_loss(self) -> float:
         """The live servers' mean loss this round (idle slots left out)."""
         mean = np.mean if self.membership is None else np.nanmean
         return float(mean([node.loss_trace[-1] for node in self._live]))
-
-    def sync_to_servers(self) -> None:
-        """No-op, as are ``begin_run`` and ``rebuild_data``: servers are state."""
-
-    begin_run = rebuild_data = sync_to_servers
 
     def rebuild_topology(self) -> None:
         """Adopt the trainer's swapped topology; nothing is dialed. A

@@ -16,10 +16,10 @@ requires bumping :data:`DIGEST_VERSION` and re-capturing every pin —
 digests of different versions never compare equal and refuse to load.
 
 On top of the legacy recipe the digest adds ``server_state_sha``, covering
-the post-run :class:`~repro.core.server.EdgeServer` state (parameters,
-iteration counters, views, link state, freshness), the APE schedule state
-machines, and any materialized error-feedback residuals — exactly the
-surface the engine-equivalence suite asserts field by field.
+the per-server state (parameters, iteration counters, views, link state,
+freshness) read from the engine's columnar ``state()``, the APE schedule
+state machines, and any materialized error-feedback residuals — exactly
+the surface the engine-equivalence suite asserts field by field.
 """
 
 from __future__ import annotations
@@ -111,35 +111,43 @@ def _hash_array(digest: "hashlib._Hash", label: str, array) -> None:
 
 
 def server_state_sha(trainer) -> str:
-    """SHA-256 over the post-run per-server state of a trainer.
+    """SHA-256 over the per-server state of a trainer, read from ``engine.state()``.
 
     Covers exactly the surface the engine-equivalence contract compares:
     per-server parameters, iteration counter, previous-iterate layer,
-    per-neighbor views / ``last_sent`` / freshness, the APE schedule state
-    dicts, and any materialized error-feedback residuals on the edge
-    states. (The previous-*views* layer is engine bookkeeping that the
-    contract does not pin and is deliberately excluded.)
-
-    Callers must ensure the engine state has been written back to the
-    server objects (``trainer.run`` always leaves them synced).
+    per-neighbor views / ``last_sent`` / freshness, the APE schedule state,
+    and any materialized error-feedback residuals (not the previous-*views*
+    layer, engine bookkeeping the contract does not pin). The byte stream is
+    the per-server walk's — node by node, each neighbor's freshness, its
+    view held by the node, the node's ``last_sent`` for it — so the servers
+    need not be synced first.
     """
+    state = trainer.engine.state()
+    src, dst = state.src, state.dst
+    n_nodes = state.params.shape[0]
+    # Edges are sorted by (src, dst): node i's out-edges are one block, its
+    # neighbors ascending, and ``reverse[e]`` is the edge (dst -> src).
+    reverse = np.searchsorted(src * n_nodes + dst, dst * n_nodes + src).tolist()
+    blocks = np.searchsorted(src, np.arange(n_nodes + 1)).tolist()
+    neighbors, fresh = dst.tolist(), state.fresh.tolist()
+    iterations, has_previous = state.iteration.tolist(), state.has_previous.tolist()
     digest = hashlib.sha256()
-    for server in trainer.servers:
-        digest.update(repr((server.node_id, server.iteration)).encode())
-        _hash_array(digest, "params", server.params)
-        _hash_array(digest, "previous", server.previous_params)
-        for neighbor in server.neighbors:
-            digest.update(repr(("edge", neighbor, server.fresh[neighbor])).encode())
-            _hash_array(digest, "view", server.views[neighbor])
-            _hash_array(digest, "last_sent", server.last_sent[neighbor])
+    for node in range(n_nodes):
+        digest.update(repr((node, iterations[node])).encode())
+        previous = state.previous_params[node] if has_previous[node] else None
+        _hash_array(digest, "params", state.params[node])
+        _hash_array(digest, "previous", previous)
+        for e in range(blocks[node], blocks[node + 1]):
+            digest.update(repr(("edge", neighbors[e], fresh[reverse[e]])).encode())
+            _hash_array(digest, "view", state.views[reverse[e]])
+            _hash_array(digest, "last_sent", state.last_sent[e])
     if trainer._schedules is not None:
         for schedule in trainer._schedules:
             digest.update(repr(sorted(schedule.state_dict().items())).encode())
-    for key in sorted(trainer._edge_states):
-        state = trainer._edge_states[key]
-        if state.residual is not None:
-            digest.update(repr(("residual", key)).encode())
-            _hash_array(digest, "residual", state.residual)
+    if state.residuals is not None:
+        for e in np.flatnonzero(state.has_residual).tolist():
+            digest.update(repr(("residual", (src[e].item(), neighbors[e]))).encode())
+            _hash_array(digest, "residual", state.residuals[e])
     return digest.hexdigest()
 
 
@@ -323,8 +331,7 @@ class DigestStream:
         """Seal the stream into a :class:`RunDigest` for the finished run.
 
         ``result`` is the :class:`~repro.results.TrainingResult` the observed
-        ``trainer.run`` call returned (the run loop leaves the servers
-        synced, so the server-state hash is current). The raw traces are
+        ``trainer.run`` call returned. The raw traces are
         empty — equality only compares the hashes and totals, and
         :meth:`RunDigest.diff` falls back to naming the mismatching fields.
         """

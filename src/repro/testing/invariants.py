@@ -25,8 +25,8 @@ them *during* a run instead of post-hoc:
 ``error-feedback``
     The protocol backbone: ``sender.last_sent[j] == receiver.views[i]``
     bitwise on every directed edge (both advance only on confirmed
-    delivery), and any materialized error-feedback residual must equal
-    ``params - last_sent`` exactly.
+    delivery), and any materialized error-feedback residual must be finite
+    and equal ``params - last_sent`` exactly.
 ``semi-sync``
     Only when the semi-synchronous engine runs: per-edge progress
     staleness observed at any step start must stay within the configured
@@ -56,8 +56,11 @@ them *during* a run instead of post-hoc:
     record's byte total — conservation across the hierarchy.
 
 Enable with ``SNAPConfig(invariants="strict")``; the trainer then runs
-every check each round on both engines (the vectorized engine's state is
-synced back to the server objects before inspection). Violations raise
+every check each round on every engine and on the TCP testbed. The
+per-node and per-edge checks read one columnar snapshot,
+``trainer.engine.state()`` (an :class:`~repro.core.engine.EngineState`),
+and the APE bank's columns — never the server objects, so no engine writes
+its state back for the monitor. Violations raise
 :class:`~repro.exceptions.InvariantViolation` naming the invariant and the
 round. Custom checks plug in via :meth:`InvariantMonitor.add_check`.
 """
@@ -68,7 +71,7 @@ from collections import Counter
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import issparse
+from scipy.sparse import csr_matrix, issparse
 
 from repro.exceptions import InvariantViolation
 from repro.network.frames import encoded_update_bytes
@@ -114,9 +117,9 @@ class InvariantMonitor:
     Parameters
     ----------
     trainer:
-        The trainer to observe. The monitor reads the synced server
-        objects, the cost tracker, the APE schedules, and the weight
-        matrix; it never mutates anything.
+        The trainer to observe. The monitor reads ``engine.state()``, the
+        cost tracker, the APE schedule bank, and the weight matrix; it
+        never mutates anything.
     atol:
         Absolute tolerance for the structural weight-matrix checks
         (stochasticity sums, symmetry, spectrum endpoints).
@@ -149,7 +152,7 @@ class InvariantMonitor:
         self._pending_flows: list[tuple] = []
         trainer.tracker.add_observer(self._observe_flows)
         self._feasible_size_array: np.ndarray | None = None
-        self._threshold_watermarks: list[float] | None = None
+        self._threshold_watermarks: np.ndarray | None = None
         self._consensus_envelope: float | None = None
         self._envelope_rounds_seen = 0
         self._drift_watermark = 0
@@ -160,7 +163,9 @@ class InvariantMonitor:
         """Register a custom per-round check.
 
         ``check(monitor, record, down)`` runs after the built-in checks each
-        round and reports failures via :meth:`violate`.
+        round and reports failures via :meth:`violate`. It reads run state
+        through ``monitor.trainer.engine.state()``: the server objects are
+        not synced for the monitor.
         """
         self._extra_checks.append((str(name), check))
 
@@ -177,6 +182,18 @@ class InvariantMonitor:
         """Check counts per invariant (all zero means the monitor never ran)."""
         return dict(self.checks)
 
+    def _violate_first(self, invariant: str, verdicts, round_index: int) -> None:
+        """Raise for the first row any ``(mask, message)`` verdict flags.
+
+        The masks cover the same rows (nodes or directed edges), in check
+        order; ``message(row)`` builds the diagnostic of the first that fails.
+        """
+        flagged = np.logical_or.reduce([mask for mask, _ in verdicts])
+        if flagged.any():
+            row = int(np.argmax(flagged))
+            message = next(message for mask, message in verdicts if mask[row])
+            self.violate(invariant, message(row), round_index)
+
     # -- run-start checks --------------------------------------------------------
 
     def on_run_start(self) -> None:
@@ -184,10 +201,7 @@ class InvariantMonitor:
         self._check_weight_stochasticity()
         self._check_weight_spectrum()
         if self._threshold_watermarks is None and self.trainer._schedules:
-            self._threshold_watermarks = [
-                schedule.state_dict()["threshold"]
-                for schedule in self.trainer._schedules
-            ]
+            self._threshold_watermarks = self.trainer._schedules.thresholds.copy()
 
     def on_topology_swap(self, swap) -> None:
         """Re-validate the mixing contracts after an adaptive topology swap.
@@ -207,59 +221,16 @@ class InvariantMonitor:
         self._feasible_size_array = None
 
     def _check_weight_stochasticity(self) -> None:
+        """Symmetry, both stochastic sums and support, on W as CSR (dense or not)."""
         self.checks["weight-stochasticity"] += 1
-        if issparse(self.trainer.weight_matrix):
-            return self._check_weight_stochasticity_sparse()
-        W = np.asarray(self.trainer.weight_matrix, dtype=float)
+        W = csr_matrix(self.trainer.weight_matrix, dtype=float)
         n = self.trainer.topology.n_nodes
         if W.shape != (n, n):
             self.violate(
                 "weight-stochasticity",
                 f"W has shape {W.shape}, topology has {n} nodes",
             )
-        asymmetry = float(np.abs(W - W.T).max())
-        if asymmetry > self.atol:
-            self.violate(
-                "weight-stochasticity",
-                f"W is not symmetric (max |W - W^T| = {asymmetry:.3e})",
-            )
-        row_err = float(np.abs(W.sum(axis=1) - 1.0).max())
-        if row_err > self.atol:
-            worst = int(np.abs(W.sum(axis=1) - 1.0).argmax())
-            self.violate(
-                "weight-stochasticity",
-                f"row {worst} of W sums to {W.sum(axis=1)[worst]:.12f}, "
-                f"not 1 (problems (22)/(23) require W 1 = 1)",
-            )
-        col_err = float(np.abs(W.sum(axis=0) - 1.0).max())
-        if col_err > self.atol:
-            self.violate(
-                "weight-stochasticity",
-                f"columns of W do not sum to 1 (max error {col_err:.3e})",
-            )
-        allowed = np.eye(n, dtype=bool)
-        for u, v in self.trainer.topology.edges:
-            allowed[u, v] = allowed[v, u] = True
-        off_support = np.abs(np.where(allowed, 0.0, W))
-        if off_support.size and float(off_support.max()) > self.atol:
-            u, v = np.unravel_index(int(off_support.argmax()), W.shape)
-            self.violate(
-                "weight-stochasticity",
-                f"W[{u}, {v}] = {W[u, v]:.3e} but ({u}, {v}) is not an edge "
-                "(weights must be supported on the neighbor sets)",
-            )
-
-    def _check_weight_stochasticity_sparse(self) -> None:
-        """Sparse-W variant: same contracts, no dense (N, N) materialization."""
-        W = self.trainer.weight_matrix.tocsr()
-        n = self.trainer.topology.n_nodes
-        if W.shape != (n, n):
-            self.violate(
-                "weight-stochasticity",
-                f"W has shape {W.shape}, topology has {n} nodes",
-            )
-        gap = (W - W.T).tocoo()
-        asymmetry = float(np.abs(gap.data).max()) if gap.nnz else 0.0
+        asymmetry = float(np.abs((W - W.T).data).max(initial=0.0))
         if asymmetry > self.atol:
             self.violate(
                 "weight-stochasticity",
@@ -267,9 +238,9 @@ class InvariantMonitor:
             )
         ones = np.ones(n)
         row_sums = W @ ones
-        row_err = float(np.abs(row_sums - 1.0).max())
-        if row_err > self.atol:
-            worst = int(np.abs(row_sums - 1.0).argmax())
+        row_err = np.abs(row_sums - 1.0)
+        if float(row_err.max()) > self.atol:
+            worst = int(row_err.argmax())
             self.violate(
                 "weight-stochasticity",
                 f"row {worst} of W sums to {row_sums[worst]:.12f}, "
@@ -281,29 +252,43 @@ class InvariantMonitor:
                 "weight-stochasticity",
                 f"columns of W do not sum to 1 (max error {col_err:.3e})",
             )
-        allowed = {(u, v) for u, v in self.trainer.topology.edges}
-        allowed |= {(v, u) for u, v in self.trainer.topology.edges}
         coo = W.tocoo()
-        for u, v, value in zip(coo.row, coo.col, coo.data):
-            u, v = int(u), int(v)
-            if u != v and (u, v) not in allowed and abs(value) > self.atol:
-                self.violate(
-                    "weight-stochasticity",
-                    f"W[{u}, {v}] = {value:.3e} but ({u}, {v}) is not an edge "
-                    "(weights must be supported on the neighbor sets)",
-                )
+        edges = np.asarray(self.trainer.topology.edges, dtype=np.int64).reshape(-1, 2)
+        links = np.concatenate([edges @ [n, 1], edges @ [1, n]])
+        off_support = np.where(
+            (coo.row != coo.col) & ~np.isin(coo.row * n + coo.col, links),
+            np.abs(coo.data),
+            0.0,
+        )
+        if off_support.size and float(off_support.max()) > self.atol:
+            k = int(off_support.argmax())
+            u, v = int(coo.row[k]), int(coo.col[k])
+            self.violate(
+                "weight-stochasticity",
+                f"W[{u}, {v}] = {coo.data[k]:.3e} but ({u}, {v}) is not an edge "
+                "(weights must be supported on the neighbor sets)",
+            )
 
     def _check_weight_spectrum(self) -> None:
+        """λ_max = 1 with a gap, λ_min > -1: ``eigvalsh`` on dense W, Lanczos on sparse."""
         self.checks["weight-spectrum"] += 1
         W = self.trainer.weight_matrix
-        if issparse(W):
-            n = W.shape[0]
-            if n >= 3:
-                return self._check_weight_spectrum_sparse(W)
-            W = W.toarray()
-        W = np.asarray(W, dtype=float)
-        eigenvalues = np.sort(np.linalg.eigvalsh(0.5 * (W + W.T)))
-        lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
+        if issparse(W) and W.shape[0] >= 3:
+            from scipy.sparse.linalg import eigsh
+
+            from repro.utils.linalg import smallest_eigenvalue_sparse
+
+            symmetric = ((W + W.T) * 0.5).astype(float)
+            v0 = np.random.default_rng(0).standard_normal(symmetric.shape[0])
+            second, lam_max = np.sort(
+                eigsh(symmetric, k=2, which="LA", v0=v0, return_eigenvectors=False)
+            ).tolist()
+            lam_min = smallest_eigenvalue_sparse(symmetric)
+        else:
+            W = np.asarray(W.toarray() if issparse(W) else W, dtype=float)
+            eigenvalues = np.sort(np.linalg.eigvalsh(0.5 * (W + W.T))).tolist()
+            lam_min, lam_max = eigenvalues[0], eigenvalues[-1]
+            second = eigenvalues[-2] if len(eigenvalues) > 1 else None
         if abs(lam_max - 1.0) > 10 * self.atol:
             self.violate(
                 "weight-spectrum",
@@ -316,136 +301,96 @@ class InvariantMonitor:
                 f"λ_min(W) = {lam_min:.12f} ≤ -1; EXTRA needs "
                 "W̃ = (I + W)/2 ≻ 0",
             )
-        if len(eigenvalues) > 1:
-            second = float(eigenvalues[-2])
-            if second >= 1.0 - 10 * self.atol:
-                self.violate(
-                    "weight-spectrum",
-                    f"second-largest eigenvalue {second:.12f} touches 1: no "
-                    "spectral gap, so consensus cannot contract "
-                    "(disconnected or degenerate mixing)",
-                )
-
-    def _check_weight_spectrum_sparse(self, W) -> None:
-        """Spectrum endpoints via Lanczos instead of a dense O(N^3) eigvalsh."""
-        from scipy.sparse.linalg import eigsh
-
-        from repro.utils.linalg import smallest_eigenvalue_sparse
-
-        symmetric = ((W + W.T) * 0.5).astype(float)
-        n = symmetric.shape[0]
-        v0 = np.random.default_rng(0).standard_normal(n)
-        top = np.sort(
-            eigsh(
-                symmetric,
-                k=min(2, n - 1),
-                which="LA",
-                v0=v0,
-                return_eigenvectors=False,
-            )
-        )
-        lam_max = float(top[-1])
-        lam_min = smallest_eigenvalue_sparse(symmetric)
-        if abs(lam_max - 1.0) > 10 * self.atol:
+        if second is not None and second >= 1.0 - 10 * self.atol:
             self.violate(
                 "weight-spectrum",
-                f"λ_max(W) = {lam_max:.12f}; a doubly stochastic W must have "
-                "λ_max = 1 (the consensus eigenvector)",
+                f"second-largest eigenvalue {second:.12f} touches 1: no "
+                "spectral gap, so consensus cannot contract "
+                "(disconnected or degenerate mixing)",
             )
-        if lam_min <= -1.0 + 10 * self.atol:
-            self.violate(
-                "weight-spectrum",
-                f"λ_min(W) = {lam_min:.12f} ≤ -1; EXTRA needs "
-                "W̃ = (I + W)/2 ≻ 0",
-            )
-        if top.size > 1:
-            second = float(top[0])
-            if second >= 1.0 - 10 * self.atol:
-                self.violate(
-                    "weight-spectrum",
-                    f"second-largest eigenvalue {second:.12f} touches 1: no "
-                    "spectral gap, so consensus cannot contract "
-                    "(disconnected or degenerate mixing)",
-                )
 
     # -- per-round checks --------------------------------------------------------
 
     def on_round(self, record, down: frozenset = frozenset()) -> None:
         """Run every per-round invariant after one completed round.
 
-        The caller must have synced engine state back onto the server
-        objects (``SNAPTrainer.run`` does this before invoking the monitor).
+        Reads the engine through its protocol (``state()``, the optional
+        phases' results), so the servers need not be synced first.
         """
+        semi_sync = self.trainer.engine.semi_sync_invariants()
+        # Under the semi-synchronous engine a server left behind the fleet
+        # still executes old rounds on its own clock, so its flows flush
+        # late, tagged with the *earlier* round they belong to. Those late
+        # flows are legal in deferred mode; flows tagged with a future round
+        # never are (run-ahead past the trainer's target is forbidden).
+        deferred = semi_sync is not None
         self._check_ape_budget(record)
         # Pop the accumulated flow batches once: both ledger checks (global
         # and tiered) read the same per-flow evidence for this round.
         batches, self._pending_flows = self._pending_flows, []
-        self._check_byte_ledger(record, batches)
-        self._check_hierarchy_ledger(record, batches)
+        self._check_byte_ledger(record, batches, deferred)
+        self._check_hierarchy_ledger(record, batches, deferred)
         self._check_byzantine_bound(record)
         self._check_drift_schedule(record)
         self._check_error_feedback(record, down)
         self._check_consensus_envelope(record)
-        self._check_semi_sync(record)
+        if semi_sync is not None:
+            self._check_semi_sync(record, semi_sync)
         for name, check in self._extra_checks:
             self.checks[name] += 1
             check(self, record, down)
 
     def _check_ape_budget(self, record) -> None:
-        schedules = self.trainer._schedules
-        if not schedules:
+        bank = self.trainer._schedules
+        if not bank:
             return
         self.checks["ape-budget"] += 1
+        thresholds, accumulated = bank.thresholds, bank.accumulated
         if self._threshold_watermarks is None:
-            self._threshold_watermarks = [
-                schedule.state_dict()["threshold"] for schedule in schedules
-            ]
-        for node, schedule in enumerate(schedules):
-            state = schedule.state_dict()
-            threshold = state["threshold"]
-            accumulated = state["accumulated"]
-            if accumulated < 0:
-                self.violate(
-                    "ape-budget",
-                    f"server {node}: accumulated APE estimate is negative "
-                    f"({accumulated:.3e})",
-                    record.round_index,
-                )
-            if schedule.active and accumulated > threshold:
-                self.violate(
-                    "ape-budget",
-                    f"server {node}: accumulated APE estimate "
-                    f"{accumulated:.6e} exceeds the stage budget T_k = "
-                    f"{threshold:.6e} without a stage advance (Algorithm 1, "
-                    "lines 5-6)",
-                    record.round_index,
-                )
-            watermark = self._threshold_watermarks[node]
-            if threshold > watermark * (1.0 + 1e-12):
-                self.violate(
-                    "ape-budget",
-                    f"server {node}: stage budget grew from {watermark:.6e} "
-                    f"to {threshold:.6e}; T_k must decay monotonically",
-                    record.round_index,
-                )
-            self._threshold_watermarks[node] = threshold
-            expected_send = (
-                threshold / schedule._send_denominator if schedule.active else 0.0
-            )
-            if schedule.send_threshold != expected_send:
-                self.violate(
-                    "ape-budget",
-                    f"server {node}: send threshold {schedule.send_threshold!r}"
-                    f" != T_k / (I_k (1+αG)^I_k) = {expected_send!r} "
+            self._threshold_watermarks = thresholds.copy()
+        watermarks = self._threshold_watermarks
+        active = thresholds > bank.epsilon
+        # Line 4 of Algorithm 1 from I_k and 1 + αG, not the bank's cache.
+        denominator = bank.stage_iterations * bank.growth**bank.stage_iterations
+        expected_send = np.where(active, thresholds / denominator, 0.0)
+        send = bank.send_thresholds()
+        self._violate_first(
+            "ape-budget",
+            [
+                (
+                    accumulated < 0,
+                    lambda i: f"server {i}: accumulated APE estimate is "
+                    f"negative ({accumulated[i]:.3e})",
+                ),
+                (
+                    active & (accumulated > thresholds),
+                    lambda i: f"server {i}: accumulated APE estimate "
+                    f"{accumulated[i]:.6e} exceeds the stage budget T_k = "
+                    f"{thresholds[i]:.6e} without a stage advance (Algorithm "
+                    "1, lines 5-6)",
+                ),
+                (
+                    thresholds > watermarks * (1.0 + 1e-12),
+                    lambda i: f"server {i}: stage budget grew from "
+                    f"{watermarks[i]:.6e} to {thresholds[i]:.6e}; T_k must "
+                    "decay monotonically",
+                ),
+                (
+                    send != expected_send,
+                    lambda i: f"server {i}: send threshold {send[i].item()!r} "
+                    f"!= T_k / (I_k (1+αG)^I_k) = {expected_send[i].item()!r} "
                     "(Algorithm 1, line 4)",
-                    record.round_index,
-                )
+                ),
+            ],
+            record.round_index,
+        )
+        np.copyto(watermarks, thresholds)
 
     def _observe_flows(self, round_index, sources, destinations, sizes, hops):
         """Tracker observer: stash each validated flow batch until the round check."""
         self._pending_flows.append((int(round_index), sources, destinations, sizes, hops))
 
-    def _check_byte_ledger(self, record, batches) -> None:
+    def _check_byte_ledger(self, record, batches, deferred: bool) -> None:
         self.checks["byte-ledger"] += 1
         tracker = self.trainer.tracker
         round_index = record.round_index
@@ -475,14 +420,6 @@ class InvariantMonitor:
                 ),
                 dtype=np.int64,
             )
-        # Under the semi-synchronous engine a server left behind the fleet
-        # still executes old rounds on its own clock, so its flows flush
-        # late, tagged with the *earlier* round they belong to. Those late
-        # flows are legal in deferred mode; flows tagged with a future round
-        # never are (run-ahead past the trainer's target is forbidden).
-        deferred = (
-            getattr(self.trainer.engine, "semi_sync_invariants", None) is not None
-        )
         flow_bytes = 0
         flow_cost = 0
         for flow_round, sources, destinations, sizes, hops in batches:
@@ -536,14 +473,11 @@ class InvariantMonitor:
                 round_index,
             )
 
-    def _check_hierarchy_ledger(self, record, batches) -> None:
+    def _check_hierarchy_ledger(self, record, batches, deferred: bool) -> None:
         tiers = getattr(self.trainer.topology, "tiers", None)
         if tiers is None:
             return
         self.checks["hierarchy-ledger"] += 1
-        deferred = (
-            getattr(self.trainer.engine, "semi_sync_invariants", None) is not None
-        )
         per_pair: Counter = Counter()
         for flow_round, sources, destinations, sizes, hops in batches:
             late = deferred and flow_round < record.round_index
@@ -573,9 +507,8 @@ class InvariantMonitor:
             )
 
     def _check_byzantine_bound(self, record) -> None:
-        plan = getattr(self.trainer, "byzantine_plan", None)
         spec = self.trainer.config.robust_aggregation
-        if plan is None or spec is None:
+        if self.trainer.byzantine_plan is None or spec is None:
             return
         self.checks["byzantine-bound"] += 1
         attackers = self.trainer.byzantine_nodes
@@ -611,8 +544,8 @@ class InvariantMonitor:
                 "in the round index",
                 record.round_index,
             )
-        applied = getattr(self.trainer, "_drift_epoch", None)
-        if applied is not None and applied != epoch:
+        applied = self.trainer._drift_epoch
+        if applied != epoch:
             self.violate(
                 "drift-schedule",
                 f"the trainer holds shards for drift epoch {applied} but the "
@@ -623,72 +556,71 @@ class InvariantMonitor:
         self._drift_watermark = epoch
 
     def _check_error_feedback(self, record, down: frozenset) -> None:
-        self.checks["error-feedback"] += 1
-        servers = self.trainer.servers
-        engine = self.trainer.engine
-        # Semi-synchronous runs legitimately defer the identity on edges
-        # whose delivered frames are still in the reorder buffers of a
-        # receiver running behind the fleet: ``last_sent`` advanced at send
-        # time, the receiver's view catches up when it reaches the sender's
-        # round. Conservation of those frames is asserted by ``semi-sync``.
-        in_flight_edges = getattr(engine, "in_flight_edges", None)
-        in_flight = in_flight_edges() if in_flight_edges is not None else frozenset()
-        lagging_nodes = getattr(engine, "lagging_nodes", None)
-        lagging = lagging_nodes() if lagging_nodes is not None else frozenset()
-        for server in servers:
-            for neighbor in server.neighbors:
-                if (server.node_id, neighbor) in in_flight:
-                    continue
-                if not np.array_equal(
-                    server.last_sent[neighbor], servers[neighbor].views[server.node_id]
-                ):
-                    self.violate(
-                        "error-feedback",
-                        f"last_sent[{server.node_id}->{neighbor}] != "
-                        f"views held by {neighbor}: the confirmed-delivery "
-                        "reference-tracking identity broke",
-                        record.round_index,
-                    )
-        byzantine = getattr(self.trainer, "byzantine_nodes", frozenset())
-        for (source, destination), state in self.trainer._edge_states.items():
-            if state.residual is None:
-                continue
-            if source in down or destination in down:
-                continue  # the edge skipped this round; its residual is stale
-            if source in byzantine:
-                # An attacker compresses its *poisoned* transmit vector, so
-                # its residual tracks tx - last_sent, not params - last_sent;
-                # the honest-params identity intentionally does not hold.
-                continue
-            if source in lagging or destination in lagging:
-                # A server behind the fleet last compressed in an older
-                # round under that round's own outage pattern; its residual
-                # is checked against the fleet's round here, so skip it.
-                continue
-            if not np.all(np.isfinite(state.residual)):
-                self.violate(
-                    "error-feedback",
-                    f"edge {source}->{destination} holds a non-finite "
-                    "error-feedback residual",
-                    record.round_index,
-                )
-            expected = servers[source].params - servers[source].last_sent[destination]
-            if not np.array_equal(state.residual, expected):
-                gap = float(np.abs(state.residual - expected).max())
-                self.violate(
-                    "error-feedback",
-                    f"edge {source}->{destination}: materialized residual != "
-                    f"params - last_sent (max gap {gap:.3e}); the EF "
-                    "accumulator drifted from the reference-tracking truth",
-                    record.round_index,
-                )
+        """The reference-tracking identity and the residuals, over ``engine.state()``.
 
-    def _check_semi_sync(self, record) -> None:
-        probe = getattr(self.trainer.engine, "semi_sync_invariants", None)
-        if probe is None:
+        On the vectorized engine ``last_sent`` and the receiver's view are
+        one storage (PERFORMANCE.md identity 1), so the identity holds there
+        by construction: it is checked meaningfully on the per-edge engines
+        and the testbed, whose snapshot reads each side from its own server
+        (as before, when the vectorized sides were written back as two
+        copies of one array). The residual check is meaningful everywhere.
+        """
+        self.checks["error-feedback"] += 1
+        engine = self.trainer.engine
+        state = engine.state()
+        src, dst, n_nodes = state.src, state.dst, state.params.shape[0]
+        # An in-flight edge (a frame in a semi-sync reorder buffer, or one
+        # that missed a testbed deadline) has ``last_sent`` ahead of the view
+        # until it lands; ``semi-sync`` asserts those frames are conserved.
+        in_flight = [u * n_nodes + v for u, v in engine.in_flight_edges()]
+        self._violate_first(
+            "error-feedback",
+            [
+                (
+                    ~np.isin(src * n_nodes + dst, in_flight)
+                    & ~(state.last_sent == state.views).all(axis=1),
+                    lambda e: f"last_sent[{src[e]}->{dst[e]}] != views held by "
+                    f"{dst[e]}: the confirmed-delivery reference-tracking "
+                    "identity broke",
+                )
+            ],
+            record.round_index,
+        )
+        if state.residuals is None:
             return
+        # Not checked: an edge with a down end (its residual is stale), an
+        # attacker's (it tracks the poisoned tx - last_sent), and one with a
+        # server behind the fleet (it compressed in an older round).
+        idle = list(down | engine.lagging_nodes())
+        edges = np.flatnonzero(
+            state.has_residual
+            & ~np.isin(src, idle)
+            & ~np.isin(dst, idle)
+            & ~np.isin(src, list(self.trainer.byzantine_nodes))
+        )
+        residuals = state.residuals[edges]
+        expected = state.params[src[edges]] - state.last_sent[edges]
+        self._violate_first(
+            "error-feedback",
+            [
+                (
+                    ~np.isfinite(residuals).all(axis=1),
+                    lambda k: f"edge {src[edges[k]]}->{dst[edges[k]]} holds a "
+                    "non-finite error-feedback residual",
+                ),
+                (
+                    ~(residuals == expected).all(axis=1),
+                    lambda k: f"edge {src[edges[k]]}->{dst[edges[k]]}: "
+                    "materialized residual != params - last_sent (max gap "
+                    f"{np.abs(residuals[k] - expected[k]).max():.3e}); the EF "
+                    "accumulator drifted from the reference-tracking truth",
+                ),
+            ],
+            record.round_index,
+        )
+
+    def _check_semi_sync(self, record, inv: dict) -> None:
         self.checks["semi-sync"] += 1
-        inv = probe()
         if inv["max_progress_staleness"] > inv["tau"]:
             self.violate(
                 "semi-sync",

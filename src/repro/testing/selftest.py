@@ -15,9 +15,13 @@ the violated invariant:
     wrapped to inflate every flow by one byte, pushing sizes off the
     analytic Fig. 3 frame-size lattice → ``byte-ledger``.
 ``ape``
-    One server's APE schedule is patched to accumulate past its stage
-    budget without ever advancing the stage (Algorithm 1 lines 5-6 skipped)
-    → ``ape-budget``.
+    A round observer pushes one server's accumulated APE estimate past its
+    stage budget in the schedule bank's columns, with no stage advance
+    (Algorithm 1 lines 5-6 skipped) → ``ape-budget``.
+``error-feedback``
+    On an error-feedback top-k run, a round observer perturbs one
+    materialized residual in place, so it no longer equals
+    ``params - last_sent`` → ``error-feedback``.
 ``swap``
     The adaptive topology controller is wrapped so the re-optimized mixing
     matrix it hands the trainer has one off-diagonal entry perturbed — a
@@ -36,9 +40,12 @@ the violated invariant:
     spans two levels (edge server wired straight to the cloud) →
     ``hierarchy-ledger``.
 
-``make verify-invariants`` runs this after the differential sweep: the
-sweep proves zero false positives on healthy runs, the self-test proves
-non-zero true positives on broken ones.
+Every injection runs on every engine of
+:data:`~repro.testing.differential.ENGINES`: a monitor that catches a fault
+on the reference engine but reads stale state on the vectorized one would
+otherwise pass. ``make verify-invariants`` runs this after the differential
+sweep: the sweep proves zero false positives on healthy runs, the self-test
+proves non-zero true positives on broken ones.
 """
 
 from __future__ import annotations
@@ -96,17 +103,29 @@ def _inject_ledger(trainer) -> None:
 
 
 def _inject_ape(trainer) -> None:
-    schedule = trainer._schedules[0]
+    bank = trainer._schedules
 
-    def stuck_record_round(suppressed_max: float) -> bool:
+    def overrun(record) -> None:
         # Accumulate far past the budget but never advance the stage —
         # exactly the Algorithm 1 bookkeeping bug the monitor exists for.
-        state = schedule.state_dict()
-        state["accumulated"] = state["threshold"] * 2.0 + 1.0
-        schedule.load_state_dict(state)
-        return False
+        # The bank's columns are the one store every engine's rounds read.
+        bank.accumulated[0] = bank.thresholds[0] * 2.0 + 1.0
 
-    schedule.record_round = stuck_record_round
+    trainer.add_round_observer(overrun)
+
+
+def _error_feedback_scenario(master_seed: int = 0) -> Scenario:
+    """The base scenario compressed by error-feedback top-k."""
+    return _base_scenario(master_seed).with_overrides(compressor="ef:topk:k=2")
+
+
+def _inject_error_feedback(trainer) -> None:
+    def perturb(record) -> None:
+        # In place: on the vectorized engine the state's residual is a row
+        # of the engine's residual matrix.
+        trainer._edge_states[(0, 1)].residual[0] += 1.0
+
+    trainer.add_round_observer(perturb)
 
 
 def _adaptive_scenario(master_seed: int = 0) -> Scenario:
@@ -208,6 +227,7 @@ INJECTIONS = {
     "weight": (_inject_weight, "weight-stochasticity"),
     "ledger": (_inject_ledger, "byte-ledger"),
     "ape": (_inject_ape, "ape-budget"),
+    "error-feedback": (_inject_error_feedback, "error-feedback"),
     "swap": (_inject_swap, "weight-stochasticity"),
     "byzantine": (_inject_byzantine, "byzantine-bound"),
     "drift": (_inject_drift, "drift-schedule"),
@@ -220,38 +240,44 @@ class SelfTestResult:
     """Outcome of one injection: what was expected vs. what fired."""
 
     injection: str
+    engine: str
     expected_invariant: str
     caught: bool
     diagnostic: str
 
     def __str__(self) -> str:
         status = "caught" if self.caught else "MISSED"
-        return f"[{status}] {self.injection}: {self.diagnostic}"
+        return f"[{status}] {self.injection} ({self.engine}): {self.diagnostic}"
 
 
-def run_injection(name: str, master_seed: int = 0) -> SelfTestResult:
-    """Run one named injection against a fresh monitored trainer."""
+def run_injection(
+    name: str, master_seed: int = 0, engine: str = "reference"
+) -> SelfTestResult:
+    """Run one named injection against a fresh monitored ``engine`` trainer."""
     injector, expected = INJECTIONS[name]
     scenario_builders = {
+        "error-feedback": _error_feedback_scenario,
         "swap": _adaptive_scenario,
         "byzantine": _byzantine_scenario,
         "drift": _drift_scenario,
         "hierarchy": _hierarchy_scenario,
     }
     scenario = scenario_builders.get(name, _base_scenario)(master_seed)
-    trainer = scenario.build_trainer("reference", invariants="strict")
+    trainer = scenario.build_trainer(engine, invariants="strict")
     injector(trainer)
     try:
         trainer.run(stop_on_convergence=False)
     except InvariantViolation as violation:
         return SelfTestResult(
             injection=name,
+            engine=engine,
             expected_invariant=expected,
             caught=violation.invariant == expected,
             diagnostic=str(violation),
         )
     return SelfTestResult(
         injection=name,
+        engine=engine,
         expected_invariant=expected,
         caught=False,
         diagnostic=(
@@ -261,5 +287,11 @@ def run_injection(name: str, master_seed: int = 0) -> SelfTestResult:
 
 
 def run_selftest(master_seed: int = 0) -> list[SelfTestResult]:
-    """Run every injection; each must be caught by its named invariant."""
-    return [run_injection(name, master_seed) for name in INJECTIONS]
+    """Run every injection on every engine; each must be caught by name."""
+    from repro.testing.differential import ENGINES
+
+    return [
+        run_injection(name, master_seed, engine)
+        for name in INJECTIONS
+        for engine in ENGINES
+    ]

@@ -92,6 +92,35 @@ def test_resume_across_ape_stage_advances_has_equal_digest(setup, tmp_path, engi
     assert server_state_sha(resumed) == server_state_sha(uninterrupted)
 
 
+@pytest.mark.parametrize("engine", ["reference", "vectorized", "semisync"])
+def test_checkpoint_from_a_round_observer_resumes_bit_identically(tmp_path, engine):
+    """Round observers run without a write-back, so ``save_checkpoint`` must
+    ask the engine for one: saving at round 5 of 10 from an observer,
+    restoring into a fresh trainer and running 5 more rounds ends in the
+    uninterrupted run's state."""
+    from repro.testing.digest import server_state_sha
+    from repro.testing.selftest import _base_scenario
+
+    scenario = _base_scenario().with_overrides(max_rounds=10)
+    uninterrupted = scenario.build_trainer(engine)
+    uninterrupted.run(stop_on_convergence=False)
+
+    observed = scenario.build_trainer(engine)
+    path = tmp_path / "mid_run.npz"
+
+    def save_at_round_five(record):
+        if record.round_index == 5:
+            save_checkpoint(observed, path)
+
+    observed.add_round_observer(save_at_round_five)
+    observed.run(stop_on_convergence=False)
+
+    resumed = scenario.build_trainer(engine)
+    restore_checkpoint(resumed, path)
+    resumed.run(max_rounds=5, stop_on_convergence=False)
+    assert server_state_sha(resumed) == server_state_sha(uninterrupted)
+
+
 def test_restore_recovers_all_server_state(setup, tmp_path):
     trainer = build_trainer(setup)
     trainer.run(max_rounds=7, stop_on_convergence=False)

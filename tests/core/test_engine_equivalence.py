@@ -7,6 +7,8 @@ identical post-run server state — across every selection policy, both
 straggler strategies, and active fault plans. These tests pin that contract.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from repro.core.config import (
     SNAPConfig,
     StragglerStrategy,
 )
-from repro.core.engine import ReferenceEngine, VectorizedEngine
+from repro.core.engine import Engine, EngineState, ReferenceEngine, VectorizedEngine
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError
@@ -150,6 +152,60 @@ class TestEngineSelection:
         vec, _ = _run("vectorized", model, shards, rounds=1)
         assert isinstance(ref.engine, ReferenceEngine)
         assert isinstance(vec.engine, VectorizedEngine)
+
+
+class TestEngineProtocol:
+    """Every engine is an ``Engine``, and ``state()`` reads alike on each."""
+
+    def test_every_engine_subclasses_the_protocol(self):
+        from repro.core.async_engine import SemiSyncEngine
+        from repro.runtime.testbed import TestbedRuntime
+
+        engines = (ReferenceEngine, VectorizedEngine, SemiSyncEngine, TestbedRuntime)
+        for engine in engines:
+            assert issubclass(engine, Engine), engine
+
+    @pytest.mark.parametrize("compressor", [None, "ef:topk:k=2"])
+    def test_state_columns_are_equal_across_engines(self, compressor):
+        shards = _binary_shards()
+        model = LogisticRegression(5)
+        trainers = [
+            _run(
+                engine, model, shards, fault_plan=True, rounds=12,
+                compressor=compressor,
+            )[0]
+            for engine in ("reference", "vectorized", "semisync")
+        ]
+        reference, *others = (trainer.engine.state() for trainer in trainers)
+        for state in others:
+            for field in dataclasses.fields(EngineState):
+                left = getattr(reference, field.name)
+                right = getattr(state, field.name)
+                if field.name == "previous_params":
+                    # Rows without a previous iterate carry no meaning.
+                    left = left[reference.has_previous]
+                    right = right[state.has_previous]
+                assert (left is None) == (right is None), field.name
+                if left is not None:
+                    np.testing.assert_array_equal(left, right, err_msg=field.name)
+        assert (reference.residuals is None) == (compressor is None)
+
+    def test_vectorized_state_views_the_engine_arrays_read_only(self):
+        trainer, _ = _run(
+            "vectorized", LogisticRegression(5), _binary_shards(), rounds=3,
+            compressor="ef:topk:k=2",
+        )
+        engine = trainer.engine
+        state = engine.state()
+        assert state.last_sent.base is state.views.base  # identity 1: one storage
+        for array, own in (
+            (state.params, engine.params),
+            (state.views, engine.views),
+            (state.residuals, engine._residuals),
+        ):
+            assert np.shares_memory(array, own)
+            assert not array.flags.writeable
+        assert engine.params.flags.writeable  # the engine's own stay writable
 
 
 @pytest.mark.parametrize("selection", list(SelectionPolicy))

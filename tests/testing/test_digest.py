@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
+import numpy as np
 import pytest
 
+from repro.core.config import SNAPConfig
 from repro.exceptions import ConfigurationError
 from repro.testing import (
     DIGEST_VERSION,
@@ -14,6 +17,9 @@ from repro.testing import (
     Scenario,
     capture_run,
 )
+from repro.testing.differential import ENGINES
+from repro.testing.digest import server_state_sha
+from repro.testing.scenarios import ScenarioGen
 
 pytestmark = []
 
@@ -95,3 +101,77 @@ class TestDiff:
 
     def test_diff_against_non_digest(self, digest):
         assert "not a RunDigest" in digest.diff("nope")
+
+
+def _object_walk_sha(trainer) -> str:
+    """The oracle: ``server_state_sha`` as it hashed the synced server objects.
+
+    A frozen copy of the per-server walk the digest made before it folded
+    ``engine.state()``; the engine's state must be written back first.
+    """
+    digest = hashlib.sha256()
+
+    def hash_array(label, array):
+        digest.update(label.encode())
+        if array is None:
+            digest.update(b"<none>")
+        else:
+            digest.update(np.ascontiguousarray(array).tobytes())
+
+    for server in trainer.servers:
+        digest.update(repr((server.node_id, server.iteration)).encode())
+        hash_array("params", server.params)
+        hash_array("previous", server.previous_params)
+        for neighbor in server.neighbors:
+            digest.update(repr(("edge", neighbor, server.fresh[neighbor])).encode())
+            hash_array("view", server.views[neighbor])
+            hash_array("last_sent", server.last_sent[neighbor])
+    if trainer._schedules is not None:
+        for schedule in trainer._schedules:
+            digest.update(repr(sorted(schedule.state_dict().items())).encode())
+    for key in sorted(trainer._edge_states):
+        state = trainer._edge_states[key]
+        if state.residual is not None:
+            digest.update(repr(("residual", key)).encode())
+            hash_array("residual", state.residual)
+    return digest.hexdigest()
+
+
+class TestServerStateFold:
+    """``server_state_sha`` over ``engine.state()`` is the object walk's hash."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_generated_scenario_hashes_like_the_object_walk(self, engine):
+        """Mid-run, before the engine writes anything back, and after the run."""
+        for index in range(25):
+            scenario = ScenarioGen(master_seed=0).scenario(index)
+            trainer = scenario.build_trainer(engine)
+            mid_run = []
+
+            def compare(record, trainer=trainer):
+                folded = server_state_sha(trainer)
+                trainer.engine.sync_to_servers()
+                mid_run.append(folded == _object_walk_sha(trainer))
+
+            trainer.add_round_observer(compare)
+            trainer.run(stop_on_convergence=False)
+            assert mid_run and all(mid_run), scenario.describe()
+            assert server_state_sha(trainer) == _object_walk_sha(trainer), (
+                scenario.describe()
+            )
+
+    def test_a_testbed_run_hashes_like_the_object_walk(self):
+        from repro.runtime.testbed import TestbedRuntime
+        from repro.simulation.experiments import credit_svm_workload
+
+        workload = credit_svm_workload(n_servers=5, n_train=300, n_test=100, seed=0)
+        testbed = TestbedRuntime(
+            workload.model,
+            workload.shards,
+            workload.topology,
+            config=SNAPConfig(seed=0, compressor="ef:topk:k=3"),
+        )
+        testbed.run(6)
+        trainer = testbed.trainer
+        assert trainer._edge_states  # residuals are part of the fold
+        assert server_state_sha(trainer) == _object_walk_sha(trainer)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from repro.core.config import SNAPConfig
 from repro.exceptions import ConfigurationError, InvariantViolation
@@ -14,6 +17,7 @@ from repro.testing import (
     run_injection,
     run_selftest,
 )
+from repro.testing.differential import ENGINES
 from repro.testing.selftest import INJECTIONS, _base_scenario
 
 
@@ -57,15 +61,18 @@ class TestConfigWiring:
 
 
 class TestSelfTestInjections:
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", sorted(INJECTIONS))
-    def test_each_injection_is_caught_by_its_invariant(self, name):
-        outcome = run_injection(name)
+    def test_each_injection_is_caught_by_its_invariant(self, name, engine):
+        outcome = run_injection(name, engine=engine)
         assert outcome.caught, outcome.diagnostic
         assert outcome.expected_invariant in outcome.diagnostic
 
     def test_selftest_runs_every_injection(self):
         outcomes = run_selftest()
-        assert {o.injection for o in outcomes} == set(INJECTIONS)
+        assert {(o.injection, o.engine) for o in outcomes} == {
+            (name, engine) for name in INJECTIONS for engine in ENGINES
+        }
         assert all(o.caught for o in outcomes)
 
     def test_violation_carries_invariant_and_round(self):
@@ -122,15 +129,25 @@ class TestFrameSizeOracle:
         assert quantization_bits(CompressorSpec.parse("ape")) is None
 
 
+#: The two forms a trainer's W takes; the monitor checks both on one CSR path.
+LAYOUTS = pytest.mark.parametrize(
+    "layout", [np.asarray, csr_matrix], ids=["dense", "sparse"]
+)
+
+
 class TestWeightChecks:
-    def test_asymmetric_matrix_rejected_at_run_start(self):
+    @LAYOUTS
+    def test_asymmetric_matrix_rejected_at_run_start(self, layout):
         trainer = _base_scenario().build_trainer("reference", invariants="strict")
         trainer.weight_matrix[2, 3] += 1e-3
+        trainer.weight_matrix = layout(trainer.weight_matrix)
         with pytest.raises(InvariantViolation) as excinfo:
             trainer.run(stop_on_convergence=False)
         assert excinfo.value.invariant == "weight-stochasticity"
+        assert "not symmetric" in str(excinfo.value)
 
-    def test_off_support_weight_rejected(self):
+    @LAYOUTS
+    def test_off_support_weight_rejected(self, layout):
         trainer = _base_scenario().build_trainer("reference", invariants="strict")
         n = trainer.topology.n_nodes
         # Move weight onto a non-edge symmetrically, keeping row sums intact
@@ -144,17 +161,19 @@ class TestWeightChecks:
         w[u, u] -= shift
         w[v, v] -= shift
         assert np.allclose(w.sum(axis=1), np.ones(n))
+        trainer.weight_matrix = layout(w)
         with pytest.raises(InvariantViolation) as excinfo:
             trainer.run(stop_on_convergence=False)
         assert excinfo.value.invariant == "weight-stochasticity"
-        assert "not an edge" in str(excinfo.value)
+        assert "W[0, 3] = 1.000e-02 but (0, 3) is not an edge" in str(excinfo.value)
 
-    def test_spectrum_gap_check_catches_disconnected_mixing(self):
+    @LAYOUTS
+    def test_spectrum_gap_check_catches_disconnected_mixing(self, layout):
         trainer = _base_scenario().build_trainer("reference", invariants="strict")
         monitor = trainer.monitor
         # Identity mixing is symmetric doubly stochastic but has no spectral
         # gap: consensus cannot contract.
-        trainer.weight_matrix = np.eye(trainer.topology.n_nodes)
+        trainer.weight_matrix = layout(np.eye(trainer.topology.n_nodes))
         with pytest.raises(InvariantViolation) as excinfo:
             monitor.on_run_start()
         assert excinfo.value.invariant == "weight-spectrum"
@@ -175,3 +194,72 @@ class TestConsensusEnvelope:
             trainer.run(stop_on_convergence=False, on_round=kick)
         assert excinfo.value.invariant == "consensus-envelope"
         assert excinfo.value.round_index == 5
+
+
+class TestStrictRoundCallCount:
+    """The strict monitor reads engine columns: a count, not a clock."""
+
+    @staticmethod
+    def _python_calls_per_round(degree: int, compressor: str) -> float:
+        """Python calls one strict vectorized round makes at N=64, ``degree``.
+
+        Counted with ``sys.setprofile`` ("call" events; numpy kernels are C
+        and do not count) as the slope between a 3-round and a 13-round
+        ``run()``, so per-run set-up cancels.
+        """
+        from repro.core.trainer import SNAPTrainer
+        from repro.data.dataset import Dataset
+        from repro.models.logistic import LogisticRegression
+        from repro.topology.generators import random_regular_topology
+
+        rng = np.random.default_rng(42)
+        shards = []
+        for _ in range(64):
+            X = rng.normal(size=(30, 10))
+            shards.append(Dataset(X, (X @ rng.normal(size=10) > 0).astype(float)))
+        trainer = SNAPTrainer(
+            LogisticRegression(10),
+            shards,
+            random_regular_topology(64, degree=degree, seed=3),
+            SNAPConfig(
+                engine="vectorized",
+                compressor=compressor,
+                seed=7,
+                optimize_weights=False,
+                invariants="strict",
+            ),
+        )
+
+        def count(rounds: int) -> int:
+            calls = 0
+
+            def on_event(frame, event, arg):
+                nonlocal calls
+                if event == "call":
+                    calls += 1
+
+            sys.setprofile(on_event)
+            try:
+                trainer.run(max_rounds=rounds, stop_on_convergence=False)
+            finally:
+                sys.setprofile(None)
+            return calls
+
+        trainer.run(max_rounds=1, stop_on_convergence=False)  # warm-up
+        return (count(13) - count(3)) / 10
+
+    @pytest.mark.parametrize("compressor", ["ape", "ef:topk:k=4"])
+    def test_strict_round_does_not_walk_the_edges(self, compressor):
+        """Doubling the degree at N=64 doubles the directed edges (256 ->
+        512). A per-edge check (an ``np.array_equal`` per edge, a residual
+        read per edge state) or a per-edge write-back for the monitor adds
+        at least one call per edge, 256 per round; the columnar checks add
+        none."""
+        four, eight = (
+            self._python_calls_per_round(degree, compressor) for degree in (4, 8)
+        )
+        assert eight <= four + 25, (
+            f"a strict vectorized {compressor} round made {four:.0f} Python "
+            f"calls at degree 4 and {eight:.0f} at degree 8 (N=64): the "
+            "monitor walks the edges"
+        )

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.core.engine import EngineState
 from repro.core.trainer import SNAPTrainer
 from repro.network.cost import CommunicationCostTracker
 from repro.testing.differential import ENGINES
@@ -87,13 +88,27 @@ def test_numpy_integer_rounds_hash_like_python_ints(as_int):
     plain int: the retained ledger reads back the entries the stream hashed,
     not ``(np.int64(3), 0, 1, 10, 1)`` with its different ``repr``."""
     tracker = CommunicationCostTracker()
-    # The slice of a trainer the two digest paths read.
+    # The slice of a trainer the two digest paths read: an engine with no
+    # nodes and no edges.
+    nodes, rows = np.zeros(0, dtype=np.int64), np.zeros((0, 1))
+    empty = EngineState(
+        params=rows,
+        previous_params=rows,
+        has_previous=nodes.astype(bool),
+        iteration=nodes,
+        src=nodes,
+        dst=nodes,
+        views=rows,
+        last_sent=rows,
+        fresh=nodes.astype(bool),
+        residuals=None,
+        has_residual=None,
+    )
     trainer = SimpleNamespace(
         tracker=tracker,
         add_round_observer=lambda observer: None,
-        servers=(),
+        engine=SimpleNamespace(state=lambda: empty),
         _schedules=None,
-        _edge_states={},
     )
     result = SimpleNamespace(rounds=[], final_params=np.zeros(1))
     stream = DigestStream(trainer)
