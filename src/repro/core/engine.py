@@ -57,7 +57,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 
 from repro.core.config import StragglerStrategy
 from repro.network.cost import FlowBatch
@@ -110,6 +110,31 @@ class DeliveredEdges:
         return f"DeliveredEdges(n={len(self)})"
 
 
+def weight_entries(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """``matrix``'s stored entries: ascending keys ``row * n + column``, values.
+
+    A dense matrix stores every entry. A sparse one is read in sorted-index
+    order, where a key stored twice keeps its last value: the floats a
+    :class:`~repro.weights.construction.WeightRowView` looks up.
+    """
+    if not issparse(matrix):
+        matrix = np.asarray(matrix, dtype=float)
+        return np.arange(matrix.size, dtype=np.int64), matrix.ravel()
+    matrix = matrix.tocsr()
+    if not matrix.has_sorted_indices:
+        matrix = matrix.sorted_indices()
+    rows = np.repeat(np.arange(matrix.shape[0], dtype=np.int64), np.diff(matrix.indptr))
+    keys = rows * matrix.shape[1] + matrix.indices
+    last = np.append(keys[1:] != keys[:-1], True)
+    return keys[last], matrix.data[last]
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """``values`` at ``wanted`` keys, 0.0 where ``keys`` lacks one."""
+    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    return np.where(keys[at] == wanted, values[at], 0.0)
+
+
 @dataclass(frozen=True)
 class EngineState:
     """Run state as read-only columns: what the monitor and the digest read.
@@ -152,7 +177,12 @@ class Engine:
     steps of the servers not down) and ``communicate(round_index, down)``
     (the sends; returns the values delivered and a :class:`DeliveredEdges`),
     and overrides the rest where it keeps state of its own. The defaults fit
-    an engine whose servers (``self.trainer.servers``) *are* the state.
+    an engine whose servers (``self.trainer.servers``) *are* the state, as
+    on the per-edge engines, which build them at construction. The
+    vectorized engine's state is its arrays: its servers are built by the
+    first read of ``trainer.servers`` (a caller, a checkpoint, a
+    ``run(on_round=...)`` callback, a swap or a drift boundary), and only
+    then does it ingest and write back.
     """
 
     def begin_run(self) -> None:
@@ -342,6 +372,9 @@ class VectorizedEngine(Engine):
         )
 
         self._allocate_state()
+        # A fresh engine is a fresh fleet: every server and every view holds
+        # x^0, no previous layer, every flag fresh.
+        self._stack_current[:] = trainer.initial_params
         self.previous_gradients = np.zeros((self.n_nodes, self.n_params))
         self.has_previous = np.zeros(self.n_nodes, dtype=bool)
         #: Whether each node's previous-layer views exist (advance_views has
@@ -386,17 +419,15 @@ class VectorizedEngine(Engine):
         for u, v in topology.edges:
             self._undirected[(u, v)] = (edge_id[(u, v)], edge_id[(v, u)])
 
-        # Each row of W is read once, through the server's weight row (a
-        # dict lookup on sparse W, an array row on dense W) — not through
-        # scipy's scalar ``W[i, j]``, which costs ~30 µs per entry.
-        servers = self.trainer.servers
-        own_w, nbr_w = [], []
-        for node in range(self.n_nodes):
-            row = servers[node].weight_row
-            own_w.append(float(row[node]))
-            nbr_w.append([float(row[j]) for j in self._neighbors[node]])
-        self._mix_current = self._build_mixing(own_w, nbr_w, w_tilde=False)
-        self._mix_previous = self._build_mixing(own_w, nbr_w, w_tilde=True)
+        # W's own and edge weights in one pass over its stored entries (the
+        # floats the servers' weight rows hold), not through scipy's scalar
+        # ``W[i, j]``, which costs ~30 µs per entry.
+        keys, values = weight_entries(self.trainer.weight_matrix)
+        nodes = np.arange(self.n_nodes, dtype=np.int64)
+        own_w = _lookup(keys, values, nodes * (self.n_nodes + 1))
+        edge_w = _lookup(keys, values, self.edge_src * self.n_nodes + self.edge_dst)
+        self._mix_current = self._build_mixing(own_w, edge_w, w_tilde=False)
+        self._mix_previous = self._build_mixing(own_w, edge_w, w_tilde=True)
 
         # Robust aggregation runs the mixing as a per-node loop through the
         # same repro.core.robust.robust_mix the reference servers call, so
@@ -407,8 +438,10 @@ class VectorizedEngine(Engine):
                 self._in_edges[lo:hi].tolist()
                 for lo, hi in zip(self._blocks, self._blocks[1:])
             ]
-            self._robust_own_w = own_w
-            self._robust_nbr_w = nbr_w
+            self._robust_own_w = own_w.tolist()
+            self._robust_nbr_w = [
+                edge_w[lo:hi].tolist() for lo, hi in zip(self._blocks, self._blocks[1:])
+            ]
 
     def _allocate_state(self) -> None:
         """Allocate the edge-sized state stacks and scratch for ``n_edges``."""
@@ -469,11 +502,14 @@ class VectorizedEngine(Engine):
         )
         self.begin_run()
 
-    def _build_mixing(self, own_w: list, nbr_w: list, w_tilde: bool) -> csr_matrix:
+    def _build_mixing(
+        self, own_w: np.ndarray, edge_w: np.ndarray, w_tilde: bool
+    ) -> csr_matrix:
         """CSR mixing operator over the ``(N + E, d)`` state stack.
 
-        ``own_w[i]`` is ``W[i, i]`` and ``nbr_w[i]`` the weights of node
-        ``i``'s neighbors in ascending-neighbor order.
+        ``own_w[i]`` is ``W[i, i]`` and ``edge_w[e]`` the weight of edge
+        ``e``'s destination in its source's row, so node ``i``'s block lists
+        its neighbors' weights in ascending-neighbor order.
 
         Stored-entry order per row — diagonal first, then ascending
         neighbors — reproduces the sequential accumulation order of
@@ -482,36 +518,45 @@ class VectorizedEngine(Engine):
         intentionally left unsorted (column N+e carries no order relation
         to the accumulation).
         """
-        in_edges = (self.n_nodes + self._in_edges).tolist()
-        data, indices, indptr = [], [], [0]
-        for node in range(self.n_nodes):
-            own = own_w[node]
-            data.append(0.5 * (own + 1.0) if w_tilde else own)
-            indices.append(node)
-            for w in nbr_w[node]:
-                data.append(0.5 * w if w_tilde else w)
-            indices.extend(in_edges[self._blocks[node] : self._blocks[node + 1]])
-            indptr.append(len(data))
+        n = self.n_nodes
+        indptr = np.arange(n + 1) + np.asarray(self._blocks)
+        diagonal = indptr[:-1]
+        # Edge e is entry e - blocks[i] of node i's block, after i's diagonal.
+        off_diagonal = np.arange(self.n_edges) + self.edge_src + 1
+        data = np.empty(n + self.n_edges)
+        indices = np.empty(n + self.n_edges, dtype=np.int32)
+        data[diagonal] = 0.5 * (own_w + 1.0) if w_tilde else own_w
+        data[off_diagonal] = 0.5 * edge_w if w_tilde else edge_w
+        indices[diagonal] = np.arange(n)
+        indices[off_diagonal] = n + self._in_edges
         return csr_matrix(
-            (
-                np.asarray(data, dtype=float),
-                np.asarray(indices, dtype=np.int32),
-                np.asarray(indptr, dtype=np.int32),
-            ),
-            shape=(self.n_nodes, self.n_nodes + self.n_edges),
+            (data, indices, indptr.astype(np.int32)),
+            shape=(n, n + self.n_edges),
         )
 
     # -- run boundaries ---------------------------------------------------------
 
     def begin_run(self) -> None:
-        """Ingest the servers' current state (fresh run or checkpoint resume).
+        """Adopt the trainer's edge states, and ingest its servers if built.
 
-        Node by node: a server's views and flags are read as one block in
-        its neighbors' order — the order of its block of :attr:`_in_edges`
-        — and each field lands on the edge rows with one scatter.
+        With no server built the arrays are the only state, so there is
+        nothing to ingest. Otherwise (a fresh run after a read, or a
+        checkpoint resume), node by node: a server's views and flags are
+        read as one block in its neighbors' order — the order of its block
+        of :attr:`_in_edges` — and each field lands on the edge rows with
+        one scatter.
         """
         self._forget_edge_states()
-        servers, states = self.trainer.servers, self.trainer._edge_states
+        servers, states = self.trainer._servers, self.trainer._edge_states
+        if servers is not None:
+            self._ingest(servers)
+        if states:  # from before this run: state() must see every residual
+            keys = zip(self.edge_src.tolist(), self.edge_dst.tolist())
+            held = [e for e, key in enumerate(keys) if key in states]
+            self._adopt_edge_states(np.asarray(held, dtype=np.int64))
+
+    def _ingest(self, servers) -> None:
+        """Overwrite the arrays with the servers' state."""
         views, fresh, previous_fresh = [], [], []
         previous_views, previous_rows = [], []
         for i, server in enumerate(servers):
@@ -542,22 +587,20 @@ class VectorizedEngine(Engine):
             self.previous_fresh[self._in_edges] = previous_fresh
         if previous_views:
             self.previous_views[np.concatenate(previous_rows)] = previous_views
-        if states:  # from before this run: state() must see every residual
-            keys = zip(self.edge_src.tolist(), self.edge_dst.tolist())
-            held = [e for e, key in enumerate(keys) if key in states]
-            self._adopt_edge_states(np.asarray(held, dtype=np.int64))
 
     def sync_to_servers(self) -> None:
-        """Write the matrix state back onto the EdgeServer objects.
+        """Write the matrix state back onto the EdgeServer objects, if built.
 
-        Keeps checkpointing, callbacks, and every test that inspects
-        ``trainer.servers`` working regardless of the engine that ran.
+        With no server built it returns at once: the first read of
+        ``trainer.servers`` builds the list and calls this to fill it.
         Node by node: one copy of each stack (the views gathered in
         receiver order once, and once in sender order for ``last_sent``)
         is handed out as rows, so every server array is its own memory,
         shared with no engine stack and no other server array.
         """
-        servers = self.trainer.servers
+        servers = self.trainer._servers
+        if servers is None:
+            return
         params = self.params.copy()
         previous_params = self.previous_params.copy()
         previous_gradients = self.previous_gradients.copy()

@@ -37,7 +37,7 @@ from repro.consensus.convergence import ConvergenceDetector, consensus_error
 from repro.consensus.step_size import safe_step_size
 from repro.core.config import APE_EPSILON_FRACTION, APE_GROWTH, STEP_SAFETY
 from repro.core.config import ShardWeighting, SNAPConfig
-from repro.core.engine import build_engine
+from repro.core.engine import build_engine, weight_entries
 from repro.core.server import EdgeServer
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError, DataError, NetworkPartitionError
@@ -250,27 +250,15 @@ class SNAPTrainer:
             initial_params = model.init_params(self.config.seed)
         self.initial_params = model.check_params(initial_params)
 
-        weight_rows = (
-            WeightRowView.all_rows(self.weight_matrix)
-            if issparse(self.weight_matrix)
-            else self.weight_matrix
-        )
-        self.servers = [
-            EdgeServer(
-                node_id=node,
-                model=model,
-                X=shards[node].X,
-                y=shards[node].y,
-                neighbors=topology.neighbors(node),
-                weight_row=weight_rows[node],
-                alpha=self.alpha,
-                initial_params=self.initial_params,
-                straggler_strategy=self.config.straggler_strategy,
-                objective_scale=self._objective_scales[node],
-                robust=self.config.robust_aggregation,
-            )
-            for node in topology
-        ]
+        #: The EdgeServer objects, built in :meth:`_build_servers`. On the
+        #: per-edge engines they are the state and are built here; on the
+        #: vectorized engine the engine's arrays are, and the list is built
+        #: on the first read of :attr:`servers`.
+        self._servers: list[EdgeServer] | None = None
+        if self.config.engine == "vectorized":
+            self._check_server_inputs()
+        else:
+            self._servers = self._build_servers()
 
         self.tracker = CommunicationCostTracker(
             retain_records=self.config.retain_flow_records
@@ -312,7 +300,7 @@ class SNAPTrainer:
                 self.compressor_spec,
                 schedule=None if self._schedules is None else self._schedules[i],
             )
-            for i in range(len(self.servers))
+            for i in range(topology.n_nodes)
         ]
         #: Lightweight per-round observers (no server sync): each is called
         #: with the fresh RoundRecord right after it is appended. This is the
@@ -372,6 +360,76 @@ class SNAPTrainer:
         #: Round horizon of the current run() (for budget projection).
         self._budget_horizon = 0
 
+    @property
+    def servers(self) -> list[EdgeServer]:
+        """One :class:`EdgeServer` per node, in node order.
+
+        On the vectorized engine the list is built by the first read and
+        filled from the engine's arrays (``engine.sync_to_servers()``); from
+        then on the engine ingests it at every ``run()`` and writes back to
+        it as it does on every engine. A run nobody inspects builds none.
+        """
+        if self._servers is None:
+            self._servers = self._build_servers()
+            self.engine.sync_to_servers()
+        return self._servers
+
+    def _build_servers(self) -> list[EdgeServer]:
+        """The fleet at ``x^0`` over the current shards, topology, W and step size."""
+        weight_rows = (
+            WeightRowView.all_rows(self.weight_matrix)
+            if issparse(self.weight_matrix)
+            else self.weight_matrix
+        )
+        return [
+            EdgeServer(
+                node_id=node,
+                model=self.model,
+                X=self.shards[node].X,
+                y=self.shards[node].y,
+                neighbors=self.topology.neighbors(node),
+                weight_row=weight_rows[node],
+                alpha=self.alpha,
+                initial_params=self.initial_params,
+                straggler_strategy=self.config.straggler_strategy,
+                objective_scale=self._objective_scales[node],
+                robust=self.config.robust_aggregation,
+            )
+            for node in self.topology
+        ]
+
+    def _check_server_inputs(self) -> None:
+        """Every check ``EdgeServer.__init__`` makes, once over columns.
+
+        For a fleet whose servers are not built at construction: the same
+        exception and message, for the same server, as the first
+        constructor that would raise — the step size, then node by node its
+        objective scale and its weight row's support.
+        """
+        if self.alpha <= 0:
+            raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
+        n = self.topology.n_nodes
+        keys, values = weight_entries(self.weight_matrix)
+        mass = keys[np.abs(values) > 1e-12]
+        u, v = np.asarray(self.topology.edges, dtype=np.int64).reshape(-1, 2).T
+        diagonal = np.arange(n, dtype=np.int64) * (n + 1)
+        support = np.sort(np.concatenate([diagonal, u * n + v, v * n + u]))
+        found = np.minimum(np.searchsorted(support, mass), support.size - 1)
+        stray = mass[support[found] != mass]
+        scales = self._objective_scales
+        first_scale = next((i for i, scale in enumerate(scales) if scale <= 0), n)
+        first_row = int(stray[0]) // n if stray.size else n
+        if first_scale < n and first_scale <= first_row:
+            raise ConfigurationError(
+                f"objective_scale must be > 0, got {scales[first_scale]}"
+            )
+        if stray.size:
+            columns = stray[stray // n == first_row] % n
+            raise ConfigurationError(
+                f"weight row of server {first_row} has mass outside its "
+                f"neighbor set: {columns.tolist()}"
+            )
+
     def _build_schedules(self) -> APEScheduleBank | None:
         """One APE schedule per server (a bank row each), in *relative* units.
 
@@ -388,7 +446,7 @@ class SNAPTrainer:
             return None
         initial_threshold = self.config.ape_initial_fraction
         return APEScheduleBank(
-            len(self.servers),
+            self.topology.n_nodes,
             initial_threshold=initial_threshold,
             growth=APE_GROWTH,
             stage_iterations=self.config.ape_stage_iterations,
@@ -447,7 +505,7 @@ class SNAPTrainer:
 
     def stacked_params(self) -> np.ndarray:
         """The ``(N, P)`` matrix of current per-server parameters."""
-        return np.stack([server.params for server in self.servers])
+        return self.engine.stacked_params()
 
     def mean_params(self) -> Params:
         """The network-average model (what gets evaluated on the test set)."""
@@ -499,9 +557,9 @@ class SNAPTrainer:
         if self.monitor is not None:
             self.monitor.on_run_start()
         # The engine may hold state outside the server objects (the
-        # vectorized path does); the finally guarantees the servers are
-        # consistent even when the loop exits via NetworkPartitionError or
-        # an observer's exception.
+        # vectorized path does); once they are built, the finally guarantees
+        # they are consistent even when the loop exits via
+        # NetworkPartitionError or an observer's exception.
         try:
             for _ in range(cap):
                 round_index = self.rounds_completed + 1
@@ -663,7 +721,8 @@ class SNAPTrainer:
         Ordering is load-bearing:
 
         1. the engine writes its state back onto the server objects (they
-           are the authoritative carrier across the boundary);
+           are the authoritative carrier across the boundary; on the
+           vectorized engine a swap builds them if nothing has yet);
         2. the new W is re-validated against the new topology — by the
            invariant monitor when one is attached (step 8, so a bad matrix
            is reported by invariant name), else by ``check_weight_matrix``
@@ -687,6 +746,8 @@ class SNAPTrainer:
         """
         engine = self.engine
         engine.sync_to_servers()
+        # A first read builds the list from the pre-swap state and fills it.
+        servers = self.servers
         if self.monitor is None:
             check_weight_matrix(swap.matrix, swap.topology)
 
@@ -715,15 +776,13 @@ class SNAPTrainer:
         for u, v in swap.added_edges:
             added_neighbors.setdefault(u, []).append(v)
             added_neighbors.setdefault(v, []).append(u)
-        for node, server in enumerate(self.servers):
+        for node, server in enumerate(servers):
             new_views = None
             if node in added_neighbors:
                 # Seed re-added links with the peer's exact synced parameters
                 # (step 1 wrote engine state back), so both endpoints start
                 # the link in the round-zero "exact copy" condition.
-                new_views = {
-                    j: self.servers[j].params for j in added_neighbors[node]
-                }
+                new_views = {j: servers[j].params for j in added_neighbors[node]}
             server.swap_topology(
                 self.topology.neighbors(node),
                 self.weight_matrix[node],
@@ -875,6 +934,7 @@ class SNAPTrainer:
         engine = self.engine
         engine.sync_to_servers()
         shards = []
+        # A first read builds the list from the pre-drift state and fills it.
         for node, server in enumerate(self.servers):
             shard = schedule.shard(node, self._base_shards[node], epoch)
             server.swap_data(shard.X, shard.y)

@@ -423,6 +423,33 @@ class TestObservability:
             else:
                 assert np.array_equal(actual, expected), (ref.node_id, name)
 
+    @classmethod
+    def _assert_own_memory(cls, trainer) -> tuple[list, list]:
+        """Every array written back to a vectorized trainer's servers is its
+        own memory, shared with no engine stack and no other server array;
+        returns the ``(node, field, key, array)`` rows and the stacks."""
+        engine = trainer.engine
+        written = [
+            (server.node_id, name, key, array)
+            for server in trainer.servers
+            for name, field in cls._server_fields(server).items()
+            for key, array in (
+                field.items() if isinstance(field, dict) else [(None, field)]
+            )
+            if isinstance(array, np.ndarray)
+        ]
+        stacks = [
+            engine._stack_current,
+            engine._stack_previous,
+            engine.previous_gradients,
+        ]
+        for *_, array in written:
+            assert not any(np.shares_memory(array, stack) for stack in stacks)
+        for a, (*where_a, array_a) in enumerate(written):
+            for *where_b, array_b in written[a + 1 :]:
+                assert not np.shares_memory(array_a, array_b), (where_a, where_b)
+        return written, stacks
+
     def test_write_back_matches_every_server_field(self):
         """After a run with crashed servers and APE stage restarts, the
         vectorized write-back leaves every server field equal to the reference
@@ -461,26 +488,7 @@ class TestObservability:
         for ref, vec in zip(ref_trainer.servers, vec_trainer.servers):
             self._assert_same_fields(ref, vec)
 
-        engine = vec_trainer.engine
-        written = [
-            (server.node_id, name, key, array)
-            for server in vec_trainer.servers
-            for name, field in self._server_fields(server).items()
-            for key, array in (
-                field.items() if isinstance(field, dict) else [(None, field)]
-            )
-            if isinstance(array, np.ndarray)
-        ]
-        stacks = [
-            engine._stack_current,
-            engine._stack_previous,
-            engine.previous_gradients,
-        ]
-        for *_, array in written:
-            assert not any(np.shares_memory(array, stack) for stack in stacks)
-        for a, (*where_a, array_a) in enumerate(written):
-            for *where_b, array_b in written[a + 1 :]:
-                assert not np.shares_memory(array_a, array_b), (where_a, where_b)
+        written, stacks = self._assert_own_memory(vec_trainer)
 
         # An in-place write to one last_sent record reaches nothing else.
         sender = vec_trainer.servers[1]

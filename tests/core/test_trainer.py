@@ -364,10 +364,11 @@ class TestVectorizedStateTransferLineCount:
     def _lines(degree: int) -> int:
         """Python lines ``begin_run`` + ``sync_to_servers`` execute at N=64.
 
-        Counted with ``sys.settrace`` "line" events after a 3-round run of
-        the dense scheme (no stage restarts, no faults: every node takes the
-        same branches at either degree). C-level loops — ``map``, ``zip``,
-        ``dict.update``, numpy — execute no Python lines.
+        Counted with ``sys.settrace`` "line" events, with the server list
+        built, after a 3-round run of the dense scheme (no stage restarts,
+        no faults: every node takes the same branches at either degree).
+        C-level loops — ``map``, ``zip``, ``dict.update``, numpy — execute
+        no Python lines.
         """
         from repro.topology.generators import random_regular_topology
 
@@ -385,6 +386,8 @@ class TestVectorizedStateTransferLineCount:
             ),
         )
         trainer.run(max_rounds=3, stop_on_convergence=False)
+        # Read the list: with no server built both calls return at once.
+        assert len(trainer.servers) == 64
         engine = trainer.engine
         lines = 0
 
