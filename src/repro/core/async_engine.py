@@ -173,11 +173,11 @@ class SemiSyncEngine(Engine):
         self._nodes = [
             _NodeState(node, start_round) for node in self.trainer.topology
         ]
-        for u, v in self.trainer.topology.edges:
-            for edge in ((u, v), (v, u)):
-                self._arrival_times[edge] = [0.0]
-                self._arrival_rounds[edge] = [start_round]
-                self._last_applied[edge] = start_round
+        src, dst = self.trainer.topology.directed_edges
+        for edge in zip(src.tolist(), dst.tolist()):
+            self._arrival_times[edge] = [0.0]
+            self._arrival_rounds[edge] = [start_round]
+            self._last_applied[edge] = start_round
         for node in self._nodes:
             self._push(0.0, _READY, node.node_id)
 
@@ -232,10 +232,8 @@ class SemiSyncEngine(Engine):
         trainer = self.trainer
         if not self._initialized:
             return
-        live: set[tuple[int, int]] = set()
-        for u, v in trainer.topology.edges:
-            live.add((u, v))
-            live.add((v, u))
+        src, dst = trainer.topology.directed_edges
+        live = set(zip(src.tolist(), dst.tolist()))
         for edge in [e for e in self._arrival_times if e not in live]:
             buffer = self._buffers.pop(edge, None)
             if buffer:

@@ -57,24 +57,23 @@ from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix, issparse
+from scipy.sparse import csr_matrix
 
 from repro.core.config import StragglerStrategy
 from repro.network.cost import FlowBatch
+from repro.weights.validation import edge_weights
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (trainer imports us)
     from repro.core.trainer import SNAPTrainer
 
 
 class DeliveredEdges:
-    """Columnar set-like view of the directed edges delivered one round.
+    """The directed edges delivered one round, as two int64 columns.
 
-    What every engine's ``communicate`` returns: two int64 arrays rather
-    than a ``set`` of tuples, so a round at N=4096 (tens of thousands of
-    delivered edges) materializes no per-pair Python objects. It behaves
-    like a set where consumed as one — ``len``, iteration, membership,
-    equality against a set — while the trainer's staleness and connectivity
-    bookkeeping read :attr:`sources` / :attr:`destinations` directly.
+    What every engine's ``communicate`` returns: arrays rather than a
+    ``set`` of tuples, so a round at N=4096 (tens of thousands of delivered
+    edges) materializes no per-pair Python objects. The trainer's staleness
+    and connectivity bookkeeping read :attr:`sources` / :attr:`destinations`.
     """
 
     __slots__ = ("sources", "destinations")
@@ -92,47 +91,8 @@ class DeliveredEdges:
     def __len__(self) -> int:
         return int(self.sources.size)
 
-    def __iter__(self):
-        return iter(zip(self.sources.tolist(), self.destinations.tolist()))
-
-    def __contains__(self, pair) -> bool:
-        source, destination = pair
-        return bool(
-            np.any((self.sources == source) & (self.destinations == destination))
-        )
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (DeliveredEdges, set, frozenset)):
-            return set(self) == set(other)
-        return NotImplemented
-
     def __repr__(self) -> str:
         return f"DeliveredEdges(n={len(self)})"
-
-
-def weight_entries(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """``matrix``'s stored entries: ascending keys ``row * n + column``, values.
-
-    A dense matrix stores every entry. A sparse one is read in sorted-index
-    order, where a key stored twice keeps its last value: the floats a
-    :class:`~repro.weights.construction.WeightRowView` looks up.
-    """
-    if not issparse(matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        return np.arange(matrix.size, dtype=np.int64), matrix.ravel()
-    matrix = matrix.tocsr()
-    if not matrix.has_sorted_indices:
-        matrix = matrix.sorted_indices()
-    rows = np.repeat(np.arange(matrix.shape[0], dtype=np.int64), np.diff(matrix.indptr))
-    keys = rows * matrix.shape[1] + matrix.indices
-    last = np.append(keys[1:] != keys[:-1], True)
-    return keys[last], matrix.data[last]
-
-
-def _lookup(keys: np.ndarray, values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """``values`` at ``wanted`` keys, 0.0 where ``keys`` lacks one."""
-    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-    return np.where(keys[at] == wanted, values[at], 0.0)
 
 
 @dataclass(frozen=True)
@@ -234,7 +194,8 @@ class Engine:
         independently, so the per-edge engines stay honest oracles.
         """
         servers, states = self.trainer.servers, self.trainer._edge_states
-        edges = [(s.node_id, j) for s in servers for j in s.neighbors]
+        src, dst = self.trainer.topology.directed_edges
+        edges = list(zip(src.tolist(), dst.tolist()))
         params = self.stacked_params()
         zero = np.zeros(params.shape[1])
 
@@ -244,7 +205,6 @@ class Engine:
         previous = [s.previous_params for s in servers]
         residuals = [states[e].residual if e in states else None for e in edges]
         held = np.asarray([r is not None for r in residuals], dtype=bool)
-        src, dst = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
         return EngineState(
             params=params,
             previous_params=rows([zero if p is None else p for p in previous]),
@@ -394,14 +354,8 @@ class VectorizedEngine(Engine):
         #: Each node's neighbors, ascending: the destinations of its block
         #: of out-edge rows and the sources of its in-edges, in that order.
         self._neighbors = [topology.neighbors(node) for node in range(self.n_nodes)]
-        src, dst = [], []
-        for node, neighbors in enumerate(self._neighbors):
-            src.extend([node] * len(neighbors))
-            dst.extend(neighbors)
-        self.edge_src = np.asarray(src, dtype=np.int64)
-        self.edge_dst = np.asarray(dst, dtype=np.int64)
-        self.n_edges = len(src)
-        edge_id = {pair: e for e, pair in enumerate(zip(src, dst))}
+        self.edge_src, self.edge_dst = topology.directed_edges
+        self.n_edges = self.edge_src.size
         #: Node ``i``'s out-edges are rows ``_blocks[i]:_blocks[i + 1]``.
         self._blocks = np.searchsorted(
             self.edge_src, np.arange(self.n_nodes + 1)
@@ -410,22 +364,10 @@ class VectorizedEngine(Engine):
         #: block of it lists the edges ``(j -> i)`` over its neighbors ``j``
         #: ascending: the rows of its ``views``, where the block of the edge
         #: rows themselves holds its ``last_sent``.
-        self._in_edges = np.asarray(
-            [edge_id[(j, i)] for i, j in zip(src, dst)], dtype=np.int64
-        )
-        #: canonical undirected edge -> the two directed edge ids, for
-        #: mapping the failure model's output onto edge rows.
-        self._undirected: dict[tuple[int, int], tuple[int, ...]] = {}
-        for u, v in topology.edges:
-            self._undirected[(u, v)] = (edge_id[(u, v)], edge_id[(v, u)])
+        self._in_edges = topology.edge_rows(self.edge_dst, self.edge_src)
 
-        # W's own and edge weights in one pass over its stored entries (the
-        # floats the servers' weight rows hold), not through scipy's scalar
-        # ``W[i, j]``, which costs ~30 µs per entry.
-        keys, values = weight_entries(self.trainer.weight_matrix)
-        nodes = np.arange(self.n_nodes, dtype=np.int64)
-        own_w = _lookup(keys, values, nodes * (self.n_nodes + 1))
-        edge_w = _lookup(keys, values, self.edge_src * self.n_nodes + self.edge_dst)
+        # The floats the servers mix with: W read onto the link index.
+        own_w, edge_w = edge_weights(self.trainer.weight_matrix, topology)
         self._mix_current = self._build_mixing(own_w, edge_w, w_tilde=False)
         self._mix_previous = self._build_mixing(own_w, edge_w, w_tilde=True)
 
@@ -438,10 +380,7 @@ class VectorizedEngine(Engine):
                 self._in_edges[lo:hi].tolist()
                 for lo, hi in zip(self._blocks, self._blocks[1:])
             ]
-            self._robust_own_w = own_w.tolist()
-            self._robust_nbr_w = [
-                edge_w[lo:hi].tolist() for lo, hi in zip(self._blocks, self._blocks[1:])
-            ]
+            self._robust_weights = self.trainer._server_weights()
 
     def _allocate_state(self) -> None:
         """Allocate the edge-sized state stacks and scratch for ``n_edges``."""
@@ -676,12 +615,10 @@ class VectorizedEngine(Engine):
         mixed = np.empty((self.n_nodes, self.n_params))
         for i in range(self.n_nodes):
             values = [sub[self.n_nodes + e] for e in self._robust_in_edges[i]]
-            if current_layer:
-                own_weight = self._robust_own_w[i]
-                weights = self._robust_nbr_w[i]
-            else:
-                own_weight = 0.5 * (self._robust_own_w[i] + 1.0)
-                weights = [0.5 * w for w in self._robust_nbr_w[i]]
+            own_weight, weights = self._robust_weights[i]
+            if not current_layer:
+                own_weight = 0.5 * (own_weight + 1.0)
+                weights = [0.5 * w for w in weights]
             mixed[i] = robust_mix(
                 spec, sub[i], own_weight, self._neighbors[i], values, weights
             )
@@ -756,14 +693,20 @@ class VectorizedEngine(Engine):
         self.previous_views_valid |= active
 
     def _round_link_down(self, round_index: int) -> np.ndarray:
-        # One fault-plan query per round mapped onto directed edge rows.
+        """One fault-plan query per round, mapped onto directed edge rows.
+
+        Like ``FaultPlan.link_up``, only a canonical ``(u, v)``, ``u < v``,
+        takes a link down; a pair that is not a link (a failure model may
+        name a pruned one) maps to no row.
+        """
         link_down = np.zeros(self.n_edges, dtype=bool)
-        trainer = self.trainer
-        for edge in trainer.fault_plan.round_failed_links(
-            trainer.topology, round_index
-        ):
-            for e in self._undirected.get(tuple(edge), ()):
-                link_down[e] = True
+        topology = self.trainer.topology
+        failed = self.trainer.fault_plan.round_failed_links(topology, round_index)
+        if failed:
+            u, v = np.asarray(list(failed), dtype=np.int64).reshape(-1, 2).T
+            u, v = u[u < v], v[u < v]
+            rows = topology.edge_rows(np.concatenate([u, v]), np.concatenate([v, u]))
+            link_down[rows[rows >= 0]] = True
         return link_down
 
     def _view_rows(self, edges: np.ndarray) -> np.ndarray:

@@ -42,9 +42,10 @@ class EdgeServer:
         This server's private data shard (never leaves the server).
     neighbors:
         Neighbor ids :math:`B_i` from the topology.
-    weight_row:
-        Row ``i`` of the weight matrix ``W`` (length ``N``); must be zero
-        outside ``neighbors + {node_id}``.
+    own_weight, neighbor_weights:
+        ``W[i, i]``, and ``W[i, j]`` for each ``j`` in ``neighbors`` in that
+        order (:func:`repro.weights.validation.edge_weights`); the rest of
+        row ``i`` is zero by eq. (8), so it has no place here.
     alpha:
         EXTRA step size.
     initial_params:
@@ -74,7 +75,8 @@ class EdgeServer:
         X: np.ndarray,
         y: np.ndarray,
         neighbors: tuple[NodeId, ...],
-        weight_row: np.ndarray,
+        own_weight: float,
+        neighbor_weights,
         alpha: float,
         initial_params: Params,
         straggler_strategy: StragglerStrategy = StragglerStrategy.STALE,
@@ -84,7 +86,7 @@ class EdgeServer:
         self.node_id = int(node_id)
         self.model = model
         self.swap_data(X, y)
-        self.neighbors = tuple(int(n) for n in neighbors)
+        self._adopt_weights(neighbors, own_weight, neighbor_weights)
         if alpha <= 0:
             raise ConfigurationError(f"alpha must be > 0, got {alpha}")
         self.alpha = float(alpha)
@@ -95,9 +97,6 @@ class EdgeServer:
         self.objective_scale = float(objective_scale)
         #: Robust-aggregation spec (None = the paper's plain weighted mixing).
         self.robust = robust
-        self.weight_row = self._checked_weight_row(
-            weight_row, self.neighbors, "weight row"
-        )
 
         initial = model.check_params(initial_params).copy()
         #: Exact own parameters x^{k+1} (the latest iterate).
@@ -132,26 +131,18 @@ class EdgeServer:
 
     # -- local objective ------------------------------------------------------
 
-    def _checked_weight_row(self, weight_row, neighbors: tuple, what: str):
-        """``weight_row`` as stored, after checking its support is ``neighbors``.
-
-        A sparse-matrix row view (:class:`repro.weights.WeightRowView`) is
-        kept as is — scalar ``w[j]`` lookups work as on a dense row without
-        materializing N floats per server; anything else becomes a float array.
-        """
-        if hasattr(weight_row, "nonzero_indices"):
-            row = weight_row
-            nonzero = {int(j) for j in row.nonzero_indices() if abs(row[j]) > 1e-12}
-        else:
-            row = np.asarray(weight_row, dtype=float)
-            nonzero = set(np.flatnonzero(np.abs(row) > 1e-12).tolist())
-        stray = nonzero - set(neighbors) - {self.node_id}
-        if stray:
+    def _adopt_weights(self, neighbors, own_weight, neighbor_weights) -> None:
+        """Take ``neighbors`` and the row weights aligned with them."""
+        neighbors = tuple(int(j) for j in neighbors)
+        weights = tuple(float(w) for w in neighbor_weights)
+        if len(weights) != len(neighbors):
             raise ConfigurationError(
-                f"{what} of server {self.node_id} has mass outside its "
-                f"neighbor set: {sorted(stray)}"
+                f"server {self.node_id} got {len(weights)} neighbor weights "
+                f"for {len(neighbors)} neighbors"
             )
-        return row
+        self.neighbors = neighbors
+        self.own_weight = float(own_weight)
+        self.neighbor_weights = weights
 
     @property
     def X(self) -> np.ndarray:
@@ -290,34 +281,33 @@ class EdgeServer:
         """
         from repro.core.robust import robust_mix
 
-        w = self.weight_row
-        own = self.node_id
+        w_own, w_neighbors = self.own_weight, self.neighbor_weights
         values = [
             self._neighbor_value(j, current_layer=current_layer)
             for j in self.neighbors
         ]
         if current_layer:
-            own_value, own_weight = self.params, w[own]
-            weights = [w[j] for j in self.neighbors]
+            own_value, own_weight = self.params, w_own
+            weights = list(w_neighbors)
         else:
-            own_value, own_weight = self.previous_params, 0.5 * (w[own] + 1.0)
-            weights = [0.5 * w[j] for j in self.neighbors]
+            own_value, own_weight = self.previous_params, 0.5 * (w_own + 1.0)
+            weights = [0.5 * w for w in w_neighbors]
         return robust_mix(
             self.robust, own_value, own_weight, self.neighbors, values, weights
         )
 
     def step(self) -> Params:
         """Run one local EXTRA update against the cached views; returns the new params."""
-        w = self.weight_row
-        own = self.node_id
+        w_own = self.own_weight
+        weighted = tuple(zip(self.neighbors, self.neighbor_weights))
         if self.previous_params is None:
             # First iteration: x^1 = sum_j w_ij x^0_(j) - alpha grad_i(x^0).
             if self.robust is not None:
                 mixed = self._mix_layer(current_layer=True)
             else:
-                mixed = w[own] * self.params
-                for j in self.neighbors:
-                    mixed = mixed + w[j] * self._neighbor_value(
+                mixed = w_own * self.params
+                for j, w_j in weighted:
+                    mixed = mixed + w_j * self._neighbor_value(
                         j, current_layer=True
                     )
             gradient = self.local_gradient(self.params)
@@ -336,15 +326,15 @@ class EdgeServer:
                 mixed_current = self._mix_layer(current_layer=True)
                 mixed_previous = self._mix_layer(current_layer=False)
             else:
-                mixed_current = w[own] * self.params
-                mixed_previous = 0.5 * (w[own] + 1.0) * self.previous_params
-                for j in self.neighbors:
-                    mixed_current = mixed_current + w[j] * self._neighbor_value(
+                mixed_current = w_own * self.params
+                mixed_previous = 0.5 * (w_own + 1.0) * self.previous_params
+                for j, w_j in weighted:
+                    mixed_current = mixed_current + w_j * self._neighbor_value(
                         j, current_layer=True
                     )
                     mixed_previous = (
                         mixed_previous
-                        + 0.5 * w[j] * self._neighbor_value(j, current_layer=False)
+                        + 0.5 * w_j * self._neighbor_value(j, current_layer=False)
                     )
             gradient = self.local_gradient(self.params)
             new_params = (
@@ -362,11 +352,12 @@ class EdgeServer:
     def swap_topology(
         self,
         neighbors: tuple[NodeId, ...],
-        weight_row: np.ndarray,
+        own_weight: float,
+        neighbor_weights,
         alpha: float,
         new_views: dict[NodeId, Params] | None = None,
     ) -> None:
-        """Adopt a re-optimized neighbor set and weight row mid-run.
+        """Adopt a re-optimized neighbor set and its row weights mid-run.
 
         Per-link state for surviving neighbors carries over untouched, state
         for pruned links is discarded. A *new* link (churn-recovery or
@@ -398,10 +389,7 @@ class EdgeServer:
             )
         if alpha <= 0:
             raise ConfigurationError(f"alpha must be > 0, got {alpha}")
-        self.weight_row = self._checked_weight_row(
-            weight_row, new_neighbors, "swapped weight row"
-        )
-        self.neighbors = new_neighbors
+        self._adopt_weights(new_neighbors, own_weight, neighbor_weights)
         self.alpha = float(alpha)
         keep = set(new_neighbors)
         for ledger in (self.views, self.last_sent, self.fresh):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.sparse import coo_matrix, issparse
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from repro.compression import EdgeState, build_compressor, payload_to_update
@@ -37,7 +37,7 @@ from repro.consensus.convergence import ConvergenceDetector, consensus_error
 from repro.consensus.step_size import safe_step_size
 from repro.core.config import APE_EPSILON_FRACTION, APE_GROWTH, STEP_SAFETY
 from repro.core.config import ShardWeighting, SNAPConfig
-from repro.core.engine import build_engine, weight_entries
+from repro.core.engine import build_engine
 from repro.core.server import EdgeServer
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError, DataError, NetworkPartitionError
@@ -50,17 +50,17 @@ from repro.results import RoundRecord, RoundTrace, TrainingResult
 from repro.topology.graph import Topology
 from repro.types import Params, WeightMatrix
 from repro.weights.adaptive import TopologyController, edge_cost_vector
-from repro.weights.construction import (
-    WeightRowView,
-    metropolis_weights,
-    tiered_metropolis_weights,
-)
+from repro.weights.construction import metropolis_weights, tiered_metropolis_weights
 from repro.weights.optimizer import optimize_weight_matrix
-from repro.weights.validation import check_weight_matrix
+from repro.weights.validation import check_weight_matrix, edge_weights, off_support
 
 #: Consecutive partitioned rounds before the trainer emits a warning (the
 #: abort threshold is the separate ``SNAPConfig.max_partitioned_rounds``).
 PARTITION_WARN_ROUNDS = 10
+
+#: A weight above this magnitude off a server's links is refused at
+#: construction and at every topology swap.
+STRAY_ATOL = 1e-12
 
 
 def _delivered_graph_connected(
@@ -98,6 +98,15 @@ def _delivered_graph_connected(
     )
     n_components, _ = connected_components(graph, directed=False)
     return n_components - len(down) == 1
+
+
+def _refuse_stray_weights(rows: np.ndarray, columns: np.ndarray, what: str) -> None:
+    """Raise for the first server holding weight off its links (``off_support``)."""
+    if rows.size:
+        raise ConfigurationError(
+            f"{what} of server {rows[0]} has mass outside its neighbor set: "
+            f"{columns[rows == rows[0]].tolist()}"
+        )
 
 
 class SNAPTrainer:
@@ -255,9 +264,8 @@ class SNAPTrainer:
         #: vectorized engine the engine's arrays are, and the list is built
         #: on the first read of :attr:`servers`.
         self._servers: list[EdgeServer] | None = None
-        if self.config.engine == "vectorized":
-            self._check_server_inputs()
-        else:
+        self._check_server_inputs()
+        if self.config.engine != "vectorized":
             self._servers = self._build_servers()
 
         self.tracker = CommunicationCostTracker(
@@ -275,13 +283,11 @@ class SNAPTrainer:
             if self.byzantine_plan is not None
             else frozenset()
         )
-        # Per directed link ``(source, destination)``: rounds since the
-        # destination last received a fresh update from the source (the
-        # degradation signal behind Fig. 9 — how stale the cached views are).
-        # Stored columnar (one int64 slot per directed link, legacy insertion
-        # order) so N=4096-scale rounds age/reset links with array ops; the
-        # ``link_staleness`` property materializes the historical dict view.
-        self._build_staleness_ledger()
+        #: Per directed link, in ``topology.directed_edges`` order: rounds
+        #: since the destination last received a fresh update from the
+        #: source (the degradation signal behind Fig. 9 — how stale the
+        #: cached views are). ``link_staleness`` is its dict view.
+        self._staleness = np.zeros(topology.directed_edges[0].size, dtype=np.int64)
         self._partitioned_streak = 0
         self._partition_warned = False
         #: Global round counter across run() calls (and across checkpoint
@@ -376,11 +382,6 @@ class SNAPTrainer:
 
     def _build_servers(self) -> list[EdgeServer]:
         """The fleet at ``x^0`` over the current shards, topology, W and step size."""
-        weight_rows = (
-            WeightRowView.all_rows(self.weight_matrix)
-            if issparse(self.weight_matrix)
-            else self.weight_matrix
-        )
         return [
             EdgeServer(
                 node_id=node,
@@ -388,47 +389,46 @@ class SNAPTrainer:
                 X=self.shards[node].X,
                 y=self.shards[node].y,
                 neighbors=self.topology.neighbors(node),
-                weight_row=weight_rows[node],
+                own_weight=own_weight,
+                neighbor_weights=neighbor_weights,
                 alpha=self.alpha,
                 initial_params=self.initial_params,
                 straggler_strategy=self.config.straggler_strategy,
                 objective_scale=self._objective_scales[node],
                 robust=self.config.robust_aggregation,
             )
-            for node in self.topology
+            for node, (own_weight, neighbor_weights) in enumerate(
+                self._server_weights()
+            )
         ]
 
-    def _check_server_inputs(self) -> None:
-        """Every check ``EdgeServer.__init__`` makes, once over columns.
+    def _server_weights(self) -> list[tuple[float, list[float]]]:
+        """Per node: its own weight and its neighbors' weights, ascending."""
+        own, links = edge_weights(self.weight_matrix, self.topology)
+        src = self.topology.directed_edges[0]
+        bounds = np.searchsorted(src, np.arange(own.size + 1)).tolist()
+        links = links.tolist()
+        return [(w, links[lo:hi]) for w, lo, hi in zip(own.tolist(), bounds, bounds[1:])]
 
-        For a fleet whose servers are not built at construction: the same
-        exception and message, for the same server, as the first
-        constructor that would raise — the step size, then node by node its
-        objective scale and its weight row's support.
+    def _check_server_inputs(self) -> None:
+        """The step size, then node by node its objective scale and its W support.
+
+        Once over columns, for every engine, before any server is built
+        (``EdgeServer`` takes only the weights of its own links, so an entry
+        off the support could never reach one): the first failing node, in
+        node order, raises.
         """
         if self.alpha <= 0:
             raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
         n = self.topology.n_nodes
-        keys, values = weight_entries(self.weight_matrix)
-        mass = keys[np.abs(values) > 1e-12]
-        u, v = np.asarray(self.topology.edges, dtype=np.int64).reshape(-1, 2).T
-        diagonal = np.arange(n, dtype=np.int64) * (n + 1)
-        support = np.sort(np.concatenate([diagonal, u * n + v, v * n + u]))
-        found = np.minimum(np.searchsorted(support, mass), support.size - 1)
-        stray = mass[support[found] != mass]
         scales = self._objective_scales
         first_scale = next((i for i, scale in enumerate(scales) if scale <= 0), n)
-        first_row = int(stray[0]) // n if stray.size else n
-        if first_scale < n and first_scale <= first_row:
+        rows, columns = off_support(self.weight_matrix, self.topology, STRAY_ATOL)
+        if first_scale < n and first_scale <= (rows[0] if rows.size else n):
             raise ConfigurationError(
                 f"objective_scale must be > 0, got {scales[first_scale]}"
             )
-        if stray.size:
-            columns = stray[stray // n == first_row] % n
-            raise ConfigurationError(
-                f"weight row of server {first_row} has mass outside its "
-                f"neighbor set: {columns.tolist()}"
-            )
+        _refuse_stray_weights(rows, columns, "weight row")
 
     def _build_schedules(self) -> APEScheduleBank | None:
         """One APE schedule per server (a bank row each), in *relative* units.
@@ -454,42 +454,17 @@ class SNAPTrainer:
             epsilon=APE_EPSILON_FRACTION * initial_threshold,
         )
 
-    def _build_staleness_ledger(self, old_index=None, old_ages=None) -> None:
-        """(Re)build the columnar staleness ledger over ``self.topology``.
-
-        One int64 slot per directed link. Given the previous ledger's
-        ``(old_index, old_ages)`` — a topology swap — surviving links keep
-        their age.
-        """
-        pairs: list[tuple[int, int]] = []
-        for u, v in self.topology.edges:
-            pairs.append((u, v))
-            pairs.append((v, u))
-        ages = np.zeros(len(pairs), dtype=np.int64)
-        if old_index is not None:
-            for i, pair in enumerate(pairs):
-                slot = old_index.get(pair)
-                if slot is not None:
-                    ages[i] = old_ages[slot]
-        self._staleness_pairs = pairs
-        self._staleness = ages
-        self._staleness_index = {pair: i for i, pair in enumerate(pairs)}
-        keys = np.asarray([(u << 32) | v for u, v in pairs], dtype=np.int64)
-        order = np.argsort(keys)
-        self._staleness_sorted_keys = keys[order]
-        self._staleness_sorted_slots = order
-
     @property
     def link_staleness(self) -> dict[tuple[int, int], int]:
         """Per directed link: rounds since the last fresh delivery (dict view).
 
-        Materialized on access from the columnar staleness array; mutate
-        nothing here — the array is the storage.
+        Materialized on access from the ages array; mutate nothing here —
+        the array is the storage.
         """
-        return {
-            pair: int(age)
-            for pair, age in zip(self._staleness_pairs, self._staleness)
-        }
+        src, dst = self.topology.directed_edges
+        return dict(
+            zip(zip(src.tolist(), dst.tolist()), self._staleness.tolist())
+        )
 
     def add_round_observer(self, observer) -> None:
         """Subscribe a lightweight per-round observer.
@@ -726,16 +701,16 @@ class SNAPTrainer:
         2. the new W is re-validated against the new topology — by the
            invariant monitor when one is attached (step 8, so a bad matrix
            is reported by invariant name), else by ``check_weight_matrix``
-           here;
+           here — and refused here if any weight leaves the new links;
         3. trainer-level state switches: topology, weight matrix, and the
            step size (re-capped with the re-solve's cached λ_min(W̃); never
            raised mid-run — a larger cap would retroactively invalidate
            completed rounds);
-        4. every server adopts its pruned neighbor row and restarts the
-           EXTRA recursion (a swap is a stage boundary: the two-term
-           recursion's memory was built under the old W);
-        5. the staleness ledger is rebuilt, preserving the ages of
-           surviving links;
+        4. every server adopts its new neighbors and their weights and
+           restarts the EXTRA recursion (a swap is a stage boundary: the
+           two-term recursion's memory was built under the old W);
+        5. the staleness ages move onto the new links: a surviving link
+           keeps its age, an added one starts at 0;
         6. the compressor layer switches: a knob swap rebuilds all
            compressors and clears per-edge state (new scheme, new streams);
            a topology-only swap just drops the pruned edges' state;
@@ -750,7 +725,11 @@ class SNAPTrainer:
         servers = self.servers
         if self.monitor is None:
             check_weight_matrix(swap.matrix, swap.topology)
+        _refuse_stray_weights(
+            *off_support(swap.matrix, swap.topology, STRAY_ATOL), "swapped weight row"
+        )
 
+        old_topology = self.topology
         self.topology = swap.topology
         self.weight_matrix = swap.matrix
         self._weight_result = swap.result
@@ -776,6 +755,7 @@ class SNAPTrainer:
         for u, v in swap.added_edges:
             added_neighbors.setdefault(u, []).append(v)
             added_neighbors.setdefault(v, []).append(u)
+        weights = self._server_weights()
         for node, server in enumerate(servers):
             new_views = None
             if node in added_neighbors:
@@ -783,14 +763,19 @@ class SNAPTrainer:
                 # (step 1 wrote engine state back), so both endpoints start
                 # the link in the round-zero "exact copy" condition.
                 new_views = {j: servers[j].params for j in added_neighbors[node]}
+            own_weight, neighbor_weights = weights[node]
             server.swap_topology(
                 self.topology.neighbors(node),
-                self.weight_matrix[node],
+                own_weight,
+                neighbor_weights,
                 self.alpha,
                 new_views=new_views,
             )
 
-        self._build_staleness_ledger(self._staleness_index, self._staleness)
+        old_rows = old_topology.edge_rows(*self.topology.directed_edges)
+        ages = np.zeros(old_rows.size, dtype=np.int64)
+        ages[old_rows >= 0] = self._staleness[old_rows[old_rows >= 0]]
+        self._staleness = ages
 
         if swap.compressor_spec is not None:
             # The budget controller never steps a preset's knob, so the
@@ -801,10 +786,11 @@ class SNAPTrainer:
                 for _ in self.servers
             ]
             self._edge_states.clear()
-        else:
-            live = self._staleness_index
-            for key in [k for k in self._edge_states if k not in live]:
-                del self._edge_states[key]
+        elif self._edge_states:
+            links = np.asarray(list(self._edge_states), dtype=np.int64)
+            pruned = self.topology.edge_rows(links[:, 0], links[:, 1]) < 0
+            for source, destination in links[pruned].tolist():
+                del self._edge_states[(source, destination)]
 
         engine.rebuild_topology()
         if self.monitor is not None:
@@ -948,20 +934,12 @@ class SNAPTrainer:
         """Age every directed link; reset the delivered ones. Returns #stale.
 
         ``delivered`` only ever contains directed topology links, so the
-        stale count is the link total minus the delivered count; the
-        delivered links are reset with one sorted-key lookup.
+        stale count is the link total minus the delivered count.
         """
-        arr = self._staleness
-        if not arr.size:
-            return 0
-        arr += 1
-        if len(delivered):
-            keys = (delivered.sources << 32) | delivered.destinations
-            slots = self._staleness_sorted_slots[
-                np.searchsorted(self._staleness_sorted_keys, keys)
-            ]
-            arr[slots] = 0
-        return arr.size - len(delivered)
+        ages = self._staleness
+        ages += 1
+        ages[self.topology.edge_rows(delivered.sources, delivered.destinations)] = 0
+        return ages.size - len(delivered)
 
     def _observe_partition(self, connected: bool, round_index: int) -> None:
         """Track consecutive partitioned rounds; warn, then abort per config."""

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import networkx as nx
+import numpy as np
 
 from repro.exceptions import TopologyError
 from repro.types import Edge, NodeId
@@ -88,6 +90,47 @@ class Topology:
         if u == v:
             return False
         return v in self._neighbors[u]
+
+    @cached_property
+    def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every directed link as read-only int64 ``(src, dst)`` columns.
+
+        Ordered by source, then destination: the order the reference engine
+        sends in, and the row order of every per-link array (the vectorized
+        engine's edge rows, ``EngineState``'s edge columns, the staleness
+        ledger). :meth:`edge_rows` inverts it.
+        """
+        degrees = [len(neighbors) for neighbors in self._neighbors]
+        src = np.repeat(np.arange(self._n_nodes, dtype=np.int64), degrees)
+        dst = np.fromiter(
+            (j for neighbors in self._neighbors for j in neighbors),
+            dtype=np.int64,
+            count=src.size,
+        )
+        src.flags.writeable = dst.flags.writeable = False
+        return src, dst
+
+    @cached_property
+    def _directed_keys(self) -> np.ndarray:
+        src, dst = self.directed_edges
+        return src * self._n_nodes + dst
+
+    def edge_rows(self, src, dst) -> np.ndarray:
+        """The row of each link ``(src[k], dst[k])`` in :attr:`directed_edges`.
+
+        ``-1`` for any pair that is not a link: a self pair, a non-neighbor
+        pair, or a node outside ``0 .. n_nodes-1``.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        keys = self._directed_keys
+        if not keys.size:
+            return np.full(np.broadcast(src, dst).shape, -1, dtype=np.int64)
+        n = self._n_nodes
+        wanted = src * n + dst
+        rows = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        in_range = (0 <= src) & (src < n) & (0 <= dst) & (dst < n)
+        return np.where((keys[rows] == wanted) & in_range, rows, -1)
 
     def _check_node(self, node: NodeId) -> None:
         if not 0 <= node < self._n_nodes:

@@ -18,65 +18,6 @@ from repro.types import WeightMatrix
 from repro.utils.validation import check_non_negative
 
 
-class WeightRowView:
-    """Read-only mapping view of one row of a sparse weight matrix.
-
-    Quacks like the dense row the :class:`~repro.core.server.EdgeServer`
-    constructor historically received — scalar ``row[j]`` lookups (zero off
-    the support) and a known nonzero set — without materializing ``n`` dense
-    rows of ``n`` floats each (that is the O(N²) memory a sparse W exists to
-    avoid). Values are the exact floats stored in the matrix, so reference
-    mixing arithmetic is bit-identical to the dense construction.
-    """
-
-    __slots__ = ("node", "_width", "_lookup", "_indices")
-
-    def __init__(self, matrix, node: int):
-        row = matrix.getrow(node)
-        row.sort_indices()
-        indices = row.indices.astype(np.int64)
-        self._fill(node, matrix.shape[1], indices, indices.tolist(), row.data.tolist())
-
-    def _fill(self, node: int, width: int, indices: np.ndarray, columns, values):
-        self.node = int(node)
-        self._width = int(width)
-        self._indices = indices
-        self._lookup = dict(zip(columns, values))
-
-    @classmethod
-    def all_rows(cls, matrix) -> list["WeightRowView"]:
-        """One view per row of sparse ``matrix``, from one pass over its CSR arrays.
-
-        Equal to ``[WeightRowView(matrix, node) for node in ...]`` without a
-        throw-away one-row scipy matrix per server.
-        """
-        matrix = matrix.tocsr()
-        if not matrix.has_sorted_indices:
-            matrix = matrix.sorted_indices()
-        indptr = matrix.indptr.tolist()
-        indices = matrix.indices.astype(np.int64)
-        columns, values = indices.tolist(), matrix.data.tolist()
-        views = []
-        for node, (start, stop) in enumerate(zip(indptr, indptr[1:])):
-            rows = slice(start, stop)
-            view = cls.__new__(cls)
-            view._fill(
-                node, matrix.shape[1], indices[rows], columns[rows], values[rows]
-            )
-            views.append(view)
-        return views
-
-    def __getitem__(self, j) -> float:
-        return self._lookup.get(int(j), 0.0)
-
-    def __len__(self) -> int:
-        return self._width
-
-    def nonzero_indices(self) -> np.ndarray:
-        """Columns with stored (nonzero) weight, ascending."""
-        return self._indices
-
-
 def metropolis_weights(
     topology: Topology, epsilon: float = 0.01, sparse: bool = False
 ) -> WeightMatrix:

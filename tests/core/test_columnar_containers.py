@@ -64,21 +64,14 @@ class TestRoundTrace:
 
 
 class TestDeliveredEdges:
-    def test_quacks_like_the_set_it_replaced(self):
-        delivered = DeliveredEdges(
-            np.asarray([0, 1, 2], dtype=np.int64),
-            np.asarray([1, 2, 0], dtype=np.int64),
-        )
+    def test_columns_from_pairs(self):
+        delivered = DeliveredEdges.from_pairs([(0, 1), (1, 2), (2, 0)])
         assert len(delivered) == 3
-        assert (0, 1) in delivered
-        assert (1, 0) not in delivered
-        assert set(delivered) == {(0, 1), (1, 2), (2, 0)}
-        assert delivered == {(0, 1), (1, 2), (2, 0)}
+        assert delivered.sources.dtype == delivered.destinations.dtype == np.int64
+        assert delivered.sources.tolist() == [0, 1, 2]
+        assert delivered.destinations.tolist() == [1, 2, 0]
 
     def test_empty(self):
-        empty = DeliveredEdges(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
+        empty = DeliveredEdges.from_pairs([])
         assert len(empty) == 0
-        assert empty == set()
-        assert (0, 1) not in empty
+        assert empty.sources.shape == empty.destinations.shape == (0,)

@@ -175,9 +175,9 @@ def test_every_server_check_fires_with_no_server_built(name, monkeypatch):
 
 
 def test_weights_are_the_floats_the_server_rows_hold():
-    """On unsorted CSR storage holding every entry twice, the engine mixes
-    with exactly the weights each server's row view looks up (the last
-    stored copy), so it still matches the reference engine bit for bit."""
+    """On unsorted CSR storage holding every entry twice, the engine and
+    every server mix with the sum of the two copies (the matrix
+    ``check_weight_matrix`` validated), so the engines match bit for bit."""
     shards, topology = _inputs()
     dense = metropolis_weights(topology)
     rows, columns = np.nonzero(dense)
@@ -200,13 +200,15 @@ def test_weights_are_the_floats_the_server_rows_hold():
 
     (_, expected), (vectorized, digest) = run("reference"), run("vectorized")
     assert digest == expected, expected.diff(digest)
+    summed = np.zeros((N_NODES, N_NODES))
+    np.add.at(summed, (rows, columns), values)
     mixing = vectorized.engine._mix_current
     for server in vectorized.servers:
-        lo, hi = mixing.indptr[server.node_id : server.node_id + 2]
-        row = mixing.data[lo:hi]
-        held = [server.weight_row[server.node_id]]
-        held += [server.weight_row[j] for j in server.neighbors]
-        assert row.tolist() == held
+        i = server.node_id
+        lo, hi = mixing.indptr[i : i + 2]
+        held = [server.own_weight, *server.neighbor_weights]
+        assert held == [summed[i, i], *summed[i, list(server.neighbors)]]
+        assert mixing.data[lo:hi].tolist() == held
 
 
 # -- the count guard ----------------------------------------------------------------

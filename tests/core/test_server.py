@@ -25,22 +25,17 @@ def data(rng):
     return X, y
 
 
-def make_server(model, data, node_id=0, neighbors=(1, 2), weights=None, alpha=0.1):
+def make_server(model, data, node_id=0, neighbors=(1, 2), alpha=0.1):
     X, y = data
-    n = max([node_id, *neighbors]) + 1
-    if weights is None:
-        weights = np.zeros(n)
-        share = 0.2
-        for j in neighbors:
-            weights[j] = share
-        weights[node_id] = 1.0 - share * len(neighbors)
+    share = 0.2
     return EdgeServer(
         node_id=node_id,
         model=model,
         X=X,
         y=y,
         neighbors=tuple(neighbors),
-        weight_row=weights,
+        own_weight=1.0 - share * len(neighbors),
+        neighbor_weights=[share] * len(neighbors),
         alpha=alpha,
         initial_params=np.zeros(model.n_params),
     )
@@ -55,10 +50,20 @@ class TestConstruction:
         assert set(server.last_sent) == {1, 2}
         assert server.iteration == 0
 
-    def test_weight_mass_outside_neighbors_rejected(self, model, data):
-        weights = np.array([0.5, 0.2, 0.2, 0.1])  # mass on node 3, not a neighbor
-        with pytest.raises(ConfigurationError):
-            make_server(model, data, neighbors=(1, 2), weights=weights)
+    def test_neighbor_weights_must_align_with_neighbors(self, model, data):
+        X, y = data
+        with pytest.raises(ConfigurationError, match="2 neighbor weights for 1"):
+            EdgeServer(
+                node_id=0,
+                model=model,
+                X=X,
+                y=y,
+                neighbors=(1,),
+                own_weight=0.6,
+                neighbor_weights=[0.2, 0.2],
+                alpha=0.1,
+                initial_params=np.zeros(model.n_params),
+            )
 
     def test_bad_alpha_rejected(self, model, data):
         with pytest.raises(ConfigurationError):
@@ -94,7 +99,7 @@ class TestSecondStep:
 
     def test_matches_equation_8_second_line(self, model, data):
         server = make_server(model, data)
-        w_self = server.weight_row[0]
+        w_self = server.own_weight
         x0 = server.params.copy()
         g0 = server.local_gradient(x0)
         x1 = server.step()
@@ -213,7 +218,8 @@ class TestPreparedShard:
             X=X,
             y=y,
             neighbors=(1,),
-            weight_row=np.array([0.6, 0.4]),
+            own_weight=0.6,
+            neighbor_weights=[0.4],
             alpha=0.1,
             initial_params=model.init_params(3),
             objective_scale=scale,

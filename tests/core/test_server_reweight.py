@@ -16,14 +16,14 @@ def model():
 def make_server(model, rng, strategy):
     X = rng.normal(size=(12, 2))
     y = rng.normal(size=12)
-    weights = np.array([0.6, 0.4])
     return EdgeServer(
         node_id=0,
         model=model,
         X=X,
         y=y,
         neighbors=(1,),
-        weight_row=weights,
+        own_weight=0.6,
+        neighbor_weights=[0.4],
         alpha=0.1,
         initial_params=np.zeros(2),
         straggler_strategy=strategy,

@@ -104,7 +104,8 @@ class TestServerObjectiveScale:
             X=X,
             y=y,
             neighbors=(1,),
-            weight_row=np.array([0.6, 0.4]),
+            own_weight=0.6,
+            neighbor_weights=[0.4],
             alpha=0.1,
             initial_params=np.ones(2),
         )
@@ -127,7 +128,8 @@ class TestServerObjectiveScale:
                 X=rng.normal(size=(5, 2)),
                 y=rng.normal(size=5),
                 neighbors=(1,),
-                weight_row=np.array([0.6, 0.4]),
+                own_weight=0.6,
+                neighbor_weights=[0.4],
                 alpha=0.1,
                 initial_params=np.zeros(2),
                 objective_scale=0.0,

@@ -79,30 +79,30 @@ class TestSeededServerSwap:
             X=X,
             y=y,
             neighbors=(1, 2),
-            weight_row=np.array([0.6, 0.2, 0.2, 0.0]),
+            own_weight=0.6,
+            neighbor_weights=[0.2, 0.2],
             alpha=0.1,
             initial_params=np.zeros(model.n_params),
         )
 
-    GROWN_ROW = np.array([0.4, 0.2, 0.2, 0.2])
+    #: Own weight and the weights of neighbors (1, 2, 3) after the swap.
+    GROWN = (0.4, [0.2, 0.2, 0.2])
 
     def test_new_link_without_a_seed_is_rejected(self, rng):
         server = self.make_server(rng)
         with pytest.raises(ProtocolError, match="without seed views"):
-            server.swap_topology((1, 2, 3), self.GROWN_ROW, 0.1)
+            server.swap_topology((1, 2, 3), *self.GROWN, 0.1)
 
     def test_seeds_for_surviving_links_are_rejected(self, rng):
         server = self.make_server(rng)
         seeds = {3: np.ones(6), 1: np.ones(6)}
         with pytest.raises(ProtocolError, match="not.*new"):
-            server.swap_topology((1, 2, 3), self.GROWN_ROW, 0.1, new_views=seeds)
+            server.swap_topology((1, 2, 3), *self.GROWN, 0.1, new_views=seeds)
 
     def test_seeded_link_starts_in_the_round_zero_condition(self, rng):
         server = self.make_server(rng)
         seed = rng.normal(size=server.params.shape)
-        server.swap_topology(
-            (1, 2, 3), self.GROWN_ROW, 0.1, new_views={3: seed}
-        )
+        server.swap_topology((1, 2, 3), *self.GROWN, 0.1, new_views={3: seed})
         # views holds the peer's exact parameters, last_sent our own, and
         # the link is fresh — identical to how round zero wires a link.
         np.testing.assert_array_equal(server.views[3], seed)
@@ -112,32 +112,34 @@ class TestSeededServerSwap:
         assert set(server.neighbors) == {1, 2, 3}
 
 
-class TestTrainerReaddPath:
-    def churn_config(self, readd: bool) -> SNAPConfig:
-        return SNAPConfig(
-            engine="reference",
-            invariants="strict",
-            optimize_weights=True,
-            weight_iterations=300,
-            adaptive_topology=True,
-            topology_readd=readd,
-            topology_reoptimize_every=5,
-            topology_prune_threshold=0.05,
-            max_rounds=9,
-            seed=11,
-        )
+def run_with_churn(readd: bool, engine: str = "reference") -> SNAPTrainer:
+    # Periodic prune at round 5 retires near-zero hub chords; node 0 goes
+    # down at round 7 and recovers at 8, so the churn re-solve fires with
+    # node 0's pruned links as re-add candidates.
+    config = SNAPConfig(
+        engine=engine,
+        invariants="strict",
+        optimize_weights=True,
+        weight_iterations=300,
+        adaptive_topology=True,
+        topology_readd=readd,
+        topology_reoptimize_every=5,
+        topology_prune_threshold=0.05,
+        max_rounds=9,
+        seed=11,
+    )
+    trainer = build_trainer(
+        ring_with_chords(12, HUB_CHORDS),
+        config,
+        fault_plan=FaultPlan(nodes=ScheduledNodeFailures({7: [0]})),
+    )
+    trainer.run(stop_on_convergence=False)
+    return trainer
 
+
+class TestTrainerReaddPath:
     def run_with_churn(self, readd: bool) -> SNAPTrainer:
-        # Periodic prune at round 5 retires near-zero hub chords; node 0
-        # goes down at round 7 and recovers at 8, so the churn re-solve
-        # fires with node 0's pruned links as re-add candidates.
-        trainer = build_trainer(
-            ring_with_chords(12, HUB_CHORDS),
-            self.churn_config(readd),
-            fault_plan=FaultPlan(nodes=ScheduledNodeFailures({7: [0]})),
-        )
-        trainer.run(stop_on_convergence=False)
-        return trainer
+        return run_with_churn(readd)
 
     @pytest.fixture(scope="class")
     def readd_trainer(self):
@@ -214,3 +216,35 @@ class TestManualSeededSwap:
         )
         assert trainer.servers[0].fresh[3]
         assert trainer.servers[3].fresh[0]
+
+
+class TestStalenessAcrossSwaps:
+    """A swap moves the staleness ages onto the new links: a surviving link
+    keeps its age, an added one starts at 0."""
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_ages_survive_the_prune_and_the_readd_swap(self, engine, monkeypatch):
+        seen = []
+        apply = SNAPTrainer._apply_topology_swap
+
+        def apply_with_planted_ages(trainer, swap):
+            # Distinct nonzero ages, so a dropped or misplaced carry-over shows.
+            trainer._staleness[:] = np.arange(1, trainer._staleness.size + 1)
+            before = trainer.link_staleness
+            apply(trainer, swap)
+            seen.append((swap, before, trainer.link_staleness))
+
+        monkeypatch.setattr(
+            SNAPTrainer, "_apply_topology_swap", apply_with_planted_ages
+        )
+        run_with_churn(readd=True, engine=engine)
+        assert any(swap.pruned_edges for swap, _, _ in seen)
+        assert any(swap.added_edges for swap, _, _ in seen)
+        for swap, before, after in seen:
+            expected = {(u, v) for u, v in swap.topology.edges}
+            assert set(after) == expected | {(v, u) for u, v in expected}
+            added = {(u, v) for u, v in swap.added_edges}
+            added |= {(v, u) for u, v in added}
+            for link, age in after.items():
+                assert (link in added) != (link in before)
+                assert age == (0 if link in added else before[link])

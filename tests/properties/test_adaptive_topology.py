@@ -198,7 +198,8 @@ class TestSwapStateConsistency:
             assert set(server.fresh) == expected
 
     def test_staleness_ledger_matches_the_pruned_topology(self, swapped_trainer):
-        pairs = set(swapped_trainer._staleness_pairs)
+        pairs = set(swapped_trainer.link_staleness)
+        assert len(pairs) == swapped_trainer._staleness.size
         expected = set()
         for u, v in swapped_trainer.topology.edges:
             expected.add((u, v))
@@ -206,7 +207,7 @@ class TestSwapStateConsistency:
         assert pairs == expected
 
     def test_edge_states_hold_no_pruned_links(self, swapped_trainer):
-        live = set(swapped_trainer._staleness_pairs)
+        live = set(swapped_trainer.link_staleness)
         assert set(swapped_trainer._edge_states) <= live
 
     def test_channel_rejects_pruned_links(self, swapped_trainer):

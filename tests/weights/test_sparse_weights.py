@@ -1,7 +1,7 @@
 """Sparse end-to-end weight path: CSR Metropolis weights through a full run.
 
 ``SNAPConfig(sparse_weights=True)`` keeps W in CSR from construction through
-validation, per-server rows, the engine's mixing operators, and step-size
+validation, the per-link weight read, the engine's mixing operators, and step-size
 selection — no dense (N, N) materialization anywhere. The sparse constructor
 must be *bitwise* equal to the dense one entry for entry; full runs must be
 digest-equal to dense runs once the step size is pinned (the Lanczos λ_min
@@ -22,8 +22,8 @@ from repro.testing.digest import capture_run
 from repro.testing.scenarios import ScenarioGen
 from repro.topology.generators import random_regular_topology, ring_topology
 from repro.utils.linalg import smallest_eigenvalue, smallest_eigenvalue_sparse
-from repro.weights.construction import WeightRowView, metropolis_weights
-from repro.weights.validation import check_weight_matrix
+from repro.weights.construction import metropolis_weights
+from repro.weights.validation import check_weight_matrix, edge_weights
 
 
 class TestSparseConstruction:
@@ -48,31 +48,15 @@ class TestSparseConstruction:
         with pytest.raises(WeightMatrixError):
             check_weight_matrix(sparse.tocsr(), topology)
 
-    def test_row_view_matches_dense_row(self):
+    def test_edge_weights_match_the_dense_rows(self):
         topology = random_regular_topology(10, degree=3, seed=2)
         dense = metropolis_weights(topology)
         sparse = metropolis_weights(topology, sparse=True)
-        for node in range(10):
-            view = WeightRowView(sparse, node)
-            assert len(view) == 10
-            for j in range(10):
-                assert view[j] == dense[node, j]
-            assert set(view.nonzero_indices()) == set(
-                np.flatnonzero(dense[node]).tolist()
-            )
-
-
-    def test_all_rows_equals_one_view_per_row(self):
-        topology = random_regular_topology(12, degree=3, seed=5)
-        sparse = metropolis_weights(topology, sparse=True)
-        views = WeightRowView.all_rows(sparse)
-        assert len(views) == 12
-        for node, view in enumerate(views):
-            single = WeightRowView(sparse, node)
-            assert (view.node, len(view)) == (single.node, len(single)) == (node, 12)
-            assert np.array_equal(view.nonzero_indices(), single.nonzero_indices())
-            assert view.nonzero_indices().dtype == np.int64
-            assert [view[j] for j in range(12)] == [single[j] for j in range(12)]
+        src, dst = topology.directed_edges
+        for matrix in (dense, sparse):
+            own, links = edge_weights(matrix, topology)
+            assert own.tolist() == np.diag(dense).tolist()
+            assert links.tolist() == dense[src, dst].tolist()
 
 
 def _with_reversed_rows(matrix) -> csr_matrix:
@@ -87,20 +71,20 @@ def _with_reversed_rows(matrix) -> csr_matrix:
 
 
 class TestUnsortedStoredOrder:
-    """``nonzero_indices()`` is ascending whatever order the CSR stores its columns in."""
+    """W reads the same whatever order the CSR stores its columns in."""
 
-    def test_row_views_of_an_unsorted_matrix_are_ascending(self):
+    def test_unsorted_storage_reads_as_sorted(self):
         topology = random_regular_topology(10, degree=3, seed=2)
         sparse = metropolis_weights(topology, sparse=True)
         unsorted = _with_reversed_rows(sparse)
-        for build in (
-            WeightRowView.all_rows,
-            lambda matrix: [WeightRowView(matrix, node) for node in range(10)],
+        for got, expected in zip(
+            edge_weights(unsorted, topology), edge_weights(sparse, topology)
         ):
-            for view, expected in zip(build(unsorted), WeightRowView.all_rows(sparse)):
-                assert np.array_equal(view.nonzero_indices(), expected.nonzero_indices())
-                assert np.all(np.diff(view.nonzero_indices()) > 0)
-                assert [view[j] for j in range(10)] == [expected[j] for j in range(10)]
+            assert got.tolist() == expected.tolist()
+        checked = check_weight_matrix(unsorted, topology)
+        assert checked.has_canonical_format
+        assert np.array_equal(checked.indices, sparse.indices)
+        assert np.array_equal(checked.data, sparse.data)
         # The caller's matrix is left as it was given.
         assert not unsorted.has_sorted_indices
 
@@ -122,13 +106,71 @@ class TestUnsortedStoredOrder:
                 fault_plan=scenario.fault_plan(),
                 weight_matrix=weight_matrix,
             )
-            for server in trainer.servers:
-                assert np.all(np.diff(server.weight_row.nonzero_indices()) > 0)
+            assert trainer.weight_matrix.has_canonical_format
             return capture_run(trainer)
 
         sorted_digest = run(sparse)
         unsorted_digest = run(_with_reversed_rows(sparse))
         assert unsorted_digest == sorted_digest, sorted_digest.diff(unsorted_digest)
+
+
+def _stored_as_halves(matrix) -> csr_matrix:
+    """``matrix`` with every entry stored twice, as two exact halves."""
+    coo = matrix.tocoo()
+    rows = np.concatenate([coo.row, coo.row])
+    columns = np.concatenate([coo.col, coo.col])
+    values = np.concatenate([0.5 * coo.data, 0.5 * coo.data])
+    # Raw CSR arrays: csr_matrix((data, (i, j))) would sum the copies.
+    order = np.lexsort((columns, rows))
+    indptr = np.searchsorted(rows[order], np.arange(matrix.shape[0] + 1))
+    doubled = csr_matrix(
+        (values[order], columns[order], indptr), shape=matrix.shape
+    )
+    assert doubled.nnz == 2 * matrix.nnz and not doubled.has_canonical_format
+    return doubled
+
+
+class TestDuplicateStorage:
+    """A W storing an entry more than once is the sum of its copies.
+
+    That is what ``check_weight_matrix``, the step size and ``W @ x`` see,
+    so it is also what every engine mixes with.
+    """
+
+    def test_check_returns_the_summed_canonical_copy(self):
+        topology = ring_topology(8)
+        sparse = metropolis_weights(topology, sparse=True)
+        doubled = _stored_as_halves(sparse)
+        checked = check_weight_matrix(doubled, topology)
+        assert checked.has_canonical_format
+        assert np.array_equal(checked.toarray(), sparse.toarray())
+        assert doubled.nnz == 2 * sparse.nnz  # the caller's storage is untouched
+        own, links = edge_weights(doubled, topology)
+        assert own.tolist() == sparse.diagonal().tolist()
+        assert links.tolist() == edge_weights(sparse, topology)[1].tolist()
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_trainer_digest_equals_the_canonical_matrix_run(self, engine):
+        scenario = ScenarioGen(master_seed=11).scenario(0)
+        config = dataclasses.replace(
+            scenario.config(engine), optimize_weights=False
+        )
+        sparse = metropolis_weights(scenario.topology(), sparse=True)
+
+        def run(weight_matrix):
+            trainer = SNAPTrainer(
+                scenario.model(),
+                scenario.shards(),
+                scenario.topology(),
+                config,
+                fault_plan=scenario.fault_plan(),
+                weight_matrix=weight_matrix,
+            )
+            return capture_run(trainer)
+
+        canonical = run(sparse)
+        doubled = run(_stored_as_halves(sparse))
+        assert doubled == canonical, canonical.diff(doubled)
 
 
 class TestSparseSpectrum:
