@@ -21,9 +21,10 @@ Three engines execute the same algorithm (the third, the event-driven
 
 The TCP testbed (:class:`~repro.runtime.testbed.TestbedRuntime`) implements
 the same protocol over real sockets. All four subclass :class:`Engine`, which
-declares the protocol once with a default for every optional phase, and
-whose :meth:`Engine.state` is the one read of run state (an
-:class:`EngineState` of columns) for the monitor and the digest.
+declares the protocol once with a default for every optional phase; its
+:class:`EngineState` of columns is the one run-state format, read by
+:meth:`Engine.state` (the monitor, the digest, checkpoints) and written by
+:meth:`Engine.load_state`.
 
 The vectorized engine is **bit-for-bit equivalent** to the reference on every
 seeded configuration — same ``RoundRecord`` stream, same flow ledger, same
@@ -53,7 +54,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
+from operator import is_not
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -97,28 +99,35 @@ class DeliveredEdges:
 
 @dataclass(frozen=True)
 class EngineState:
-    """Run state as read-only columns: what the monitor and the digest read.
+    """Run state as read-only columns: the one format in and out of an engine.
 
-    Per node: ``params``, ``previous_params`` (where ``has_previous``),
-    ``iteration``. Per directed edge ``e``, by source then destination:
-    ``views[e]`` is what ``dst[e]`` holds of ``src[e]``, ``last_sent[e]``
-    what ``src[e]`` believes that is, ``fresh[e]`` whether it arrived this
-    round, ``residuals[e]`` the error-feedback residual where
-    ``has_residual[e]`` (both ``None`` when no edge holds one). On the
-    vectorized engine the columns view its own arrays and ``last_sent`` *is*
-    ``views`` (PERFORMANCE.md identity 1); the per-edge engines gather
-    copies from their servers.
+    Per node: ``params``, ``previous_params`` and ``previous_gradient``
+    (where ``has_previous``), ``has_previous_views`` (whether its previous
+    layer of views exists), ``iteration``. Per directed edge ``e``, by
+    source then destination: ``views[e]`` is what ``dst[e]`` holds of
+    ``src[e]``, ``last_sent[e]`` what ``src[e]`` believes that is,
+    ``fresh[e]`` whether it arrived this round, ``previous_views[e]`` and
+    ``previous_fresh[e]`` the same one layer back (where
+    ``has_previous_views[dst[e]]``), ``residuals[e]`` the error-feedback
+    residual where ``has_residual[e]`` (both ``None`` when no edge holds
+    one). On the vectorized engine the columns view its own arrays and
+    ``last_sent`` *is* ``views`` (PERFORMANCE.md identity 1); the per-edge
+    engines gather copies from their servers (:func:`gather_state`).
     """
 
     params: np.ndarray
     previous_params: np.ndarray
+    previous_gradient: np.ndarray
     has_previous: np.ndarray
+    has_previous_views: np.ndarray
     iteration: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     views: np.ndarray
     last_sent: np.ndarray
     fresh: np.ndarray
+    previous_views: np.ndarray
+    previous_fresh: np.ndarray
     residuals: np.ndarray | None
     has_residual: np.ndarray | None
 
@@ -128,6 +137,114 @@ class EngineState:
                 view = array.view()
                 view.flags.writeable = False
                 object.__setattr__(self, name, view)
+
+
+def edge_blocks(src: np.ndarray, dst: np.ndarray, n_nodes: int):
+    """Node ``i``'s out-edge rows ``blocks[i]:blocks[i + 1]``, and ``reverse``.
+
+    Edges are sorted by ``(src, dst)``, and ``reverse[e]`` is the edge
+    ``(dst -> src)``: a column read on the receiving ends is ``column[reverse]``.
+    """
+    blocks = np.searchsorted(src, np.arange(n_nodes + 1)).tolist()
+    reverse = np.searchsorted(src * n_nodes + dst, dst * n_nodes + src)
+    return blocks, reverse
+
+
+def gather_state(servers, src, dst, edge_states) -> EngineState:
+    """The run state of ``servers`` over the directed edges ``(src, dst)``.
+
+    Each edge's two ends are read from its two servers, so the per-edge
+    engines stay honest oracles; node by node, by C-level maps, so no Python
+    line runs per edge. ``edge_states`` fills the residual columns (``None``
+    leaves them out).
+    """
+    params = np.stack([server.params for server in servers])
+    n_nodes, d = params.shape
+    zero = np.zeros(d)
+    blocks, reverse = edge_blocks(src, dst, n_nodes)
+    neighbors = dst.tolist()
+    views, last_sent, fresh, previous_views, previous_fresh = [], [], [], [], []
+    for i, server in enumerate(servers):
+        around = neighbors[blocks[i] : blocks[i + 1]]
+        views.extend(map(server.views.__getitem__, around))
+        last_sent.extend(map(server.last_sent.__getitem__, around))
+        fresh.extend(map(server.fresh.__getitem__, around))
+        # A previous layer is all of a server's neighbors or none.
+        previous_views.extend(map(server.previous_views.get, around, repeat(zero)))
+        previous_fresh.extend(map(server.previous_fresh.get, around, repeat(True)))
+
+    def rows(arrays) -> np.ndarray:
+        return np.asarray(arrays, dtype=float).reshape(-1, d)
+
+    previous = [server.previous_params for server in servers]
+    gradients = [server._previous_gradient for server in servers]
+    residuals = has_residual = None
+    if edge_states:
+        found = map(edge_states.get, zip(src.tolist(), neighbors))
+        held = list(map(getattr, found, repeat("residual"), repeat(None)))
+        mask = np.fromiter(map(is_not, held, repeat(None)), dtype=bool, count=len(held))
+        if mask.any():
+            residuals, has_residual = np.zeros((mask.size, d)), mask
+            residuals[mask] = rows(list(compress(held, mask)))
+    return EngineState(
+        params=params,
+        previous_params=rows([zero if p is None else p for p in previous]),
+        previous_gradient=rows([zero if g is None else g for g in gradients]),
+        has_previous=np.asarray([p is not None for p in previous], dtype=bool),
+        has_previous_views=np.asarray(
+            [bool(server.previous_views) for server in servers], dtype=bool
+        ),
+        iteration=np.asarray([server.iteration for server in servers], dtype=np.int64),
+        src=src,
+        dst=dst,
+        views=rows(views)[reverse],
+        last_sent=rows(last_sent),
+        fresh=np.asarray(fresh, dtype=bool)[reverse],
+        previous_views=rows(previous_views)[reverse],
+        previous_fresh=np.asarray(previous_fresh, dtype=bool)[reverse],
+        residuals=residuals,
+        has_residual=has_residual,
+    )
+
+
+def scatter_state(state: EngineState, servers) -> None:
+    """Write ``state`` onto ``servers``: the inverse of :func:`gather_state`.
+
+    Node by node: one copy of each column is handed out as rows, so every
+    server array is its own memory, shared with no engine stack, no state
+    column and no other server array. Residuals stay on the edge states.
+    """
+    blocks, reverse = edge_blocks(state.src, state.dst, len(servers))
+    neighbors = state.dst.tolist()
+    params = state.params.copy()
+    previous_params = state.previous_params.copy()
+    previous_gradient = state.previous_gradient.copy()
+    views = state.views[reverse]
+    last_sent = state.last_sent.copy()
+    previous_views = state.previous_views[reverse]
+    fresh = state.fresh[reverse].tolist()
+    previous_fresh = state.previous_fresh[reverse].tolist()
+    has_previous = state.has_previous.tolist()
+    has_previous_views = state.has_previous_views.tolist()
+    iterations = state.iteration.tolist()
+    for i, server in enumerate(servers):
+        lo, hi = blocks[i], blocks[i + 1]
+        around = neighbors[lo:hi]
+        server.params = params[i]
+        if has_previous[i]:
+            server.previous_params = previous_params[i]
+            server._previous_gradient = previous_gradient[i]
+        else:
+            server.previous_params = None
+            server._previous_gradient = None
+        server.iteration = iterations[i]
+        server.views.update(zip(around, views[lo:hi]))
+        server.last_sent.update(zip(around, last_sent[lo:hi]))
+        server.fresh.update(zip(around, fresh[lo:hi]))
+        server.previous_views = (
+            dict(zip(around, previous_views[lo:hi])) if has_previous_views[i] else {}
+        )
+        server.previous_fresh.update(zip(around, previous_fresh[lo:hi]))
 
 
 class Engine:
@@ -140,9 +257,8 @@ class Engine:
     an engine whose servers (``self.trainer.servers``) *are* the state, as
     on the per-edge engines, which build them at construction. The
     vectorized engine's state is its arrays: its servers are built by the
-    first read of ``trainer.servers`` (a caller, a checkpoint, a
-    ``run(on_round=...)`` callback, a swap or a drift boundary), and only
-    then does it ingest and write back.
+    first read of ``trainer.servers`` (a caller, a ``run(on_round=...)``
+    callback or a swap), and only then does it ingest and write back.
     """
 
     def begin_run(self) -> None:
@@ -159,7 +275,7 @@ class Engine:
         """Adopt the trainer's swapped topology (its servers already swapped)."""
 
     def rebuild_data(self) -> None:
-        """Adopt the trainer's drifted shards (its servers already swapped)."""
+        """Adopt the trainer's drifted shards (its built servers already swapped)."""
 
     def in_flight_edges(self) -> frozenset:
         """Directed edges with a delivered frame the receiver has not applied."""
@@ -188,38 +304,15 @@ class Engine:
         )
 
     def state(self) -> EngineState:
-        """The run state as columns, gathered from the server objects.
-
-        Each edge's ``views`` and ``last_sent`` are read from its two ends
-        independently, so the per-edge engines stay honest oracles.
-        """
-        servers, states = self.trainer.servers, self.trainer._edge_states
-        src, dst = self.trainer.topology.directed_edges
-        edges = list(zip(src.tolist(), dst.tolist()))
-        params = self.stacked_params()
-        zero = np.zeros(params.shape[1])
-
-        def rows(arrays) -> np.ndarray:
-            return np.asarray(arrays, dtype=float).reshape(-1, zero.size)
-
-        previous = [s.previous_params for s in servers]
-        residuals = [states[e].residual if e in states else None for e in edges]
-        held = np.asarray([r is not None for r in residuals], dtype=bool)
-        return EngineState(
-            params=params,
-            previous_params=rows([zero if p is None else p for p in previous]),
-            has_previous=np.asarray([p is not None for p in previous], dtype=bool),
-            iteration=np.asarray([s.iteration for s in servers], dtype=np.int64),
-            src=src,
-            dst=dst,
-            views=rows([servers[j].views[i] for i, j in edges]),
-            last_sent=rows([servers[i].last_sent[j] for i, j in edges]),
-            fresh=np.asarray([servers[j].fresh[i] for i, j in edges], dtype=bool),
-            residuals=rows([zero if r is None else r for r in residuals])
-            if held.any()
-            else None,
-            has_residual=held if held.any() else None,
+        """The run state as columns, gathered from the server objects."""
+        trainer = self.trainer
+        return gather_state(
+            trainer.servers, *trainer.topology.directed_edges, trainer._edge_states
         )
+
+    def load_state(self, state: EngineState) -> None:
+        """Overwrite the run state with ``state``; the caller restores the residuals."""
+        scatter_state(state, self.trainer.servers)
 
 
 def build_engine(trainer: "SNAPTrainer"):
@@ -338,9 +431,10 @@ class VectorizedEngine(Engine):
         self.previous_gradients = np.zeros((self.n_nodes, self.n_params))
         self.has_previous = np.zeros(self.n_nodes, dtype=bool)
         #: Whether each node's previous-layer views exist (advance_views has
-        #: run since the last recursion restart) — only affects writeback.
+        #: run since the last recursion restart).
         self.previous_views_valid = np.zeros(self.n_nodes, dtype=bool)
         self.iterations = np.zeros(self.n_nodes, dtype=np.int64)
+        self._adopt_held_states()
 
     def _build_edge_structures(self) -> None:
         """(Re)derive the directed-edge layout and mixing CSRs from the trainer.
@@ -351,20 +445,16 @@ class VectorizedEngine(Engine):
         reproduces the reference bit for bit on the pruned graph too.
         """
         topology = self.trainer.topology
-        #: Each node's neighbors, ascending: the destinations of its block
-        #: of out-edge rows and the sources of its in-edges, in that order.
-        self._neighbors = [topology.neighbors(node) for node in range(self.n_nodes)]
         self.edge_src, self.edge_dst = topology.directed_edges
         self.n_edges = self.edge_src.size
-        #: Node ``i``'s out-edges are rows ``_blocks[i]:_blocks[i + 1]``.
-        self._blocks = np.searchsorted(
-            self.edge_src, np.arange(self.n_nodes + 1)
-        ).tolist()
+        #: Node ``i``'s out-edges are rows ``_blocks[i]:_blocks[i + 1]``, and
         #: ``_in_edges[e]`` is the reverse of edge ``e``, so node ``i``'s
         #: block of it lists the edges ``(j -> i)`` over its neighbors ``j``
         #: ascending: the rows of its ``views``, where the block of the edge
         #: rows themselves holds its ``last_sent``.
-        self._in_edges = topology.edge_rows(self.edge_dst, self.edge_src)
+        self._blocks, self._in_edges = edge_blocks(
+            self.edge_src, self.edge_dst, self.n_nodes
+        )
 
         # The floats the servers mix with: W read onto the link index.
         own_w, edge_w = edge_weights(self.trainer.weight_matrix, topology)
@@ -395,21 +485,6 @@ class VectorizedEngine(Engine):
         self.previous_fresh = np.ones(self.n_edges, dtype=bool)
         #: Persistent (N + E, d) scratch of the REWEIGHT substitution.
         self._subst_scratch: np.ndarray | None = None
-        self._forget_edge_states()
-
-    def _forget_edge_states(self) -> None:
-        """Drop the row-aligned handles on the trainer's compressor edge states.
-
-        :meth:`begin_run` re-adopts every state ``trainer._edge_states``
-        then holds (see :meth:`_adopt_edge_states`), so whatever replaced or
-        restored them meanwhile is what gets picked up; a state made later
-        is adopted on its edge's first eligible round.
-        """
-        self._state_rows = np.full(self.n_edges, None, dtype=object)
-        self._state_adopted = np.zeros(self.n_edges, dtype=bool)
-        #: (E, d) error-feedback residuals, one row per directed edge;
-        #: allocated when the first adopted state carries a residual.
-        self._residuals: np.ndarray | None = None
 
     def rebuild_topology(self) -> None:
         """Adopt the trainer's swapped topology and weight matrix.
@@ -418,9 +493,8 @@ class VectorizedEngine(Engine):
         post-swap state (the trainer syncs, swaps the servers, then calls
         this): the edge layout, both mixing CSRs, and the ``(N + E, d)``
         stacks are rebuilt for the pruned graph and re-ingested via
-        :meth:`begin_run` — exactly the path a checkpoint resume takes, so
-        the rebuilt state is bit-identical to a fresh engine on the new
-        topology.
+        :meth:`begin_run`, so the rebuilt state is bit-identical to a fresh
+        engine on the new topology.
         """
         self._build_edge_structures()
         self._allocate_state()
@@ -429,17 +503,17 @@ class VectorizedEngine(Engine):
     def rebuild_data(self) -> None:
         """Adopt the trainer's swapped shards after a drift epoch boundary.
 
-        The trainer syncs, swaps each server's (X, y) and restarts its
-        recursion, then calls this: the prepared-shard cache is rebuilt for
-        the new data and the restarted server state re-ingested via
-        :meth:`begin_run`, so the next round is bit-identical to the
-        reference engine's post-swap round.
+        The prepared-shard cache is rebuilt for the new data and the arrays
+        restart the recursion as the trainer restarts any built server, so
+        the next round is bit-identical to the reference engine's post-swap
+        round; a built server is current again at the next write-back.
         """
         trainer = self.trainer
         self.prepared = trainer.model.prepare_shards(
             [(shard.X, shard.y) for shard in trainer.shards]
         )
-        self.begin_run()
+        self.has_previous[:] = False
+        self.previous_views_valid[:] = False
 
     def _build_mixing(
         self, own_w: np.ndarray, edge_w: np.ndarray, w_tilde: bool
@@ -476,101 +550,50 @@ class VectorizedEngine(Engine):
     # -- run boundaries ---------------------------------------------------------
 
     def begin_run(self) -> None:
-        """Adopt the trainer's edge states, and ingest its servers if built.
+        """Load what the trainer's servers hold if built; adopt its edge states.
 
         With no server built the arrays are the only state, so there is
-        nothing to ingest. Otherwise (a fresh run after a read, or a
-        checkpoint resume), node by node: a server's views and flags are
-        read as one block in its neighbors' order — the order of its block
-        of :attr:`_in_edges` — and each field lands on the edge rows with
-        one scatter.
-        """
-        self._forget_edge_states()
-        servers, states = self.trainer._servers, self.trainer._edge_states
-        if servers is not None:
-            self._ingest(servers)
-        if states:  # from before this run: state() must see every residual
-            keys = zip(self.edge_src.tolist(), self.edge_dst.tolist())
-            held = [e for e, key in enumerate(keys) if key in states]
-            self._adopt_edge_states(np.asarray(held, dtype=np.int64))
-
-    def _ingest(self, servers) -> None:
-        """Overwrite the arrays with the servers' state."""
-        views, fresh, previous_fresh = [], [], []
-        previous_views, previous_rows = [], []
-        for i, server in enumerate(servers):
-            self.params[i] = server.params
-            self.has_previous[i] = server.previous_params is not None
-            if server.previous_params is not None:
-                self.previous_params[i] = server.previous_params
-                self.previous_gradients[i] = server._previous_gradient
-            self.previous_views_valid[i] = bool(server.previous_views)
-            self.iterations[i] = server.iteration
-            neighbors = self._neighbors[i]
-            views.extend(map(server.views.__getitem__, neighbors))
-            fresh.extend(map(server.fresh.__getitem__, neighbors))
-            previous_fresh.extend(
-                map(server.previous_fresh.get, neighbors, repeat(True))
-            )
-            # A previous layer is all of a server's neighbors or none.
-            if server.previous_views:
-                previous_views.extend(
-                    map(server.previous_views.__getitem__, neighbors)
-                )
-                previous_rows.append(
-                    self._in_edges[self._blocks[i] : self._blocks[i + 1]]
-                )
-        if self.n_edges:
-            self.views[self._in_edges] = views
-            self.fresh[self._in_edges] = fresh
-            self.previous_fresh[self._in_edges] = previous_fresh
-        if previous_views:
-            self.previous_views[np.concatenate(previous_rows)] = previous_views
-
-    def sync_to_servers(self) -> None:
-        """Write the matrix state back onto the EdgeServer objects, if built.
-
-        With no server built it returns at once: the first read of
-        ``trainer.servers`` builds the list and calls this to fill it.
-        Node by node: one copy of each stack (the views gathered in
-        receiver order once, and once in sender order for ``last_sent``)
-        is handed out as rows, so every server array is its own memory,
-        shared with no engine stack and no other server array.
+        nothing to ingest; residuals come with the adopted edge states.
         """
         servers = self.trainer._servers
         if servers is None:
-            return
-        params = self.params.copy()
-        previous_params = self.previous_params.copy()
-        previous_gradients = self.previous_gradients.copy()
-        views = self.views[self._in_edges]
-        last_sent = self.views.copy()
-        previous_views = self.previous_views[self._in_edges]
-        fresh = self.fresh[self._in_edges].tolist()
-        previous_fresh = self.previous_fresh[self._in_edges].tolist()
-        has_previous = self.has_previous.tolist()
-        previous_valid = self.previous_views_valid.tolist()
-        iterations = self.iterations.tolist()
-        for i, server in enumerate(servers):
-            lo, hi = self._blocks[i], self._blocks[i + 1]
-            neighbors = self._neighbors[i]
-            server.params = params[i]
-            if has_previous[i]:
-                server.previous_params = previous_params[i]
-                server._previous_gradient = previous_gradients[i]
-            else:
-                server.previous_params = None
-                server._previous_gradient = None
-            server.iteration = iterations[i]
-            server.views.update(zip(neighbors, views[lo:hi]))
-            server.last_sent.update(zip(neighbors, last_sent[lo:hi]))
-            server.fresh.update(zip(neighbors, fresh[lo:hi]))
-            server.previous_views = (
-                dict(zip(neighbors, previous_views[lo:hi]))
-                if previous_valid[i]
-                else {}
-            )
-            server.previous_fresh.update(zip(neighbors, previous_fresh[lo:hi]))
+            self._adopt_held_states()
+        else:
+            self.load_state(gather_state(servers, self.edge_src, self.edge_dst, None))
+
+    def load_state(self, state: EngineState) -> None:
+        """Copy ``state``'s columns into the arrays, then sync any built servers.
+
+        Residuals excepted: they come with the adopted edge states.
+        """
+        for name, array in self._columns().items():
+            array[...] = getattr(state, name)
+        self._adopt_held_states()
+        self.sync_to_servers()
+
+    def _adopt_held_states(self) -> None:
+        """Drop the edge rows' ties to compressor states, then adopt every held one.
+
+        Whatever replaced or restored ``trainer._edge_states`` meanwhile is
+        what gets picked up (with the residuals :meth:`state` must see); a
+        state made later is adopted on its edge's first eligible round.
+        """
+        self._state_rows = np.full(self.n_edges, None, dtype=object)
+        self._state_adopted = np.zeros(self.n_edges, dtype=bool)
+        #: (E, d) error-feedback residuals, one row per directed edge;
+        #: allocated when the first adopted state carries a residual.
+        self._residuals: np.ndarray | None = None
+        states = self.trainer._edge_states
+        if states:
+            keys = zip(self.edge_src.tolist(), self.edge_dst.tolist())
+            held = np.fromiter(map(states.__contains__, keys), dtype=bool)
+            self._adopt_edge_states(np.flatnonzero(held))
+
+    def sync_to_servers(self) -> None:
+        """Write the arrays back onto the servers if built (a first read fills them)."""
+        servers = self.trainer._servers
+        if servers is not None:
+            scatter_state(self.state(), servers)
 
     # -- the EXTRA step ---------------------------------------------------------
 
@@ -612,6 +635,7 @@ class VectorizedEngine(Engine):
             stack = self._stack_previous
             fresh, own = self.previous_fresh, self.previous_params
         sub = self._substituted(stack, fresh, own)
+        neighbors = self.trainer.topology.neighbors
         mixed = np.empty((self.n_nodes, self.n_params))
         for i in range(self.n_nodes):
             values = [sub[self.n_nodes + e] for e in self._robust_in_edges[i]]
@@ -620,7 +644,7 @@ class VectorizedEngine(Engine):
                 own_weight = 0.5 * (own_weight + 1.0)
                 weights = [0.5 * w for w in weights]
             mixed[i] = robust_mix(
-                spec, sub[i], own_weight, self._neighbors[i], values, weights
+                spec, sub[i], own_weight, neighbors(i), values, weights
             )
         return mixed
 
@@ -849,20 +873,30 @@ class VectorizedEngine(Engine):
     def state(self) -> EngineState:
         """Views of the engine's own arrays, no copy; ``last_sent`` is ``views``.
 
-        Every state is adopted (see :meth:`begin_run`), and an error-feedback
+        Every held state is adopted (:meth:`_adopt_held_states`); an error-feedback
         compressor gives each one a residual: adopted edges hold the rows.
         """
         residual = self._residuals is not None
         return EngineState(
-            params=self.params,
-            previous_params=self.previous_params,
-            has_previous=self.has_previous,
-            iteration=self.iterations,
+            **self._columns(),
             src=self.edge_src,
             dst=self.edge_dst,
-            views=self.views,
             last_sent=self.views,
-            fresh=self.fresh,
             residuals=self._residuals,
             has_residual=self._state_adopted if residual else None,
         )
+
+    def _columns(self) -> dict:
+        """The engine's own arrays, by the :class:`EngineState` column each holds."""
+        return {
+            "params": self.params,
+            "previous_params": self.previous_params,
+            "previous_gradient": self.previous_gradients,
+            "has_previous": self.has_previous,
+            "has_previous_views": self.previous_views_valid,
+            "iteration": self.iterations,
+            "views": self.views,
+            "fresh": self.fresh,
+            "previous_views": self.previous_views,
+            "previous_fresh": self.previous_fresh,
+        }

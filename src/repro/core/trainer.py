@@ -917,18 +917,16 @@ class SNAPTrainer:
         epoch = schedule.epoch(round_index)
         if epoch == self._drift_epoch:
             return
-        engine = self.engine
-        engine.sync_to_servers()
-        shards = []
-        # A first read builds the list from the pre-drift state and fills it.
-        for node, server in enumerate(self.servers):
-            shard = schedule.shard(node, self._base_shards[node], epoch)
+        self.shards = [
+            schedule.shard(node, base, epoch)
+            for node, base in enumerate(self._base_shards)
+        ]
+        # The vectorized engine restarts its own arrays: no list is built here.
+        for server, shard in zip(self._servers or (), self.shards):
             server.swap_data(shard.X, shard.y)
             server.restart_recursion()
-            shards.append(shard)
-        self.shards = shards
         self._drift_epoch = epoch
-        engine.rebuild_data()
+        self.engine.rebuild_data()
 
     def _advance_staleness(self, delivered) -> int:
         """Age every directed link; reset the delivered ones. Returns #stale.

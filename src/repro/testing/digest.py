@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.core.engine import edge_blocks
 from repro.exceptions import ConfigurationError
 
 #: Version of the canonical serialization below. Bump when any trace entry
@@ -125,10 +126,8 @@ def server_state_sha(trainer) -> str:
     state = trainer.engine.state()
     src, dst = state.src, state.dst
     n_nodes = state.params.shape[0]
-    # Edges are sorted by (src, dst): node i's out-edges are one block, its
-    # neighbors ascending, and ``reverse[e]`` is the edge (dst -> src).
-    reverse = np.searchsorted(src * n_nodes + dst, dst * n_nodes + src).tolist()
-    blocks = np.searchsorted(src, np.arange(n_nodes + 1)).tolist()
+    blocks, reverse = edge_blocks(src, dst, n_nodes)
+    reverse = reverse.tolist()
     neighbors, fresh = dst.tolist(), state.fresh.tolist()
     iterations, has_previous = state.iteration.tolist(), state.has_previous.tolist()
     digest = hashlib.sha256()

@@ -1,5 +1,7 @@
 """Tests for checkpoint/resume of SNAP training runs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,13 @@ from repro.core import SNAPConfig, SNAPTrainer
 from repro.core.checkpoint import restore_checkpoint, save_checkpoint
 from repro.core.config import SelectionPolicy
 from repro.data.dataset import Dataset
+from repro.data.drift import LabelShiftDrift
 from repro.data.partition import iid_partition
 from repro.exceptions import ConfigurationError
+from repro.faults import FaultPlan
 from repro.models.ridge import RidgeRegression
-from repro.topology.generators import random_topology
+from repro.topology.failures import IndependentLinkFailures
+from repro.topology.generators import random_regular_topology, random_topology
 
 
 @pytest.fixture
@@ -55,41 +60,116 @@ def test_resume_is_bit_identical(setup, tmp_path, selection):
     )
 
 
-@pytest.mark.parametrize("engine", ["reference", "vectorized", "semisync"])
-def test_resume_across_ape_stage_advances_has_equal_digest(setup, tmp_path, engine):
-    """The schedule bank survives ``state_dict`` -> checkpoint -> ``load_state_dict``.
-
-    Checkpointed mid-stage (round 14 of 10-round stages) so the accumulated
-    error and iterations-in-stage columns matter; the server-state digest
-    hashes every schedule's ``state_dict`` repr, so equal digests mean the
-    resumed bank — advanced by array calls on the vectorized engine, by row
-    views on the reference and (per event) the semi-synchronous one — is the
-    uninterrupted one.
-    """
-    from repro.testing.digest import server_state_sha
-
+def _split_trainer(setup, engine: str, case: str) -> SNAPTrainer:
+    """A trainer for one split-run case (a fresh fault plan each call)."""
     model, shards, topo = setup
+    config, fault_plan = {"engine": engine, "seed": 0}, None
+    if case == "ef:topk:k=2":  # non-zero error-feedback residuals
+        config["compressor"] = case
+    elif case == "drift":
+        config["drift"] = LabelShiftDrift(period=5, seed=2)
+    elif case == "link-faults":
+        fault_plan = FaultPlan(links=IndependentLinkFailures(0.2, seed=3))
+    return SNAPTrainer(
+        model, shards, topo, config=SNAPConfig(**config), fault_plan=fault_plan
+    )
+
+
+@pytest.mark.parametrize(
+    "engine, case",
+    [
+        # The APE case keeps the bare engine id it had before the other cases.
+        pytest.param(engine, case, id=engine if case == "ape" else f"{engine}-{case}")
+        for case in ("ape", "ef:topk:k=2", "link-faults", "drift")
+        for engine in ("reference", "vectorized", "semisync")
+    ],
+)
+def test_resume_across_ape_stage_advances_has_equal_digest(
+    setup, tmp_path, engine, case
+):
+    """A run split at round 14 of 27 digests like the uninterrupted one.
+
+    Checkpointed mid-stage (round 14 of 10-round stages) so the APE bank's
+    accumulated error and iterations-in-stage columns matter; across drift
+    epoch boundaries (rounds 16, 21, 26) and a restored one (round 11);
+    with link faults, so the staleness ages reach the round records; and
+    with error-feedback residuals. The whole :class:`RunDigest` of the
+    resumed 13 rounds — round records, flow ledger, final parameters,
+    server state — equals the uninterrupted trainer's over the same rounds,
+    whose ledger restarts at the split as a restored trainer's does.
+    """
+    from repro.network.cost import CommunicationCostTracker
+    from repro.testing.digest import RunDigest, server_state_sha
+
+    one_call = _split_trainer(setup, engine, case)
+    one_call.run(max_rounds=27, stop_on_convergence=False)
+    if case == "ape":
+        assert one_call._schedules.stages.max() >= 2
+
+    uninterrupted = _split_trainer(setup, engine, case)
+    uninterrupted.run(max_rounds=14, stop_on_convergence=False)
+    uninterrupted.tracker = CommunicationCostTracker()
+    tail = uninterrupted.run(max_rounds=13, stop_on_convergence=False)
+    expected = RunDigest.capture(uninterrupted, tail)
+    assert expected.server_state_sha == server_state_sha(one_call)
+
+    first = _split_trainer(setup, engine, case)
+    first.run(max_rounds=14, stop_on_convergence=False)
+    path = save_checkpoint(first, tmp_path / f"{engine}.npz")
+    resumed = _split_trainer(setup, engine, case)
+    restore_checkpoint(resumed, path)
+    if engine == "vectorized":
+        # Columns out, columns in: neither side builds a server.
+        assert first._servers is None
+        assert resumed._servers is None
+    if case == "ape":
+        assert [s.state_dict() for s in resumed._schedules] == [
+            s.state_dict() for s in first._schedules
+        ]
+    digest = RunDigest.capture(
+        resumed, resumed.run(max_rounds=13, stop_on_convergence=False)
+    )
+    assert digest == expected, digest.diff(expected)
+
+
+@pytest.mark.parametrize("case", ["drift", "link-faults"])
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
+def test_resumed_round_records_match_on_the_credit_workload(tmp_path, engine, case):
+    """Credit SVM at N=8, checkpointed after round 7 and resumed for 9.
+
+    Across a drift epoch (rounds 6 and 11) the restore must put the trainer
+    on the last completed round's shards, or round 8 swaps them again and
+    restarts the recursion; under link faults the restored staleness ages
+    must carry every resumed record's ``max_staleness``.
+    """
+    from repro.simulation import credit_svm_workload
+    from repro.testing.digest import round_trace_entry
+
+    workload = credit_svm_workload(n_servers=8, n_train=800, n_test=100, seed=0)
 
     def make():
+        drift = LabelShiftDrift(period=5, seed=2) if case == "drift" else None
+        links = IndependentLinkFailures(0.2, seed=3) if case != "drift" else None
         return SNAPTrainer(
-            model, shards, topo, config=SNAPConfig(engine=engine, seed=0)
+            workload.model,
+            workload.shards,
+            workload.topology,
+            config=SNAPConfig(engine=engine, seed=0, drift=drift),
+            fault_plan=FaultPlan(links=links),
         )
 
     uninterrupted = make()
-    uninterrupted.run(max_rounds=27, stop_on_convergence=False)
-    assert uninterrupted._schedules.stages.max() >= 2
-
+    expected = uninterrupted.run(max_rounds=16, stop_on_convergence=False)
     first = make()
-    first.run(max_rounds=14, stop_on_convergence=False)
-    path = save_checkpoint(first, tmp_path / f"{engine}.npz")
+    first.run(max_rounds=7, stop_on_convergence=False)
+    path = save_checkpoint(first, tmp_path / "credit.npz")
     resumed = make()
     restore_checkpoint(resumed, path)
-    assert [s.state_dict() for s in resumed._schedules] == [
-        s.state_dict() for s in first._schedules
+    result = resumed.run(max_rounds=9, stop_on_convergence=False)
+    assert [round_trace_entry(r) for r in result.rounds] == [
+        round_trace_entry(r) for r in expected.rounds[7:]
     ]
-    resumed.run(max_rounds=13, stop_on_convergence=False)
-
-    assert server_state_sha(resumed) == server_state_sha(uninterrupted)
+    np.testing.assert_array_equal(result.final_params, expected.final_params)
 
 
 @pytest.mark.parametrize("engine", ["reference", "vectorized", "semisync"])
@@ -230,6 +310,34 @@ class TestMismatchRejection:
         )
         with pytest.raises(ConfigurationError, match="dimension"):
             restore_checkpoint(other, path)
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_other_topology_with_the_same_server_count(self, tmp_path, engine):
+        from repro.simulation import credit_svm_workload
+
+        workload = credit_svm_workload(n_servers=8, n_train=400, n_test=100, seed=0)
+
+        def make(topology):
+            return SNAPTrainer(
+                workload.model,
+                workload.shards,
+                topology,
+                config=SNAPConfig(engine=engine, seed=0, optimize_weights=False),
+            )
+
+        trainer = make(workload.topology)
+        trainer.run(max_rounds=3, stop_on_convergence=False)
+        path = save_checkpoint(trainer, tmp_path / "links.npz")
+        other = make(random_regular_topology(8, 3, seed=11))
+        with pytest.raises(ConfigurationError, match="links"):
+            restore_checkpoint(other, path)
+
+    def test_version_one_file_rejected(self, setup, tmp_path):
+        path = tmp_path / "v1.npz"
+        meta = json.dumps({"version": 1, "n_servers": 4}).encode("utf-8")
+        np.savez(path, __meta__=np.frombuffer(meta, dtype=np.uint8))
+        with pytest.raises(ConfigurationError, match="version 1 unsupported"):
+            restore_checkpoint(build_trainer(setup), path)
 
     def test_non_checkpoint_file_rejected(self, setup, tmp_path):
         path = tmp_path / "junk.npz"

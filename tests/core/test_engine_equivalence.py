@@ -181,10 +181,14 @@ class TestEngineProtocol:
             for field in dataclasses.fields(EngineState):
                 left = getattr(reference, field.name)
                 right = getattr(state, field.name)
-                if field.name == "previous_params":
+                if field.name in ("previous_params", "previous_gradient"):
                     # Rows without a previous iterate carry no meaning.
                     left = left[reference.has_previous]
                     right = right[state.has_previous]
+                if field.name == "previous_views":
+                    # Nor do the views of a receiver with no previous layer.
+                    left = left[reference.has_previous_views[reference.dst]]
+                    right = right[state.has_previous_views[state.dst]]
                 assert (left is None) == (right is None), field.name
                 if left is not None:
                     np.testing.assert_array_equal(left, right, err_msg=field.name)

@@ -55,7 +55,7 @@ def test_building_the_list_is_invisible(scenario):
 
 
 def test_checkpoint_of_an_unread_trainer_round_trips(tmp_path):
-    """save_checkpoint builds the list of a trainer nobody read; restoring it
+    """save_checkpoint of a trainer nobody read builds no list; restoring it
     and running on ends in the uninterrupted run's state."""
     scenario = SCENARIOS[0].with_overrides(max_rounds=12)
     uninterrupted = scenario.build_trainer("vectorized")
@@ -65,6 +65,7 @@ def test_checkpoint_of_an_unread_trainer_round_trips(tmp_path):
     first.run(max_rounds=5, stop_on_convergence=False)
     assert first._servers is None
     path = save_checkpoint(first, tmp_path / "unread.npz")
+    assert first._servers is None
 
     resumed = scenario.build_trainer("vectorized")
     restore_checkpoint(resumed, path)

@@ -417,6 +417,64 @@ class TestVectorizedStateTransferLineCount:
         )
 
 
+class TestPerEdgeStateLineCount:
+    """The per-edge engines gather ``state()`` per node: a count, not a clock.
+
+    It is the strict monitor's per-round read and the digest's on those
+    engines, and checkpoints write it.
+    """
+
+    @staticmethod
+    def _lines(engine: str, degree: int) -> int:
+        """Python lines ``engine.state()`` executes at N=64 after 3 dense rounds.
+
+        The reference sender makes an edge state for every link, so the
+        residual column is looked up on every edge too.
+        """
+        from repro.topology.generators import random_regular_topology
+
+        rng = np.random.default_rng(42)
+        shards = []
+        for _ in range(64):
+            X = rng.normal(size=(30, 10))
+            shards.append(Dataset(X, (X @ rng.normal(size=10) > 0).astype(float)))
+        trainer = SNAPTrainer(
+            LogisticRegression(10),
+            shards,
+            random_regular_topology(64, degree=degree, seed=3),
+            SNAPConfig(
+                engine=engine, compressor="dense", seed=7, optimize_weights=False
+            ),
+        )
+        trainer.run(max_rounds=3, stop_on_convergence=False)
+        assert len(trainer._edge_states) == 64 * degree
+        lines = 0
+
+        def on_event(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return on_event
+
+        previous = sys.gettrace()
+        sys.settrace(on_event)
+        try:
+            trainer.engine.state()
+        finally:
+            sys.settrace(previous)
+        return lines
+
+    @pytest.mark.parametrize("engine", ["reference", "semisync"])
+    def test_state_does_not_walk_the_edges(self, engine):
+        """Doubling the degree at N=64 doubles the directed edges (256 ->
+        512); a per-edge loop adds a line or more per edge."""
+        four, eight = self._lines(engine, 4), self._lines(engine, 8)
+        assert eight <= four, (
+            f"{engine} state() ran {four} Python lines at degree 4 and "
+            f"{eight} at degree 8 (N=64): something walks the edges"
+        )
+
+
 class TestBadShardNamedAtConstruction:
     """A shard no step size can be bounded on is refused by node, before any SVD."""
 

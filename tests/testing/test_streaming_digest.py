@@ -94,13 +94,17 @@ def test_numpy_integer_rounds_hash_like_python_ints(as_int):
     empty = EngineState(
         params=rows,
         previous_params=rows,
+        previous_gradient=rows,
         has_previous=nodes.astype(bool),
+        has_previous_views=nodes.astype(bool),
         iteration=nodes,
         src=nodes,
         dst=nodes,
         views=rows,
         last_sent=rows,
         fresh=nodes.astype(bool),
+        previous_views=rows,
+        previous_fresh=nodes.astype(bool),
         residuals=None,
         has_residual=None,
     )
