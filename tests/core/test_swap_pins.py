@@ -1,0 +1,159 @@
+"""Golden digests of runs that swap topology mid-run, on two engines.
+
+The adaptive differential cases only check that the engines *agree* on a
+swap. Every engine goes through the same swap path, so a mistake in that
+path would move them together and still agree. These pins hold the
+absolute trajectory: the full :class:`~repro.testing.digest.RunDigest`
+(round trace, flow ledger, final parameters, server state, totals, final
+loss) of each swapping run, on the reference and the vectorized engine.
+
+Runs pinned:
+
+* the five hand-built cases of
+  ``tests/differential/test_adaptive_differential.py`` (prunes, knob swaps,
+  a churn trigger, REWEIGHT, error feedback);
+* the churn re-add run of ``tests/core/test_topology_readd.py`` (a prune,
+  then a recovery that re-adds the hub chords);
+* a manual drop of chord ``(0, 3)`` and its re-add, with rounds between.
+
+Not marked ``differential``: each run takes a fraction of a second. A pin
+moving means a swap changed numerically; update it only with the reason.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.testing.differential import run_scenario
+from repro.testing.digest import RunDigest
+from tests.core.test_topology_readd import churn_trainer, manual_swap_trainer
+from tests.differential.test_adaptive_differential import CASES
+
+ENGINES = ("reference", "vectorized")
+
+
+def pinned(digest: RunDigest) -> dict:
+    return json.loads(digest.to_json())
+
+
+def manual_swap_digest(engine: str) -> RunDigest:
+    """Four rounds, drop chord (0, 3), three rounds, re-add it, four rounds."""
+    trainer = manual_swap_trainer(engine)
+    trainer.run(stop_on_convergence=False)
+    controller = trainer._topology_controller
+    drop = controller.propose(
+        trainer.rounds_completed, reason="membership", drop_candidates=((0, 3),)
+    )
+    assert drop.pruned_edges == ((0, 3),)
+    trainer._apply_topology_swap(drop)
+    trainer.run(max_rounds=3, stop_on_convergence=False)
+    grow = controller.propose(
+        trainer.rounds_completed, reason="membership", add_candidates=((0, 3),)
+    )
+    assert grow.added_edges == ((0, 3),)
+    trainer._apply_topology_swap(grow)
+    result = trainer.run(max_rounds=4, stop_on_convergence=False)
+    return RunDigest.capture(trainer, result)
+
+
+def churn_readd_digest(engine: str) -> RunDigest:
+    trainer = churn_trainer(readd=True, engine=engine)
+    result = trainer.run(stop_on_convergence=False)
+    assert any(swap.added_edges for swap in trainer._topology_controller.swaps)
+    return RunDigest.capture(trainer, result)
+
+
+GOLDEN = {
+    "ape-preset-pruning": {
+        "rounds_sha": "b6d5fd9f9108b87f41c3aacdf2336e78e8da899e9c89de0e72df5a6ce06d0b68",
+        "ledger_sha": "0e4766d83c0106828e16ea7719080ac771afd30bce775ad991002a381f42acdc",
+        "final_params_sha": "fcd0b876c3428064b338ae449daaafb25accfc5021230231d78713d95638387d",
+        "server_state_sha": "30f1e312a524fa60050aff83fd31b0604ee1287c71a4b47718c97ff134db2d20",
+        "total_bytes": 12696,
+        "total_cost": 12696,
+        "final_loss": "0x1.eb1dcfa2df2aep-2",
+        "version": 1,
+    },
+    "uniform-knob": {
+        "rounds_sha": "5db87f116dbf4a1d805cdeaa5a7773ef46d90dd4138899e859ba845ed51ca7b0",
+        "ledger_sha": "7cd9893b66ac041be13c394eaa9c09e04e9841385a9d40013771de06b9bc58f3",
+        "final_params_sha": "aaafb6dc8daea073d8c532653268dad4a2460bfb162f7d0733e25de3ed9f6fdd",
+        "server_state_sha": "0d0492df8acd4238aa2aa2d9b2f5282eb231f21d257c9b2126293408f04bd8bc",
+        "total_bytes": 4298,
+        "total_cost": 4298,
+        "final_loss": "0x1.47a08540d2c32p-1",
+        "version": 1,
+    },
+    "churn-trigger": {
+        "rounds_sha": "0ce9426a4c1d0cc69dbb44c1cd93638b77154a9feca48a773e67abfb421d1299",
+        "ledger_sha": "b31501101c57c77fbd36067f66dccf94328c876c3721f582858618d06303c689",
+        "final_params_sha": "ca213c616303b5c0385be4dc8d6b1cc6ef5e1d48fa5e4e862889af04b2a4f699",
+        "server_state_sha": "590375d2be64ca53f4914c9bef0c10bb1ca68c355338a9370c55d443ac87a9bc",
+        "total_bytes": 6408,
+        "total_cost": 6408,
+        "final_loss": "0x1.0b4e76a86c9cep-1",
+        "version": 1,
+    },
+    "svm-reweight": {
+        "rounds_sha": "6d825192e9198d55dda340ab6599041feac0c20883f48d54dbcc8d968f9b1e24",
+        "ledger_sha": "b021cdf24868c2d51a8ca4251283a8bda17437672f2b89e6282dcd7d6b12c237",
+        "final_params_sha": "cb4fc14c00ec5faf6affe1600c9b69bbbd454920182cfbf081c21612594b94f4",
+        "server_state_sha": "5f618debff9a8e3ac17bae49a0f5a7d0e619726e4c1a2180a566382551af4028",
+        "total_bytes": 12688,
+        "total_cost": 12688,
+        "final_loss": "0x1.da938f1e39496p-1",
+        "version": 1,
+    },
+    "error-feedback-wrapper": {
+        "rounds_sha": "1f4ee07ac836f90bce5a6774eb6f956ab01e2258dc7d0010f7c64477117707ff",
+        "ledger_sha": "f215eb432468f3c305cad2f5b4c8a745cab7a74349f0e960972a0342f0c0a3f8",
+        "final_params_sha": "793aac2aecf421a01a8fcab9ca5b80c51eb3bbb1f391b5677c1ffaf20f1cdbd4",
+        "server_state_sha": "360d33ad2f87823ba60d824a65a0069536249dcae7fc204a9b4e931d61948784",
+        "total_bytes": 4944,
+        "total_cost": 4944,
+        "final_loss": "0x1.4c0a0d925367ep-1",
+        "version": 1,
+    },
+    "churn-readd": {
+        "rounds_sha": "71c7b087c0749cd6af833b80cd717c3d24cfc808a69d610699d4d9dec810bdea",
+        "ledger_sha": "58a0736649ec0580cffc927a78c151b6fc80458fe0c5eb2204ed280a7d874368",
+        "final_params_sha": "71abf740469a30e786b3c655a7699efa693ac2236bd551a2f38fbd446ba76a6e",
+        "server_state_sha": "ffb645567cdb9d44024621964244c7cc66f251c603fa0f68cdfd595bea9a6fdf",
+        "total_bytes": 14344,
+        "total_cost": 14344,
+        "final_loss": "0x1.cb17f9a9ec151p-2",
+        "version": 1,
+    },
+    "manual-drop-readd": {
+        "rounds_sha": "323f0468724b694410e0e2a7838aa1c5b573039fe29f807cb0be1e18e7cfdcdb",
+        "ledger_sha": "10aa9a995ebe310b9fb5a684fc6c9a29278590a6dbbdc01e9a00e1df890e957c",
+        "final_params_sha": "0247cd7905bb7cc8b9c70628077b41fb0e32f5305b633e4c29d30f9e0fa80a0c",
+        "server_state_sha": "ddaac314dee15a45e3dee51d7bcfe13605b8f95641eaf6c6b6e6ed6aa4a443af",
+        "total_bytes": 10900,
+        "total_cost": 10900,
+        "final_loss": "0x1.f3ff4d2b4e8bfp-2",
+        "version": 1,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "label, scenario", [case[:2] for case in CASES], ids=[case[0] for case in CASES]
+)
+def test_adaptive_case_digests_are_pinned(label, scenario):
+    report = run_scenario(scenario, invariants="strict", engines=ENGINES)
+    assert report.ok, report.detail
+    for engine in ENGINES:
+        assert pinned(report.digests[engine]) == GOLDEN[label], engine
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_churn_readd_digest_is_pinned(engine):
+    assert pinned(churn_readd_digest(engine)) == GOLDEN["churn-readd"]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_manual_drop_and_readd_digest_is_pinned(engine):
+    assert pinned(manual_swap_digest(engine)) == GOLDEN["manual-drop-readd"]
