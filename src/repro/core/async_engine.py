@@ -216,7 +216,7 @@ class SemiSyncEngine(Engine):
         )
 
     def rebuild_topology(self) -> None:
-        """Adopt the trainer's swapped (pruned) topology mid-run.
+        """Adopt the trainer's swapped topology mid-run (layout only).
 
         Called at a trainer round boundary, i.e. after ``_settle_arrivals``
         — the heap holds no in-flight ARRIVAL events, so the only frames
@@ -225,7 +225,8 @@ class SemiSyncEngine(Engine):
         exists: they are voided into the corrupted ledger (bytes crossed,
         payload never applied) so the three-way frame-conservation check
         stays exact across the swap. Scheduling state for pruned edges is
-        dropped, degraded sets are clipped to the surviving in-neighbors,
+        dropped, an added edge gets its own (see below), degraded sets are
+        clipped to the surviving in-neighbors,
         and any server blocked solely on pruned links is woken — a barrier
         waiting on a link that no longer exists would otherwise deadlock.
         """
@@ -247,8 +248,15 @@ class SemiSyncEngine(Engine):
             self._edge_last_arrival.pop(edge, None)
             self._outstanding.pop(edge, None)
             self.stale_view_rounds.pop(edge, None)
+        # An added link starts holding its sender's current parameters: the
+        # receiver has observed, and applied, the sender's completed round.
+        for edge in live - self._arrival_times.keys():
+            sender_round = self._nodes[edge[0]].completed
+            self._arrival_times[edge] = [0.0]
+            self._arrival_rounds[edge] = [sender_round]
+            self._last_applied[edge] = sender_round
         for node in self._nodes:
-            surviving = set(trainer.servers[node.node_id].neighbors)
+            surviving = set(trainer.topology.neighbors(node.node_id))
             node.degraded &= surviving
             if node.blocked and not self._lagging(
                 node, node.completed + 1, node.clock

@@ -16,6 +16,10 @@ the checkpointed run's totals if cumulative traffic is needed). The drift
 epoch is not stored either: it is a function of the completed rounds, so
 the restore re-derives it and swaps the trainer onto that epoch's shards.
 
+Nor are a swapped topology, its ``W`` and step size, or the adaptive
+controller's trigger state, so saving a trainer that has an adaptive
+controller or had any swap applied raises ``ConfigurationError``.
+
 Format version 2: a single ``.npz`` file holding each state column under
 ``state/<column>``, the staleness ages under ``staleness``, and scalars in
 a JSON blob under ``__meta__``. Writing reads ``engine.state()`` and builds
@@ -42,6 +46,16 @@ CHECKPOINT_VERSION = 2
 
 def save_checkpoint(trainer, path: str | Path) -> Path:
     """Write ``trainer``'s full optimization state to ``path`` (.npz)."""
+    if trainer._topology_controller is not None:
+        raise ConfigurationError(
+            "cannot checkpoint a trainer with an adaptive topology controller "
+            "(its swaps and trigger state are not stored)"
+        )
+    if trainer._swapped:
+        raise ConfigurationError(
+            "cannot checkpoint a trainer after a topology swap "
+            "(the swapped topology, W and step size are not stored)"
+        )
     snapshot = trainer.engine.state()  # current mid-run (a round observer) too
     arrays = {
         f"state/{name}": column

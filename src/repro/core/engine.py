@@ -238,13 +238,56 @@ def scatter_state(state: EngineState, servers) -> None:
             server.previous_params = None
             server._previous_gradient = None
         server.iteration = iterations[i]
-        server.views.update(zip(around, views[lo:hi]))
-        server.last_sent.update(zip(around, last_sent[lo:hi]))
-        server.fresh.update(zip(around, fresh[lo:hi]))
+        server.views = dict(zip(around, views[lo:hi]))
+        server.last_sent = dict(zip(around, last_sent[lo:hi]))
+        server.fresh = dict(zip(around, fresh[lo:hi]))
         server.previous_views = (
             dict(zip(around, previous_views[lo:hi])) if has_previous_views[i] else {}
         )
-        server.previous_fresh.update(zip(around, previous_fresh[lo:hi]))
+        server.previous_fresh = dict(zip(around, previous_fresh[lo:hi]))
+
+
+def carry_rows(column: np.ndarray, rows: np.ndarray, added) -> np.ndarray:
+    """A new array whose row ``e`` is ``column[rows[e]]``, or ``added`` where
+    ``rows[e]`` is −1 (the ``Topology.edge_rows`` of a link that is new)."""
+    moved = np.empty((rows.size, *column.shape[1:]), dtype=column.dtype)
+    kept = rows >= 0
+    moved[kept] = column[rows[kept]]
+    moved[~kept] = added
+    return moved
+
+
+def reindex_state(state: EngineState, rows: np.ndarray, src, dst) -> EngineState:
+    """``state`` moved onto the directed edges ``(src, dst)`` of a swapped topology.
+
+    A surviving edge carries every per-edge column through ``rows``
+    (:func:`carry_rows`); an added edge starts as at round zero, with
+    ``views = last_sent = params[src]``, fresh and no residual. Every node
+    restarts EXTRA: its two-term memory was built under the old ``W``.
+    """
+    seeds = state.params[src[rows < 0]]
+    restarted = np.zeros(state.params.shape[0], dtype=bool)
+    residuals = has_residual = None
+    if state.residuals is not None:
+        residuals = carry_rows(state.residuals, rows, 0.0)
+        has_residual = carry_rows(state.has_residual, rows, False)
+    return EngineState(
+        params=state.params,
+        previous_params=state.previous_params,
+        previous_gradient=state.previous_gradient,
+        has_previous=restarted,
+        has_previous_views=restarted,
+        iteration=state.iteration,
+        src=src,
+        dst=dst,
+        views=carry_rows(state.views, rows, seeds),
+        last_sent=carry_rows(state.last_sent, rows, seeds),
+        fresh=carry_rows(state.fresh, rows, True),
+        previous_views=carry_rows(state.previous_views, rows, 0.0),
+        previous_fresh=carry_rows(state.previous_fresh, rows, True),
+        residuals=residuals,
+        has_residual=has_residual,
+    )
 
 
 class Engine:
@@ -257,8 +300,8 @@ class Engine:
     an engine whose servers (``self.trainer.servers``) *are* the state, as
     on the per-edge engines, which build them at construction. The
     vectorized engine's state is its arrays: its servers are built by the
-    first read of ``trainer.servers`` (a caller, a ``run(on_round=...)``
-    callback or a swap), and only then does it ingest and write back.
+    first read of ``trainer.servers`` (a caller or a ``run(on_round=...)``
+    callback), and only then does it ingest and write back.
     """
 
     def begin_run(self) -> None:
@@ -272,7 +315,7 @@ class Engine:
         """Write engine-held state back onto the server objects."""
 
     def rebuild_topology(self) -> None:
-        """Adopt the trainer's swapped topology (its servers already swapped)."""
+        """Re-lay out for the swapped topology; :meth:`load_state` follows."""
 
     def rebuild_data(self) -> None:
         """Adopt the trainer's drifted shards (its built servers already swapped)."""
@@ -487,18 +530,11 @@ class VectorizedEngine(Engine):
         self._subst_scratch: np.ndarray | None = None
 
     def rebuild_topology(self) -> None:
-        """Adopt the trainer's swapped topology and weight matrix.
-
-        Must be called with the server objects holding the authoritative
-        post-swap state (the trainer syncs, swaps the servers, then calls
-        this): the edge layout, both mixing CSRs, and the ``(N + E, d)``
-        stacks are rebuilt for the pruned graph and re-ingested via
-        :meth:`begin_run`, so the rebuilt state is bit-identical to a fresh
-        engine on the new topology.
-        """
+        """Rebuild the edge layout, both mixing CSRs and the ``(N + E, d)``
+        stacks for the trainer's swapped topology and weight matrix; the
+        trainer's :meth:`load_state` of the re-indexed state fills them."""
         self._build_edge_structures()
         self._allocate_state()
-        self.begin_run()
 
     def rebuild_data(self) -> None:
         """Adopt the trainer's swapped shards after a drift epoch boundary.

@@ -86,7 +86,7 @@ class EdgeServer:
         self.node_id = int(node_id)
         self.model = model
         self.swap_data(X, y)
-        self._adopt_weights(neighbors, own_weight, neighbor_weights)
+        self.adopt_weights(neighbors, own_weight, neighbor_weights)
         if alpha <= 0:
             raise ConfigurationError(f"alpha must be > 0, got {alpha}")
         self.alpha = float(alpha)
@@ -131,8 +131,10 @@ class EdgeServer:
 
     # -- local objective ------------------------------------------------------
 
-    def _adopt_weights(self, neighbors, own_weight, neighbor_weights) -> None:
-        """Take ``neighbors`` and the row weights aligned with them."""
+    def adopt_weights(self, neighbors, own_weight, neighbor_weights) -> None:
+        """Take ``neighbors`` and the row weights aligned with them (at
+        construction, and for a topology swap, whose per-neighbor state the
+        trainer's ``engine.load_state`` then writes)."""
         neighbors = tuple(int(j) for j in neighbors)
         weights = tuple(float(w) for w in neighbor_weights)
         if len(weights) != len(neighbors):
@@ -348,58 +350,6 @@ class EdgeServer:
         self.params = new_params
         self.iteration += 1
         return new_params
-
-    def swap_topology(
-        self,
-        neighbors: tuple[NodeId, ...],
-        own_weight: float,
-        neighbor_weights,
-        alpha: float,
-        new_views: dict[NodeId, Params] | None = None,
-    ) -> None:
-        """Adopt a re-optimized neighbor set and its row weights mid-run.
-
-        Per-link state for surviving neighbors carries over untouched, state
-        for pruned links is discarded. A *new* link (churn-recovery or
-        elastic-join re-add) must arrive with a seed view — that neighbor's
-        exact current parameters, captured by the trainer while every
-        server's state is synced — in ``new_views``; the link then starts in
-        the same "everyone holds an exact copy" condition as round zero:
-        ``views`` seeded with the peer, ``last_sent`` with own parameters
-        (the peer seeds its mirror symmetrically), ``fresh`` true. A swap is
-        always an EXTRA epoch boundary: the mixing matrix changed, so the
-        two-term recursion's memory (built under the old ``W``) is invalid
-        and the current parameters become the new stage's ``x^0`` via
-        :meth:`restart_recursion`.
-        """
-        new_neighbors = tuple(int(n) for n in neighbors)
-        seeds = {} if new_views is None else {int(j): v for j, v in new_views.items()}
-        extra = set(new_neighbors) - set(self.neighbors)
-        unseeded = extra - set(seeds)
-        if unseeded:
-            raise ProtocolError(
-                f"server {self.node_id} cannot swap in new links "
-                f"{sorted(unseeded)} without seed views"
-            )
-        stray = set(seeds) - extra
-        if stray:
-            raise ProtocolError(
-                f"server {self.node_id} got seed views for links that are not "
-                f"new: {sorted(stray)}"
-            )
-        if alpha <= 0:
-            raise ConfigurationError(f"alpha must be > 0, got {alpha}")
-        self._adopt_weights(new_neighbors, own_weight, neighbor_weights)
-        self.alpha = float(alpha)
-        keep = set(new_neighbors)
-        for ledger in (self.views, self.last_sent, self.fresh):
-            for j in [j for j in ledger if j not in keep]:
-                del ledger[j]
-        for j, seed in seeds.items():
-            self.views[j] = np.asarray(seed, dtype=float).copy()
-            self.last_sent[j] = self.params.copy()
-            self.fresh[j] = True
-        self.restart_recursion()
 
     def restart_recursion(self) -> None:
         """Forget the EXTRA history and treat the current parameters as ``x^0``.

@@ -37,7 +37,7 @@ from repro.consensus.convergence import ConvergenceDetector, consensus_error
 from repro.consensus.step_size import safe_step_size
 from repro.core.config import APE_EPSILON_FRACTION, APE_GROWTH, STEP_SAFETY
 from repro.core.config import ShardWeighting, SNAPConfig
-from repro.core.engine import build_engine
+from repro.core.engine import build_engine, carry_rows, reindex_state
 from repro.core.server import EdgeServer
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError, DataError, NetworkPartitionError
@@ -365,6 +365,8 @@ class SNAPTrainer:
         self._last_ape_stage = 0
         #: Round horizon of the current run() (for budget projection).
         self._budget_horizon = 0
+        #: Whether a topology swap (adaptive or membership) was applied.
+        self._swapped = False
 
     @property
     def servers(self) -> list[EdgeServer]:
@@ -691,45 +693,32 @@ class SNAPTrainer:
             self._apply_topology_swap(swap)
 
     def _apply_topology_swap(self, swap) -> None:
-        """Atomically switch the runtime onto a swap's (topology, W, spec).
+        """Switch the run onto a swap's (topology, W, spec): one re-index of the state.
 
-        Ordering is load-bearing:
-
-        1. the engine writes its state back onto the server objects (they
-           are the authoritative carrier across the boundary; on the
-           vectorized engine a swap builds them if nothing has yet);
-        2. the new W is re-validated against the new topology — by the
-           invariant monitor when one is attached (step 8, so a bad matrix
-           is reported by invariant name), else by ``check_weight_matrix``
-           here — and refused here if any weight leaves the new links;
-        3. trainer-level state switches: topology, weight matrix, and the
-           step size (re-capped with the re-solve's cached λ_min(W̃); never
-           raised mid-run — a larger cap would retroactively invalidate
-           completed rounds);
-        4. every server adopts its new neighbors and their weights and
-           restarts the EXTRA recursion (a swap is a stage boundary: the
-           two-term recursion's memory was built under the old W);
-        5. the staleness ages move onto the new links: a surviving link
-           keeps its age, an added one starts at 0;
-        6. the compressor layer switches: a knob swap rebuilds all
-           compressors and clears per-edge state (new scheme, new streams);
-           a topology-only swap just drops the pruned edges' state;
-        7. the engine rebuilds its topology-shaped structures from the
-           post-swap servers;
-        8. the monitor re-validates (stochasticity, spectrum, feasible
-           frame sizes) under the ``topology-swap`` check.
+        1. The new W is validated — by the monitor's ``topology-swap`` check
+           (step 6) when one is attached, else here — and refused if any
+           weight leaves the new links.
+        2. The run state is read once, and the old topology's ``edge_rows``
+           maps each new directed edge to its old row (−1 if added).
+        3. Topology, W and step size switch; the step size is re-capped,
+           never raised mid-run (that would invalidate completed rounds).
+           Built servers take their new neighbors, weights and step size.
+        4. The staleness ages move through the same rows (added: 0).
+        5. A knob swap rebuilds every compressor and clears the per-edge
+           compressor state; a topology-only swap drops the pruned edges'.
+        6. The engine re-lays itself out and loads
+           :func:`~repro.core.engine.reindex_state` of the state; the
+           monitor re-validates.
         """
-        engine = self.engine
-        engine.sync_to_servers()
-        # A first read builds the list from the pre-swap state and fills it.
-        servers = self.servers
         if self.monitor is None:
             check_weight_matrix(swap.matrix, swap.topology)
         _refuse_stray_weights(
             *off_support(swap.matrix, swap.topology, STRAY_ATOL), "swapped weight row"
         )
+        engine = self.engine
+        state = engine.state()
+        rows = self.topology.edge_rows(*swap.topology.directed_edges)
 
-        old_topology = self.topology
         self.topology = swap.topology
         self.weight_matrix = swap.matrix
         self._weight_result = swap.result
@@ -751,31 +740,15 @@ class SNAPTrainer:
                     ),
                 ),
             )
-        added_neighbors: dict[int, list[int]] = {}
-        for u, v in swap.added_edges:
-            added_neighbors.setdefault(u, []).append(v)
-            added_neighbors.setdefault(v, []).append(u)
-        weights = self._server_weights()
-        for node, server in enumerate(servers):
-            new_views = None
-            if node in added_neighbors:
-                # Seed re-added links with the peer's exact synced parameters
-                # (step 1 wrote engine state back), so both endpoints start
-                # the link in the round-zero "exact copy" condition.
-                new_views = {j: servers[j].params for j in added_neighbors[node]}
-            own_weight, neighbor_weights = weights[node]
-            server.swap_topology(
-                self.topology.neighbors(node),
-                own_weight,
-                neighbor_weights,
-                self.alpha,
-                new_views=new_views,
+        for server, (own_weight, neighbor_weights) in zip(
+            self._servers or (), self._server_weights()
+        ):
+            server.adopt_weights(
+                self.topology.neighbors(server.node_id), own_weight, neighbor_weights
             )
+            server.alpha = self.alpha
 
-        old_rows = old_topology.edge_rows(*self.topology.directed_edges)
-        ages = np.zeros(old_rows.size, dtype=np.int64)
-        ages[old_rows >= 0] = self._staleness[old_rows[old_rows >= 0]]
-        self._staleness = ages
+        self._staleness = carry_rows(self._staleness, rows, 0)
 
         if swap.compressor_spec is not None:
             # The budget controller never steps a preset's knob, so the
@@ -783,7 +756,7 @@ class SNAPTrainer:
             self.compressor_spec = swap.compressor_spec
             self.compressors = [
                 build_compressor(self.compressor_spec, schedule=None)
-                for _ in self.servers
+                for _ in range(self.topology.n_nodes)
             ]
             self._edge_states.clear()
         elif self._edge_states:
@@ -793,6 +766,8 @@ class SNAPTrainer:
                 del self._edge_states[(source, destination)]
 
         engine.rebuild_topology()
+        engine.load_state(reindex_state(state, rows, *self.topology.directed_edges))
+        self._swapped = True
         if self.monitor is not None:
             self.monitor.on_topology_swap(swap)
 

@@ -424,3 +424,58 @@ class TestCrashSafety:
         np.testing.assert_array_equal(
             resumed.stacked_params(), reference.stacked_params()
         )
+
+
+class TestSwappingRunsRefused:
+    """A checkpoint stores neither a swapped topology, W and step size nor
+    the adaptive controller's trigger state, so a run that swaps, or may,
+    is refused at save instead of resuming under the initial W."""
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_adaptive_controller_is_refused(self, engine, tmp_path):
+        from repro.topology.failures import ScheduledNodeFailures
+        from tests.core.test_topology_readd import (
+            HUB_CHORDS,
+            build_trainer as build_ring_trainer,
+            ring_with_chords,
+        )
+
+        # Node 5 down in rounds 3-4: one churn re-solve that keeps every
+        # link but moves W and the step size.
+        config = SNAPConfig(
+            engine=engine,
+            adaptive_topology=True,
+            topology_prune_threshold=0.0,
+            max_rounds=10,
+            seed=2,
+        )
+        trainer = build_ring_trainer(
+            ring_with_chords(12, HUB_CHORDS),
+            config,
+            fault_plan=FaultPlan(nodes=ScheduledNodeFailures({3: [5], 4: [5]})),
+        )
+        initial_alpha = trainer.alpha
+        trainer.run(stop_on_convergence=False)
+        swaps = trainer._topology_controller.swaps
+        assert [swap.reason for swap in swaps] == ["churn"]
+        assert trainer.alpha != initial_alpha
+        with pytest.raises(ConfigurationError, match="adaptive topology controller"):
+            save_checkpoint(trainer, tmp_path / "adaptive.npz")
+        assert not list(tmp_path.iterdir())
+
+    def test_membership_swap_is_refused(self, tmp_path):
+        """A swap applied from outside the trainer (the testbed's membership
+        path) is refused too, though no controller is armed."""
+        from repro.weights.adaptive import TopologyController
+        from tests.core.test_topology_readd import build_trainer as build_ring_trainer
+        from tests.core.test_topology_readd import ring_with_chords
+
+        config = SNAPConfig(optimize_weights=True, weight_iterations=120, seed=3)
+        trainer = build_ring_trainer(ring_with_chords(8, [(0, 3), (2, 6)]), config)
+        trainer.run(max_rounds=3, stop_on_convergence=False)
+        save_checkpoint(trainer, tmp_path / "before.npz")
+        controller = TopologyController(trainer.topology, trainer._weight_result)
+        drop = controller.propose(3, reason="membership", drop_candidates=((0, 3),))
+        trainer._apply_topology_swap(drop)
+        with pytest.raises(ConfigurationError, match="after a topology swap"):
+            save_checkpoint(trainer, tmp_path / "after.npz")

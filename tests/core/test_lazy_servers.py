@@ -266,3 +266,30 @@ def test_an_uninspected_run_builds_no_server(monkeypatch):
     assert trainer.servers is servers
     assert built == list(range(N_NODES))
     assert sorted(written) == list(range(N_NODES))
+
+
+def test_swaps_build_no_server(monkeypatch):
+    """An adaptive run that prunes and re-adds links re-indexes the engine's
+    arrays: no EdgeServer is constructed and nothing is written back."""
+    from repro.core import engine as engine_module
+    from tests.core.test_topology_readd import churn_trainer
+
+    built, scattered = [], []
+    init, scatter = EdgeServer.__init__, engine_module.scatter_state
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs["node_id"])
+        init(self, *args, **kwargs)
+
+    def counted_scatter(state, servers):
+        scattered.append(len(servers))
+        scatter(state, servers)
+
+    monkeypatch.setattr(EdgeServer, "__init__", counted_init)
+    monkeypatch.setattr(engine_module, "scatter_state", counted_scatter)
+    trainer = churn_trainer(readd=True, engine="vectorized")
+    capture_run(trainer, streaming=True)
+    swaps = trainer._topology_controller.swaps
+    assert any(swap.pruned_edges for swap in swaps)
+    assert any(swap.added_edges for swap in swaps)
+    assert built == [] and scattered == []
