@@ -14,7 +14,12 @@ Runs pinned:
   a churn trigger, REWEIGHT, error feedback);
 * the churn re-add run of ``tests/core/test_topology_readd.py`` (a prune,
   then a recovery that re-adds the hub chords);
-* a manual drop of chord ``(0, 3)`` and its re-add, with rounds between.
+* a manual drop of chord ``(0, 3)`` and its re-add, with rounds between;
+* a bytes-budget run on credit SVM (N=8) whose three periodic swaps step
+  ``uniform:bits=8`` down the ladder to ``bits=2``;
+* a bandwidth-aware run on the same workload: the links of node 2 are a
+  thousand times slower, and ``topology_cost_weight=0.5`` moves the one
+  prune of the cost-free run onto two of them.
 
 Not marked ``differential``: each run takes a fraction of a second. A pin
 moving means a swap changed numerically; update it only with the reason.
@@ -26,6 +31,9 @@ import json
 
 import pytest
 
+from repro.core import SNAPConfig, SNAPTrainer
+from repro.network.timing import LinkTimingModel
+from repro.simulation.experiments import credit_svm_workload
 from repro.testing.differential import run_scenario
 from repro.testing.digest import RunDigest
 from tests.core.test_topology_readd import churn_trainer, manual_swap_trainer
@@ -62,6 +70,54 @@ def churn_readd_digest(engine: str) -> RunDigest:
     trainer = churn_trainer(readd=True, engine=engine)
     result = trainer.run(stop_on_convergence=False)
     assert any(swap.added_edges for swap in trainer._topology_controller.swaps)
+    return RunDigest.capture(trainer, result)
+
+
+def credit_trainer(engine: str, **overrides) -> SNAPTrainer:
+    """Adaptive credit SVM, N=8, seed 1, 40 rounds, a cycle every 5 rounds."""
+    workload = credit_svm_workload(n_servers=8, seed=1)
+    config = SNAPConfig(
+        engine=engine,
+        adaptive_topology=True,
+        topology_reoptimize_every=5,
+        max_rounds=40,
+        seed=1,
+        **overrides,
+    )
+    return SNAPTrainer(workload.model, workload.shards, workload.topology, config)
+
+
+def budget_digest(engine: str) -> RunDigest:
+    trainer = credit_trainer(engine, compressor="uniform:bits=8", bytes_budget=20_000)
+    result = trainer.run(stop_on_convergence=False)
+    swaps = trainer._topology_controller.swaps
+    assert [(s.round_index, s.reason) for s in swaps] == [
+        (5, "periodic"),
+        (10, "periodic"),
+        (15, "periodic"),
+    ]
+    assert swaps[-1].compressor_spec.params_dict()["bits"] == 2
+    return RunDigest.capture(trainer, result)
+
+
+def cost_weight_digest(engine: str) -> RunDigest:
+    workload = credit_svm_workload(n_servers=8, seed=1)
+    slow = {edge: 1e6 for edge in workload.topology.edges if 2 in edge}
+    timing = LinkTimingModel(link_bandwidth=slow)
+    pruned = {}
+    for weight in (0.0, 0.5):
+        trainer = credit_trainer(
+            engine,
+            topology_prune_threshold=0.05,
+            topology_cost_weight=weight,
+            timing=timing,
+        )
+        result = trainer.run(stop_on_convergence=False)
+        pruned[weight] = [
+            edge for swap in trainer._topology_controller.swaps
+            for edge in swap.pruned_edges
+        ]
+    assert pruned == {0.0: [(2, 4)], 0.5: [(1, 2), (2, 3)]}
     return RunDigest.capture(trainer, result)
 
 
@@ -136,6 +192,26 @@ GOLDEN = {
         "final_loss": "0x1.f3ff4d2b4e8bfp-2",
         "version": 1,
     },
+    "uniform-bytes-budget": {
+        "rounds_sha": "5c08ca3a0cce1c8156cb867e8390ab1c2fc84620cc4d2eda61a0ae3f32f51375",
+        "ledger_sha": "7eaf6a2c72b84c30189b7c3c04e747ff60b583190334c5265906518785003df2",
+        "final_params_sha": "31f70031d599a4090719b938fafc15f79bd628dab132303eeed6f273827bd905",
+        "server_state_sha": "572c20c30eb2d63ecd11a420db0dc299c020db1e34b8ff04c3654ebb1ba5debb",
+        "total_bytes": 53250,
+        "total_cost": 53250,
+        "final_loss": "0x1.bbe7d9a447480p-2",
+        "version": 1,
+    },
+    "cost-weighted-pruning": {
+        "rounds_sha": "a978cc94f17e7b03d40c806635b8f5d6f06fa4af5078cd497e938ad6c5f27b53",
+        "ledger_sha": "6ef90e884ccace6b862c652c5c56bb2f03ca41d3a0838c2c84fe805490344b4c",
+        "final_params_sha": "d6ebee5b115af5c39a312b478b09441cd0175fab7eff3f87ac680731e51b0f6c",
+        "server_state_sha": "8fce35c02f1ebe43eb86220f1170b037ea201329700f295426afed2160af6746",
+        "total_bytes": 150784,
+        "total_cost": 150784,
+        "final_loss": "0x1.b42ed368aa89bp-2",
+        "version": 1,
+    },
 }
 
 
@@ -157,3 +233,13 @@ def test_churn_readd_digest_is_pinned(engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_manual_drop_and_readd_digest_is_pinned(engine):
     assert pinned(manual_swap_digest(engine)) == GOLDEN["manual-drop-readd"]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_bytes_budget_digest_is_pinned(engine):
+    assert pinned(budget_digest(engine)) == GOLDEN["uniform-bytes-budget"]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_cost_weighted_digest_is_pinned(engine):
+    assert pinned(cost_weight_digest(engine)) == GOLDEN["cost-weighted-pruning"]
