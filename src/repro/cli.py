@@ -335,20 +335,9 @@ def _parse_compressor(args: argparse.Namespace):
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    from repro.exceptions import ConfigurationError
+
     compressor = _parse_compressor(args)
-    workload = _build_workload(args)
-    fault_plan = FaultPlan(
-        links=(
-            IndependentLinkFailures(args.failure_rate, seed=args.seed)
-            if args.failure_rate > 0
-            else None
-        ),
-        nodes=(
-            IndependentNodeFailures(args.node_failure_rate, seed=args.seed)
-            if args.node_failure_rate > 0
-            else None
-        ),
-    )
     if args.adaptive_topology and args.scheme not in ("snap", "snap0", "sno"):
         print(
             f"--adaptive-topology only applies to the mesh schemes (snap, "
@@ -363,15 +352,32 @@ def _command_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         raise SystemExit(EXIT_USAGE)
-    config = SNAPConfig(
-        straggler_strategy=StragglerStrategy(args.straggler_strategy),
-        max_rounds=args.rounds,
-        compressor=compressor,
-        adaptive_topology=args.adaptive_topology,
-        topology_reoptimize_every=args.reoptimize_every,
-        topology_prune_threshold=args.prune_threshold,
-        topology_cost_weight=args.topology_cost_weight,
-        bytes_budget=args.bytes_budget,
+    try:
+        config = SNAPConfig(
+            straggler_strategy=StragglerStrategy(args.straggler_strategy),
+            max_rounds=args.rounds,
+            compressor=compressor,
+            adaptive_topology=args.adaptive_topology,
+            topology_reoptimize_every=args.reoptimize_every,
+            topology_prune_threshold=args.prune_threshold,
+            topology_cost_weight=args.topology_cost_weight,
+            bytes_budget=args.bytes_budget,
+        )
+    except ConfigurationError as error:
+        print(str(error), file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    workload = _build_workload(args)
+    fault_plan = FaultPlan(
+        links=(
+            IndependentLinkFailures(args.failure_rate, seed=args.seed)
+            if args.failure_rate > 0
+            else None
+        ),
+        nodes=(
+            IndependentNodeFailures(args.node_failure_rate, seed=args.seed)
+            if args.node_failure_rate > 0
+            else None
+        ),
     )
     result = run_scheme(
         args.scheme,

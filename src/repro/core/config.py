@@ -206,11 +206,14 @@ class SNAPConfig:
         Off by default so prune-only runs stay bitwise unchanged. Requires
         ``adaptive_topology=True``.
     bytes_budget:
-        Optional total-bytes budget for the run. When set, the controller
-        also steps the compressor's fidelity knob (``uniform`` bits,
+        Optional total-bytes budget for the run. When set, the topology
+        controller also steps the compressor's byte knob (``uniform`` bits,
         ``topk``/``randomk`` k) down or up at each cycle so the projected
         end-of-run traffic stays inside the budget — the joint
-        (topology, compressor) controller of ``docs/TOPOLOGY.md``.
+        (topology, compressor) controller of ``docs/TOPOLOGY.md``. Requires
+        ``adaptive_topology=True`` and a ``compressor`` of one of those
+        kinds (``ef:`` wrapped or not); anything else has no knob to step,
+        so the budget is refused rather than silently ignored.
     robust_aggregation:
         Optional byzantine-resilient neighbor mixing: a
         :class:`~repro.core.robust.RobustAggregationSpec` or a spec string
@@ -331,8 +334,6 @@ class SNAPConfig:
         check_positive_int("topology_reoptimize_every", self.topology_reoptimize_every)
         check_non_negative("topology_prune_threshold", self.topology_prune_threshold)
         check_non_negative("topology_cost_weight", self.topology_cost_weight)
-        if self.bytes_budget is not None:
-            check_positive_int("bytes_budget", self.bytes_budget)
         check_positive_int("max_rounds", self.max_rounds)
         if self.max_partitioned_rounds is not None:
             check_positive_int("max_partitioned_rounds", self.max_partitioned_rounds)
@@ -342,6 +343,19 @@ class SNAPConfig:
             from repro.compression.spec import CompressorSpec
 
             self.compressor = CompressorSpec.normalize(self.compressor)
+        if self.bytes_budget is not None:
+            check_positive_int("bytes_budget", self.bytes_budget)
+            from repro.weights.adaptive import BYTE_KNOBS
+
+            kind = self.compressor_spec().kind
+            if not self.adaptive_topology or kind not in BYTE_KNOBS:
+                raise ConfigurationError(
+                    "bytes_budget is stepped by the adaptive topology "
+                    "controller on a compressor's byte knob: it requires "
+                    "adaptive_topology=True and a compressor of kind "
+                    f"{', '.join(BYTE_KNOBS)} (got adaptive_topology="
+                    f"{self.adaptive_topology}, compressor kind {kind!r})"
+                )
         if self.robust_aggregation is not None:
             from repro.core.robust import RobustAggregationSpec
 

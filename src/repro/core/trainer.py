@@ -167,51 +167,41 @@ class SNAPTrainer:
         #: warm-starts its online re-solves from it, and its cached
         #: ``lazy_report`` feeds the step-size cap below.
         self._weight_result = None
+        #: How a matrix that is not an optimization result was made.
+        self._weight_problem = "explicit"
         if weight_matrix is None:
             if self.config.optimize_weights:
-                if (
-                    self.config.adaptive_topology
-                    and self.config.topology_cost_weight > 0.0
-                ):
-                    # Bandwidth-aware objective from round zero: the initial
-                    # solve sees the same per-link costs the online
-                    # re-solves will, so pruning decisions are consistent.
-                    optimization = optimize_weight_matrix(
-                        topology,
-                        iterations=self.config.weight_iterations,
-                        edge_costs=edge_cost_vector(
-                            topology, self.config.timing
-                        ),
-                        cost_weight=self.config.topology_cost_weight,
-                    )
-                else:
-                    optimization = optimize_weight_matrix(
-                        topology, iterations=self.config.weight_iterations
-                    )
-                self._weight_result = optimization
-                weight_matrix = optimization.matrix
-                self._weight_info = {
-                    "weight_problem": optimization.problem,
-                    "rate_score": optimization.report.rate_score,
-                }
+                # An adaptive run is bandwidth-aware from round zero: the
+                # initial solve sees the per-link costs the online re-solves
+                # will, so pruning decisions are consistent.
+                cost_weight = (
+                    self.config.topology_cost_weight
+                    if self.config.adaptive_topology
+                    else 0.0
+                )
+                self._weight_result = optimize_weight_matrix(
+                    topology,
+                    iterations=self.config.weight_iterations,
+                    edge_costs=(
+                        edge_cost_vector(topology, self.config.timing)
+                        if cost_weight > 0.0
+                        else None
+                    ),
+                    cost_weight=cost_weight,
+                )
+                weight_matrix = self._weight_result.matrix
             elif self.config.tier_damping is not None:
                 weight_matrix = tiered_metropolis_weights(
                     topology, self.config.tier_damping
                 )
-                self._weight_info = {"weight_problem": "tiered-metropolis"}
+                self._weight_problem = "tiered-metropolis"
             else:
                 weight_matrix = metropolis_weights(
                     topology, sparse=self.config.sparse_weights
                 )
-                self._weight_info = {
-                    "weight_problem": (
-                        "metropolis-sparse"
-                        if self.config.sparse_weights
-                        else "metropolis"
-                    )
-                }
-        else:
-            self._weight_info = {"weight_problem": "explicit"}
+                self._weight_problem = (
+                    "metropolis-sparse" if self.config.sparse_weights else "metropolis"
+                )
         self.weight_matrix = check_weight_matrix(weight_matrix, topology)
 
         if self.config.shard_weighting is ShardWeighting.SAMPLES:
@@ -238,21 +228,7 @@ class SNAPTrainer:
         self.alpha = (
             self.config.alpha
             if self.config.alpha is not None
-            else safe_step_size(
-                self.weight_matrix,
-                self.lipschitz,
-                STEP_SAFETY,
-                # λ_min(W̃) was already computed when the optimizer analyzed
-                # the lazy candidate of the winning matrix; reusing it here
-                # is bitwise-identical to recomputing (same matrix
-                # expression, same eigvalsh) and saves a dense spectrum.
-                lam_min_tilde=(
-                    self._weight_result.lazy_report.smallest
-                    if self._weight_result is not None
-                    and self._weight_result.lazy_report is not None
-                    else None
-                ),
-            )
+            else self._safe_alpha(self.weight_matrix, self._weight_result)
         )
 
         if initial_params is None:
@@ -342,29 +318,10 @@ class SNAPTrainer:
                     "cannot be re-optimized online"
                 )
             self._topology_controller: TopologyController | None = (
-                TopologyController(
-                    self.topology,
-                    self._weight_result,
-                    reoptimize_every=self.config.topology_reoptimize_every,
-                    prune_threshold=self.config.topology_prune_threshold,
-                    cost_weight=self.config.topology_cost_weight,
-                    timing=self.config.timing,
-                    iterations=self.config.weight_iterations,
-                    bytes_budget=self.config.bytes_budget,
-                    spec=self.compressor_spec,
-                )
+                TopologyController(self.topology, self._weight_result, self.config)
             )
         else:
             self._topology_controller = None
-        #: Down set of the previous round — the churn-recovery trigger: a
-        #: transition from "some servers down" to "all up" fires an
-        #: off-schedule re-optimization cycle.
-        self._last_down: frozenset = frozenset()
-        #: Highest APE stage seen so far; a stage advance is the budget
-        #: controller's per-stage decision point.
-        self._last_ape_stage = 0
-        #: Round horizon of the current run() (for budget projection).
-        self._budget_horizon = 0
         #: Whether a topology swap (adaptive or membership) was applied.
         self._swapped = False
 
@@ -403,6 +360,33 @@ class SNAPTrainer:
                 self._server_weights()
             )
         ]
+
+    @property
+    def _weight_info(self) -> dict:
+        """How W was made: the solve's problem and rate score, or the construction."""
+        result = self._weight_result
+        if result is None:
+            return {"weight_problem": self._weight_problem}
+        return {
+            "weight_problem": result.problem,
+            "rate_score": result.report.rate_score,
+        }
+
+    def _safe_alpha(self, matrix: WeightMatrix, result) -> float:
+        """The safe step size of ``matrix`` (``result``: its optimization, or None).
+
+        ``λ_min(W̃)`` was already computed when the optimizer analyzed the
+        lazy candidate of the winning matrix; reusing it is bitwise-identical
+        to recomputing (same matrix expression, same ``eigvalsh``) and saves
+        a dense spectrum.
+        """
+        lazy = result.lazy_report if result is not None else None
+        return safe_step_size(
+            matrix,
+            self.lipschitz,
+            STEP_SAFETY,
+            lam_min_tilde=lazy.smallest if lazy is not None else None,
+        )
 
     def _server_weights(self) -> list[tuple[float, list[float]]]:
         """Per node: its own weight and its neighbors' weights, ascending."""
@@ -527,7 +511,8 @@ class SNAPTrainer:
         if detector is None:
             detector = ConvergenceDetector()
         records = RoundTrace()
-        self._budget_horizon = self.rounds_completed + cap
+        horizon = self.rounds_completed + cap
+        controller = self._topology_controller
 
         engine = self.engine
         engine.begin_run()
@@ -599,8 +584,17 @@ class SNAPTrainer:
                 converged = detector.observe(mean_loss, consensus)
                 if converged and stop_on_convergence:
                     break
-                if self._topology_controller is not None:
-                    self._maybe_adapt_topology(round_index, down)
+                if controller is not None:
+                    schedules = self._schedules
+                    swap = controller.after_round(
+                        round_index,
+                        down,
+                        0 if schedules is None else int(schedules.stages.max()),
+                        bytes_spent=self.tracker.total_bytes,
+                        total_rounds=horizon,
+                    )
+                    if swap is not None:
+                        self._apply_topology_swap(swap)
         finally:
             engine.sync_to_servers()
 
@@ -617,11 +611,11 @@ class SNAPTrainer:
             "compressor": self.compressor_spec.label,
             **self._weight_info,
         }
-        if self._topology_controller is not None:
+        if controller is not None:
             # Controller report lives in ``info`` only; the RunDigest does
             # not hash it, so engine equivalence is decided by the actual
             # trajectory, not by matching report dictionaries.
-            info["adaptive_topology"] = self._topology_controller.summary()
+            info["adaptive_topology"] = controller.summary()
         timing = engine.timing_summary()
         if timing is not None:
             # Virtual-clock report of the semi-synchronous engine. Lives in
@@ -640,57 +634,6 @@ class SNAPTrainer:
         )
 
     # -- adaptive topology -------------------------------------------------------
-
-    def _current_ape_stage(self) -> int:
-        """The fleet's highest APE stage (0 outside the APE policy)."""
-        if self._schedules is None:
-            return 0
-        return int(self._schedules.stages.max())
-
-    def _maybe_adapt_topology(self, round_index: int, down: frozenset) -> None:
-        """Run the controller cycle when a trigger fires at this round boundary.
-
-        Triggers, in precedence order: fault-churn recovery (the previous
-        round had down servers, this one has none — link statistics shifted,
-        re-optimize unconditionally), an APE stage advance (Algorithm 1's
-        natural epoch boundary, where the budget controller re-decides the
-        joint (topology, knob) point), and the periodic
-        ``topology_reoptimize_every`` schedule. Every input the controller
-        sees (round index, ledger totals, stage counters) is digest-pinned
-        identical across the three engines, so they fire identical swaps.
-        """
-        controller = self._topology_controller
-        reason = None
-        recovered: frozenset = frozenset()
-        if self._last_down and not down:
-            reason = "churn"
-            recovered = frozenset(self._last_down)
-        stage = self._current_ape_stage()
-        if stage != self._last_ape_stage:
-            self._last_ape_stage = stage
-            if reason is None:
-                reason = "ape-stage"
-        if reason is None and controller.due(round_index):
-            reason = "periodic"
-        self._last_down = down
-        if reason is None:
-            return
-        add_candidates: tuple = ()
-        if recovered and self.config.topology_readd:
-            # Recovered servers get their previously pruned base-topology
-            # links back as re-add candidates (off by default: the pinned
-            # prune-only differential scenarios stay bitwise unchanged).
-            add_candidates = controller.readd_candidates(recovered)
-        swap = controller.propose(
-            round_index,
-            bytes_spent=self.tracker.total_bytes,
-            rounds_done=self.rounds_completed,
-            total_rounds=self._budget_horizon,
-            reason=reason,
-            add_candidates=add_candidates,
-        )
-        if swap is not None:
-            self._apply_topology_swap(swap)
 
     def _apply_topology_swap(self, swap) -> None:
         """Switch the run onto a swap's (topology, W, spec): one re-index of the state.
@@ -722,24 +665,8 @@ class SNAPTrainer:
         self.topology = swap.topology
         self.weight_matrix = swap.matrix
         self._weight_result = swap.result
-        self._weight_info = {
-            "weight_problem": swap.result.problem,
-            "rate_score": swap.result.report.rate_score,
-        }
         if self.config.alpha is None:
-            self.alpha = min(
-                self.alpha,
-                safe_step_size(
-                    self.weight_matrix,
-                    self.lipschitz,
-                    STEP_SAFETY,
-                    lam_min_tilde=(
-                        swap.result.lazy_report.smallest
-                        if swap.result.lazy_report is not None
-                        else None
-                    ),
-                ),
-            )
+            self.alpha = min(self.alpha, self._safe_alpha(swap.matrix, swap.result))
         for server, (own_weight, neighbor_weights) in zip(
             self._servers or (), self._server_weights()
         ):

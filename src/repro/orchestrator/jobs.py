@@ -164,9 +164,10 @@ class TrainingJob:
     def bind_runtime(self, runtime) -> None:
         """Attach the executing testbed runtime (called by its constructor).
 
-        Builds this job's topology controller from the trainer's optimized
-        weight solution, republishes every enrolled device's bound
-        ephemeral port through the registry, and arms membership decisions.
+        Reuses the trainer's topology controller, or builds one from the
+        trainer's optimized weight solution and config; republishes every
+        enrolled device's bound ephemeral port through the registry, and
+        arms membership decisions.
         """
         trainer = runtime.trainer
         if trainer.topology.n_nodes != self.scheduler.capacity:
@@ -188,15 +189,8 @@ class TrainingJob:
             self.scheduler.base_topology = trainer.topology
             controller = trainer._topology_controller
             if controller is None:
-                config = trainer.config
                 controller = TopologyController(
-                    trainer.topology,
-                    trainer._weight_result,
-                    reoptimize_every=config.topology_reoptimize_every,
-                    prune_threshold=config.topology_prune_threshold,
-                    cost_weight=config.topology_cost_weight,
-                    timing=config.timing,
-                    iterations=config.weight_iterations,
+                    trainer.topology, trainer._weight_result, trainer.config
                 )
             self._controller = controller
             self.state = JobState.BOUND

@@ -8,19 +8,19 @@ topology is frozen while APE and the compressors squeeze every byte on the
 **Online link pruning.** As consensus tightens, problems (22)/(23) push the
 weight of redundant links toward zero — a link with (near-)zero mixing
 weight contributes nothing to the spectral objective yet still transmits a
-frame every round. Every ``reoptimize_every`` rounds (and after fault-churn
-recovery) the controller drops links whose optimized weight fell below a
-threshold, greedily and connectivity-guarded: candidates are removed in
-ascending weight order and a removal that would disconnect the graph is
-skipped. This is the online form of the offline
-:func:`~repro.weights.planning.plan_neighbor_sets` rule.
+frame every round. Every ``topology_reoptimize_every`` rounds (and after
+fault-churn recovery or an APE stage advance) the controller drops links
+whose optimized weight fell below a threshold, greedily and
+connectivity-guarded: candidates are removed in ascending weight order and
+a removal that would disconnect the graph is skipped. This is the online
+form of the offline :func:`~repro.weights.planning.plan_neighbor_sets` rule.
 
 **Warm-started re-optimization.** The re-solve after pruning does not cold
 start: ``optimize_weight_matrix(..., warm_start=prior)`` resumes each
 projected-subgradient solver from its previous edge-Laplacian point (the
 pruned edge's coordinate is simply dropped) and continues the diminishing
-step schedule, with a ``patience`` cut-off so a re-solve that starts at the
-optimum stops after a handful of steps.
+step schedule, with a :data:`DEFAULT_PATIENCE` cut-off so a re-solve that
+starts at the optimum stops after a handful of steps.
 
 **Bandwidth-aware objective.** :func:`edge_cost_vector` turns a
 :class:`~repro.network.timing.LinkTimingModel` into normalized per-link
@@ -31,15 +31,18 @@ links the pruning rule's first victims.
 
 **Joint (topology, compressor) bytes budget.** Given a total-bytes budget,
 the controller projects the end-of-run spend from the ledger's current
-per-round rate and steps the compressor's byte knob (``uniform`` bits down
-the {8, 6, 4, 2} ladder, ``topk``/``randomk`` k halving) when the projection
-overshoots — and back up toward the configured fidelity when it undershoots
-by half. Topology pruning and knob stepping land in one
-:class:`TopologySwap` so the trainer swaps a consistent (W, spec) pair.
+per-round rate and steps the compressor's byte knob (:data:`BYTE_KNOBS`:
+``uniform`` bits down the {8, 6, 4, 2} ladder, ``topk``/``randomk`` k
+halving) when the projection overshoots — and back up toward the
+configured fidelity when it undershoots by half. Topology pruning and knob
+stepping land in one :class:`TopologySwap` so the trainer swaps a
+consistent (W, spec) pair.
 
-Every controller decision is a deterministic function of trainer-level
-state (round index, optimized weights, ledger totals), so the three engines
-fire identical swaps and stay digest-equal.
+The controller is built from the run's :class:`~repro.core.config.SNAPConfig`
+and owns its triggers (:meth:`TopologyController.after_round`). Every
+decision is a deterministic function of trainer-level state (round index,
+down set, APE stage, optimized weights, ledger totals), so every engine
+fires identical swaps and stays digest-equal.
 """
 
 from __future__ import annotations
@@ -67,6 +70,10 @@ RELAX_FRACTION = 0.5
 #: Default patience for online re-solves: a warm start that lands at the
 #: optimum stops after this many non-improving subgradient steps.
 DEFAULT_PATIENCE = 20
+
+#: The compressor kinds with a byte knob, and the knob's parameter. A
+#: ``bytes_budget`` is only legal with one of them (``SNAPConfig`` checks).
+BYTE_KNOBS = {"uniform": "bits", "topk": "k", "randomk": "k"}
 
 
 def edge_cost_vector(
@@ -207,41 +214,18 @@ class TopologyController:
     result:
         The initial :class:`WeightOptimizationResult`; every re-solve
         warm-starts from the latest one.
-    reoptimize_every:
-        Round period of the prune/re-optimize cycle.
-    prune_threshold:
-        Links with optimized weight strictly below this are prune candidates.
-    cost_weight:
-        Weight of the bandwidth penalty in the re-solve objective
-        (0 = pure spectral objective).
-    timing:
-        Link timing model supplying per-edge costs; defaults to the uniform
-        model (all costs equal).
-    iterations:
-        Subgradient iteration cap per re-solve (the patience cut-off usually
-        stops warm re-solves far earlier).
-    patience:
-        Non-improving steps before a re-solve stops early.
-    bytes_budget:
-        Total-bytes target for the joint controller, or None to disable
-        knob stepping.
-    spec:
-        The trainer's initial compressor spec (the knob's fidelity ceiling).
+    config:
+        The run's :class:`~repro.core.config.SNAPConfig`. The controller
+        reads its settings there: the cycle period
+        (``topology_reoptimize_every``), the prune threshold, the bandwidth
+        penalty (``topology_cost_weight`` under ``timing``), the re-solve
+        iteration cap (``weight_iterations``), ``bytes_budget``,
+        ``topology_readd``, and the compressor spec (the knob's fidelity
+        ceiling).
     """
 
     def __init__(
-        self,
-        topology: Topology,
-        result: WeightOptimizationResult,
-        *,
-        reoptimize_every: int = 25,
-        prune_threshold: float = 0.02,
-        cost_weight: float = 0.0,
-        timing: LinkTimingModel | None = None,
-        iterations: int = 150,
-        patience: int | None = DEFAULT_PATIENCE,
-        bytes_budget: int | None = None,
-        spec=None,
+        self, topology: Topology, result: WeightOptimizationResult, config
     ):
         self.topology = topology
         #: The graph the fleet was originally wired on: re-added links are
@@ -249,17 +233,11 @@ class TopologyController:
         #: else), and the cumulative prune history below is relative to it.
         self.base_topology = topology
         self.result = result
-        self.reoptimize_every = int(reoptimize_every)
-        self.prune_threshold = float(prune_threshold)
-        self.cost_weight = float(cost_weight)
-        self.timing = timing if timing is not None else LinkTimingModel()
-        self.iterations = int(iterations)
-        self.patience = patience
-        self.bytes_budget = bytes_budget
-        self.spec = spec
+        self.config = config
+        self.spec = config.compressor_spec()
         #: The configured spec's parameters — the fidelity ceiling the
         #: relax step may climb back to, never beyond.
-        self._fidelity_cap = dict(spec.params) if spec is not None else {}
+        self._fidelity_cap = dict(self.spec.params)
         #: Applied swaps, in order (observability + the trainer's info dict).
         self.swaps: list[TopologySwap] = []
         #: Total subgradient steps spent across all online re-solves.
@@ -267,12 +245,59 @@ class TopologyController:
         #: Every base-topology edge currently pruned (the re-add candidate
         #: pool for churn recovery and elastic joins).
         self.pruned_ever: set = set()
+        #: Down set after the previous round: "some down" followed by "none
+        #: down" is the churn-recovery trigger.
+        self._last_down: frozenset = frozenset()
+        #: Highest APE stage seen so far; an advance is the budget
+        #: controller's per-stage decision point.
+        self._last_ape_stage = 0
 
     # -- firing rule -------------------------------------------------------------
 
-    def due(self, round_index: int) -> bool:
-        """Whether the periodic cycle fires after this round."""
-        return round_index % self.reoptimize_every == 0
+    def after_round(
+        self,
+        round_index: int,
+        down: frozenset,
+        ape_stage: int,
+        *,
+        bytes_spent: int,
+        total_rounds: int,
+    ) -> TopologySwap | None:
+        """Run the cycle if a trigger fires after this round; the swap, or None.
+
+        Triggers, in precedence order: fault-churn recovery (the previous
+        round had down servers, this one has none — link statistics
+        shifted, re-optimize unconditionally; with ``topology_readd`` the
+        recovered servers' pruned links are offered back), an APE stage
+        advance (Algorithm 1's natural epoch boundary, where the budget
+        re-decides the joint (topology, knob) point; a churn trigger in the
+        same round consumes it), and the periodic
+        ``topology_reoptimize_every`` schedule. ``ape_stage`` is the fleet's
+        highest APE stage (0 outside the APE preset); ``bytes_spent`` and
+        ``total_rounds`` feed the budget projection.
+        """
+        reason = None
+        add_candidates: tuple = ()
+        if self._last_down and not down:
+            reason = "churn"
+            if self.config.topology_readd:
+                add_candidates = self.readd_candidates(self._last_down)
+        if ape_stage != self._last_ape_stage:
+            self._last_ape_stage = ape_stage
+            reason = reason or "ape-stage"
+        if reason is None and round_index % self.config.topology_reoptimize_every == 0:
+            reason = "periodic"
+        self._last_down = down
+        if reason is None:
+            return None
+        return self.propose(
+            round_index,
+            bytes_spent=bytes_spent,
+            rounds_done=round_index,
+            total_rounds=total_rounds,
+            reason=reason,
+            add_candidates=add_candidates,
+        )
 
     # -- the cycle ---------------------------------------------------------------
 
@@ -299,10 +324,11 @@ class TopologyController:
         changes, no swap is emitted and the run proceeds untouched — an idle
         controller is a bitwise no-op.
         """
+        config = self.config
         pruned, removed = prune_links(
             self.topology,
             self.result.matrix,
-            self.prune_threshold,
+            config.topology_prune_threshold,
             forced=drop_candidates,
         )
         pruned, added = readd_links(pruned, add_candidates, self.base_topology)
@@ -311,18 +337,17 @@ class TopologyController:
         if not resolve and new_spec is None:
             return None
         if resolve:
-            edge_costs = (
-                edge_cost_vector(pruned, self.timing)
-                if self.cost_weight > 0.0
-                else None
-            )
             result = optimize_weight_matrix(
                 pruned,
-                iterations=self.iterations,
+                iterations=config.weight_iterations,
                 warm_start=self.result,
-                edge_costs=edge_costs,
-                cost_weight=self.cost_weight if edge_costs is not None else 0.0,
-                patience=self.patience,
+                edge_costs=(
+                    edge_cost_vector(pruned, config.timing)
+                    if config.topology_cost_weight > 0.0
+                    else None
+                ),
+                cost_weight=config.topology_cost_weight,
+                patience=DEFAULT_PATIENCE,
             )
             solver_steps = result.solver_steps
         else:
@@ -377,53 +402,42 @@ class TopologyController:
         knob down (cheaper); undershoot below ``RELAX_FRACTION`` of the
         budget steps it back up, never past the configured fidelity.
         """
-        spec = self.spec
-        if (
-            self.bytes_budget is None
-            or spec is None
-            or spec.is_preset
-            or rounds_done <= 0
-            or total_rounds <= rounds_done
-        ):
+        budget = self.config.bytes_budget
+        if budget is None or rounds_done <= 0 or total_rounds <= rounds_done:
             return None
         per_round = bytes_spent / rounds_done
         projected = bytes_spent + per_round * (total_rounds - rounds_done)
-        if projected > self.bytes_budget:
+        if projected > budget:
             return self._step_knob(-1)
-        if projected < RELAX_FRACTION * self.bytes_budget:
+        if projected < RELAX_FRACTION * budget:
             return self._step_knob(+1)
         return None
 
     def _step_knob(self, direction: int):
-        """One ladder step on the spec's byte knob; None at the ladder's end."""
+        """One ladder step on the spec's byte knob; None at the ladder's end.
+
+        ``bits`` moves along :data:`BITS_LADDER`, ``k`` halves or doubles;
+        a step up never passes the configured fidelity. A kind outside
+        :data:`BYTE_KNOBS` (terngrad, the presets) has no knob.
+        """
         spec = self.spec
-        params = spec.params_dict()
-        if spec.kind == "uniform":
-            bits = int(params["bits"])
+        knob = BYTE_KNOBS.get(spec.kind)
+        if knob is None:
+            return None
+        value = int(spec.params_dict()[knob])
+        ceiling = int(self._fidelity_cap[knob])
+        if knob == "bits":
             if direction < 0:
-                lower = [b for b in BITS_LADDER if b < bits]
-                if not lower:
-                    return None
-                return spec.with_param("bits", max(lower))
-            ceiling = int(self._fidelity_cap.get("bits", bits))
-            higher = [b for b in BITS_LADDER if bits < b <= ceiling]
-            if not higher:
-                return None
-            return spec.with_param("bits", min(higher))
-        if spec.kind in ("topk", "randomk"):
-            k = int(params["k"])
-            if direction < 0:
-                new_k = k // 2
-                if new_k < 1 or new_k == k:
-                    return None
-                return spec.with_param("k", new_k)
-            ceiling = int(self._fidelity_cap.get("k", k))
-            new_k = min(ceiling, k * 2)
-            if new_k == k:
-                return None
-            return spec.with_param("k", new_k)
-        # terngrad and the presets carry no byte knob: topology-only control.
-        return None
+                new = max((b for b in BITS_LADDER if b < value), default=None)
+            else:
+                new = min(
+                    (b for b in BITS_LADDER if value < b <= ceiling), default=None
+                )
+        else:
+            new = value // 2 if direction < 0 else min(ceiling, value * 2)
+            if new < 1 or new == value:
+                new = None
+        return None if new is None else spec.with_param(knob, new)
 
     # -- observability -----------------------------------------------------------
 
@@ -435,8 +449,6 @@ class TopologyController:
             "added_edges": sum(len(s.added_edges) for s in self.swaps),
             "solver_steps": self.total_solver_steps,
             "final_edges": len(self.topology.edges),
-            "final_compressor": (
-                self.spec.label if self.spec is not None else None
-            ),
+            "final_compressor": self.spec.label,
             "reasons": [s.reason for s in self.swaps],
         }

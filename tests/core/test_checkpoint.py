@@ -474,7 +474,9 @@ class TestSwappingRunsRefused:
         trainer = build_ring_trainer(ring_with_chords(8, [(0, 3), (2, 6)]), config)
         trainer.run(max_rounds=3, stop_on_convergence=False)
         save_checkpoint(trainer, tmp_path / "before.npz")
-        controller = TopologyController(trainer.topology, trainer._weight_result)
+        controller = TopologyController(
+            trainer.topology, trainer._weight_result, trainer.config
+        )
         drop = controller.propose(3, reason="membership", drop_candidates=((0, 3),))
         trainer._apply_topology_swap(drop)
         with pytest.raises(ConfigurationError, match="after a topology swap"):

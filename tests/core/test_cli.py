@@ -51,6 +51,18 @@ class TestRunCommand:
         assert "snap0" in out
         assert "total traffic" in out
 
+    def test_budget_without_a_byte_knob_is_a_usage_error(self, capsys):
+        # The APE preset has no byte knob: the budget would be ignored.
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["run", "--scheme", "snap", "--adaptive-topology",
+                 "--bytes-budget", "1000", "--rounds", "5"]
+            )
+        assert exit_info.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "bytes_budget" in err
+        assert "Traceback" not in err
+
     def test_output_file_written(self, tmp_path, capsys):
         output = tmp_path / "result.json"
         code = main(

@@ -42,6 +42,32 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SNAPConfig(sparse_weights=True, optimize_weights=True)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"compressor": "topk:k=4"},  # no controller to step the knob
+            {"adaptive_topology": True},  # the APE preset has no byte knob
+            {"adaptive_topology": True, "compressor": "terngrad"},
+            {"adaptive_topology": True, "selection": SelectionPolicy.DENSE},
+        ],
+    )
+    def test_a_budget_nothing_can_step_is_refused(self, overrides):
+        with pytest.raises(ConfigurationError, match="bytes_budget"):
+            SNAPConfig(bytes_budget=1000, **overrides)
+
+    @pytest.mark.parametrize(
+        "compressor", ["uniform:bits=8", "ef:uniform:bits=6", "topk:k=4", "randomk:k=4"]
+    )
+    def test_a_budget_on_a_byte_knob_is_accepted(self, compressor):
+        config = SNAPConfig(
+            adaptive_topology=True, compressor=compressor, bytes_budget=1000
+        )
+        assert config.bytes_budget == 1000
+
+    def test_bad_budget_rejected(self):
+        with pytest.raises(ConfigurationError, match="bytes_budget"):
+            SNAPConfig(adaptive_topology=True, compressor="topk:k=4", bytes_budget=0)
+
     def test_field_count(self):
         """A new knob is a decision, not a side effect: update this with it."""
         assert len(dataclasses.fields(SNAPConfig)) == 29

@@ -234,13 +234,13 @@ class TestBudgetKnob:
     def make_controller(self, spec, budget=1000):
         topo = ring_with_chords(8, [(0, 4)])
         result = optimize_weight_matrix(topo, iterations=40)
-        return TopologyController(
-            topo,
-            result,
-            prune_threshold=0.0,  # isolate the knob from pruning
+        config = SNAPConfig(
+            adaptive_topology=True,
+            compressor=spec,
+            topology_prune_threshold=0.0,  # isolate the knob from pruning
             bytes_budget=budget,
-            spec=spec,
         )
+        return TopologyController(topo, result, config)
 
     def test_overshoot_steps_bits_down(self):
         controller = self.make_controller(CompressorSpec.parse("uniform:bits=8"))
@@ -278,7 +278,10 @@ class TestBudgetKnob:
         )
 
     def test_presets_have_no_knob(self):
-        controller = self.make_controller(CompressorSpec.parse("ape"))
+        # SNAPConfig refuses a budget on a preset; the controller alone
+        # still steps nothing on one.
+        controller = self.make_controller(CompressorSpec.parse("uniform:bits=8"))
+        controller.spec = CompressorSpec.parse("ape")
         assert (
             controller.propose(
                 5, bytes_spent=900, rounds_done=5, total_rounds=20

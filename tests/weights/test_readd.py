@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import SNAPConfig
 from repro.exceptions import TopologyError
 from repro.topology.graph import Topology
 from repro.weights import readd_links
@@ -79,9 +80,12 @@ class TestForcedPruning:
 class TestControllerReadds:
     def make_controller(self):
         result = optimize_weight_matrix(BASE, iterations=80)
-        return TopologyController(
-            BASE, result, reoptimize_every=10_000, prune_threshold=0.0
+        config = SNAPConfig(
+            adaptive_topology=True,
+            topology_reoptimize_every=10_000,
+            topology_prune_threshold=0.0,
         )
+        return TopologyController(BASE, result, config)
 
     def test_pruned_ever_tracks_the_readd_pool(self):
         controller = self.make_controller()
