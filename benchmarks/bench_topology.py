@@ -20,7 +20,9 @@ pruned optimum immediately, while a cold solve pays
 objective (within ``1e-6``, the resolution of the subgradient traces).
 
 ``--check`` re-runs the joint cell and the warm-start measurement and
-fails if either acceptance bar regressed — the CI smoke gate.
+fails if either acceptance bar regressed or the joint cell ends on the
+compressor it started with (a budget that never steps the knob measures
+nothing joint) — the CI smoke gate.
 
 Usage::
 
@@ -47,8 +49,10 @@ MIN_DOMINATED = 2
 MIN_WARM_RATIO = 5.0
 
 #: (cell name, SNAPConfig overrides) — every cell arms the controller on
-#: the bench_compression workload. The budget of the joint cell is sized
-#: so the projection forces at least one knob step on this workload.
+#: the bench_compression workload. The joint cell's budget sits below the
+#: ~336 kB its 8-bit quantizer spends unbudgeted, so the projection steps
+#: the bit knob down (8 -> 2 bits on this workload); ``--check`` fails if it
+#: ends on its starting spec.
 ADAPTIVE_CELLS = (
     (
         "adaptive:ape",
@@ -64,7 +68,7 @@ ADAPTIVE_CELLS = (
             compressor="uniform:bits=8",
             topology_reoptimize_every=10,
             topology_prune_threshold=0.05,
-            bytes_budget=550_000,
+            bytes_budget=300_000,
         ),
     ),
     (
@@ -196,8 +200,16 @@ def load_baseline() -> list[dict]:
 
 def gate(cells: list[dict], warm: dict) -> list[str]:
     """Acceptance-bar failures (empty = all bars met)."""
+    from repro.compression.spec import CompressorSpec
+
     failures = []
     joint = next(c for c in cells if c["cell"] == JOINT_CELL)
+    start = CompressorSpec.parse(dict(ADAPTIVE_CELLS)[JOINT_CELL]["compressor"])
+    if joint["final_compressor"] == start.label:
+        failures.append(
+            f"joint cell never stepped its knob: it ends on its starting "
+            f"spec {start.label}"
+        )
     if len(joint["dominates"]) < MIN_DOMINATED:
         failures.append(
             f"joint cell dominates only {joint['dominates']} "

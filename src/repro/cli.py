@@ -108,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="weight of the bandwidth penalty in adaptive re-solves "
-        "(0 = pure spectral objective)",
+        "(0 = pure spectral objective; a positive weight requires "
+        "--adaptive-topology)",
     )
     run.add_argument(
         "--bytes-budget",

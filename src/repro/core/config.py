@@ -198,7 +198,8 @@ class SNAPConfig:
         Strength of the bandwidth-aware penalty ``cost_weight · Σ c_e θ_e``
         added to the re-solve objective; per-link costs ``c_e`` come from
         ``timing`` (seconds per byte, normalized to max 1). ``0`` optimizes
-        pure spectral gap.
+        pure spectral gap. A positive weight requires
+        ``adaptive_topology=True``: only an adaptive run's solves read it.
     topology_readd:
         On churn recovery, offer a recovered server's previously pruned
         base-topology links back to the controller as re-add candidates
@@ -334,6 +335,12 @@ class SNAPConfig:
         check_positive_int("topology_reoptimize_every", self.topology_reoptimize_every)
         check_non_negative("topology_prune_threshold", self.topology_prune_threshold)
         check_non_negative("topology_cost_weight", self.topology_cost_weight)
+        if self.topology_cost_weight > 0 and not self.adaptive_topology:
+            raise ConfigurationError(
+                "topology_cost_weight requires adaptive_topology=True: the "
+                "bandwidth penalty is applied by the adaptive controller's "
+                "solves, so a static run would silently ignore it"
+            )
         check_positive_int("max_rounds", self.max_rounds)
         if self.max_partitioned_rounds is not None:
             check_positive_int("max_partitioned_rounds", self.max_partitioned_rounds)

@@ -173,12 +173,9 @@ class SNAPTrainer:
             if self.config.optimize_weights:
                 # An adaptive run is bandwidth-aware from round zero: the
                 # initial solve sees the per-link costs the online re-solves
-                # will, so pruning decisions are consistent.
-                cost_weight = (
-                    self.config.topology_cost_weight
-                    if self.config.adaptive_topology
-                    else 0.0
-                )
+                # will, so pruning decisions are consistent. (The config
+                # refuses a positive weight on a static run.)
+                cost_weight = self.config.topology_cost_weight
                 self._weight_result = optimize_weight_matrix(
                     topology,
                     iterations=self.config.weight_iterations,

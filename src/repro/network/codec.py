@@ -33,6 +33,10 @@ A third layout carries quantized payloads from ``repro.compression``:
 The decoder needs to know the frame format and (for UNCHANGED_INDEX and
 QUANTIZED) the total parameter count ``N``; in a deployment both ride in the
 transport header, exactly as the paper's "frame structure" field would.
+
+Each wire check runs once per frame: the decoder proves the count, the
+exact length and the index list's order and range, then builds the update
+through :meth:`ParameterUpdate._from_wire`, which re-checks none of it.
 """
 
 from __future__ import annotations
@@ -49,10 +53,21 @@ from repro.network.frames import (
     quantization_levels,
     quantized_frame_bytes,
 )
-from repro.network.messages import ParameterUpdate, QuantizationInfo
+from repro.network.messages import (
+    ParameterUpdate,
+    QuantizationInfo,
+    strictly_increasing,
+)
 
 _U32 = struct.Struct(">I")
 _QUANT_PROLOGUE = struct.Struct(">BBdI")
+_BE_U32 = np.dtype(">u4")
+_BE_F64 = np.dtype(">f8")
+#: One INDEX_VALUE record: ``u32 index`` + ``f64 value``.
+_RECORD = np.dtype([("index", _BE_U32), ("value", _BE_F64)])
+
+# The frames are tens of entries long, so NumPy's per-call overhead is most
+# of their cost: the hot calls below pass prebuilt dtypes positionally.
 
 #: QUANTIZED flags-byte bit: the frame is dense (index list omitted).
 _FLAG_DENSE = 0x01
@@ -89,21 +104,25 @@ def decode_update(
     ``frame_format`` and ``total_params`` come from the transport header.
     Raises :class:`~repro.exceptions.ProtocolError` on any malformed input.
     """
+    quantization = None
     if frame_format is FrameFormat.UNCHANGED_INDEX:
         indices, values = _decode_unchanged_index(payload, total_params)
     elif frame_format is FrameFormat.INDEX_VALUE:
         indices, values = _decode_index_value(payload, total_params)
     elif frame_format is FrameFormat.QUANTIZED:
-        return _decode_quantized(payload, total_params, sender, round_index)
+        indices, values, quantization = _decode_quantized(payload, total_params)
     else:
         raise ProtocolError(f"unknown frame format {frame_format!r}")
-    return ParameterUpdate(
-        sender=sender,
-        round_index=round_index,
-        total_params=total_params,
-        indices=indices,
-        values=values,
+    return ParameterUpdate._from_wire(
+        sender, round_index, total_params, indices, values, quantization
     )
+
+
+def _all_true(size: int) -> np.ndarray:
+    """``np.ones(size, bool)`` without its Python layer (half its cost here)."""
+    mask = np.empty(size, bool)
+    mask.fill(True)
+    return mask
 
 
 def _strictly_increasing_below(indices: np.ndarray, total_params: int) -> bool:
@@ -113,8 +132,7 @@ def _strictly_increasing_below(indices: np.ndarray, total_params: int) -> bool:
     its maximum last, so the range check is one scalar comparison.
     """
     return not indices.size or (
-        indices[-1] < total_params
-        and not np.any(indices[1:] <= indices[:-1])
+        indices[-1] < total_params and strictly_increasing(indices)
     )
 
 
@@ -122,15 +140,13 @@ def _strictly_increasing_below(indices: np.ndarray, total_params: int) -> bool:
 
 
 def _encode_unchanged_index(update: ParameterUpdate) -> bytes:
-    sent_mask = np.zeros(update.total_params, dtype=bool)
-    sent_mask[update.indices] = True
-    unchanged = np.flatnonzero(~sent_mask).astype(">u4")
-    parts = [
-        _U32.pack(unchanged.size),
-        unchanged.tobytes(),
-        update.values.astype(">f8").tobytes(),
-    ]
-    return b"".join(parts)
+    values = update.values.astype(_BE_F64).tobytes()
+    if update.indices.size == update.total_params:
+        return _U32.pack(0) + values
+    unchanged_mask = _all_true(update.total_params)
+    unchanged_mask[update.indices] = False
+    unchanged = unchanged_mask.nonzero()[0].astype(_BE_U32)
+    return b"".join((_U32.pack(unchanged.size), unchanged.tobytes(), values))
 
 
 def _decode_unchanged_index(
@@ -152,28 +168,27 @@ def _decode_unchanged_index(
         )
     offset = _U32.size
     unchanged = np.frombuffer(
-        payload, dtype=">u4", count=unchanged_count, offset=offset
+        payload, _BE_U32, unchanged_count, offset
     ).astype(np.int64)
     offset += 4 * unchanged_count
-    sent_count = total_params - unchanged_count
     values = np.frombuffer(
-        payload, dtype=">f8", count=sent_count, offset=offset
-    ).astype(float)
+        payload, _BE_F64, total_params - unchanged_count, offset
+    ).astype(np.float64)
     if not _strictly_increasing_below(unchanged, total_params):
         raise ProtocolError("UNCHANGED_INDEX frame has invalid index list")
-    sent_mask = np.ones(total_params, dtype=bool)
+    if not unchanged_count:
+        return np.arange(total_params, dtype=np.int64), values
+    sent_mask = _all_true(total_params)
     sent_mask[unchanged] = False
-    indices = np.flatnonzero(sent_mask).astype(np.int64, copy=False)
-    return indices, values
+    return sent_mask.nonzero()[0].astype(np.int64, copy=False), values
 
 
 # -- INDEX_VALUE ---------------------------------------------------------------
 
 
 def _encode_index_value(update: ParameterUpdate) -> bytes:
-    record = np.dtype([("index", ">u4"), ("value", ">f8")])
-    records = np.empty(update.n_sent, dtype=record)
-    records["index"] = update.indices.astype(np.uint32)
+    records = np.empty(update.n_sent, dtype=_RECORD)
+    records["index"] = update.indices
     records["value"] = update.values
     return records.tobytes()
 
@@ -181,17 +196,16 @@ def _encode_index_value(update: ParameterUpdate) -> bytes:
 def _decode_index_value(
     payload: bytes, total_params: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    record = np.dtype([("index", ">u4"), ("value", ">f8")])
-    if len(payload) % record.itemsize != 0:
+    if len(payload) % _RECORD.itemsize != 0:
         raise ProtocolError(
             f"INDEX_VALUE frame length {len(payload)} is not a multiple of "
-            f"{record.itemsize}"
+            f"{_RECORD.itemsize}"
         )
-    records = np.frombuffer(payload, dtype=record)
+    records = np.frombuffer(payload, _RECORD)
     indices = records["index"].astype(np.int64)
     if not _strictly_increasing_below(indices, total_params):
         raise ProtocolError("INDEX_VALUE frame has invalid index sequence")
-    return indices, records["value"].astype(float)
+    return indices, records["value"].astype(np.float64)
 
 
 # -- QUANTIZED -----------------------------------------------------------------
@@ -236,8 +250,8 @@ def _encode_quantized(update: ParameterUpdate) -> bytes:
 
 
 def _decode_quantized(
-    payload: bytes, total_params: int, sender: int, round_index: int
-) -> ParameterUpdate:
+    payload: bytes, total_params: int
+) -> tuple[np.ndarray, np.ndarray, QuantizationInfo]:
     if len(payload) < _QUANT_PROLOGUE.size:
         raise ProtocolError("truncated QUANTIZED frame: missing prologue")
     bits, flags, scale, sent_count = _QUANT_PROLOGUE.unpack_from(payload, 0)
@@ -273,12 +287,8 @@ def _decode_quantized(
         if not _strictly_increasing_below(indices, total_params):
             raise ProtocolError("QUANTIZED frame has invalid index sequence")
     levels = _unpack_levels(payload[offset:], sent_count, bits)
-    return ParameterUpdate(
-        sender=sender,
-        round_index=round_index,
-        total_params=total_params,
-        indices=indices,
-        values=dequantize_levels(levels, scale, bits),
-        quantization=QuantizationInfo(bits=bits, scale=scale, levels=levels),
-        additive=True,
+    return (
+        indices,
+        dequantize_levels(levels, scale, bits),
+        QuantizationInfo(bits=bits, scale=scale, levels=levels),
     )

@@ -23,12 +23,14 @@ Quantizing compressors (``repro.compression``) add a third structure:
 
 :func:`select_frame_format` extends the paper's rule to pick the cheapest of
 the three whenever the update carries quantization metadata; full-precision
-updates keep the paper's exact two-way rule.
+updates keep the paper's exact two-way rule. :func:`frame_layout` is the
+cached pair (format, size) every update and ledger reads.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -161,6 +163,21 @@ def select_frame_format(
     return chosen
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def frame_layout(
+    total_params: int, unsent_params: int, bits: int | None = None
+) -> tuple[FrameFormat, int]:
+    """``(select_frame_format(N, M, bits), its size in bytes)``, cached.
+
+    A pure function of ``(N, M, bits)``: every update of one model shares a
+    handful of keys, so the count checks and the format comparison run once
+    per key instead of twice per update. Invalid counts raise like
+    :func:`select_frame_format` (exceptions are not cached).
+    """
+    chosen = select_frame_format(total_params, unsent_params, bits)
+    return chosen, int(frame_size_bytes(total_params, unsent_params, chosen, bits))
+
+
 def encoded_update_bytes(
     total_params: int, unsent_params, bits: int | None = None
 ):
@@ -191,8 +208,7 @@ def encoded_update_bytes(
             )
             sizes = np.minimum(sizes, quantized)
         return sizes
-    chosen = select_frame_format(total_params, unsent_params, bits)
-    return frame_size_bytes(total_params, unsent_params, chosen, bits)
+    return frame_layout(total_params, unsent_params, bits)[1]
 
 
 def full_vector_bytes(total_params: int) -> int:

@@ -9,12 +9,24 @@ import numpy as np
 from repro.exceptions import ProtocolError
 from repro.network.frames import (
     FrameFormat,
-    frame_size_bytes,
-    quantization_levels,
     check_quant_bits,
-    select_frame_format,
+    frame_layout,
+    quantization_levels,
 )
 from repro.types import NodeId
+
+
+def strictly_increasing(indices: np.ndarray) -> bool:
+    """Whether a 1-D index array is strictly increasing (the index-order check).
+
+    The one spelling of the check: :class:`ParameterUpdate` runs it on the
+    indices it is handed and the wire codec on the index list it decodes,
+    so a received frame pays for it once.
+    """
+    ascending = indices[1:] > indices[:-1]
+    # count_nonzero skips the Python layer of ``.all()``: a third of the
+    # cost on the few-dozen-entry lists the frames carry.
+    return np.count_nonzero(ascending) == ascending.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +117,8 @@ class ParameterUpdate:
     size_bytes: int = field(init=False)
 
     def __post_init__(self) -> None:
-        indices = np.asarray(self.indices, dtype=np.int64)
-        values = np.asarray(self.values, dtype=float)
+        indices = np.asarray(self.indices, np.int64)
+        values = np.asarray(self.values, np.float64)
         if indices.ndim != 1 or values.ndim != 1:
             raise ProtocolError("indices and values must be 1-D arrays")
         if indices.shape != values.shape:
@@ -115,8 +127,8 @@ class ParameterUpdate:
             )
         if indices.size:
             # One pass: strictly increasing indices have their extremes at
-            # the two ends, so only a malformed frame pays for min / max.
-            increasing = bool((indices[1:] > indices[:-1]).all())
+            # the two ends, so only a malformed update pays for min / max.
+            increasing = strictly_increasing(indices)
             if increasing:
                 low, high = indices[0], indices[-1]
             else:
@@ -146,14 +158,51 @@ class ParameterUpdate:
             raise ProtocolError(
                 "additive updates must carry quantization metadata"
             )
-        unsent = self.total_params - indices.size
-        chosen = select_frame_format(self.total_params, unsent, bits)
-        object.__setattr__(self, "frame_format", chosen)
-        object.__setattr__(
-            self,
-            "size_bytes",
-            frame_size_bytes(self.total_params, unsent, chosen, bits),
+        chosen, size = frame_layout(
+            self.total_params, self.total_params - indices.size, bits
         )
+        object.__setattr__(self, "frame_format", chosen)
+        object.__setattr__(self, "size_bytes", size)
+
+    @classmethod
+    def _from_wire(
+        cls,
+        sender: NodeId,
+        round_index: int,
+        total_params: int,
+        indices: np.ndarray,
+        values: np.ndarray,
+        quantization: QuantizationInfo | None = None,
+    ) -> "ParameterUpdate":
+        """Build the update a wire decoder has just parsed, checking nothing twice.
+
+        The caller (:func:`repro.network.codec.decode_update`) has proven
+        what ``__post_init__`` would re-check: ``indices`` and ``values`` are
+        1-D ``int64`` / ``float64`` arrays of equal length, the indices are
+        strictly increasing and below ``total_params``, and ``quantization``
+        (when given) is a :class:`QuantizationInfo` with one level per index.
+        A decoded quantized frame is additive, a full-precision one is not.
+        Frame format and size still come from :func:`frame_layout`, which
+        checks the counts.
+        """
+        chosen, size = frame_layout(
+            total_params,
+            total_params - indices.size,
+            None if quantization is None else quantization.bits,
+        )
+        update = object.__new__(cls)
+        vars(update).update(
+            sender=sender,
+            round_index=round_index,
+            total_params=total_params,
+            indices=indices,
+            values=values,
+            quantization=quantization,
+            additive=quantization is not None,
+            frame_format=chosen,
+            size_bytes=size,
+        )
+        return update
 
     @property
     def n_sent(self) -> int:

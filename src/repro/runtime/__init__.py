@@ -12,12 +12,11 @@ a networked run produces bit-for-bit the same parameters as the simulated
 result in this repository is also a statement about the real protocol.
 """
 
-from repro.runtime.transport import FrameConnection, FrameHeader, RetryPolicy
+from repro.runtime.transport import FrameConnection, RetryPolicy
 from repro.runtime.testbed import TestbedResult, TestbedRuntime
 
 __all__ = [
     "FrameConnection",
-    "FrameHeader",
     "RetryPolicy",
     "TestbedResult",
     "TestbedRuntime",

@@ -1,6 +1,6 @@
 """Length-prefixed, CRC-protected frame transport over TCP sockets.
 
-One :class:`FrameHeader` precedes every Fig. 3 payload on the wire:
+A 21-byte header precedes every Fig. 3 payload on the wire:
 
 ```
 >u32 sender        originating server id
@@ -76,18 +76,6 @@ _FORMAT_BY_CODE = {code: fmt for fmt, code in _FORMAT_CODES.items()}
 
 #: Bytes asked of the kernel per ``recv``: many small frames or a slice of a big one.
 _RECV_BYTES = 1 << 16
-
-
-@dataclass(frozen=True)
-class FrameHeader:
-    """Decoded transport header."""
-
-    sender: int
-    round_index: int
-    frame_format: FrameFormat
-    total_params: int
-    payload_len: int
-    frame_crc: int = 0
 
 
 @dataclass(frozen=True)
