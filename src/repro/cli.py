@@ -104,14 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="links with optimized weight below this are pruned (connectivity-guarded)",
     )
     run.add_argument(
-        "--topology-cost-weight",
-        type=float,
-        default=0.0,
-        help="weight of the bandwidth penalty in adaptive re-solves "
-        "(0 = pure spectral objective; a positive weight requires "
-        "--adaptive-topology)",
-    )
-    run.add_argument(
         "--bytes-budget",
         type=int,
         default=None,
@@ -361,7 +353,6 @@ def _command_run(args: argparse.Namespace) -> int:
             adaptive_topology=args.adaptive_topology,
             topology_reoptimize_every=args.reoptimize_every,
             topology_prune_threshold=args.prune_threshold,
-            topology_cost_weight=args.topology_cost_weight,
             bytes_budget=args.bytes_budget,
         )
     except ConfigurationError as error:

@@ -406,7 +406,7 @@ class SemiSyncEngine(Engine):
                 self._schedule_notice(node_id, neighbor, k, t_done)
         else:
             self._note_staleness(node, k, t_start)
-            self._step_with_degradation(server, node)
+            server.step(node.degraded)
             server.advance_views()
             # Frames that raced ahead of this server apply now, after the
             # view layers shifted — the reference's receive ordering.
@@ -471,48 +471,6 @@ class SemiSyncEngine(Engine):
                 self.max_progress_staleness = gap
             if (k - 1) - self._last_applied[edge] > 0:
                 self.stale_view_rounds[edge] += 1
-
-    def _step_with_degradation(self, server, node: _NodeState) -> None:
-        """One EXTRA step, substituting self for degraded neighbors.
-
-        Bitwise-identical to what :class:`StragglerStrategy.REWEIGHT` does
-        for a non-fresh view: the degraded neighbor's slot mixes the
-        server's own parameters on both recursion layers, i.e. that link's
-        weight moves onto the diagonal for the round. ``step`` rebinds
-        ``server.params`` to a fresh array (it never writes through the
-        alias), so lending the arrays is safe; everything is restored before
-        any other code can look.
-        """
-        active = [j for j in node.degraded if j in server.views]
-        if not active:
-            server.step()
-            return
-        saved = []
-        for j in active:
-            saved.append(
-                (
-                    j,
-                    server.views[j],
-                    server.fresh[j],
-                    server.previous_views.get(j),
-                    server.previous_fresh.get(j),
-                )
-            )
-            server.views[j] = server.params
-            server.fresh[j] = True
-            if j in server.previous_views and server.previous_params is not None:
-                server.previous_views[j] = server.previous_params
-                server.previous_fresh[j] = True
-        try:
-            server.step()
-        finally:
-            for j, view, fresh, prev_view, prev_fresh in saved:
-                server.views[j] = view
-                server.fresh[j] = fresh
-                if prev_view is not None:
-                    server.previous_views[j] = prev_view
-                if prev_fresh is not None:
-                    server.previous_fresh[j] = prev_fresh
 
     # -- notifications ----------------------------------------------------------
 

@@ -194,18 +194,6 @@ class SNAPConfig:
         (the Section IV-D planning threshold, applied online). Pruning
         never disconnects the graph: a cut that would split the network
         keeps its largest-weight links instead.
-    topology_cost_weight:
-        Strength of the bandwidth-aware penalty ``cost_weight · Σ c_e θ_e``
-        added to the re-solve objective; per-link costs ``c_e`` come from
-        ``timing`` (seconds per byte, normalized to max 1). ``0`` optimizes
-        pure spectral gap. A positive weight requires
-        ``adaptive_topology=True``: only an adaptive run's solves read it.
-    topology_readd:
-        On churn recovery, offer a recovered server's previously pruned
-        base-topology links back to the controller as re-add candidates
-        (seeded views keep the swap exact; see ``docs/ORCHESTRATOR.md``).
-        Off by default so prune-only runs stay bitwise unchanged. Requires
-        ``adaptive_topology=True``.
     bytes_budget:
         Optional total-bytes budget for the run. When set, the topology
         controller also steps the compressor's byte knob (``uniform`` bits,
@@ -260,8 +248,6 @@ class SNAPConfig:
     adaptive_topology: bool = False
     topology_reoptimize_every: int = 25
     topology_prune_threshold: float = 0.02
-    topology_cost_weight: float = 0.0
-    topology_readd: bool = False
     bytes_budget: int | None = None
     robust_aggregation: object | None = None
     drift: object | None = None
@@ -327,20 +313,8 @@ class SNAPConfig:
                     "adaptive_topology conflicts with sparse_weights (the "
                     "online re-optimizer is dense, like the Section IV-B one)"
                 )
-        if self.topology_readd and not self.adaptive_topology:
-            raise ConfigurationError(
-                "topology_readd requires adaptive_topology=True: re-add "
-                "candidates are applied by the topology controller"
-            )
         check_positive_int("topology_reoptimize_every", self.topology_reoptimize_every)
         check_non_negative("topology_prune_threshold", self.topology_prune_threshold)
-        check_non_negative("topology_cost_weight", self.topology_cost_weight)
-        if self.topology_cost_weight > 0 and not self.adaptive_topology:
-            raise ConfigurationError(
-                "topology_cost_weight requires adaptive_topology=True: the "
-                "bandwidth penalty is applied by the adaptive controller's "
-                "solves, so a static run would silently ignore it"
-            )
         check_positive_int("max_rounds", self.max_rounds)
         if self.max_partitioned_rounds is not None:
             check_positive_int("max_partitioned_rounds", self.max_partitioned_rounds)

@@ -254,13 +254,17 @@ class EdgeServer:
         self.views[sender] = message.apply_to(self.views[sender])
         self.fresh[sender] = True
 
-    def _neighbor_value(self, neighbor: NodeId, current_layer: bool) -> Params:
+    def _neighbor_value(
+        self, neighbor: NodeId, current_layer: bool, degraded=frozenset()
+    ) -> Params:
         """The value mixed in for ``neighbor`` on one of the two layers.
 
-        Under :attr:`StragglerStrategy.STALE` this is always the cached view.
+        Under :attr:`StragglerStrategy.STALE` this is the cached view.
         Under ``REWEIGHT``, a layer whose update never arrived substitutes
         this server's own parameters on that layer, which is algebraically
         the same as moving the link's weight onto the diagonal for the round.
+        A ``degraded`` neighbor (the semi-sync engine wrote it off) takes
+        that substitution on both layers, whatever the strategy.
         """
         if current_layer:
             view, fresh, own = self.views[neighbor], self.fresh[neighbor], self.params
@@ -268,13 +272,15 @@ class EdgeServer:
             view = self.previous_views[neighbor]
             fresh = self.previous_fresh.get(neighbor, True)
             own = self.previous_params
-        if self.straggler_strategy is StragglerStrategy.REWEIGHT and not fresh:
+        if neighbor in degraded or (
+            self.straggler_strategy is StragglerStrategy.REWEIGHT and not fresh
+        ):
             return own
         return view
 
     # -- the EXTRA update ---------------------------------------------------------
 
-    def _mix_layer(self, current_layer: bool) -> Params:
+    def _mix_layer(self, current_layer: bool, degraded=frozenset()) -> Params:
         """One robust mixing layer (W on the current, W-tilde on the previous).
 
         Shared by every engine (the vectorized engine calls it per node),
@@ -285,8 +291,7 @@ class EdgeServer:
 
         w_own, w_neighbors = self.own_weight, self.neighbor_weights
         values = [
-            self._neighbor_value(j, current_layer=current_layer)
-            for j in self.neighbors
+            self._neighbor_value(j, current_layer, degraded) for j in self.neighbors
         ]
         if current_layer:
             own_value, own_weight = self.params, w_own
@@ -298,20 +303,22 @@ class EdgeServer:
             self.robust, own_value, own_weight, self.neighbors, values, weights
         )
 
-    def step(self) -> Params:
-        """Run one local EXTRA update against the cached views; returns the new params."""
+    def step(self, degraded=frozenset()) -> Params:
+        """Run one local EXTRA update against the cached views; returns the new params.
+
+        ``degraded`` names neighbors whose slots mix this server's own
+        parameters for the round (see :meth:`_neighbor_value`).
+        """
         w_own = self.own_weight
         weighted = tuple(zip(self.neighbors, self.neighbor_weights))
         if self.previous_params is None:
             # First iteration: x^1 = sum_j w_ij x^0_(j) - alpha grad_i(x^0).
             if self.robust is not None:
-                mixed = self._mix_layer(current_layer=True)
+                mixed = self._mix_layer(True, degraded)
             else:
                 mixed = w_own * self.params
                 for j, w_j in weighted:
-                    mixed = mixed + w_j * self._neighbor_value(
-                        j, current_layer=True
-                    )
+                    mixed = mixed + w_j * self._neighbor_value(j, True, degraded)
             gradient = self.local_gradient(self.params)
             new_params = mixed - self.alpha * gradient
         else:
@@ -325,18 +332,17 @@ class EdgeServer:
                 )
             # w_tilde row: (w_ij)/2 off-diagonal, (w_ii + 1)/2 on the diagonal.
             if self.robust is not None:
-                mixed_current = self._mix_layer(current_layer=True)
-                mixed_previous = self._mix_layer(current_layer=False)
+                mixed_current = self._mix_layer(True, degraded)
+                mixed_previous = self._mix_layer(False, degraded)
             else:
                 mixed_current = w_own * self.params
                 mixed_previous = 0.5 * (w_own + 1.0) * self.previous_params
                 for j, w_j in weighted:
                     mixed_current = mixed_current + w_j * self._neighbor_value(
-                        j, current_layer=True
+                        j, True, degraded
                     )
-                    mixed_previous = (
-                        mixed_previous
-                        + 0.5 * w_j * self._neighbor_value(j, current_layer=False)
+                    mixed_previous = mixed_previous + 0.5 * w_j * self._neighbor_value(
+                        j, False, degraded
                     )
             gradient = self.local_gradient(self.params)
             new_params = (

@@ -49,7 +49,7 @@ from repro.core.ape import APEScheduleBank
 from repro.results import RoundRecord, RoundTrace, TrainingResult
 from repro.topology.graph import Topology
 from repro.types import Params, WeightMatrix
-from repro.weights.adaptive import TopologyController, edge_cost_vector
+from repro.weights.adaptive import TopologyController
 from repro.weights.construction import metropolis_weights, tiered_metropolis_weights
 from repro.weights.optimizer import optimize_weight_matrix
 from repro.weights.validation import check_weight_matrix, edge_weights, off_support
@@ -171,20 +171,8 @@ class SNAPTrainer:
         self._weight_problem = "explicit"
         if weight_matrix is None:
             if self.config.optimize_weights:
-                # An adaptive run is bandwidth-aware from round zero: the
-                # initial solve sees the per-link costs the online re-solves
-                # will, so pruning decisions are consistent. (The config
-                # refuses a positive weight on a static run.)
-                cost_weight = self.config.topology_cost_weight
                 self._weight_result = optimize_weight_matrix(
-                    topology,
-                    iterations=self.config.weight_iterations,
-                    edge_costs=(
-                        edge_cost_vector(topology, self.config.timing)
-                        if cost_weight > 0.0
-                        else None
-                    ),
-                    cost_weight=cost_weight,
+                    topology, iterations=self.config.weight_iterations
                 )
                 weight_matrix = self._weight_result.matrix
             elif self.config.tier_damping is not None:

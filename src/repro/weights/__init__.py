@@ -13,14 +13,13 @@ edge-Laplacian parametrization that makes the feasible set a simple polytope,
 projected-subgradient solvers for both problems, and the rate-score selection.
 
 :mod:`repro.weights.adaptive` extends the offline optimization into an online
-runtime: link pruning by optimized weight, warm-started re-solves, a
-bandwidth-aware objective, and a joint (topology, compressor) bytes budget.
+runtime: link pruning by optimized weight, warm-started re-solves, and a
+joint (topology, compressor) bytes budget.
 """
 
 from repro.weights.adaptive import (
     TopologyController,
     TopologySwap,
-    edge_cost_vector,
     prune_links,
     readd_links,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "check_weight_matrix",
     "TopologyController",
     "TopologySwap",
-    "edge_cost_vector",
     "prune_links",
     "readd_links",
 ]

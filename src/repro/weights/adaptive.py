@@ -22,13 +22,6 @@ pruned edge's coordinate is simply dropped) and continues the diminishing
 step schedule, with a :data:`DEFAULT_PATIENCE` cut-off so a re-solve that
 starts at the optimum stops after a handful of steps.
 
-**Bandwidth-aware objective.** :func:`edge_cost_vector` turns a
-:class:`~repro.network.timing.LinkTimingModel` into normalized per-link
-costs (seconds per byte, scaled to max 1); with ``cost_weight > 0`` the
-solvers minimize ``objective + cost_weight * <costs, theta>``, trading
-spectral gap against weight on expensive links — which then makes those
-links the pruning rule's first victims.
-
 **Joint (topology, compressor) bytes budget.** Given a total-bytes budget,
 the controller projects the end-of-run spend from the ledger's current
 per-round rate and steps the compressor's byte knob (:data:`BYTE_KNOBS`:
@@ -52,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import TopologyError
-from repro.network.timing import LinkTimingModel
 from repro.topology.graph import Topology
 from repro.weights.optimizer import (
     WeightOptimizationResult,
@@ -74,30 +66,6 @@ DEFAULT_PATIENCE = 20
 #: The compressor kinds with a byte knob, and the knob's parameter. A
 #: ``bytes_budget`` is only legal with one of them (``SNAPConfig`` checks).
 BYTE_KNOBS = {"uniform": "bits", "topk": "k", "randomk": "k"}
-
-
-def edge_cost_vector(
-    topology: Topology, timing: LinkTimingModel | None = None
-) -> np.ndarray:
-    """Normalized per-link transfer costs, in the topology's edge order.
-
-    Cost of edge ``(u, v)`` is its seconds-per-byte ``1 / bandwidth(u, v)``,
-    scaled so the most expensive link costs exactly 1. Under a uniform
-    timing model every entry is 1 and the penalty degenerates to a uniform
-    weight-shrinkage term; the vector is only interesting when
-    ``link_bandwidth`` overrides make links heterogeneous.
-    """
-    if timing is None:
-        timing = LinkTimingModel()
-    costs = np.asarray(
-        [1.0 / float(timing.bandwidth(u, v)) for u, v in topology.edges],
-        dtype=float,
-    )
-    if costs.size:
-        peak = float(costs.max())
-        if peak > 0.0:
-            costs = costs / peak
-    return costs
 
 
 def prune_links(
@@ -200,7 +168,7 @@ class TopologySwap:
     compressor_spec: object | None
     #: Subgradient steps the (warm-started) re-solve spent; 0 if W was reused.
     solver_steps: int
-    #: Canonical edges restored by this swap (elastic joins / churn recovery).
+    #: Canonical edges restored by this swap (elastic joins).
     added_edges: tuple = ()
 
 
@@ -217,11 +185,9 @@ class TopologyController:
     config:
         The run's :class:`~repro.core.config.SNAPConfig`. The controller
         reads its settings there: the cycle period
-        (``topology_reoptimize_every``), the prune threshold, the bandwidth
-        penalty (``topology_cost_weight`` under ``timing``), the re-solve
-        iteration cap (``weight_iterations``), ``bytes_budget``,
-        ``topology_readd``, and the compressor spec (the knob's fidelity
-        ceiling).
+        (``topology_reoptimize_every``), the prune threshold, the re-solve
+        iteration cap (``weight_iterations``), ``bytes_budget``, and the
+        compressor spec (the knob's fidelity ceiling).
     """
 
     def __init__(
@@ -243,7 +209,7 @@ class TopologyController:
         #: Total subgradient steps spent across all online re-solves.
         self.total_solver_steps = 0
         #: Every base-topology edge currently pruned (the re-add candidate
-        #: pool for churn recovery and elastic joins).
+        #: pool for elastic joins).
         self.pruned_ever: set = set()
         #: Down set after the previous round: "some down" followed by "none
         #: down" is the churn-recovery trigger.
@@ -267,8 +233,7 @@ class TopologyController:
 
         Triggers, in precedence order: fault-churn recovery (the previous
         round had down servers, this one has none — link statistics
-        shifted, re-optimize unconditionally; with ``topology_readd`` the
-        recovered servers' pruned links are offered back), an APE stage
+        shifted, re-optimize unconditionally), an APE stage
         advance (Algorithm 1's natural epoch boundary, where the budget
         re-decides the joint (topology, knob) point; a churn trigger in the
         same round consumes it), and the periodic
@@ -277,11 +242,8 @@ class TopologyController:
         ``total_rounds`` feed the budget projection.
         """
         reason = None
-        add_candidates: tuple = ()
         if self._last_down and not down:
             reason = "churn"
-            if self.config.topology_readd:
-                add_candidates = self.readd_candidates(self._last_down)
         if ape_stage != self._last_ape_stage:
             self._last_ape_stage = ape_stage
             reason = reason or "ape-stage"
@@ -296,7 +258,6 @@ class TopologyController:
             rounds_done=round_index,
             total_rounds=total_rounds,
             reason=reason,
-            add_candidates=add_candidates,
         )
 
     # -- the cycle ---------------------------------------------------------------
@@ -317,7 +278,7 @@ class TopologyController:
         A cycle prunes below-threshold links (plus any ``drop_candidates``
         forced by a membership scheduler, still connectivity-guarded),
         restores ``add_candidates`` links — bounded to the base topology the
-        fleet was wired on — for recovered or newly joined nodes, re-solves
+        fleet was wired on — for newly joined nodes, re-solves
         (22)/(23) warm-started when the edge set changed (or unconditionally
         on ``"churn"`` — link statistics shifted even if no edge died), and
         steps the compressor knob against the bytes budget. When nothing
@@ -341,12 +302,6 @@ class TopologyController:
                 pruned,
                 iterations=config.weight_iterations,
                 warm_start=self.result,
-                edge_costs=(
-                    edge_cost_vector(pruned, config.timing)
-                    if config.topology_cost_weight > 0.0
-                    else None
-                ),
-                cost_weight=config.topology_cost_weight,
                 patience=DEFAULT_PATIENCE,
             )
             solver_steps = result.solver_steps
@@ -376,10 +331,10 @@ class TopologyController:
     def readd_candidates(self, nodes) -> tuple:
         """Pruned base-topology links incident to ``nodes``, ascending.
 
-        The churn-recovery / elastic-join re-add pool: every link the
-        controller previously dropped that touches one of the recovered or
-        newly joined ``nodes``. Always a subset of the base topology's
-        edges, so it is a valid ``add_candidates`` argument by construction.
+        The elastic-join re-add pool: every link the controller previously
+        dropped that touches one of the newly joined ``nodes``. Always a
+        subset of the base topology's edges, so it is a valid
+        ``add_candidates`` argument by construction.
         """
         wanted = {int(n) for n in nodes}
         return tuple(

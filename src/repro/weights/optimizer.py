@@ -15,15 +15,10 @@ solver.
 with the larger convergence-rate score, exactly the selection rule the paper
 prescribes after deriving objective (20).
 
-Two extensions serve the adaptive-topology runtime
-(:mod:`repro.weights.adaptive`):
-
-* ``warm_start=`` resumes the projected subgradient from a prior solution's
-  matrix (its θ restricted to the surviving edges, re-projected), which makes
-  online re-solves after link pruning cheap;
-* ``edge_costs=`` / ``cost_weight=`` add a bandwidth-aware linear penalty
-  ``cost_weight · Σ_e c_e θ_e`` to the minimized objective, so the solver
-  trades spectral gap against weight placed on expensive links.
+For the adaptive-topology runtime (:mod:`repro.weights.adaptive`),
+``warm_start=`` resumes the projected subgradient from a prior solution's
+matrix (its θ restricted to the surviving edges, re-projected), which makes
+online re-solves after link pruning cheap.
 """
 
 from __future__ import annotations
@@ -55,8 +50,7 @@ class WeightOptimizationResult:
     objective_trace:
         Best-so-far objective value after each subgradient step (the second
         largest eigenvalue for problem (23), minus the smallest eigenvalue for
-        problem (22); both are minimized, and both include the bandwidth
-        penalty when one is configured).
+        problem (22); both are minimized).
     problem:
         ``"min_second_eigenvalue"`` or ``"max_smallest_eigenvalue"``.
     lazy_report:
@@ -94,8 +88,6 @@ def minimize_second_eigenvalue(
     initial_step: float = 0.2,
     min_self_weight: float = 1e-3,
     initial_matrix: WeightMatrix | None = None,
-    edge_costs: np.ndarray | None = None,
-    cost_weight: float = 0.0,
     patience: int | None = None,
     step_offset: int = 0,
 ) -> WeightOptimizationResult:
@@ -106,8 +98,7 @@ def minimize_second_eigenvalue(
     restricted to symmetric doubly stochastic matrices.
     """
     return _Solver(
-        topology, iterations, initial_step, min_self_weight, edge_costs,
-        cost_weight, patience,
+        topology, iterations, initial_step, min_self_weight, patience
     ).solve("min_second_eigenvalue", initial_matrix, step_offset)
 
 
@@ -117,8 +108,6 @@ def maximize_smallest_eigenvalue(
     initial_step: float = 0.2,
     min_self_weight: float = 1e-3,
     initial_matrix: WeightMatrix | None = None,
-    edge_costs: np.ndarray | None = None,
-    cost_weight: float = 0.0,
     patience: int | None = None,
     step_offset: int = 0,
 ) -> WeightOptimizationResult:
@@ -130,8 +119,7 @@ def maximize_smallest_eigenvalue(
     ``-λ_min(W)``.
     """
     return _Solver(
-        topology, iterations, initial_step, min_self_weight, edge_costs,
-        cost_weight, patience,
+        topology, iterations, initial_step, min_self_weight, patience
     ).solve("max_smallest_eigenvalue", initial_matrix, step_offset)
 
 
@@ -154,8 +142,6 @@ def optimize_weight_matrix(
     initial_step: float = 0.2,
     min_self_weight: float = 1e-3,
     warm_start: WeightOptimizationResult | None = None,
-    edge_costs: np.ndarray | None = None,
-    cost_weight: float = 0.0,
     patience: int | None = None,
 ) -> WeightOptimizationResult:
     """Solve both problems and keep the matrix with the larger rate score.
@@ -177,8 +163,7 @@ def optimize_weight_matrix(
     # One parametrization and one projected Metropolis start serve both
     # problems; a warm start gives each problem its own starting matrix.
     solver = _Solver(
-        topology, iterations, initial_step, min_self_weight, edge_costs,
-        cost_weight, patience,
+        topology, iterations, initial_step, min_self_weight, patience
     )
     solved = [
         solver.solve(problem, *_warm_initial(warm_start, problem))
@@ -286,9 +271,9 @@ class _Solver:
     """One validated set-up of the projected subgradient method.
 
     Holds what the two problems share on one topology — the
-    :class:`EdgeParametrization`, the bandwidth penalty, the Metropolis
-    matrix and its projection (the cold start) — so
-    :func:`optimize_weight_matrix` builds each once, not once per problem.
+    :class:`EdgeParametrization`, the Metropolis matrix and its projection
+    (the cold start) — so :func:`optimize_weight_matrix` builds each once,
+    not once per problem.
     """
 
     def __init__(
@@ -297,32 +282,19 @@ class _Solver:
         iterations: int,
         initial_step: float,
         min_self_weight: float,
-        edge_costs: np.ndarray | None,
-        cost_weight: float,
         patience: int | None,
     ):
         check_positive_int("iterations", iterations)
         check_positive("initial_step", initial_step)
         if patience is not None:
             check_positive_int("patience", patience)
-        if cost_weight < 0.0:
-            raise OptimizationError(f"cost_weight must be >= 0, got {cost_weight}")
         if topology.n_nodes < 2:
             raise OptimizationError("weight optimization needs at least 2 nodes")
         self.parametrization = EdgeParametrization(topology, min_self_weight)
         if self.parametrization.n_edges == 0:
             raise OptimizationError("topology has no edges; nothing to optimize")
-        self.penalty = None
-        if edge_costs is not None and cost_weight > 0.0:
-            self.penalty = np.asarray(edge_costs, dtype=float)
-            if self.penalty.shape != (self.parametrization.n_edges,):
-                raise OptimizationError(
-                    f"edge_costs shape {self.penalty.shape} does not match edge "
-                    f"count {self.parametrization.n_edges}"
-                )
         self.iterations = iterations
         self.initial_step = initial_step
-        self.cost_weight = cost_weight
         self.patience = patience
 
     @cached_property
@@ -346,8 +318,7 @@ class _Solver:
         if step_offset < 0:
             raise OptimizationError(f"step_offset must be >= 0, got {step_offset}")
         objective = _OBJECTIVES[problem]
-        parametrization, penalty = self.parametrization, self.penalty
-        cost_weight, patience = self.cost_weight, self.patience
+        parametrization, patience = self.parametrization, self.patience
         if initial_matrix is None:
             theta = self.cold_start
         else:
@@ -361,8 +332,6 @@ class _Solver:
             matrix = parametrization.to_matrix(theta)
             eigenvalues, eigenvectors = np.linalg.eigh(matrix)
             value, vector, sign = objective(eigenvalues, eigenvectors)
-            if penalty is not None:
-                value += cost_weight * float(penalty @ theta)
             if value < best_value:
                 best_value = value
                 best_theta = theta
@@ -374,8 +343,6 @@ class _Solver:
             # the eigenvalue subgradient itself (sign +1); for problem (22) we
             # minimize -λ_min so the sign flips (sign -1).
             subgradient = sign * parametrization.eigenvalue_subgradient(vector)
-            if penalty is not None:
-                subgradient = subgradient + cost_weight * penalty
             norm = float(np.linalg.norm(subgradient))
             if norm < 1e-14:
                 break

@@ -63,16 +63,6 @@ class TestRunCommand:
         assert "bytes_budget" in err
         assert "Traceback" not in err
 
-    def test_cost_weight_without_adaptive_topology_is_a_usage_error(self, capsys):
-        # A static run's weight solve never reads the bandwidth penalty.
-        with pytest.raises(SystemExit) as exit_info:
-            main(["run", "--topology-cost-weight", "0.5", "--rounds", "5"])
-        assert exit_info.value.code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "topology_cost_weight" in err
-        assert "adaptive_topology" in err
-        assert "Traceback" not in err
-
     def test_output_file_written(self, tmp_path, capsys):
         output = tmp_path / "result.json"
         code = main(

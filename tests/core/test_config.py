@@ -64,24 +64,13 @@ class TestValidation:
         )
         assert config.bytes_budget == 1000
 
-    def test_a_cost_weight_without_the_controller_is_refused(self):
-        with pytest.raises(ConfigurationError) as error:
-            SNAPConfig(topology_cost_weight=0.5)
-        assert "topology_cost_weight" in str(error.value)
-        assert "adaptive_topology" in str(error.value)
-
-    def test_a_cost_weight_on_an_adaptive_run_is_accepted(self):
-        config = SNAPConfig(adaptive_topology=True, topology_cost_weight=0.5)
-        assert config.topology_cost_weight == 0.5
-        assert SNAPConfig(topology_cost_weight=0.0).topology_cost_weight == 0.0
-
     def test_bad_budget_rejected(self):
         with pytest.raises(ConfigurationError, match="bytes_budget"):
             SNAPConfig(adaptive_topology=True, compressor="topk:k=4", bytes_budget=0)
 
     def test_field_count(self):
         """A new knob is a decision, not a side effect: update this with it."""
-        assert len(dataclasses.fields(SNAPConfig)) == 29
+        assert len(dataclasses.fields(SNAPConfig)) == 27
 
 
 class TestConvenienceConstructors:

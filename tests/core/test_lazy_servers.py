@@ -269,10 +269,15 @@ def test_an_uninspected_run_builds_no_server(monkeypatch):
 
 
 def test_swaps_build_no_server(monkeypatch):
-    """An adaptive run that prunes and re-adds links re-indexes the engine's
-    arrays: no EdgeServer is constructed and nothing is written back."""
+    """Swaps that prune, re-solve on churn, drop and re-add links re-index
+    the engine's arrays: no EdgeServer is constructed and nothing is
+    written back."""
     from repro.core import engine as engine_module
-    from tests.core.test_topology_readd import churn_trainer
+    from tests.core.test_topology_readd import (
+        churn_trainer,
+        manual_swap_trainer,
+        run_manual_drop_readd,
+    )
 
     built, scattered = [], []
     init, scatter = EdgeServer.__init__, engine_module.scatter_state
@@ -287,9 +292,12 @@ def test_swaps_build_no_server(monkeypatch):
 
     monkeypatch.setattr(EdgeServer, "__init__", counted_init)
     monkeypatch.setattr(engine_module, "scatter_state", counted_scatter)
-    trainer = churn_trainer(readd=True, engine="vectorized")
-    capture_run(trainer, streaming=True)
-    swaps = trainer._topology_controller.swaps
+    churn = churn_trainer("vectorized")
+    capture_run(churn, streaming=True)
+    manual = manual_swap_trainer("vectorized")
+    run_manual_drop_readd(manual)
+    swaps = churn._topology_controller.swaps + manual._topology_controller.swaps
     assert any(swap.pruned_edges for swap in swaps)
+    assert any(swap.reason == "churn" for swap in swaps)
     assert any(swap.added_edges for swap in swaps)
     assert built == [] and scattered == []

@@ -12,14 +12,9 @@ Runs pinned:
 * the five hand-built cases of
   ``tests/differential/test_adaptive_differential.py`` (prunes, knob swaps,
   a churn trigger, REWEIGHT, error feedback);
-* the churn re-add run of ``tests/core/test_topology_readd.py`` (a prune,
-  then a recovery that re-adds the hub chords);
 * a manual drop of chord ``(0, 3)`` and its re-add, with rounds between;
 * a bytes-budget run on credit SVM (N=8) whose three periodic swaps step
-  ``uniform:bits=8`` down the ladder to ``bits=2``;
-* a bandwidth-aware run on the same workload: the links of node 2 are a
-  thousand times slower, and ``topology_cost_weight=0.5`` moves the one
-  prune of the cost-free run onto two of them.
+  ``uniform:bits=8`` down the ladder to ``bits=2``.
 
 Not marked ``differential``: each run takes a fraction of a second. A pin
 moving means a swap changed numerically; update it only with the reason.
@@ -32,11 +27,10 @@ import json
 import pytest
 
 from repro.core import SNAPConfig, SNAPTrainer
-from repro.network.timing import LinkTimingModel
 from repro.simulation.experiments import credit_svm_workload
 from repro.testing.differential import run_scenario
 from repro.testing.digest import RunDigest
-from tests.core.test_topology_readd import churn_trainer, manual_swap_trainer
+from tests.core.test_topology_readd import manual_swap_trainer, run_manual_drop_readd
 from tests.differential.test_adaptive_differential import CASES
 
 ENGINES = ("reference", "vectorized")
@@ -49,27 +43,7 @@ def pinned(digest: RunDigest) -> dict:
 def manual_swap_digest(engine: str) -> RunDigest:
     """Four rounds, drop chord (0, 3), three rounds, re-add it, four rounds."""
     trainer = manual_swap_trainer(engine)
-    trainer.run(stop_on_convergence=False)
-    controller = trainer._topology_controller
-    drop = controller.propose(
-        trainer.rounds_completed, reason="membership", drop_candidates=((0, 3),)
-    )
-    assert drop.pruned_edges == ((0, 3),)
-    trainer._apply_topology_swap(drop)
-    trainer.run(max_rounds=3, stop_on_convergence=False)
-    grow = controller.propose(
-        trainer.rounds_completed, reason="membership", add_candidates=((0, 3),)
-    )
-    assert grow.added_edges == ((0, 3),)
-    trainer._apply_topology_swap(grow)
-    result = trainer.run(max_rounds=4, stop_on_convergence=False)
-    return RunDigest.capture(trainer, result)
-
-
-def churn_readd_digest(engine: str) -> RunDigest:
-    trainer = churn_trainer(readd=True, engine=engine)
-    result = trainer.run(stop_on_convergence=False)
-    assert any(swap.added_edges for swap in trainer._topology_controller.swaps)
+    result = run_manual_drop_readd(trainer)
     return RunDigest.capture(trainer, result)
 
 
@@ -97,27 +71,6 @@ def budget_digest(engine: str) -> RunDigest:
         (15, "periodic"),
     ]
     assert swaps[-1].compressor_spec.params_dict()["bits"] == 2
-    return RunDigest.capture(trainer, result)
-
-
-def cost_weight_digest(engine: str) -> RunDigest:
-    workload = credit_svm_workload(n_servers=8, seed=1)
-    slow = {edge: 1e6 for edge in workload.topology.edges if 2 in edge}
-    timing = LinkTimingModel(link_bandwidth=slow)
-    pruned = {}
-    for weight in (0.0, 0.5):
-        trainer = credit_trainer(
-            engine,
-            topology_prune_threshold=0.05,
-            topology_cost_weight=weight,
-            timing=timing,
-        )
-        result = trainer.run(stop_on_convergence=False)
-        pruned[weight] = [
-            edge for swap in trainer._topology_controller.swaps
-            for edge in swap.pruned_edges
-        ]
-    assert pruned == {0.0: [(2, 4)], 0.5: [(1, 2), (2, 3)]}
     return RunDigest.capture(trainer, result)
 
 
@@ -172,16 +125,6 @@ GOLDEN = {
         "final_loss": "0x1.4c0a0d925367ep-1",
         "version": 1,
     },
-    "churn-readd": {
-        "rounds_sha": "71c7b087c0749cd6af833b80cd717c3d24cfc808a69d610699d4d9dec810bdea",
-        "ledger_sha": "58a0736649ec0580cffc927a78c151b6fc80458fe0c5eb2204ed280a7d874368",
-        "final_params_sha": "71abf740469a30e786b3c655a7699efa693ac2236bd551a2f38fbd446ba76a6e",
-        "server_state_sha": "ffb645567cdb9d44024621964244c7cc66f251c603fa0f68cdfd595bea9a6fdf",
-        "total_bytes": 14344,
-        "total_cost": 14344,
-        "final_loss": "0x1.cb17f9a9ec151p-2",
-        "version": 1,
-    },
     "manual-drop-readd": {
         "rounds_sha": "323f0468724b694410e0e2a7838aa1c5b573039fe29f807cb0be1e18e7cfdcdb",
         "ledger_sha": "10aa9a995ebe310b9fb5a684fc6c9a29278590a6dbbdc01e9a00e1df890e957c",
@@ -202,16 +145,6 @@ GOLDEN = {
         "final_loss": "0x1.bbe7d9a447480p-2",
         "version": 1,
     },
-    "cost-weighted-pruning": {
-        "rounds_sha": "a978cc94f17e7b03d40c806635b8f5d6f06fa4af5078cd497e938ad6c5f27b53",
-        "ledger_sha": "6ef90e884ccace6b862c652c5c56bb2f03ca41d3a0838c2c84fe805490344b4c",
-        "final_params_sha": "d6ebee5b115af5c39a312b478b09441cd0175fab7eff3f87ac680731e51b0f6c",
-        "server_state_sha": "8fce35c02f1ebe43eb86220f1170b037ea201329700f295426afed2160af6746",
-        "total_bytes": 150784,
-        "total_cost": 150784,
-        "final_loss": "0x1.b42ed368aa89bp-2",
-        "version": 1,
-    },
 }
 
 
@@ -226,11 +159,6 @@ def test_adaptive_case_digests_are_pinned(label, scenario):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_churn_readd_digest_is_pinned(engine):
-    assert pinned(churn_readd_digest(engine)) == GOLDEN["churn-readd"]
-
-
-@pytest.mark.parametrize("engine", ENGINES)
 def test_manual_drop_and_readd_digest_is_pinned(engine):
     assert pinned(manual_swap_digest(engine)) == GOLDEN["manual-drop-readd"]
 
@@ -238,8 +166,3 @@ def test_manual_drop_and_readd_digest_is_pinned(engine):
 @pytest.mark.parametrize("engine", ENGINES)
 def test_bytes_budget_digest_is_pinned(engine):
     assert pinned(budget_digest(engine)) == GOLDEN["uniform-bytes-budget"]
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_cost_weighted_digest_is_pinned(engine):
-    assert pinned(cost_weight_digest(engine)) == GOLDEN["cost-weighted-pruning"]

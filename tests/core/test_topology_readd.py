@@ -1,9 +1,11 @@
 """Elastic link re-adds through the trainer stack.
 
-The trainer's churn-recovery re-add path behind the ``topology_readd``
-config gate, the gate's default-off protection of the pinned prune-only
-differential scenarios, and what a swap does to the links it keeps and
-adds. (The re-index of the run state itself is held by
+A link comes back only through the fleet's membership path: the
+controller's ``propose(add_candidates=...)`` applied with
+``_apply_topology_swap``, which these tests call by hand (a drop of chord
+``(0, 3)`` and its re-add). What a swap does to the links it keeps and adds
+is checked here; a churn recovery re-solves on the pruned topology and adds
+nothing back. (The re-index of the run state itself is held by
 ``tests/properties/test_swap_reindex_properties.py``.)
 """
 
@@ -15,9 +17,9 @@ import pytest
 from repro.core.config import SNAPConfig
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
-from repro.exceptions import ConfigurationError
 from repro.faults import FaultPlan
 from repro.models.logistic import LogisticRegression
+from repro.testing.digest import capture_run
 from repro.topology.failures import ScheduledNodeFailures
 from repro.topology.graph import Topology
 
@@ -27,8 +29,8 @@ def ring_with_chords(n: int, chords) -> Topology:
     return Topology(n, edges)
 
 
-#: Parallel hub chords the optimizer drives to (near) zero weight — the
-#: prune pool the churn-recovery re-add draws from (all incident to 0).
+#: Parallel hub chords the optimizer drives to (near) zero weight (all
+#: incident to 0): the periodic prune of :func:`churn_trainer` retires them.
 HUB_CHORDS = [(0, 2), (0, 4), (0, 6), (0, 8), (0, 10)]
 
 
@@ -53,25 +55,12 @@ def build_trainer(topology, config, **kwargs):
     )
 
 
-class TestConfigGate:
-    def test_readd_requires_the_adaptive_controller(self):
-        with pytest.raises(ConfigurationError, match="topology_readd"):
-            SNAPConfig(topology_readd=True)
-
-    def test_readd_with_adaptive_topology_is_accepted(self):
-        config = SNAPConfig(adaptive_topology=True, topology_readd=True)
-        assert config.topology_readd
-
-    def test_default_is_off(self):
-        assert SNAPConfig().topology_readd is False
-
-
-def churn_trainer(readd: bool, engine: str = "reference") -> SNAPTrainer:
-    """The churn run, built and not yet run.
+def churn_trainer(engine: str = "reference") -> SNAPTrainer:
+    """The prune-only churn run, built and not yet run.
 
     Periodic prune at round 5 retires near-zero hub chords; node 0 goes
-    down at round 7 and recovers at 8, so the churn re-solve fires with
-    node 0's pruned links as re-add candidates.
+    down at round 7 and recovers at 8, so the churn re-solve fires on the
+    pruned topology.
     """
     config = SNAPConfig(
         engine=engine,
@@ -79,7 +68,6 @@ def churn_trainer(readd: bool, engine: str = "reference") -> SNAPTrainer:
         optimize_weights=True,
         weight_iterations=300,
         adaptive_topology=True,
-        topology_readd=readd,
         topology_reoptimize_every=5,
         topology_prune_threshold=0.05,
         max_rounds=9,
@@ -92,57 +80,10 @@ def churn_trainer(readd: bool, engine: str = "reference") -> SNAPTrainer:
     )
 
 
-def run_with_churn(readd: bool, engine: str = "reference") -> SNAPTrainer:
-    trainer = churn_trainer(readd, engine)
-    trainer.run(stop_on_convergence=False)
-    return trainer
-
-
-class TestTrainerReaddPath:
-    def run_with_churn(self, readd: bool) -> SNAPTrainer:
-        return run_with_churn(readd)
-
-    @pytest.fixture(scope="class")
-    def readd_trainer(self):
-        return self.run_with_churn(readd=True)
-
-    def test_churn_recovery_readds_the_hub_links(self, readd_trainer):
-        controller = readd_trainer._topology_controller
-        churn_swaps = [s for s in controller.swaps if s.reason == "churn"]
-        assert churn_swaps
-        added = [edge for swap in churn_swaps for edge in swap.added_edges]
-        assert added
-        assert all(0 in edge for edge in added)
-        for edge in added:
-            assert edge in readd_trainer.topology.edges
-
-    def test_every_layer_matches_the_regrown_topology(self, readd_trainer):
-        topology = readd_trainer.topology
-        for server in readd_trainer.servers:
-            expected = set(topology.neighbors(server.node_id))
-            assert set(server.neighbors) == expected
-            assert set(server.views) == expected
-            assert set(server.last_sent) == expected
-
-    def test_strict_monitor_revalidated_every_swap(self, readd_trainer):
-        controller = readd_trainer._topology_controller
-        assert readd_trainer.monitor.checks["topology-swap"] == len(
-            controller.swaps
-        )
-
-    def test_gate_off_keeps_the_prune_only_behaviour(self):
-        # The PR-8 differential scenarios are pinned to prune-only swaps;
-        # with the gate at its default the same churn run re-adds nothing.
-        trainer = self.run_with_churn(readd=False)
-        controller = trainer._topology_controller
-        assert all(swap.added_edges == () for swap in controller.swaps)
-        assert controller.pruned_ever  # the pool exists, untouched
-
-
-def manual_swap_trainer(engine: str = "reference") -> SNAPTrainer:
+def manual_swap_trainer(engine: str = "reference", **overrides) -> SNAPTrainer:
     """An adaptive trainer whose controller never fires by itself, so the
     caller proposes and applies its swaps (chord ``(0, 3)`` to drop)."""
-    config = SNAPConfig(
+    settings = dict(
         engine=engine,
         optimize_weights=True,
         weight_iterations=120,
@@ -152,7 +93,49 @@ def manual_swap_trainer(engine: str = "reference") -> SNAPTrainer:
         max_rounds=4,
         seed=3,
     )
-    return build_trainer(ring_with_chords(8, [(0, 3), (2, 6)]), config)
+    settings.update(overrides)
+    return build_trainer(ring_with_chords(8, [(0, 3), (2, 6)]), SNAPConfig(**settings))
+
+
+def run_manual_drop_readd(trainer: SNAPTrainer):
+    """Four rounds, drop chord (0, 3), three rounds, re-add it, four rounds.
+
+    Returns the last ``run``'s result.
+    """
+    trainer.run(stop_on_convergence=False)
+    controller = trainer._topology_controller
+    drop = controller.propose(
+        trainer.rounds_completed, reason="membership", drop_candidates=((0, 3),)
+    )
+    assert drop.pruned_edges == ((0, 3),)
+    trainer._apply_topology_swap(drop)
+    trainer.run(max_rounds=3, stop_on_convergence=False)
+    grow = controller.propose(
+        trainer.rounds_completed, reason="membership", add_candidates=((0, 3),)
+    )
+    assert grow.added_edges == ((0, 3),)
+    trainer._apply_topology_swap(grow)
+    return trainer.run(max_rounds=4, stop_on_convergence=False)
+
+
+class TestTrainerReaddPath:
+    @pytest.fixture(scope="class")
+    def readd_trainer(self):
+        trainer = manual_swap_trainer(invariants="strict")
+        run_manual_drop_readd(trainer)
+        return trainer
+
+    def test_every_layer_matches_the_regrown_topology(self, readd_trainer):
+        topology = readd_trainer.topology
+        assert topology.has_edge(0, 3)
+        for server in readd_trainer.servers:
+            expected = set(topology.neighbors(server.node_id))
+            assert set(server.neighbors) == expected
+            assert set(server.views) == expected
+            assert set(server.last_sent) == expected
+
+    def test_strict_monitor_revalidated_every_swap(self, readd_trainer):
+        assert readd_trainer.monitor.checks["topology-swap"] == 2
 
 
 class TestManualSeededSwap:
@@ -204,7 +187,7 @@ class TestStalenessAcrossSwaps:
         monkeypatch.setattr(
             SNAPTrainer, "_apply_topology_swap", apply_with_planted_ages
         )
-        run_with_churn(readd=True, engine=engine)
+        run_manual_drop_readd(manual_swap_trainer(engine))
         assert any(swap.pruned_edges for swap, _, _ in seen)
         assert any(swap.added_edges for swap, _, _ in seen)
         for swap, before, after in seen:
@@ -219,15 +202,18 @@ class TestStalenessAcrossSwaps:
 
 class TestSemiSyncReadd:
     """A re-added link gets the semi-sync engine's arrival ledgers (it had
-    none, and the barrier raised ``KeyError``); at τ=0 the re-adding runs
-    then land on the reference engine's golden digests."""
+    none, and the barrier raised ``KeyError``); at τ=0 the swapping runs
+    then land on the reference engine's digests: the golden pin of the
+    manual drop and re-add, and the reference run of the prune-only churn."""
 
-    @pytest.mark.parametrize("run", ["churn-readd", "manual-drop-readd"])
+    @pytest.mark.parametrize("run", ["churn-prune", "manual-drop-readd"])
     def test_readd_runs_match_the_reference_pins(self, run):
         from tests.core import test_swap_pins as pins
 
-        capture = {
-            "churn-readd": pins.churn_readd_digest,
-            "manual-drop-readd": pins.manual_swap_digest,
-        }[run]
-        assert pins.pinned(capture("semisync")) == pins.GOLDEN[run]
+        if run == "churn-prune":
+            expected = pins.pinned(capture_run(churn_trainer("reference")))
+            digest = capture_run(churn_trainer("semisync"))
+        else:
+            expected = pins.GOLDEN[run]
+            digest = pins.manual_swap_digest("semisync")
+        assert pins.pinned(digest) == expected

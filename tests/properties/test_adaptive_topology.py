@@ -25,12 +25,10 @@ from repro.core.config import SelectionPolicy, SNAPConfig
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
 from repro.models.logistic import LogisticRegression
-from repro.network.timing import LinkTimingModel
 from repro.testing.digest import capture_run
 from repro.topology.graph import Topology
 from repro.weights.adaptive import (
     TopologyController,
-    edge_cost_vector,
     prune_links,
 )
 from repro.weights.construction import metropolis_weights
@@ -94,17 +92,6 @@ class TestPruneLinks:
         # Off-diagonal weights are theta >= 0, so strictly-below-zero is empty.
         _, removed = prune_links(topo, result.matrix, 0.0)
         assert removed == ()
-
-    def test_edge_cost_vector_normalized_and_ordered(self):
-        topo = ring_with_chords(6, [(0, 3)])
-        # Default links run at a gigabit; the chord is throttled far below.
-        timing = LinkTimingModel(link_bandwidth={(0, 3): 1.0e6})
-        costs = edge_cost_vector(topo, timing)
-        assert costs.shape == (len(topo.edges),)
-        assert costs.max() == 1.0
-        chord = topo.edges.index((0, 3))
-        assert costs[chord] == 1.0  # slowest link carries the peak cost
-        assert np.all(costs[np.arange(len(costs)) != chord] < 1.0)
 
 
 class TestZeroWeightPruningTrajectory:

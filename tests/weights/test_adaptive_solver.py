@@ -2,15 +2,13 @@
 
 Covers the solver-side pieces the adaptive runtime builds on:
 ``warm_start=`` (the online re-solve path, with the >=5x step-count
-regression bar), the bandwidth penalty, and the cached lazy :class:`MixingReport` that the EXTRA
+regression bar) and the cached lazy :class:`MixingReport` that the EXTRA
 step-size cap reuses bitwise instead of recomputing a dense spectrum.
 """
 
 import numpy as np
-import pytest
 
 from repro.consensus.step_size import extra_max_step_size, safe_step_size
-from repro.exceptions import OptimizationError
 from repro.topology.generators import ring_topology
 from repro.topology.graph import Topology
 from repro.utils.linalg import smallest_eigenvalue
@@ -69,42 +67,6 @@ class TestWarmStart:
         )
         assert len(early.objective_trace) < len(full.objective_trace)
         assert early.objective_trace[-1] <= full.objective_trace[-1] + 1e-3
-
-
-class TestBandwidthPenalty:
-    def test_costly_edge_gets_less_weight(self):
-        topo = ring_with_chords(10, [(0, 5)])
-        costs = np.zeros(len(topo.edges))
-        chord = topo.edges.index((0, 5))
-        costs[chord] = 1.0
-        plain = minimize_second_eigenvalue(topo, iterations=120)
-        penalized = minimize_second_eigenvalue(
-            topo, iterations=120, edge_costs=costs, cost_weight=0.5
-        )
-        assert penalized.matrix[0, 5] < plain.matrix[0, 5]
-
-    def test_zero_cost_weight_is_bitwise_noop(self):
-        topo = ring_with_chords(10, [(0, 5)])
-        costs = np.ones(len(topo.edges))
-        plain = minimize_second_eigenvalue(topo, iterations=40)
-        weighted = minimize_second_eigenvalue(
-            topo, iterations=40, edge_costs=costs, cost_weight=0.0
-        )
-        assert np.array_equal(plain.matrix, weighted.matrix)
-
-    def test_cost_vector_shape_checked(self):
-        topo = ring_topology(6)
-        with pytest.raises(OptimizationError):
-            minimize_second_eigenvalue(
-                topo, edge_costs=np.ones(3), cost_weight=1.0
-            )
-
-    def test_negative_cost_weight_rejected(self):
-        topo = ring_topology(6)
-        with pytest.raises(OptimizationError):
-            minimize_second_eigenvalue(
-                topo, edge_costs=np.ones(6), cost_weight=-0.1
-            )
 
 
 class TestCachedLazyReport:

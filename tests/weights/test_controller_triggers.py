@@ -8,8 +8,6 @@ stage counters and record every ``propose`` call it makes.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import SNAPConfig
 from repro.topology.graph import Topology
 from repro.weights.adaptive import TopologyController
@@ -72,9 +70,11 @@ class TestPrecedence:
 
 
 class TestReaddCandidates:
-    @pytest.mark.parametrize("readd", [False, True])
-    def test_offered_only_with_topology_readd(self, readd):
-        controller = controller_for(topology_readd=readd)
+    def test_a_churn_recovery_readds_nothing_and_keeps_the_pool(self):
+        # Re-adds come only from the fleet's membership path
+        # (``propose(add_candidates=readd_candidates(joined))``); a churn
+        # recovery re-solves on the pruned topology and leaves the pool be.
+        controller = controller_for()
         dropped = controller.propose(
             1, reason="membership", drop_candidates=((0, 4),)
         )
@@ -82,9 +82,9 @@ class TestReaddCandidates:
         after(controller, 2, down={4})
         swap = after(controller, 3)
         assert swap.reason == "churn"
-        assert swap.added_edges == (((0, 4),) if readd else ())
-        assert BASE.has_edge(0, 4)
-        assert controller.topology.has_edge(0, 4) is readd
+        assert swap.added_edges == ()
+        assert not controller.topology.has_edge(0, 4)
+        assert controller.readd_candidates({4}) == ((0, 4),)
 
 
 class TestIdle:
