@@ -18,7 +18,7 @@ with the pooled one. The bench reports both weightings.
 import numpy as np
 
 from benchmarks.conftest import pick
-from repro.core.config import SelectionPolicy, ShardWeighting, SNAPConfig
+from repro.core.config import ShardWeighting, SNAPConfig
 from repro.data.credit import SyntheticCreditDefault
 from repro.data.partition import dirichlet_partition, iid_partition
 from repro.models.metrics import accuracy_score
@@ -84,7 +84,6 @@ def run_noniid_study():
         }
         for weighting in (ShardWeighting.UNIFORM, ShardWeighting.SAMPLES):
             config = SNAPConfig(
-                selection=SelectionPolicy.APE,
                 shard_weighting=weighting,
                 max_rounds=max_rounds,
             )

@@ -74,7 +74,7 @@ def run_spec(spec: str) -> dict:
         engine="vectorized",
         max_rounds=MAX_ROUNDS,
         seed=7,
-        compressor=None if spec == "ape" else spec,
+        compressor=spec,
     )
     trainer = SNAPTrainer(model, shards, topology, config)
     start = time.perf_counter()

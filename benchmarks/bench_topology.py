@@ -57,7 +57,7 @@ ADAPTIVE_CELLS = (
     (
         "adaptive:ape",
         dict(
-            compressor=None,
+            compressor="ape",
             topology_reoptimize_every=20,
             topology_prune_threshold=0.05,
         ),

@@ -17,7 +17,7 @@ Run:  python examples/noniid_federated_edge.py
 import numpy as np
 
 from repro.analysis.reporting import ascii_table, format_bytes
-from repro.core.config import SelectionPolicy, ShardWeighting, SNAPConfig
+from repro.core.config import ShardWeighting, SNAPConfig
 from repro.data import SyntheticCreditDefault, dirichlet_partition, iid_partition
 from repro.models import LinearSVM, accuracy_score
 from repro.simulation.experiments import Workload
@@ -74,7 +74,6 @@ def main() -> None:
         snap_runs = {}
         for weighting in (ShardWeighting.UNIFORM, ShardWeighting.SAMPLES):
             config = SNAPConfig(
-                selection=SelectionPolicy.APE,
                 shard_weighting=weighting,
                 max_rounds=600,
             )

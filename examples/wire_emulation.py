@@ -14,7 +14,6 @@ Run:  python examples/wire_emulation.py
 
 from repro.analysis.reporting import ascii_table, format_bytes
 from repro.core import SNAPConfig, SNAPTrainer
-from repro.core.config import SelectionPolicy
 from repro.network import LinkTimingModel
 from repro.network.codec import decode_update, encode_update
 from repro.network.messages import ParameterUpdate
@@ -52,15 +51,12 @@ def main() -> None:
     timing = LinkTimingModel(compute_s_per_round=0.05)  # 1 Gbps + 50ms compute
 
     rows = []
-    for label, selection in [
-        ("snap", SelectionPolicy.APE),
-        ("sno (send everything)", SelectionPolicy.DENSE),
-    ]:
+    for label, compressor in [("snap", "ape"), ("sno (send everything)", "dense")]:
         trainer = SNAPTrainer(
             workload.model,
             workload.shards,
             workload.topology,
-            config=SNAPConfig(selection=selection, alpha=0.5, seed=6),
+            config=SNAPConfig(compressor=compressor, alpha=0.5, seed=6),
             initial_params=workload.model.init_params(6),
         )
         result = trainer.run(max_rounds=100, stop_on_convergence=False)

@@ -9,6 +9,13 @@ their line counts, and the totals. A listed function is a candidate for
 deletion unless a stated rule keeps it (docs/TESTING.md, "What the entry
 points run").
 
+It also prints, per ``SNAPConfig`` field, which entry points construct a
+config with a non-default value of it: the hook reads ``self`` when
+``SNAPConfig.__post_init__`` returns and compares each field with a default
+config's (normalized values on both sides, so ``compressor="ape"`` and
+``CompressorSpec("ape")`` are both the default). A field no entry point sets
+has no runner.
+
 How the hook is installed, and why this way:
 
 * a generated ``sitecustomize.py`` first on ``PYTHONPATH`` installs a
@@ -83,11 +90,35 @@ import atexit, json, os, sys, tempfile, threading
 
 _entered = set()
 _record = _entered.add
+_config = os.environ["REACHABILITY_PACKAGE"] + os.path.join("core", "config.py")
+_defaults = {}
+_set_fields = set()
+
+
+def _note_config(config):
+    # The hook is not re-entered while it runs, so building the default
+    # config here traces nothing.
+    if not _defaults:
+        _defaults.update(vars(type(config)()))
+    for name, default in _defaults.items():
+        value = getattr(config, name, default)
+        try:
+            differs = value is not default and bool(value != default)
+        except Exception:
+            differs = True
+        if differs:
+            _set_fields.add(name)
 
 
 def _hook(frame, event, arg):
     if event == "call":
         _record(frame.f_code)
+    elif (
+        event == "return"
+        and frame.f_code.co_name == "__post_init__"
+        and frame.f_code.co_filename == _config
+    ):
+        _note_config(frame.f_locals["self"])
 
 
 _install = sys.setprofile
@@ -109,7 +140,7 @@ def _write():
         suffix=".json", dir=os.environ["REACHABILITY_OUT"]
     )
     with os.fdopen(handle, "w") as out:
-        json.dump(entered, out)
+        json.dump({"entered": entered, "fields": sorted(_set_fields)}, out)
 '''
 
 
@@ -139,17 +170,21 @@ def functions(path: Path) -> dict[tuple[str, int, str], tuple[str, int, set]]:
     return found
 
 
-def trace_entry_points(hook_dir: Path, out_dir: Path, tmp: Path) -> set[tuple]:
-    """Run every entry point under the hook; the union of what they entered."""
+def trace_entry_points(
+    hook_dir: Path, out_dir: Path, tmp: Path
+) -> tuple[set[tuple], dict[str, set[int]]]:
+    """Run every entry point under the hook: the union of what they entered,
+    and per ``SNAPConfig`` field the indices of the entry points setting it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(hook_dir), str(SRC)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     env["REACHABILITY_PACKAGE"] = str(PACKAGE) + os.sep
-    env["REACHABILITY_OUT"] = str(out_dir)
     failed = []
-    for arguments in ENTRY_POINTS:
+    for index, arguments in enumerate(ENTRY_POINTS):
+        env["REACHABILITY_OUT"] = str(out_dir / str(index))
+        (out_dir / str(index)).mkdir()
         command = [sys.executable] + [a.format(tmp=tmp) for a in arguments]
         shown = " ".join(arguments)
         started = time.perf_counter()
@@ -166,9 +201,33 @@ def trace_entry_points(hook_dir: Path, out_dir: Path, tmp: Path) -> set[tuple]:
     if failed:
         raise SystemExit(f"entry points failed: {failed}")
     entered = set()
-    for part in out_dir.glob("*.json"):
-        entered.update(tuple(key) for key in json.loads(part.read_text()))
-    return entered
+    setters = defaultdict(set)
+    for part in out_dir.glob("*/*.json"):
+        found = json.loads(part.read_text())
+        entered.update(tuple(key) for key in found["entered"])
+        for name in found["fields"]:
+            setters[name].add(int(part.parent.name))
+    return entered, setters
+
+
+def print_field_table(setters: dict[str, set[int]]) -> None:
+    """Per ``SNAPConfig`` field, the entry points that set a non-default value."""
+    sys.path.insert(0, str(SRC))
+    from dataclasses import fields
+
+    from repro.core.config import SNAPConfig
+
+    names = [field.name for field in fields(SNAPConfig)]
+    print("\nentry points:")
+    for index, arguments in enumerate(ENTRY_POINTS):
+        print(f"  E{index}: {' '.join(arguments)}")
+    print(f"\nSNAPConfig fields set to a non-default value ({len(names)} fields):")
+    print("| field | entry points |\n|---|---|")
+    for name in names:
+        runners = ", ".join(f"E{index}" for index in sorted(setters.get(name, ())))
+        print(f"| `{name}` | {runners or '**none**'} |")
+    unused = [name for name in names if not setters.get(name)]
+    print(f"\n{len(unused)} of {len(names)} fields set by no entry point")
 
 
 def main() -> int:
@@ -181,7 +240,9 @@ def main() -> int:
         for name in ("hook", "out", "tmp"):
             (work / name).mkdir()
         (work / "hook" / "sitecustomize.py").write_text(HOOK)
-        entered = trace_entry_points(work / "hook", work / "out", work / "tmp")
+        entered, setters = trace_entry_points(
+            work / "hook", work / "out", work / "tmp"
+        )
 
     # A function nested in an unreached one is listed, but its lines are
     # already counted in the enclosing function's.
@@ -208,6 +269,7 @@ def main() -> int:
         f"\n{len(never)} of {len(defined)} functions never entered "
         f"({unreached_lines} of {total_lines} lines)"
     )
+    print_field_table(setters)
     return 0
 
 

@@ -20,7 +20,7 @@ See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced table and figure.
 """
 
-from repro.core.config import SelectionPolicy, SNAPConfig
+from repro.core.config import SNAPConfig
 from repro.core.trainer import SNAPTrainer
 from repro.compression import Compressor, CompressorSpec, build_compressor
 from repro.consensus.convergence import ConvergenceDetector
@@ -33,7 +33,6 @@ __version__ = "1.0.0"
 __all__ = [
     "SNAPTrainer",
     "SNAPConfig",
-    "SelectionPolicy",
     "Compressor",
     "CompressorSpec",
     "build_compressor",

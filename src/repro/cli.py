@@ -73,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--compressor",
         type=str,
         default=None,
-        help="update compressor spec, e.g. 'topk:k=32', 'ef:uniform:bits=4', "
-        "'terngrad' (mesh schemes only: snap, snap0, sno)",
+        help="update compressor spec replacing SNAP's APE selection, e.g. "
+        "'topk:k=32', 'ef:uniform:bits=4', 'terngrad' (--scheme snap only)",
     )
     run.add_argument(
         "--compressor-arg",
@@ -305,10 +305,10 @@ def _parse_compressor(args: argparse.Namespace):
             )
             raise SystemExit(EXIT_USAGE)
         return None
-    if args.scheme not in ("snap", "snap0", "sno"):
+    if args.scheme != "snap":
         print(
-            f"--compressor only applies to the mesh schemes (snap, snap0, "
-            f"sno), not {args.scheme!r}",
+            f"--compressor replaces SNAP's APE selection, so it runs only "
+            f"with --scheme snap, not {args.scheme!r}",
             file=sys.stderr,
         )
         raise SystemExit(EXIT_USAGE)
@@ -323,6 +323,13 @@ def _parse_compressor(args: argparse.Namespace):
             spec = spec.with_param(key, value)
     except ConfigurationError as error:
         print(str(error), file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    if spec.is_preset:
+        print(
+            f"--compressor {spec.label} is a preset scheme: choose it with "
+            f"--scheme (snap, snap0, sno)",
+            file=sys.stderr,
+        )
         raise SystemExit(EXIT_USAGE)
     return spec
 
@@ -349,7 +356,7 @@ def _command_run(args: argparse.Namespace) -> int:
         config = SNAPConfig(
             straggler_strategy=StragglerStrategy(args.straggler_strategy),
             max_rounds=args.rounds,
-            compressor=compressor,
+            compressor=compressor or "ape",
             adaptive_topology=args.adaptive_topology,
             topology_reoptimize_every=args.reoptimize_every,
             topology_prune_threshold=args.prune_threshold,

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
 
-#: The paper's own selection policies; ``SNAPConfig.selection`` maps onto
-#: these kinds one to one (``SelectionPolicy.value`` == the kind string).
+#: The paper's own selection policies: SNAP, SNAP-0 and SNO, in that order.
+#: ``SNAPConfig.compressor`` defaults to the first.
 PRESET_KINDS = ("ape", "changed_only", "dense")
 
 #: Parameter schema per kind: name -> (default, validator).
@@ -183,15 +183,14 @@ class CompressorSpec:
         )
 
     @staticmethod
-    def normalize(value) -> "CompressorSpec | None":
-        """Accept ``None`` / spec string / :class:`CompressorSpec` uniformly."""
-        if value is None or isinstance(value, CompressorSpec):
+    def normalize(value) -> "CompressorSpec":
+        """Accept a spec string or a :class:`CompressorSpec` uniformly."""
+        if isinstance(value, CompressorSpec):
             return value
         if isinstance(value, str):
             return CompressorSpec.parse(value)
         raise ConfigurationError(
-            f"compressor must be None, a spec string, or a CompressorSpec; "
-            f"got {value!r}"
+            f"compressor must be a spec string or a CompressorSpec; got {value!r}"
         )
 
 

@@ -6,7 +6,7 @@ against possibly-stale cached neighbor views, and each round transmits only
 the parameters whose change exceeds the APE-derived threshold of Algorithm 1,
 encoded in the cheaper of the two Fig. 3 frame formats.
 
-Three selection policies cover the paper's scheme family:
+Three ``SNAPConfig.compressor`` presets cover the paper's scheme family:
 
 * ``ape`` — full SNAP (threshold from the APE schedule);
 * ``changed_only`` — SNAP-0 (threshold zero: every *changed* parameter is
@@ -21,7 +21,6 @@ quantization, TernGrad, optionally error-feedback wrapped) — see
 
 from repro.core.config import (
     SNAPConfig,
-    SelectionPolicy,
     ShardWeighting,
     StragglerStrategy,
 )
@@ -34,7 +33,6 @@ from repro.core.trainer import SNAPTrainer
 
 __all__ = [
     "SNAPConfig",
-    "SelectionPolicy",
     "ShardWeighting",
     "StragglerStrategy",
     "APESchedule",

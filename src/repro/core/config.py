@@ -23,17 +23,6 @@ APE_EPSILON_FRACTION = 0.01
 APE_GROWTH = 1.01
 
 
-class SelectionPolicy(enum.Enum):
-    """Which parameters a server transmits each round."""
-
-    #: Full SNAP: suppress parameters whose change is below the APE threshold.
-    APE = "ape"
-    #: SNAP-0: threshold zero — send everything that changed at all.
-    CHANGED_ONLY = "changed_only"
-    #: SNO: send the complete parameter vector every round (dense frames).
-    DENSE = "dense"
-
-
 class ShardWeighting(enum.Enum):
     """How each server's local objective enters the aggregate sum (eq. 4)."""
 
@@ -74,8 +63,15 @@ class SNAPConfig:
         EXTRA step size; ``None`` selects ``STEP_SAFETY * 2 λ_min(W̃) / L_f``
         (``STEP_SAFETY = 0.5``) automatically from the weight matrix and the
         data (:func:`repro.consensus.safe_step_size`).
-    selection:
-        Transmission policy (SNAP / SNAP-0 / SNO).
+    compressor:
+        What a server transmits each round: a
+        :class:`~repro.compression.CompressorSpec` or a spec string, always
+        a normalized spec after construction. The paper's three schemes are
+        the presets ``"ape"`` (SNAP, Algorithm 1's threshold; the default),
+        ``"changed_only"`` (SNAP-0, threshold zero) and ``"dense"`` (SNO,
+        the whole vector every round); anything else (``"topk:k=32"``,
+        ``"ef:uniform:bits=6"``, ...) is a compressor of
+        :mod:`repro.compression`.
     optimize_weights:
         Run the Section IV-B weight-matrix optimization; ``False`` uses the
         Metropolis baseline of eq. (24) (the "without optimization" series
@@ -116,7 +112,8 @@ class SNAPConfig:
         at ``staleness_bound=0`` with uniform clocks (see
         ``docs/ASYNC.md``).
     staleness_bound:
-        Semi-synchronous staleness bound τ (``engine="semisync"`` only): a
+        Semi-synchronous staleness bound τ (``engine="semisync"`` only; a
+        value above 0 on another engine is refused): a
         server may start local round ``k`` while a neighbor's last observed
         round is as old as ``k - 1 - τ``; beyond that it blocks (or, with
         ``straggler_patience_s``, degrades the laggard). ``0`` reproduces
@@ -126,15 +123,18 @@ class SNAPConfig:
         barrier before writing the lagging neighbors off as stragglers and
         continuing with reweighted mixing. ``None`` (the default) waits
         forever — correct, but a crashed neighbor then stalls the fleet.
+        ``engine="semisync"`` only; set on another engine it is refused.
     timing:
         Optional :class:`~repro.network.timing.LinkTimingModel` supplying
         the per-node compute times and per-link transfer times that drive
         the semi-synchronous engine's event clock. ``None`` uses the model's
         defaults (1 Gbps links, 1 ms latency, zero compute).
+        ``engine="semisync"`` only; set on another engine it is refused.
     sparse_weights:
         Build the Metropolis mixing matrix in CSR form instead of a dense
-        ``(N, N)`` array (``optimize_weights=False`` only — the Section
-        IV-B optimizer is inherently dense). The sparse matrix is entrywise
+        ``(N, N)`` array (``optimize_weights=False`` and no
+        ``tier_damping`` — the Section IV-B optimizer and the tiered
+        construction are dense). The sparse matrix is entrywise
         bit-identical to the dense construction; only λ_min(W̃) for the
         automatic step size switches to a sparse eigensolver, so pin
         ``alpha`` explicitly when comparing digests against a dense run.
@@ -161,22 +161,10 @@ class SNAPConfig:
         invariant and the round. ``"off"`` (the default) adds no overhead.
     max_rounds:
         Hard iteration cap.
-    max_partitioned_rounds:
-        Degradation guard: abort with
-        :class:`~repro.exceptions.NetworkPartitionError` once the
-        delivered-message graph has been partitioned for this many
-        *consecutive* rounds (consensus cannot progress across the cut).
-        ``None`` (the default) never aborts — the trainer only warns.
     seed:
         Seed for tie-breaking randomness (none in the core loop itself, but
         threaded to failure models created from this config and to the
         per-edge generators of stochastic compressors).
-    compressor:
-        Optional compression scheme overriding ``selection``: a
-        :class:`~repro.compression.CompressorSpec`, a spec string such as
-        ``"topk:k=32"`` or ``"ef:uniform:bits=6"``, or ``None`` to derive
-        the scheme from ``selection`` (the default, and the paper's
-        behavior). See :meth:`compressor_spec`.
     adaptive_topology:
         Attach a :class:`~repro.weights.adaptive.TopologyController` to the
         run: every ``topology_reoptimize_every`` rounds (and after fault
@@ -222,11 +210,12 @@ class SNAPConfig:
         is multiplied by this factor
         (:func:`repro.weights.construction.tiered_metropolis_weights`).
         Requires a topology with ``.tiers`` and ``optimize_weights=False``
-        (the tiered construction is a fixed baseline, like eq. 24).
+        (the tiered construction is a fixed baseline, like eq. 24), and
+        conflicts with ``sparse_weights``.
     """
 
     alpha: float | None = None
-    selection: SelectionPolicy = SelectionPolicy.APE
+    compressor: object = "ape"
     optimize_weights: bool = True
     weight_iterations: int = 150
     ape_initial_fraction: float = 0.10
@@ -242,9 +231,7 @@ class SNAPConfig:
     retain_flow_records: bool = True
     invariants: str = "off"
     max_rounds: int = 500
-    max_partitioned_rounds: int | None = None
     seed: int | None = None
-    compressor: object | None = None
     adaptive_topology: bool = False
     topology_reoptimize_every: int = 25
     topology_prune_threshold: float = 0.02
@@ -256,10 +243,6 @@ class SNAPConfig:
     def __post_init__(self) -> None:
         if self.alpha is not None:
             check_positive("alpha", self.alpha)
-        if not isinstance(self.selection, SelectionPolicy):
-            raise ConfigurationError(
-                f"selection must be a SelectionPolicy, got {self.selection!r}"
-            )
         check_positive_int("weight_iterations", self.weight_iterations)
         check_positive("ape_initial_fraction", self.ape_initial_fraction)
         check_positive_int("ape_stage_iterations", self.ape_stage_iterations)
@@ -293,10 +276,26 @@ class SNAPConfig:
                 raise ConfigurationError(
                     f"timing must be a LinkTimingModel, got {self.timing!r}"
                 )
+        if self.engine != "semisync":
+            for name, unset in (
+                ("staleness_bound", self.staleness_bound == 0),
+                ("straggler_patience_s", self.straggler_patience_s is None),
+                ("timing", self.timing is None),
+            ):
+                if not unset:
+                    raise ConfigurationError(
+                        f"{name} drives the semi-synchronous event clock: it "
+                        f"requires engine='semisync', got {self.engine!r}"
+                    )
         if self.sparse_weights and self.optimize_weights:
             raise ConfigurationError(
                 "sparse_weights requires optimize_weights=False: the Section "
                 "IV-B weight optimizer produces dense matrices"
+            )
+        if self.sparse_weights and self.tier_damping is not None:
+            raise ConfigurationError(
+                "sparse_weights conflicts with tier_damping: the tiered "
+                "Metropolis construction produces dense matrices"
             )
         if self.invariants not in ("off", "strict"):
             raise ConfigurationError(
@@ -316,19 +315,16 @@ class SNAPConfig:
         check_positive_int("topology_reoptimize_every", self.topology_reoptimize_every)
         check_non_negative("topology_prune_threshold", self.topology_prune_threshold)
         check_positive_int("max_rounds", self.max_rounds)
-        if self.max_partitioned_rounds is not None:
-            check_positive_int("max_partitioned_rounds", self.max_partitioned_rounds)
-        if self.compressor is not None:
-            # Local import: repro.compression imports network/core modules,
-            # so a module-level import here would cycle.
-            from repro.compression.spec import CompressorSpec
+        # Local import: repro.compression imports network/core modules, so a
+        # module-level import here would cycle.
+        from repro.compression.spec import CompressorSpec
 
-            self.compressor = CompressorSpec.normalize(self.compressor)
+        self.compressor = CompressorSpec.normalize(self.compressor)
         if self.bytes_budget is not None:
             check_positive_int("bytes_budget", self.bytes_budget)
             from repro.weights.adaptive import BYTE_KNOBS
 
-            kind = self.compressor_spec().kind
+            kind = self.compressor.kind
             if not self.adaptive_topology or kind not in BYTE_KNOBS:
                 raise ConfigurationError(
                     "bytes_budget is stepped by the adaptive topology "
@@ -372,28 +368,3 @@ class SNAPConfig:
                     "tier_damping requires optimize_weights=False: the "
                     "tiered Metropolis construction is a fixed baseline"
                 )
-
-    def compressor_spec(self):
-        """The effective compression scheme of this run.
-
-        An explicit ``compressor`` wins; otherwise the ``selection`` policy
-        maps onto its preset spec (``SelectionPolicy.APE`` -> ``"ape"`` and
-        so on), which reproduces the historical behavior exactly.
-        """
-        from repro.compression.spec import CompressorSpec
-
-        if self.compressor is not None:
-            return self.compressor
-        return CompressorSpec(kind=self.selection.value)
-
-    @classmethod
-    def snap0(cls, **overrides) -> "SNAPConfig":
-        """Convenience constructor for the SNAP-0 comparison scheme."""
-        overrides.setdefault("selection", SelectionPolicy.CHANGED_ONLY)
-        return cls(**overrides)
-
-    @classmethod
-    def sno(cls, **overrides) -> "SNAPConfig":
-        """Convenience constructor for the Select-Neighbor-Only scheme."""
-        overrides.setdefault("selection", SelectionPolicy.DENSE)
-        return cls(**overrides)

@@ -40,7 +40,7 @@ from repro.core.config import ShardWeighting, SNAPConfig
 from repro.core.engine import build_engine, carry_rows, reindex_state
 from repro.core.server import EdgeServer
 from repro.data.dataset import Dataset
-from repro.exceptions import ConfigurationError, DataError, NetworkPartitionError
+from repro.exceptions import ConfigurationError, DataError
 from repro.faults.plan import FaultPlan
 from repro.models.base import Model
 from repro.models.metrics import accuracy_score
@@ -54,8 +54,7 @@ from repro.weights.construction import metropolis_weights, tiered_metropolis_wei
 from repro.weights.optimizer import optimize_weight_matrix
 from repro.weights.validation import check_weight_matrix, edge_weights, off_support
 
-#: Consecutive partitioned rounds before the trainer emits a warning (the
-#: abort threshold is the separate ``SNAPConfig.max_partitioned_rounds``).
+#: Consecutive partitioned rounds before the trainer emits a warning.
 PARTITION_WARN_ROUNDS = 10
 
 #: A weight above this magnitude off a server's links is refused at
@@ -255,9 +254,9 @@ class SNAPTrainer:
         #: resumes): failure models sample by round index, so a resumed run
         #: must keep numbering where the checkpointed one stopped.
         self.rounds_completed = 0
-        #: The effective compression scheme: an explicit ``config.compressor``
-        #: or the preset derived from ``config.selection``.
-        self.compressor_spec = self.config.compressor_spec()
+        #: The run's current compression scheme: ``config.compressor`` until
+        #: the topology controller steps its byte knob.
+        self.compressor_spec = self.config.compressor
         self._schedules = self._build_schedules()
         #: One compressor instance per server (the APE preset binds each
         #: node's schedule; every other scheme is stateless per node and
@@ -505,8 +504,8 @@ class SNAPTrainer:
             self.monitor.on_run_start()
         # The engine may hold state outside the server objects (the
         # vectorized path does); once they are built, the finally guarantees
-        # they are consistent even when the loop exits via
-        # NetworkPartitionError or an observer's exception.
+        # they are consistent even when the loop exits via an exception
+        # (an observer's, or an invariant violation).
         try:
             for _ in range(cap):
                 round_index = self.rounds_completed + 1
@@ -592,7 +591,6 @@ class SNAPTrainer:
         info = {
             "alpha": self.alpha,
             "lipschitz_bound": self.lipschitz,
-            "selection": self.config.selection.value,
             "compressor": self.compressor_spec.label,
             **self._weight_info,
         }
@@ -827,19 +825,12 @@ class SNAPTrainer:
         return ages.size - len(delivered)
 
     def _observe_partition(self, connected: bool, round_index: int) -> None:
-        """Track consecutive partitioned rounds; warn, then abort per config."""
+        """Track consecutive partitioned rounds; warn once per partition."""
         if connected:
             self._partitioned_streak = 0
             self._partition_warned = False
             return
         self._partitioned_streak += 1
-        limit = self.config.max_partitioned_rounds
-        if limit is not None and self._partitioned_streak >= limit:
-            raise NetworkPartitionError(
-                f"delivered-message graph has been partitioned for "
-                f"{self._partitioned_streak} consecutive rounds (through round "
-                f"{round_index}); consensus cannot progress across the cut"
-            )
         if (
             not self._partition_warned
             and self._partitioned_streak == PARTITION_WARN_ROUNDS
@@ -847,8 +838,8 @@ class SNAPTrainer:
             self._partition_warned = True
             warnings.warn(
                 f"network has been partitioned for {PARTITION_WARN_ROUNDS} "
-                "consecutive rounds; servers are training on disjoint islands "
-                "(set SNAPConfig.max_partitioned_rounds to abort instead)",
+                f"consecutive rounds (through round {round_index}); servers "
+                "are training on disjoint islands",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -56,17 +56,6 @@ class FrameCorruptionError(ProtocolError):
         self.round_index = round_index
 
 
-class NetworkPartitionError(ReproError):
-    """The delivered-message graph stayed partitioned for too many rounds.
-
-    Raised by the trainer's degradation guard when
-    ``SNAPConfig.max_partitioned_rounds`` consecutive rounds pass without the
-    round's delivered updates forming a connected graph — consensus cannot
-    progress across the cut, so continuing would silently train disjoint
-    models.
-    """
-
-
 class DataError(ReproError):
     """A dataset or partition request was invalid.
 

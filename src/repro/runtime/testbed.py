@@ -336,9 +336,10 @@ class TestbedRuntime(Engine):
     Accepts the same inputs as :class:`~repro.core.SNAPTrainer` (which it
     uses internally to build the weight matrix, step size, servers, and APE
     schedules, and whose round loop drives it), plus the fault-tolerance
-    knobs below. A ``config.engine`` other than ``"reference"`` or a
-    ``staleness_bound`` above 0 is refused: the testbed *is* the engine,
-    and it runs lock-step rounds.
+    knobs below. A ``config.engine`` other than ``"reference"`` is refused:
+    the testbed *is* the engine, and it runs lock-step rounds (the
+    semi-sync knobs are already refused by ``SNAPConfig`` off
+    ``engine="semisync"``).
 
     Parameters
     ----------
@@ -403,11 +404,6 @@ class TestbedRuntime(Engine):
             raise ConfigurationError(
                 f"engine must be 'reference' on the testbed (the testbed is "
                 f"the engine), got {config.engine!r}"
-            )
-        if config.staleness_bound:
-            raise ConfigurationError(
-                f"staleness_bound must be 0 on the testbed (the wire runs "
-                f"lock-step rounds), got {config.staleness_bound}"
             )
         if timeout_s <= 0:
             raise ConfigurationError(f"timeout_s must be > 0, got {timeout_s}")

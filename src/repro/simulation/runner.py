@@ -12,7 +12,7 @@ from repro.baselines.centralized import CentralizedTrainer
 from repro.baselines.parameter_server import ParameterServerTrainer
 from repro.baselines.terngrad import TernGradTrainer
 from repro.consensus.convergence import ConvergenceDetector
-from repro.core.config import SelectionPolicy, SNAPConfig
+from repro.core.config import SNAPConfig
 from repro.core.trainer import SNAPTrainer
 from repro.exceptions import ConfigurationError
 from repro.faults.plan import FaultPlan
@@ -57,8 +57,10 @@ def run_scheme(
     eval_every:
         Test-accuracy evaluation period (0 = only at the end).
     snap_config:
-        Full config override for SNAP-family schemes; when given, its
-        ``selection`` is forced to match ``scheme``.
+        Full config override for SNAP-family schemes. A preset
+        ``compressor`` is replaced by the one ``scheme`` names (``snap`` ->
+        ``ape``, ``snap0`` -> ``changed_only``, ``sno`` -> ``dense``); any
+        other compressor is kept.
     stop_on_convergence:
         Stop at the detector's first fire (the paper's iteration counting).
     alpha:
@@ -110,14 +112,10 @@ def run_scheme(
         )
         return trainer.run(**common)
 
-    selection = {
-        "snap": SelectionPolicy.APE,
-        "snap0": SelectionPolicy.CHANGED_ONLY,
-        "sno": SelectionPolicy.DENSE,
-    }[scheme]
+    preset = {"snap": "ape", "snap0": "changed_only", "sno": "dense"}[scheme]
     if snap_config is None:
         config = SNAPConfig(
-            selection=selection,
+            compressor=preset,
             optimize_weights=optimize_weights,
             max_rounds=max_rounds,
             alpha=alpha,
@@ -126,9 +124,10 @@ def run_scheme(
     else:
         overrides = {
             **snap_config.__dict__,
-            "selection": selection,
             "optimize_weights": optimize_weights,
         }
+        if snap_config.compressor.is_preset:
+            overrides["compressor"] = preset
         if alpha is not None:
             overrides["alpha"] = alpha
         config = SNAPConfig(**overrides)

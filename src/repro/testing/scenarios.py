@@ -33,7 +33,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.config import SelectionPolicy, SNAPConfig, StragglerStrategy
+from repro.compression.spec import PRESET_KINDS
+from repro.core.config import SNAPConfig, StragglerStrategy
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
 from repro.data.drift import LabelShiftDrift, StreamingArrival
@@ -54,10 +55,10 @@ from repro.models.svm import LinearSVM
 from repro.topology.generators import hierarchical_topology
 from repro.topology.graph import Topology
 
-#: The compression schemes a generated scenario may draw. ``None`` entries
-#: mean "use the selection preset"; strings go through the spec grammar.
+#: The compression schemes a generated scenario may draw. ``None`` draws one
+#: of the paper's presets; strings go through the spec grammar.
 _COMPRESSOR_MENU = (
-    None,  # selection preset (ape / changed_only / dense below)
+    None,  # one of PRESET_KINDS
     "topk:k={k}",
     "randomk:k={k}",
     "uniform:bits={bits}",
@@ -66,12 +67,6 @@ _COMPRESSOR_MENU = (
     "ef:randomk:k={k}",
     "ef:uniform:bits={bits}",
     "ef:terngrad",
-)
-
-_SELECTIONS = (
-    SelectionPolicy.APE,
-    SelectionPolicy.CHANGED_ONLY,
-    SelectionPolicy.DENSE,
 )
 
 
@@ -91,8 +86,7 @@ class Scenario:
     n_features: int
     n_samples: int
     data_seed: int
-    selection: str  # SelectionPolicy value
-    compressor: str | None  # spec string, or None for the selection preset
+    compressor: str  # spec string
     straggler: str  # StragglerStrategy value
     optimize_weights: bool
     faulty: bool
@@ -208,7 +202,6 @@ class Scenario:
             engine=engine,
             invariants=invariants,
             seed=self.run_seed,
-            selection=SelectionPolicy(self.selection),
             compressor=self.compressor,
             straggler_strategy=StragglerStrategy(self.straggler),
             optimize_weights=self.optimize_weights,
@@ -238,7 +231,6 @@ class Scenario:
 
     def describe(self) -> str:
         """One-line label for logs and failure reports."""
-        scheme = self.compressor if self.compressor else f"preset:{self.selection}"
         faults = "faulty" if self.faulty else "clean"
         weights = "optW" if self.optimize_weights else "metropolis"
         if self.adaptive:
@@ -260,7 +252,7 @@ class Scenario:
         return (
             f"scenario[{self.master_seed}/{self.index}] "
             f"{shape} {self.model_kind} "
-            f"d={self.n_features} {scheme} {self.straggler} {weights} "
+            f"d={self.n_features} {self.compressor} {self.straggler} {weights} "
             f"{faults} rounds={self.max_rounds}{workload}"
         )
 
@@ -306,14 +298,12 @@ class ScenarioGen:
         ]
         n_params = n_features + 1  # both model kinds fit an intercept
         if compressor_template is None:
-            compressor = None
-            selection = _SELECTIONS[int(rng.integers(0, len(_SELECTIONS)))]
+            compressor = PRESET_KINDS[int(rng.integers(0, len(PRESET_KINDS)))]
         else:
             compressor = compressor_template.format(
                 k=int(rng.integers(1, n_params + 1)),
                 bits=int(rng.integers(2, 9)),
             )
-            selection = SelectionPolicy.APE  # ignored: compressor wins
 
         straggler = (
             StragglerStrategy.REWEIGHT
@@ -332,7 +322,6 @@ class ScenarioGen:
             n_features=n_features,
             n_samples=n_samples,
             data_seed=int(rng.integers(0, 2**31)),
-            selection=selection.value,
             compressor=compressor,
             straggler=straggler.value,
             optimize_weights=optimize_weights,
@@ -434,8 +423,7 @@ def workload_scenarios(master_seed: int = 0) -> list[Scenario]:
         n_features=5,
         n_samples=32,
         data_seed=421,
-        selection="ape",
-        compressor=None,
+        compressor="ape",
         straggler="stale",
         optimize_weights=False,
         faulty=False,
@@ -489,7 +477,7 @@ def workload_scenarios(master_seed: int = 0) -> list[Scenario]:
             hierarchy=(2, 3),
             n_nodes=9,
             tier_damping=0.5,
-            selection="changed_only",
+            compressor="changed_only",
         ),
         make(
             -107,

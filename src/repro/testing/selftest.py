@@ -69,8 +69,7 @@ def _base_scenario(master_seed: int = 0) -> Scenario:
         n_features=4,
         n_samples=30,
         data_seed=101,
-        selection="ape",
-        compressor=None,
+        compressor="ape",
         straggler="stale",
         optimize_weights=False,
         faulty=False,

@@ -200,7 +200,7 @@ class TopologyController:
         self.base_topology = topology
         self.result = result
         self.config = config
-        self.spec = config.compressor_spec()
+        self.spec = config.compressor
         #: The configured spec's parameters — the fidelity ceiling the
         #: relax step may climb back to, never beyond.
         self._fidelity_cap = dict(self.spec.params)

@@ -92,14 +92,13 @@ class TestSnapAvoidsTheHotspot:
         everyone's only neighbor), but no *multi-hop* funnel exists and the
         per-link load is one frame per direction per round."""
         from repro.core import SNAPConfig, SNAPTrainer
-        from repro.core.config import SelectionPolicy
 
         model, shards, topo = star_setup
         trainer = SNAPTrainer(
             model,
             shards,
             topo,
-            config=SNAPConfig(selection=SelectionPolicy.CHANGED_ONLY, seed=0),
+            config=SNAPConfig(compressor="changed_only", seed=0),
         )
         trainer.run(max_rounds=2, stop_on_convergence=False)
         for record in trainer.tracker.records():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import SelectionPolicy, SNAPConfig
+from repro.core.config import SNAPConfig
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
 from repro.faults.models import (
@@ -57,8 +57,8 @@ def make_trainer(
     config_kwargs.setdefault("max_rounds", 25)
     if fault_plan is None and faulty:
         fault_plan = make_fault_plan()
-    if isinstance(config_kwargs.get("selection"), str):
-        config_kwargs["selection"] = SelectionPolicy(config_kwargs["selection"])
+    if "selection" in config_kwargs:  # the golden pins' name for a preset
+        config_kwargs["compressor"] = config_kwargs.pop("selection")
     config = SNAPConfig(
         engine=engine, seed=7, optimize_weights=False, **config_kwargs
     )

@@ -45,7 +45,7 @@ class TestRun:
         with pytest.raises(SystemExit) as excinfo:
             main(SMALL_RUN + ["--scheme", "ps", "--compressor", "topk"])
         assert excinfo.value.code == EXIT_USAGE
-        assert "mesh schemes" in capsys.readouterr().err
+        assert "--scheme snap" in capsys.readouterr().err
 
     def test_compressor_arg_without_compressor_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -65,3 +65,18 @@ class TestRun:
                 + ["--compressor", "ape", "--compressor-arg", "k=8"]
             )
         assert excinfo.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("scheme", ["snap0", "sno"])
+    def test_selection_scheme_with_compressor_rejected(self, capsys, scheme):
+        """SNAP-0 and SNO are selections themselves: a compressor would drop them."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(SMALL_RUN + ["--scheme", scheme, "--compressor", "topk:k=2"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "--scheme snap" in capsys.readouterr().err
+
+    def test_preset_compressor_rejected(self, capsys):
+        """A preset is a scheme: it is chosen with --scheme, not --compressor."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(SMALL_RUN + ["--compressor", "dense"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "--scheme" in capsys.readouterr().err

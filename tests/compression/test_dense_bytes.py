@@ -17,7 +17,7 @@ from tests.compression.conftest import EDGES, make_trainer
 
 @pytest.mark.parametrize("engine", ["reference", "vectorized"])
 def test_every_dense_flow_charges_the_analytic_size(engine):
-    trainer = make_trainer(engine, selection="dense", max_rounds=8)
+    trainer = make_trainer(engine, compressor="dense", max_rounds=8)
     result = trainer.run(stop_on_convergence=False)
     n = trainer.model.n_params
     dense_bytes = INT_BYTES + FLOAT_BYTES * n  # 4 + 8N - 4M with M = 0

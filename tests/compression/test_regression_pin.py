@@ -65,11 +65,3 @@ def test_preset_matches_pre_refactor_golden(engine, selection, faulty):
     trainer = make_trainer(engine, faulty=faulty, selection=selection)
     key = f"{selection}|{'faulty' if faulty else 'clean'}"
     assert run_digest(trainer) == GOLDEN[key]
-
-
-@pytest.mark.parametrize("selection", SELECTIONS)
-def test_explicit_preset_spec_equals_selection_policy(selection):
-    """SNAPConfig(compressor='ape') is the same run as selection=APE."""
-    via_selection = run_digest(make_trainer("reference", selection=selection))
-    via_spec = run_digest(make_trainer("reference", compressor=selection))
-    assert via_spec == via_selection

@@ -12,7 +12,7 @@ from repro.compression import (
     UniformQuantizer,
     build_compressor,
 )
-from repro.core.config import SNAPConfig, SelectionPolicy
+from repro.core.config import SNAPConfig
 from repro.exceptions import ConfigurationError
 
 
@@ -55,8 +55,7 @@ class TestParse:
 
 
 class TestNormalize:
-    def test_accepts_none_string_and_spec(self):
-        assert CompressorSpec.normalize(None) is None
+    def test_accepts_string_and_spec(self):
         spec = CompressorSpec.normalize("terngrad")
         assert spec.kind == "terngrad"
         assert CompressorSpec.normalize(spec) is spec
@@ -64,6 +63,8 @@ class TestNormalize:
     def test_rejects_other_types(self):
         with pytest.raises(ConfigurationError):
             CompressorSpec.normalize(42)
+        with pytest.raises(ConfigurationError):
+            CompressorSpec.normalize(None)
 
 
 class TestBuild:
@@ -91,9 +92,9 @@ class TestConfigIntegration:
     def test_config_normalizes_spec_strings(self):
         config = SNAPConfig(compressor="topk:k=4")
         assert isinstance(config.compressor, CompressorSpec)
-        assert config.compressor_spec().label == "topk(k=4)"
+        assert config.compressor.label == "topk(k=4)"
 
-    def test_selection_is_the_fallback_spec(self):
-        config = SNAPConfig(selection=SelectionPolicy.DENSE)
-        assert config.compressor is None
-        assert config.compressor_spec() == CompressorSpec("dense")
+    def test_ape_preset_is_the_default_spec(self):
+        assert SNAPConfig().compressor == CompressorSpec("ape")
+        with pytest.raises(ConfigurationError, match="compressor"):
+            SNAPConfig(compressor=None)

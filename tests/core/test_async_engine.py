@@ -88,18 +88,19 @@ class TestEngineSelection:
 
     def test_staleness_bound_must_be_non_negative_int(self):
         with pytest.raises(ConfigurationError):
-            SNAPConfig(staleness_bound=-1)
+            SNAPConfig(engine="semisync", staleness_bound=-1)
         with pytest.raises(ConfigurationError):
-            SNAPConfig(staleness_bound=1.5)
+            SNAPConfig(engine="semisync", staleness_bound=1.5)
 
     def test_patience_must_be_non_negative(self):
         with pytest.raises(ConfigurationError):
-            SNAPConfig(straggler_patience_s=-0.5)
+            SNAPConfig(engine="semisync", straggler_patience_s=-0.5)
 
     def test_timing_must_be_a_link_timing_model(self):
         with pytest.raises(ConfigurationError):
-            SNAPConfig(timing="fast please")
-        SNAPConfig(timing=LinkTimingModel())  # the real thing is accepted
+            SNAPConfig(engine="semisync", timing="fast please")
+        # the real thing is accepted
+        SNAPConfig(engine="semisync", timing=LinkTimingModel())
 
 
 class TestSynchronousAnchor:

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import SNAPConfig, SNAPTrainer
 from repro.core.checkpoint import restore_checkpoint, save_checkpoint
-from repro.core.config import SelectionPolicy
 from repro.data.dataset import Dataset
 from repro.data.drift import LabelShiftDrift
 from repro.data.partition import iid_partition
@@ -29,29 +28,32 @@ def setup(rng):
     return model, shards, topo
 
 
-def build_trainer(setup, selection=SelectionPolicy.APE):
+def build_trainer(setup, compressor="ape"):
     model, shards, topo = setup
     return SNAPTrainer(
         model,
         shards,
         topo,
-        config=SNAPConfig(selection=selection, seed=0),
+        config=SNAPConfig(compressor=compressor, seed=0),
     )
 
 
+# The ids keep the names these cases had when the schemes were an enum.
 @pytest.mark.parametrize(
-    "selection", [SelectionPolicy.APE, SelectionPolicy.CHANGED_ONLY]
+    "compressor",
+    ["ape", "changed_only"],
+    ids=["SelectionPolicy.APE", "SelectionPolicy.CHANGED_ONLY"],
 )
-def test_resume_is_bit_identical(setup, tmp_path, selection):
+def test_resume_is_bit_identical(setup, tmp_path, compressor):
     """10 rounds + checkpoint + 10 rounds == 20 uninterrupted rounds."""
-    reference = build_trainer(setup, selection)
+    reference = build_trainer(setup, compressor)
     reference.run(max_rounds=20, stop_on_convergence=False)
 
-    first_half = build_trainer(setup, selection)
+    first_half = build_trainer(setup, compressor)
     first_half.run(max_rounds=10, stop_on_convergence=False)
     path = save_checkpoint(first_half, tmp_path / "ckpt.npz")
 
-    resumed = build_trainer(setup, selection)
+    resumed = build_trainer(setup, compressor)
     restore_checkpoint(resumed, path)
     resumed.run(max_rounds=10, stop_on_convergence=False)
 
@@ -346,9 +348,9 @@ class TestMismatchRejection:
             restore_checkpoint(build_trainer(setup), path)
 
     def test_snap0_checkpoint_into_ape_trainer_rejected(self, setup, tmp_path):
-        snap0 = build_trainer(setup, SelectionPolicy.CHANGED_ONLY)
+        snap0 = build_trainer(setup, "changed_only")
         path = save_checkpoint(snap0, tmp_path / "c.npz")
-        ape = build_trainer(setup, SelectionPolicy.APE)
+        ape = build_trainer(setup, "ape")
         with pytest.raises(
             ConfigurationError, match="'changed_only' run.*configured for 'ape'"
         ):

@@ -4,14 +4,16 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import SelectionPolicy, SNAPConfig
+from repro.compression import CompressorSpec
+from repro.core.config import SNAPConfig
 from repro.exceptions import ConfigurationError
+from repro.network.timing import LinkTimingModel
 
 
 class TestDefaults:
     def test_paper_defaults(self):
         config = SNAPConfig()
-        assert config.selection is SelectionPolicy.APE
+        assert config.compressor == CompressorSpec("ape")
         assert config.ape_initial_fraction == pytest.approx(0.10)
         assert config.ape_stage_iterations == 10
         assert config.ape_decay == pytest.approx(0.9)
@@ -27,7 +29,8 @@ class TestValidation:
             SNAPConfig(alpha=0.0)
 
     def test_bad_selection_rejected(self):
-        with pytest.raises(ConfigurationError):
+        # The scheme has one field, ``compressor``; there is no second knob.
+        with pytest.raises(TypeError, match="selection"):
             SNAPConfig(selection="ape")
 
     def test_bad_decay_rejected(self):
@@ -48,7 +51,7 @@ class TestValidation:
             {"compressor": "topk:k=4"},  # no controller to step the knob
             {"adaptive_topology": True},  # the APE preset has no byte knob
             {"adaptive_topology": True, "compressor": "terngrad"},
-            {"adaptive_topology": True, "selection": SelectionPolicy.DENSE},
+            {"adaptive_topology": True, "compressor": "dense"},
         ],
     )
     def test_a_budget_nothing_can_step_is_refused(self, overrides):
@@ -70,22 +73,29 @@ class TestValidation:
 
     def test_field_count(self):
         """A new knob is a decision, not a side effect: update this with it."""
-        assert len(dataclasses.fields(SNAPConfig)) == 27
+        assert len(dataclasses.fields(SNAPConfig)) == 25
 
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("staleness_bound", 3),
+            ("straggler_patience_s", 0.5),
+            ("timing", LinkTimingModel()),
+        ],
+    )
+    def test_semisync_knobs_refused_off_the_semisync_engine(
+        self, engine, field, value
+    ):
+        """The other engines have no event clock: the knob would be ignored."""
+        with pytest.raises(ConfigurationError, match=field):
+            SNAPConfig(engine=engine, **{field: value})
+        assert getattr(SNAPConfig(engine="semisync", **{field: value}), field) == value
 
-class TestConvenienceConstructors:
-    def test_snap0(self):
-        config = SNAPConfig.snap0(max_rounds=50)
-        assert config.selection is SelectionPolicy.CHANGED_ONLY
-        assert config.max_rounds == 50
-
-    def test_sno(self):
-        config = SNAPConfig.sno()
-        assert config.selection is SelectionPolicy.DENSE
-
-    def test_explicit_selection_wins(self):
-        config = SNAPConfig.snap0(selection=SelectionPolicy.DENSE)
-        assert config.selection is SelectionPolicy.DENSE
+    def test_sparse_weights_exclude_tier_damping(self):
+        """The tiered Metropolis construction is dense: sparse would be ignored."""
+        with pytest.raises(ConfigurationError, match="tier_damping"):
+            SNAPConfig(optimize_weights=False, sparse_weights=True, tier_damping=0.5)
 
 
 class TestScenarioAxes:
@@ -118,7 +128,7 @@ class TestScenarioAxes:
         drift = StreamingArrival(period=3)
         SNAPConfig(drift=drift)  # staleness_bound=0: fine
         with pytest.raises(ConfigurationError):
-            SNAPConfig(drift=drift, staleness_bound=1)
+            SNAPConfig(drift=drift, engine="semisync", staleness_bound=1)
 
     def test_drift_forbids_sample_count_weighting(self):
         from repro.core.config import ShardWeighting

@@ -14,10 +14,9 @@ import pytest
 
 import repro.core.trainer as trainer_module
 from repro.core import SNAPConfig, SNAPTrainer
-from repro.core.config import SelectionPolicy, StragglerStrategy
+from repro.core.config import StragglerStrategy
 from repro.core.engine import DeliveredEdges
 from repro.core.trainer import _delivered_graph_connected
-from repro.exceptions import NetworkPartitionError
 from repro.faults import (
     CrashRestartSchedule,
     FaultPlan,
@@ -192,20 +191,6 @@ class TestPartitionGuard:
         flags = [r.connected for r in result.rounds]
         assert flags == [True, False, False, False, True, True, True, True]
 
-    def test_max_partitioned_rounds_aborts(self, setup):
-        model, shards, topo = setup
-        trainer = SNAPTrainer(
-            model,
-            shards,
-            topo,
-            config=SNAPConfig(
-                alpha=0.05, seed=0, max_partitioned_rounds=5
-            ),
-            fault_plan=self._partition_plan(1, 50),
-        )
-        with pytest.raises(NetworkPartitionError, match="5 consecutive"):
-            trainer.run(max_rounds=50, stop_on_convergence=False)
-
 
 class TestTotalLinkLossProperty:
     @pytest.mark.chaos
@@ -230,7 +215,7 @@ class TestTotalLinkLossProperty:
         config = SNAPConfig(
             alpha=0.05,
             seed=0,
-            selection=SelectionPolicy.CHANGED_ONLY,
+            compressor="changed_only",
             straggler_strategy=StragglerStrategy.REWEIGHT,
         )
         networked = SNAPTrainer(
@@ -252,7 +237,7 @@ class TestTotalLinkLossProperty:
                 config=SNAPConfig(
                     alpha=0.05,
                     seed=0,
-                    selection=SelectionPolicy.CHANGED_ONLY,
+                    compressor="changed_only",
                 ),
                 weight_matrix=np.array([[1.0]]),
                 initial_params=init,

@@ -3,7 +3,7 @@
 The vectorized engine (`repro.core.engine.VectorizedEngine`) promises the
 *same trajectories* as the per-object reference implementation — not merely
 close, but identical floating point values, identical byte accounting, and
-identical post-run server state — across every selection policy, both
+identical post-run server state — across every preset scheme, both
 straggler strategies, and active fault plans. These tests pin that contract.
 """
 
@@ -12,12 +12,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.config import (
-    SelectionPolicy,
-    ShardWeighting,
-    SNAPConfig,
-    StragglerStrategy,
-)
+from repro.compression import PRESET_KINDS
+from repro.core.config import ShardWeighting, SNAPConfig, StragglerStrategy
 from repro.core.engine import Engine, EngineState, ReferenceEngine, VectorizedEngine
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
@@ -169,11 +165,9 @@ class TestEngineProtocol:
     def test_state_columns_are_equal_across_engines(self, compressor):
         shards = _binary_shards()
         model = LogisticRegression(5)
+        kwargs = {} if compressor is None else {"compressor": compressor}
         trainers = [
-            _run(
-                engine, model, shards, fault_plan=True, rounds=12,
-                compressor=compressor,
-            )[0]
+            _run(engine, model, shards, fault_plan=True, rounds=12, **kwargs)[0]
             for engine in ("reference", "vectorized", "semisync")
         ]
         reference, *others = (trainer.engine.state() for trainer in trainers)
@@ -212,25 +206,28 @@ class TestEngineProtocol:
         assert engine.params.flags.writeable  # the engine's own stay writable
 
 
-@pytest.mark.parametrize("selection", list(SelectionPolicy))
+# The ids keep the names these cases had when the schemes were an enum.
+@pytest.mark.parametrize(
+    "compressor", PRESET_KINDS, ids=lambda kind: f"SelectionPolicy.{kind.upper()}"
+)
 @pytest.mark.parametrize("straggler", list(StragglerStrategy))
 class TestPolicyMatrix:
     """Every policy × straggler combination, clean and faulty networks."""
 
-    def test_clean_network(self, selection, straggler):
+    def test_clean_network(self, compressor, straggler):
         shards = _binary_shards()
         model = LogisticRegression(5)
-        kwargs = dict(selection=selection, straggler_strategy=straggler)
+        kwargs = dict(compressor=compressor, straggler_strategy=straggler)
         _assert_identical(
             _run("reference", model, shards, **kwargs),
             _run("vectorized", model, shards, **kwargs),
         )
 
-    def test_gilbert_elliott_fault_plan(self, selection, straggler):
+    def test_gilbert_elliott_fault_plan(self, compressor, straggler):
         """GE link bursts + Markov node crashes + frame corruption."""
         shards = _binary_shards(seed=1)
         model = LogisticRegression(5)
-        kwargs = dict(selection=selection, straggler_strategy=straggler)
+        kwargs = dict(compressor=compressor, straggler_strategy=straggler)
         _assert_identical(
             _run("reference", model, shards, fault_plan=True, **kwargs),
             _run("vectorized", model, shards, fault_plan=True, **kwargs),

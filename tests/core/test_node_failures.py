@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import SNAPConfig, SNAPTrainer
-from repro.core.config import SelectionPolicy
 from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
 from repro.faults import FaultPlan
@@ -30,7 +29,7 @@ def build(setup, nodes=None):
         model,
         shards,
         topo,
-        config=SNAPConfig(selection=SelectionPolicy.CHANGED_ONLY, seed=0),
+        config=SNAPConfig(compressor="changed_only", seed=0),
         fault_plan=FaultPlan(nodes=nodes),
     )
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.consensus.convergence import ConvergenceDetector
 from repro.core import SNAPConfig, SNAPTrainer
-from repro.core.config import SelectionPolicy, ShardWeighting
+from repro.core.config import ShardWeighting
 from repro.data.dataset import Dataset
 from repro.exceptions import ConfigurationError
 from repro.models.ridge import RidgeRegression
@@ -33,7 +33,7 @@ def run_with(weighting, model, shards):
         shards,
         complete_topology(3),
         config=SNAPConfig(
-            selection=SelectionPolicy.CHANGED_ONLY,
+            compressor="changed_only",
             shard_weighting=weighting,
             seed=0,
         ),

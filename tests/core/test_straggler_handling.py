@@ -40,7 +40,7 @@ class TestScheduledOutages:
             model,
             shards,
             topo,
-            config=SNAPConfig.snap0(seed=0),
+            config=SNAPConfig(compressor="changed_only", seed=0),
             fault_plan=FaultPlan(links=failures),
         )
         trainer.run(max_rounds=800, stop_on_convergence=False)
@@ -53,7 +53,7 @@ class TestScheduledOutages:
 
     def test_reweight_strategy_removes_blackout_bias(self, setup):
         """The REWEIGHT ablation keeps every round doubly stochastic."""
-        from repro.core.config import SelectionPolicy, StragglerStrategy
+        from repro.core.config import StragglerStrategy
 
         model, shards, topo = setup
         failures = ScheduledFailures({3: list(topo.edges)})
@@ -68,7 +68,7 @@ class TestScheduledOutages:
                 shards,
                 topo,
                 config=SNAPConfig(
-                    selection=SelectionPolicy.CHANGED_ONLY,
+                    compressor="changed_only",
                     straggler_strategy=strategy,
                     seed=0,
                 ),
@@ -86,7 +86,7 @@ class TestScheduledOutages:
             model,
             shards,
             topo,
-            config=SNAPConfig.snap0(seed=0),
+            config=SNAPConfig(compressor="changed_only", seed=0),
             fault_plan=FaultPlan(links=failures),
         )
         result = trainer.run(max_rounds=5, stop_on_convergence=False)
@@ -102,7 +102,7 @@ class TestScheduledOutages:
             model,
             shards,
             topo,
-            config=SNAPConfig.snap0(seed=0),
+            config=SNAPConfig(compressor="changed_only", seed=0),
             fault_plan=FaultPlan(links=failures),
         )
         trainer.run(max_rounds=3, stop_on_convergence=False)
@@ -119,7 +119,7 @@ class TestRandomOutages:
             model,
             shards,
             topo,
-            config=SNAPConfig.snap0(seed=0),
+            config=SNAPConfig(compressor="changed_only", seed=0),
             fault_plan=FaultPlan(links=IndependentLinkFailures(0.01, seed=1)),
         )
         trainer.run(max_rounds=800, stop_on_convergence=False)
@@ -141,7 +141,7 @@ class TestRandomOutages:
                 model,
                 shards,
                 topo,
-                config=SNAPConfig.snap0(seed=0),
+                config=SNAPConfig(compressor="changed_only", seed=0),
                 fault_plan=fault_plan,
             )
             # target: 5% above the no-failure long-run loss

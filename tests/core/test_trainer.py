@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.consensus.convergence import ConvergenceDetector
-from repro.core.config import SelectionPolicy, SNAPConfig
+from repro.core.config import SNAPConfig
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
 from repro.data.drift import DriftSchedule, LabelShiftDrift, StreamingArrival
@@ -81,7 +81,7 @@ class TestConstruction:
         model, shards, topo, _ = ridge_setup
         assert SNAPTrainer(model, shards, topo)._schedules is not None
         assert (
-            SNAPTrainer(model, shards, topo, config=SNAPConfig.snap0())._schedules
+            SNAPTrainer(model, shards, topo, config=SNAPConfig(compressor="changed_only"))._schedules
             is None
         )
 
@@ -90,7 +90,7 @@ class TestTraining:
     def test_snap0_converges_to_global_optimum(self, ridge_setup):
         model, shards, topo, exact = ridge_setup
         trainer = SNAPTrainer(
-            model, shards, topo, config=SNAPConfig.snap0(seed=0)
+            model, shards, topo, config=SNAPConfig(compressor="changed_only", seed=0)
         )
         trainer.run(
             max_rounds=1500,
@@ -121,7 +121,7 @@ class TestTraining:
 
     def test_stops_on_convergence(self, ridge_setup):
         model, shards, topo, _ = ridge_setup
-        trainer = SNAPTrainer(model, shards, topo, config=SNAPConfig.snap0(seed=0))
+        trainer = SNAPTrainer(model, shards, topo, config=SNAPConfig(compressor="changed_only", seed=0))
         result = trainer.run(max_rounds=1000)
         assert result.converged_at is not None
         assert result.n_rounds == result.converged_at
@@ -130,8 +130,8 @@ class TestTraining:
         model, shards, topo, _ = ridge_setup
         for config, name in [
             (SNAPConfig(seed=0), "snap"),
-            (SNAPConfig.snap0(seed=0), "snap0"),
-            (SNAPConfig.sno(seed=0), "sno"),
+            (SNAPConfig(compressor="changed_only", seed=0), "snap0"),
+            (SNAPConfig(compressor="dense", seed=0), "sno"),
         ]:
             trainer = SNAPTrainer(model, shards, topo, config=config)
             assert trainer.run(max_rounds=3, stop_on_convergence=False).scheme == name
@@ -165,7 +165,7 @@ class TestTraining:
 class TestCommunicationAccounting:
     def test_sno_sends_everything_every_round(self, ridge_setup):
         model, shards, topo, _ = ridge_setup
-        trainer = SNAPTrainer(model, shards, topo, config=SNAPConfig.sno(seed=0))
+        trainer = SNAPTrainer(model, shards, topo, config=SNAPConfig(compressor="dense", seed=0))
         result = trainer.run(max_rounds=5, stop_on_convergence=False)
         # 2 * n_edges directed flows per round, each the dense frame size.
         from repro.network.frames import frame_size_bytes, FrameFormat
@@ -181,8 +181,8 @@ class TestCommunicationAccounting:
         results = {}
         for name, config in [
             ("snap", SNAPConfig(seed=0)),
-            ("snap0", SNAPConfig.snap0(seed=0)),
-            ("sno", SNAPConfig.sno(seed=0)),
+            ("snap0", SNAPConfig(compressor="changed_only", seed=0)),
+            ("sno", SNAPConfig(compressor="dense", seed=0)),
         ]:
             trainer = SNAPTrainer(model, shards, topo, config=config)
             results[name] = trainer.run(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import SNAPConfig, SNAPTrainer
-from repro.core.config import SelectionPolicy
 from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
 from repro.models.ridge import RidgeRegression
@@ -28,7 +27,7 @@ class TestTwoNodeNetwork:
     def test_converges_to_pooled_optimum(self, two_node):
         model, shards, topo, exact = two_node
         trainer = SNAPTrainer(
-            model, shards, topo, config=SNAPConfig.snap0(seed=0)
+            model, shards, topo, config=SNAPConfig(compressor="changed_only", seed=0)
         )
         trainer.run(max_rounds=2000, stop_on_convergence=False)
         np.testing.assert_allclose(trainer.mean_params(), exact, atol=1e-4)
@@ -53,7 +52,7 @@ class TestOneParameterModel:
             model,
             shards,
             complete_topology(3),
-            config=SNAPConfig.snap0(seed=0),
+            config=SNAPConfig(compressor="changed_only", seed=0),
         )
         trainer.run(max_rounds=800, stop_on_convergence=False)
         assert trainer.mean_params()[0] == pytest.approx(3.0, abs=1e-3)
@@ -74,7 +73,7 @@ class TestTinyShards:
             model,
             shards,
             complete_topology(4),
-            config=SNAPConfig.snap0(seed=0),
+            config=SNAPConfig(compressor="changed_only", seed=0),
         )
         trainer.run(max_rounds=1500, stop_on_convergence=False)
         exact = model.solve_exact(X, y)

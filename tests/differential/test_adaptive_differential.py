@@ -35,8 +35,7 @@ def adaptive_scenario(index: int, **overrides) -> Scenario:
         n_features=5,
         n_samples=30,
         data_seed=211,
-        selection="ape",
-        compressor=None,
+        compressor="ape",
         straggler="stale",
         optimize_weights=True,
         faulty=False,
@@ -89,7 +88,7 @@ CASES = [
         adaptive_scenario(
             -5,
             model_kind="svm",
-            selection="changed_only",
+            compressor="changed_only",
             straggler="reweight",
             reoptimize_every=2,
         ),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import SNAPConfig, SNAPTrainer
-from repro.core.config import SelectionPolicy
 from repro.simulation.experiments import mnist_mlp_workload
 
 
@@ -18,15 +17,15 @@ def mlp_runs():
     )
     init = workload.model.init_params(workload.seed)
     outcomes = {}
-    for name, selection in [
-        ("snap", SelectionPolicy.APE),
-        ("snap0", SelectionPolicy.CHANGED_ONLY),
+    for name, compressor in [
+        ("snap", "ape"),
+        ("snap0", "changed_only"),
     ]:
         trainer = SNAPTrainer(
             workload.model,
             workload.shards,
             workload.topology,
-            config=SNAPConfig(selection=selection, alpha=0.5, seed=workload.seed),
+            config=SNAPConfig(compressor=compressor, alpha=0.5, seed=workload.seed),
             initial_params=init,
         )
         outcomes[name] = trainer.run(

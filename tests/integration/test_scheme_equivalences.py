@@ -12,7 +12,6 @@ import pytest
 
 from repro.consensus.extra import ExtraIteration
 from repro.core import SNAPConfig, SNAPTrainer
-from repro.core.config import SelectionPolicy
 from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
 from repro.models.ridge import RidgeRegression
@@ -48,7 +47,7 @@ class TestServerMatchesMatrixEngine:
             shards,
             topo,
             config=SNAPConfig(
-                selection=SelectionPolicy.CHANGED_ONLY, alpha=alpha, seed=0
+                compressor="changed_only", alpha=alpha, seed=0
             ),
             weight_matrix=weights,
             initial_params=init,
@@ -70,15 +69,15 @@ class TestServerMatchesMatrixEngine:
         shards = iid_partition(dataset, 4, seed=6)
         init = model.init_params(seed=7)
         outcomes = {}
-        for name, selection in [
-            ("snap0", SelectionPolicy.CHANGED_ONLY),
-            ("sno", SelectionPolicy.DENSE),
+        for name, compressor in [
+            ("snap0", "changed_only"),
+            ("sno", "dense"),
         ]:
             trainer = SNAPTrainer(
                 model,
                 shards,
                 topo,
-                config=SNAPConfig(selection=selection, alpha=0.05, seed=0),
+                config=SNAPConfig(compressor=compressor, alpha=0.05, seed=0),
                 weight_matrix=metropolis_weights(topo),
                 initial_params=init,
             )
@@ -103,7 +102,7 @@ class TestTestbedPSEquivalence:
             shards,
             topo,
             config=SNAPConfig(
-                selection=SelectionPolicy.CHANGED_ONLY, alpha=alpha, seed=0
+                compressor="changed_only", alpha=alpha, seed=0
             ),
             weight_matrix=uniform,
             initial_params=init,

@@ -166,7 +166,6 @@ class TestWithRealRun:
     def test_snap_run_is_faster_than_sno_on_the_wire(self):
         """End to end: SNAP's shrinking frames shorten the estimated wall clock."""
         from repro.core import SNAPConfig, SNAPTrainer
-        from repro.core.config import SelectionPolicy
         from repro.simulation.experiments import credit_svm_workload
 
         workload = credit_svm_workload(
@@ -174,15 +173,15 @@ class TestWithRealRun:
         )
         model = LinkTimingModel(bandwidth_bytes_per_s=10_000.0, latency_s=0.0)
         times = {}
-        for name, selection in [
-            ("snap", SelectionPolicy.APE),
-            ("sno", SelectionPolicy.DENSE),
+        for name, compressor in [
+            ("snap", "ape"),
+            ("sno", "dense"),
         ]:
             trainer = SNAPTrainer(
                 workload.model,
                 workload.shards,
                 workload.topology,
-                config=SNAPConfig(selection=selection, seed=0),
+                config=SNAPConfig(compressor=compressor, seed=0),
                 initial_params=workload.model.init_params(0),
             )
             trainer.run(max_rounds=80, stop_on_convergence=False)

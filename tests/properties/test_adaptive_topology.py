@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.compression.spec import CompressorSpec
-from repro.core.config import SelectionPolicy, SNAPConfig
+from repro.core.config import SNAPConfig
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
 from repro.models.logistic import LogisticRegression
@@ -107,7 +107,7 @@ class TestZeroWeightPruningTrajectory:
 
         def run(topology):
             config = SNAPConfig(
-                selection=SelectionPolicy.CHANGED_ONLY,
+                compressor="changed_only",
                 optimize_weights=False,
                 max_rounds=8,
                 seed=11,

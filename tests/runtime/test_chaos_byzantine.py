@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core import SNAPConfig, SNAPTrainer
-from repro.core.config import SelectionPolicy
 from repro.data.dataset import Dataset
 from repro.faults import FaultPlan
 from repro.faults.byzantine import ByzantinePlan, SignFlipAttack
@@ -61,7 +60,7 @@ def _run_fleet(byzantine=None, robust=None, rounds=30):
     shards = _fleet_data()
     topo = random_regular_topology(N_NODES, DEGREE, seed=9)
     config = SNAPConfig(
-        selection=SelectionPolicy.CHANGED_ONLY,
+        compressor="changed_only",
         alpha=0.05,
         seed=0,
         engine="vectorized",
@@ -153,7 +152,7 @@ def test_byzantine_testbed_matches_simulator_bit_for_bit():
 
     def config():
         return SNAPConfig(
-            selection=SelectionPolicy.CHANGED_ONLY,
+            compressor="changed_only",
             alpha=0.05,
             seed=0,
             robust_aggregation="trimmed_mean:f=1",

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.core import SNAPConfig, SNAPTrainer
-from repro.core.config import SelectionPolicy
 from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
 from repro.faults import (
@@ -75,7 +74,7 @@ def test_faulty_testbed_matches_faulty_simulation_bit_for_bit(ridge_setup, plan)
 
     def config():
         return SNAPConfig(
-            selection=SelectionPolicy.CHANGED_ONLY, alpha=0.05, seed=0
+            compressor="changed_only", alpha=0.05, seed=0
         )
 
     simulated = SNAPTrainer(
@@ -123,7 +122,7 @@ def test_testbed_stale_view_ledger_matches_semisync_engine(ridge_setup):
 
     def config(engine):
         return SNAPConfig(
-            selection=SelectionPolicy.CHANGED_ONLY,
+            compressor="changed_only",
             alpha=0.05,
             seed=0,
             engine=engine,
@@ -175,7 +174,7 @@ def test_kill_one_server_mid_run_degrades_without_deadlock(rng):
         shards,
         topo,
         config=SNAPConfig(
-            selection=SelectionPolicy.CHANGED_ONLY, alpha=0.05, seed=0
+            compressor="changed_only", alpha=0.05, seed=0
         ),
         round_deadline_s=3.0,
         crash_schedule={crash_round: [victim]},
@@ -213,7 +212,7 @@ def test_wire_corruption_is_detected_and_survived(ridge_setup):
     testbed = TestbedRuntime(
         model, shards, topo,
         config=SNAPConfig(
-            selection=SelectionPolicy.CHANGED_ONLY, alpha=0.05, seed=0
+            compressor="changed_only", alpha=0.05, seed=0
         ),
         weight_matrix=weights, initial_params=init,
         fault_plan=plan, round_deadline_s=5.0,
@@ -242,7 +241,7 @@ def test_silent_peer_declared_dead_after_k_misses(rng, monkeypatch):
     testbed = TestbedRuntime(
         model, shards, topo,
         config=SNAPConfig(
-            selection=SelectionPolicy.CHANGED_ONLY, alpha=0.05, seed=0
+            compressor="changed_only", alpha=0.05, seed=0
         ),
         round_deadline_s=0.5,
         dead_after_misses=2,

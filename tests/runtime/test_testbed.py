@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.compression import PRESET_KINDS
 from repro.core import SNAPConfig, SNAPTrainer
-from repro.core.config import SelectionPolicy
 from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
 from repro.exceptions import ConfigurationError
@@ -29,11 +29,11 @@ def ridge_setup(rng):
     return model, shards, topo, weights, init
 
 
+# The ids keep the names these cases had when the schemes were an enum.
 @pytest.mark.parametrize(
-    "selection",
-    [SelectionPolicy.APE, SelectionPolicy.CHANGED_ONLY, SelectionPolicy.DENSE],
+    "compressor", PRESET_KINDS, ids=lambda kind: f"SelectionPolicy.{kind.upper()}"
 )
-def test_testbed_matches_simulation_bit_for_bit(ridge_setup, selection):
+def test_testbed_matches_simulation_bit_for_bit(ridge_setup, compressor):
     """The headline property: real sockets, identical mathematics."""
     model, shards, topo, weights, init = ridge_setup
     rounds = 12
@@ -42,7 +42,7 @@ def test_testbed_matches_simulation_bit_for_bit(ridge_setup, selection):
         model,
         shards,
         topo,
-        config=SNAPConfig(selection=selection, alpha=0.05, seed=0),
+        config=SNAPConfig(compressor=compressor, alpha=0.05, seed=0),
         weight_matrix=weights,
         initial_params=init,
     )
@@ -52,7 +52,7 @@ def test_testbed_matches_simulation_bit_for_bit(ridge_setup, selection):
         model,
         shards,
         topo,
-        config=SNAPConfig(selection=selection, alpha=0.05, seed=0),
+        config=SNAPConfig(compressor=compressor, alpha=0.05, seed=0),
         weight_matrix=weights,
         initial_params=init,
     )
@@ -69,7 +69,7 @@ def test_testbed_matches_simulation_bit_for_bit(ridge_setup, selection):
 
 def test_testbed_loss_trace_matches_simulation(ridge_setup):
     model, shards, topo, weights, init = ridge_setup
-    config = SNAPConfig(selection=SelectionPolicy.CHANGED_ONLY, alpha=0.05, seed=0)
+    config = SNAPConfig(compressor="changed_only", alpha=0.05, seed=0)
     simulated = SNAPTrainer(
         model, shards, topo, config=config, weight_matrix=weights,
         initial_params=init,

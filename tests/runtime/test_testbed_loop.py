@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core import SNAPConfig, SNAPTrainer
-from repro.core.config import SelectionPolicy
 from repro.core.server import EdgeServer
 from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
@@ -114,7 +113,7 @@ def test_a_full_kernel_buffer_cannot_wedge_the_loop(rng, monkeypatch):
     monkeypatch.setattr(FrameConnection, "flush", counting_flush)
 
     def config():
-        return SNAPConfig(selection=SelectionPolicy.DENSE, alpha=0.01, seed=0)
+        return SNAPConfig(compressor="dense", alpha=0.01, seed=0)
 
     init = model.init_params(seed=1)
     simulated = SNAPTrainer(
@@ -157,7 +156,7 @@ def test_delivery_order_is_a_function_of_the_loop(rng, monkeypatch):
         testbed = TestbedRuntime(
             model, shards, topo,
             config=SNAPConfig(
-                selection=SelectionPolicy.CHANGED_ONLY, alpha=0.05, seed=0
+                compressor="changed_only", alpha=0.05, seed=0
             ),
             weight_matrix=weights, initial_params=init, fault_plan=plan,
             round_deadline_s=5.0,
@@ -201,7 +200,7 @@ def test_retry_backoff_is_a_due_time_not_a_sleep(rng, monkeypatch):
     monkeypatch.setattr(RetryPolicy, "delay_s", counting_delay)
     testbed = TestbedRuntime(
         model, shards, topo,
-        config=SNAPConfig(selection=SelectionPolicy.CHANGED_ONLY, alpha=0.05, seed=0),
+        config=SNAPConfig(compressor="changed_only", alpha=0.05, seed=0),
         round_deadline_s=3.0,
         crash_schedule={crash_round: [victim]},
         retry_policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0, backoff_max_s=0.0),

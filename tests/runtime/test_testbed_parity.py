@@ -111,13 +111,14 @@ def test_testbed_digest_equals_the_reference_simulator(workload, case):
 @pytest.mark.parametrize(
     "field, config, keywords",
     [
-        ("engine", SNAPConfig(engine="vectorized"), {}),
-        ("engine", SNAPConfig(engine="semisync", staleness_bound=2), {}),
-        ("staleness_bound", SNAPConfig(staleness_bound=2), {}),
-        ("timeout_s", SNAPConfig(), {"timeout_s": 0}),
-        ("round_deadline_s", SNAPConfig(), {"round_deadline_s": -1.0}),
-        ("dead_after_misses", SNAPConfig(), {"dead_after_misses": 0}),
-        ("crash_schedule", SNAPConfig(), {"crash_schedule": {2: [99]}}),
+        ("engine", {"engine": "vectorized"}, {}),
+        ("engine", {"engine": "semisync", "staleness_bound": 2}, {}),
+        # Refused by SNAPConfig itself: only the semi-sync engine has a τ.
+        ("staleness_bound", {"staleness_bound": 2}, {}),
+        ("timeout_s", {}, {"timeout_s": 0}),
+        ("round_deadline_s", {}, {"round_deadline_s": -1.0}),
+        ("dead_after_misses", {}, {"dead_after_misses": 0}),
+        ("crash_schedule", {}, {"crash_schedule": {2: [99]}}),
     ],
 )
 def test_refused_before_the_trainer_is_built(
@@ -131,8 +132,8 @@ def test_refused_before_the_trainer_is_built(
     monkeypatch.setattr(SNAPTrainer, "__init__", no_trainer)
     with pytest.raises(ConfigurationError, match=field):
         TestbedRuntime(
-            workload.model, workload.shards, workload.topology, config=config,
-            **keywords,
+            workload.model, workload.shards, workload.topology,
+            config=SNAPConfig(**config), **keywords,
         )
 
 

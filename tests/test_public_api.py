@@ -21,7 +21,6 @@ class TestTopLevel:
             ReproError,
             SNAPConfig,
             SNAPTrainer,
-            SelectionPolicy,
             Topology,
             TrainingResult,
         )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.compression.spec import CompressorSpec
-from repro.core.config import SelectionPolicy, StragglerStrategy
+from repro.core.config import StragglerStrategy
 from repro.testing import Scenario, ScenarioGen
 
 GEN = ScenarioGen(master_seed=7)
@@ -45,7 +45,6 @@ class TestLatticeValidity:
         assert 3 <= scenario.n_features <= 8
         assert 20 <= scenario.n_samples <= 45
         assert 6 <= scenario.max_rounds <= 14
-        SelectionPolicy(scenario.selection)
         StragglerStrategy(scenario.straggler)
 
     @pytest.mark.parametrize("scenario", SAMPLE, ids=lambda s: f"i{s.index}")
@@ -56,8 +55,6 @@ class TestLatticeValidity:
 
     @pytest.mark.parametrize("scenario", SAMPLE, ids=lambda s: f"i{s.index}")
     def test_compressor_specs_parse(self, scenario):
-        if scenario.compressor is None:
-            return
         spec = CompressorSpec.parse(scenario.compressor)
         params = spec.params_dict()
         if "k" in params:
@@ -110,5 +107,4 @@ class TestOverridesAndDescribe:
         text = scenario.describe()
         assert f"[{scenario.master_seed}/{scenario.index}]" in text
         assert scenario.model_kind in text
-        if scenario.compressor:
-            assert scenario.compressor in text
+        assert scenario.compressor in text

@@ -75,7 +75,7 @@ class TestTrainingOnStructuredTopologies:
         shards = iid_partition(Dataset(X, y), 10, seed=8)
         model = RidgeRegression(p, regularization=0.1)
         trainer = SNAPTrainer(
-            model, shards, topo, config=SNAPConfig.snap0(seed=0)
+            model, shards, topo, config=SNAPConfig(compressor="changed_only", seed=0)
         )
         trainer.run(max_rounds=600, stop_on_convergence=False)
         exact = model.solve_exact(X, y)

@@ -54,7 +54,7 @@ class TestPlanNeighborSets:
             model,
             shards,
             plan.topology,
-            config=SNAPConfig.snap0(seed=0),
+            config=SNAPConfig(compressor="changed_only", seed=0),
             weight_matrix=plan.weight_matrix,
         )
         trainer.run(max_rounds=600, stop_on_convergence=False)
