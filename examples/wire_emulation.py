@@ -16,31 +16,42 @@ from repro.analysis.reporting import ascii_table, format_bytes
 from repro.core import SNAPConfig, SNAPTrainer
 from repro.network import LinkTimingModel
 from repro.network.codec import decode_update, encode_update
-from repro.network.messages import ParameterUpdate
+from repro.network.frames import encoded_update_bytes
 from repro.simulation import mnist_mlp_workload
 
 import numpy as np
 
 
 def verified_bytes_of_one_round(trainer: SNAPTrainer) -> int:
-    """Re-encode one round's worth of updates through the real codec."""
+    """Re-encode one round's worth of updates through the real codec.
+
+    Each server's round goes through the trainer's own sender
+    (``send_round``); its wire encodes every frame, checks the length against
+    the Fig. 3 size formula, decodes it and checks it round-trips.
+    """
     total = 0
+
+    def transmit(source, neighbor, message, stage) -> bool:
+        nonlocal total
+        frame = encode_update(message)
+        assert len(frame) == encoded_update_bytes(
+            message.total_params, message.n_unsent
+        )
+        decoded = decode_update(
+            frame,
+            message.frame_format,
+            message.total_params,
+            message.sender,
+            message.round_index,
+        )
+        assert np.array_equal(decoded.indices, message.indices)
+        assert np.array_equal(decoded.values, message.values)
+        total += len(frame)
+        return True
+
     round_index = trainer.servers[0].iteration + 1
     for server in trainer.servers:
-        for neighbor in server.neighbors:
-            message, _ = server.build_update(
-                neighbor, round_index, send_threshold=0.0
-            )
-            payload = encode_update(message)
-            decoded = decode_update(
-                payload,
-                message.frame_format,
-                message.total_params,
-                message.sender,
-                message.round_index,
-            )
-            assert np.array_equal(decoded.values, message.values)
-            total += len(payload)
+        trainer.send_round(server, round_index, frozenset(), transmit)
     return total
 
 

@@ -32,8 +32,8 @@ sys.path.insert(0, str(SRC))
 
 #: package (relative to src/) -> minimum line coverage, percent.
 FLOORS = {
-    "repro/compression": 85.0,
-    "repro/network": 85.0,
+    "repro/compression": 90.0,
+    "repro/network": 90.0,
 }
 
 #: The suites that exercise the measured packages. Kept to the directly

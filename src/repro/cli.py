@@ -22,6 +22,7 @@ import sys
 from typing import Sequence
 
 from repro.analysis.reporting import ascii_table, format_bytes
+from repro.compression.spec import SCHEME_PRESETS
 from repro.core.config import SNAPConfig, StragglerStrategy
 from repro.faults.plan import FaultPlan
 from repro.results import TrainingResult
@@ -327,7 +328,7 @@ def _parse_compressor(args: argparse.Namespace):
     if spec.is_preset:
         print(
             f"--compressor {spec.label} is a preset scheme: choose it with "
-            f"--scheme (snap, snap0, sno)",
+            f"--scheme ({', '.join(SCHEME_PRESETS)})",
             file=sys.stderr,
         )
         raise SystemExit(EXIT_USAGE)
@@ -338,17 +339,10 @@ def _command_run(args: argparse.Namespace) -> int:
     from repro.exceptions import ConfigurationError
 
     compressor = _parse_compressor(args)
-    if args.adaptive_topology and args.scheme not in ("snap", "snap0", "sno"):
+    if args.adaptive_topology and args.scheme not in SCHEME_PRESETS:
         print(
-            f"--adaptive-topology only applies to the mesh schemes (snap, "
-            f"snap0, sno), not {args.scheme!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(EXIT_USAGE)
-    if args.adaptive_topology and args.no_optimize_weights:
-        print(
-            "--adaptive-topology re-solves the optimized weights online; "
-            "it cannot be combined with --no-optimize-weights",
+            f"--adaptive-topology only applies to the mesh schemes "
+            f"({', '.join(SCHEME_PRESETS)}), not {args.scheme!r}",
             file=sys.stderr,
         )
         raise SystemExit(EXIT_USAGE)
@@ -357,6 +351,7 @@ def _command_run(args: argparse.Namespace) -> int:
             straggler_strategy=StragglerStrategy(args.straggler_strategy),
             max_rounds=args.rounds,
             compressor=compressor or "ape",
+            optimize_weights=not args.no_optimize_weights,
             adaptive_topology=args.adaptive_topology,
             topology_reoptimize_every=args.reoptimize_every,
             topology_prune_threshold=args.prune_threshold,
@@ -383,9 +378,8 @@ def _command_run(args: argparse.Namespace) -> int:
         workload,
         max_rounds=args.rounds,
         alpha=args.alpha,
-        optimize_weights=not args.no_optimize_weights,
         fault_plan=fault_plan,
-        snap_config=config if args.scheme in ("snap", "snap0", "sno") else None,
+        snap_config=config if args.scheme in SCHEME_PRESETS else None,
     )
     _print_result(result)
     if args.output:

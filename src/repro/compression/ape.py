@@ -162,13 +162,3 @@ class APECompressor(Compressor):
         return self.schedule.bank.record_rounds(
             nodes, ctxs.suppressed_max[nodes] / ctxs.scale[nodes]
         )
-
-    def state_dict(self) -> dict:
-        """Schedule state for checkpointing (empty outside the APE policy)."""
-        if self.schedule is None:
-            return {}
-        return self.schedule.state_dict()
-
-    def load_state_dict(self, state: dict) -> None:
-        if self.schedule is not None and state:
-            self.schedule.load_state_dict(state)

@@ -15,6 +15,11 @@ run any of them through a single code path with honest byte accounting:
   state and reports whether the optimizer should restart its recursion
   (Algorithm 1's stage boundary).
 
+The receiver and the sizer are not hooks: a delivered frame is overlaid by
+:meth:`~repro.network.messages.ParameterUpdate.apply_to` (per edge) or
+:meth:`PayloadBatch.deliver` (per round), and every frame is sized by
+:func:`~repro.network.frames.encoded_update_bytes`.
+
 The vectorized engine runs the same protocol a round at a time, four calls
 on one instance: :meth:`Compressor.begin_round_batch` opens the round for
 every active node, :meth:`Compressor.compress_batch` returns every eligible
@@ -399,27 +404,6 @@ class Compressor:
                 else:
                     self.payload_dropped(batch[row], state)
         return None
-
-    def decompress(self, payload: Payload, reference: np.ndarray) -> np.ndarray:
-        """The receiver's reconstruction: overlay the payload onto a view."""
-        reference = np.asarray(reference, dtype=float)
-        if payload.indices.size and (
-            int(payload.indices.max()) >= reference.size
-        ):
-            raise ProtocolError(
-                f"payload indices exceed the reference dimension {reference.size}"
-            )
-        updated = reference.copy()
-        updated[payload.indices] = payload.values
-        return updated
-
-    def bytes_on_wire(self, payload: Payload, total_params: int) -> int:
-        """Exact wire bytes of this payload in its cheapest frame format."""
-        quantization = payload.meta.get("quantization")
-        bits = quantization.bits if quantization is not None else None
-        return encoded_update_bytes(
-            total_params, total_params - payload.n_sent, bits
-        )
 
     def payload_delivered(self, payload: Payload, state: EdgeState) -> None:
         """Hook: the channel confirmed delivery (reference already advanced)."""

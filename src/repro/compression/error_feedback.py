@@ -90,12 +90,6 @@ class ErrorFeedback(Compressor):
         # The same expression as _settle, for every row at once.
         return currents - references
 
-    def decompress(self, payload: Payload, reference: np.ndarray) -> np.ndarray:
-        return self.inner.decompress(payload, reference)
-
-    def bytes_on_wire(self, payload: Payload, total_params: int) -> int:
-        return self.inner.bytes_on_wire(payload, total_params)
-
     def _settle(self, state: EdgeState) -> None:
         # By the time either hook runs, state.reference reflects the round's
         # outcome (advanced in place on delivery, untouched on a drop), so

@@ -22,9 +22,13 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError
 
-#: The paper's own selection policies: SNAP, SNAP-0 and SNO, in that order.
+#: The paper's schemes SNAP, SNAP-0 and SNO, each with the preset kind that
+#: runs it: the one scheme <-> preset table.
+SCHEME_PRESETS = {"snap": "ape", "snap0": "changed_only", "sno": "dense"}
+
+#: The paper's own selection policies, in the order above.
 #: ``SNAPConfig.compressor`` defaults to the first.
-PRESET_KINDS = ("ape", "changed_only", "dense")
+PRESET_KINDS = tuple(SCHEME_PRESETS.values())
 
 #: Parameter schema per kind: name -> (default, validator).
 _SCHEMAS: dict[str, dict] = {

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import StragglerStrategy
-from repro.core.selection import Selection, select_parameters
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.models.base import Model
 from repro.network.messages import ParameterUpdate
@@ -192,33 +191,6 @@ class EdgeServer:
         return self.objective_scale * gradients[0]
 
     # -- communication ----------------------------------------------------------
-
-    def build_update(
-        self, neighbor: NodeId, round_index: int, send_threshold: float
-    ) -> tuple[ParameterUpdate, Selection]:
-        """Select the parameters ``neighbor`` is missing and wrap them in a frame.
-
-        Selection compares the current parameters against ``last_sent[neighbor]``
-        — what that neighbor is known to hold — so a coordinate is
-        transmitted whenever the neighbor's copy has drifted more than the
-        threshold, whether from fresh changes or from an earlier failed
-        delivery.
-        """
-        if neighbor not in self.last_sent:
-            raise ProtocolError(
-                f"server {self.node_id} has no link state for non-neighbor {neighbor}"
-            )
-        selection = select_parameters(
-            self.params, self.last_sent[neighbor], send_threshold
-        )
-        message = ParameterUpdate(
-            sender=self.node_id,
-            round_index=round_index,
-            total_params=self.model.n_params,
-            indices=selection.indices,
-            values=selection.values,
-        )
-        return message, selection
 
     def mark_delivered(self, neighbor: NodeId, message: ParameterUpdate) -> None:
         """Record a confirmed delivery: ``neighbor`` now holds the sent values."""

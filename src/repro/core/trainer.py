@@ -33,6 +33,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from repro.compression import EdgeState, build_compressor, payload_to_update
+from repro.compression.spec import SCHEME_PRESETS
 from repro.consensus.convergence import ConvergenceDetector, consensus_error
 from repro.consensus.step_size import safe_step_size
 from repro.core.config import APE_EPSILON_FRACTION, APE_GROWTH, STEP_SAFETY
@@ -684,9 +685,7 @@ class SNAPTrainer:
     def _scheme_name(self) -> str:
         spec = self.compressor_spec
         if spec.is_preset:
-            return {"ape": "snap", "changed_only": "snap0", "dense": "sno"}[
-                spec.kind
-            ]
+            return {kind: name for name, kind in SCHEME_PRESETS.items()}[spec.kind]
         return f"snap+{spec.label}"
 
     def _edge_state(self, source: int, destination: int) -> EdgeState:

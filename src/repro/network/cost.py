@@ -45,6 +45,13 @@ _INITIAL_ROUNDS = 64
 _EDGE_KEY_SHIFT = 32
 
 
+def _check_round(round_index: int) -> int:
+    """Rounds count from 1 (0 is allowed); a negative index is refused."""
+    if round_index < 0:
+        raise ConfigurationError(f"round_index must be >= 0, got {round_index}")
+    return round_index
+
+
 @dataclass(frozen=True)
 class FlowRecord:
     """One recorded flow."""
@@ -96,10 +103,6 @@ class CommunicationCostTracker:
         self._round_bytes = np.zeros(_INITIAL_ROUNDS, dtype=np.int64)
         self._round_touched = np.zeros(_INITIAL_ROUNDS, dtype=bool)
         self._max_round = -1
-        # Rounds are 1-based everywhere in the simulator; negative indices
-        # (never produced by the trainers) fall back to a plain dict.
-        self._negative_round_cost: dict[int, int] = {}
-        self._negative_round_bytes: dict[int, int] = {}
         # Per-directed-edge byte counters: sorted key array (src<<32 | dst)
         # with parallel byte counts, merged per batch.
         self._edge_keys = np.empty(0, dtype=np.int64)
@@ -140,14 +143,6 @@ class CommunicationCostTracker:
                 setattr(self, name, grown)
 
     def _accumulate_round(self, round_index: int, cost: int, n_bytes: int) -> None:
-        if round_index < 0:
-            self._negative_round_cost[round_index] = (
-                self._negative_round_cost.get(round_index, 0) + cost
-            )
-            self._negative_round_bytes[round_index] = (
-                self._negative_round_bytes.get(round_index, 0) + n_bytes
-            )
-            return
         self._ensure_round(round_index)
         self._round_cost[round_index] += cost
         self._round_bytes[round_index] += n_bytes
@@ -270,6 +265,7 @@ class CommunicationCostTracker:
         self, round_index, sources, destinations, sizes, hops, shared_hops, stage
     ) -> None:
         """The one write: a validated batch of parallel int64 columns."""
+        _check_round(round_index)
         costs = sizes * hops
         total_bytes = int(sizes.sum())
         total_cost = int(costs.sum())
@@ -320,34 +316,27 @@ class CommunicationCostTracker:
 
     def round_cost(self, round_index: int) -> int:
         """Hop-weighted cost of one round."""
-        if round_index < 0:
-            return self._negative_round_cost.get(round_index, 0)
-        if round_index > self._max_round:
+        if _check_round(round_index) > self._max_round:
             return 0
         return int(self._round_cost[round_index])
 
     def round_bytes(self, round_index: int) -> int:
         """Raw bytes of one round."""
-        if round_index < 0:
-            return self._negative_round_bytes.get(round_index, 0)
-        if round_index > self._max_round:
+        if _check_round(round_index) > self._max_round:
             return 0
         return int(self._round_bytes[round_index])
 
-    def _per_round_series(self, column: np.ndarray, negatives: dict[int, int]):
+    def _per_round_series(self, column: np.ndarray):
         touched = np.flatnonzero(self._round_touched[: self._max_round + 1])
-        pairs = [(int(r), int(column[r])) for r in touched]
-        if negatives:
-            pairs = sorted(negatives.items()) + pairs
-        return pairs
+        return [(int(r), int(column[r])) for r in touched]
 
     def per_round_costs(self) -> list[tuple[int, int]]:
         """Sorted ``(round, cost)`` pairs for rounds with any traffic."""
-        return self._per_round_series(self._round_cost, self._negative_round_cost)
+        return self._per_round_series(self._round_cost)
 
     def per_round_bytes(self) -> list[tuple[int, int]]:
         """Sorted ``(round, bytes)`` pairs for rounds with any traffic."""
-        return self._per_round_series(self._round_bytes, self._negative_round_bytes)
+        return self._per_round_series(self._round_bytes)
 
     def per_edge_bytes(self) -> dict[tuple[int, int], int]:
         """Total bytes per directed edge, as ``{(source, destination): bytes}``."""

@@ -8,9 +8,12 @@ matching how the paper's comparison figures are produced.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.baselines.centralized import CentralizedTrainer
 from repro.baselines.parameter_server import ParameterServerTrainer
 from repro.baselines.terngrad import TernGradTrainer
+from repro.compression.spec import SCHEME_PRESETS
 from repro.consensus.convergence import ConvergenceDetector
 from repro.core.config import SNAPConfig
 from repro.core.trainer import SNAPTrainer
@@ -20,14 +23,14 @@ from repro.results import TrainingResult
 from repro.simulation.experiments import Workload
 
 #: All scheme labels understood by :func:`run_scheme`, in the paper's order.
-SCHEMES = ("centralized", "ps", "terngrad", "snap", "snap0", "sno")
+SCHEMES = ("centralized", "ps", "terngrad", *SCHEME_PRESETS)
 
 
 def run_scheme(
     scheme: str,
     workload: Workload,
     max_rounds: int = 300,
-    optimize_weights: bool = True,
+    optimize_weights: bool | None = None,
     fault_plan: FaultPlan | None = None,
     detector_kwargs: dict | None = None,
     eval_every: int = 0,
@@ -48,6 +51,8 @@ def run_scheme(
     optimize_weights:
         Whether SNAP-family schemes use the Section IV-B optimized weight
         matrix (``False`` = the eq. 24 Metropolis baseline of Fig. 5).
+        ``None`` means ``True``, or ``snap_config``'s value when one is
+        given; a value that contradicts ``snap_config`` is refused.
     fault_plan:
         Fault injection for SNAP-family schemes (Fig. 9's link outages,
         server outages, corruption). Ignored by the server-based and
@@ -58,9 +63,9 @@ def run_scheme(
         Test-accuracy evaluation period (0 = only at the end).
     snap_config:
         Full config override for SNAP-family schemes. A preset
-        ``compressor`` is replaced by the one ``scheme`` names (``snap`` ->
-        ``ape``, ``snap0`` -> ``changed_only``, ``sno`` -> ``dense``); any
-        other compressor is kept.
+        ``compressor`` is replaced by the one ``scheme`` names
+        (:data:`~repro.compression.spec.SCHEME_PRESETS`); any other
+        compressor replaces APE selection, so it runs only with ``snap``.
     stop_on_convergence:
         Stop at the detector's first fire (the paper's iteration counting).
     alpha:
@@ -112,25 +117,32 @@ def run_scheme(
         )
         return trainer.run(**common)
 
-    preset = {"snap": "ape", "snap0": "changed_only", "sno": "dense"}[scheme]
+    preset = SCHEME_PRESETS[scheme]
     if snap_config is None:
         config = SNAPConfig(
             compressor=preset,
-            optimize_weights=optimize_weights,
+            optimize_weights=True if optimize_weights is None else optimize_weights,
             max_rounds=max_rounds,
             alpha=alpha,
             seed=workload.seed,
         )
     else:
-        overrides = {
-            **snap_config.__dict__,
-            "optimize_weights": optimize_weights,
-        }
-        if snap_config.compressor.is_preset:
-            overrides["compressor"] = preset
+        if optimize_weights not in (None, snap_config.optimize_weights):
+            raise ConfigurationError(
+                f"optimize_weights={optimize_weights} contradicts snap_config"
+                f".optimize_weights={snap_config.optimize_weights}; with a "
+                "snap_config, set it there"
+            )
+        compressor = snap_config.compressor
+        if not compressor.is_preset and scheme != "snap":
+            raise ConfigurationError(
+                f"compressor {compressor.label!r} replaces SNAP's APE "
+                f"selection, so it runs only with scheme 'snap', not {scheme!r}"
+            )
+        overrides = {"compressor": preset} if compressor.is_preset else {}
         if alpha is not None:
             overrides["alpha"] = alpha
-        config = SNAPConfig(**overrides)
+        config = dataclasses.replace(snap_config, **overrides)
     trainer = SNAPTrainer(
         workload.model,
         workload.shards,

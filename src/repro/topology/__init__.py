@@ -32,7 +32,6 @@ from repro.topology.failures import (
     LinkFailureModel,
     NodeFailureModel,
     ScheduledFailures,
-    ScheduledNodeFailures,
 )
 
 __all__ = [
@@ -54,5 +53,4 @@ __all__ = [
     "ScheduledFailures",
     "NodeFailureModel",
     "IndependentNodeFailures",
-    "ScheduledNodeFailures",
 ]

@@ -98,42 +98,6 @@ class IndependentNodeFailures(NodeFailureModel):
         return f"IndependentNodeFailures(failure_rate={self.failure_rate})"
 
 
-class ScheduledNodeFailures(NodeFailureModel):
-    """Explicit per-round outage schedule for servers, for deterministic tests.
-
-    Scheduled node ids are validated against the topology on first use: a
-    schedule naming a server that does not exist would otherwise silently
-    no-op, making a test believe it exercised an outage that never happened.
-    """
-
-    def __init__(self, schedule: dict[int, list[int]]):
-        self._schedule = {
-            int(round_index): frozenset(int(n) for n in nodes)
-            for round_index, nodes in schedule.items()
-        }
-        self._validated_for: int | None = None
-
-    def _validate(self, topology: Topology) -> None:
-        if self._validated_for == id(topology):
-            return
-        for round_index, nodes in self._schedule.items():
-            bad = [n for n in nodes if not 0 <= n < topology.n_nodes]
-            if bad:
-                raise ConfigurationError(
-                    f"node-failure schedule for round {round_index} names "
-                    f"servers {sorted(bad)} outside the topology's "
-                    f"0..{topology.n_nodes - 1}"
-                )
-        self._validated_for = id(topology)
-
-    def failed_nodes(self, topology: Topology, round_index: int) -> frozenset[int]:
-        self._validate(topology)
-        return self._schedule.get(round_index, frozenset())
-
-    def __repr__(self) -> str:
-        return f"ScheduledNodeFailures(rounds={sorted(self._schedule)})"
-
-
 class ScheduledFailures(LinkFailureModel):
     """Explicit per-round outage schedule, for deterministic tests.
 

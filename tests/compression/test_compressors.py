@@ -22,6 +22,13 @@ from repro.network.frames import (
 )
 
 
+def wire_bytes(payload, total_params):
+    """The Fig. 3 size of one payload's cheapest frame (the sizing oracle)."""
+    quantization = payload.meta.get("quantization")
+    bits = None if quantization is None else quantization.bits
+    return encoded_update_bytes(total_params, total_params - payload.n_sent, bits)
+
+
 def make_state(compressor, reference, source=0, destination=1, seed=7):
     state = compressor.make_edge_state(reference.size, source, destination, seed)
     state.reference = reference
@@ -136,7 +143,8 @@ class TestUniformQuantizer:
         current = rng.normal(size=400)
         state = make_state(compressor, reference)
         payload = compressor.compress(current, state, {})
-        size = compressor.bytes_on_wire(payload, 400)
+        assert payload.meta["quantization"].bits == 2
+        size = wire_bytes(payload, 400)
         assert size == encoded_update_bytes(400, 400 - payload.n_sent, 2)
         assert size < encoded_update_bytes(400, 400 - payload.n_sent)
 
@@ -236,7 +244,7 @@ class TestColumnarBatch:
             single = compressor.compress(currents[row], state, {})
             _assert_same_payload(batch[row], single)
             assert batch.n_sent[row] == single.n_sent
-            assert sizes[row] == compressor.bytes_on_wire(single, currents.shape[1])
+            assert sizes[row] == wire_bytes(single, currents.shape[1])
         assert [p.n_sent for p in batch] == batch.n_sent.tolist()
         with pytest.raises(IndexError):
             batch[len(currents)]
@@ -295,4 +303,4 @@ class TestColumnarBatch:
                     batch.indices[row, :count], single.indices
                 )
                 np.testing.assert_array_equal(batch.values[row, :count], single.values)
-                assert sizes[row] == compressor.bytes_on_wire(single, 10)
+                assert sizes[row] == wire_bytes(single, 10)

@@ -435,7 +435,7 @@ class TestSwappingRunsRefused:
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_adaptive_controller_is_refused(self, engine, tmp_path):
-        from repro.topology.failures import ScheduledNodeFailures
+        from repro.faults import CrashRestartSchedule
         from tests.core.test_topology_readd import (
             HUB_CHORDS,
             build_trainer as build_ring_trainer,
@@ -454,7 +454,7 @@ class TestSwappingRunsRefused:
         trainer = build_ring_trainer(
             ring_with_chords(12, HUB_CHORDS),
             config,
-            fault_plan=FaultPlan(nodes=ScheduledNodeFailures({3: [5], 4: [5]})),
+            fault_plan=FaultPlan(nodes=CrashRestartSchedule({5: [(3, 3), (4, 4)]})),
         )
         initial_alpha = trainer.alpha
         trainer.run(stop_on_convergence=False)

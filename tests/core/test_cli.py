@@ -63,6 +63,19 @@ class TestRunCommand:
         assert "bytes_budget" in err
         assert "Traceback" not in err
 
+    def test_adaptive_topology_without_optimized_weights_is_a_usage_error(
+        self, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["run", "--scheme", "snap", "--adaptive-topology",
+                 "--no-optimize-weights", "--rounds", "5"]
+            )
+        assert exit_info.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "adaptive_topology requires optimize_weights=True" in err
+        assert "Traceback" not in err
+
     def test_output_file_written(self, tmp_path, capsys):
         output = tmp_path / "result.json"
         code = main(

@@ -6,9 +6,9 @@ import pytest
 from repro.core import SNAPConfig, SNAPTrainer
 from repro.data.dataset import Dataset
 from repro.data.partition import iid_partition
-from repro.faults import FaultPlan
+from repro.faults import CrashRestartSchedule, FaultPlan
 from repro.models.ridge import RidgeRegression
-from repro.topology.failures import IndependentNodeFailures, ScheduledNodeFailures
+from repro.topology.failures import IndependentNodeFailures
 from repro.topology.generators import random_topology
 
 
@@ -52,7 +52,7 @@ class TestModels:
 
 class TestDownedServerSemantics:
     def test_downed_server_does_not_step(self, setup):
-        trainer = build(setup, ScheduledNodeFailures({2: [0]}))
+        trainer = build(setup, CrashRestartSchedule({0: [(2, 2)]}))
         trainer.run(max_rounds=3, stop_on_convergence=False)
         # server 0 missed round 2: 2 local iterations instead of 3
         assert trainer.servers[0].iteration == 2
@@ -61,7 +61,7 @@ class TestDownedServerSemantics:
     def test_downed_server_sends_and_receives_nothing(self, setup):
         model, shards, topo = setup
         victim = 0
-        trainer = build(setup, ScheduledNodeFailures({2: [victim]}))
+        trainer = build(setup, CrashRestartSchedule({victim: [(2, 2)]}))
         trainer.run(max_rounds=3, stop_on_convergence=False)
         for record in trainer.tracker.records():
             if record.round_index == 2:
@@ -70,7 +70,7 @@ class TestDownedServerSemantics:
 
     def test_blackout_round_of_all_servers_costs_nothing(self, setup):
         _, _, topo = setup
-        trainer = build(setup, ScheduledNodeFailures({2: list(range(6))}))
+        trainer = build(setup, CrashRestartSchedule({node: [(2, 2)] for node in range(6)}))
         result = trainer.run(max_rounds=4, stop_on_convergence=False)
         assert result.rounds[1].bytes_sent == 0
         assert result.rounds[0].bytes_sent > 0
@@ -78,7 +78,7 @@ class TestDownedServerSemantics:
     def test_recovered_server_heals_and_training_converges(self, setup):
         model, shards, _ = setup
         trainer = build(
-            setup, ScheduledNodeFailures({3: [1], 4: [1], 5: [1]})
+            setup, CrashRestartSchedule({1: [(3, 3), (4, 4), (5, 5)]})
         )
         trainer.run(max_rounds=800, stop_on_convergence=False)
         exact = model.solve_exact(

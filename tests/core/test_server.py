@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import SNAPConfig, SNAPTrainer
 from repro.core.server import EdgeServer
+from repro.data.dataset import Dataset
+from repro.data.partition import iid_partition
 from repro.exceptions import ConfigurationError, DataError, ProtocolError
 from repro.models.logistic import LogisticRegression
 from repro.models.mlp import MLPClassifier
@@ -11,6 +14,7 @@ from repro.models.ridge import RidgeRegression
 from repro.models.softmax import SoftmaxRegression
 from repro.models.svm import LinearSVM
 from repro.network.messages import ParameterUpdate
+from repro.topology.generators import complete_topology
 
 
 @pytest.fixture
@@ -117,38 +121,65 @@ class TestSecondStep:
         np.testing.assert_allclose(x2, expected)
 
 
+@pytest.fixture
+def trainer(model, data):
+    """A three-server SNAP-0 trainer whose server 0 has neighbors 1 and 2."""
+    X, y = data
+    shards = iid_partition(Dataset(X, y), 3, seed=0)
+    config = SNAPConfig(compressor="changed_only", optimize_weights=False, seed=0)
+    return SNAPTrainer(model, shards, complete_topology(3), config=config)
+
+
+def send(trainer, round_index, delivered=lambda neighbor: True):
+    """One ``send_round`` of server 0; returns ``{neighbor: message}``."""
+    sent = {}
+
+    def transmit(source, neighbor, message, stage):
+        sent[neighbor] = message
+        return delivered(neighbor)
+
+    trainer.send_round(trainer.servers[0], round_index, frozenset(), transmit)
+    return sent
+
+
+def set_state(server, params, held):
+    """Give ``server`` its own ``params`` and what each neighbor ``held``."""
+    server.params = np.array(params)
+    for neighbor, values in held.items():
+        server.last_sent[neighbor][:] = values
+
+
 class TestCommunication:
-    def test_build_update_selects_against_neighbor_state(self, model, data):
-        server = make_server(model, data)
-        server.params = np.array([1.0, 0.001])
-        message, selection = server.build_update(1, round_index=1, send_threshold=0.01)
-        np.testing.assert_array_equal(message.indices, [0])
-        assert selection.suppressed_max == pytest.approx(0.001)
+    def test_send_round_selects_against_neighbor_state(self, trainer):
+        server = trainer.servers[0]
+        set_state(server, [1.0, 2.0], {1: [1.0, 0.0], 2: [0.0, 0.0]})
+        sent = send(trainer, 1)
+        np.testing.assert_array_equal(sent[1].indices, [1])
+        np.testing.assert_array_equal(sent[1].values, [2.0])
+        np.testing.assert_array_equal(sent[2].indices, [0, 1])
 
-    def test_last_sent_advances_only_on_delivery(self, model, data):
-        server = make_server(model, data)
-        server.params = np.array([1.0, 2.0])
-        message, _ = server.build_update(1, round_index=1, send_threshold=0.0)
-        # No mark_delivered: state unchanged, next message repeats everything.
-        message2, _ = server.build_update(1, round_index=2, send_threshold=0.0)
-        np.testing.assert_array_equal(message2.indices, message.indices)
-        server.mark_delivered(1, message2)
-        message3, _ = server.build_update(1, round_index=3, send_threshold=0.0)
-        assert message3.n_sent == 0
+    def test_last_sent_advances_only_on_delivery(self, trainer):
+        server = trainer.servers[0]
+        set_state(server, [1.0, 2.0], {1: [0.0, 0.0], 2: [0.0, 0.0]})
+        first = send(trainer, 1, delivered=lambda neighbor: False)
+        np.testing.assert_array_equal(server.last_sent[1], [0.0, 0.0])
+        # Not delivered: the next message repeats everything.
+        second = send(trainer, 2)
+        np.testing.assert_array_equal(second[1].indices, first[1].indices)
+        np.testing.assert_array_equal(server.last_sent[1], [1.0, 2.0])
+        assert send(trainer, 3)[1].n_sent == 0
 
-    def test_per_neighbor_state_is_independent(self, model, data):
-        server = make_server(model, data)
-        server.params = np.array([1.0, 2.0])
-        message, _ = server.build_update(1, round_index=1, send_threshold=0.0)
-        server.mark_delivered(1, message)
+    def test_per_neighbor_state_is_independent(self, trainer):
+        server = trainer.servers[0]
+        set_state(server, [1.0, 2.0], {1: [0.0, 0.0], 2: [0.0, 0.0]})
+        send(trainer, 1, delivered=lambda neighbor: neighbor == 1)
+        sent = send(trainer, 2)
+        assert sent[1].n_sent == 0
         # Neighbor 2 never got anything: still a full update pending.
-        message2, _ = server.build_update(2, round_index=1, send_threshold=0.0)
-        assert message2.n_sent == 2
+        assert sent[2].n_sent == 2
 
     def test_unknown_neighbor_rejected(self, model, data):
         server = make_server(model, data)
-        with pytest.raises(ProtocolError):
-            server.build_update(9, round_index=1, send_threshold=0.0)
         with pytest.raises(ProtocolError):
             server.mark_delivered(
                 9, ParameterUpdate.dense(0, 1, np.zeros(2))
@@ -268,9 +299,8 @@ class TestPreparedShard:
         original = model.prepare_shards
         model.prepare_shards = lambda shards: calls.append(1) or original(shards)
         server = self._server(model, X, y)
-        server.build_update(1, 1, 0.0)
         server.advance_views()
-        assert calls == []  # construction and communication never prepare
+        assert calls == []  # construction and view shifts never prepare
         server.local_loss()
         server.local_gradient(server.params)
         server.step()

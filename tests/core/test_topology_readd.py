@@ -17,10 +17,9 @@ import pytest
 from repro.core.config import SNAPConfig
 from repro.core.trainer import SNAPTrainer
 from repro.data.dataset import Dataset
-from repro.faults import FaultPlan
+from repro.faults import CrashRestartSchedule, FaultPlan
 from repro.models.logistic import LogisticRegression
 from repro.testing.digest import capture_run
-from repro.topology.failures import ScheduledNodeFailures
 from repro.topology.graph import Topology
 
 
@@ -76,7 +75,7 @@ def churn_trainer(engine: str = "reference") -> SNAPTrainer:
     return build_trainer(
         ring_with_chords(12, HUB_CHORDS),
         config,
-        fault_plan=FaultPlan(nodes=ScheduledNodeFailures({7: [0]})),
+        fault_plan=FaultPlan(nodes=CrashRestartSchedule({0: [(7, 7)]})),
     )
 
 

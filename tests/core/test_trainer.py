@@ -608,7 +608,7 @@ class TestOnePerEdgeSender:
 
     ROUNDS = 6
     #: Server 2 is down for rounds 2-4: the skip path and ``offline``.
-    OUTAGE = {2: [2], 3: [2], 4: [2]}
+    OUTAGE = {2: [(2, 2), (3, 3), (4, 4)]}
 
     @pytest.fixture
     def send_round_calls(self, monkeypatch):
@@ -628,7 +628,9 @@ class TestOnePerEdgeSender:
             (node, r)
             for r in range(1, self.ROUNDS + 1)
             for node in range(n_nodes)
-            if node not in self.OUTAGE.get(r, ())
+            if not any(
+                start <= r <= end for start, end in self.OUTAGE.get(node, ())
+            )
         )
 
     @pytest.mark.parametrize("engine", ["reference", "semisync"])
@@ -637,8 +639,7 @@ class TestOnePerEdgeSender:
     ):
         """A runtime that regrows its own sender loop fails here: a count,
         not a clock."""
-        from repro.faults import FaultPlan
-        from repro.topology.failures import ScheduledNodeFailures
+        from repro.faults import CrashRestartSchedule, FaultPlan
 
         model, shards, topo, _ = ridge_setup
         trainer = SNAPTrainer(
@@ -646,7 +647,7 @@ class TestOnePerEdgeSender:
             shards,
             topo,
             config=SNAPConfig(engine=engine, seed=0, optimize_weights=False),
-            fault_plan=FaultPlan(nodes=ScheduledNodeFailures(self.OUTAGE)),
+            fault_plan=FaultPlan(nodes=CrashRestartSchedule(self.OUTAGE)),
         )
         result = trainer.run(max_rounds=self.ROUNDS, stop_on_convergence=False)
         assert sorted(send_round_calls) == self._expected(topo.n_nodes)
@@ -655,9 +656,8 @@ class TestOnePerEdgeSender:
     def test_testbed_node_calls_it_once_per_active_server_per_round(
         self, ridge_setup, send_round_calls
     ):
-        from repro.faults import FaultPlan
+        from repro.faults import CrashRestartSchedule, FaultPlan
         from repro.runtime import TestbedRuntime
-        from repro.topology.failures import ScheduledNodeFailures
 
         model, shards, topo, _ = ridge_setup
         testbed = TestbedRuntime(
@@ -665,7 +665,7 @@ class TestOnePerEdgeSender:
             shards,
             topo,
             config=SNAPConfig(seed=0, optimize_weights=False),
-            fault_plan=FaultPlan(nodes=ScheduledNodeFailures(self.OUTAGE)),
+            fault_plan=FaultPlan(nodes=CrashRestartSchedule(self.OUTAGE)),
         )
         result = testbed.run(self.ROUNDS)
         assert sorted(send_round_calls) == self._expected(topo.n_nodes)

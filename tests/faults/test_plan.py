@@ -22,7 +22,6 @@ from repro.topology.failures import (
     IndependentNodeFailures,
     LinkFailureModel,
     ScheduledFailures,
-    ScheduledNodeFailures,
 )
 from repro.topology.generators import random_topology, ring_topology
 from repro.topology.graph import Topology
@@ -54,7 +53,7 @@ class TestFaultPlan:
         plan = FaultPlan(
             nodes=[
                 CrashRestartSchedule({0: [(1, 2)]}),
-                ScheduledNodeFailures({2: [1]}),
+                CrashRestartSchedule({1: [(2, 2)]}),
             ]
         )
         assert plan.failed_nodes(ring6, 1) == {0}
@@ -71,7 +70,7 @@ class TestFaultPlan:
 
     def test_wrong_types_rejected(self):
         with pytest.raises(TypeError):
-            FaultPlan(links=ScheduledNodeFailures({1: [0]}))
+            FaultPlan(links=CrashRestartSchedule({0: [(1, 1)]}))
         with pytest.raises(TypeError):
             FaultPlan(nodes=ScheduledFailures({1: [(0, 1)]}))
         with pytest.raises(TypeError):

@@ -239,7 +239,7 @@ class _FlowAtATimeLedger:
 _HOP_MATRIX = all_pairs_hop_counts(ring_topology(6))
 _nodes = st.integers(0, 5)
 _flow = st.tuples(_nodes, _nodes, st.integers(0, 1000), st.integers(0, 3))
-_round = st.integers(-3, 70)  # negative rounds, and past the first 64-slot growth
+_round = st.integers(-3, 70)  # refused negative rounds; past the first 64-slot growth
 _stage = st.sampled_from([None, "ape", "topk"])
 _one_flow = st.lists(_flow, min_size=1, max_size=1)
 _op = st.one_of(
@@ -331,26 +331,36 @@ class TestInterleavedRecordAndRecordMany:
                 ]
             if kind.startswith("one"):
                 ((source, destination, size, hops),) = flows
-                record = tracker.record(
-                    as_int(round_index),
-                    as_int(source),
-                    as_int(destination),
-                    size,
-                    hops=None if kind == "one-matrix-hops" else as_int(hops),
-                    stage=stage,
-                )
-                assert record == FlowRecord(
-                    round_index, source, destination, size, hops
-                )
+
+                def call():
+                    return tracker.record(
+                        as_int(round_index),
+                        as_int(source),
+                        as_int(destination),
+                        size,
+                        hops=None if kind == "one-matrix-hops" else as_int(hops),
+                        stage=stage,
+                    )
+
+                expected = FlowRecord(round_index, source, destination, size, hops)
             else:
                 columns = [list(c) for c in zip(*flows)] or [[], [], [], []]
                 hops = {"many-scalar-hops": 1, "many-matrix-hops": None}.get(
                     kind, columns[3]
                 )
-                count = tracker.record_many(
-                    as_int(round_index), *columns[:3], hops=hops, stage=stage
-                )
-                assert count == len(flows)
+
+                def call():
+                    return tracker.record_many(
+                        as_int(round_index), *columns[:3], hops=hops, stage=stage
+                    )
+
+                expected = len(flows)
+            if round_index < 0:
+                # Rounds count from 1: a negative one is refused, unrecorded.
+                with pytest.raises(ConfigurationError, match="round_index"):
+                    call()
+                continue
+            assert call() == expected
             model.add(round_index, flows, stage, batch=not kind.startswith("one"))
 
         assert tracker.n_flows == len(model.flows)
@@ -360,9 +370,12 @@ class TestInterleavedRecordAndRecordMany:
         assert tracker.per_round_costs() == model.per_round(
             lambda size, hops: size * hops
         )
-        for round_index in range(-4, 72):
-            expected = dict(model.per_round(lambda size, hops: size))
+        expected = dict(model.per_round(lambda size, hops: size))
+        for round_index in range(72):
             assert tracker.round_bytes(round_index) == expected.get(round_index, 0)
+        for read in (tracker.round_bytes, tracker.round_cost):
+            with pytest.raises(ConfigurationError, match="round_index"):
+                read(-1)
         assert tracker.per_edge_bytes() == model.per_edge_bytes()
         assert tracker.stage_bytes() == model.stage_bytes
         assert tracker.stage_costs() == model.stage_costs
@@ -414,6 +427,8 @@ class TestRejectionLeavesNoTrace:
             lambda t: t.record_many(3, [0], [1], [4], stage="ape"),
             lambda t: t.record_many(3, [0, 1], [1, 0], [4, 4], hops=[1, -1]),
             lambda t: t.record_many(3, [0, 1], [1], [4, 4], hops=1),
+            lambda t: t.record(-1, 0, 1, 10, hops=1, stage="ape"),
+            lambda t: t.record_many(-1, [0], [1], [4], hops=1, stage="ape"),
         ],
     )
     def test_without_hop_matrix(self, bad_call):

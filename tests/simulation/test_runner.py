@@ -94,6 +94,28 @@ class TestRunScheme:
         assert baseline.info["weight_problem"] == "metropolis"
         assert optimized.info["weight_problem"] != "metropolis"
 
+    def test_snap_config_decides_optimize_weights(self, workload):
+        config = SNAPConfig(optimize_weights=False, max_rounds=2)
+        result = run_scheme(
+            "snap", workload, snap_config=config, stop_on_convergence=False
+        )
+        assert result.info["weight_problem"] == "metropolis"
+
+    def test_optimize_weights_contradicting_snap_config_is_refused(self, workload):
+        config = SNAPConfig(optimize_weights=False, max_rounds=2)
+        with pytest.raises(ConfigurationError, match="optimize_weights"):
+            run_scheme("snap", workload, optimize_weights=True, snap_config=config)
+
+    @pytest.mark.parametrize("scheme", ["snap0", "sno"])
+    def test_non_preset_compressor_runs_only_with_snap(self, workload, scheme):
+        config = SNAPConfig(compressor="topk:k=4", max_rounds=2)
+        with pytest.raises(ConfigurationError, match="only with scheme 'snap'"):
+            run_scheme(scheme, workload, snap_config=config)
+        result = run_scheme(
+            "snap", workload, snap_config=config, stop_on_convergence=False
+        )
+        assert result.scheme == "snap+topk(k=4)"
+
 
 class TestRunComparison:
     def test_runs_selected_schemes(self, workload):
