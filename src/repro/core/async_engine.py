@@ -165,7 +165,8 @@ class SemiSyncEngine(Engine):
     # -- engine protocol --------------------------------------------------------
 
     def begin_run(self) -> None:
-        """Arm the event loop once; later run() calls continue where it stopped."""
+        """Arm the event loop once, seeding the edge ledgers through
+        :meth:`rebuild`; later run() calls continue where it stopped."""
         if self._initialized:
             return
         self._initialized = True
@@ -173,11 +174,7 @@ class SemiSyncEngine(Engine):
         self._nodes = [
             _NodeState(node, start_round) for node in self.trainer.topology
         ]
-        src, dst = self.trainer.topology.directed_edges
-        for edge in zip(src.tolist(), dst.tolist()):
-            self._arrival_times[edge] = [0.0]
-            self._arrival_rounds[edge] = [start_round]
-            self._last_applied[edge] = start_round
+        self.rebuild()
         for node in self._nodes:
             self._push(0.0, _READY, node.node_id)
 
@@ -215,20 +212,20 @@ class SemiSyncEngine(Engine):
             self._round_delivered.pop(round_index, ())
         )
 
-    def rebuild_topology(self) -> None:
-        """Adopt the trainer's swapped topology mid-run (layout only).
+    def rebuild(self) -> None:
+        """Adopt the trainer's topology at a round boundary (layout only).
 
-        Called at a trainer round boundary, i.e. after ``_settle_arrivals``
-        — the heap holds no in-flight ARRIVAL events, so the only frames
-        that can reference a pruned edge sit in the reorder buffers. Those
-        frames were already charged on the wire but their link no longer
-        exists: they are voided into the corrupted ledger (bytes crossed,
-        payload never applied) so the three-way frame-conservation check
-        stays exact across the swap. Scheduling state for pruned edges is
-        dropped, an added edge gets its own (see below), degraded sets are
-        clipped to the surviving in-neighbors,
-        and any server blocked solely on pruned links is woken — a barrier
-        waiting on a link that no longer exists would otherwise deadlock.
+        Called after ``_settle_arrivals``: the heap holds no in-flight
+        ARRIVAL events, so the only frames that can reference a pruned edge
+        sit in the reorder buffers. Those frames were already charged on the
+        wire but their link no longer exists: they are voided into the
+        corrupted ledger (bytes crossed, payload never applied) so the
+        three-way frame-conservation check stays exact across the swap.
+        Scheduling state for pruned edges is dropped, an added edge gets its
+        own (see below), degraded sets are clipped to the surviving
+        in-neighbors, and any server blocked solely on pruned links is
+        woken — a barrier waiting on a link that no longer exists would
+        otherwise deadlock. A drift epoch changes no edge, so nothing moves.
         """
         trainer = self.trainer
         if not self._initialized:
@@ -250,7 +247,7 @@ class SemiSyncEngine(Engine):
             self.stale_view_rounds.pop(edge, None)
         # An added link starts holding its sender's current parameters: the
         # receiver has observed, and applied, the sender's completed round.
-        for edge in live - self._arrival_times.keys():
+        for edge in sorted(live - self._arrival_times.keys()):
             sender_round = self._nodes[edge[0]].completed
             self._arrival_times[edge] = [0.0]
             self._arrival_rounds[edge] = [sender_round]

@@ -258,12 +258,13 @@ def carry_rows(column: np.ndarray, rows: np.ndarray, added) -> np.ndarray:
 
 
 def reindex_state(state: EngineState, rows: np.ndarray, src, dst) -> EngineState:
-    """``state`` moved onto the directed edges ``(src, dst)`` of a swapped topology.
+    """``state`` moved onto the directed edges ``(src, dst)`` at a round boundary.
 
     A surviving edge carries every per-edge column through ``rows``
     (:func:`carry_rows`); an added edge starts as at round zero, with
     ``views = last_sent = params[src]``, fresh and no residual. Every node
-    restarts EXTRA: its two-term memory was built under the old ``W``.
+    restarts EXTRA: its two-term memory was built under the old ``W`` (or,
+    with the identity ``rows`` of a drift epoch, the old shards).
     """
     seeds = state.params[src[rows < 0]]
     restarted = np.zeros(state.params.shape[0], dtype=bool)
@@ -314,11 +315,9 @@ class Engine:
     def sync_to_servers(self) -> None:
         """Write engine-held state back onto the server objects."""
 
-    def rebuild_topology(self) -> None:
-        """Re-lay out for the swapped topology; :meth:`load_state` follows."""
-
-    def rebuild_data(self) -> None:
-        """Adopt the trainer's drifted shards (its built servers already swapped)."""
+    def rebuild(self) -> None:
+        """Re-derive what the engine takes from the trainer's topology, W and
+        shards at a round boundary; :meth:`load_state` follows."""
 
     def in_flight_edges(self) -> frozenset:
         """Directed edges with a delivered frame the receiver has not applied."""
@@ -455,37 +454,31 @@ class VectorizedEngine(Engine):
 
     def __init__(self, trainer: "SNAPTrainer"):
         self.trainer = trainer
-        topology = trainer.topology
-        model = trainer.model
-        self.n_nodes = topology.n_nodes
-        self.n_params = model.n_params
-
-        self._build_edge_structures()
-
+        self.n_nodes = trainer.topology.n_nodes
+        self.n_params = trainer.model.n_params
         self.scales = np.asarray(trainer._objective_scales, dtype=float)
-        self.prepared = model.prepare_shards(
-            [(shard.X, shard.y) for shard in trainer.shards]
-        )
-
-        self._allocate_state()
+        self.rebuild()
         # A fresh engine is a fresh fleet: every server and every view holds
         # x^0, no previous layer, every flag fresh.
         self._stack_current[:] = trainer.initial_params
-        self.previous_gradients = np.zeros((self.n_nodes, self.n_params))
-        self.has_previous = np.zeros(self.n_nodes, dtype=bool)
-        #: Whether each node's previous-layer views exist (advance_views has
-        #: run since the last recursion restart).
-        self.previous_views_valid = np.zeros(self.n_nodes, dtype=bool)
-        self.iterations = np.zeros(self.n_nodes, dtype=np.int64)
         self._adopt_held_states()
 
-    def _build_edge_structures(self) -> None:
-        """(Re)derive the directed-edge layout and mixing CSRs from the trainer.
+    def rebuild(self) -> None:
+        """Re-derive the edge layout, both mixing CSRs and the prepared shards
+        from the trainer, over zeroed state arrays that :meth:`load_state`
+        (or construction's ``x^0``) fills."""
+        self._build_edge_structures()
+        self.prepared = self.trainer.model.prepare_shards(
+            [(shard.X, shard.y) for shard in self.trainer.shards]
+        )
+        self._allocate_state()
 
-        Called at construction and again by :meth:`rebuild_topology` after an
-        adaptive swap; the iteration order (source ascending, neighbors
-        ascending) is the reference engine's flow order, so a rebuilt layout
-        reproduces the reference bit for bit on the pruned graph too.
+    def _build_edge_structures(self) -> None:
+        """Derive the directed-edge layout and mixing CSRs from the trainer.
+
+        The iteration order (source ascending, neighbors ascending) is the
+        reference engine's flow order, so a layout rebuilt after a swap
+        reproduces the reference bit for bit on the new graph too.
         """
         topology = self.trainer.topology
         self.edge_src, self.edge_dst = topology.directed_edges
@@ -516,7 +509,7 @@ class VectorizedEngine(Engine):
             self._robust_weights = self.trainer._server_weights()
 
     def _allocate_state(self) -> None:
-        """Allocate the edge-sized state stacks and scratch for ``n_edges``."""
+        """Allocate the state arrays and scratch for ``n_nodes`` and ``n_edges``."""
         d = self.n_params
         self._stack_current = np.zeros((self.n_nodes + self.n_edges, d))
         self._stack_previous = np.zeros((self.n_nodes + self.n_edges, d))
@@ -526,30 +519,14 @@ class VectorizedEngine(Engine):
         self.previous_views = self._stack_previous[self.n_nodes :]
         self.fresh = np.ones(self.n_edges, dtype=bool)
         self.previous_fresh = np.ones(self.n_edges, dtype=bool)
+        self.previous_gradients = np.zeros((self.n_nodes, d))
+        self.has_previous = np.zeros(self.n_nodes, dtype=bool)
+        #: Whether each node's previous-layer views exist (advance_views has
+        #: run since the last recursion restart).
+        self.previous_views_valid = np.zeros(self.n_nodes, dtype=bool)
+        self.iterations = np.zeros(self.n_nodes, dtype=np.int64)
         #: Persistent (N + E, d) scratch of the REWEIGHT substitution.
         self._subst_scratch: np.ndarray | None = None
-
-    def rebuild_topology(self) -> None:
-        """Rebuild the edge layout, both mixing CSRs and the ``(N + E, d)``
-        stacks for the trainer's swapped topology and weight matrix; the
-        trainer's :meth:`load_state` of the re-indexed state fills them."""
-        self._build_edge_structures()
-        self._allocate_state()
-
-    def rebuild_data(self) -> None:
-        """Adopt the trainer's swapped shards after a drift epoch boundary.
-
-        The prepared-shard cache is rebuilt for the new data and the arrays
-        restart the recursion as the trainer restarts any built server, so
-        the next round is bit-identical to the reference engine's post-swap
-        round; a built server is current again at the next write-back.
-        """
-        trainer = self.trainer
-        self.prepared = trainer.model.prepare_shards(
-            [(shard.X, shard.y) for shard in trainer.shards]
-        )
-        self.has_previous[:] = False
-        self.previous_views_valid[:] = False
 
     def _build_mixing(
         self, own_w: np.ndarray, edge_w: np.ndarray, w_tilde: bool

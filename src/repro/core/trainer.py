@@ -15,8 +15,8 @@ Every round:
 4. losses, consensus error and traffic are recorded, and the convergence
    detector decides whether to stop.
 
-Setting the selection policy to ``CHANGED_ONLY`` or ``DENSE`` turns the same
-loop into the paper's SNAP-0 and SNO comparison schemes.
+The compressor presets ``changed_only`` and ``dense`` turn the same loop
+into the paper's SNAP-0 and SNO comparison schemes.
 
 Steps 1-3 run in the configured engine. The per-edge *sender* of step 2 is
 written once, here: :meth:`SNAPTrainer.send_round`, to which the reference
@@ -579,7 +579,7 @@ class SNAPTrainer:
                         total_rounds=horizon,
                     )
                     if swap is not None:
-                        self._apply_topology_swap(swap)
+                        self.apply_swap(swap)
         finally:
             engine.sync_to_servers()
 
@@ -619,8 +619,9 @@ class SNAPTrainer:
 
     # -- adaptive topology -------------------------------------------------------
 
-    def _apply_topology_swap(self, swap) -> None:
-        """Switch the run onto a swap's (topology, W, spec): one re-index of the state.
+    def apply_swap(self, swap) -> None:
+        """Switch the run onto a swap's (topology, W, spec) between rounds:
+        the adaptive controller's, or the testbed's membership swap.
 
         1. The new W is validated — by the monitor's ``topology-swap`` check
            (step 6) when one is attached, else here — and refused if any
@@ -633,17 +634,15 @@ class SNAPTrainer:
         4. The staleness ages move through the same rows (added: 0).
         5. A knob swap rebuilds every compressor and clears the per-edge
            compressor state; a topology-only swap drops the pruned edges'.
-        6. The engine re-lays itself out and loads
-           :func:`~repro.core.engine.reindex_state` of the state; the
-           monitor re-validates.
+        6. The engine reloads the state moved through the rows
+           (:meth:`_reload`); the monitor re-validates.
         """
         if self.monitor is None:
             check_weight_matrix(swap.matrix, swap.topology)
         _refuse_stray_weights(
             *off_support(swap.matrix, swap.topology, STRAY_ATOL), "swapped weight row"
         )
-        engine = self.engine
-        state = engine.state()
+        state = self.engine.state()
         rows = self.topology.edge_rows(*swap.topology.directed_edges)
 
         self.topology = swap.topology
@@ -676,11 +675,18 @@ class SNAPTrainer:
             for source, destination in links[pruned].tolist():
                 del self._edge_states[(source, destination)]
 
-        engine.rebuild_topology()
-        engine.load_state(reindex_state(state, rows, *self.topology.directed_edges))
+        self._reload(state, rows)
         self._swapped = True
         if self.monitor is not None:
             self.monitor.on_topology_swap(swap)
+
+    def _reload(self, state, rows: np.ndarray) -> None:
+        """Rebuild the engine, then load ``state`` re-indexed by ``rows``
+        (:func:`~repro.core.engine.reindex_state`, which restarts EXTRA)."""
+        self.engine.rebuild()
+        self.engine.load_state(
+            reindex_state(state, rows, *self.topology.directed_edges)
+        )
 
     def _scheme_name(self) -> str:
         spec = self.compressor_spec
@@ -794,23 +800,24 @@ class SNAPTrainer:
         An epoch boundary is an EXTRA restart: the gradient-difference
         recursion straddling a data change is incoherent, so each server's
         current parameters become the new epoch's ``x^0`` (exactly the
-        Algorithm 1 stage-boundary semantics). Neighbor views and link
-        state survive — the network's knowledge didn't change, the data did.
+        Algorithm 1 stage-boundary semantics): a swap's :meth:`_reload`
+        with every edge in place. Neighbor views and link state survive —
+        the network's knowledge didn't change, the data did.
         """
         schedule = self.config.drift
         epoch = schedule.epoch(round_index)
         if epoch == self._drift_epoch:
             return
+        state = self.engine.state()
         self.shards = [
             schedule.shard(node, base, epoch)
             for node, base in enumerate(self._base_shards)
         ]
-        # The vectorized engine restarts its own arrays: no list is built here.
+        # The vectorized engine re-prepares in rebuild(): no list is built.
         for server, shard in zip(self._servers or (), self.shards):
             server.swap_data(shard.X, shard.y)
-            server.restart_recursion()
         self._drift_epoch = epoch
-        self.engine.rebuild_data()
+        self._reload(state, np.arange(state.src.size))
 
     def _advance_staleness(self, delivered) -> int:
         """Age every directed link; reset the delivered ones. Returns #stale.

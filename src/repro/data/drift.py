@@ -7,9 +7,11 @@ base shard to a per-epoch shard, with epochs advancing every ``period``
 trainer rounds.
 
 The trainer treats each epoch boundary as an EXTRA restart: it swaps every
-server's local dataset and clears the gradient-difference recursion (the
-``x^k`` / ``∇f(x^k)`` terms straddling a data change are incoherent), then
-re-ingests engine state. Shards are a pure function of
+server's local dataset, then reloads the run state through the same
+rebuild and re-index a topology swap uses, with every edge kept in place;
+the re-index clears the gradient-difference recursion (the ``x^k`` /
+``∇f(x^k)`` terms straddling a data change are incoherent). Shards are a
+pure function of
 ``(seed, node, epoch)``, so all three engines — and a checkpoint-resumed
 run — see the identical drift pattern, which keeps drifting runs inside the
 differential equivalence class.

@@ -13,10 +13,9 @@ without giving up the paper's decentralized training loop:
   inside a fixed slot universe so the consensus dimension never changes;
 * :class:`TrainingJob` / :class:`JobManager` — multi-job tenancy: many
   concurrent jobs share one fleet with isolated enrollment, shard maps,
-  topology controllers, and bytes budgets;
-* :class:`OrchestratedMembership` — the per-round bridge: joins and
-  leaves become warm-started (22)/(23) topology re-solves applied at
-  round boundaries (never an abort);
+  topology controllers, and bytes budgets; a job is the testbed's
+  ``membership``: joins and leaves become warm-started (22)/(23) topology
+  re-solves applied at round boundaries (never an abort);
 * :class:`OrchestratorService` / :class:`OrchestratorClient` — the stdlib
   HTTP API (register/heartbeat/leave/port/jobs) with a ``/metrics``
   endpoint exporting the columnar cost tracker and staleness counters;
@@ -41,7 +40,7 @@ from repro.orchestrator.heartbeat import (
     HeartbeatMonitor,
 )
 from repro.orchestrator.jobs import JobManager, JobState, TrainingJob
-from repro.orchestrator.membership import (
+from repro.orchestrator.membership import (  # noqa: F401 - see OrchestratedMembership
     MembershipDecision,
     OrchestratedMembership,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "HeartbeatSender",
     "SlotScheduler",
     "MembershipDecision",
-    "OrchestratedMembership",
     "TrainingJob",
     "JobManager",
     "JobState",

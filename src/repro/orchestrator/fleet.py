@@ -26,7 +26,6 @@ from repro.core.config import SNAPConfig, StragglerStrategy
 from repro.models.metrics import accuracy_score
 from repro.orchestrator.client import HeartbeatSender, OrchestratorClient
 from repro.orchestrator.jobs import JobManager
-from repro.orchestrator.membership import OrchestratedMembership
 from repro.orchestrator.service import OrchestratorService
 from repro.runtime.testbed import TestbedResult, TestbedRuntime
 from repro.simulation.experiments import Workload, credit_svm_workload
@@ -201,7 +200,7 @@ def run_elastic_fleet(
             workload.shards,
             workload.topology,
             config=config,
-            membership=OrchestratedMembership(job),
+            membership=job,
             round_deadline_s=round_deadline_s,
         )
         result = runtime.run(rounds)

@@ -12,8 +12,8 @@ registry view, shard assignment, and byte accounting are fully isolated.
 
 Membership changes never abort a run. They queue on the job and are
 drained at the next round boundary by :meth:`TrainingJob.decide`, which
-the runtime calls exactly once per round through the
-:class:`~repro.orchestrator.membership.OrchestratedMembership` bridge:
+the runtime calls exactly once per round: the job is the runtime's
+``membership`` (:meth:`TrainingJob.bind` attaches it):
 
 * a **leave** (graceful ``/leave`` or heartbeat eviction) frees the slot
   and forces its algorithmic links into the prune step (connectivity
@@ -161,7 +161,7 @@ class TrainingJob:
 
     # -- runtime binding ---------------------------------------------------
 
-    def bind_runtime(self, runtime) -> None:
+    def bind(self, runtime) -> None:
         """Attach the executing testbed runtime (called by its constructor).
 
         Reuses the trainer's topology controller, or builds one from the

@@ -1,12 +1,12 @@
-"""The membership bridge: orchestrator decisions → testbed round boundaries.
+"""The membership decision: orchestrator decisions → testbed round boundaries.
 
 :class:`~repro.runtime.testbed.TestbedRuntime` accepts a duck-typed
 ``membership`` object with two methods — ``bind(runtime)`` at construction
-and ``decide(round_index)`` once per round. This module provides the
-concrete decision record and the thin bridge that delegates both calls to
-a :class:`~repro.orchestrator.jobs.TrainingJob`, keeping the runtime free
-of any orchestrator import (the control plane depends on the runtime, not
-the other way around).
+and ``decide(round_index)`` once per round. A
+:class:`~repro.orchestrator.jobs.TrainingJob` is one; this module holds
+the decision record it returns, so the runtime imports nothing from the
+orchestrator (the control plane depends on the runtime, not the other way
+around).
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ class MembershipDecision:
     reason: str = "steady"
 
 
-class OrchestratedMembership:
-    """Adapter a :class:`TrainingJob` hands to ``TestbedRuntime``."""
-
-    def __init__(self, job):
-        self.job = job
-
-    def bind(self, runtime) -> None:
-        self.job.bind_runtime(runtime)
-
-    def decide(self, round_index: int) -> MembershipDecision:
-        return self.job.decide(round_index)
+def OrchestratedMembership(job):  # noqa: N802 - benchmarks/e2e/harness.py's name
+    """``job`` itself: a :class:`TrainingJob` is the testbed's membership."""
+    return job

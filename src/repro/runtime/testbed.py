@@ -366,8 +366,8 @@ class TestbedRuntime(Engine):
         Transport retry schedule for sends (defaults to a fast schedule
         suited to localhost).
     membership:
-        Optional elastic-membership source (duck-typed; in practice an
-        :class:`repro.orchestrator.OrchestratedMembership` bridge). Must
+        Optional elastic-membership source (duck-typed; in practice a
+        :class:`repro.orchestrator.TrainingJob`). Must
         provide ``bind(runtime)`` — called once at construction — and
         ``decide(round_index)`` returning an object with ``active``
         (the ids participating this round), ``swap`` (an optional
@@ -492,7 +492,7 @@ class TestbedRuntime(Engine):
                         "wired physical topology"
                     )
             if swap is not None:
-                self._trainer._apply_topology_swap(swap)
+                self._trainer.apply_swap(swap)
             inactive = self._all_ids - frozenset(decision.active)
         self._inactive = inactive
         self._offline = down | inactive
@@ -585,10 +585,11 @@ class TestbedRuntime(Engine):
         mean = np.mean if self.membership is None else np.nanmean
         return float(mean([node.loss_trace[-1] for node in self._live]))
 
-    def rebuild_topology(self) -> None:
-        """Adopt the trainer's swapped topology; nothing is dialed. A
-        re-added link is re-armed: pre-swap leftover frames are fenced out
-        (link epoch), and the peer's miss and death record is cleared."""
+    def rebuild(self) -> None:
+        """Adopt the trainer's topology; nothing is dialed. A re-added link
+        is re-armed: pre-swap leftover frames are fenced out (link epoch),
+        and the peer's miss and death record is cleared. A drift epoch
+        changes no link, so nothing is re-armed."""
         topology = self._trainer.topology
         round_index = self._trainer.rounds_completed + 1
         for node in self.nodes:

@@ -66,6 +66,7 @@ def run_scheme(
         ``compressor`` is replaced by the one ``scheme`` names
         (:data:`~repro.compression.spec.SCHEME_PRESETS`); any other
         compressor replaces APE selection, so it runs only with ``snap``.
+        A ``None`` seed takes ``workload.seed``; another seed is refused.
     stop_on_convergence:
         Stop at the detector's first fire (the paper's iteration counting).
     alpha:
@@ -139,7 +140,13 @@ def run_scheme(
                 f"compressor {compressor.label!r} replaces SNAP's APE "
                 f"selection, so it runs only with scheme 'snap', not {scheme!r}"
             )
+        if snap_config.seed not in (None, workload.seed):
+            raise ConfigurationError(
+                f"snap_config.seed={snap_config.seed} contradicts workload"
+                f".seed={workload.seed}; the workload's seed is the run's"
+            )
         overrides = {"compressor": preset} if compressor.is_preset else {}
+        overrides["seed"] = workload.seed
         if alpha is not None:
             overrides["alpha"] = alpha
         config = dataclasses.replace(snap_config, **overrides)

@@ -480,6 +480,6 @@ class TestSwappingRunsRefused:
             trainer.topology, trainer._weight_result, trainer.config
         )
         drop = controller.propose(3, reason="membership", drop_candidates=((0, 3),))
-        trainer._apply_topology_swap(drop)
+        trainer.apply_swap(drop)
         with pytest.raises(ConfigurationError, match="after a topology swap"):
             save_checkpoint(trainer, tmp_path / "after.npz")

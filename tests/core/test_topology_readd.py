@@ -2,7 +2,7 @@
 
 A link comes back only through the fleet's membership path: the
 controller's ``propose(add_candidates=...)`` applied with
-``_apply_topology_swap``, which these tests call by hand (a drop of chord
+``SNAPTrainer.apply_swap``, which these tests call by hand (a drop of chord
 ``(0, 3)`` and its re-add). What a swap does to the links it keeps and adds
 is checked here; a churn recovery re-solves on the pruned topology and adds
 nothing back. (The re-index of the run state itself is held by
@@ -107,13 +107,13 @@ def run_manual_drop_readd(trainer: SNAPTrainer):
         trainer.rounds_completed, reason="membership", drop_candidates=((0, 3),)
     )
     assert drop.pruned_edges == ((0, 3),)
-    trainer._apply_topology_swap(drop)
+    trainer.apply_swap(drop)
     trainer.run(max_rounds=3, stop_on_convergence=False)
     grow = controller.propose(
         trainer.rounds_completed, reason="membership", add_candidates=((0, 3),)
     )
     assert grow.added_edges == ((0, 3),)
-    trainer._apply_topology_swap(grow)
+    trainer.apply_swap(grow)
     return trainer.run(max_rounds=4, stop_on_convergence=False)
 
 
@@ -146,14 +146,14 @@ class TestManualSeededSwap:
         drop = controller.propose(
             5, reason="membership", drop_candidates=((0, 3),)
         )
-        trainer._apply_topology_swap(drop)
+        trainer.apply_swap(drop)
         assert 3 not in trainer.servers[0].views
 
         grow = controller.propose(
             6, reason="membership", add_candidates=((0, 3),)
         )
         assert grow.added_edges == ((0, 3),)
-        trainer._apply_topology_swap(grow)
+        trainer.apply_swap(grow)
         np.testing.assert_array_equal(
             trainer.servers[0].views[3], trainer.servers[3].params
         )
@@ -174,7 +174,7 @@ class TestStalenessAcrossSwaps:
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_ages_survive_the_prune_and_the_readd_swap(self, engine, monkeypatch):
         seen = []
-        apply = SNAPTrainer._apply_topology_swap
+        apply = SNAPTrainer.apply_swap
 
         def apply_with_planted_ages(trainer, swap):
             # Distinct nonzero ages, so a dropped or misplaced carry-over shows.
@@ -184,7 +184,7 @@ class TestStalenessAcrossSwaps:
             seen.append((swap, before, trainer.link_staleness))
 
         monkeypatch.setattr(
-            SNAPTrainer, "_apply_topology_swap", apply_with_planted_ages
+            SNAPTrainer, "apply_swap", apply_with_planted_ages
         )
         run_manual_drop_readd(manual_swap_trainer(engine))
         assert any(swap.pruned_edges for swap, _, _ in seen)

@@ -678,7 +678,7 @@ class TestDriftSwapsThePreparedShard:
     The reference engine's servers evaluate through a shard prepared once
     (design matrix and labels validated and kept); a shard swapped behind
     that copy would keep training on the old epoch's data while the
-    vectorized engine, which re-prepares in ``rebuild_data``, moved on.
+    vectorized engine, which re-prepares in ``Engine.rebuild``, moved on.
     """
 
     ROUNDS = 7

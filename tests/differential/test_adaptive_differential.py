@@ -18,6 +18,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import SNAPConfig, SNAPTrainer
+from repro.data import LabelShiftDrift
+from repro.results import TrainingResult
+from repro.runtime.testbed import TestbedRuntime
+from repro.simulation.experiments import credit_svm_workload
+from repro.testing import RunDigest, capture_run
 from repro.testing.differential import ENGINES, run_scenario
 from repro.testing.scenarios import Scenario
 
@@ -136,3 +142,52 @@ def test_generated_adaptive_scenarios_exist_and_pass():
     assert adaptive, "adaptive axis never fired in 60 draws"
     report = run_scenario(adaptive[0], invariants="strict")
     assert report.ok, report.detail
+
+
+def test_swap_then_drift_boundary_is_one_digest_everywhere():
+    """A topology swap right before a drift epoch: two reloads, one gap.
+
+    The controller re-solves after rounds 3, 6 and 9, each just before the
+    label shift starts an epoch (rounds 4, 7, 10); the re-solve after
+    round 3 prunes a link, so the next drift reload loads the state the
+    swap has just re-indexed. The reference, vectorized and
+    semi-synchronous engines and the TCP testbed must digest alike.
+    """
+    rounds = 12
+    workload = credit_svm_workload(n_servers=6, n_train=600, n_test=200, seed=0)
+    inputs = (workload.model, workload.shards, workload.topology)
+
+    def config(engine):
+        return SNAPConfig(
+            seed=0,
+            engine=engine,
+            drift=LabelShiftDrift(period=3, seed=4),
+            adaptive_topology=True,
+            topology_reoptimize_every=3,
+            invariants="strict",
+        )
+
+    digests, trainers = {}, {}
+    for engine in ENGINES:
+        trainer = SNAPTrainer(*inputs, config(engine))
+        digests[engine] = capture_run(trainer, max_rounds=rounds)
+        trainers[engine] = trainer
+
+    testbed = TestbedRuntime(*inputs, config=config("reference"))
+    records = []
+    testbed.trainer.add_round_observer(records.append)
+    testbed.run(rounds)
+    result = TrainingResult(
+        "testbed", records, None, testbed.trainer.mean_params(), 0, 0
+    )
+    digests["testbed"] = RunDigest.capture(testbed.trainer, result)
+    trainers["testbed"] = testbed.trainer
+
+    reference = digests["reference"]
+    for name, digest in digests.items():
+        assert digest == reference, f"{name}: {digest.diff(reference)}"
+    for name, trainer in trainers.items():
+        swaps = trainer._topology_controller.swaps
+        assert trainer._drift_epoch == 3, name
+        assert any(swap.pruned_edges for swap in swaps), name
+        assert trainer.monitor.checks["topology-swap"] == len(swaps), name

@@ -17,7 +17,6 @@ import pytest
 
 from repro.orchestrator import (
     JobManager,
-    OrchestratedMembership,
     default_fleet_config,
     run_elastic_fleet,
 )
@@ -155,7 +154,7 @@ class TestConcurrentJobs:
                 workload.shards,
                 workload.topology,
                 config=default_fleet_config(seed=seed),
-                membership=OrchestratedMembership(job),
+                membership=job,
                 round_deadline_s=5.0,
             )
 

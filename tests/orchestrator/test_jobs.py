@@ -142,32 +142,32 @@ class TestBinding:
     def test_bind_requires_matching_capacity(self, manager):
         job = manager.create_job("train", capacity=5)
         with pytest.raises(ConfigurationError, match="capacity"):
-            job.bind_runtime(FakeRuntime(ring(4)))
+            job.bind(FakeRuntime(ring(4)))
 
     def test_bind_requires_optimized_weights(self, manager):
         job = manager.create_job("train", capacity=4)
         runtime = FakeRuntime(ring(4))
         runtime.trainer._weight_result = None
         with pytest.raises(ConfigurationError, match="optimize_weights"):
-            job.bind_runtime(runtime)
+            job.bind(runtime)
 
     def test_double_bind_rejected(self, manager):
         job = manager.create_job("train", capacity=4)
-        job.bind_runtime(FakeRuntime(ring(4)))
+        job.bind(FakeRuntime(ring(4)))
         with pytest.raises(OrchestratorError, match="already bound"):
-            job.bind_runtime(FakeRuntime(ring(4)))
+            job.bind(FakeRuntime(ring(4)))
 
     def test_bind_publishes_enrolled_ports(self, manager):
         job = manager.create_job("train", capacity=4)
         device_ids = enroll_devices(manager, job, 2)
-        job.bind_runtime(FakeRuntime(ring(4), ports={0: 40001, 1: 40002}))
+        job.bind(FakeRuntime(ring(4), ports={0: 40001, 1: 40002}))
         assert job.state is JobState.BOUND
         assert manager.registry.get(device_ids[0]).port == 40001
         assert manager.registry.get(device_ids[1]).port == 40002
 
     def test_enroll_after_bind_hands_out_the_slot_port(self, manager):
         job = manager.create_job("train", capacity=4)
-        job.bind_runtime(FakeRuntime(ring(4), ports={0: 40001}))
+        job.bind(FakeRuntime(ring(4), ports={0: 40001}))
         response = manager.register_device("edge-0", job_id=job.job_id)
         assert response["assignment"]["port"] == 40001
         assert manager.registry.get(response["device_id"]).port == 40001
@@ -190,7 +190,7 @@ class TestDecisions:
         job = manager.create_job("train", capacity=capacity, **kwargs)
         device_ids = enroll_devices(manager, job, devices)
         runtime = FakeRuntime(complete(capacity))
-        job.bind_runtime(runtime)
+        job.bind(runtime)
         return job, device_ids, runtime
 
     def test_bring_up_idles_and_prunes_empty_slots(self, manager):

@@ -106,6 +106,24 @@ class TestRunScheme:
         with pytest.raises(ConfigurationError, match="optimize_weights"):
             run_scheme("snap", workload, optimize_weights=True, snap_config=config)
 
+    def test_snap_config_seed_defaults_to_the_workload_seed(self, workload):
+        """The per-edge generators of a random compressor draw from the
+        workload's seed when the config names none."""
+
+        def final_params(seed):
+            config = SNAPConfig(compressor="randomk:k=4", seed=seed)
+            return run_scheme(
+                "snap", workload, max_rounds=5, snap_config=config,
+                stop_on_convergence=False,
+            ).final_params
+
+        np.testing.assert_array_equal(final_params(None), final_params(workload.seed))
+
+    def test_snap_config_seed_contradicting_the_workload_is_refused(self, workload):
+        config = SNAPConfig(seed=workload.seed + 1, max_rounds=2)
+        with pytest.raises(ConfigurationError, match="seed"):
+            run_scheme("snap", workload, snap_config=config)
+
     @pytest.mark.parametrize("scheme", ["snap0", "sno"])
     def test_non_preset_compressor_runs_only_with_snap(self, workload, scheme):
         config = SNAPConfig(compressor="topk:k=4", max_rounds=2)
