@@ -32,7 +32,6 @@ SPECS = (
     "randomk:k=16",
     "uniform:bits=4",
     "terngrad",
-    "ef:topk:k=16",
 )
 
 N_SERVERS = 12

@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         help="update compressor spec replacing SNAP's APE selection, e.g. "
-        "'topk:k=32', 'ef:uniform:bits=4', 'terngrad' (--scheme snap only)",
+        "'topk:k=32', 'uniform:bits=4', 'terngrad' (--scheme snap only)",
     )
     run.add_argument(
         "--compressor-arg",

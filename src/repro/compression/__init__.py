@@ -21,7 +21,6 @@ from repro.compression.base import (
 )
 from repro.compression.spec import PRESET_KINDS, CompressorSpec, build_compressor
 from repro.compression.ape import APECompressor
-from repro.compression.error_feedback import ErrorFeedback
 from repro.compression.quantize import (
     TernGradCompressor,
     UniformQuantizer,
@@ -34,7 +33,6 @@ __all__ = [
     "Compressor",
     "CompressorSpec",
     "EdgeState",
-    "ErrorFeedback",
     "PRESET_KINDS",
     "Payload",
     "RandomKCompressor",

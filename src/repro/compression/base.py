@@ -9,8 +9,6 @@ run any of them through a single code path with honest byte accounting:
   APE threshold, for example) from the node's current parameters;
 * :meth:`Compressor.compress` turns ``(current, reference)`` for one
   directed edge into a sparse :class:`Payload` of (indices, values, meta);
-* :meth:`Compressor.payload_delivered` / :meth:`Compressor.payload_dropped`
-  observe the channel's verdict (residual bookkeeping lives here);
 * :meth:`Compressor.end_round` folds round statistics back into persistent
   state and reports whether the optimizer should restart its recursion
   (Algorithm 1's stage boundary).
@@ -20,13 +18,12 @@ The receiver and the sizer are not hooks: a delivered frame is overlaid by
 :meth:`PayloadBatch.deliver` (per round), and every frame is sized by
 :func:`~repro.network.frames.encoded_update_bytes`.
 
-The vectorized engine runs the same protocol a round at a time, four calls
+The vectorized engine runs the same protocol a round at a time, three calls
 on one instance: :meth:`Compressor.begin_round_batch` opens the round for
 every active node, :meth:`Compressor.compress_batch` returns every eligible
-edge's payload as one columnar :class:`PayloadBatch`,
-:meth:`Compressor.settle_batch` reports the channel's verdicts for all of
-them and :meth:`Compressor.end_round_batch` closes the round and names the
-nodes that restart their recursion. ``batched`` compressors implement these
+edge's payload as one columnar :class:`PayloadBatch`, and
+:meth:`Compressor.end_round_batch` closes the round and names the nodes
+that restart their recursion. ``batched`` compressors implement these
 as array kernels; for the rest the base class adapts the per-node and
 per-edge methods into the same calls, so the engine has one round.
 
@@ -37,15 +34,15 @@ always compress the drift ``current - reference``, and the reference only
 advances on *confirmed delivery*. Anything not transmitted this round
 (suppressed, dropped by the link, or lost to quantization) therefore stays
 in the drift and is re-offered next round — which is precisely error
-feedback: the residual ``current - reference`` IS the error-feedback
-accumulator. SNAP's APE machinery is the special case that additionally
-tracks a scalar budget on the suppressed drift (see
-``docs/COMPRESSION.md``).
+feedback: the drift ``current - reference`` IS the error-feedback
+accumulator, so no scheme keeps one of its own. SNAP's APE machinery is
+the special case that additionally tracks a scalar budget on the
+suppressed drift (see ``docs/COMPRESSION.md``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -65,13 +62,7 @@ class EdgeState:
         The directed edge this state belongs to.
     reference:
         What the destination currently holds for the source (set by the
-        engine before every :meth:`Compressor.compress` call; points at the
-        live link-state array so delivery hooks observe its post-outcome
-        value).
-    residual:
-        Explicit error-feedback accumulator (``ErrorFeedback`` wrapper only;
-        ``None`` otherwise — plain reference tracking carries the residual
-        implicitly).
+        engine before every :meth:`Compressor.compress` call).
     rng:
         Per-edge random generator for stochastic compressors, keyed by
         ``(seed, source, destination)`` so results are independent of the
@@ -83,11 +74,7 @@ class EdgeState:
     source: int
     destination: int
     reference: np.ndarray | None = None
-    residual: np.ndarray | None = None
     rng: np.random.Generator | None = None
-    #: Scratch for data produced at compress time and consumed by the
-    #: delivered/dropped hook of the same round (e.g. the uncompressed drift).
-    pending: dict = field(default_factory=dict)
 
 
 class Payload(NamedTuple):
@@ -292,15 +279,12 @@ class Compressor:
       per-edge generator.
     * ``batched`` — :meth:`compress_batch` is an array kernel that is
       bit-for-bit identical to per-edge :meth:`compress` calls (asserted by
-      the engine-parity tests) and reads no ``states``; the outcome arrives
-      through :meth:`settle_batch`, never the per-edge hooks, and the round
+      the engine-parity tests) and reads no ``states``, and the round
       opens and closes through :meth:`begin_round_batch` /
       :meth:`end_round_batch`, never the per-node ones (a batched scheme
       with per-node round state overrides both, as APE does). The
-      vectorized engine routes all edges through one instance.
-    * ``keeps_edge_state`` — the scheme needs one :class:`EdgeState` per
-      directed edge (a generator, a materialized residual, or simply the
-      per-edge adapters); where false the vectorized engine creates none.
+      vectorized engine routes all edges through one instance, and
+      creates no :class:`EdgeState` for it.
     """
 
     #: Human-readable label; the builder overrides it with the full spec
@@ -310,18 +294,10 @@ class Compressor:
     uses_rng: bool = False
     batched: bool = False
 
-    @property
-    def keeps_edge_state(self) -> bool:
-        return not self.batched
-
     # -- state ------------------------------------------------------------------
 
     def make_edge_state(
-        self,
-        n_params: int,
-        source: int,
-        destination: int,
-        seed: int | None,
+        self, source: int, destination: int, seed: int | None
     ) -> EdgeState:
         """Create the persistent state for one directed edge."""
         state = EdgeState(source=int(source), destination=int(destination))
@@ -377,39 +353,6 @@ class Compressor:
             state.reference = references[row]
             payloads.append(self.compress(currents[row], state, ctxs[row]))
         return PayloadBatch.from_payloads(payloads)
-
-    def settle_batch(
-        self,
-        batch: PayloadBatch,
-        delivered: np.ndarray,
-        currents: np.ndarray,
-        references: np.ndarray,
-        states,
-    ) -> np.ndarray | None:
-        """Report the channel's verdict on every row of ``batch``.
-
-        ``delivered`` is the per-row outcome mask and ``references`` the
-        rows' post-outcome references (advanced where delivered). Returns
-        the rows' error-feedback residuals for the caller to store, or
-        ``None`` when the scheme materializes none. ``batched`` schemes
-        keep no per-edge outcome state unless they override this; for the
-        rest this default calls the per-edge hooks, which update
-        ``states`` themselves.
-        """
-        if not self.batched:
-            for row, state in enumerate(states):
-                state.reference = references[row]
-                if delivered[row]:
-                    self.payload_delivered(batch[row], state)
-                else:
-                    self.payload_dropped(batch[row], state)
-        return None
-
-    def payload_delivered(self, payload: Payload, state: EdgeState) -> None:
-        """Hook: the channel confirmed delivery (reference already advanced)."""
-
-    def payload_dropped(self, payload: Payload, state: EdgeState) -> None:
-        """Hook: the payload never reached the receiver (link down/corrupt)."""
 
     def end_round(self, ctx: dict) -> bool:
         """Fold round statistics into state; ``True`` requests an optimizer

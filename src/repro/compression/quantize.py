@@ -11,7 +11,7 @@ bit for bit.
 
 Reconstruction error (the gap between the drift and its dequantized level)
 is never lost: the reference only advances to the *reconstructed* values,
-so the residual error stays in the next round's drift. That is error
+so the reconstruction error stays in the next round's drift. That is error
 feedback by construction — no separate accumulator needed.
 """
 

@@ -7,13 +7,11 @@ tag), and parseable from one CLI token::
 
     ape                    changed_only              dense
     topk:k=32              randomk:k=8               uniform:bits=6
-    terngrad               ef:topk:k=32              ef:uniform
+    terngrad
 
-Grammar: ``[ef:]kind[:key=value,...]``. The three *preset* kinds (``ape``,
+Grammar: ``kind[:key=value,...]``. The three *preset* kinds (``ape``,
 ``changed_only``, ``dense``) are the paper's SNAP / SNAP-0 / SNO policies
-and take no parameters; wrapping them in ``ef:`` is rejected because their
-reference tracking already performs error feedback (the wrapper would be a
-misleading no-op — see ``docs/COMPRESSION.md``).
+and take no parameters.
 """
 
 from __future__ import annotations
@@ -67,13 +65,10 @@ class CompressorSpec:
     params:
         Canonicalized ``(name, value)`` pairs — every schema parameter
         present, in schema order, defaults filled in.
-    error_feedback:
-        Wrap the scheme in :class:`~repro.compression.ErrorFeedback`.
     """
 
     kind: str
     params: tuple = field(default=())
-    error_feedback: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in _SCHEMAS:
@@ -94,12 +89,6 @@ class CompressorSpec:
             (name, given.get(name, default)) for name, default in schema.items()
         )
         object.__setattr__(self, "params", canonical)
-        if self.error_feedback and self.is_preset:
-            raise ConfigurationError(
-                f"error feedback cannot wrap the {self.kind!r} preset: its "
-                "reference tracking already performs error feedback (the "
-                "residual current - last_sent is re-offered every round)"
-            )
 
     # -- derived views -----------------------------------------------------------
 
@@ -113,14 +102,12 @@ class CompressorSpec:
         """Canonical printable form; also the stage/checkpoint identity."""
         if self.params:
             rendered = ",".join(f"{name}={value}" for name, value in self.params)
-            base = f"{self.kind}({rendered})"
-        else:
-            base = self.kind
-        return f"ef({base})" if self.error_feedback else base
+            return f"{self.kind}({rendered})"
+        return self.kind
 
     @property
     def spec_string(self) -> str:
-        """This spec back in the parse grammar: ``[ef:]kind[:key=value,...]``.
+        """This spec back in the parse grammar: ``kind[:key=value,...]``.
 
         The exact inverse of :meth:`parse` on canonical specs:
         ``CompressorSpec.parse(spec.spec_string) == spec`` always holds
@@ -130,7 +117,7 @@ class CompressorSpec:
         text = self.kind
         if self.params:
             text += ":" + ",".join(f"{name}={value}" for name, value in self.params)
-        return f"ef:{text}" if self.error_feedback else text
+        return text
 
     def params_dict(self) -> dict:
         return dict(self.params)
@@ -144,30 +131,29 @@ class CompressorSpec:
         if isinstance(value, str):
             value = _coerce(value)
         merged = {**dict(self.params), name: value}
-        return CompressorSpec(
-            kind=self.kind,
-            params=tuple(merged.items()),
-            error_feedback=self.error_feedback,
-        )
+        return CompressorSpec(kind=self.kind, params=tuple(merged.items()))
 
     # -- construction ------------------------------------------------------------
 
     @classmethod
     def parse(cls, text: str) -> "CompressorSpec":
-        """Parse the CLI grammar ``[ef:]kind[:key=value,...]``."""
+        """Parse the CLI grammar ``kind[:key=value,...]``."""
         if not isinstance(text, str) or not text.strip():
             raise ConfigurationError(
                 f"compressor spec must be a non-empty string, got {text!r}"
             )
         pieces = text.strip().split(":")
-        error_feedback = False
-        if pieces and pieces[0] == "ef":
-            error_feedback = True
+        # The retired error-feedback prefix: reference tracking already is
+        # error feedback, so ``ef:X`` parses as ``X``. Its one caller is the
+        # frozen ``ef:topk:k=16`` of benchmarks/e2e/workloads.py; ROADMAP
+        # item 2(h) deletes this alias when it respells that workload.
+        alias = pieces[0] == "ef"
+        if alias:
             pieces = pieces[1:]
         if not pieces or not pieces[0]:
             raise ConfigurationError(
                 f"compressor spec {text!r} names no kind (grammar: "
-                "[ef:]kind[:key=value,...])"
+                "kind[:key=value,...])"
             )
         kind, *arg_groups = pieces
         params: dict = {}
@@ -182,9 +168,14 @@ class CompressorSpec:
                     )
                 name, _, raw = item.partition("=")
                 params[name.strip()] = _coerce(raw.strip())
-        return cls(
-            kind=kind, params=tuple(params.items()), error_feedback=error_feedback
-        )
+        spec = cls(kind=kind, params=tuple(params.items()))
+        if alias and spec.is_preset:
+            raise ConfigurationError(
+                f"error feedback cannot wrap the {kind!r} preset: its "
+                "reference tracking already performs error feedback (the "
+                "residual current - last_sent is re-offered every round)"
+            )
+        return spec
 
     @staticmethod
     def normalize(value) -> "CompressorSpec":
@@ -207,7 +198,6 @@ def build_compressor(spec: CompressorSpec, schedule=None):
     carry the full parameterization.
     """
     from repro.compression.ape import APECompressor
-    from repro.compression.error_feedback import ErrorFeedback
     from repro.compression.quantize import TernGradCompressor, UniformQuantizer
     from repro.compression.sparsify import RandomKCompressor, TopKCompressor
 
@@ -226,7 +216,5 @@ def build_compressor(spec: CompressorSpec, schedule=None):
         compressor = UniformQuantizer(**params)
     else:
         compressor = TernGradCompressor()
-    if spec.error_feedback:
-        compressor = ErrorFeedback(compressor)
     compressor.name = spec.label
     return compressor

@@ -571,13 +571,6 @@ class SemiSyncEngine(Engine):
         """
         return {edge for edge, count in self._outstanding.items() if count > 0}
 
-    def lagging_nodes(self) -> set[int]:
-        """Servers running behind the fleet's current round."""
-        frontier = max((node.completed for node in self._nodes), default=0)
-        return {
-            node.node_id for node in self._nodes if node.completed < frontier
-        }
-
     def semi_sync_invariants(self) -> dict:
         """The quantities the InvariantMonitor's semi-sync check asserts.
 

@@ -4,7 +4,7 @@ Edge deployments run for a long time and servers restart; a checkpoint
 captures every piece of *optimization* state — the engine's run state
 (:class:`~repro.core.engine.EngineState`: per-server iterates, the EXTRA
 recursion memory, both layers of cached neighbor views with their freshness
-flags, per-neighbor link state, error-feedback residuals), the APE
+flags, per-neighbor link state), the APE
 schedules, the compressor RNG streams and the per-link staleness ages — so
 a restored run continues bit-for-bit identically to an uninterrupted one,
 round records included (verified by ``tests/core/test_checkpoint.py``).
@@ -24,7 +24,8 @@ Format version 2: a single ``.npz`` file holding each state column under
 ``state/<column>``, the staleness ages under ``staleness``, and scalars in
 a JSON blob under ``__meta__``. Writing reads ``engine.state()`` and builds
 no server; reading loads the columns with ``engine.load_state``. Version 1
-files (five keys per server) are refused.
+files (five keys per server) are refused, and so are version 2 files that
+carry the error-feedback residual columns this format no longer has.
 """
 
 from __future__ import annotations
@@ -57,11 +58,7 @@ def save_checkpoint(trainer, path: str | Path) -> Path:
             "(the swapped topology, W and step size are not stored)"
         )
     snapshot = trainer.engine.state()  # current mid-run (a round observer) too
-    arrays = {
-        f"state/{name}": column
-        for name, column in vars(snapshot).items()
-        if column is not None
-    }
+    arrays = {f"state/{name}": column for name, column in vars(snapshot).items()}
     arrays["staleness"] = trainer._staleness
     meta: dict = {
         "version": CHECKPOINT_VERSION,
@@ -118,16 +115,27 @@ def restore_checkpoint(trainer, path: str | Path) -> None:
                 f"checkpoint version {meta.get('version')} unsupported "
                 f"(expected {CHECKPOINT_VERSION})"
             )
+        names = {column.name for column in dataclasses.fields(EngineState)}
+        stored = {
+            key.removeprefix("state/") for key in archive if key.startswith("state/")
+        }
+        if stored != names:
+            # Only error-feedback runs wrote the two residual columns, which
+            # the format dropped: reference tracking already is EF.
+            extra = ", ".join(f"state/{name}" for name in sorted(stored - names))
+            missing = ", ".join(f"state/{name}" for name in sorted(names - stored))
+            raise ConfigurationError(
+                f"{path} does not hold this format's state columns (extra: "
+                f"{extra or 'none'}; missing: {missing or 'none'}); "
+                "error-feedback residuals are no longer stored"
+            )
         expected = trainer.compressor_spec.label
         if meta["compressor"] != expected:
             raise ConfigurationError(
                 f"checkpoint was taken from a {meta['compressor']!r} run but the "
                 f"trainer is configured for {expected!r}"
             )
-        columns = dataclasses.fields(EngineState)
-        snapshot = EngineState(
-            **{column.name: archive.get(f"state/{column.name}") for column in columns}
-        )
+        snapshot = EngineState(**{name: archive[f"state/{name}"] for name in names})
         ages = archive["staleness"]
     n_nodes, n_params = snapshot.params.shape
     topology = trainer.topology
@@ -160,10 +168,6 @@ def restore_checkpoint(trainer, path: str | Path) -> None:
         # restart this makes is overwritten by load_state below.
         trainer._maybe_apply_drift(trainer.rounds_completed)
     trainer._edge_states.clear()
-    if snapshot.residuals is not None:
-        for e in np.flatnonzero(snapshot.has_residual).tolist():
-            state = trainer._edge_state(int(snapshot.src[e]), int(snapshot.dst[e]))
-            state.residual = snapshot.residuals[e].copy()
     for edge_key, rng_state in meta.get("edge_rng", {}).items():
         source, _, destination = edge_key.partition(",")
         state = trainer._edge_state(int(source), int(destination))

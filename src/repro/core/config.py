@@ -70,7 +70,7 @@ class SNAPConfig:
         the presets ``"ape"`` (SNAP, Algorithm 1's threshold; the default),
         ``"changed_only"`` (SNAP-0, threshold zero) and ``"dense"`` (SNO,
         the whole vector every round); anything else (``"topk:k=32"``,
-        ``"ef:uniform:bits=6"``, ...) is a compressor of
+        ``"uniform:bits=6"``, ...) is a compressor of
         :mod:`repro.compression`.
     optimize_weights:
         Run the Section IV-B weight-matrix optimization; ``False`` uses the
@@ -189,8 +189,8 @@ class SNAPConfig:
         end-of-run traffic stays inside the budget — the joint
         (topology, compressor) controller of ``docs/TOPOLOGY.md``. Requires
         ``adaptive_topology=True`` and a ``compressor`` of one of those
-        kinds (``ef:`` wrapped or not); anything else has no knob to step,
-        so the budget is refused rather than silently ignored.
+        kinds; anything else has no knob to step, so the budget is refused
+        rather than silently ignored.
     robust_aggregation:
         Optional byzantine-resilient neighbor mixing: a
         :class:`~repro.core.robust.RobustAggregationSpec` or a spec string

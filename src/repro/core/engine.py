@@ -54,8 +54,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import is_not
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -108,11 +107,10 @@ class EngineState:
     ``src[e]``, ``last_sent[e]`` what ``src[e]`` believes that is,
     ``fresh[e]`` whether it arrived this round, ``previous_views[e]`` and
     ``previous_fresh[e]`` the same one layer back (where
-    ``has_previous_views[dst[e]]``), ``residuals[e]`` the error-feedback
-    residual where ``has_residual[e]`` (both ``None`` when no edge holds
-    one). On the vectorized engine the columns view its own arrays and
-    ``last_sent`` *is* ``views`` (PERFORMANCE.md identity 1); the per-edge
-    engines gather copies from their servers (:func:`gather_state`).
+    ``has_previous_views[dst[e]]``). On the vectorized engine the columns
+    view its own arrays and ``last_sent`` *is* ``views`` (PERFORMANCE.md
+    identity 1); the per-edge engines gather copies from their servers
+    (:func:`gather_state`).
     """
 
     params: np.ndarray
@@ -128,15 +126,12 @@ class EngineState:
     fresh: np.ndarray
     previous_views: np.ndarray
     previous_fresh: np.ndarray
-    residuals: np.ndarray | None
-    has_residual: np.ndarray | None
 
     def __post_init__(self) -> None:
         for name, array in list(vars(self).items()):
-            if array is not None:
-                view = array.view()
-                view.flags.writeable = False
-                object.__setattr__(self, name, view)
+            view = array.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
 
 def edge_blocks(src: np.ndarray, dst: np.ndarray, n_nodes: int):
@@ -150,13 +145,12 @@ def edge_blocks(src: np.ndarray, dst: np.ndarray, n_nodes: int):
     return blocks, reverse
 
 
-def gather_state(servers, src, dst, edge_states) -> EngineState:
+def gather_state(servers, src, dst) -> EngineState:
     """The run state of ``servers`` over the directed edges ``(src, dst)``.
 
     Each edge's two ends are read from its two servers, so the per-edge
     engines stay honest oracles; node by node, by C-level maps, so no Python
-    line runs per edge. ``edge_states`` fills the residual columns (``None``
-    leaves them out).
+    line runs per edge.
     """
     params = np.stack([server.params for server in servers])
     n_nodes, d = params.shape
@@ -178,14 +172,6 @@ def gather_state(servers, src, dst, edge_states) -> EngineState:
 
     previous = [server.previous_params for server in servers]
     gradients = [server._previous_gradient for server in servers]
-    residuals = has_residual = None
-    if edge_states:
-        found = map(edge_states.get, zip(src.tolist(), neighbors))
-        held = list(map(getattr, found, repeat("residual"), repeat(None)))
-        mask = np.fromiter(map(is_not, held, repeat(None)), dtype=bool, count=len(held))
-        if mask.any():
-            residuals, has_residual = np.zeros((mask.size, d)), mask
-            residuals[mask] = rows(list(compress(held, mask)))
     return EngineState(
         params=params,
         previous_params=rows([zero if p is None else p for p in previous]),
@@ -202,8 +188,6 @@ def gather_state(servers, src, dst, edge_states) -> EngineState:
         fresh=np.asarray(fresh, dtype=bool)[reverse],
         previous_views=rows(previous_views)[reverse],
         previous_fresh=np.asarray(previous_fresh, dtype=bool)[reverse],
-        residuals=residuals,
-        has_residual=has_residual,
     )
 
 
@@ -212,7 +196,7 @@ def scatter_state(state: EngineState, servers) -> None:
 
     Node by node: one copy of each column is handed out as rows, so every
     server array is its own memory, shared with no engine stack, no state
-    column and no other server array. Residuals stay on the edge states.
+    column and no other server array.
     """
     blocks, reverse = edge_blocks(state.src, state.dst, len(servers))
     neighbors = state.dst.tolist()
@@ -262,16 +246,12 @@ def reindex_state(state: EngineState, rows: np.ndarray, src, dst) -> EngineState
 
     A surviving edge carries every per-edge column through ``rows``
     (:func:`carry_rows`); an added edge starts as at round zero, with
-    ``views = last_sent = params[src]``, fresh and no residual. Every node
-    restarts EXTRA: its two-term memory was built under the old ``W`` (or,
-    with the identity ``rows`` of a drift epoch, the old shards).
+    ``views = last_sent = params[src]`` and fresh. Every node restarts
+    EXTRA: its two-term memory was built under the old ``W`` (or, with the
+    identity ``rows`` of a drift epoch, the old shards).
     """
     seeds = state.params[src[rows < 0]]
     restarted = np.zeros(state.params.shape[0], dtype=bool)
-    residuals = has_residual = None
-    if state.residuals is not None:
-        residuals = carry_rows(state.residuals, rows, 0.0)
-        has_residual = carry_rows(state.has_residual, rows, False)
     return EngineState(
         params=state.params,
         previous_params=state.previous_params,
@@ -286,8 +266,6 @@ def reindex_state(state: EngineState, rows: np.ndarray, src, dst) -> EngineState
         fresh=carry_rows(state.fresh, rows, True),
         previous_views=carry_rows(state.previous_views, rows, 0.0),
         previous_fresh=carry_rows(state.previous_fresh, rows, True),
-        residuals=residuals,
-        has_residual=has_residual,
     )
 
 
@@ -323,10 +301,6 @@ class Engine:
         """Directed edges with a delivered frame the receiver has not applied."""
         return frozenset()
 
-    def lagging_nodes(self) -> frozenset:
-        """Servers running behind the fleet's current round."""
-        return frozenset()
-
     def timing_summary(self) -> dict | None:
         """A virtual-clock report for ``TrainingResult.info``, if one is kept."""
         return None
@@ -347,13 +321,12 @@ class Engine:
 
     def state(self) -> EngineState:
         """The run state as columns, gathered from the server objects."""
-        trainer = self.trainer
         return gather_state(
-            trainer.servers, *trainer.topology.directed_edges, trainer._edge_states
+            self.trainer.servers, *self.trainer.topology.directed_edges
         )
 
     def load_state(self, state: EngineState) -> None:
-        """Overwrite the run state with ``state``; the caller restores the residuals."""
+        """Overwrite the run state with ``state``."""
         scatter_state(state, self.trainer.servers)
 
 
@@ -461,7 +434,7 @@ class VectorizedEngine(Engine):
         # A fresh engine is a fresh fleet: every server and every view holds
         # x^0, no previous layer, every flag fresh.
         self._stack_current[:] = trainer.initial_params
-        self._adopt_held_states()
+        self._forget_edge_states()
 
     def rebuild(self) -> None:
         """Re-derive the edge layout, both mixing CSRs and the prepared shards
@@ -563,44 +536,32 @@ class VectorizedEngine(Engine):
     # -- run boundaries ---------------------------------------------------------
 
     def begin_run(self) -> None:
-        """Load what the trainer's servers hold if built; adopt its edge states.
+        """Load what the trainer's servers hold if built; forget the edge states.
 
         With no server built the arrays are the only state, so there is
-        nothing to ingest; residuals come with the adopted edge states.
+        nothing to ingest.
         """
         servers = self.trainer._servers
         if servers is None:
-            self._adopt_held_states()
+            self._forget_edge_states()
         else:
-            self.load_state(gather_state(servers, self.edge_src, self.edge_dst, None))
+            self.load_state(gather_state(servers, self.edge_src, self.edge_dst))
 
     def load_state(self, state: EngineState) -> None:
-        """Copy ``state``'s columns into the arrays, then sync any built servers.
-
-        Residuals excepted: they come with the adopted edge states.
-        """
+        """Copy ``state``'s columns into the arrays, then sync any built servers."""
         for name, array in self._columns().items():
             array[...] = getattr(state, name)
-        self._adopt_held_states()
+        self._forget_edge_states()
         self.sync_to_servers()
 
-    def _adopt_held_states(self) -> None:
-        """Drop the edge rows' ties to compressor states, then adopt every held one.
+    def _forget_edge_states(self) -> None:
+        """Drop the edge rows' ties to compressor states.
 
         Whatever replaced or restored ``trainer._edge_states`` meanwhile is
-        what gets picked up (with the residuals :meth:`state` must see); a
-        state made later is adopted on its edge's first eligible round.
+        picked up on each edge's next eligible round.
         """
         self._state_rows = np.full(self.n_edges, None, dtype=object)
         self._state_adopted = np.zeros(self.n_edges, dtype=bool)
-        #: (E, d) error-feedback residuals, one row per directed edge;
-        #: allocated when the first adopted state carries a residual.
-        self._residuals: np.ndarray | None = None
-        states = self.trainer._edge_states
-        if states:
-            keys = zip(self.edge_src.tolist(), self.edge_dst.tolist())
-            held = np.fromiter(map(states.__contains__, keys), dtype=bool)
-            self._adopt_edge_states(np.flatnonzero(held))
 
     def sync_to_servers(self) -> None:
         """Write the arrays back onto the servers if built (a first read fills them)."""
@@ -756,24 +717,11 @@ class VectorizedEngine(Engine):
         return self.views if edges.size == self.n_edges else self.views[edges]
 
     def _adopt_edge_states(self, edges: np.ndarray) -> np.ndarray:
-        """The trainer's compressor states of ``edges`` (created on first use).
-
-        A newly adopted state is tied to its edge row: ``reference`` becomes
-        the live view row and a materialized ``residual`` moves into
-        :attr:`_residuals`, so the round can update either for every edge
-        with one array write.
-        """
+        """The trainer's compressor states of ``edges`` (created on first use)."""
         for e in edges[~self._state_adopted[edges]].tolist():
-            state = self.trainer._edge_state(
+            self._state_rows[e] = self.trainer._edge_state(
                 int(self.edge_src[e]), int(self.edge_dst[e])
             )
-            state.reference = self.views[e]
-            if state.residual is not None:
-                if self._residuals is None:
-                    self._residuals = np.zeros((self.n_edges, self.n_params))
-                self._residuals[e] = state.residual
-                state.residual = self._residuals[e]
-            self._state_rows[e] = state
             self._state_adopted[e] = True
         return self._state_rows[edges]
 
@@ -788,13 +736,12 @@ class VectorizedEngine(Engine):
         same per-edge operands (a transmitted parameter row and the live
         view row for that directed edge), same outcome ordering — so every
         compressor inherits bit-for-bit engine parity.
-        The round is four calls on one compressor: ``begin_round_batch``
-        for the active nodes, one ``compress_batch`` / ``settle_batch``
-        pair over all eligible edges on a columnar
-        :class:`~repro.compression.base.PayloadBatch`, and
+        The round is three calls on one compressor: ``begin_round_batch``
+        for the active nodes, one ``compress_batch`` over all eligible edges
+        into a columnar :class:`~repro.compression.base.PayloadBatch`, and
         ``end_round_batch``; sizing, delivery and the outcome are array
         operations on the batch. ``batched`` compressors (the paper's three
-        policies among them) implement the four as array kernels; for the
+        policies among them) implement the three as array kernels; for the
         rest the base-class adapters fill the batch node by node and edge
         by edge.
         """
@@ -818,11 +765,7 @@ class VectorizedEngine(Engine):
         if elig_idx.size:
             sources = self.edge_src[elig_idx]
             currents = tx[sources]
-            states = (
-                self._adopt_edge_states(elig_idx)
-                if compressor.keeps_edge_state
-                else None
-            )
+            states = None if compressor.batched else self._adopt_edge_states(elig_idx)
             batch = compressor.compress_batch(
                 currents, self._view_rows(elig_idx), states, ctxs[sources]
             )
@@ -852,17 +795,8 @@ class VectorizedEngine(Engine):
 
         delivered_idx = np.flatnonzero(delivered_mask)
         if elig_idx.size:
-            outcome = delivered_mask[elig_idx]
-            batch.deliver(self.views, elig_idx, outcome)
+            batch.deliver(self.views, elig_idx, delivered_mask[elig_idx])
             self.fresh[delivered_idx] = True
-            # The outcome observes the post-round references (the live view
-            # rows, advanced by the delivery writes above), matching the
-            # reference engine's mark_delivered-then-hook ordering.
-            residuals = compressor.settle_batch(
-                batch, outcome, currents, self._view_rows(elig_idx), states
-            )
-            if residuals is not None:
-                self._residuals[elig_idx] = residuals
         params_sent = int(n_sent[delivered_idx].sum())
         delivered = DeliveredEdges(
             self.edge_src[delivered_idx], self.edge_dst[delivered_idx]
@@ -884,19 +818,12 @@ class VectorizedEngine(Engine):
         return float(np.mean(self.scales * losses))
 
     def state(self) -> EngineState:
-        """Views of the engine's own arrays, no copy; ``last_sent`` is ``views``.
-
-        Every held state is adopted (:meth:`_adopt_held_states`); an error-feedback
-        compressor gives each one a residual: adopted edges hold the rows.
-        """
-        residual = self._residuals is not None
+        """Views of the engine's own arrays, no copy; ``last_sent`` is ``views``."""
         return EngineState(
             **self._columns(),
             src=self.edge_src,
             dst=self.edge_dst,
             last_sent=self.views,
-            residuals=self._residuals,
-            has_residual=self._state_adopted if residual else None,
         )
 
     def _columns(self) -> dict:

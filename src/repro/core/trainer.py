@@ -276,7 +276,7 @@ class SNAPTrainer:
         self._round_observers: list = []
         #: Lazily created per-directed-edge compressor state, shared with
         #: whichever engine (or testbed runtime) executes the round loop so
-        #: seeded streams and residuals survive engine swaps.
+        #: seeded streams survive engine swaps.
         self._edge_states: dict[tuple[int, int], EdgeState] = {}
         #: The execution engine behind run(): the per-object reference
         #: implementation or the bit-for-bit equivalent vectorized fast path
@@ -700,7 +700,7 @@ class SNAPTrainer:
         state = self._edge_states.get(key)
         if state is None:
             state = self.compressors[source].make_edge_state(
-                self.model.n_params, source, destination, self.config.seed
+                source, destination, self.config.seed
             )
             self._edge_states[key] = state
         return state
@@ -745,9 +745,6 @@ class SNAPTrainer:
             )
             if transmit(source, neighbor, message, compressor.name):
                 server.mark_delivered(neighbor, message)
-                compressor.payload_delivered(payload, state)
-            else:
-                compressor.payload_dropped(payload, state)
         if compressor.end_round(ctx):
             # Algorithm 1 stage boundary: restart EXTRA from the current
             # solution under the tightened threshold.

@@ -18,8 +18,8 @@ digests of different versions never compare equal and refuse to load.
 On top of the legacy recipe the digest adds ``server_state_sha``, covering
 the per-server state (parameters, iteration counters, views, link state,
 freshness) read from the engine's columnar ``state()``, the APE schedule
-state machines, and any materialized error-feedback residuals — exactly
-the surface the engine-equivalence suite asserts field by field.
+state machines — exactly the surface the engine-equivalence suite asserts
+field by field.
 """
 
 from __future__ import annotations
@@ -116,19 +116,17 @@ def server_state_sha(trainer) -> str:
 
     Covers exactly the surface the engine-equivalence contract compares:
     per-server parameters, iteration counter, previous-iterate layer,
-    per-neighbor views / ``last_sent`` / freshness, the APE schedule state,
-    and any materialized error-feedback residuals (not the previous-*views*
-    layer, engine bookkeeping the contract does not pin). The byte stream is
-    the per-server walk's — node by node, each neighbor's freshness, its
-    view held by the node, the node's ``last_sent`` for it — so the servers
-    need not be synced first.
+    per-neighbor views / ``last_sent`` / freshness and the APE schedule
+    state (not the previous-*views* layer, engine bookkeeping the contract
+    does not pin). The byte stream is the per-server walk's — node by node,
+    each neighbor's freshness, its view held by the node, the node's
+    ``last_sent`` for it — so the servers need not be synced first.
     """
     state = trainer.engine.state()
-    src, dst = state.src, state.dst
     n_nodes = state.params.shape[0]
-    blocks, reverse = edge_blocks(src, dst, n_nodes)
+    blocks, reverse = edge_blocks(state.src, state.dst, n_nodes)
     reverse = reverse.tolist()
-    neighbors, fresh = dst.tolist(), state.fresh.tolist()
+    neighbors, fresh = state.dst.tolist(), state.fresh.tolist()
     iterations, has_previous = state.iteration.tolist(), state.has_previous.tolist()
     digest = hashlib.sha256()
     for node in range(n_nodes):
@@ -143,10 +141,6 @@ def server_state_sha(trainer) -> str:
     if trainer._schedules is not None:
         for schedule in trainer._schedules:
             digest.update(repr(sorted(schedule.state_dict().items())).encode())
-    if state.residuals is not None:
-        for e in np.flatnonzero(state.has_residual).tolist():
-            digest.update(repr(("residual", (src[e].item(), neighbors[e]))).encode())
-            _hash_array(digest, "residual", state.residuals[e])
     return digest.hexdigest()
 
 

@@ -25,8 +25,7 @@ them *during* a run instead of post-hoc:
 ``error-feedback``
     The protocol backbone: ``sender.last_sent[j] == receiver.views[i]``
     bitwise on every directed edge (both advance only on confirmed
-    delivery), and any materialized error-feedback residual must be finite
-    and equal ``params - last_sent`` exactly.
+    delivery).
 ``semi-sync``
     Only when the semi-synchronous engine runs: per-edge progress
     staleness observed at any step start must stay within the configured
@@ -332,7 +331,7 @@ class InvariantMonitor:
         self._check_hierarchy_ledger(record, batches, deferred)
         self._check_byzantine_bound(record)
         self._check_drift_schedule(record)
-        self._check_error_feedback(record, down)
+        self._check_reference_tracking(record)
         self._check_consensus_envelope(record)
         if semi_sync is not None:
             self._check_semi_sync(record, semi_sync)
@@ -555,15 +554,13 @@ class InvariantMonitor:
             )
         self._drift_watermark = epoch
 
-    def _check_error_feedback(self, record, down: frozenset) -> None:
-        """The reference-tracking identity and the residuals, over ``engine.state()``.
+    def _check_reference_tracking(self, record) -> None:
+        """The reference-tracking identity, over ``engine.state()``.
 
         On the vectorized engine ``last_sent`` and the receiver's view are
         one storage (PERFORMANCE.md identity 1), so the identity holds there
         by construction: it is checked meaningfully on the per-edge engines
-        and the testbed, whose snapshot reads each side from its own server
-        (as before, when the vectorized sides were written back as two
-        copies of one array). The residual check is meaningful everywhere.
+        and the testbed, whose snapshot reads each side from its own server.
         """
         self.checks["error-feedback"] += 1
         engine = self.trainer.engine
@@ -583,38 +580,6 @@ class InvariantMonitor:
                     f"{dst[e]}: the confirmed-delivery reference-tracking "
                     "identity broke",
                 )
-            ],
-            record.round_index,
-        )
-        if state.residuals is None:
-            return
-        # Not checked: an edge with a down end (its residual is stale), an
-        # attacker's (it tracks the poisoned tx - last_sent), and one with a
-        # server behind the fleet (it compressed in an older round).
-        idle = list(down | engine.lagging_nodes())
-        edges = np.flatnonzero(
-            state.has_residual
-            & ~np.isin(src, idle)
-            & ~np.isin(dst, idle)
-            & ~np.isin(src, list(self.trainer.byzantine_nodes))
-        )
-        residuals = state.residuals[edges]
-        expected = state.params[src[edges]] - state.last_sent[edges]
-        self._violate_first(
-            "error-feedback",
-            [
-                (
-                    ~np.isfinite(residuals).all(axis=1),
-                    lambda k: f"edge {src[edges[k]]}->{dst[edges[k]]} holds a "
-                    "non-finite error-feedback residual",
-                ),
-                (
-                    ~(residuals == expected).all(axis=1),
-                    lambda k: f"edge {src[edges[k]]}->{dst[edges[k]]}: "
-                    "materialized residual != params - last_sent (max gap "
-                    f"{np.abs(residuals[k] - expected[k]).max():.3e}); the EF "
-                    "accumulator drifted from the reference-tracking truth",
-                ),
             ],
             record.round_index,
         )

@@ -13,8 +13,7 @@ lattice the engines must agree on:
 * topology: ring of 4–8 servers plus 0–3 random chords (always connected);
 * model: logistic regression or linear SVM on synthetic shards;
 * compression: the three paper presets (``ape`` / ``changed_only`` /
-  ``dense``) plus top-k, random-k, uniform quantization, and TernGrad —
-  with and without the explicit error-feedback wrapper;
+  ``dense``) plus top-k, random-k, uniform quantization, and TernGrad;
 * stragglers: the paper's stale rule or the reweight-to-self ablation;
 * faults: clean, or a Gilbert–Elliott + Markov-node + corruption plan;
 * weights: Metropolis (fast default) or the Section IV-B optimizer;
@@ -56,17 +55,19 @@ from repro.topology.generators import hierarchical_topology
 from repro.topology.graph import Topology
 
 #: The compression schemes a generated scenario may draw. ``None`` draws one
-#: of the paper's presets; strings go through the spec grammar.
+#: of the paper's presets; strings go through the spec grammar. Each bare
+#: scheme is listed twice: the second copies held the retired error-feedback
+#: wrapper, and keeping the menu's length keeps every scenario's draws.
 _COMPRESSOR_MENU = (
     None,  # one of PRESET_KINDS
     "topk:k={k}",
     "randomk:k={k}",
     "uniform:bits={bits}",
     "terngrad",
-    "ef:topk:k={k}",
-    "ef:randomk:k={k}",
-    "ef:uniform:bits={bits}",
-    "ef:terngrad",
+    "topk:k={k}",
+    "randomk:k={k}",
+    "uniform:bits={bits}",
+    "terngrad",
 )
 
 
@@ -471,7 +472,7 @@ def workload_scenarios(master_seed: int = 0) -> list[Scenario]:
             compressor="topk:k=3",
         ),
         make(-104, drift_kind="label_shift", drift_period=3, drift_seed=11),
-        make(-105, drift_kind="streaming", drift_period=4, compressor="ef:topk:k=3"),
+        make(-105, drift_kind="streaming", drift_period=4, compressor="topk:k=3"),
         make(
             -106,
             hierarchy=(2, 3),

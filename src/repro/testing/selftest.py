@@ -18,10 +18,6 @@ the violated invariant:
     A round observer pushes one server's accumulated APE estimate past its
     stage budget in the schedule bank's columns, with no stage advance
     (Algorithm 1 lines 5-6 skipped) → ``ape-budget``.
-``error-feedback``
-    On an error-feedback top-k run, a round observer perturbs one
-    materialized residual in place, so it no longer equals
-    ``params - last_sent`` → ``error-feedback``.
 ``swap``
     The adaptive topology controller is wrapped so the re-optimized mixing
     matrix it hands the trainer has one off-diagonal entry perturbed — a
@@ -111,20 +107,6 @@ def _inject_ape(trainer) -> None:
         bank.accumulated[0] = bank.thresholds[0] * 2.0 + 1.0
 
     trainer.add_round_observer(overrun)
-
-
-def _error_feedback_scenario(master_seed: int = 0) -> Scenario:
-    """The base scenario compressed by error-feedback top-k."""
-    return _base_scenario(master_seed).with_overrides(compressor="ef:topk:k=2")
-
-
-def _inject_error_feedback(trainer) -> None:
-    def perturb(record) -> None:
-        # In place: on the vectorized engine the state's residual is a row
-        # of the engine's residual matrix.
-        trainer._edge_states[(0, 1)].residual[0] += 1.0
-
-    trainer.add_round_observer(perturb)
 
 
 def _adaptive_scenario(master_seed: int = 0) -> Scenario:
@@ -226,7 +208,6 @@ INJECTIONS = {
     "weight": (_inject_weight, "weight-stochasticity"),
     "ledger": (_inject_ledger, "byte-ledger"),
     "ape": (_inject_ape, "ape-budget"),
-    "error-feedback": (_inject_error_feedback, "error-feedback"),
     "swap": (_inject_swap, "weight-stochasticity"),
     "byzantine": (_inject_byzantine, "byzantine-bound"),
     "drift": (_inject_drift, "drift-schedule"),
@@ -255,7 +236,6 @@ def run_injection(
     """Run one named injection against a fresh monitored ``engine`` trainer."""
     injector, expected = INJECTIONS[name]
     scenario_builders = {
-        "error-feedback": _error_feedback_scenario,
         "swap": _adaptive_scenario,
         "byzantine": _byzantine_scenario,
         "drift": _drift_scenario,

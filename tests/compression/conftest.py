@@ -83,9 +83,8 @@ def run_digest(trainer: SNAPTrainer) -> dict:
 def run_trace(trainer: SNAPTrainer) -> tuple:
     """Full comparable trace: per-round records, flow ledger, final params.
 
-    Deliberately excludes the digest's ``server_state_sha``: the trace is
-    also used to assert the error-feedback wrapper is *transparent*, and
-    the wrapper's materialized residuals live exactly in that hash.
+    Leaves out the digest's ``server_state_sha``: what a run sent and
+    where it ended is what these comparisons pin.
     """
     digest = capture_run(trainer)
     return digest.rounds_trace, digest.ledger_trace, digest.final_params_sha

@@ -25,7 +25,7 @@ def resume_trace(spec, tmp_path, engine="reference"):
 
 
 @pytest.mark.parametrize(
-    "spec", ["ef:randomk:k=2", "ef:uniform:bits=4", "terngrad"]
+    "spec", ["randomk:k=2", "uniform:bits=4", "terngrad"]
 )
 def test_resume_is_bit_identical(spec, tmp_path):
     first, resumed = resume_trace(spec, tmp_path)

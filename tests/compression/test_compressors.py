@@ -30,7 +30,7 @@ def wire_bytes(payload, total_params):
 
 
 def make_state(compressor, reference, source=0, destination=1, seed=7):
-    state = compressor.make_edge_state(reference.size, source, destination, seed)
+    state = compressor.make_edge_state(source, destination, seed)
     state.reference = reference
     return state
 

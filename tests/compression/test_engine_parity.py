@@ -33,8 +33,8 @@ SPECS = [
     "randomk:k=2",
     "uniform:bits=4",
     "terngrad",
-    "ef:topk:k=3",
-    "ef:uniform:bits=6",
+    "topk:k=1",
+    "uniform:bits=6",
 ]
 
 

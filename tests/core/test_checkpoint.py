@@ -66,7 +66,7 @@ def _split_trainer(setup, engine: str, case: str) -> SNAPTrainer:
     """A trainer for one split-run case (a fresh fault plan each call)."""
     model, shards, topo = setup
     config, fault_plan = {"engine": engine, "seed": 0}, None
-    if case == "ef:topk:k=2":  # non-zero error-feedback residuals
+    if case == "topk:k=2":
         config["compressor"] = case
     elif case == "drift":
         config["drift"] = LabelShiftDrift(period=5, seed=2)
@@ -82,7 +82,7 @@ def _split_trainer(setup, engine: str, case: str) -> SNAPTrainer:
     [
         # The APE case keeps the bare engine id it had before the other cases.
         pytest.param(engine, case, id=engine if case == "ape" else f"{engine}-{case}")
-        for case in ("ape", "ef:topk:k=2", "link-faults", "drift")
+        for case in ("ape", "topk:k=2", "link-faults", "drift")
         for engine in ("reference", "vectorized", "semisync")
     ],
 )
@@ -95,7 +95,7 @@ def test_resume_across_ape_stage_advances_has_equal_digest(
     accumulated error and iterations-in-stage columns matter; across drift
     epoch boundaries (rounds 16, 21, 26) and a restored one (round 11);
     with link faults, so the staleness ages reach the round records; and
-    with error-feedback residuals. The whole :class:`RunDigest` of the
+    under top-k. The whole :class:`RunDigest` of the
     resumed 13 rounds — round records, flow ledger, final parameters,
     server state — equals the uninterrupted trainer's over the same rounds,
     whose ledger restarts at the split as a restored trainer's does.
@@ -340,6 +340,29 @@ class TestMismatchRejection:
         np.savez(path, __meta__=np.frombuffer(meta, dtype=np.uint8))
         with pytest.raises(ConfigurationError, match="version 1 unsupported"):
             restore_checkpoint(build_trainer(setup), path)
+
+    def test_residual_columns_are_refused_by_name(self, setup, tmp_path):
+        """A version-2 file from an error-feedback run carried two residual
+        columns; it is refused naming both, while the same file without
+        them still loads."""
+        trainer = build_trainer(setup, "topk:k=2")
+        trainer.run(max_rounds=3, stop_on_convergence=False)
+        path = save_checkpoint(trainer, tmp_path / "plain.npz")
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        n_edges, d = arrays["state/views"].shape
+        meta = json.loads(arrays["__meta__"].tobytes().decode("utf-8"))
+        assert meta["version"] == 2
+        meta["compressor"] = "ef(topk(k=2))"
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), np.uint8)
+        arrays["state/residuals"] = np.zeros((n_edges, d))
+        arrays["state/has_residual"] = np.ones(n_edges, dtype=bool)
+        np.savez(tmp_path / "ef.npz", **arrays)
+        with pytest.raises(
+            ConfigurationError, match="state/has_residual, state/residuals"
+        ):
+            restore_checkpoint(build_trainer(setup, "topk:k=2"), tmp_path / "ef.npz")
+        restore_checkpoint(build_trainer(setup, "topk:k=2"), path)
 
     def test_non_checkpoint_file_rejected(self, setup, tmp_path):
         path = tmp_path / "junk.npz"

@@ -59,7 +59,7 @@ class TestValidation:
             SNAPConfig(bytes_budget=1000, **overrides)
 
     @pytest.mark.parametrize(
-        "compressor", ["uniform:bits=8", "ef:uniform:bits=6", "topk:k=4", "randomk:k=4"]
+        "compressor", ["uniform:bits=8", "uniform:bits=6", "topk:k=4", "randomk:k=4"]
     )
     def test_a_budget_on_a_byte_knob_is_accepted(self, compressor):
         config = SNAPConfig(

@@ -125,7 +125,7 @@ def _assert_identical(ref_pair, vec_pair):
     # One RunDigest covers the whole equivalence surface: the round-record
     # trajectory, the flow ledger, the final mean parameters, and the
     # post-run per-server state (params, iterations, views, last_sent,
-    # freshness, schedule state machines, EF residuals).
+    # freshness, schedule state machines).
     ref_digest = RunDigest.capture(ref_trainer, ref_result)
     vec_digest = RunDigest.capture(vec_trainer, vec_result)
     assert ref_digest == vec_digest, ref_digest.diff(vec_digest)
@@ -161,7 +161,7 @@ class TestEngineProtocol:
         for engine in engines:
             assert issubclass(engine, Engine), engine
 
-    @pytest.mark.parametrize("compressor", [None, "ef:topk:k=2"])
+    @pytest.mark.parametrize("compressor", [None, "topk:k=2"])
     def test_state_columns_are_equal_across_engines(self, compressor):
         shards = _binary_shards()
         model = LogisticRegression(5)
@@ -183,15 +183,11 @@ class TestEngineProtocol:
                     # Nor do the views of a receiver with no previous layer.
                     left = left[reference.has_previous_views[reference.dst]]
                     right = right[state.has_previous_views[state.dst]]
-                assert (left is None) == (right is None), field.name
-                if left is not None:
-                    np.testing.assert_array_equal(left, right, err_msg=field.name)
-        assert (reference.residuals is None) == (compressor is None)
+                np.testing.assert_array_equal(left, right, err_msg=field.name)
 
     def test_vectorized_state_views_the_engine_arrays_read_only(self):
         trainer, _ = _run(
-            "vectorized", LogisticRegression(5), _binary_shards(), rounds=3,
-            compressor="ef:topk:k=2",
+            "vectorized", LogisticRegression(5), _binary_shards(), rounds=3
         )
         engine = trainer.engine
         state = engine.state()
@@ -199,7 +195,6 @@ class TestEngineProtocol:
         for array, own in (
             (state.params, engine.params),
             (state.views, engine.views),
-            (state.residuals, engine._residuals),
         ):
             assert np.shares_memory(array, own)
             assert not array.flags.writeable
@@ -235,15 +230,15 @@ class TestPolicyMatrix:
 
 
 #: One per path through the round: the preset kernel, the columnar batched
-#: compressors with and without materialized residuals, and the per-edge-RNG
-#: compressors that enter the same round through the base-class adapters.
-CORRUPTION_SPECS = ["ape", "topk:k=2", "ef:topk:k=2", "uniform:bits=4", "randomk:k=2"]
+#: compressors, and the per-edge-RNG compressors that enter the same round
+#: through the base-class adapters.
+CORRUPTION_SPECS = ["ape", "topk:k=2", "uniform:bits=4", "randomk:k=2"]
 
 
 @pytest.mark.parametrize("spec", CORRUPTION_SPECS)
 class TestCorruptionQueryForms:
     """The engines ask the corruption model in different forms (per frame vs
-    per round); the full digests — EF residuals included — must not differ."""
+    per round); the full digests must not differ."""
 
     def _both(self, spec, plan, **kwargs):
         shards = _binary_shards(seed=9)

@@ -11,7 +11,7 @@ Runs pinned:
 
 * the five hand-built cases of
   ``tests/differential/test_adaptive_differential.py`` (prunes, knob swaps,
-  a churn trigger, REWEIGHT, error feedback);
+  a churn trigger, REWEIGHT, per-edge random-k streams);
 * a manual drop of chord ``(0, 3)`` and its re-add, with rounds between;
 * a bytes-budget run on credit SVM (N=8) whose three periodic swaps step
   ``uniform:bits=8`` down the ladder to ``bits=2``.
@@ -115,11 +115,11 @@ GOLDEN = {
         "final_loss": "0x1.da938f1e39496p-1",
         "version": 1,
     },
-    "error-feedback-wrapper": {
+    "randomk-edge-streams": {
         "rounds_sha": "1f4ee07ac836f90bce5a6774eb6f956ab01e2258dc7d0010f7c64477117707ff",
         "ledger_sha": "f215eb432468f3c305cad2f5b4c8a745cab7a74349f0e960972a0342f0c0a3f8",
         "final_params_sha": "793aac2aecf421a01a8fcab9ca5b80c51eb3bbb1f391b5677c1ffaf20f1cdbd4",
-        "server_state_sha": "360d33ad2f87823ba60d824a65a0069536249dcae7fc204a9b4e931d61948784",
+        "server_state_sha": "ee5dd1ed52d8fab07472aa7eac44b890d8a765df458619ff876e4c22bf92fef4",
         "total_bytes": 4944,
         "total_cost": 4944,
         "final_loss": "0x1.4c0a0d925367ep-1",

@@ -101,8 +101,8 @@ CASES = [
         True,
     ),
     (
-        "error-feedback-wrapper",
-        adaptive_scenario(-6, compressor="ef:randomk:k=2", max_rounds=10),
+        "randomk-edge-streams",
+        adaptive_scenario(-6, compressor="randomk:k=2", max_rounds=10),
         True,
     ),
 ]

@@ -74,7 +74,7 @@ GOLDEN = {
         "total_cost": 7216,
         "final_loss": "0x1.43026bd78c443p-1",
     },
-    -105: {  # streaming arrival, error-feedback top-k
+    -105: {  # streaming arrival, top-k
         "rounds_sha": "650e164dbd57b3f7000aeaec48ff29091df6bf2c6b6cdd48114947359a4a39c1",
         "ledger_sha": "36a2bf2ff067d50be5b36df6b307114355b6e0631ef05c8da46b7e471788409e",
         "final_params_sha": "cb15830ab9fc0edb90323567c566086ed86253ec7db72418a4b09692a010aa5b",

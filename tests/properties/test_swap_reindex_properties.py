@@ -43,9 +43,6 @@ def states(draw, topology: Topology):
     n = topology.n_nodes
     src, dst = topology.directed_edges
     e = src.size
-    residuals = has_residual = None
-    if draw(st.booleans()):
-        residuals, has_residual = rng.normal(size=(e, d)), rng.random(e) < 0.5
     return EngineState(
         params=rng.normal(size=(n, d)),
         previous_params=rng.normal(size=(n, d)),
@@ -60,8 +57,6 @@ def states(draw, topology: Topology):
         fresh=rng.random(e) < 0.5,
         previous_views=rng.normal(size=(e, d)),
         previous_fresh=rng.random(e) < 0.5,
-        residuals=residuals,
-        has_residual=has_residual,
     )
 
 
@@ -79,12 +74,7 @@ def test_reindex_carries_keeps_seeds_and_restarts(data):
 
     kept, added = rows >= 0, rows < 0
     assert np.array_equal(moved.src, src) and np.array_equal(moved.dst, dst)
-    columns = EDGE_COLUMNS
-    if state.residuals is not None:
-        columns += ("residuals", "has_residual")
-        assert not moved.has_residual[added].any()
-        assert not moved.residuals[added].any()
-    for name in columns:
+    for name in EDGE_COLUMNS:
         carried = getattr(moved, name)[kept]
         assert carried.tobytes() == getattr(state, name)[rows[kept]].tobytes(), name
     # The ages move through the same rows; an added link starts at 0.

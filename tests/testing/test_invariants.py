@@ -84,6 +84,26 @@ class TestSelfTestInjections:
         assert excinfo.value.round_index == 1
 
 
+class TestErrorFeedbackIdentity:
+    @pytest.mark.parametrize("engine", ["reference", "semisync"])
+    def test_a_perturbed_last_sent_row_is_caught(self, engine):
+        """A round observer moves server 0's ``last_sent`` record for
+        neighbor 1 off the view server 1 holds, so the reference-tracking
+        identity breaks. The vectorized engine keeps both sides in one
+        storage, so only the per-edge engines can be broken this way."""
+        trainer = _base_scenario().build_trainer(engine, invariants="strict")
+
+        def perturb(record) -> None:
+            trainer.servers[0].last_sent[1][0] += 1.0
+
+        trainer.add_round_observer(perturb)
+        with pytest.raises(InvariantViolation) as excinfo:
+            trainer.run(stop_on_convergence=False)
+        assert excinfo.value.invariant == "error-feedback"
+        assert excinfo.value.round_index == 1
+        assert "last_sent[0->1]" in str(excinfo.value)
+
+
 class TestCustomChecks:
     def test_add_check_runs_every_round_and_can_violate(self):
         trainer = _base_scenario().build_trainer("reference", invariants="strict")
@@ -248,13 +268,12 @@ class TestStrictRoundCallCount:
         trainer.run(max_rounds=1, stop_on_convergence=False)  # warm-up
         return (count(13) - count(3)) / 10
 
-    @pytest.mark.parametrize("compressor", ["ape", "ef:topk:k=4"])
+    @pytest.mark.parametrize("compressor", ["ape", "topk:k=4"])
     def test_strict_round_does_not_walk_the_edges(self, compressor):
         """Doubling the degree at N=64 doubles the directed edges (256 ->
-        512). A per-edge check (an ``np.array_equal`` per edge, a residual
-        read per edge state) or a per-edge write-back for the monitor adds
-        at least one call per edge, 256 per round; the columnar checks add
-        none."""
+        512). A per-edge check (an ``np.array_equal`` per edge) or a
+        per-edge write-back for the monitor adds at least one call per edge,
+        256 per round; the columnar checks add none."""
         four, eight = (
             self._python_calls_per_round(degree, compressor) for degree in (4, 8)
         )

@@ -105,8 +105,6 @@ def test_numpy_integer_rounds_hash_like_python_ints(as_int):
         fresh=nodes.astype(bool),
         previous_views=rows,
         previous_fresh=nodes.astype(bool),
-        residuals=None,
-        has_residual=None,
     )
     trainer = SimpleNamespace(
         tracker=tracker,
