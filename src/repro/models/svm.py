@@ -87,7 +87,9 @@ class LinearSVM(Model):
     ) -> float:
         margins = signed * (design @ params)
         hinge = np.maximum(0.0, 1.0 - margins)
-        data_term = float(np.mean(hinge**2))
+        squared = hinge**2
+        # np.mean without its Python wrapper (docs/PERFORMANCE.md identity 17).
+        data_term = float(np.add.reduce(squared) / squared.size)
         reg_term = 0.5 * self.regularization * float(params @ params)
         return data_term + reg_term
 
