@@ -131,11 +131,14 @@ bench-e2e-quick:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e --seed 7 --quick --out /tmp/quick.json
 	$(PYTEST) benchmarks/e2e/test_harness.py -q
 
-## Alternating base/head pairs of the driver's command on one workload, with
-## per-metric medians, quartiles, win counts, a verdict and a markdown table
-## for docs/perf-log/: `make bench-pairs BASE=HEAD~1 WORKLOAD=ref_credit_n60`
-## (optional PAIRS=10 SEED=7 WINDOW_S=<BENCHMARK.json run_seconds>). Both sides
-## run from exports in a temporary directory; head is the working tree on disk.
+## Alternating base/head pairs of the BENCHMARK.json command on one or more
+## workloads, with per-metric medians, quartiles, win counts, a verdict and
+## one markdown table per workload for docs/perf-log/:
+## `make bench-pairs BASE=HEAD~1 WORKLOAD=ref_credit_n60` (or
+## `WORKLOAD=ref_credit_n60,tcp_testbed_n8`, or `WORKLOAD=all` for every
+## BENCHMARK.json workload; optional PAIRS=10 SEED=7 WINDOW_S=<BENCHMARK.json
+## run_seconds>). Both sides are exported once, to a temporary directory;
+## head is the working tree on disk.
 PAIRS ?= 10
 SEED ?= 7
 bench-pairs:

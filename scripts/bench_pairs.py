@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Alternating base/head pairs of the end-to-end benchmark, as one command.
 
-``make bench-pairs BASE=<git-ref> WORKLOAD=<name> [PAIRS=10]`` — the
+``make bench-pairs BASE=<git-ref> WORKLOAD=<name>[,<name>...] [PAIRS=10]``
+(or ``WORKLOAD=all``, every workload ``BENCHMARK.json`` lists) — the
 procedure every perf PR runs before it claims (or disclaims) a gain:
 
 1. export both sides into one temporary directory, gone afterwards: ``BASE``
@@ -10,19 +11,22 @@ procedure every perf PR runs before it claims (or disclaims) a gain:
    unignored files as they are on disk. Head is copied rather than run in
    place because the place matters: on the sandbox host the same commit
    reads ~3 % slower from the repository than from a fresh export;
-2. run the driver's command — ``benchmarks/e2e/run.py --workload W --seed S
-   --seconds T --trace 0`` — once per side per pair, base first in even
-   pairs and head first in odd ones, each side from its own export with its
-   own copy of the harness;
-3. print every run, then per end-to-end metric of ``BENCHMARK.json`` the two
-   medians with quartiles, the change, how many pairs head won, and a
-   verdict by the rule of the ``choosing-metrics`` guide — ``improved``
-   needs nine pairs in ten and a median gap wider than base's own
-   interquartile range; ``regressed`` is a median worse by more than the
-   metric's bound; a base spread wider than the bound reads ``unresolved``.
+2. run the benchmark's command — ``benchmarks/e2e/run.py --workload W --seed S
+   --seconds T --trace 0`` — once per side per workload per pair, base
+   first in even pairs and head first in odd ones, each side from its own
+   export with its own copy of the harness;
+3. print every run, then per workload and per end-to-end metric of
+   ``BENCHMARK.json`` the two medians with quartiles, the change, how many
+   pairs head won, and a verdict by the rule of the ``choosing-metrics``
+   guide — ``improved`` needs nine pairs in ten and a median gap wider than
+   base's own interquartile range; ``regressed`` is a median worse by more
+   than the metric's bound; a base spread wider than the bound reads
+   ``unresolved``.
 
-The last block of stdout is a markdown table for ``docs/perf-log/PR-NN.md``.
-Reads ``BENCHMARK.json`` (metric names, bounds, window); writes nothing.
+The last blocks of stdout are one markdown table per workload, for
+``docs/perf-log/PR-NN.md``. Reads ``BENCHMARK.json`` (workloads, metric
+names, bounds, window); writes nothing. Exits 1 if any workload regressed
+or any run was not ``correct``.
 """
 
 from __future__ import annotations
@@ -92,7 +96,10 @@ def main() -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git ref of the parent side")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", required=True,
+        help="a workload, a comma-separated list, or 'all' (BENCHMARK.json's)",
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
@@ -102,6 +109,12 @@ def main() -> int:
     options = parser.parse_args()
     if options.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if options.workload == "all":
+        workloads = [entry["name"] for entry in benchmark["workloads"]]
+    else:
+        workloads = list(dict.fromkeys(filter(None, options.workload.split(","))))
+    if not workloads:
+        parser.error("--workload names no workload")
 
     def git(*arguments: str) -> str:
         return subprocess.run(
@@ -112,12 +125,12 @@ def main() -> int:
     head_label = git("rev-parse", "--short", "HEAD")
     if git("status", "--porcelain", "--untracked-files=no"):
         head_label += "+uncommitted"
-    arguments = [
-        "--workload", options.workload, "--seed", str(options.seed),
-        "--seconds", f"{options.seconds:g}", "--trace", "0",
+    window = [
+        "--seed", str(options.seed), "--seconds", f"{options.seconds:g}",
+        "--trace", "0",
     ]
     metrics = benchmark["end_to_end"]
-    runs: dict[str, list[dict]] = {"base": [], "head": []}
+    runs = {workload: {"base": [], "head": []} for workload in workloads}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         archive = Path(scratch) / "base.tar"
         git("archive", "--output", str(archive), base_commit)
@@ -132,29 +145,44 @@ def main() -> int:
                 shutil.copy2(ROOT / name, head_checkout / name)
         checkouts = {"base": base_checkout, "head": head_checkout}
         print(
-            f"# {options.workload}: base {base_commit} vs head {head_label}, "
-            f"{options.pairs} pairs, `{' '.join(benchmark['command'] + arguments)}`"
+            f"# {', '.join(workloads)}: base {base_commit} vs head {head_label}, "
+            f"{options.pairs} pairs, "
+            f"`{' '.join(benchmark['command'] + ['--workload', 'W', *window])}`"
         )
         for index in range(options.pairs):
             order = ("base", "head") if index % 2 == 0 else ("head", "base")
-            for side in order:
-                result = run_once(checkouts[side], benchmark["command"], arguments)
-                runs[side].append(result)
-                values = "  ".join(
-                    f"{m['name']}={shown(result['metrics'][m['name']]['value'])}"
-                    for m in metrics
-                )
-                print(
-                    f"pair {index} {side}: {values}  correct={result['correct']} "
-                    f"failed={result['failed']}/{result['attempted']}",
-                    flush=True,
-                )
+            for workload in workloads:
+                for side in order:
+                    result = run_once(
+                        checkouts[side],
+                        benchmark["command"],
+                        ["--workload", workload, *window],
+                    )
+                    runs[workload][side].append(result)
+                    values = "  ".join(
+                        f"{m['name']}={shown(result['metrics'][m['name']]['value'])}"
+                        for m in metrics
+                    )
+                    print(
+                        f"pair {index} {workload} {side}: {values}  "
+                        f"correct={result['correct']} "
+                        f"failed={result['failed']}/{result['attempted']}",
+                        flush=True,
+                    )
 
-    print()
     if options.pairs < 10:
-        print("fewer than ten pairs: the verdicts are indicative, not a claim\n")
+        print("\nfewer than ten pairs: the verdicts are indicative, not a claim")
+    bad = False
+    for workload in workloads:
+        bad |= report(workload, runs[workload], metrics, base_commit, head_label)
+    return int(bad)
+
+
+def report(workload: str, runs, metrics, base_commit: str, head_label: str) -> bool:
+    """Print one workload's markdown table; whether it regressed or erred."""
+    pairs = len(runs["base"])
     print(
-        f"| metric ({options.workload}) | base `{base_commit}` median [q1, q3] | "
+        f"\n| metric ({workload}) | base `{base_commit}` median [q1, q3] | "
         f"head `{head_label}` median [q1, q3] | change | head wins | bound | verdict |"
     )
     print("|---|---|---|---|---|---|---|")
@@ -173,7 +201,7 @@ def main() -> int:
             f"| `{name}` ({metric['unit']}) | "
             f"{shown(b_mid)} [{shown(b_low)}, {shown(b_high)}] | "
             f"{shown(h_mid)} [{shown(h_low)}, {shown(h_high)}] | {change:+.1f} % | "
-            f"{wins} of {options.pairs - ties} | {metric['bound']:.0%} | {outcome} |"
+            f"{wins} of {pairs - ties} | {metric['bound']:.0%} | {outcome} |"
         )
         bad = bad or outcome == "regressed"
     for side in ("base", "head"):
@@ -181,13 +209,13 @@ def main() -> int:
         attempted = sum(run["attempted"] for run in runs[side])
         correct = sum(bool(run["correct"]) for run in runs[side])
         print(
-            f"\n{side}: {correct} of {options.pairs} invocations `correct: true`, "
+            f"\n{side}: {correct} of {pairs} invocations `correct: true`, "
             f"{failed} of {attempted} operations failed",
             end="",
         )
-        bad = bad or correct != options.pairs
+        bad = bad or correct != pairs
     print()
-    return int(bad)
+    return bad
 
 
 if __name__ == "__main__":

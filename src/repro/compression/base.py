@@ -284,7 +284,14 @@ class Compressor:
       :meth:`end_round_batch`, never the per-node ones (a batched scheme
       with per-node round state overrides both, as APE does). The
       vectorized engine routes all edges through one instance, and
-      creates no :class:`EdgeState` for it.
+      creates no :class:`EdgeState` for it. Its per-edge :meth:`compress`
+      is pure: the payload depends on nothing but ``(current,
+      state.reference, ctx)``, and a repeat call on the same inputs
+      leaves ``ctx`` as the first call left it (APE's running
+      ``suppressed_max`` takes the same maximum again). So
+      :meth:`~repro.core.trainer.SNAPTrainer.send_round` builds one
+      message per distinct reference and hands it to every neighbor that
+      holds that reference.
     """
 
     #: Human-readable label; the builder overrides it with the full spec

@@ -225,8 +225,12 @@ class EdgeServer:
         rule ("leverage the latest parameter updates ... to continue").
         Freshness flags shift along with the views; the new current layer
         starts pessimistic (not fresh) and is upgraded by each delivery.
+
+        The layers share arrays until a delivery replaces a current view:
+        nothing writes into a view (:meth:`receive_update` swaps in a new
+        array), so the shift copies none.
         """
-        self.previous_views = {j: view.copy() for j, view in self.views.items()}
+        self.previous_views = dict(self.views)
         self.previous_fresh = dict(self.fresh)
         self.fresh = {j: False for j in self.neighbors}
 

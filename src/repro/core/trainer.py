@@ -723,6 +723,11 @@ class SNAPTrainer:
         and the link stays pending). A neighbor in ``down`` gets no frame —
         the connection fails before any bytes enter the network — only the
         optional ``offline(neighbor)`` callback.
+
+        A ``batched`` compressor's payload depends on nothing but
+        ``(current, reference, ctx)``, so the neighbors whose reference is
+        bitwise the same get one message, built once (docs/PERFORMANCE.md
+        identity 20); the wire must not write into it.
         """
         source = server.node_id
         compressor = self.compressors[source]
@@ -733,15 +738,24 @@ class SNAPTrainer:
         tx_params = self.transmit_params(server.params, source, round_index)
         n_params, stage = self.model.n_params, compressor.name
         ctx = compressor.begin_round(tx_params, round_index)
+        # The messages built this round, by the bytes of the reference they
+        # were selected against (by neighbor for a per-edge compressor, so
+        # never shared). A key is read before its delivery moves the reference.
+        batched, built = compressor.batched, {}
         for neighbor in server.neighbors:
             if neighbor in down:
                 if offline is not None:
                     offline(neighbor)
                 continue
             state = self._edge_state(source, neighbor)
-            state.reference = server.last_sent[neighbor]
-            payload = compressor.compress(tx_params, state, ctx)
-            message = payload_to_update(payload, source, round_index, n_params)
+            reference = state.reference = server.last_sent[neighbor]
+            key = reference.tobytes() if batched else neighbor
+            message = built.get(key)
+            if message is None:
+                payload = compressor.compress(tx_params, state, ctx)
+                message = built[key] = payload_to_update(
+                    payload, source, round_index, n_params
+                )
             if transmit(source, neighbor, message, stage):
                 server.mark_delivered(neighbor, message)
         if compressor.end_round(ctx):

@@ -234,7 +234,8 @@ class ParameterUpdate:
         missing parameters default to "the latest values of those parameters
         from edge server j".
         """
-        target = np.asarray(target, dtype=float)
+        if type(target) is not np.ndarray or target.dtype != np.float64:
+            target = np.asarray(target, dtype=float)
         if target.shape != (self.total_params,):
             raise ProtocolError(
                 f"target shape {target.shape} does not match total_params "

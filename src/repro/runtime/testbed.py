@@ -76,6 +76,7 @@ from repro.runtime.transport import (
     HEADER_BYTES,
     FrameConnection,
     RetryPolicy,
+    encode_frame,
 )
 from repro.topology.graph import Topology
 from repro.types import Params, WeightMatrix
@@ -204,6 +205,10 @@ class _Node:
         #: applied frames from → the parameter values they carried.
         self.waiting: set[int] = set()
         self.applied: dict[int, int] = {}
+        #: This round's encoded frames: ``id(message) -> (message, frame)``.
+        #: ``send_round`` hands neighbors with equal references one message,
+        #: so each distinct message is encoded once.
+        self.frames: dict[int, tuple] = {}
         self.corrupt_frames = 0
 
     def connect_to_neighbors(
@@ -256,7 +261,10 @@ class _Node:
             if corrupt:
                 sent = connection.send_corrupted(message)
             else:
-                sent = connection.send_update(message)
+                entry = self.frames.get(id(message))
+                if entry is None:
+                    entry = self.frames[id(message)] = (message, encode_frame(message))
+                sent = connection.send_update(message, entry[1])
         except ProtocolError:
             # Retries (and reconnect attempts) exhausted: the peer is gone.
             self.dead_peers.add(neighbor)
@@ -322,6 +330,7 @@ class _Node:
                 self.dead_peers.add(neighbor)
         self.waiting.clear()
         self.applied.clear()
+        self.frames.clear()
 
     def close(self) -> None:
         """Close every socket — abruptly, so live peers see EOF/ECONNRESET."""

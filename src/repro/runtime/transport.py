@@ -102,6 +102,20 @@ class RetryPolicy:
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
+def encode_frame(update: ParameterUpdate) -> tuple[bytes, bytes]:
+    """``update``'s transport header, CRC32 included, and its codec payload."""
+    payload = encode_update(update)
+    fields = _FIELDS.pack(
+        update.sender,
+        update.round_index,
+        _FORMAT_CODES[update.frame_format],
+        update.total_params,
+        len(payload),
+    )
+    crc = zlib.crc32(payload, zlib.crc32(fields))
+    return fields + crc.to_bytes(4, "big"), payload
+
+
 class FrameParser:
     """Incremental decoder of the frame stream, however ``recv`` cut it up.
 
@@ -243,17 +257,21 @@ class FrameConnection:
 
     # -- sending -----------------------------------------------------------------
 
-    def send_update(self, update: ParameterUpdate) -> int:
+    def send_update(
+        self, update: ParameterUpdate, frame: tuple[bytes, bytes] | None = None
+    ) -> int:
         """Encode and transmit one update; returns *payload* bytes written.
 
+        ``frame`` is ``encode_frame(update)`` when the caller already has it
+        — one update sent down several connections is encoded once.
         Transient socket errors are retried per the connection's
         :class:`RetryPolicy`, re-dialing through the ``reconnect`` factory
         when available; a send that exhausts its attempts raises
         :class:`~repro.exceptions.ProtocolError`. Over a non-blocking socket
         "written" may mean queued in ``outbox`` for :meth:`flush`.
         """
-        payload = encode_update(update)
-        return self._transmit(self._pack_header(update, payload), payload)
+        header, payload = encode_frame(update) if frame is None else frame
+        return self._transmit(header, payload)
 
     def send_corrupted(self, update: ParameterUpdate) -> int:
         """Chaos hook: transmit ``update`` with a deliberately damaged CRC.
@@ -263,24 +281,9 @@ class FrameConnection:
         check must reject it. Flipping bits in the *CRC field* (rather than
         the payload) guarantees detection even for zero-length payloads.
         """
-        payload = encode_update(update)
-        sender, round_index, code, total, length, crc = _HEADER.unpack(
-            self._pack_header(update, payload)
-        )
-        header = _HEADER.pack(
-            sender, round_index, code, total, length, crc ^ 0xDEADBEEF
-        )
-        return self._transmit(header, payload)
-
-    def _pack_header(self, update: ParameterUpdate, payload: bytes) -> bytes:
-        fields = _FIELDS.pack(
-            update.sender,
-            update.round_index,
-            _FORMAT_CODES[update.frame_format],
-            update.total_params,
-            len(payload),
-        )
-        return fields + zlib.crc32(payload, zlib.crc32(fields)).to_bytes(4, "big")
+        header, payload = encode_frame(update)
+        *fields, crc = _HEADER.unpack(header)
+        return self._transmit(_HEADER.pack(*fields, crc ^ 0xDEADBEEF), payload)
 
     def _transmit(self, header: bytes, payload: bytes) -> int:
         self.outbox.append(header + payload)

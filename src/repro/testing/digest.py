@@ -103,12 +103,28 @@ def _sha_of_entries(entries) -> str:
     return digest.hexdigest()
 
 
+def canonical_bytes(array) -> bytes:
+    """``array``'s bytes, with every NaN written as the one quiet NaN.
+
+    A NaN made inside a BLAS product has no fixed sign or payload, so two
+    runs of one build that diverge to NaN would otherwise hash apart. Every
+    other bit, ``-0.0`` included, is hashed as it is.
+    """
+    array = np.ascontiguousarray(array)
+    if array.dtype.kind == "f":
+        nan = np.isnan(array)
+        if nan.any():
+            array = array.copy()
+            array[nan] = np.nan
+    return array.tobytes()
+
+
 def _hash_array(digest: "hashlib._Hash", label: str, array) -> None:
     digest.update(label.encode())
     if array is None:
         digest.update(b"<none>")
     else:
-        digest.update(np.ascontiguousarray(array).tobytes())
+        digest.update(canonical_bytes(array))
 
 
 def server_state_sha(trainer) -> str:
@@ -187,7 +203,7 @@ class RunDigest:
             rounds_sha=_sha_of_entries(rounds_trace),
             ledger_sha=ledger_digest.hexdigest(),
             final_params_sha=hashlib.sha256(
-                np.ascontiguousarray(result.final_params).tobytes()
+                canonical_bytes(result.final_params)
             ).hexdigest(),
             server_state_sha=server_state_sha(trainer),
             total_bytes=trainer.tracker.total_bytes,
@@ -334,7 +350,7 @@ class DigestStream:
             rounds_sha=self._rounds_digest.hexdigest(),
             ledger_sha=self._ledger_digest.hexdigest(),
             final_params_sha=hashlib.sha256(
-                np.ascontiguousarray(result.final_params).tobytes()
+                canonical_bytes(result.final_params)
             ).hexdigest(),
             server_state_sha=server_state_sha(trainer),
             total_bytes=trainer.tracker.total_bytes,

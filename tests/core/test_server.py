@@ -202,11 +202,23 @@ class TestCommunication:
         with pytest.raises(ProtocolError):
             server.receive_update(ParameterUpdate.dense(9, 1, np.zeros(2)))
 
-    def test_advance_views_copies(self, model, data):
+    def test_advance_views_shares_until_a_delivery(self, model, data):
+        """The shift copies no array; a delivery swaps in a new current view
+        and leaves the previous layer as it was."""
         server = make_server(model, data)
         server.advance_views()
-        server.views[1][0] = 99.0
-        assert server.previous_views[1][0] == 0.0
+        assert server.previous_views[1] is server.views[1]
+        server.receive_update(
+            ParameterUpdate(
+                sender=1,
+                round_index=1,
+                total_params=2,
+                indices=np.array([0]),
+                values=np.array([99.0]),
+            )
+        )
+        np.testing.assert_array_equal(server.views[1], [99.0, 0.0])
+        np.testing.assert_array_equal(server.previous_views[1], [0.0, 0.0])
 
 
 def _family(name, rng):

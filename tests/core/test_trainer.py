@@ -782,7 +782,9 @@ class TestNoPerMessageFixedCosts:
     ``ParameterUpdate.__init__`` or a ``__post_init__``: from round 2 on
     there are none. Counted with ``sys.setprofile`` on every thread as the
     difference between a short and a long run, and per round through a
-    round observer: a count, not a clock.
+    round observer: a count, not a clock. Nor may a sender build (or, on
+    the testbed, encode) one message per edge when its neighbors hold the
+    same reference, and no receiver may write into the message they share.
     """
 
     SHORT, LONG = 2, 7
@@ -926,6 +928,107 @@ class TestNoPerMessageFixedCosts:
             return lambda: testbed.run(rounds), testbed.trainer
 
         self._assert_later_rounds_add_none(run_for)
+
+    def _per_edge_run(self, engine: str, compressor: str = "ape"):
+        """``(run, trainer)`` of a fault-free LONG-round run on ``engine``
+        (``"testbed"`` runs the reference configuration over sockets)."""
+        model, shards, topo = self._svm_inputs()
+        config = SNAPConfig(
+            engine="reference" if engine == "testbed" else engine,
+            compressor=compressor,
+            seed=0,
+            optimize_weights=False,
+        )
+        if engine == "testbed":
+            from repro.runtime import TestbedRuntime
+
+            testbed = TestbedRuntime(model, shards, topo, config=config)
+            return lambda: testbed.run(self.LONG), testbed.trainer
+        trainer = SNAPTrainer(model, shards, topo, config=config)
+        return (
+            lambda: trainer.run(max_rounds=self.LONG, stop_on_convergence=False),
+            trainer,
+        )
+
+    @pytest.mark.parametrize("engine", ["reference", "semisync", "testbed"])
+    def test_one_message_per_sender_per_round(self, engine):
+        """Fault-free, every neighbor of a sender holds the same reference:
+        from round 2 on, ``compress`` and ``payload_to_update`` run once per
+        sender per round, and on the testbed so does ``encode_update``."""
+        import threading
+
+        from repro.compression import APECompressor, payload_to_update
+        from repro.network.codec import encode_update
+
+        run, trainer = self._per_edge_run(engine)
+        counted = {
+            APECompressor.compress.__code__: "compress",
+            payload_to_update.__code__: "payload_to_update",
+            encode_update.__code__: "encode_update",
+        }
+        records, calls = [], Counter()
+
+        def on_event(frame, event, arg):
+            if event == "call" and frame.f_code in counted:
+                calls[len(records) + 1, counted[frame.f_code]] += 1
+
+        trainer.add_round_observer(records.append)
+        threading.setprofile(on_event)
+        sys.setprofile(on_event)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+
+        n_nodes, n_edges = trainer.topology.n_nodes, 2 * trainer.topology.n_edges
+        assert n_edges > n_nodes
+        names = ["compress", "payload_to_update"]
+        if engine == "testbed":
+            names.append("encode_update")
+        for round_index in range(2, self.LONG + 1):
+            for name in names:
+                assert calls[round_index, name] == n_nodes, (
+                    f"round {round_index}: {calls[round_index, name]} {name} "
+                    f"calls for {n_nodes} senders and {n_edges} edges"
+                )
+        if engine != "testbed":
+            assert not any(name == "encode_update" for _, name in calls)
+
+    @pytest.mark.parametrize("compressor", ["ape", "uniform:bits=4"])
+    @pytest.mark.parametrize("engine", ["reference", "semisync", "testbed"])
+    def test_no_receiver_writes_into_a_frame(self, monkeypatch, engine, compressor):
+        """Every frame's arrays are read-only — the sender's, which several
+        receivers share, and the testbed's decoded ones: the run raises
+        nothing and ends where an unguarded run ends."""
+        import repro.core.trainer as trainer_module
+        import repro.runtime.transport as transport_module
+
+        def read_only(message):
+            arrays = [message.indices, message.values]
+            if message.quantization is not None:
+                arrays.append(message.quantization.levels)
+            for array in arrays:
+                array.flags.writeable = False
+            return message
+
+        def frozen(build):
+            return lambda *args, **kwargs: read_only(build(*args, **kwargs))
+
+        run, trainer = self._per_edge_run(engine, compressor)
+        run()
+        unguarded = trainer.engine.state().params.copy()
+
+        monkeypatch.setattr(
+            trainer_module, "payload_to_update", frozen(trainer_module.payload_to_update)
+        )
+        monkeypatch.setattr(
+            transport_module, "decode_update", frozen(transport_module.decode_update)
+        )
+        run, trainer = self._per_edge_run(engine, compressor)
+        run()
+        guarded = trainer.engine.state().params
+        assert guarded.tobytes() == unguarded.tobytes()
 
 
 class TestSendRound:

@@ -18,7 +18,7 @@ from repro.testing import (
     capture_run,
 )
 from repro.testing.differential import ENGINES
-from repro.testing.digest import server_state_sha
+from repro.testing.digest import _hash_array, canonical_bytes, server_state_sha
 from repro.testing.scenarios import ScenarioGen
 
 pytestmark = []
@@ -101,6 +101,34 @@ class TestDiff:
 
     def test_diff_against_non_digest(self, digest):
         assert "not a RunDigest" in digest.diff("nope")
+
+
+class TestNaNBits:
+    """A NaN hashes as one bit pattern, whatever its sign or payload."""
+
+    @staticmethod
+    def _sha(array) -> str:
+        digest = hashlib.sha256()
+        _hash_array(digest, "params", array)
+        return digest.hexdigest()
+
+    def test_both_nan_signs_hash_alike(self):
+        positive, negative = (
+            np.array([1.5, 0.0, -0.0]) for _ in range(2)
+        )
+        positive.view(np.uint64)[1] = 0x7FF8000000000000
+        negative.view(np.uint64)[1] = 0xFFF8000000000000
+        assert np.isnan(negative[1]) and np.signbit(negative[1])
+        assert positive.tobytes() != negative.tobytes()
+        assert self._sha(positive) == self._sha(negative)
+        assert canonical_bytes(negative) == canonical_bytes(positive)
+        assert canonical_bytes(negative) == np.array([1.5, np.nan, -0.0]).tobytes()
+
+    def test_other_bits_are_hashed_as_they_are(self):
+        values = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, 1.0])
+        assert canonical_bytes(values) == values.tobytes()
+        assert self._sha(np.array([0.0])) != self._sha(np.array([-0.0]))
+        assert self._sha(np.array([np.nan])) != self._sha(np.array([np.inf]))
 
 
 def _object_walk_sha(trainer) -> str:
