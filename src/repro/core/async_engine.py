@@ -412,7 +412,8 @@ class SemiSyncEngine(Engine):
                 while buffer and buffer[0].round_index <= k:
                     self._apply(buffer.popleft(), node_id)
             # An offline peer gets no frame, but progress is still gossiped.
-            trainer.send_round(
+            # A stage end restarts now: under τ > 0 it may step again first.
+            if trainer.send_round(
                 server,
                 k,
                 down,
@@ -420,7 +421,8 @@ class SemiSyncEngine(Engine):
                 offline=partial(
                     self._schedule_notice, node_id, sender_round=k, t_sent=t_done
                 ),
-            )
+            ):
+                self.restart([node_id])
 
         node.completed = k
         node.clock = t_done

@@ -120,14 +120,12 @@ def restore_checkpoint(trainer, path: str | Path) -> None:
             key.removeprefix("state/") for key in archive if key.startswith("state/")
         }
         if stored != names:
-            # Only error-feedback runs wrote the two residual columns, which
-            # the format dropped: reference tracking already is EF.
             extra = ", ".join(f"state/{name}" for name in sorted(stored - names))
             missing = ", ".join(f"state/{name}" for name in sorted(names - stored))
             raise ConfigurationError(
-                f"{path} does not hold this format's state columns (extra: "
-                f"{extra or 'none'}; missing: {missing or 'none'}); "
-                "error-feedback residuals are no longer stored"
+                f"{path} does not hold this format's state columns (extra, "
+                f"not in this format: {extra or 'none'}; missing from the "
+                f"file: {missing or 'none'})"
             )
         expected = trainer.compressor_spec.label
         if meta["compressor"] != expected:

@@ -53,7 +53,7 @@ load-bearing identities (verified by ``tests/core/test_engine_equivalence.py``):
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import TYPE_CHECKING
 
@@ -101,13 +101,13 @@ class EngineState:
     """Run state as read-only columns: the one format in and out of an engine.
 
     Per node: ``params``, ``previous_params`` and ``previous_gradient``
-    (where ``has_previous``), ``has_previous_views`` (whether its previous
-    layer of views exists), ``iteration``. Per directed edge ``e``, by
+    (where ``has_previous``: EXTRA's two-term memory, cleared only by
+    :meth:`Engine.restart`), ``iteration``. Per directed edge ``e``, by
     source then destination: ``views[e]`` is what ``dst[e]`` holds of
     ``src[e]``, ``last_sent[e]`` what ``src[e]`` believes that is,
     ``fresh[e]`` whether it arrived this round, ``previous_views[e]`` and
     ``previous_fresh[e]`` the same one layer back (where
-    ``has_previous_views[dst[e]]``). On the vectorized engine the columns
+    ``has_previous[dst[e]]``). On the vectorized engine the columns
     view its own arrays and ``last_sent`` *is* ``views`` (PERFORMANCE.md
     identity 1); the per-edge engines gather copies from their servers
     (:func:`gather_state`).
@@ -117,7 +117,6 @@ class EngineState:
     previous_params: np.ndarray
     previous_gradient: np.ndarray
     has_previous: np.ndarray
-    has_previous_views: np.ndarray
     iteration: np.ndarray
     src: np.ndarray
     dst: np.ndarray
@@ -177,9 +176,6 @@ def gather_state(servers, src, dst) -> EngineState:
         previous_params=rows([zero if p is None else p for p in previous]),
         previous_gradient=rows([zero if g is None else g for g in gradients]),
         has_previous=np.asarray([p is not None for p in previous], dtype=bool),
-        has_previous_views=np.asarray(
-            [bool(server.previous_views) for server in servers], dtype=bool
-        ),
         iteration=np.asarray([server.iteration for server in servers], dtype=np.int64),
         src=src,
         dst=dst,
@@ -209,7 +205,6 @@ def scatter_state(state: EngineState, servers) -> None:
     fresh = state.fresh[reverse].tolist()
     previous_fresh = state.previous_fresh[reverse].tolist()
     has_previous = state.has_previous.tolist()
-    has_previous_views = state.has_previous_views.tolist()
     iterations = state.iteration.tolist()
     for i, server in enumerate(servers):
         lo, hi = blocks[i], blocks[i + 1]
@@ -226,7 +221,7 @@ def scatter_state(state: EngineState, servers) -> None:
         server.last_sent = dict(zip(around, last_sent[lo:hi]))
         server.fresh = dict(zip(around, fresh[lo:hi]))
         server.previous_views = (
-            dict(zip(around, previous_views[lo:hi])) if has_previous_views[i] else {}
+            dict(zip(around, previous_views[lo:hi])) if has_previous[i] else {}
         )
         server.previous_fresh = dict(zip(around, previous_fresh[lo:hi]))
 
@@ -246,19 +241,13 @@ def reindex_state(state: EngineState, rows: np.ndarray, src, dst) -> EngineState
 
     A surviving edge carries every per-edge column through ``rows``
     (:func:`carry_rows`); an added edge starts as at round zero, with
-    ``views = last_sent = params[src]`` and fresh. Every node restarts
-    EXTRA: its two-term memory was built under the old ``W`` (or, with the
-    identity ``rows`` of a drift epoch, the old shards).
+    ``views = last_sent = params[src]`` and fresh. Every per-node column,
+    ``has_previous`` included, is carried as it is: which nodes restart
+    EXTRA is :meth:`SNAPTrainer._reload`'s call.
     """
     seeds = state.params[src[rows < 0]]
-    restarted = np.zeros(state.params.shape[0], dtype=bool)
-    return EngineState(
-        params=state.params,
-        previous_params=state.previous_params,
-        previous_gradient=state.previous_gradient,
-        has_previous=restarted,
-        has_previous_views=restarted,
-        iteration=state.iteration,
+    return replace(
+        state,
         src=src,
         dst=dst,
         views=carry_rows(state.views, rows, seeds),
@@ -329,6 +318,13 @@ class Engine:
         """Overwrite the run state with ``state``."""
         scatter_state(state, self.trainer.servers)
 
+    def restart(self, nodes) -> None:
+        """Restart EXTRA at ``nodes``, the one place its memory is cleared:
+        at a stage end, and on every node in :meth:`SNAPTrainer._reload`."""
+        servers = self.trainer.servers
+        for node in nodes:
+            servers[node].restart_recursion()
+
 
 def build_engine(trainer: "SNAPTrainer"):
     """Instantiate the engine selected by ``trainer.config.engine``.
@@ -376,7 +372,8 @@ class ReferenceEngine(Engine):
         one-hop charge, then asks whether the frame arrived damaged
         (charged, never applied); an intact frame is applied to the
         receiver on the spot. The round's charges reach the ledger as one
-        batch after the last sender.
+        batch after the last sender, and the servers whose Algorithm 1 stage
+        ended :meth:`restart` together.
         Servers in ``down`` neither advance, send, nor receive this round.
 
         Returns the parameter values delivered and the edges they crossed.
@@ -405,9 +402,13 @@ class ReferenceEngine(Engine):
             delivered.append((source, destination))
             return True
 
-        for server in active:
-            trainer.send_round(server, round_index, down, transmit)
+        restarting = [
+            server.node_id
+            for server in active
+            if trainer.send_round(server, round_index, down, transmit)
+        ]
         flows.flush(tracker, round_index)
+        self.restart(restarting)
         return params_sent, DeliveredEdges.from_pairs(delivered)
 
 
@@ -494,9 +495,6 @@ class VectorizedEngine(Engine):
         self.previous_fresh = np.ones(self.n_edges, dtype=bool)
         self.previous_gradients = np.zeros((self.n_nodes, d))
         self.has_previous = np.zeros(self.n_nodes, dtype=bool)
-        #: Whether each node's previous-layer views exist (advance_views has
-        #: run since the last recursion restart).
-        self.previous_views_valid = np.zeros(self.n_nodes, dtype=bool)
         self.iterations = np.zeros(self.n_nodes, dtype=np.int64)
         #: Persistent (N + E, d) scratch of the REWEIGHT substitution.
         self._subst_scratch: np.ndarray | None = None
@@ -688,7 +686,6 @@ class VectorizedEngine(Engine):
         np.copyto(self.previous_views, self.views, where=advancing[:, None])
         self.previous_fresh = np.where(advancing, self.fresh, self.previous_fresh)
         self.fresh &= ~advancing
-        self.previous_views_valid |= active
 
     def _round_link_down(self, round_index: int) -> np.ndarray:
         """One fault-plan query per round, mapped onto directed edge rows.
@@ -739,11 +736,11 @@ class VectorizedEngine(Engine):
         The round is three calls on one compressor: ``begin_round_batch``
         for the active nodes, one ``compress_batch`` over all eligible edges
         into a columnar :class:`~repro.compression.base.PayloadBatch`, and
-        ``end_round_batch``; sizing, delivery and the outcome are array
-        operations on the batch. ``batched`` compressors (the paper's three
-        policies among them) implement the three as array kernels; for the
-        rest the base-class adapters fill the batch node by node and edge
-        by edge.
+        ``end_round_batch``, whose nodes :meth:`restart`; sizing, delivery
+        and the outcome are array operations on the batch. ``batched``
+        compressors (the paper's three policies among them) implement the
+        three as array kernels; for the rest the base-class adapters fill
+        the batch node by node and edge by edge.
         """
         trainer = self.trainer
         active = self._active_mask(down)
@@ -802,11 +799,14 @@ class VectorizedEngine(Engine):
             self.edge_src[delivered_idx], self.edge_dst[delivered_idx]
         )
 
-        # Algorithm 1 stage boundary: restart the EXTRA recursion.
-        restarting = compressor.end_round_batch(ctxs, nodes, compressors)
-        self.has_previous[restarting] = False
-        self.previous_views_valid[restarting] = False
+        self.restart(compressor.end_round_batch(ctxs, nodes, compressors))
         return params_sent, delivered
+
+    def restart(self, nodes) -> None:
+        """Clear ``has_previous`` at ``nodes``, and restart any built server."""
+        self.has_previous[nodes] = False
+        if self.trainer._servers is not None:
+            super().restart(nodes)
 
     # -- observation ------------------------------------------------------------
 
@@ -833,7 +833,6 @@ class VectorizedEngine(Engine):
             "previous_params": self.previous_params,
             "previous_gradient": self.previous_gradients,
             "has_previous": self.has_previous,
-            "has_previous_views": self.previous_views_valid,
             "iteration": self.iterations,
             "views": self.views,
             "fresh": self.fresh,

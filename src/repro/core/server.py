@@ -350,15 +350,11 @@ class EdgeServer:
     def restart_recursion(self) -> None:
         """Forget the EXTRA history and treat the current parameters as ``x^0``.
 
-        Algorithm 1 runs EXTRA in stages and "restart[s] the iteration from
-        the solution derived by" the previous stage. Restarting clears the
-        two-term recursion's memory (previous iterate and cached gradient),
-        so errors accumulated under the previous stage's coarser suppression
-        threshold cannot bias the new stage's fixed point — which is what
-        makes the paper's "we can still derive the optimal solution when the
-        APE threshold approaches 0" true. Neighbor views and per-neighbor
-        link state survive: they describe current network knowledge, not
-        recursion history.
+        The per-server kernel of :meth:`~repro.core.engine.Engine.restart`.
+        Algorithm 1 "restart[s] the iteration from the solution derived by"
+        the previous stage, so errors kept under its coarser threshold cannot
+        bias the new stage's fixed point (docs/ALGORITHMS.md). Neighbor views
+        and link state survive: they are network knowledge, not history.
         """
         self.previous_params = None
         self._previous_gradient = None

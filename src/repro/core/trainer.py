@@ -681,12 +681,14 @@ class SNAPTrainer:
             self.monitor.on_topology_swap(swap)
 
     def _reload(self, state, rows: np.ndarray) -> None:
-        """Rebuild the engine, then load ``state`` re-indexed by ``rows``
-        (:func:`~repro.core.engine.reindex_state`, which restarts EXTRA)."""
+        """Rebuild the engine, load ``state`` re-indexed by ``rows``
+        (:func:`~repro.core.engine.reindex_state`) and restart every node:
+        its EXTRA memory was built under the old ``W`` (or shards)."""
         self.engine.rebuild()
         self.engine.load_state(
             reindex_state(state, rows, *self.topology.directed_edges)
         )
+        self.engine.restart(np.arange(self.topology.n_nodes))
 
     def _scheme_name(self) -> str:
         spec = self.compressor_spec
@@ -712,7 +714,7 @@ class SNAPTrainer:
         down: frozenset,
         transmit,
         offline=None,
-    ) -> None:
+    ) -> bool:
         """The sending half of ``server``'s round — the one per-edge sender.
 
         For every live neighbor: select ``server``'s parameters against what
@@ -727,7 +729,8 @@ class SNAPTrainer:
         A ``batched`` compressor's payload depends on nothing but
         ``(current, reference, ctx)``, so the neighbors whose reference is
         bitwise the same get one message, built once (docs/PERFORMANCE.md
-        identity 20); the wire must not write into it.
+        identity 20); the wire must not write into it. Returns whether
+        ``server``'s Algorithm 1 stage ended: the engine restarts it.
         """
         source = server.node_id
         compressor = self.compressors[source]
@@ -758,10 +761,7 @@ class SNAPTrainer:
                 )
             if transmit(source, neighbor, message, stage):
                 server.mark_delivered(neighbor, message)
-        if compressor.end_round(ctx):
-            # Algorithm 1 stage boundary: restart EXTRA from the current
-            # solution under the tightened threshold.
-            server.restart_recursion()
+        return compressor.end_round(ctx)
 
     def transmit_params(
         self, params: Params, node: int, round_index: int

@@ -551,13 +551,16 @@ class TestbedRuntime(Engine):
         wire, the barrier. Returns the values applied and their edges."""
         offline = self._offline
         active = [node for node in self._live if node.server.node_id not in down]
+        restarting = []
         for node in active:
             node.server.advance_views()
-            self._trainer.send_round(
+            if self._trainer.send_round(
                 node.server, round_index, offline, node._transmit
-            )
+            ):
+                restarting.append(node.server.node_id)
         # The round's frames, in node order, as one ledger batch.
         self._flows.flush(self._trainer.tracker, round_index)
+        self.restart(restarting)
         for node in active:
             node.expect_senders(round_index, offline)
         self.barrier_wait(round_index)

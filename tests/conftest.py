@@ -162,3 +162,30 @@ def numerical_gradient(f, params, epsilon=1e-6):
 def gradient_checker():
     """Expose the central-difference helper to tests as a fixture."""
     return numerical_gradient
+
+
+@pytest.fixture
+def restarts(monkeypatch) -> list:
+    """The ``(node, iteration at restart)`` of every EXTRA restart while the
+    test runs, read by wrapping ``Engine.restart`` and its vectorized
+    override: the only code that clears EXTRA's memory."""
+    from repro.core.engine import Engine, VectorizedEngine
+
+    log = []
+    engine_restart, vectorized_restart = Engine.restart, VectorizedEngine.restart
+
+    def per_edge(engine, nodes):
+        # The vectorized override logs its own call; it calls this one
+        # only for servers a caller built.
+        if not isinstance(engine, VectorizedEngine):
+            servers = engine.trainer.servers
+            log.extend((int(node), servers[node].iteration) for node in nodes)
+        engine_restart(engine, nodes)
+
+    def vectorized(engine, nodes):
+        log.extend((int(node), int(engine.iterations[node])) for node in nodes)
+        vectorized_restart(engine, nodes)
+
+    monkeypatch.setattr(Engine, "restart", per_edge)
+    monkeypatch.setattr(VectorizedEngine, "restart", vectorized)
+    return log

@@ -364,6 +364,23 @@ class TestMismatchRejection:
             restore_checkpoint(build_trainer(setup, "topk:k=2"), tmp_path / "ef.npz")
         restore_checkpoint(build_trainer(setup, "topk:k=2"), path)
 
+    def test_old_previous_views_flag_is_refused_by_name(self, setup, tmp_path):
+        """A file saved while the format still had ``has_previous_views``
+        is refused naming that column as not this format's."""
+        trainer = build_trainer(setup)
+        trainer.run(max_rounds=3, stop_on_convergence=False)
+        path = save_checkpoint(trainer, tmp_path / "plain.npz")
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        arrays["state/has_previous_views"] = arrays["state/has_previous"]
+        np.savez(tmp_path / "old.npz", **arrays)
+        with pytest.raises(ConfigurationError) as refused:
+            restore_checkpoint(build_trainer(setup), tmp_path / "old.npz")
+        message = str(refused.value)
+        assert "not in this format: state/has_previous_views;" in message
+        assert "missing from the file: none" in message
+        assert "error-feedback" not in message
+
     def test_non_checkpoint_file_rejected(self, setup, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, stuff=np.zeros(3))

@@ -181,8 +181,8 @@ class TestEngineProtocol:
                     right = right[state.has_previous]
                 if field.name == "previous_views":
                     # Nor do the views of a receiver with no previous layer.
-                    left = left[reference.has_previous_views[reference.dst]]
-                    right = right[state.has_previous_views[state.dst]]
+                    left = left[reference.has_previous[reference.dst]]
+                    right = right[state.has_previous[state.dst]]
                 np.testing.assert_array_equal(left, right, err_msg=field.name)
 
     def test_vectorized_state_views_the_engine_arrays_read_only(self):

@@ -301,3 +301,23 @@ def test_swaps_build_no_server(monkeypatch):
     assert any(swap.reason == "churn" for swap in swaps)
     assert any(swap.added_edges for swap in swaps)
     assert built == [] and scattered == []
+
+
+def test_a_swap_between_runs_restarts_built_servers():
+    """A swap applied between two runs restarts the servers a caller built
+    as well as the arrays, because the next run ingests those servers."""
+    from repro.testing import RunDigest
+    from tests.core.test_topology_readd import manual_swap_trainer
+
+    digests = []
+    for engine in ("reference", "vectorized"):
+        trainer = manual_swap_trainer(engine)
+        trainer.run(stop_on_convergence=False)
+        assert trainer.servers  # built here on the vectorized engine
+        drop = trainer._topology_controller.propose(
+            trainer.rounds_completed, reason="membership", drop_candidates=((0, 3),)
+        )
+        trainer.apply_swap(drop)
+        result = trainer.run(max_rounds=3, stop_on_convergence=False)
+        digests.append(RunDigest.capture(trainer, result))
+    assert digests[0] == digests[1], digests[0].diff(digests[1])

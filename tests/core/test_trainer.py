@@ -1032,8 +1032,9 @@ class TestNoPerMessageFixedCosts:
 
 
 class TestSendRound:
-    """``send_round`` against a scripted wire: link state, the compressor's
-    outcome hooks and the Algorithm 1 restart follow ``transmit``'s answer."""
+    """``send_round`` against a scripted wire: link state follows
+    ``transmit``'s answer; the Algorithm 1 stage end is returned, for the
+    engine to restart."""
 
     def _trainer(self, compressor, **config):
         rng = np.random.default_rng(5)
@@ -1087,12 +1088,22 @@ class TestSendRound:
         assert set(trainer._edge_states) == {(0, 1), (0, 2)}
 
     def test_stage_advance_restarts_the_recursion(self):
+        """``send_round`` answers whether the stage ended and leaves EXTRA's
+        memory alone; the engine's round then restarts the node."""
         for stage_iterations, restarted in ((1, True), (10, False)):
             trainer, server = self._trainer(
                 "ape", ape_stage_iterations=stage_iterations
             )
             server.step()
             assert server.previous_params is not None
-            self._send(trainer, server, accept={1, 2, 3})
-            assert (server.previous_params is None) is restarted
+            answer = trainer.send_round(server, 1, frozenset(), lambda *_: True)
+            assert answer is restarted
+            assert server.previous_params is not None
             assert trainer._schedules[0].stage == int(restarted)
+
+            trainer, _ = self._trainer("ape", ape_stage_iterations=stage_iterations)
+            trainer.engine.step_round(1, frozenset())
+            trainer.engine.communicate(1, frozenset())
+            for server in trainer.servers:
+                assert (server.previous_params is None) is restarted
+                assert (server.previous_views == {}) is restarted

@@ -1,11 +1,12 @@
 """Property tests for the run-state re-index a topology swap applies.
 
 A swap reads the run state once, maps every new directed edge to its old
-row with the old topology's ``edge_rows`` and loads
-:func:`~repro.core.engine.reindex_state` of it. Every engine swaps this
-way, so cross-engine equality cannot catch a mistake here; these
-properties hold the function itself, on random graphs, graphs with links
-removed or re-added, and hierarchies.
+row with the old topology's ``edge_rows``, loads
+:func:`~repro.core.engine.reindex_state` of it and restarts every node
+(``SNAPTrainer._reload``). Every engine swaps this way, so cross-engine
+equality cannot catch a mistake here; these properties hold the function
+itself, on random graphs, graphs with links removed or re-added, and
+hierarchies.
 """
 
 import numpy as np
@@ -18,6 +19,9 @@ from tests.core.test_topology_readd import build_trainer, ring_with_chords
 from tests.properties.test_link_index_properties import topologies
 
 EDGE_COLUMNS = ("views", "last_sent", "fresh", "previous_views", "previous_fresh")
+NODE_COLUMNS = (
+    "params", "previous_params", "previous_gradient", "has_previous", "iteration"
+)
 
 
 @st.composite
@@ -48,7 +52,6 @@ def states(draw, topology: Topology):
         previous_params=rng.normal(size=(n, d)),
         previous_gradient=rng.normal(size=(n, d)),
         has_previous=rng.random(n) < 0.5,
-        has_previous_views=rng.random(n) < 0.5,
         iteration=rng.integers(0, 50, size=n),
         src=src,
         dst=dst,
@@ -62,7 +65,7 @@ def states(draw, topology: Topology):
 
 @given(st.data())
 @settings(max_examples=80, deadline=None)
-def test_reindex_carries_keeps_seeds_and_restarts(data):
+def test_reindex_carries_and_keeps_seeds(data):
     old, new = data.draw(swaps())
     state = data.draw(states(old))
     ages = np.arange(1, old.directed_edges[0].size + 1, dtype=np.int64)
@@ -85,15 +88,35 @@ def test_reindex_carries_keeps_seeds_and_restarts(data):
     assert np.array_equal(moved.views[added], seeds)
     assert np.array_equal(moved.last_sent[added], seeds)
     assert moved.fresh[added].all() and moved.previous_fresh[added].all()
-    # Every node restarts; its own state is untouched.
-    assert not moved.has_previous.any() and not moved.has_previous_views.any()
-    for name in ("params", "previous_params", "previous_gradient", "iteration"):
+    # Every per-node column, the EXTRA memory flag included, is carried:
+    # the restart is _reload's, not the re-index's.
+    for name in NODE_COLUMNS:
+        assert np.array_equal(getattr(moved, name), getattr(state, name)), name
+
+
+def test_reload_restarts_every_node():
+    """``_reload`` carries the state through ``reindex_state``, then restarts
+    EXTRA on every node through ``Engine.restart``."""
+    config = SNAPConfig(engine="reference", optimize_weights=False, seed=3)
+    trainer = build_trainer(ring_with_chords(8, [(0, 3)]), config)
+    trainer.run(max_rounds=3, stop_on_convergence=False)
+    state = trainer.engine.state()
+    assert state.has_previous.all()
+    restarted = []
+    restart = trainer.engine.restart
+    trainer.engine.restart = lambda nodes: restarted.extend(nodes) or restart(nodes)
+    trainer._reload(state, np.arange(state.src.size))
+    assert sorted(restarted) == list(range(8))
+    moved = trainer.engine.state()
+    assert not moved.has_previous.any()
+    for name in ("params", "iteration", "views", "last_sent", "fresh"):
         assert np.array_equal(getattr(moved, name), getattr(state, name)), name
 
 
 def test_scatter_leaves_no_key_of_a_pruned_neighbor():
     """Writing a pruned state onto the servers replaces every per-neighbor
-    dict, so the dropped links leave nothing behind."""
+    dict, so the dropped links leave nothing behind; the previous layer is
+    carried (every node had one) until ``Engine.restart`` clears it."""
     config = SNAPConfig(engine="reference", optimize_weights=False, seed=3)
     old = ring_with_chords(8, [(0, 3), (2, 6)])
     trainer = build_trainer(old, config)
@@ -108,7 +131,11 @@ def test_scatter_leaves_no_key_of_a_pruned_neighbor():
     scatter_state(reindex_state(state, old.edge_rows(src, dst), src, dst), servers)
     for server in servers:
         expected = set(new.neighbors(server.node_id))
-        for ledger in (server.views, server.last_sent, server.fresh, server.previous_fresh):
+        ledgers = (server.views, server.last_sent, server.fresh, server.previous_fresh)
+        for ledger in (*ledgers, server.previous_views):
             assert set(ledger) == expected
+        assert server.previous_params is not None
+    trainer.engine.restart(range(len(servers)))
+    for server in servers:
         assert server.previous_views == {}
         assert server.previous_params is None and server._previous_gradient is None

@@ -8,6 +8,8 @@ included), the flow ledger, the final parameters and the per-server state —
 or be refused by name before any weight solve.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,7 @@ def _testbed_digest(testbed: TestbedRuntime) -> RunDigest:
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_testbed_digest_equals_the_reference_simulator(workload, case):
+def test_testbed_digest_equals_the_reference_simulator(workload, restarts, case):
     config, plan, keywords = CASES[case]
 
     def fault_plan():
@@ -84,6 +86,8 @@ def test_testbed_digest_equals_the_reference_simulator(workload, case):
         fault_plan=fault_plan(),
     )
     sim_result = simulated.run(max_rounds=ROUNDS, stop_on_convergence=False)
+    sim_restarts = Counter(restarts)
+    restarts.clear()
     testbed = TestbedRuntime(
         workload.model, workload.shards, workload.topology, config=config,
         fault_plan=fault_plan(), **keywords,
@@ -92,6 +96,11 @@ def test_testbed_digest_equals_the_reference_simulator(workload, case):
     sim_digest = RunDigest.capture(simulated, sim_result)
 
     assert net_digest == sim_digest, net_digest.diff(sim_digest)
+    # Every EXTRA restart, as (node, iteration), is the simulator's; the
+    # clean APE run restarts every node at its first stage end.
+    assert Counter(restarts) == sim_restarts
+    if case == "clean":
+        assert sim_restarts == Counter((node, 10) for node in workload.topology)
     networked = testbed.trainer
     if config.invariants == "strict":
         assert networked.monitor.checks == simulated.monitor.checks

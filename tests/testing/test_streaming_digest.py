@@ -96,7 +96,6 @@ def test_numpy_integer_rounds_hash_like_python_ints(as_int):
         previous_params=rows,
         previous_gradient=rows,
         has_previous=nodes.astype(bool),
-        has_previous_views=nodes.astype(bool),
         iteration=nodes,
         src=nodes,
         dst=nodes,
