@@ -15,7 +15,7 @@ Three ``SNAPConfig.compressor`` presets cover the paper's scheme family:
 
 Beyond the presets, ``SNAPConfig(compressor=...)`` accepts any
 :class:`~repro.compression.CompressorSpec` (Top-k, Random-k, uniform
-quantization, TernGrad, optionally error-feedback wrapped) — see
+quantization, TernGrad) — see
 ``repro.compression`` and ``docs/COMPRESSION.md``.
 """
 

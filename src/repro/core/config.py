@@ -132,9 +132,8 @@ class SNAPConfig:
         ``engine="semisync"`` only; set on another engine it is refused.
     sparse_weights:
         Build the Metropolis mixing matrix in CSR form instead of a dense
-        ``(N, N)`` array (``optimize_weights=False`` and no
-        ``tier_damping`` — the Section IV-B optimizer and the tiered
-        construction are dense). The sparse matrix is entrywise
+        ``(N, N)`` array (``optimize_weights=False``: the Section IV-B
+        optimizer is dense). The sparse matrix is entrywise
         bit-identical to the dense construction; only λ_min(W̃) for the
         automatic step size switches to a sparse eigensolver, so pin
         ``alpha`` explicitly when comparing digests against a dense run.
@@ -204,14 +203,6 @@ class SNAPConfig:
         each server's shard and restarts the EXTRA recursion. Requires the
         paper's ``shard_weighting=UNIFORM`` (sample weights would go stale
         under drift) and ``staleness_bound=0``.
-    tier_damping:
-        Optional cross-tier damping factor in ``(0, 1]`` for hierarchical
-        topologies: the Metropolis weight of every edge that crosses tiers
-        is multiplied by this factor
-        (:func:`repro.weights.construction.tiered_metropolis_weights`).
-        Requires a topology with ``.tiers`` and ``optimize_weights=False``
-        (the tiered construction is a fixed baseline, like eq. 24), and
-        conflicts with ``sparse_weights``.
     """
 
     alpha: float | None = None
@@ -238,7 +229,6 @@ class SNAPConfig:
     bytes_budget: int | None = None
     robust_aggregation: object | None = None
     drift: object | None = None
-    tier_damping: float | None = None
 
     def __post_init__(self) -> None:
         if self.alpha is not None:
@@ -291,11 +281,6 @@ class SNAPConfig:
             raise ConfigurationError(
                 "sparse_weights requires optimize_weights=False: the Section "
                 "IV-B weight optimizer produces dense matrices"
-            )
-        if self.sparse_weights and self.tier_damping is not None:
-            raise ConfigurationError(
-                "sparse_weights conflicts with tier_damping: the tiered "
-                "Metropolis construction produces dense matrices"
             )
         if self.invariants not in ("off", "strict"):
             raise ConfigurationError(
@@ -356,15 +341,4 @@ class SNAPConfig:
                     "drift requires staleness_bound=0: a shard swap at a "
                     "round boundary is only well-defined when no server has "
                     "run ahead of the fleet"
-                )
-        if self.tier_damping is not None:
-            check_positive("tier_damping", self.tier_damping)
-            if self.tier_damping > 1.0:
-                raise ConfigurationError(
-                    f"tier_damping must be in (0, 1], got {self.tier_damping}"
-                )
-            if self.optimize_weights:
-                raise ConfigurationError(
-                    "tier_damping requires optimize_weights=False: the "
-                    "tiered Metropolis construction is a fixed baseline"
                 )

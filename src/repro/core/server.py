@@ -31,6 +31,11 @@ from repro.types import NodeId, Params
 class EdgeServer:
     """State and update rule of one edge server.
 
+    Its inputs (shard, neighbors, weights, step size) are fixed at
+    construction: the trainer builds a new fleet when they change. Its run
+    state changes only through the engine's ``load_state`` and the round's
+    own methods below.
+
     Parameters
     ----------
     node_id:
@@ -84,8 +89,20 @@ class EdgeServer:
     ):
         self.node_id = int(node_id)
         self.model = model
-        self.swap_data(X, y)
-        self.adopt_weights(neighbors, own_weight, neighbor_weights)
+        self._X = np.asarray(X, dtype=float)
+        self._y = np.asarray(y)
+        #: The model's validate-once view of the shard (:meth:`_prepared_shard`).
+        self._prepared = None
+        neighbors = tuple(int(j) for j in neighbors)
+        weights = tuple(float(w) for w in neighbor_weights)
+        if len(weights) != len(neighbors):
+            raise ConfigurationError(
+                f"server {self.node_id} got {len(weights)} neighbor weights "
+                f"for {len(neighbors)} neighbors"
+            )
+        self.neighbors = neighbors
+        self.own_weight = float(own_weight)
+        self.neighbor_weights = weights
         if alpha <= 0:
             raise ConfigurationError(f"alpha must be > 0, got {alpha}")
         self.alpha = float(alpha)
@@ -130,40 +147,15 @@ class EdgeServer:
 
     # -- local objective ------------------------------------------------------
 
-    def adopt_weights(self, neighbors, own_weight, neighbor_weights) -> None:
-        """Take ``neighbors`` and the row weights aligned with them (at
-        construction, and for a topology swap, whose per-neighbor state the
-        trainer's ``engine.load_state`` then writes)."""
-        neighbors = tuple(int(j) for j in neighbors)
-        weights = tuple(float(w) for w in neighbor_weights)
-        if len(weights) != len(neighbors):
-            raise ConfigurationError(
-                f"server {self.node_id} got {len(weights)} neighbor weights "
-                f"for {len(neighbors)} neighbors"
-            )
-        self.neighbors = neighbors
-        self.own_weight = float(own_weight)
-        self.neighbor_weights = weights
-
     @property
     def X(self) -> np.ndarray:
-        """This server's feature matrix (replace it with :meth:`swap_data`)."""
+        """This server's feature matrix (fixed at construction)."""
         return self._X
 
     @property
     def y(self) -> np.ndarray:
-        """This server's labels (replace them with :meth:`swap_data`)."""
+        """This server's labels (fixed at construction)."""
         return self._y
-
-    def swap_data(self, X: np.ndarray, y: np.ndarray) -> None:
-        """Replace the private shard (construction, or a drift epoch boundary).
-
-        The one place the shard changes, so the one place the prepared shard
-        is dropped: the next evaluation re-validates and re-prepares.
-        """
-        self._X = np.asarray(X, dtype=float)
-        self._y = np.asarray(y)
-        self._prepared = None
 
     def _prepared_shard(self):
         """The model's validate-once view of the shard, built on first evaluation.

@@ -51,6 +51,8 @@ from repro.results import RoundRecord, RoundTrace, TrainingResult
 from repro.topology.graph import Topology
 from repro.types import Params, WeightMatrix
 from repro.weights.adaptive import TopologyController
+# ``tiered_metropolis_weights`` is unused here but stays importable from this
+# module: benchmarks/e2e/layers.py rebinds it by name (ROADMAP, frozen names).
 from repro.weights.construction import metropolis_weights, tiered_metropolis_weights
 from repro.weights.optimizer import optimize_weight_matrix
 from repro.weights.validation import check_weight_matrix, edge_weights, off_support
@@ -175,11 +177,6 @@ class SNAPTrainer:
                     topology, iterations=self.config.weight_iterations
                 )
                 weight_matrix = self._weight_result.matrix
-            elif self.config.tier_damping is not None:
-                weight_matrix = tiered_metropolis_weights(
-                    topology, self.config.tier_damping
-                )
-                self._weight_problem = "tiered-metropolis"
             else:
                 weight_matrix = metropolis_weights(
                     topology, sparse=self.config.sparse_weights
@@ -259,16 +256,7 @@ class SNAPTrainer:
         #: the topology controller steps its byte knob.
         self.compressor_spec = self.config.compressor
         self._schedules = self._build_schedules()
-        #: One compressor instance per server (the APE preset binds each
-        #: node's schedule; every other scheme is stateless per node and
-        #: keeps its state on the edge states instead).
-        self.compressors = [
-            build_compressor(
-                self.compressor_spec,
-                schedule=None if self._schedules is None else self._schedules[i],
-            )
-            for i in range(topology.n_nodes)
-        ]
+        self.compressors = self._build_compressors()
         #: Lightweight per-round observers (no server sync): each is called
         #: with the fresh RoundRecord right after it is appended. This is the
         #: streaming-digest hook — unlike ``run(on_round=...)`` it does not
@@ -323,6 +311,20 @@ class SNAPTrainer:
             self._servers = self._build_servers()
             self.engine.sync_to_servers()
         return self._servers
+
+    def _build_compressors(self) -> list:
+        """One compressor per server for ``compressor_spec``: the APE preset
+        binds each node's schedule (a bank row, so a rebuild moves no
+        schedule state); every other scheme is stateless per node and keeps
+        its state on the edge states instead."""
+        schedules = self._schedules
+        return [
+            build_compressor(
+                self.compressor_spec,
+                schedule=None if schedules is None else schedules[i],
+            )
+            for i in range(self.topology.n_nodes)
+        ]
 
     def _build_servers(self) -> list[EdgeServer]:
         """The fleet at ``x^0`` over the current shards, topology, W and step size."""
@@ -623,19 +625,22 @@ class SNAPTrainer:
         """Switch the run onto a swap's (topology, W, spec) between rounds:
         the adaptive controller's, or the testbed's membership swap.
 
+        A swap changes only the trainer's inputs; :meth:`_reload` derives
+        every per-node object from them again, so a server held from before
+        the swap is retired, not updated.
+
         1. The new W is validated — by the monitor's ``topology-swap`` check
-           (step 6) when one is attached, else here — and refused if any
+           (step 5) when one is attached, else here — and refused if any
            weight leaves the new links.
         2. The run state is read once, and the old topology's ``edge_rows``
            maps each new directed edge to its old row (−1 if added).
-        3. Topology, W and step size switch; the step size is re-capped,
-           never raised mid-run (that would invalidate completed rounds).
-           Built servers take their new neighbors, weights and step size.
-        4. The staleness ages move through the same rows (added: 0).
-        5. A knob swap rebuilds every compressor and clears the per-edge
-           compressor state; a topology-only swap drops the pruned edges'.
-        6. The engine reloads the state moved through the rows
-           (:meth:`_reload`); the monitor re-validates.
+        3. Topology, W, step size and spec switch; the step size is
+           re-capped, never raised mid-run (that would invalidate completed
+           rounds). The staleness ages move through the same rows (added: 0).
+        4. A knob swap clears the per-edge compressor state; a topology-only
+           swap drops the pruned edges'.
+        5. :meth:`_reload` rebuilds servers, compressors and engine and loads
+           the state moved through the rows; the monitor re-validates.
         """
         if self.monitor is None:
             check_weight_matrix(swap.matrix, swap.topology)
@@ -650,24 +655,10 @@ class SNAPTrainer:
         self._weight_result = swap.result
         if self.config.alpha is None:
             self.alpha = min(self.alpha, self._safe_alpha(swap.matrix, swap.result))
-        for server, (own_weight, neighbor_weights) in zip(
-            self._servers or (), self._server_weights()
-        ):
-            server.adopt_weights(
-                self.topology.neighbors(server.node_id), own_weight, neighbor_weights
-            )
-            server.alpha = self.alpha
-
         self._staleness = carry_rows(self._staleness, rows, 0)
 
         if swap.compressor_spec is not None:
-            # The budget controller never steps a preset's knob, so the
-            # schedule-bound APE compressors are never rebuilt here.
             self.compressor_spec = swap.compressor_spec
-            self.compressors = [
-                build_compressor(self.compressor_spec, schedule=None)
-                for _ in range(self.topology.n_nodes)
-            ]
             self._edge_states.clear()
         elif self._edge_states:
             links = np.asarray(list(self._edge_states), dtype=np.int64)
@@ -681,9 +672,18 @@ class SNAPTrainer:
             self.monitor.on_topology_swap(swap)
 
     def _reload(self, state, rows: np.ndarray) -> None:
-        """Rebuild the engine, load ``state`` re-indexed by ``rows``
-        (:func:`~repro.core.engine.reindex_state`) and restart every node:
-        its EXTRA memory was built under the old ``W`` (or shards)."""
+        """Load the run onto the trainer's current inputs at a boundary.
+
+        Servers (if built) and compressors are built anew by the
+        constructor's own builders, so a server held from before the
+        boundary is retired; then the engine is rebuilt, loads ``state``
+        re-indexed by ``rows`` (:func:`~repro.core.engine.reindex_state`)
+        and restarts every node: its EXTRA memory was built under the old
+        ``W`` (or shards).
+        """
+        if self._servers is not None:
+            self._servers = self._build_servers()
+        self.compressors = self._build_compressors()
         self.engine.rebuild()
         self.engine.load_state(
             reindex_state(state, rows, *self.topology.directed_edges)
@@ -805,14 +805,16 @@ class SNAPTrainer:
             ) from None
 
     def _maybe_apply_drift(self, round_index: int) -> None:
-        """Swap every server onto the schedule's shard for this round's epoch.
+        """Move the run onto the schedule's shards for this round's epoch.
 
         An epoch boundary is an EXTRA restart: the gradient-difference
         recursion straddling a data change is incoherent, so each server's
         current parameters become the new epoch's ``x^0`` (exactly the
         Algorithm 1 stage-boundary semantics): a swap's :meth:`_reload`
-        with every edge in place. Neighbor views and link state survive —
-        the network's knowledge didn't change, the data did.
+        with every edge in place, which builds the servers anew on the new
+        shards (a server held from before the boundary is retired).
+        Neighbor views and link state survive — the network's knowledge
+        didn't change, the data did.
         """
         schedule = self.config.drift
         epoch = schedule.epoch(round_index)
@@ -823,9 +825,6 @@ class SNAPTrainer:
             schedule.shard(node, base, epoch)
             for node, base in enumerate(self._base_shards)
         ]
-        # The vectorized engine re-prepares in rebuild(): no list is built.
-        for server, shard in zip(self._servers or (), self.shards):
-            server.swap_data(shard.X, shard.y)
         self._drift_epoch = epoch
         self._reload(state, np.arange(state.src.size))
 

@@ -156,6 +156,9 @@ def _dial(port: int, node_id: int, timeout_s: float) -> socket.socket:
 class _Node:
     """Runtime wrapper around one EdgeServer: its sockets and link ledgers.
 
+    ``server`` is the trainer's server of this node, re-pointed by every
+    boundary's :meth:`TestbedRuntime.rebuild` (the trainer builds new ones).
+
     Nothing here refers back to the runtime (or, from a re-dial factory, to
     the node), so a finished runtime is freed by refcount.
     """
@@ -598,14 +601,15 @@ class TestbedRuntime(Engine):
         return float(mean([node.loss_trace[-1] for node in self._live]))
 
     def rebuild(self) -> None:
-        """Adopt the trainer's topology; nothing is dialed. A re-added link
-        is re-armed: pre-swap leftover frames are fenced out (link epoch),
-        and the peer's miss and death record is cleared. A drift epoch
-        changes no link, so nothing is re-armed."""
-        topology = self._trainer.topology
-        round_index = self._trainer.rounds_completed + 1
-        for node in self.nodes:
-            node_id = node.server.node_id
+        """Adopt the trainer's topology and its new servers; nothing is
+        dialed. A re-added link is re-armed: pre-swap leftover frames are
+        fenced out (link epoch), and the peer's miss and death record is
+        cleared. A drift epoch changes no link, so nothing is re-armed."""
+        trainer = self._trainer
+        topology, round_index = trainer.topology, trainer.rounds_completed + 1
+        for node, server in zip(self.nodes, trainer.servers):
+            node.server = server
+            node_id = server.node_id
             before = set(node.topology.neighbors(node_id))
             for peer in set(topology.neighbors(node_id)) - before:
                 node.link_epoch[peer] = round_index

@@ -74,12 +74,14 @@ def run_scenario(
             scenario.config(engine, invariants=invariants),
             retain_flow_records=False,
         )
+        topology = scenario.topology()
         trainer = SNAPTrainer(
             scenario.model(),
             scenario.shards(),
-            scenario.topology(),
+            topology,
             config,
             fault_plan=scenario.fault_plan(),
+            weight_matrix=scenario.weight_matrix(topology),
         )
         try:
             digests[engine] = capture_run(trainer, streaming=True)
@@ -210,12 +212,14 @@ def run_semisync_smoke(
                 corruption=base.corruption if base is not None else None,
                 clocks=ScheduledStragglers({straggler: float(straggler_factor)}),
             )
+            topology = scenario.topology()
             trainer = SNAPTrainer(
                 scenario.model(),
                 scenario.shards(),
-                scenario.topology(),
+                topology,
                 config,
                 fault_plan=plan,
+                weight_matrix=scenario.weight_matrix(topology),
             )
             label = f"tau={tau} straggler={straggler}@{straggler_factor:g}x"
             try:

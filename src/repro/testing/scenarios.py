@@ -53,6 +53,7 @@ from repro.models.logistic import LogisticRegression
 from repro.models.svm import LinearSVM
 from repro.topology.generators import hierarchical_topology
 from repro.topology.graph import Topology
+from repro.weights.construction import tiered_metropolis_weights
 
 #: The compression schemes a generated scenario may draw. ``None`` draws one
 #: of the paper's presets; strings go through the spec grammar. Each bare
@@ -213,17 +214,25 @@ class Scenario:
             topology_prune_threshold=self.prune_threshold,
             robust_aggregation=self.robust,
             drift=self.drift_schedule(),
-            tier_damping=self.tier_damping if self.hierarchy else None,
         )
+
+    def weight_matrix(self, topology: Topology):
+        """The explicit W of a hierarchy scenario (cross-tier links damped
+        by ``tier_damping``); ``None`` lets the config build it."""
+        if not self.hierarchy:
+            return None
+        return tiered_metropolis_weights(topology, self.tier_damping)
 
     def build_trainer(self, engine: str, invariants: str = "off") -> SNAPTrainer:
         """A fresh trainer for this scenario on the requested engine."""
+        topology = self.topology()
         return SNAPTrainer(
             self.model(),
             self.shards(),
-            self.topology(),
+            topology,
             self.config(engine, invariants),
             fault_plan=self.fault_plan(),
+            weight_matrix=self.weight_matrix(topology),
         )
 
     def with_overrides(self, **changes) -> "Scenario":

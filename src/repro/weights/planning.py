@@ -19,6 +19,7 @@ from repro.topology.generators import complete_topology
 from repro.topology.graph import Topology
 from repro.types import WeightMatrix
 from repro.utils.validation import check_non_negative
+from repro.weights.adaptive import prune_links
 from repro.weights.optimizer import WeightOptimizationResult, optimize_weight_matrix
 from repro.weights.spectrum import MixingReport, analyze_weight_matrix
 from repro.weights.validation import check_weight_matrix
@@ -100,13 +101,10 @@ def plan_neighbor_sets(
         dense_topology = candidate_topology
     dense = optimize_weight_matrix(dense_topology, iterations=iterations)
 
-    kept = [
-        (u, v)
-        for u, v in dense_topology.edges
-        if dense.matrix[u, v] >= weight_threshold
-    ]
-    pruned = Topology(n_nodes, kept)
-    if not pruned.is_connected():
+    # The online controller's rule (connectivity-guarded): it keeps a link
+    # below the threshold only when the links at or above it are disconnected.
+    pruned, _ = prune_links(dense_topology, dense.matrix, weight_threshold)
+    if any(dense.matrix[u, v] < weight_threshold for u, v in pruned.edges):
         raise TopologyError(
             f"pruning at weight_threshold={weight_threshold} disconnects the "
             "network; choose a smaller threshold"
@@ -121,5 +119,5 @@ def plan_neighbor_sets(
         weight_matrix=refit.matrix,
         report=refit.report,
         dense_report=analyze_weight_matrix(dense.matrix),
-        kept_edges=len(kept),
+        kept_edges=len(pruned.edges),
     )

@@ -73,7 +73,7 @@ class TestValidation:
 
     def test_field_count(self):
         """A new knob is a decision, not a side effect: update this with it."""
-        assert len(dataclasses.fields(SNAPConfig)) == 25
+        assert len(dataclasses.fields(SNAPConfig)) == 24
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     @pytest.mark.parametrize(
@@ -91,11 +91,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=field):
             SNAPConfig(engine=engine, **{field: value})
         assert getattr(SNAPConfig(engine="semisync", **{field: value}), field) == value
-
-    def test_sparse_weights_exclude_tier_damping(self):
-        """The tiered Metropolis construction is dense: sparse would be ignored."""
-        with pytest.raises(ConfigurationError, match="tier_damping"):
-            SNAPConfig(optimize_weights=False, sparse_weights=True, tier_damping=0.5)
 
 
 class TestScenarioAxes:
@@ -139,13 +134,3 @@ class TestScenarioAxes:
                 drift=StreamingArrival(period=3),
                 shard_weighting=ShardWeighting.SAMPLES,
             )
-
-    def test_tier_damping_range_and_optimizer_conflict(self):
-        config = SNAPConfig(tier_damping=0.5, optimize_weights=False)
-        assert config.tier_damping == pytest.approx(0.5)
-        with pytest.raises(ConfigurationError):
-            SNAPConfig(tier_damping=0.0, optimize_weights=False)
-        with pytest.raises(ConfigurationError):
-            SNAPConfig(tier_damping=1.5, optimize_weights=False)
-        with pytest.raises(ConfigurationError):
-            SNAPConfig(tier_damping=0.5, optimize_weights=True)

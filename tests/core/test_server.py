@@ -249,8 +249,8 @@ class TestPreparedShard:
     """``local_loss`` / ``local_gradient`` go through the prepared-shard API.
 
     They must stay bitwise ``scale * model.loss / gradient(params, X, y)`` —
-    what they computed before — prepare lazily, and re-prepare after
-    :meth:`EdgeServer.swap_data`.
+    what they computed before — and prepare lazily, once per server (a
+    server's shard is fixed at construction).
     """
 
     @staticmethod
@@ -325,20 +325,6 @@ class TestPreparedShard:
             server.local_loss(np.zeros(model.n_params + 1))
         with pytest.raises(DataError):
             server.local_gradient(np.zeros((model.n_params, 1)))
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_swap_data_replaces_what_is_evaluated(self, family, rng):
-        model, X, y = _family(family, rng)
-        server = self._server(model, X, y)
-        params = rng.normal(size=model.n_params)
-        server.local_loss(params)  # prepared on the old shard
-        _, X2, y2 = _family(family, rng)
-        server.swap_data(X2, y2)
-        assert server.X is not X and np.array_equal(server.X, X2)
-        assert server.local_loss(params) == model.loss(params, X2, y2)
-        assert np.array_equal(
-            server.local_gradient(params), model.gradient(params, X2, y2)
-        )
 
     def test_shard_cannot_be_replaced_behind_the_prepared_copy(self, rng):
         model, X, y = _family("ridge", rng)

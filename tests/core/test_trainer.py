@@ -667,11 +667,11 @@ class TestOnePerEdgeSender:
 
 
 class TestDriftSwapsThePreparedShard:
-    """A drift epoch boundary replaces each server's shard through ``swap_data``.
+    """A drift epoch boundary builds every server anew on its epoch's shard.
 
     The reference engine's servers evaluate through a shard prepared once
-    (design matrix and labels validated and kept); a shard swapped behind
-    that copy would keep training on the old epoch's data while the
+    (design matrix and labels validated and kept); a server kept across the
+    boundary would keep training on the old epoch's data while the
     vectorized engine, which re-prepares in ``Engine.rebuild``, moved on.
     """
 
