@@ -26,6 +26,7 @@ wire as a ``transmit`` callable.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -102,15 +103,6 @@ def _delivered_graph_connected(
     return n_components - len(down) == 1
 
 
-def _refuse_stray_weights(rows: np.ndarray, columns: np.ndarray, what: str) -> None:
-    """Raise for the first server holding weight off its links (``off_support``)."""
-    if rows.size:
-        raise ConfigurationError(
-            f"{what} of server {rows[0]} has mass outside its neighbor set: "
-            f"{columns[rows == rows[0]].tolist()}"
-        )
-
-
 class SNAPTrainer:
     """Decentralized trainer implementing SNAP and its SNAP-0/SNO variants.
 
@@ -152,7 +144,6 @@ class SNAPTrainer:
         initial_params: Params | None = None,
     ):
         self.model = model
-        self.topology = topology
         self.config = config if config is not None else SNAPConfig()
         if len(shards) != topology.n_nodes:
             raise ConfigurationError(
@@ -164,19 +155,15 @@ class SNAPTrainer:
             )
         self.shards = shards
 
-        #: The full optimization result backing ``weight_matrix`` (None for
-        #: explicit/Metropolis matrices). The adaptive topology controller
-        #: warm-starts its online re-solves from it, and its cached
-        #: ``lazy_report`` feeds the step-size cap below.
-        self._weight_result = None
         #: How a matrix that is not an optimization result was made.
         self._weight_problem = "explicit"
+        result = None
         if weight_matrix is None:
             if self.config.optimize_weights:
-                self._weight_result = optimize_weight_matrix(
+                result = optimize_weight_matrix(
                     topology, iterations=self.config.weight_iterations
                 )
-                weight_matrix = self._weight_result.matrix
+                weight_matrix = result.matrix
             else:
                 weight_matrix = metropolis_weights(
                     topology, sparse=self.config.sparse_weights
@@ -184,7 +171,6 @@ class SNAPTrainer:
                 self._weight_problem = (
                     "metropolis-sparse" if self.config.sparse_weights else "metropolis"
                 )
-        self.weight_matrix = check_weight_matrix(weight_matrix, topology)
 
         if self.config.shard_weighting is ShardWeighting.SAMPLES:
             total_samples = sum(shard.n_samples for shard in shards)
@@ -207,11 +193,10 @@ class SNAPTrainer:
         self.lipschitz = max(
             self._epoch_lipschitz_bound(epoch) for epoch in range(horizon + 1)
         )
-        self.alpha = (
-            self.config.alpha
-            if self.config.alpha is not None
-            else self._safe_alpha(self.weight_matrix, self._weight_result)
-        )
+        # ``_load_weights`` caps the step size at W's safe step; from
+        # infinity that cap is the safe step itself.
+        self.alpha = math.inf if self.config.alpha is None else self.config.alpha
+        self._load_weights(topology, weight_matrix, result)
 
         if initial_params is None:
             initial_params = model.init_params(self.config.seed)
@@ -222,7 +207,6 @@ class SNAPTrainer:
         #: vectorized engine the engine's arrays are, and the list is built
         #: on the first read of :attr:`servers`.
         self._servers: list[EdgeServer] | None = None
-        self._check_server_inputs()
         if self.config.engine != "vectorized":
             self._servers = self._build_servers()
 
@@ -383,25 +367,43 @@ class SNAPTrainer:
         links = links.tolist()
         return [(w, links[lo:hi]) for w, lo, hi in zip(own.tolist(), bounds, bounds[1:])]
 
-    def _check_server_inputs(self) -> None:
-        """The step size, then node by node its objective scale and its W support.
+    def _load_weights(self, topology: Topology, matrix: WeightMatrix, result) -> None:
+        """Adopt ``topology``, its W and W's solve (``result``, or None): the one gate.
 
-        Once over columns, for every engine, before any server is built
-        (``EdgeServer`` takes only the weights of its own links, so an entry
-        off the support could never reach one): the first failing node, in
-        node order, raises.
+        Construction and every swap come through here; nothing is assigned
+        until every check has passed, so a refused W leaves the run as it
+        was. W must be feasible (``check_weight_matrix``); unless
+        ``config.alpha`` fixes it, the step size is capped at W's safe step,
+        never raised (mid-run that would invalidate completed rounds); then
+        the step size must be positive and, node by node, the objective scale
+        positive and W free of weight off the node's links (``EdgeServer``
+        takes only its own links' weights): the first failing node raises.
         """
-        if self.alpha <= 0:
-            raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
-        n = self.topology.n_nodes
+        matrix = check_weight_matrix(matrix, topology)
+        alpha = self.alpha
+        if self.config.alpha is None:
+            alpha = min(alpha, self._safe_alpha(matrix, result))
+        if alpha <= 0:
+            raise ConfigurationError(f"alpha must be > 0, got {alpha}")
+        n = topology.n_nodes
         scales = self._objective_scales
         first_scale = next((i for i, scale in enumerate(scales) if scale <= 0), n)
-        rows, columns = off_support(self.weight_matrix, self.topology, STRAY_ATOL)
+        rows, columns = off_support(matrix, topology, STRAY_ATOL)
         if first_scale < n and first_scale <= (rows[0] if rows.size else n):
             raise ConfigurationError(
                 f"objective_scale must be > 0, got {scales[first_scale]}"
             )
-        _refuse_stray_weights(rows, columns, "weight row")
+        if rows.size:
+            raise ConfigurationError(
+                f"weight row of server {rows[0]} has mass outside its neighbor "
+                f"set: {columns[rows == rows[0]].tolist()}"
+            )
+        self.topology = topology
+        self.weight_matrix = matrix
+        #: The solve behind ``weight_matrix`` (None for explicit/Metropolis
+        #: matrices): the adaptive controller warm-starts from it.
+        self._weight_result = result
+        self.alpha = alpha
 
     def _build_schedules(self) -> APEScheduleBank | None:
         """One APE schedule per server (a bank row each), in *relative* units.
@@ -629,32 +631,19 @@ class SNAPTrainer:
         every per-node object from them again, so a server held from before
         the swap is retired, not updated.
 
-        1. The new W is validated — by the monitor's ``topology-swap`` check
-           (step 5) when one is attached, else here — and refused if any
-           weight leaves the new links.
-        2. The run state is read once, and the old topology's ``edge_rows``
+        1. The run state is read once, and the old topology's ``edge_rows``
            maps each new directed edge to its old row (−1 if added).
-        3. Topology, W, step size and spec switch; the step size is
-           re-capped, never raised mid-run (that would invalidate completed
-           rounds). The staleness ages move through the same rows (added: 0).
-        4. A knob swap clears the per-edge compressor state; a topology-only
-           swap drops the pruned edges'.
-        5. :meth:`_reload` rebuilds servers, compressors and engine and loads
+        2. :meth:`_load_weights` checks the new W and switches topology, W
+           and step size, or raises and leaves the run as it was, monitor or
+           not. The staleness ages move through the same rows (added: 0).
+        3. A knob swap switches the spec and clears the per-edge compressor
+           state; a topology-only swap drops the pruned edges'.
+        4. :meth:`_reload` rebuilds servers, compressors and engine and loads
            the state moved through the rows; the monitor re-validates.
         """
-        if self.monitor is None:
-            check_weight_matrix(swap.matrix, swap.topology)
-        _refuse_stray_weights(
-            *off_support(swap.matrix, swap.topology, STRAY_ATOL), "swapped weight row"
-        )
         state = self.engine.state()
         rows = self.topology.edge_rows(*swap.topology.directed_edges)
-
-        self.topology = swap.topology
-        self.weight_matrix = swap.matrix
-        self._weight_result = swap.result
-        if self.config.alpha is None:
-            self.alpha = min(self.alpha, self._safe_alpha(swap.matrix, swap.result))
+        self._load_weights(swap.topology, swap.result.matrix, swap.result)
         self._staleness = carry_rows(self._staleness, rows, 0)
 
         if swap.compressor_spec is not None:

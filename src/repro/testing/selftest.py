@@ -19,10 +19,11 @@ the violated invariant:
     stage budget in the schedule bank's columns, with no stage advance
     (Algorithm 1 lines 5-6 skipped) → ``ape-budget``.
 ``swap``
-    The adaptive topology controller is wrapped so the re-optimized mixing
-    matrix it hands the trainer has one off-diagonal entry perturbed — a
-    corrupt online re-solve. The swap-boundary re-validation must refuse it
-    by name → ``weight-stochasticity`` (checked under ``topology-swap``).
+    A swap is forced at every controller cycle, and one off-diagonal entry
+    of the W it loads is perturbed past the swap's gate, as ``weight`` does
+    past the constructor's (a corrupt re-solve never gets that far). The
+    swap-boundary re-validation must catch it by name →
+    ``weight-stochasticity`` (checked under ``topology-swap``).
 ``byzantine``
     A trimmed-mean defense with tolerance f = 1 faces two attackers that
     are both neighbors of one honest server — the robustness claim is void
@@ -121,35 +122,33 @@ def _adaptive_scenario(master_seed: int = 0) -> Scenario:
 
 def _inject_swap(trainer) -> None:
     controller = trainer._topology_controller
-    true_propose = controller.propose
+    true_propose, true_reload = controller.propose, trainer._reload
 
-    def corrupt_propose(round_index, **kwargs):
-        swap = true_propose(round_index, **kwargs)
-        if swap is None:
-            # Force a swap so the injection fires even when nothing pruned:
-            # same topology, same result — only the matrix is corrupted.
-            from repro.weights.adaptive import TopologySwap
+    def forced_propose(round_index, **kwargs):
+        # Force a swap so the injection fires even when nothing pruned.
+        from repro.weights.adaptive import TopologySwap
 
-            swap = TopologySwap(
-                round_index=round_index,
-                reason=kwargs.get("reason", "periodic"),
-                topology=controller.topology,
-                matrix=controller.result.matrix,
-                result=controller.result,
-                pruned_edges=(),
-                compressor_spec=None,
-                solver_steps=0,
-            )
-        # (0, 1) is a ring edge of every base topology, so support stays
-        # legal — the corruption breaks symmetry and both stochastic sums,
-        # which only the swap-boundary re-validation can notice.
-        matrix = swap.matrix.copy()
-        matrix[0, 1] += 0.05
-        from dataclasses import replace
+        return true_propose(round_index, **kwargs) or TopologySwap(
+            round_index=round_index,
+            reason=kwargs.get("reason", "periodic"),
+            topology=controller.topology,
+            result=controller.result,
+            pruned_edges=(),
+            compressor_spec=None,
+            solver_steps=0,
+        )
 
-        return replace(swap, matrix=matrix)
+    def corrupt_reload(state, rows):
+        # Past the swap's gate, on a copy (the controller's solve stays
+        # intact). (0, 1) is a ring edge of every base topology, so support
+        # stays legal — the corruption breaks symmetry and both stochastic
+        # sums, which only the swap-boundary re-validation can notice.
+        trainer.weight_matrix = trainer.weight_matrix.copy()
+        trainer.weight_matrix[0, 1] += 0.05
+        true_reload(state, rows)
 
-    controller.propose = corrupt_propose
+    controller.propose = forced_propose
+    trainer._reload = corrupt_reload
 
 
 def _byzantine_scenario(master_seed: int = 0) -> Scenario:

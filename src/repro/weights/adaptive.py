@@ -160,7 +160,8 @@ class TopologySwap:
     round_index: int
     reason: str  # "periodic" | "churn" | "ape-stage" | "membership"
     topology: Topology
-    matrix: np.ndarray
+    #: The solve behind the swap: its ``matrix`` is the new W, and its
+    #: ``lazy_report`` feeds the new W's step-size cap.
     result: WeightOptimizationResult
     #: Canonical edges dropped by this swap (empty for knob-only swaps).
     pruned_edges: tuple
@@ -311,7 +312,6 @@ class TopologyController:
             round_index=round_index,
             reason=reason,
             topology=pruned,
-            matrix=result.matrix,
             result=result,
             pruned_edges=removed,
             compressor_spec=new_spec,

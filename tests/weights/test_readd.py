@@ -123,7 +123,7 @@ class TestControllerReadds:
         swap = controller.propose(
             9, reason="membership", add_candidates=((0, 2), (0, 4))
         )
-        check_weight_matrix(swap.matrix, swap.topology)
+        check_weight_matrix(swap.result.matrix, swap.topology)
         assert set(swap.topology.edges) == set(BASE.edges)
 
     def test_readd_outside_base_is_rejected(self):
