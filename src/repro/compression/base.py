@@ -231,6 +231,28 @@ class PayloadBatch:
             meta=meta,
         )
 
+    def take(self, rows: np.ndarray) -> "PayloadBatch":
+        """The batch whose row ``r`` is row ``rows[r]`` of this array-backed one.
+
+        How the vectorized engine hands a ``batched`` compressor's one
+        selection to every edge that shares its sender and reference
+        (docs/PERFORMANCE.md identity 22); a batch packed
+        :meth:`from_payloads` is never taken.
+        """
+
+        def pick(column):
+            return None if column is None else column[rows]
+
+        return PayloadBatch(
+            pick(self.indices),
+            self.values[rows],
+            self.n_sent[rows],
+            bits=self.bits,
+            scales=pick(self.scales),
+            levels=pick(self.levels),
+            mask=pick(self.mask),
+        )
+
     def wire_bytes(self, total_params: int) -> np.ndarray:
         """Exact wire bytes of every row's cheapest frame (``int64``)."""
         return encoded_update_bytes(

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import Compressor, EdgeState, Payload, PayloadBatch
+from repro.compression.base import (
+    Compressor,
+    EdgeState,
+    Payload,
+    PayloadBatch,
+    row_reduce,
+)
 from repro.exceptions import ConfigurationError
 
 
@@ -55,20 +61,41 @@ class TopKCompressor(Compressor):
         states=None,
         ctxs=None,
     ) -> PayloadBatch:
-        magnitudes = np.abs(currents - references)
-        # Batched stable argsort along axis 1 equals the per-row call on
-        # C-contiguous data, so the picks match compress() bitwise.
-        ranked = np.argsort(-magnitudes, kind="stable")[:, : self.k]
-        drifted = np.take_along_axis(magnitudes, ranked, axis=1) > 0.0
-        # Sorting with the zero-drift picks pushed past the last real index
-        # leaves each row's sent indices ascending in its leading columns.
-        n_params = currents.shape[1]
-        indices = np.sort(np.where(drifted, ranked, n_params), axis=1)
-        indices[indices == n_params] = 0
+        # The stable argsort of compress() by selection instead of a sort
+        # (docs/PERFORMANCE.md identity 21): a row's top k under -|drift|
+        # are the entries strictly below its k-th smallest key, then the
+        # lowest-indexed entries equal to it until k are taken. NaN keys
+        # sort last and compare false, so they are never kept; a NaN k-th
+        # key (fewer than k non-NaN) keeps every non-NaN, and zero drift is
+        # then dropped, so the bound is capped at zero by ``fmin``.
+        keys = np.abs(currents - references)
+        np.negative(keys, out=keys)
+        n_rows, n_params = keys.shape
+        width = min(self.k, n_params)
+        if self.k < n_params:
+            kth = np.partition(keys, self.k - 1, axis=1)[:, self.k - 1 : self.k]
+            bound = np.fmin(kth, 0.0)
+        else:
+            bound = np.zeros((n_rows, 1))
+        keep = keys < bound
+        tied = keys == bound
+        tied &= bound < 0.0
+        room = self.k - row_reduce(np.add, keep, dtype=np.int64)
+        over = np.flatnonzero(row_reduce(np.add, tied, dtype=np.int64) > room)
+        keep |= tied
+        # Only rows with more ties than room rank them, by index.
+        ranked = np.cumsum(tied[over], axis=1) <= room[over, None]
+        keep[over] &= ranked | ~tied[over]
+        n_sent = row_reduce(np.add, keep, dtype=np.int64)
+        # Each row's kept indices, ascending, into its leading columns;
+        # the padding is index 0.
+        flat = np.flatnonzero(keep)
+        rows = flat // n_params
+        starts = np.cumsum(n_sent) - n_sent
+        indices = np.zeros((n_rows, width), dtype=np.int64)
+        indices[rows, np.arange(flat.size) - starts[rows]] = flat - rows * n_params
         return PayloadBatch(
-            indices,
-            np.take_along_axis(currents, indices, axis=1),
-            drifted.sum(axis=1),
+            indices, np.take_along_axis(currents, indices, axis=1), n_sent
         )
 
 

@@ -47,7 +47,10 @@ load-bearing identities (verified by ``tests/core/test_engine_equivalence.py``):
   :class:`~repro.core.ape.APEScheduleBank` is the scalar Algorithm 1
   transition, row by row — held by ``tests/core/test_ape.py``;
 * every ``batched`` compressor's array kernels equal its per-edge methods —
-  held by ``tests/compression``.
+  held by ``tests/compression`` — and depend only on each row's operands,
+  so one selection serves every edge whose sender and view are the same;
+* the loss's forward pass at ``x_{t+1}`` is the gradient's at the start of
+  round t+1, so it is computed once.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from repro.compression.base import row_reduce
 from repro.core.config import StragglerStrategy
 from repro.network.cost import FlowBatch
 from repro.weights.validation import edge_weights
@@ -142,6 +146,24 @@ def edge_blocks(src: np.ndarray, dst: np.ndarray, n_nodes: int):
     blocks = np.searchsorted(src, np.arange(n_nodes + 1)).tolist()
     reverse = np.searchsorted(src * n_nodes + dst, dst * n_nodes + src)
     return blocks, reverse
+
+
+def reference_runs(sources: np.ndarray, references: np.ndarray):
+    """Runs of consecutive rows with one source and bitwise-equal references.
+
+    Returns ``(firsts, runs)``: the row opening each run, ascending, and
+    each row's run number, so ``firsts[runs]`` maps every row to its run's
+    first row. Rows compare as ``int64`` bits, so ``-0.0`` and ``0.0`` (or
+    two NaNs of different bits) open separate runs, as they must for a
+    kernel that may tell them apart.
+    """
+    opens = np.ones(sources.size, dtype=bool)
+    if sources.size > 1:
+        bits = references.view(np.int64)
+        np.not_equal(sources[1:], sources[:-1], out=opens[1:])
+        opens[1:] |= row_reduce(np.logical_or, bits[1:] != bits[:-1])
+    runs = np.cumsum(opens) - 1
+    return np.flatnonzero(opens), runs
 
 
 def gather_state(servers, src, dst) -> EngineState:
@@ -431,6 +453,8 @@ class VectorizedEngine(Engine):
         self.n_nodes = trainer.topology.n_nodes
         self.n_params = trainer.model.n_params
         self.scales = np.asarray(trainer._objective_scales, dtype=float)
+        #: The shard list ``prepared`` was built from.
+        self._prepared_from = None
         self.rebuild()
         # A fresh engine is a fresh fleet: every server and every view holds
         # x^0, no previous layer, every flag fresh.
@@ -440,11 +464,18 @@ class VectorizedEngine(Engine):
     def rebuild(self) -> None:
         """Re-derive the edge layout, both mixing CSRs and the prepared shards
         from the trainer, over zeroed state arrays that :meth:`load_state`
-        (or construction's ``x^0``) fills."""
+        (or construction's ``x^0``) fills.
+
+        The shards are prepared again only when the trainer holds another
+        shard list (a drift epoch); a topology swap keeps them.
+        """
         self._build_edge_structures()
-        self.prepared = self.trainer.model.prepare_shards(
-            [(shard.X, shard.y) for shard in self.trainer.shards]
-        )
+        shards = self.trainer.shards
+        if shards is not self._prepared_from:
+            self.prepared = self.trainer.model.prepare_shards(
+                [(shard.X, shard.y) for shard in shards]
+            )
+            self._prepared_from = shards
         self._allocate_state()
 
     def _build_edge_structures(self) -> None:
@@ -498,6 +529,10 @@ class VectorizedEngine(Engine):
         self.iterations = np.zeros(self.n_nodes, dtype=np.int64)
         #: Persistent (N + E, d) scratch of the REWEIGHT substitution.
         self._subst_scratch: np.ndarray | None = None
+        #: What :meth:`mean_local_loss` left of the model's forward pass at
+        #: ``params``, for the next :meth:`step_round`'s gradients; dropped
+        #: whenever ``params`` or ``prepared`` may have changed.
+        self._forward: dict | None = None
 
     def _build_mixing(
         self, own_w: np.ndarray, edge_w: np.ndarray, w_tilde: bool
@@ -549,6 +584,7 @@ class VectorizedEngine(Engine):
         """Copy ``state``'s columns into the arrays, then sync any built servers."""
         for name, array in self._columns().items():
             array[...] = getattr(state, name)
+        self._forward = None
         self._forget_edge_states()
         self.sync_to_servers()
 
@@ -622,8 +658,9 @@ class VectorizedEngine(Engine):
 
     def step_round(self, round_index: int, down: frozenset) -> None:
         active = self._active_mask(down)
+        forward, self._forward = self._forward, None
         gradients = self.scales[:, None] * self.trainer.model.batch_gradients(
-            self.params, self.prepared
+            self.params, self.prepared, forward
         )
         robust = self.trainer.config.robust_aggregation
         if robust is not None:
@@ -734,13 +771,15 @@ class VectorizedEngine(Engine):
         view row for that directed edge), same outcome ordering — so every
         compressor inherits bit-for-bit engine parity.
         The round is three calls on one compressor: ``begin_round_batch``
-        for the active nodes, one ``compress_batch`` over all eligible edges
+        for the active nodes, one ``compress_batch`` over the eligible edges
         into a columnar :class:`~repro.compression.base.PayloadBatch`, and
         ``end_round_batch``, whose nodes :meth:`restart`; sizing, delivery
         and the outcome are array operations on the batch. ``batched``
         compressors (the paper's three policies among them) implement the
-        three as array kernels; for the rest the base-class adapters fill
-        the batch node by node and edge by edge.
+        three as array kernels and select once per run of a sender's
+        bitwise-equal views (:func:`reference_runs`), whose row every edge
+        of the run takes; for the rest the base-class adapters fill the
+        batch node by node and edge by edge.
         """
         trainer = self.trainer
         active = self._active_mask(down)
@@ -761,11 +800,24 @@ class VectorizedEngine(Engine):
         n_sent = np.zeros(self.n_edges, dtype=np.int64)
         if elig_idx.size:
             sources = self.edge_src[elig_idx]
-            currents = tx[sources]
-            states = None if compressor.batched else self._adopt_edge_states(elig_idx)
+            references = self._view_rows(elig_idx)
+            states = runs = None
+            if compressor.batched:
+                # A batched payload is a function of (current, reference):
+                # one selection per run of equal references of a sender,
+                # handed to every edge of the run (PERFORMANCE.md identity 22).
+                firsts, runs = reference_runs(sources, references)
+                if firsts.size < sources.size:
+                    sources, references = sources[firsts], references[firsts]
+                else:
+                    runs = None
+            else:
+                states = self._adopt_edge_states(elig_idx)
             batch = compressor.compress_batch(
-                currents, self._view_rows(elig_idx), states, ctxs[sources]
+                tx[sources], references, states, ctxs[sources]
             )
+            if runs is not None:
+                batch = batch.take(runs)
             n_sent[elig_idx] = batch.n_sent
             sizes[elig_idx] = batch.wire_bytes(d)
 
@@ -814,7 +866,13 @@ class VectorizedEngine(Engine):
         return self.params.copy()
 
     def mean_local_loss(self) -> float:
-        losses = self.trainer.model.batch_losses(self.params, self.prepared)
+        """The mean scaled local loss; the model's forward pass is kept for
+        the next round's gradients at the same parameters (PERFORMANCE.md
+        identity 23)."""
+        self._forward = {}
+        losses = self.trainer.model.batch_losses(
+            self.params, self.prepared, self._forward
+        )
         return float(np.mean(self.scales * losses))
 
     def state(self) -> EngineState:

@@ -56,7 +56,13 @@ from repro.weights.adaptive import TopologyController
 # module: benchmarks/e2e/layers.py rebinds it by name (ROADMAP, frozen names).
 from repro.weights.construction import metropolis_weights, tiered_metropolis_weights
 from repro.weights.optimizer import optimize_weight_matrix
-from repro.weights.validation import check_weight_matrix, edge_weights, off_support
+# ``check_weight_matrix`` is unused here but stays importable from this
+# module: benchmarks/e2e/layers.py rebinds it by name (ROADMAP, frozen names).
+from repro.weights.validation import (
+    check_weight_matrix,
+    check_weight_support,
+    edge_weights,
+)
 
 #: Consecutive partitioned rounds before the trainer emits a warning.
 PARTITION_WARN_ROUNDS = 10
@@ -372,14 +378,16 @@ class SNAPTrainer:
 
         Construction and every swap come through here; nothing is assigned
         until every check has passed, so a refused W leaves the run as it
-        was. W must be feasible (``check_weight_matrix``); unless
+        was. W must be feasible (``check_weight_support``: the checks of
+        ``check_weight_matrix``, whose one support scan also returns the
+        weights off the links above ``STRAY_ATOL``); unless
         ``config.alpha`` fixes it, the step size is capped at W's safe step,
         never raised (mid-run that would invalidate completed rounds); then
         the step size must be positive and, node by node, the objective scale
         positive and W free of weight off the node's links (``EdgeServer``
         takes only its own links' weights): the first failing node raises.
         """
-        matrix = check_weight_matrix(matrix, topology)
+        matrix, rows, columns = check_weight_support(matrix, topology, STRAY_ATOL)
         alpha = self.alpha
         if self.config.alpha is None:
             alpha = min(alpha, self._safe_alpha(matrix, result))
@@ -388,7 +396,6 @@ class SNAPTrainer:
         n = topology.n_nodes
         scales = self._objective_scales
         first_scale = next((i for i, scale in enumerate(scales) if scale <= 0), n)
-        rows, columns = off_support(matrix, topology, STRAY_ATOL)
         if first_scale < n and first_scale <= (rows[0] if rows.size else n):
             raise ConfigurationError(
                 f"objective_scale must be > 0, got {scales[first_scale]}"
@@ -668,10 +675,14 @@ class SNAPTrainer:
         boundary is retired; then the engine is rebuilt, loads ``state``
         re-indexed by ``rows`` (:func:`~repro.core.engine.reindex_state`)
         and restarts every node: its EXTRA memory was built under the old
-        ``W`` (or shards).
+        ``W`` (or shards). A new server on its predecessor's very shard
+        takes over its prepared shard (only a drift epoch changes shards).
         """
         if self._servers is not None:
-            self._servers = self._build_servers()
+            retired, self._servers = self._servers, self._build_servers()
+            for server, old in zip(self._servers, retired):
+                if server.X is old.X and server.y is old.y:
+                    server._prepared = old._prepared
         self.compressors = self._build_compressors()
         self.engine.rebuild()
         self.engine.load_state(

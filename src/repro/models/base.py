@@ -150,21 +150,32 @@ class Model(abc.ABC):
         """:meth:`gradient` on one prepared shard."""
         return self.gradient(params, *shard)
 
-    def batch_losses(self, params_stack: np.ndarray, prepared) -> np.ndarray:
+    def batch_losses(
+        self, params_stack: np.ndarray, prepared, forward: dict | None = None
+    ) -> np.ndarray:
         """Per-shard losses for stacked parameters ``(N, n_params)`` -> ``(N,)``.
 
         Row ``i`` equals ``self.loss(params_stack[i], X_i, y_i)`` exactly
         (same floating point operations in the same order).
+
+        ``forward``, if given, is an empty dict the caller owns: a model may
+        leave its forward pass there for a following :meth:`batch_gradients`
+        call on the same ``params_stack`` and ``prepared`` to reuse, bit for
+        bit (docs/PERFORMANCE.md identity 23). The defaults keep nothing.
         """
         losses = np.empty(len(prepared))
         for i, shard in enumerate(prepared):
             losses[i] = self._loss_impl(params_stack[i], *shard)
         return losses
 
-    def batch_gradients(self, params_stack: np.ndarray, prepared) -> np.ndarray:
+    def batch_gradients(
+        self, params_stack: np.ndarray, prepared, forward: dict | None = None
+    ) -> np.ndarray:
         """Per-shard gradients, stacked ``(N, n_params)``.
 
         Row ``i`` equals ``self.gradient(params_stack[i], X_i, y_i)`` exactly.
+        ``forward`` is what :meth:`batch_losses` left on the same inputs, or
+        ``None``.
         """
         gradients = np.empty((len(prepared), self.n_params))
         for i, shard in enumerate(prepared):

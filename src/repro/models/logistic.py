@@ -141,21 +141,31 @@ class LogisticRegression(Model):
         return prepared.signed_stack * products[:, :, 0]
 
     def batch_losses(
-        self, params_stack: np.ndarray, prepared: "_PreparedLogisticShards"
+        self,
+        params_stack: np.ndarray,
+        prepared: "_PreparedLogisticShards",
+        forward: dict | None = None,
     ) -> np.ndarray:
         if prepared.design_stack is None:
             return self._batch_losses_loop(params_stack, prepared)
         margins = self._margins_stack(params_stack, prepared)
+        if forward is not None:
+            forward["margins"] = margins
         data_terms = np.logaddexp(0.0, -margins).mean(axis=1)
         reg_terms = np.matmul(params_stack[:, None, :], params_stack[:, :, None])
         return data_terms + 0.5 * self.regularization * reg_terms[:, 0, 0]
 
     def batch_gradients(
-        self, params_stack: np.ndarray, prepared: "_PreparedLogisticShards"
+        self,
+        params_stack: np.ndarray,
+        prepared: "_PreparedLogisticShards",
+        forward: dict | None = None,
     ) -> np.ndarray:
         if prepared.design_stack is None:
             return self._batch_gradients_loop(params_stack, prepared)
-        margins = self._margins_stack(params_stack, prepared)
+        margins = None if forward is None else forward.get("margins")
+        if margins is None:
+            margins = self._margins_stack(params_stack, prepared)
         weights = _stable_sigmoid(-margins)
         coefficients = -(weights * prepared.signed_stack) / margins.shape[1]
         # c^T X per shard: the same gemv as the per-shard ``design.T @ c``.
@@ -218,10 +228,13 @@ class _PreparedLogisticShards:
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z, dtype=float)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    """Numerically stable logistic function.
+
+    ``1 / (1 + e^{-z})`` where ``z >= 0`` and ``e^{z} / (1 + e^{z})``
+    elsewhere, each element by the same IEEE operations as a masked gather
+    of either half would apply to it (docs/PERFORMANCE.md identity 23),
+    with ``e = exp(-|z|)`` serving both halves.
+    """
+    e = np.exp(-np.abs(z))
+    denominator = 1.0 + e
+    return np.where(z >= 0, 1.0 / denominator, e / denominator)

@@ -267,13 +267,19 @@ class MLPClassifier(Model):
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=2, keepdims=True))
         return activations, log_probs
 
-    def batch_losses(self, params_stack: np.ndarray, prepared) -> np.ndarray:
+    def batch_losses(
+        self, params_stack: np.ndarray, prepared, forward: dict | None = None
+    ) -> np.ndarray:
         if not isinstance(prepared, _PreparedMLPShards):
             return self._batch_losses_loop(params_stack, prepared)
         losses = np.empty(len(prepared.shards))
+        if forward is not None:
+            forward["groups"] = []
         for indices, X_stack, labels_stack in prepared.groups:
             params_group = params_stack[indices]
-            _, log_probs = self._group_forward(params_group, X_stack)
+            activations, log_probs = self._group_forward(params_group, X_stack)
+            if forward is not None:
+                forward["groups"].append((activations, log_probs))
             m = X_stack.shape[1]
             sample_index = np.arange(m)
             for n, node in enumerate(indices):
@@ -285,13 +291,19 @@ class MLPClassifier(Model):
                 )
         return losses
 
-    def batch_gradients(self, params_stack: np.ndarray, prepared) -> np.ndarray:
+    def batch_gradients(
+        self, params_stack: np.ndarray, prepared, forward: dict | None = None
+    ) -> np.ndarray:
         if not isinstance(prepared, _PreparedMLPShards):
             return self._batch_gradients_loop(params_stack, prepared)
         gradients = np.empty_like(params_stack)
-        for indices, X_stack, labels_stack in prepared.groups:
+        passes = None if forward is None else forward.get("groups")
+        for group, (indices, X_stack, labels_stack) in enumerate(prepared.groups):
             params_group = params_stack[indices]
-            activations, log_probs = self._group_forward(params_group, X_stack)
+            if passes is None:
+                activations, log_probs = self._group_forward(params_group, X_stack)
+            else:
+                activations, log_probs = passes[group]
             g, m, _ = X_stack.shape
             delta = np.exp(log_probs)
             delta[

@@ -238,6 +238,7 @@ class TestVectorizedRoundCallCount:
         retain_flow_records: bool = False,
         model: str = "logistic",
         engine: str = "vectorized",
+        degree: int = 4,
     ) -> float:
         """Python-level function calls one ``engine`` round makes at ``n_nodes``.
 
@@ -262,7 +263,7 @@ class TestVectorizedRoundCallCount:
         trainer = SNAPTrainer(
             MLPClassifier((10, 16, 3)) if model == "mlp" else LogisticRegression(10),
             shards,
-            random_regular_topology(n_nodes, degree=4, seed=3),
+            random_regular_topology(n_nodes, degree=degree, seed=3),
             SNAPConfig(
                 engine=engine,
                 compressor=compressor,
@@ -305,6 +306,27 @@ class TestVectorizedRoundCallCount:
             f"Python calls per vectorized {compressor} round grew with N: "
             f"{small:.0f} at N=64 -> {large:.0f} at N=256; something walks "
             "the nodes or edges in Python"
+        )
+
+    @pytest.mark.parametrize(
+        "compressor", ["ape", "changed_only", "topk:k=4", "uniform:bits=4"]
+    )
+    def test_one_selection_per_view_run_adds_no_per_run_python_calls(
+        self, compressor
+    ):
+        """The round selects once per run of equal views of a sender and
+        hands the selection to the run's edges by array gathers. Doubling
+        the degree doubles the edges and, at a fault-free start, keeps one
+        run per sender; a loop over runs or edges would add at least 64
+        calls a round at N=64. The convergence detector's data-dependent
+        branches move the slope by under one call."""
+        four, eight = (
+            self._python_calls_per_round(compressor, 64, degree=degree)
+            for degree in (4, 8)
+        )
+        assert abs(eight - four) < 1.0, (
+            f"Python calls per vectorized {compressor} round moved with the "
+            f"degree: {four:.1f} at degree 4 -> {eight:.1f} at degree 8"
         )
 
     @pytest.mark.parametrize("compressor", ["ape", "topk:k=4"])

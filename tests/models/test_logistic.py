@@ -9,7 +9,51 @@ from repro.models.logistic import LogisticRegression, _stable_sigmoid
 from repro.models.metrics import accuracy_score
 
 
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The boolean-mask spelling ``_stable_sigmoid`` replaced: the oracle."""
+    out = np.empty_like(z, dtype=float)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    exp_z = np.exp(z[~positive])
+    out[~positive] = exp_z / (1.0 + exp_z)
+    return out
+
+
+#: ±0, the subnormals, where exp under- and overflows, and non-numbers.
+SIGMOID_SPECIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 36.0, -36.0, 709.8, -709.8,
+    745.0, -745.0, 745.2, -745.2, 1e3, -1e3, np.inf, -np.inf, np.nan,
+]
+
+sigmoid_inputs = st.lists(
+    st.one_of(
+        st.sampled_from(SIGMOID_SPECIAL),
+        st.floats(allow_nan=True, allow_infinity=True, width=64),
+    ),
+    max_size=40,
+).map(np.array)
+
+
+def _check_sigmoid_equals_the_masked_spelling(z: np.ndarray) -> None:
+    with np.errstate(all="ignore"):
+        expected, got = masked_sigmoid(z), _stable_sigmoid(z)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
 class TestStableSigmoid:
+    @settings(max_examples=50, deadline=None)
+    @given(sigmoid_inputs)
+    def test_equals_the_masked_spelling(self, z):
+        _check_sigmoid_equals_the_masked_spelling(z)
+
+    @pytest.mark.differential
+    @settings(max_examples=400, deadline=None)
+    @given(sigmoid_inputs)
+    def test_equals_the_masked_spelling_wide(self, z):
+        _check_sigmoid_equals_the_masked_spelling(z)
+
     def test_matches_naive_formula_in_safe_range(self, rng):
         z = rng.normal(0, 3, size=100)
         np.testing.assert_allclose(_stable_sigmoid(z), 1 / (1 + np.exp(-z)))

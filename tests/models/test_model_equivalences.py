@@ -104,3 +104,40 @@ class TestSvmVsLogisticOnSeparableData:
 
         assert svm_accuracy > 0.98
         assert logistic_accuracy > 0.98
+
+
+class TestKeptForwardPass:
+    """``batch_gradients`` on the forward pass ``batch_losses`` kept ≡ on its
+    own, bit for bit, for every model family (most keep nothing)."""
+
+    @staticmethod
+    def _cases(rng):
+        from repro.models.mlp import MLPClassifier
+
+        def shards(n_features, sizes, classes=None):
+            out = []
+            for n in sizes:
+                X = rng.normal(size=(n, n_features))
+                if classes is None:
+                    y = (X @ rng.normal(size=n_features) > 0).astype(float)
+                else:
+                    y = rng.integers(0, classes, n).astype(float)
+                out.append((X, y))
+            return out
+
+        yield LogisticRegression(4), shards(4, [12, 12, 12])
+        yield LogisticRegression(4), shards(4, [12, 7, 12])  # ragged: a loop
+        yield MLPClassifier((4, 6, 3)), shards(4, [12, 7, 12], classes=3)
+        yield LinearSVM(4), shards(4, [12, 12])
+        yield RidgeRegression(4), [(X, X @ np.ones(4)) for X, _ in shards(4, [9, 9])]
+
+    def test_gradients_on_the_kept_pass_equal_a_fresh_one(self, rng):
+        for model, shards in self._cases(rng):
+            prepared = model.prepare_shards(shards)
+            params = rng.normal(size=(len(shards), model.n_params))
+            forward = {}
+            losses = model.batch_losses(params, prepared, forward)
+            assert np.array_equal(losses, model.batch_losses(params, prepared))
+            kept = model.batch_gradients(params, prepared, forward)
+            fresh = model.batch_gradients(params, prepared)
+            assert kept.tobytes() == fresh.tobytes(), type(model).__name__
