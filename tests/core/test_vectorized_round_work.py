@@ -33,10 +33,10 @@ from tests.core.test_topology_readd import manual_swap_trainer, run_manual_drop_
 N_NODES, N_FEATURES = 8, 5
 
 
-def _shards(n_nodes: int = N_NODES, degree_seed: int = 3):
-    rng = np.random.default_rng([21, n_nodes, degree_seed])
+def _shards():
+    rng = np.random.default_rng([21, N_NODES, 3])
     shards = []
-    for _ in range(n_nodes):
+    for _ in range(N_NODES):
         X = rng.normal(size=(30, N_FEATURES))
         shards.append(Dataset(X, (X @ rng.normal(size=N_FEATURES) > 0).astype(float)))
     return shards
