@@ -212,7 +212,7 @@ class SemiSyncEngine(Engine):
             self._round_delivered.pop(round_index, ())
         )
 
-    def rebuild(self) -> None:
+    def rebuild(self, new_shards: bool = True) -> None:
         """Adopt the trainer's topology at a round boundary (layout only).
 
         Called after ``_settle_arrivals``: the heap holds no in-flight

@@ -304,9 +304,10 @@ class Engine:
     def sync_to_servers(self) -> None:
         """Write engine-held state back onto the server objects."""
 
-    def rebuild(self) -> None:
+    def rebuild(self, new_shards: bool = True) -> None:
         """Re-derive what the engine takes from the trainer's topology, W and
-        shards at a round boundary; :meth:`load_state` follows."""
+        shards at a round boundary; :meth:`load_state` follows. ``new_shards``
+        is false when the shards are the ones of the last build."""
 
     def in_flight_edges(self) -> frozenset:
         """Directed edges with a delivered frame the receiver has not applied."""
@@ -453,29 +454,21 @@ class VectorizedEngine(Engine):
         self.n_nodes = trainer.topology.n_nodes
         self.n_params = trainer.model.n_params
         self.scales = np.asarray(trainer._objective_scales, dtype=float)
-        #: The shard list ``prepared`` was built from.
-        self._prepared_from = None
         self.rebuild()
         # A fresh engine is a fresh fleet: every server and every view holds
         # x^0, no previous layer, every flag fresh.
         self._stack_current[:] = trainer.initial_params
         self._forget_edge_states()
 
-    def rebuild(self) -> None:
-        """Re-derive the edge layout, both mixing CSRs and the prepared shards
-        from the trainer, over zeroed state arrays that :meth:`load_state`
-        (or construction's ``x^0``) fills.
-
-        The shards are prepared again only when the trainer holds another
-        shard list (a drift epoch); a topology swap keeps them.
-        """
+    def rebuild(self, new_shards: bool = True) -> None:
+        """Re-derive the edge layout, both mixing CSRs and (on ``new_shards``)
+        the prepared shards from the trainer, over zeroed state arrays that
+        :meth:`load_state` (or construction's ``x^0``) fills."""
         self._build_edge_structures()
-        shards = self.trainer.shards
-        if shards is not self._prepared_from:
+        if new_shards:
             self.prepared = self.trainer.model.prepare_shards(
-                [(shard.X, shard.y) for shard in shards]
+                [(shard.X, shard.y) for shard in self.trainer.shards]
             )
-            self._prepared_from = shards
         self._allocate_state()
 
     def _build_edge_structures(self) -> None:

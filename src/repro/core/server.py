@@ -70,6 +70,10 @@ class EdgeServer:
         mixing layers of the EXTRA update route through
         :func:`~repro.core.robust.robust_mix` instead of the plain weighted
         sum (bitwise identical to it at ``f=0``).
+    prepared:
+        The model's ``prepare_shards([(X, y)])`` of this very shard, if the
+        caller holds it (a swap's server on its predecessor's shard); by
+        default it is built on the first evaluation.
     """
 
     def __init__(
@@ -86,13 +90,14 @@ class EdgeServer:
         straggler_strategy: StragglerStrategy = StragglerStrategy.STALE,
         objective_scale: float = 1.0,
         robust=None,
+        prepared=None,
     ):
         self.node_id = int(node_id)
         self.model = model
         self._X = np.asarray(X, dtype=float)
         self._y = np.asarray(y)
         #: The model's validate-once view of the shard (:meth:`_prepared_shard`).
-        self._prepared = None
+        self._prepared = prepared
         neighbors = tuple(int(j) for j in neighbors)
         weights = tuple(float(w) for w in neighbor_weights)
         if len(weights) != len(neighbors):
@@ -156,6 +161,11 @@ class EdgeServer:
     def y(self) -> np.ndarray:
         """This server's labels (fixed at construction)."""
         return self._y
+
+    @property
+    def prepared(self):
+        """The model's prepared shard, or ``None`` before the first evaluation."""
+        return self._prepared
 
     def _prepared_shard(self):
         """The model's validate-once view of the shard, built on first evaluation.

@@ -56,13 +56,7 @@ from repro.weights.adaptive import TopologyController
 # module: benchmarks/e2e/layers.py rebinds it by name (ROADMAP, frozen names).
 from repro.weights.construction import metropolis_weights, tiered_metropolis_weights
 from repro.weights.optimizer import optimize_weight_matrix
-# ``check_weight_matrix`` is unused here but stays importable from this
-# module: benchmarks/e2e/layers.py rebinds it by name (ROADMAP, frozen names).
-from repro.weights.validation import (
-    check_weight_matrix,
-    check_weight_support,
-    edge_weights,
-)
+from repro.weights.validation import check_weight_matrix, edge_weights, off_support
 
 #: Consecutive partitioned rounds before the trainer emits a warning.
 PARTITION_WARN_ROUNDS = 10
@@ -316,8 +310,12 @@ class SNAPTrainer:
             for i in range(self.topology.n_nodes)
         ]
 
-    def _build_servers(self) -> list[EdgeServer]:
-        """The fleet at ``x^0`` over the current shards, topology, W and step size."""
+    def _build_servers(self, prepared: list | None = None) -> list[EdgeServer]:
+        """The fleet at ``x^0`` over the current shards, topology, W and step size.
+
+        ``prepared``, if given, is each node's prepared shard (or ``None``)
+        from a fleet on these very shards.
+        """
         return [
             EdgeServer(
                 node_id=node,
@@ -332,6 +330,7 @@ class SNAPTrainer:
                 straggler_strategy=self.config.straggler_strategy,
                 objective_scale=self._objective_scales[node],
                 robust=self.config.robust_aggregation,
+                prepared=None if prepared is None else prepared[node],
             )
             for node, (own_weight, neighbor_weights) in enumerate(
                 self._server_weights()
@@ -378,16 +377,14 @@ class SNAPTrainer:
 
         Construction and every swap come through here; nothing is assigned
         until every check has passed, so a refused W leaves the run as it
-        was. W must be feasible (``check_weight_support``: the checks of
-        ``check_weight_matrix``, whose one support scan also returns the
-        weights off the links above ``STRAY_ATOL``); unless
+        was. W must be feasible (``check_weight_matrix``); unless
         ``config.alpha`` fixes it, the step size is capped at W's safe step,
         never raised (mid-run that would invalidate completed rounds); then
         the step size must be positive and, node by node, the objective scale
         positive and W free of weight off the node's links (``EdgeServer``
         takes only its own links' weights): the first failing node raises.
         """
-        matrix, rows, columns = check_weight_support(matrix, topology, STRAY_ATOL)
+        matrix = check_weight_matrix(matrix, topology)
         alpha = self.alpha
         if self.config.alpha is None:
             alpha = min(alpha, self._safe_alpha(matrix, result))
@@ -396,6 +393,7 @@ class SNAPTrainer:
         n = topology.n_nodes
         scales = self._objective_scales
         first_scale = next((i for i, scale in enumerate(scales) if scale <= 0), n)
+        rows, columns = off_support(matrix, topology, STRAY_ATOL)
         if first_scale < n and first_scale <= (rows[0] if rows.size else n):
             raise ConfigurationError(
                 f"objective_scale must be > 0, got {scales[first_scale]}"
@@ -667,7 +665,7 @@ class SNAPTrainer:
         if self.monitor is not None:
             self.monitor.on_topology_swap(swap)
 
-    def _reload(self, state, rows: np.ndarray) -> None:
+    def _reload(self, state, rows: np.ndarray, new_shards: bool = False) -> None:
         """Load the run onto the trainer's current inputs at a boundary.
 
         Servers (if built) and compressors are built anew by the
@@ -675,16 +673,15 @@ class SNAPTrainer:
         boundary is retired; then the engine is rebuilt, loads ``state``
         re-indexed by ``rows`` (:func:`~repro.core.engine.reindex_state`)
         and restarts every node: its EXTRA memory was built under the old
-        ``W`` (or shards). A new server on its predecessor's very shard
-        takes over its prepared shard (only a drift epoch changes shards).
+        ``W`` (or shards). Only a drift epoch changes the shards and says so
+        with ``new_shards``; otherwise the new servers and the engine keep
+        the shards their predecessors prepared.
         """
         if self._servers is not None:
-            retired, self._servers = self._servers, self._build_servers()
-            for server, old in zip(self._servers, retired):
-                if server.X is old.X and server.y is old.y:
-                    server._prepared = old._prepared
+            kept = None if new_shards else [server.prepared for server in self._servers]
+            self._servers = self._build_servers(kept)
         self.compressors = self._build_compressors()
-        self.engine.rebuild()
+        self.engine.rebuild(new_shards)
         self.engine.load_state(
             reindex_state(state, rows, *self.topology.directed_edges)
         )
@@ -826,7 +823,7 @@ class SNAPTrainer:
             for node, base in enumerate(self._base_shards)
         ]
         self._drift_epoch = epoch
-        self._reload(state, np.arange(state.src.size))
+        self._reload(state, np.arange(state.src.size), new_shards=True)
 
     def _advance_staleness(self, delivered) -> int:
         """Age every directed link; reset the delivered ones. Returns #stale.

@@ -19,7 +19,11 @@ from repro.utils.rng import make_rng
 
 
 class Model(abc.ABC):
-    """Abstract objective: flat parameters -> loss / gradient / predictions."""
+    """Abstract objective: flat parameters -> loss / gradient / predictions.
+
+    A subclass that overrides :meth:`batch_losses` or :meth:`batch_gradients`
+    must accept their third argument, ``forward``.
+    """
 
     @property
     @abc.abstractmethod
@@ -126,7 +130,10 @@ class Model(abc.ABC):
     # which is bit-for-bit identical to N individual calls — subclasses
     # override ``_prepare_shard`` and the ``_impl`` kernels (or the batch
     # evaluators themselves) only where that can be done without changing a
-    # single floating point operation's order or operands.
+    # single floating point operation's order or operands. An override of
+    # ``batch_losses`` / ``batch_gradients`` must take the third argument,
+    # ``forward``: the vectorized engine always passes it (positionally), so a
+    # two-argument override raises ``TypeError`` on the first round there.
 
     def prepare_shards(self, shards) -> object:
         """Precompute immutable per-shard state for the batch evaluators.

@@ -600,7 +600,7 @@ class TestbedRuntime(Engine):
         mean = np.mean if self.membership is None else np.nanmean
         return float(mean([node.loss_trace[-1] for node in self._live]))
 
-    def rebuild(self) -> None:
+    def rebuild(self, new_shards: bool = True) -> None:
         """Adopt the trainer's topology and its new servers; nothing is
         dialed. A re-added link is re-armed: pre-swap leftover frames are
         fenced out (link epoch), and the peer's miss and death record is

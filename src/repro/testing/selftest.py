@@ -138,14 +138,14 @@ def _inject_swap(trainer) -> None:
             solver_steps=0,
         )
 
-    def corrupt_reload(state, rows):
+    def corrupt_reload(state, rows, **kwargs):
         # Past the swap's gate, on a copy (the controller's solve stays
         # intact). (0, 1) is a ring edge of every base topology, so support
         # stays legal — the corruption breaks symmetry and both stochastic
         # sums, which only the swap-boundary re-validation can notice.
         trainer.weight_matrix = trainer.weight_matrix.copy()
         trainer.weight_matrix[0, 1] += 0.05
-        true_reload(state, rows)
+        true_reload(state, rows, **kwargs)
 
     controller.propose = forced_propose
     trainer._reload = corrupt_reload

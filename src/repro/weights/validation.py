@@ -35,19 +35,6 @@ def check_weight_matrix(
     matrix checked is the matrix every engine mixes with. Raises
     :class:`~repro.exceptions.WeightMatrixError` otherwise.
     """
-    return check_weight_support(matrix, topology, atol, atol)[0]
-
-
-def check_weight_support(
-    matrix: WeightMatrix, topology: Topology, stray_atol: float, atol: float = 1e-7
-) -> tuple[WeightMatrix, np.ndarray, np.ndarray]:
-    """:func:`check_weight_matrix`, plus W's off-support entries above ``stray_atol``.
-
-    One support scan, at ``stray_atol`` (at most ``atol``), answers both:
-    an entry in it above ``atol`` is refused as :func:`check_weight_matrix`
-    refuses it, and the rest come back as ``(matrix, rows, columns)``,
-    row-major, for a caller with a stricter rule of its own.
-    """
     sparse = issparse(matrix)
     if sparse:
         matrix = csr_matrix(matrix, dtype=float, copy=True)
@@ -65,15 +52,13 @@ def check_weight_support(
         raise WeightMatrixError("weight matrix is not symmetric")
     elif not is_doubly_stochastic(matrix, atol=atol):
         raise WeightMatrixError("weight matrix is not doubly stochastic")
-    rows, columns, magnitudes = off_support(matrix, topology, stray_atol)
-    refused = np.flatnonzero(magnitudes > atol)
-    if refused.size:
-        first = refused[0]
+    rows, columns = off_support(matrix, topology, atol)
+    if rows.size:
         raise WeightMatrixError(
             f"weight matrix has nonzero entry at non-neighbor pair "
-            f"({int(rows[first])}, {int(columns[first])})"
+            f"({int(rows[0])}, {int(columns[0])})"
         )
-    return matrix, rows, columns
+    return matrix
 
 
 def _check_sparse(matrix: csr_matrix, atol: float) -> None:
@@ -130,9 +115,8 @@ def edge_weights(matrix, topology: Topology) -> tuple[np.ndarray, np.ndarray]:
 
 def off_support(
     matrix, topology: Topology, atol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, columns, magnitudes)`` of W's entries above ``atol`` off the
-    support, row-major.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, columns)`` of W's entries above ``atol`` off the support, row-major.
 
     The support is the diagonal plus every link of ``topology`` (eq. 8:
     ``w_ij = 0`` for ``j`` outside ``B_i``). ``matrix`` must be square of
@@ -140,13 +124,8 @@ def off_support(
     """
     if issparse(matrix):
         keys, values = weight_entries(matrix)
-        magnitudes = np.abs(values)
-        above = magnitudes > atol
-        rows, columns = np.divmod(keys[above], topology.n_nodes)
-        magnitudes = magnitudes[above]
+        rows, columns = np.divmod(keys[np.abs(values) > atol], topology.n_nodes)
     else:
-        magnitudes = np.abs(np.asarray(matrix, dtype=float))
-        rows, columns = np.nonzero(magnitudes > atol)
-        magnitudes = magnitudes[rows, columns]
+        rows, columns = np.nonzero(np.abs(np.asarray(matrix, dtype=float)) > atol)
     stray = (rows != columns) & (topology.edge_rows(rows, columns) < 0)
-    return rows[stray], columns[stray], magnitudes[stray]
+    return rows[stray], columns[stray]

@@ -155,6 +155,33 @@ class TestOneForwardPassPerRound:
         _trainer(model=model).run(max_rounds=2, stop_on_convergence=False)
 
 
+class TestBatchEvaluatorOverrides:
+    """The vectorized engine hands ``forward`` to a model's batch evaluators
+    as their third positional argument (the ``Model`` contract)."""
+
+    def test_a_two_argument_override_fails_on_the_first_round(self):
+        class TwoArgumentLogistic(LogisticRegression):
+            def batch_gradients(self, params_stack, prepared):
+                return super().batch_gradients(params_stack, prepared)
+
+        trainer = _trainer(model=TwoArgumentLogistic(N_FEATURES))
+        with pytest.raises(TypeError, match="positional argument"):
+            trainer.run(max_rounds=1, stop_on_convergence=False)
+
+    def test_an_override_that_takes_forward_runs_bitwise(self):
+        class ForwardingLogistic(LogisticRegression):
+            def batch_gradients(self, params_stack, prepared, forward=None):
+                return super().batch_gradients(params_stack, prepared, forward)
+
+        def digest(model):
+            trainer = _trainer(model=model)
+            result = trainer.run(max_rounds=4, stop_on_convergence=False)
+            return RunDigest.capture(trainer, result)
+
+        plain = digest(LogisticRegression(N_FEATURES))
+        assert digest(ForwardingLogistic(N_FEATURES)) == plain
+
+
 class TestPreparedShardsSurviveASwap:
     def test_a_vectorized_swap_prepares_nothing(self, monkeypatch):
         shards = _count_prepares(monkeypatch)
